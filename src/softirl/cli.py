@@ -160,8 +160,7 @@ def _cmd_diagnose(args) -> int:
     pi = expert_policy(mdp, r_true)
     dataset = sample_transitions(mdp, pi, cfg.n, regime=cfg.regime, seed=seed,
                                  env_id=cfg.name)
-    solution = classify_then_regress(dataset, cfg.solver, benchmark_mdp=mdp,
-                                     record_iterates=True)
+    solution = classify_then_regress(dataset, cfg.solver, record_iterates=True)
     exact = exact_population_solver(mdp, pi, cfg.solver.mu)
     diag = solution.diagnostics
     iterates = diag.extras["iterates"]

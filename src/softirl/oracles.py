@@ -1,9 +1,9 @@
 """Blackbox probabilistic classification and regression oracles.
 
-Both oracle families share the fit-then-predict-table surface the fitted
-fixed-point solver needs: classifiers estimate the behavior policy from
-(s, a) pairs, regressors estimate conditional means of scalar targets
-indexed by (s, a).
+Classifiers estimate the behavior policy from (s, a) pairs. Regressors
+estimate conditional means E[g(s') | s, a] for a next-state function g; both
+shipped regressor classes are linear in their targets, so one fit on a fold
+is a linear map from g to the (s, a) table, reused for every g.
 """
 
 from __future__ import annotations
@@ -54,26 +54,17 @@ class FittedClassifier:
     probs: np.ndarray
     diagnostics: dict = field(default_factory=dict)
 
-    def predict(self, s: int) -> np.ndarray:
-        return self.probs[s]
-
 
 @dataclass
 class FittedRegressor:
-    """Dense prediction table; `weights` is set for the ridge kind."""
+    """The fitted regression g -> kernel @ g + offset, flattened over cells
+    s * A + a: `kernel` is (S*A, S), `offset` is (S*A,), and `counts` is the
+    fold's (S*A, S) matrix of (s, a, s') record counts."""
 
-    table: np.ndarray
-    weights: np.ndarray | None = None
+    kernel: np.ndarray
+    offset: np.ndarray
+    counts: np.ndarray
     diagnostics: dict = field(default_factory=dict)
-
-    def predict(self, s: int, a: int) -> float:
-        ns, na = self.table.shape
-        if not (0 <= s < ns and 0 <= a < na):
-            raise IndexError(f"({s}, {a}) out of range for table {self.table.shape}")
-        return float(self.table[s, a])
-
-    def predict_table(self) -> np.ndarray:
-        return self.table.copy()
 
 
 def floor_and_renormalize(probs: np.ndarray, floor: float) -> np.ndarray:
@@ -173,29 +164,30 @@ def log_policy(classifier: FittedClassifier) -> np.ndarray:
     return np.log(classifier.probs)
 
 
-def fit_regressor(spec: RegressorSpec, states, actions, targets,
+def fit_regressor(spec: RegressorSpec, states, actions, next_states,
                   n_states: int, n_actions: int) -> FittedRegressor:
-    """Least-squares estimate of E[y | s, a] over the configured class."""
+    """Least-squares fit of the next-state indicator on (s, a) over the
+    configured class: regressing any target g(s') on the same records gives
+    kernel @ g + offset."""
     s, a = _check_fit_inputs(states, actions, n_states, n_actions)
-    y = np.asarray(targets, dtype=float)
-    if y.shape != s.shape:
-        raise ValueError("targets must align with states/actions")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("targets must be finite")
+    s2 = np.asarray(next_states, dtype=np.int64)
+    if s2.shape != s.shape:
+        raise ValueError("next_states must align with states/actions")
+    if s2.min() < 0 or s2.max() >= n_states:
+        raise ValueError("next state index out of range")
     if not np.isfinite(spec.fallback):
         raise ValueError("fallback must be finite")
     if spec.ridge_lambda < 0:
         raise ValueError("ridge_lambda must be nonnegative")
 
-    cells = s * n_actions + a
     n_cells = n_states * n_actions
-    cnt = np.bincount(cells, minlength=n_cells).astype(float)
-    sums = np.bincount(cells, weights=y, minlength=n_cells)
+    counts = np.bincount((s * n_actions + a) * n_states + s2,
+                         minlength=n_cells * n_states).reshape(n_cells, n_states)
+    cnt = counts.sum(axis=1)
 
     if spec.kind == "tabular-mean":
-        flat = np.where(cnt > 0, sums / np.maximum(cnt, 1.0), spec.fallback)
-        table = flat.reshape(n_states, n_actions)
-        weights = None
+        kernel = counts / np.maximum(cnt, 1)[:, None]
+        offset = np.where(cnt > 0, 0.0, spec.fallback)
     elif spec.kind == "ridge":
         if spec.features is None:
             raise ValueError("ridge regression needs a feature table")
@@ -211,16 +203,14 @@ def fit_regressor(spec: RegressorSpec, states, actions, targets,
             raise ValueError(
                 "normal equations are rank-deficient; set ridge_lambda > 0"
             ) from None
-        weights = np.linalg.solve(gram, phi_flat.T @ sums)
-        table = (phi_flat @ weights).reshape(n_states, n_actions)
+        kernel = phi_flat @ np.linalg.solve(gram, phi_flat.T @ counts)
+        offset = np.zeros(n_cells)
     else:
         raise ValueError(f"unknown regressor kind {spec.kind!r}")
 
-    residuals = table.reshape(-1)[cells] - y
     diagnostics = {
         "kind": spec.kind,
-        "train_rmse": float(np.sqrt(np.mean(residuals ** 2))),
         "n_empty_cells": int(np.sum(cnt == 0)),
         "n_train": int(s.size),
     }
-    return FittedRegressor(table, weights, diagnostics)
+    return FittedRegressor(kernel, offset, counts, diagnostics)

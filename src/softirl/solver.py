@@ -6,9 +6,11 @@ zero against a reference conditional measure mu. That potential solves an
 n_states-dimensional linear system, which `exact_population_solver` solves
 densely. The two data-driven variants replace the exact ingredients with a
 classification oracle for pi and an iterated regression oracle for the value
-fixed point: `classify_then_regress` refits on the full sample every
-iteration, `split_classify_regress` dedicates half the data to
-classification and one disjoint fold per regression step.
+fixed point. Both shipped regressors are linear in their targets, so each
+regression fold is fitted once as a linear map over next-state functions
+and applied at every step that uses it: `classify_then_regress` fits the
+full sample once, `split_classify_regress` dedicates half the data to
+classification and fits fold k mod `folds` of the other half for step k.
 
 Both variants return rewards through the same closed form r = w - mu w with
 w = u - gamma v, which satisfies the normalization identically (and exactly
@@ -34,6 +36,7 @@ from softirl.mdp import (
 )
 from softirl.oracles import (
     ClassifierSpec,
+    FittedRegressor,
     RegressorSpec,
     fit_classifier,
     fit_regressor,
@@ -86,8 +89,8 @@ class SolverDiagnostics:
 
     eta[k] is the root-mean-square misfit of the k-th regression on its own
     fitting fold; nu_proxy is the train KL between the empirical conditional
-    and the fitted classifier; kappa_hat is the largest ratio of stationary
-    to empirical (s, a) mass over the visited support.
+    and the fitted classifier; kappa_hat is the largest ratio of (empirical
+    state marginal x mu) to empirical (s, a) mass over the visited support.
     """
 
     eta: list = field(default_factory=list)
@@ -220,92 +223,64 @@ def _empirical_kappa(freq: np.ndarray, mu_t: np.ndarray, warnings: list) -> floa
     return float(np.max(target[visited] / freq[visited]))
 
 
-def _fit_policy(cfg: SolverConfig, states, actions, n_states, n_actions):
-    clf = fit_classifier(cfg.classifier, states, actions, n_states, n_actions)
-    u = log_policy(clf)
+def _fit_policy(cfg: SolverConfig, data, n_train: int):
+    """Classifier stage shared by the data-driven variants: fit pi on the
+    first `n_train` records, then record nu_proxy on them and kappa_hat on
+    all records, with a warning for each coverage gap."""
+    n_states = data.meta["n_states"]
+    n_actions = data.meta["n_actions"]
+    states = np.asarray(data.states)
+    actions = np.asarray(data.actions)
+    clf = fit_classifier(cfg.classifier, states[:n_train], actions[:n_train],
+                         n_states, n_actions)
     mu_t = cfg.mu.materialize(n_states, n_actions, behavior=clf.probs)
-    return clf, u, mu_t
-
-
-def classify_then_regress(data, cfg: SolverConfig, *, population=None,
-                          benchmark_mdp: TabularMdp | None = None,
-                          record_iterates: bool = False) -> IrlSolution:
-    """Fitted fixed-point recovery: classify the behavior policy, then
-    iterate regressions of mu[gamma v - u](s') on (s, a).
-
-    `population=(mdp, pi)` swaps both oracles for their exact population
-    versions (the classifier returns pi, each regression applies the exact
-    operator), which is the infinite-data limit used by the diagnostics.
-    `benchmark_mdp` augments diagnostics with exact per-iteration residuals
-    when the true kernel is known but the oracles stay data-driven.
-    """
     diag = SolverDiagnostics()
-    iterates = []
+    counts = np.bincount(states[:n_train] * n_actions + actions[:n_train],
+                         minlength=n_states * n_actions).reshape(n_states, n_actions)
+    diag.nu_proxy = _classifier_train_kl(clf.probs, counts)
+    if clf.diagnostics["n_unvisited_states"]:
+        diag.warnings.append(
+            f"{clf.diagnostics['n_unvisited_states']} states never visited; "
+            "classifier rows default to uniform there"
+        )
+    freq = joint_frequency(states, actions, n_states, n_actions)
+    diag.kappa_hat = _empirical_kappa(freq, mu_t, diag.warnings)
+    return log_policy(clf), mu_t, diag
 
-    if population is not None:
-        mdp, pi = population
-        pi = validate_policy(pi, mdp.n_states, mdp.n_actions)
-        if np.any(pi <= 0.0):
-            raise ValueError("behavior policy has zero entries (log undefined); floor it first")
-        n_states, n_actions = mdp.n_states, mdp.n_actions
-        u = np.log(pi)
-        mu_t = cfg.mu.materialize(n_states, n_actions, behavior=pi)
-        k_steps = resolve_K(cfg.K, data.n if data is not None else None, cfg.gamma)
-        v = np.zeros((n_states, n_actions))
-        if record_iterates:
-            iterates.append(v.copy())
-        for _ in range(k_steps):
-            v = T_u_apply(mdp, mu_t, u, v)
-            diag.eta.append(0.0)
-            if record_iterates:
-                iterates.append(v.copy())
-        diag.nu_proxy = 0.0
-    else:
-        n_states = data.meta["n_states"]
-        n_actions = data.meta["n_actions"]
-        if data.n < 1:
-            raise ValueError("empty dataset")
-        clf, u, mu_t = _fit_policy(cfg, data.states, data.actions, n_states, n_actions)
-        counts = np.bincount(np.asarray(data.states) * n_actions + np.asarray(data.actions),
-                             minlength=n_states * n_actions).reshape(n_states, n_actions)
-        diag.nu_proxy = _classifier_train_kl(clf.probs, counts)
-        if clf.diagnostics.get("n_unvisited_states"):
-            diag.warnings.append(
-                f"{clf.diagnostics['n_unvisited_states']} states never visited; "
-                "classifier rows default to uniform there"
-            )
-        freq = joint_frequency(data.states, data.actions, n_states, n_actions)
-        diag.kappa_hat = _empirical_kappa(freq, mu_t, diag.warnings)
 
-        k_steps = resolve_K(cfg.K, data.n, cfg.gamma)
-        v = np.zeros((n_states, n_actions))
-        if record_iterates:
-            iterates.append(v.copy())
-        empty_seen = 0
-        for k in range(k_steps):
-            g = expect_mu(mu_t, cfg.gamma * v - u)
-            y = g[data.next_states]
+def _fitted_fixed_point(cfg: SolverConfig, u, mu_t, k_steps: int, fit, folds: int,
+                        diag: SolverDiagnostics, record_iterates: bool) -> IrlSolution:
+    """The fitted fixed-point loop v <- M_k g + b_k with g = mu[gamma v - u].
+
+    (M_k, b_k) is the map `fit(k mod folds)` returns, fitted again only when
+    the fold changes, so at most one fold's map is alive. eta[k] is the
+    root-mean-square misfit of v on that fold's records, read off its counts
+    (0 for the population map, which has none).
+    """
+    v = np.zeros_like(u)
+    iterates = [v] if record_iterates else None
+    fitted, fold, empty_seen = None, None, 0
+    for k in range(k_steps):
+        if k % folds != fold:
+            fold = k % folds
             try:
-                fitted = fit_regressor(cfg.regressor, data.states, data.actions, y,
-                                       n_states, n_actions)
+                fitted = fit(fold)
             except Exception as exc:
                 raise RuntimeError(f"regression oracle failed at iteration {k + 1}: {exc}") from exc
-            v_new = fitted.table
-            diag.eta.append(float(np.sqrt(np.mean(
-                (v_new[data.states, data.actions] - y) ** 2))))
-            if benchmark_mdp is not None:
-                exact = T_u_apply(benchmark_mdp, mu_t, u, v)
-                diag.extras.setdefault("eta_pop_sup", []).append(
-                    float(np.max(np.abs(v_new - exact))))
-            empty_seen = max(empty_seen, fitted.diagnostics.get("n_empty_cells", 0))
-            v = v_new
-            if record_iterates:
-                iterates.append(v.copy())
-        if empty_seen:
-            diag.warnings.append(
-                f"up to {empty_seen} (s, a) cells unvisited per regression; fallback used"
-            )
-
+            rows, cols = np.nonzero(fitted.counts)
+            weights = fitted.counts[rows, cols]
+            n_records = max(int(weights.sum()), 1)
+            empty_seen = max(empty_seen, fitted.diagnostics["n_empty_cells"])
+        g = expect_mu(mu_t, cfg.gamma * v - u)
+        flat = fitted.kernel @ g + fitted.offset
+        diag.eta.append(float(np.sqrt(weights @ (flat[rows] - g[cols]) ** 2 / n_records)))
+        v = flat.reshape(u.shape)
+        if record_iterates:
+            iterates.append(v)
+    if empty_seen:
+        diag.warnings.append(
+            f"up to {empty_seen} (s, a) cells unvisited per regression fold; fallback used"
+        )
     diag.iterations = k_steps
     if record_iterates:
         diag.extras["iterates"] = iterates
@@ -313,26 +288,55 @@ def classify_then_regress(data, cfg: SolverConfig, *, population=None,
     return IrlSolution(r, v, u, c, mu_t, cfg.gamma, diag)
 
 
+def classify_then_regress(data, cfg: SolverConfig, *, population=None,
+                          record_iterates: bool = False) -> IrlSolution:
+    """Fitted fixed-point recovery: classify the behavior policy, then
+    iterate regressions of mu[gamma v - u](s') on (s, a), all on the full
+    sample through one fitted map.
+
+    `population=(mdp, pi)` swaps both oracles for their exact population
+    versions (the classifier returns pi, the map is the true kernel with
+    eta = 0), which is the infinite-data limit used by the diagnostics.
+    """
+    if population is not None:
+        mdp, pi = population
+        pi = validate_policy(pi, mdp.n_states, mdp.n_actions)
+        if np.any(pi <= 0.0):
+            raise ValueError("behavior policy has zero entries (log undefined); floor it first")
+        u = np.log(pi)
+        mu_t = cfg.mu.materialize(mdp.n_states, mdp.n_actions, behavior=pi)
+        diag = SolverDiagnostics(nu_proxy=0.0)
+        k_steps = resolve_K(cfg.K, data.n if data is not None else None, cfg.gamma)
+        n_cells = mdp.n_states * mdp.n_actions
+        exact = FittedRegressor(mdp.transition.reshape(n_cells, mdp.n_states),
+                                np.zeros(n_cells),
+                                np.zeros((n_cells, mdp.n_states), dtype=np.int64),
+                                {"n_empty_cells": 0})
+        return _fitted_fixed_point(cfg, u, mu_t, k_steps, lambda fold: exact, 1, diag,
+                                   record_iterates)
+    if data.n < 1:
+        raise ValueError("empty dataset")
+    u, mu_t, diag = _fit_policy(cfg, data, data.n)
+    k_steps = resolve_K(cfg.K, data.n, cfg.gamma)
+
+    def fit(fold):
+        return fit_regressor(cfg.regressor, data.states, data.actions, data.next_states,
+                             data.meta["n_states"], data.meta["n_actions"])
+
+    return _fitted_fixed_point(cfg, u, mu_t, k_steps, fit, 1, diag, record_iterates)
+
+
 def split_classify_regress(data, cfg: SolverConfig, *,
                            record_iterates: bool = False) -> IrlSolution:
     """Sample-split variant: the classifier sees the first half of the data
-    and each regression step fits on its own disjoint fold of the second."""
+    and regression step k fits on fold k mod `folds` of the second half."""
     n = data.n
     half = n // 2
     if half < 1:
         raise ValueError("need at least 2 records to split")
     n_states = data.meta["n_states"]
     n_actions = data.meta["n_actions"]
-
-    diag = SolverDiagnostics()
-    clf, u, mu_t = _fit_policy(cfg, data.states[:half], data.actions[:half],
-                               n_states, n_actions)
-    counts = np.bincount(np.asarray(data.states[:half]) * n_actions
-                         + np.asarray(data.actions[:half]),
-                         minlength=n_states * n_actions).reshape(n_states, n_actions)
-    diag.nu_proxy = _classifier_train_kl(clf.probs, counts)
-    freq = joint_frequency(data.states, data.actions, n_states, n_actions)
-    diag.kappa_hat = _empirical_kappa(freq, mu_t, diag.warnings)
+    u, mu_t, diag = _fit_policy(cfg, data, half)
 
     k_steps = resolve_K(cfg.K, n, cfg.gamma)
     folds = cfg.folds if cfg.folds is not None else max(k_steps, 1)
@@ -346,36 +350,12 @@ def split_classify_regress(data, cfg: SolverConfig, *,
             f"fold size {fold_size} is below the state count; coverage gaps likely"
         )
 
-    reg_s = data.states[half:2 * half]
-    reg_a = data.actions[half:2 * half]
-    reg_s2 = data.next_states[half:2 * half]
-    v = np.zeros((n_states, n_actions))
-    iterates = [v.copy()] if record_iterates else []
-    empty_seen = 0
-    for k in range(k_steps):
-        lo = (k % folds) * fold_size
-        sl = slice(lo, lo + fold_size)
-        g = expect_mu(mu_t, cfg.gamma * v - u)
-        y = g[reg_s2[sl]]
-        try:
-            fitted = fit_regressor(cfg.regressor, reg_s[sl], reg_a[sl], y,
-                                   n_states, n_actions)
-        except Exception as exc:
-            raise RuntimeError(f"regression oracle failed at iteration {k + 1}: {exc}") from exc
-        v = fitted.table
-        diag.eta.append(float(np.sqrt(np.mean((v[reg_s[sl], reg_a[sl]] - y) ** 2))))
-        empty_seen = max(empty_seen, fitted.diagnostics.get("n_empty_cells", 0))
-        if record_iterates:
-            iterates.append(v.copy())
-    if empty_seen:
-        diag.warnings.append(
-            f"up to {empty_seen} (s, a) cells unvisited per fold; fallback used"
-        )
-    diag.iterations = k_steps
-    if record_iterates:
-        diag.extras["iterates"] = iterates
-    r, c = _assemble(u, v, mu_t, cfg.gamma)
-    return IrlSolution(r, v, u, c, mu_t, cfg.gamma, diag)
+    def fit(fold):
+        sl = slice(half + fold * fold_size, half + (fold + 1) * fold_size)
+        return fit_regressor(cfg.regressor, data.states[sl], data.actions[sl],
+                             data.next_states[sl], n_states, n_actions)
+
+    return _fitted_fixed_point(cfg, u, mu_t, k_steps, fit, folds, diag, record_iterates)
 
 
 def save_solution(solution: IrlSolution, out_dir) -> None:

@@ -112,74 +112,89 @@ class TestLogPolicy:
         assert log_policy(fc).min() >= np.log(1e-6 / 2)
 
 
+def regress(fitted, g):
+    """The fitted regression of the targets g(s') as an (S, A) table."""
+    n_states = fitted.counts.shape[1]
+    return (fitted.kernel @ np.asarray(g, dtype=float) + fitted.offset).reshape(n_states, -1)
+
+
 class TestFitRegressor:
     def test_constant_targets(self):
         for spec in (RegressorSpec(),
                      RegressorSpec(kind="ridge", features=np.ones((2, 3, 1)))):
-            fr = fit_regressor(spec, [0, 0, 1], [0, 1, 2], [7.0, 7.0, 7.0], 2, 3)
-            visited = [(0, 0), (0, 1), (1, 2)]
-            for s, a in visited:
-                assert_allclose(fr.predict(s, a), 7.0, atol=1e-10)
+            fr = fit_regressor(spec, [0, 0, 1], [0, 1, 2], [1, 0, 1], 2, 3)
+            table = regress(fr, [7.0, 7.0])
+            for s, a in [(0, 0), (0, 1), (1, 2)]:
+                assert_allclose(table[s, a], 7.0, atol=1e-10)
 
     def test_cell_mean(self):
-        fr = fit_regressor(RegressorSpec(), [0, 0], [1, 1], [1.0, 3.0], 1, 2)
-        assert fr.predict(0, 1) == 2.0
+        fr = fit_regressor(RegressorSpec(), [0, 0], [1, 1], [0, 1], 2, 2)
+        assert regress(fr, [1.0, 3.0])[0, 1] == 2.0
 
     def test_ridge_one_hot_equals_tabular_mean(self):
         rng = np.random.default_rng(3)
         ns, na, n = 3, 2, 60
         s = rng.integers(0, ns, n)
         a = rng.integers(0, na, n)
+        s2 = rng.integers(0, ns, n)
         # ensure full coverage so the unpenalized system is invertible
         s[:6] = np.repeat(np.arange(ns), na)
         a[:6] = np.tile(np.arange(na), ns)
-        y = rng.normal(size=n)
-        tab = fit_regressor(RegressorSpec(), s, a, y, ns, na)
+        tab = fit_regressor(RegressorSpec(), s, a, s2, ns, na)
         ridge = fit_regressor(
             RegressorSpec(kind="ridge", ridge_lambda=0.0,
                           features=np.eye(ns * na).reshape(ns, na, ns * na)),
-            s, a, y, ns, na)
-        assert np.max(np.abs(tab.table - ridge.table)) <= 1e-10
+            s, a, s2, ns, na)
+        assert np.max(np.abs(tab.kernel - ridge.kernel)) <= 1e-10
+        assert np.all(tab.offset == 0.0) and np.all(ridge.offset == 0.0)
 
     def test_rank_deficient_advises_lambda(self):
         feats = np.eye(4).reshape(2, 2, 4)
         with pytest.raises(ValueError, match="ridge_lambda"):
             fit_regressor(RegressorSpec(kind="ridge", features=feats),
-                          [0], [0], [1.0], 2, 2)
+                          [0], [0], [0], 2, 2)
 
     def test_fallback_for_empty_cells(self):
-        fr = fit_regressor(RegressorSpec(fallback=-2.5), [0], [0], [1.0], 2, 2)
-        assert fr.predict(1, 1) == -2.5
+        fr = fit_regressor(RegressorSpec(fallback=-2.5), [0], [0], [0], 2, 2)
+        table = regress(fr, [1.0, 0.0])
+        assert table[0, 0] == 1.0
+        assert table[1, 1] == -2.5
         assert fr.diagnostics["n_empty_cells"] == 3
 
-    def test_predict_table_matches_cells(self):
-        fr = fit_regressor(RegressorSpec(), [0, 1], [0, 1], [4.0, 5.0], 2, 2)
-        table = fr.predict_table()
-        assert table[0, 0] == 4.0 and table[1, 1] == 5.0
-
     def test_ridge_prediction_is_linear_in_features(self):
+        # every prediction is a feature row times a weight vector, so the
+        # kernel's columns lie in the span of the feature columns
         rng = np.random.default_rng(4)
         feats = rng.normal(size=(2, 2, 3))
         s = np.array([0, 0, 1, 1, 0, 1])
         a = np.array([0, 1, 0, 1, 0, 1])
-        y = rng.normal(size=6)
+        s2 = np.array([1, 0, 0, 1, 1, 0])
         fr = fit_regressor(RegressorSpec(kind="ridge", ridge_lambda=0.1,
-                                         features=feats), s, a, y, 2, 2)
-        combo = 0.3 * feats[0, 0] + 0.7 * feats[1, 1]
-        assert_allclose(combo @ fr.weights,
-                        0.3 * fr.predict(0, 0) + 0.7 * fr.predict(1, 1), atol=1e-12)
+                                         features=feats), s, a, s2, 2, 2)
+        phi = feats.reshape(4, 3)
+        coef = np.linalg.lstsq(phi, fr.kernel, rcond=None)[0]
+        assert_allclose(phi @ coef, fr.kernel, atol=1e-12)
+        assert np.max(np.abs(fr.kernel)) > 0.1
 
-    def test_non_finite_targets_rejected(self):
-        with pytest.raises(ValueError):
-            fit_regressor(RegressorSpec(), [0], [0], [np.inf], 1, 1)
+    def test_out_of_range_next_states_rejected(self):
+        for bad in (-1, 2):
+            with pytest.raises(ValueError, match="next state"):
+                fit_regressor(RegressorSpec(), [0, 1], [0, 0], [0, bad], 2, 1)
+
+    def test_counts_hold_every_record(self):
+        fr = fit_regressor(RegressorSpec(), [0, 0, 1, 0], [1, 1, 0, 1], [1, 1, 0, 0], 2, 2)
+        assert fr.counts.tolist() == [[0, 0], [1, 2], [1, 0], [0, 0]]
+        assert fr.diagnostics["n_train"] == 4
 
     def test_erm_dominates_constant_predictors(self):
         rng = np.random.default_rng(5)
         s = rng.integers(0, 3, 200)
         a = rng.integers(0, 2, 200)
-        y = rng.normal(size=200) + s
-        fr = fit_regressor(RegressorSpec(), s, a, y, 3, 2)
-        fit_risk = np.mean((fr.table[s, a] - y) ** 2)
+        s2 = (s + rng.integers(0, 2, 200)) % 3
+        g = rng.normal(size=3)
+        y = g[s2]
+        fr = fit_regressor(RegressorSpec(), s, a, s2, 3, 2)
+        fit_risk = np.mean((regress(fr, g)[s, a] - y) ** 2)
         best_const = np.mean((y.mean() - y) ** 2)
         assert fit_risk <= best_const + 1e-12
 

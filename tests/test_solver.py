@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from softirl.envs import GridworldSpec, build_env, expert_policy, sample_transitions
+from softirl.envs import (
+    GridworldSpec,
+    TransitionDataset,
+    build_env,
+    expert_policy,
+    sample_transitions,
+)
 from softirl.mdp import (
     lambda_mu_weights,
     logsumexp_actions,
@@ -235,6 +241,80 @@ class TestSplitClassifyRegress:
         cfg = SolverConfig(gamma=0.9, K=10)
         with pytest.raises(ValueError, match="fold"):
             split_classify_regress(ds, cfg)
+
+    def test_warns_about_states_the_classifier_half_missed(self):
+        # state 3 only appears in the second half, which the classifier skips
+        ds = TransitionDataset(np.array([0, 1, 2, 0, 3, 3, 1, 2]), np.zeros(8, dtype=int),
+                               np.array([1, 2, 0, 3, 3, 1, 2, 0]),
+                               {"n_states": 4, "n_actions": 2})
+        sol = split_classify_regress(ds, SolverConfig(gamma=0.9, K=2))
+        assert "1 states never visited; classifier rows default to uniform there" \
+            in sol.diagnostics.warnings
+
+
+def _refit_reference(data, cfg, u, mu_t, split):
+    """The per-iteration refit loop the solver replaced: every step regresses
+    the targets record by record with bincount on that step's fold, and
+    eta is the RMS misfit over those records. Returns (v, eta)."""
+    ns, na = u.shape
+    spec = cfg.regressor
+    s, a, s2 = (np.asarray(x) for x in (data.states, data.actions, data.next_states))
+    k_steps = resolve_K(cfg.K, data.n, cfg.gamma)
+    half = data.n // 2
+    folds = cfg.folds if cfg.folds is not None else max(k_steps, 1)
+    size = half // folds
+    v, eta = np.zeros((ns, na)), []
+    for k in range(k_steps):
+        sl = slice(half + (k % folds) * size, half + (k % folds + 1) * size) \
+            if split else slice(None)
+        y = np.sum(mu_t * (cfg.gamma * v - u), axis=1)[s2[sl]]
+        cells = s[sl] * na + a[sl]
+        cnt = np.bincount(cells, minlength=ns * na).astype(float)
+        sums = np.bincount(cells, weights=y, minlength=ns * na)
+        if spec.kind == "tabular-mean":
+            flat = np.where(cnt > 0, sums / np.maximum(cnt, 1.0), spec.fallback)
+        else:
+            phi = spec.features.reshape(ns * na, -1)
+            gram = (phi * cnt[:, None]).T @ phi + spec.ridge_lambda * np.eye(phi.shape[1])
+            flat = phi @ np.linalg.solve(gram, phi.T @ sums)
+        eta.append(float(np.sqrt(np.mean((flat[cells] - y) ** 2))))
+        v = flat.reshape(ns, na)
+    return v, eta
+
+
+REFERENCE_TOL = 1e-10
+
+
+class TestMatchesRefitReference:
+    @pytest.mark.parametrize("split", [False, True])
+    @pytest.mark.parametrize("case", ["covered", "empty-cells", "ridge"])
+    def test_fitted_maps_match_per_iteration_refits(self, split, case):
+        spec = GridworldSpec(2, 2, topology="torus", seed=5, gamma=0.9,
+                             min_action_prob=0.05, move_noise=0.3)
+        mdp, r_true, _ = build_env(spec)
+        pi = expert_policy(mdp, r_true)
+        regressor = RegressorSpec()
+        n = 20_000
+        if case == "empty-cells":
+            regressor = RegressorSpec(fallback=-1.5)
+            n = 120 if split else 30
+        elif case == "ridge":
+            features = np.random.default_rng(6).normal(size=(4, 5, 3))
+            regressor = RegressorSpec(kind="ridge", ridge_lambda=0.1, features=features)
+        ds = sample_transitions(mdp, pi, n, seed=7, env_id="tiny")
+        cfg = SolverConfig(gamma=0.9, K=40, folds=6 if split else None, regressor=regressor,
+                           mu=NormalizationMeasure("behavior-policy"))
+        sol = (split_classify_regress if split else classify_then_regress)(ds, cfg)
+        unvisited = any("unvisited per regression" in w for w in sol.diagnostics.warnings)
+        assert unvisited == (case == "empty-cells")
+
+        v, eta = _refit_reference(ds, cfg, sol.u, sol.mu_table, split)
+        w = sol.u - cfg.gamma * v
+        r = w - np.sum(sol.mu_table * w, axis=1)[:, None]
+        assert sup_norm(sol.v - v) <= REFERENCE_TOL
+        assert sup_norm(sol.r - r) <= REFERENCE_TOL
+        assert sup_norm(np.array(sol.diagnostics.eta) - eta) <= REFERENCE_TOL
+        assert max(eta) > 0.01
 
 
 class TestShaping:
