@@ -45,7 +45,6 @@ from softirl.solver import (
     NormalizationMeasure,
     SolverConfig,
     SolverDiagnostics,
-    T_u_apply,
     check_normalization,
     classify_then_regress,
     exact_population_solver,
@@ -71,7 +70,6 @@ __all__ = [
     "SolverDiagnostics",
     "TabularMdp",
     "TransitionDataset",
-    "T_u_apply",
     "apply_P",
     "build_env",
     "check_normalization",

@@ -2,9 +2,10 @@
 
 The conditional log-likelihood of the data under the softmax policy of
 r_theta = <theta, phi> is maximized directly. The gradient is exact: the
-Q-sensitivity solves the linear fixed point dQ = phi + gamma P[pi dQ]
-(one dense solve per step), so analytic and finite-difference gradients
-agree to numerical precision.
+Q-sensitivity dQ solves the linear fixed point dQ = phi + gamma P[pi dQ],
+and the gradient dQ^T (w - expected) is computed by one adjoint solve with
+the transposed (S*A x S*A) system and a single right-hand side per step, so
+analytic and finite-difference gradients agree to numerical precision.
 """
 
 from __future__ import annotations
@@ -65,13 +66,13 @@ def _loglik_and_grad(mdp: TabularMdp, phi_flat: np.ndarray, theta: np.ndarray,
         log_pi = np.log(pi)
     ll = float(np.sum(weights * log_pi))
 
+    # dQ^T (w - expected) = phi^T (I - gamma M)^-T (w - expected): one right-hand side.
     sa = ns * na
     m = (mdp.transition[:, :, :, None] * pi[None, None, :, :]).reshape(sa, sa)
-    dq = np.linalg.solve(np.eye(sa) - mdp.gamma * m, phi_flat)
     state_w = weights.sum(axis=1)
     expected = (state_w[:, None] * pi).reshape(sa)
-    grad = dq.T @ (weights.reshape(sa) - expected)
-    return ll, grad, v
+    adjoint = np.linalg.solve((np.eye(sa) - mdp.gamma * m).T, weights.reshape(sa) - expected)
+    return ll, phi_flat.T @ adjoint, v
 
 
 def maxent_loglik_and_grad(mdp: TabularMdp, phi, theta, data):

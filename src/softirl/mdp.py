@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 ROW_SUM_TOL = 1e-12
 
@@ -105,12 +104,30 @@ def expect_mu(mu, f) -> np.ndarray:
     return np.sum(mu * f, axis=1)
 
 
+def _logsumexp_rows(f: np.ndarray) -> np.ndarray:
+    """Row-wise log-sum-exp of a 2-d float array.
+
+    The arithmetic is that of scipy.special.logsumexp: with the row max,
+    its tie count m and the sum s of the other terms' exp(f - max), the
+    result is log1p(s / m) + log(m) + max. Rows of all -inf give -inf, rows
+    holding +inf give +inf and rows holding NaN give NaN.
+    """
+    top = f.max(axis=1, keepdims=True)
+    ties = f == top
+    with np.errstate(invalid="ignore", divide="ignore"):
+        e = np.exp(f - top)
+        e[ties] = 0.0
+        m = ties.sum(axis=1, keepdims=True, dtype=float)
+        out = np.log1p(e.sum(axis=1, keepdims=True) / m) + np.log(m) + top
+    return out[:, 0]
+
+
 def logsumexp_actions(f) -> np.ndarray:
     """Log-sum-exp over the action axis, computed with max-subtraction."""
     f = np.asarray(f, dtype=float)
     if f.ndim != 2:
         raise ValueError(f"state-action table must be 2-d, got shape {f.shape}")
-    return logsumexp(f, axis=1)
+    return _logsumexp_rows(f)
 
 
 def softmax_actions(q) -> np.ndarray:
@@ -143,7 +160,7 @@ def soft_value_iteration(mdp: TabularMdp, r, tol: float = 1e-10,
     v = np.zeros_like(r) if v0 is None else _check_table(v0, mdp, "v0").copy()
     residual_bound = np.inf
     for _ in range(max_iter):
-        v_new = apply_P(mdp, logsumexp_actions(r + gamma * v))
+        v_new = apply_P(mdp, _logsumexp_rows(r + gamma * v))
         diff = np.max(np.abs(v_new - v))
         v = v_new
         # One more backup moves v by at most gamma * diff, so gamma * diff

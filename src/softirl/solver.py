@@ -134,13 +134,6 @@ def _mu_table(mu, n_states: int, n_actions: int, behavior=None) -> np.ndarray:
     return validate_policy(mu, n_states, n_actions)
 
 
-def T_u_apply(mdp: TabularMdp, mu, u, v) -> np.ndarray:
-    """One exact fixed-point step: P mu (gamma v - u)."""
-    mu_t = _mu_table(mu, mdp.n_states, mdp.n_actions)
-    return apply_P(mdp, expect_mu(mu_t, mdp.gamma * np.asarray(v, dtype=float)
-                                  - np.asarray(u, dtype=float)))
-
-
 def _assemble(u: np.ndarray, v: np.ndarray, mu_t: np.ndarray, gamma: float):
     """Closed-form return line shared by both algorithms.
 

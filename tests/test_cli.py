@@ -1,7 +1,10 @@
 import os
+import subprocess
+import sys
 
 import pytest
 
+import softirl
 from softirl.cli import main
 
 TINY_CONFIG = """\
@@ -64,6 +67,14 @@ class TestRuntimeErrors:
         assert main(["gen-data", "--config", str(bad)]) == 2
 
 
+def test_runtime_imports_leave_scipy_out():
+    src = os.path.dirname(os.path.dirname(softirl.__file__))
+    code = "import sys, softirl.harness, softirl.cli; print('scipy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert done.stdout.strip() == "False"
+
+
 class TestPipeline:
     def test_gen_solve_eval_round_trip(self, cfg_path, tmp_path, capsys):
         data = str(tmp_path / "data.txt")
@@ -121,6 +132,19 @@ class TestPipeline:
         last = float(lines[-1].split(",")[2])
         assert last <= first
         assert "kappa_hat" in capsys.readouterr().out
+
+    def test_diagnose_warns_that_split_is_not_traced(self, cfg_path, tmp_path, capsys):
+        from softirl.cli import SPLIT_NOT_TRACED
+
+        split_cfg = tmp_path / "split.ini"
+        split_cfg.write_text(TINY_CONFIG.replace("[solver]\n", "[solver]\nsplit = true\n"))
+        out = tmp_path / "diag.csv"
+        assert main(["diagnose", "--config", str(split_cfg), "--out", str(out)]) == 0
+        assert f"warning: {SPLIT_NOT_TRACED}" in capsys.readouterr().out
+        full = tmp_path / "full.csv"
+        assert main(["diagnose", "--config", cfg_path, "--out", str(full)]) == 0
+        assert SPLIT_NOT_TRACED not in capsys.readouterr().out
+        assert out.read_bytes() == full.read_bytes()
 
     def test_reproduce_tiny_writes_table(self, tmp_path, capsys, monkeypatch):
         # patch the builtin registry to a tiny config so this stays fast

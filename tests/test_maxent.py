@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 from softirl.envs import GridworldSpec, build_env, expert_policy, sample_transitions
 from softirl.maxent import MaxEntConfig, maxent_fit, maxent_loglik_and_grad
 from softirl.metrics import evaluate
-from softirl.mdp import TabularMdp, joint_frequency
+from softirl.mdp import TabularMdp, joint_frequency, soft_value_iteration
 
 from conftest import random_mdp, random_policy
 
@@ -61,6 +61,41 @@ class TestLoglikAndGrad:
             lm, _ = maxent_loglik_and_grad(mdp, phi, theta - e, w)
             fd = (lp - lm) / (2 * h)
             assert abs(grad[j] - fd) <= 1e-4 * max(1.0, abs(fd))
+
+
+def block_features(rng, ns, na, k):
+    """Action-block features: a state feature vector in the block of the action."""
+    phi = np.zeros((ns, na, na * k))
+    state_feat = rng.normal(size=(ns, k))
+    for a in range(na):
+        phi[:, a, a * k:(a + 1) * k] = state_feat
+    return phi
+
+
+def forward_sensitivity_gradient(mdp, phi, theta, w):
+    """Gradient through dQ = (I - gamma M)^-1 phi, one right-hand side per feature."""
+    ns, na, d = phi.shape
+    sa = ns * na
+    phi_flat = phi.reshape(sa, d)
+    _, _, pi = soft_value_iteration(mdp, (phi_flat @ theta).reshape(ns, na), tol=1e-12)
+    m = (mdp.transition[:, :, :, None] * pi[None, None, :, :]).reshape(sa, sa)
+    dq = np.linalg.solve(np.eye(sa) - mdp.gamma * m, phi_flat)
+    expected = (w.sum(axis=1)[:, None] * pi).reshape(sa)
+    return dq.T @ (w.reshape(sa) - expected)
+
+
+class TestAdjointGradient:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_forward_sensitivity(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        ns, na = int(rng.integers(3, 9)), int(rng.integers(2, 6))
+        mdp = random_mdp(rng, ns, na, float(rng.uniform(0.5, 0.97)))
+        w = random_policy(rng, ns, na) * rng.dirichlet(np.ones(ns))[:, None]
+        for phi in (one_hot_features(ns, na), block_features(rng, ns, na, 3)):
+            theta = rng.normal(size=phi.shape[2])
+            _, grad = maxent_loglik_and_grad(mdp, phi, theta, w)
+            want = forward_sensitivity_gradient(mdp, phi, theta, w)
+            assert np.max(np.abs(grad - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestMaxentFit:

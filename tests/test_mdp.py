@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +17,7 @@ from softirl.mdp import (
     policy_value,
     soft_bellman_residual,
     soft_value_iteration,
+    softmax_actions,
     stationary_distribution,
     sup_norm,
     weighted_l2,
@@ -170,6 +173,72 @@ class TestSoftValueIteration:
         mdp = random_mdp(rng, 3, 2, 0.99)
         with pytest.raises(RuntimeError, match="residual"):
             soft_value_iteration(mdp, rng.normal(size=(3, 2)), tol=1e-12, max_iter=3)
+
+
+def _scipy_logsumexp():
+    return pytest.importorskip("scipy.special").logsumexp
+
+
+def _reference_soft_value_iteration(mdp, r, tol, v0=None):
+    """The scipy-based sweep the solver's own log-sum-exp must reproduce."""
+    logsumexp = _scipy_logsumexp()
+    v = np.zeros_like(r) if v0 is None else v0.copy()
+    while True:
+        v_new = apply_P(mdp, logsumexp(r + mdp.gamma * v, axis=1))
+        diff = np.max(np.abs(v_new - v))
+        v = v_new
+        if mdp.gamma * diff <= tol:
+            q = r + mdp.gamma * v
+            return v, q, softmax_actions(q)
+
+
+def _gridworld(name):
+    from dataclasses import replace
+
+    from softirl.envs import build_env
+    from softirl.harness import builtin_experiment
+
+    spec = builtin_experiment(name.split("-")[0]).env
+    if name.endswith("-noisy"):
+        spec = replace(spec, move_noise=0.3)
+    return build_env(spec)[:2]
+
+
+class TestMatchesScipyReference:
+    @pytest.mark.parametrize("name", ["easy", "ident", "hard", "ident-noisy"])
+    def test_sweep_is_bit_identical(self, name):
+        mdp, r_true = _gridworld(name)
+        # r = 0 makes every row a 5-way tie, which MaxEnt's first epoch meets.
+        for r in (r_true, np.zeros_like(r_true)):
+            warm, _, _ = soft_value_iteration(mdp, 0.9 * r, tol=1e-8)
+            for tol, v0 in ((1e-8, None), (1e-10, None), (1e-8, warm)):
+                got = soft_value_iteration(mdp, r, tol=tol, v0=v0)
+                want = _reference_soft_value_iteration(mdp, r, tol, v0)
+                for g, w in zip(got, want):
+                    assert np.array_equal(g, w)
+
+    def test_random_tables_match_scipy(self):
+        logsumexp = _scipy_logsumexp()
+        rng = np.random.default_rng(7)
+        for scale in (1e-3, 1.0, 30.0, 1e3):
+            f = rng.normal(scale=scale, size=(64, 5))
+            f[:8] = np.round(f[:8])  # ties of the row max
+            assert np.array_equal(logsumexp_actions(f), logsumexp(f, axis=1))
+
+    def test_non_finite_rows_match_scipy(self):
+        logsumexp = _scipy_logsumexp()
+        inf, nan = np.inf, np.nan
+        f = np.array([[-inf, -inf, -inf],
+                      [inf, 0.0, 1.0],
+                      [inf, inf, -inf],
+                      [-inf, 2.0, 2.0],
+                      [nan, 0.0, 1.0],
+                      [nan, inf, 0.0],
+                      [1.7976931348623157e308, 1.7e308, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = logsumexp_actions(f)
+        assert np.array_equal(got, logsumexp(f, axis=1), equal_nan=True)
 
 
 class TestPolicyQ:

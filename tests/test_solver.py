@@ -11,6 +11,9 @@ from softirl.envs import (
     sample_transitions,
 )
 from softirl.mdp import (
+    TabularMdp,
+    apply_P,
+    expect_mu,
     lambda_mu_weights,
     logsumexp_actions,
     policy_value,
@@ -22,7 +25,6 @@ from softirl.oracles import ClassifierSpec, RegressorSpec
 from softirl.solver import (
     NormalizationMeasure,
     SolverConfig,
-    T_u_apply,
     check_normalization,
     classify_then_regress,
     exact_population_solver,
@@ -38,6 +40,11 @@ from conftest import random_mdp, random_policy, toggle_mdp
 UNIFORM = NormalizationMeasure("uniform")
 
 
+def T_u_apply(mdp, mu, u, v):
+    """One exact fixed-point step: P mu (gamma v - u)."""
+    return apply_P(mdp, expect_mu(mu, mdp.gamma * v - u))
+
+
 class TestTuApply:
     def test_fixed_point_of_exact_solution(self):
         rng = np.random.default_rng(0)
@@ -50,8 +57,6 @@ class TestTuApply:
     def test_gamma_zero_ignores_v(self):
         rng = np.random.default_rng(1)
         t = rng.dirichlet(np.ones(4), size=(4, 2))
-        from softirl.mdp import TabularMdp, apply_P, expect_mu
-
         mdp = TabularMdp(t, 0.0)
         u = rng.normal(size=(4, 2))
         mu = random_policy(rng, 4, 2)
