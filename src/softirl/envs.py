@@ -8,12 +8,14 @@ actions are stay/up/down/left/right.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from softirl.mdp import (
     TabularMdp,
+    _soft_policy_iteration,
     soft_value_iteration,
     validate_policy,
     validate_state_distribution,
@@ -28,6 +30,7 @@ TOPOLOGIES = ("torus", "bounded")
 REGIMES = ("iid-restart", "trajectory")
 
 _HEADER_PREFIX = "# transitions"
+_BLOCK = 2048  # records per block of the sampler's walk and of the dataset writer
 
 
 @dataclass(frozen=True)
@@ -225,7 +228,7 @@ def build_env(spec: GridworldSpec):
     r_true = scale * raw
     if spec.min_action_prob > 0.0:
         for _ in range(80):
-            _, _, pi = soft_value_iteration(mdp, r_true, tol=1e-9)
+            _, _, pi = _soft_policy_iteration(mdp, r_true, tol=1e-9)
             if pi.min() >= spec.min_action_prob:
                 break
             scale *= 0.9
@@ -261,28 +264,37 @@ def sample_transitions(mdp: TabularMdp, pi, n: int, init=None,
 
     rng = np.random.default_rng(seed)
     u = rng.random((n, 3))
-    init_cdf = np.cumsum(init)
-    pi_cdf = np.cumsum(pi, axis=1)
-    trans_cdf = np.cumsum(mdp.transition, axis=2)
-    na, ns = mdp.n_actions, mdp.n_states
-
-    states = np.empty(n, dtype=np.int64)
-    actions = np.empty(n, dtype=np.int64)
-    next_states = np.empty(n, dtype=np.int64)
-    s = min(int(np.searchsorted(init_cdf, u[0, 2], side="right")), ns - 1)
-    for i in range(n):
-        a = min(int(np.searchsorted(pi_cdf[s], u[i, 0], side="right")), na - 1)
-        s2 = min(int(np.searchsorted(trans_cdf[s, a], u[i, 1], side="right")), ns - 1)
-        states[i], actions[i], next_states[i] = s, a, s2
-        if i + 1 < n:
-            if regime == "trajectory" or u[i + 1, 2] < mdp.gamma:
-                s = s2
-            else:
-                s = min(int(np.searchsorted(init_cdf, rng.random(), side="right")), ns - 1)
+    # CDF rows end in +inf: a right-sided search then returns at most the last
+    # index, the min(., S - 1) / min(., A - 1) clamp for rows just under 1.
+    init_cdf, pi_cdf, trans_cdf = (np.cumsum(p, axis=-1) for p in (init, pi, mdp.transition))
+    for cdf in (init_cdf, pi_cdf, trans_cdf):
+        cdf[..., -1] = np.inf
+    s = int(np.searchsorted(init_cdf, u[0, 2], side="right"))
+    # Record i > 0 restarts iff u[i, 2] >= gamma (iid-restart only) and then
+    # takes the stream's next uniform, so all restart states can come first.
+    n_restarts = np.count_nonzero(u[1:, 2] >= mdp.gamma) if regime == "iid-restart" else 0
+    restart_states = iter(np.searchsorted(init_cdf, rng.random(n_restarts), side="right").tolist())
+    pi_cdf, trans_cdf = pi_cdf.tolist(), trans_cdf.tolist()
+    records = np.empty((3, n), dtype=np.int64)
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        stay = (u[lo:hi, 2] < mdp.gamma) | (regime == "trajectory")
+        stay[0] |= lo == 0
+        block_s, block_a, block_s2 = [], [], []
+        for keep, ua, us in zip(stay.tolist(), u[lo:hi, 0].tolist(), u[lo:hi, 1].tolist()):
+            if not keep:
+                s = next(restart_states)
+            a = bisect_right(pi_cdf[s], ua)
+            s2 = bisect_right(trans_cdf[s][a], us)
+            block_s.append(s)
+            block_a.append(a)
+            block_s2.append(s2)
+            s = s2
+        records[:, lo:hi] = block_s, block_a, block_s2
 
     meta = {"seed": seed, "env": env_id or "-", "n": n,
-            "n_states": ns, "n_actions": na, "regime": regime}
-    ds = TransitionDataset(states, actions, next_states, meta)
+            "n_states": mdp.n_states, "n_actions": mdp.n_actions, "regime": regime}
+    ds = TransitionDataset(*records, meta)
     ds.validate()
     return ds
 
@@ -297,10 +309,12 @@ def write_dataset(dataset: TransitionDataset, path) -> None:
     header = (f"{_HEADER_PREFIX} seed={m.get('seed', 0)} env={env} n={dataset.n} "
               f"n_states={m['n_states']} n_actions={m['n_actions']} "
               f"regime={m.get('regime', 'iid-restart')}")
+    columns = [np.asarray(c) for c in (dataset.states, dataset.actions, dataset.next_states)]
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for s, a, s2 in zip(dataset.states, dataset.actions, dataset.next_states):
-            fh.write(f"{s},{a},{s2}\n")
+        for lo in range(0, dataset.n, _BLOCK):
+            rows = zip(*(c[lo:lo + _BLOCK].tolist() for c in columns))
+            fh.write("".join(f"{s},{a},{s2}\n" for s, a, s2 in rows))
 
 
 def read_dataset(path) -> TransitionDataset:

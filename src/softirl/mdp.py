@@ -175,6 +175,34 @@ def soft_value_iteration(mdp: TabularMdp, r, tol: float = 1e-10,
     )
 
 
+def _solve_discounted(kernel: np.ndarray, gamma: float, rhs: np.ndarray, what: str):
+    """Solve (I - gamma K) x = rhs densely; (x, residual), raising if residual > 1e-9."""
+    x = np.linalg.solve(np.eye(len(rhs)) - gamma * kernel, rhs)
+    residual = float(np.max(np.abs(x - gamma * (kernel @ x) - rhs)))
+    if residual > 1e-9:
+        raise RuntimeError(f"{what} solve residual {residual:.3e} exceeds 1e-9")
+    return x, residual
+
+
+def _soft_policy_iteration(mdp: TabularMdp, r: np.ndarray, tol: float = 1e-10, max_iter: int = 50):
+    """`soft_value_iteration`'s contract by Newton's method (soft policy iteration):
+    each step solves (I - gamma K_pi) V = sum_a pi (r - log pi), pi = softmax(r + gamma v),
+    and sets v = PV, until one extra sweep shows |P logsumexp(r + gamma v) - v| <= tol."""
+    v = np.zeros_like(r)
+    for _ in range(max_iter):
+        q = r + mdp.gamma * v
+        lse, pi = _logsumexp_rows(q), softmax_actions(q)
+        residual = np.max(np.abs(apply_P(mdp, lse) - v))
+        if residual <= tol:
+            return v, q, pi
+        # log pi as q - lse stays finite where pi underflows to 0
+        value, _ = _solve_discounted(state_kernel(mdp, pi), mdp.gamma,
+                                     np.sum(pi * (r - q + lse[:, None]), axis=1), "policy")
+        v = apply_P(mdp, value)
+    raise RuntimeError(f"soft policy iteration did not reach tol={tol} in {max_iter} "
+                       f"steps; last residual {residual:.3e}")
+
+
 def policy_Q(mdp: TabularMdp, r, pi1) -> np.ndarray:
     """Q-function of policy pi1 under reward r, by one dense linear solve."""
     r = _check_table(r, mdp, "r")

@@ -28,6 +28,7 @@ import numpy as np
 
 from softirl.mdp import (
     TabularMdp,
+    _solve_discounted,
     apply_P,
     expect_mu,
     joint_frequency,
@@ -180,10 +181,7 @@ def exact_population_solver(mdp: TabularMdp, pi, mu) -> IrlSolution:
     u = np.log(pi)
     kernel = state_kernel(mdp, mu_t)
     rhs = -expect_mu(mu_t, u)
-    c_solve = np.linalg.solve(np.eye(mdp.n_states) - mdp.gamma * kernel, rhs)
-    solve_residual = float(np.max(np.abs(c_solve - mdp.gamma * (kernel @ c_solve) - rhs)))
-    if solve_residual > 1e-9:
-        raise RuntimeError(f"potential solve residual {solve_residual:.3e} exceeds 1e-9")
+    c_solve, solve_residual = _solve_discounted(kernel, mdp.gamma, rhs, "potential")
     v = apply_P(mdp, c_solve)
     r, c = _assemble(u, v, mu_t, mdp.gamma)
     diag = SolverDiagnostics(eta=[], nu_proxy=0.0, iterations=0,

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from softirl.envs import (
+    _BLOCK,
     GridworldSpec,
     TransitionDataset,
     build_env,
@@ -11,7 +14,8 @@ from softirl.envs import (
     sample_transitions,
     write_dataset,
 )
-from softirl.mdp import sup_norm
+from softirl.harness import builtin_experiment
+from softirl.mdp import TabularMdp, soft_value_iteration, sup_norm
 from softirl.solver import shape
 
 
@@ -66,6 +70,39 @@ class TestBuildEnv:
         mdp, _, _ = build_env(small_spec(move_noise=0.2))
         assert np.max(mdp.transition) < 1.0
         assert_allclose(mdp.transition.sum(axis=2), 1.0, atol=1e-12)
+
+
+def _packaged_spec(name):
+    spec = builtin_experiment(name.split("-")[0]).env
+    return replace(spec, move_noise=0.3) if name.endswith("-noisy") else spec
+
+
+def _value_iteration_rescale(spec):
+    """r_true as build_env computed it with a soft value iteration per scale."""
+    _, raw, _ = build_env(replace(spec, min_action_prob=0.0, reward_scale=1.0))
+    mdp, _, _ = build_env(replace(spec, min_action_prob=0.0))
+    scale = spec.reward_scale
+    r_true = scale * raw
+    for _ in range(80):
+        _, _, pi = soft_value_iteration(mdp, r_true, tol=1e-9)
+        if pi.min() >= spec.min_action_prob:
+            return r_true
+        scale *= 0.9
+        r_true = scale * raw
+    raise AssertionError("reference rescale did not terminate")
+
+
+class TestRescaleMatchesValueIteration:
+    # The rescale loop's pass/fail decisions sit >= 6.3e-4 from
+    # min_action_prob on these specs, against a solver difference in pi of
+    # at most 2.2e-10 at tol 1e-9, so r_true must not move by one bit.
+    @pytest.mark.parametrize("spec", [
+        *(_packaged_spec(name) for name in ("easy", "ident", "hard", "ident-noisy")),
+        GridworldSpec(12, 12, topology="torus", seed=3, min_action_prob=0.03),
+    ], ids=["easy", "ident", "hard", "ident-noisy", "torus-12x12"])
+    def test_r_true_bit_identical(self, spec):
+        _, r_true, _ = build_env(spec)
+        assert np.array_equal(r_true, _value_iteration_rescale(spec))
 
 
 class TestExpertPolicy:
@@ -146,7 +183,102 @@ class TestSampleTransitions:
             sample_transitions(mdp, expert_policy(mdp, r), 0)
 
 
+def _loop_reference(mdp, pi, n, init, regime, seed):
+    """The per-record searchsorted sampler the block-wise one must reproduce."""
+    rng = np.random.default_rng(seed)
+    u = rng.random((n, 3))
+    init_cdf = np.cumsum(init)
+    pi_cdf = np.cumsum(pi, axis=1)
+    trans_cdf = np.cumsum(mdp.transition, axis=2)
+    na, ns = mdp.n_actions, mdp.n_states
+    out = np.empty((3, n), dtype=np.int64)
+    s = min(int(np.searchsorted(init_cdf, u[0, 2], side="right")), ns - 1)
+    for i in range(n):
+        a = min(int(np.searchsorted(pi_cdf[s], u[i, 0], side="right")), na - 1)
+        s2 = min(int(np.searchsorted(trans_cdf[s, a], u[i, 1], side="right")), ns - 1)
+        out[:, i] = s, a, s2
+        if i + 1 < n:
+            if regime == "trajectory" or u[i + 1, 2] < mdp.gamma:
+                s = s2
+            else:
+                s = min(int(np.searchsorted(init_cdf, rng.random(), side="right")), ns - 1)
+    return out
+
+
+class TestSamplerMatchesLoopReference:
+    @staticmethod
+    def _check(name, n, regime, skewed, seed=7):
+        mdp, r_true, _ = build_env(_packaged_spec(name))
+        pi = expert_policy(mdp, r_true)
+        init = np.full(mdp.n_states, 1.0 / mdp.n_states)
+        if skewed:  # non-uniform, with zero-mass states
+            init = np.arange(mdp.n_states) % 3 * 1.0
+            init /= init.sum()
+        ds = sample_transitions(mdp, pi, n, init=init, regime=regime, seed=seed)
+        want = _loop_reference(mdp, pi, n, init, regime, seed)
+        for got, ref in zip((ds.states, ds.actions, ds.next_states), want):
+            assert got.dtype == np.int64
+            assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("regime", ["iid-restart", "trajectory"])
+    @pytest.mark.parametrize("name", ["easy", "ident", "hard", "ident-noisy"])
+    @pytest.mark.parametrize("skewed", [False, True], ids=["uniform-init", "skewed-init"])
+    def test_several_blocks(self, name, regime, skewed):
+        self._check(name, 3 * _BLOCK + 7, regime, skewed)
+
+    @pytest.mark.parametrize("regime", ["iid-restart", "trajectory"])
+    @pytest.mark.parametrize("n", [1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1])
+    def test_block_edges(self, n, regime):
+        self._check("ident", n, regime, skewed=True, seed=n)
+
+    @pytest.mark.parametrize("regime", ["iid-restart", "trajectory"])
+    def test_clamps_rows_just_under_one(self, monkeypatch, regime):
+        # Ten masses of 0.1 sum to 1 - 2**-53, so a uniform of 1 - 2**-53
+        # lies past every CDF entry; the stream of uniforms is replayed so
+        # that such draws hit the first record, a restart and later records.
+        n, top = 3 * _BLOCK + 7, np.nextafter(1.0, 0.0)
+        tenth = np.full(10, 0.1)
+        assert np.cumsum(tenth)[-1] == top
+        mdp = TabularMdp(np.tile(tenth, (10, 10, 1)), 0.5)
+        stream = np.random.default_rng(3).random(3 * n + n)
+        stream[:3] = top
+        stream[3 * n:][::7] = top
+        stream[30:3 * n:11] = top
+
+        class Replay:
+            def __init__(self, seed):
+                self.rest = iter(stream.tolist())
+
+            def random(self, size=None):
+                if size is None:
+                    return next(self.rest)
+                return np.array([next(self.rest) for _ in range(int(np.prod(size)))]).reshape(size)
+
+        monkeypatch.setattr(np.random, "default_rng", Replay)
+        ds = sample_transitions(mdp, np.tile(tenth, (10, 1)), n, init=tenth, regime=regime)
+        want = _loop_reference(mdp, np.tile(tenth, (10, 1)), n, tenth, regime, 0)
+        assert ds.states[0] == 9 and ds.actions[0] == 9 and ds.next_states[0] == 9
+        for got, ref in zip((ds.states, ds.actions, ds.next_states), want):
+            assert np.array_equal(got, ref)
+
+
 class TestDatasetIO:
+    def test_file_bytes(self, tmp_path):
+        ds = TransitionDataset(np.array([0, 12, 3]), np.array([4, 0, 1]),
+                               np.array([3, 12, 0]),
+                               meta={"seed": 2, "env": "toy", "n": 3, "n_states": 13,
+                                     "n_actions": 5, "regime": "trajectory"})
+        path = tmp_path / "data.txt"
+        write_dataset(ds, path)
+        assert path.read_bytes() == (
+            b"# transitions seed=2 env=toy n=3 n_states=13 n_actions=5 regime=trajectory\n"
+            b"0,4,3\n12,0,12\n3,1,0\n")
+        # several writer blocks: the same lines as one write per record
+        n = 2 * _BLOCK + 3
+        columns = np.random.default_rng(0).integers(0, 5, size=(3, n))
+        write_dataset(TransitionDataset(*columns, meta={**ds.meta, "n": n}), path)
+        assert path.read_text().splitlines()[1:] == [f"{s},{a},{s2}" for s, a, s2 in columns.T]
+
     def test_round_trip_identity(self, tmp_path):
         ds = TransitionDataset(np.array([0, 1, 2]), np.array([1, 0, 3]),
                                np.array([2, 2, 0]),

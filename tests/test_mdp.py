@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 
 from softirl.mdp import (
     TabularMdp,
+    _soft_policy_iteration,
     apply_P,
     conditional_loglik,
     expect_mu,
@@ -239,6 +240,63 @@ class TestMatchesScipyReference:
             warnings.simplefilter("error")
             got = logsumexp_actions(f)
         assert np.array_equal(got, logsumexp(f, axis=1), equal_nan=True)
+
+
+class TestSoftPolicyIteration:
+    """Newton's method on the soft Bellman equation, under the contract of
+    soft value iteration: both stop at sup-norm residual <= tol, so their
+    fixed points differ by at most about tol / (1 - gamma)."""
+
+    @staticmethod
+    def _random_cases():
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            n_states, n_actions = rng.integers(2, 12), rng.integers(1, 6)
+            mdp = random_mdp(rng, n_states, n_actions, float(rng.choice([0.5, 0.9, 0.97])))
+            yield mdp, rng.normal(scale=2.0, size=(n_states, n_actions))
+
+    def test_residual_within_tol(self):
+        for mdp, r in self._random_cases():
+            for tol in (1e-6, 1e-10):
+                v, q, pi = _soft_policy_iteration(mdp, r, tol=tol)
+                assert sup_norm(soft_bellman_residual(mdp, r, v)) <= tol
+                assert np.array_equal(q, r + mdp.gamma * v)
+                assert np.array_equal(pi, softmax_actions(q))
+
+    def test_matches_value_iteration_on_random_mdps(self):
+        # Each solver stops within tol of the fixed point in its own way, so
+        # pi agrees only to about tol here (measured max 5.1e-12; Q 3.2e-9).
+        for mdp, r in self._random_cases():
+            _, q_vi, pi_vi = soft_value_iteration(mdp, r, tol=1e-10)
+            _, q, pi = _soft_policy_iteration(mdp, r, tol=1e-10)
+            assert sup_norm(q - q_vi) <= 1e-7
+            assert sup_norm(pi - pi_vi) <= 1e-10
+
+    @pytest.mark.parametrize("name", ["easy", "ident", "hard", "ident-noisy"])
+    def test_matches_value_iteration_on_gridworlds(self, name):
+        mdp, r_true = _gridworld(name)
+        _, q_vi, pi_vi = soft_value_iteration(mdp, r_true, tol=1e-10)
+        _, q, pi = _soft_policy_iteration(mdp, r_true, tol=1e-10)
+        # measured: Q within 3.2e-9, pi within 1.0e-13
+        assert sup_norm(q - q_vi) <= 1e-7
+        assert sup_norm(pi - pi_vi) <= 1e-12
+
+    def test_large_reward_gap_stays_finite(self):
+        # pi underflows to 0 off the best action; the entropy term must not
+        # turn that into 0 * inf.
+        mdp, r_true = _gridworld("ident")
+        r = np.zeros_like(r_true)
+        r[:, 0] = 1000.0
+        v, q, pi = _soft_policy_iteration(mdp, r, tol=1e-9)
+        assert np.all(np.isfinite(v)) and np.all(np.isfinite(q))
+        assert np.min(pi) == 0.0
+        assert sup_norm(soft_bellman_residual(mdp, r, v)) <= 1e-9
+
+    def test_step_cap_raises(self):
+        rng = np.random.default_rng(6)
+        mdp = random_mdp(rng, 3, 2, 0.99)
+        with pytest.raises(RuntimeError, match="residual"):
+            _soft_policy_iteration(mdp, rng.normal(size=(3, 2)), tol=1e-12, max_iter=2)
 
 
 class TestPolicyQ:
