@@ -12,7 +12,7 @@ import configparser
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -212,7 +212,9 @@ def _coerce(value: str, target):
     return value
 
 
-_ENV_KEYS = {f.name: f.type for f in fields(GridworldSpec)}
+_ENV_KEYS = {"width": int, "height": int, "topology": str, "reward_kind": str,
+             "seed": int, "gamma": float, "reward_scale": float,
+             "min_action_prob": float, "move_noise": float, "feature_dim": int}
 _SOLVER_SIMPLE = {"gamma": float, "split": bool, "folds": int}
 _CLASSIFIER_KEYS = {"classifier_kind": ("kind", str),
                     "smoothing_alpha": ("smoothing_alpha", float),
@@ -223,11 +225,11 @@ _CLASSIFIER_KEYS = {"classifier_kind": ("kind", str),
 _REGRESSOR_KEYS = {"regressor_kind": ("kind", str),
                    "ridge_lambda": ("ridge_lambda", float),
                    "fallback": ("fallback", float)}
-_BASELINE_KEYS = {f.name: f.type for f in fields(MaxEntConfig)}
+_BASELINE_KEYS = {"step_size": float, "schedule": str, "grad_clip": float,
+                  "max_epochs": int, "patience": int, "tol": float, "vi_tol": float,
+                  "init": str, "init_seed": int, "init_scale": float, "optimizer": str}
 _EVAL_KEYS = {"n": int, "regime": str, "reruns": int, "base_seed": int,
               "weighting": str, "ref_action": int, "name": str}
-_TYPE_MAP = {"int": int, "float": float, "str": str, "bool": bool,
-             "int | None": int, "float | None": float}
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -242,7 +244,7 @@ def parse_config(path) -> ExperimentConfig:
     for key, value in parser.items("env") if parser.has_section("env") else []:
         if key not in _ENV_KEYS:
             raise ValueError(f"unknown [env] key {key!r}")
-        env_kwargs[key] = _coerce(value, _TYPE_MAP.get(str(_ENV_KEYS[key]), str))
+        env_kwargs[key] = _coerce(value, _ENV_KEYS[key])
     if "width" not in env_kwargs or "height" not in env_kwargs:
         raise ValueError("config [env] section must set width and height")
     env = GridworldSpec(**env_kwargs)
@@ -275,7 +277,7 @@ def parse_config(path) -> ExperimentConfig:
     for key, value in parser.items("baseline") if parser.has_section("baseline") else []:
         if key not in _BASELINE_KEYS:
             raise ValueError(f"unknown [baseline] key {key!r}")
-        baseline_kwargs[key] = _coerce(value, _TYPE_MAP.get(str(_BASELINE_KEYS[key]), str))
+        baseline_kwargs[key] = _coerce(value, _BASELINE_KEYS[key])
     baseline = MaxEntConfig(**baseline_kwargs)
 
     cfg = ExperimentConfig(env=env, solver=solver, baseline=baseline)

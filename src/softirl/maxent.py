@@ -10,6 +10,7 @@ analytic and finite-difference gradients agree to numerical precision.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass, field
 
@@ -57,6 +58,13 @@ def _data_weights(data, n_states: int, n_actions: int) -> np.ndarray:
     return w / total
 
 
+@functools.lru_cache(maxsize=8)
+def _identity(n: int) -> np.ndarray:
+    eye = np.eye(n)
+    eye.setflags(write=False)
+    return eye
+
+
 def _loglik_and_grad(mdp: TabularMdp, phi_flat: np.ndarray, theta: np.ndarray,
                      weights: np.ndarray, vi_tol: float, v0=None):
     ns, na = mdp.n_states, mdp.n_actions
@@ -69,9 +77,11 @@ def _loglik_and_grad(mdp: TabularMdp, phi_flat: np.ndarray, theta: np.ndarray,
     # dQ^T (w - expected) = phi^T (I - gamma M)^-T (w - expected): one right-hand side.
     sa = ns * na
     m = (mdp.transition[:, :, :, None] * pi[None, None, :, :]).reshape(sa, sa)
+    m *= mdp.gamma
+    np.subtract(_identity(sa), m, out=m)
     state_w = weights.sum(axis=1)
     expected = (state_w[:, None] * pi).reshape(sa)
-    adjoint = np.linalg.solve((np.eye(sa) - mdp.gamma * m).T, weights.reshape(sa) - expected)
+    adjoint = np.linalg.solve(m.T, weights.reshape(sa) - expected)
     return ll, phi_flat.T @ adjoint, v
 
 

@@ -40,6 +40,9 @@ class TabularMdp:
             raise ValueError(f"gamma must lie in [0, 1), got {self.gamma}")
         t.setflags(write=False)
         object.__setattr__(self, "transition", t)
+        # one-hot rows (deterministic moves): `apply_P` gathers at these next states
+        one_hot = np.all((t == 0.0) | (t == 1.0))
+        object.__setattr__(self, "_targets", t.argmax(axis=2) if one_hot else None)
 
     @property
     def n_states(self) -> int:
@@ -88,10 +91,17 @@ def _check_table(f, mdp: TabularMdp, name: str) -> np.ndarray:
 
 
 def apply_P(mdp: TabularMdp, f) -> np.ndarray:
-    """Expected next-state value: result[s, a] = sum_s' P(s'|s,a) f(s')."""
+    """Expected next-state value: result[s, a] = sum_s' P(s'|s,a) f(s').
+
+    One-hot kernels with finite f gather f(s') + 0.0, the matmul's bits: its
+    dot product is f(s') plus signed zeros, so a -0.0 comes back +0.0.
+    Non-finite f (0 * inf is NaN) and stochastic kernels take the matmul.
+    """
     f = np.asarray(f, dtype=float)
     if f.shape != (mdp.n_states,):
         raise ValueError(f"state function has shape {f.shape}, expected ({mdp.n_states},)")
+    if mdp._targets is not None and np.isfinite(f).all():
+        return f[mdp._targets] + 0.0
     return mdp.transition @ f
 
 
@@ -110,10 +120,17 @@ def _logsumexp_rows(f: np.ndarray) -> np.ndarray:
     The arithmetic is that of scipy.special.logsumexp: with the row max,
     its tie count m and the sum s of the other terms' exp(f - max), the
     result is log1p(s / m) + log(m) + max. Rows of all -inf give -inf, rows
-    holding +inf give +inf and rows holding NaN give NaN.
+    holding +inf give +inf and rows holding NaN give NaN. If every row has
+    one finite max (a NaN row counts no tie, so finiteness is tested too),
+    m = 1: s / m is s and log(m) is +0.0, so log1p(s) + max has the same
+    bits, with no tie arithmetic and no warnings to suppress.
     """
     top = f.max(axis=1, keepdims=True)
     ties = f == top
+    if np.count_nonzero(ties) == len(f) and np.isfinite(top).all():
+        e = np.exp(f - top)
+        e[ties] = 0.0
+        return np.log1p(e.sum(axis=1)) + top[:, 0]
     with np.errstate(invalid="ignore", divide="ignore"):
         e = np.exp(f - top)
         e[ties] = 0.0
@@ -161,7 +178,8 @@ def soft_value_iteration(mdp: TabularMdp, r, tol: float = 1e-10,
     residual_bound = np.inf
     for _ in range(max_iter):
         v_new = apply_P(mdp, _logsumexp_rows(r + gamma * v))
-        diff = np.max(np.abs(v_new - v))
+        d = v_new - v
+        diff = np.abs(d, out=d).max()
         v = v_new
         # One more backup moves v by at most gamma * diff, so gamma * diff
         # bounds the residual of v_new without an extra operator application.

@@ -96,6 +96,26 @@ class TestParseConfig:
         assert cfg.baseline.optimizer == "adam"
         assert cfg.name == "ident"
 
+    def test_every_key_parses_to_its_declared_type(self, tmp_path):
+        from dataclasses import fields
+
+        from softirl.harness import _BASELINE_KEYS, _ENV_KEYS, _EVAL_KEYS
+
+        assert set(_ENV_KEYS) == {f.name for f in fields(GridworldSpec)}
+        assert set(_BASELINE_KEYS) == {f.name for f in fields(MaxEntConfig)}
+        # "1" is a valid int, float and str, so only the declared type decides
+        sections = (("env", _ENV_KEYS, lambda cfg: cfg.env),
+                    ("baseline", _BASELINE_KEYS, lambda cfg: cfg.baseline),
+                    ("eval", _EVAL_KEYS, lambda cfg: cfg))
+        text = "".join(f"[{name}]\n" + "".join(f"{key} = 1\n" for key in table)
+                       for name, table, _ in sections)
+        path = tmp_path / "cfg.ini"
+        path.write_text(text)
+        cfg = parse_config(path)
+        for _, table, owner in sections:
+            for key, typ in table.items():
+                assert type(getattr(owner(cfg), key)) is typ, key
+
 
 class TestRunExperiment:
     def test_outputs_and_determinism(self, tmp_path):

@@ -242,6 +242,114 @@ class TestMatchesScipyReference:
         assert np.array_equal(got, logsumexp(f, axis=1), equal_nan=True)
 
 
+class TestOneHotGather:
+    """On deterministic kernels `apply_P` gathers f at the next state; its
+    bytes must equal those of the matmul it replaces."""
+
+    @staticmethod
+    def _one_hot_mdps():
+        from softirl.envs import GridworldSpec, build_env
+
+        for name in ("easy", "ident", "hard"):
+            yield _gridworld(name)[0]
+        yield build_env(GridworldSpec(12, 12, topology="torus", seed=3))[0]
+        yield toggle_mdp()
+
+    @staticmethod
+    def _finite_vectors(n):
+        rng = np.random.default_rng(5)
+        signed_zeros = rng.normal(size=n)
+        signed_zeros[::3] = -0.0
+        signed_zeros[1::3] = 0.0
+        yield signed_zeros
+        yield np.zeros(n)
+        yield np.full(n, -0.0)
+        for scale in (1e300, 1e-300, 1.0):
+            yield rng.normal(scale=scale, size=n)
+        yield np.where(rng.random(n) < 0.5, 1e300, -1e-300)
+
+    def test_packaged_kernels_are_one_hot(self):
+        for mdp in self._one_hot_mdps():
+            assert mdp._targets is not None
+
+    def test_gather_is_bit_identical_to_matmul(self):
+        for mdp in self._one_hot_mdps():
+            for f in self._finite_vectors(mdp.n_states):
+                assert apply_P(mdp, f).tobytes() == (mdp.transition @ f).tobytes()
+
+    def test_non_finite_values_take_the_matmul(self):
+        for mdp in self._one_hot_mdps():
+            for bad in (np.inf, -np.inf, np.nan):
+                f = np.linspace(-1.0, 1.0, mdp.n_states)
+                f[-1] = bad
+                with np.errstate(invalid="ignore"):
+                    want = mdp.transition @ f
+                    got = apply_P(mdp, f)
+                assert np.array_equal(got, want, equal_nan=True)
+                # the matmul's 0 * inf = NaN reaches rows the gather leaves finite
+                assert np.isnan(want).any()
+
+    def test_stochastic_kernels_take_the_matmul(self):
+        from dataclasses import replace
+
+        from softirl.envs import build_env
+        from softirl.harness import builtin_experiment
+
+        noisy = build_env(replace(builtin_experiment("ident").env, move_noise=0.3))[0]
+        dense = random_mdp(np.random.default_rng(8), 6, 3, 0.9)
+        for mdp in (noisy, dense):
+            assert mdp._targets is None
+            f = np.random.default_rng(9).normal(size=mdp.n_states)
+            assert apply_P(mdp, f).tobytes() == (mdp.transition @ f).tobytes()
+
+
+class TestSingleMaxPath:
+    """Tables where every row has one finite max take the short path of
+    `_logsumexp_rows`; all others take scipy's tie arithmetic."""
+
+    def _check(self, f):
+        logsumexp = _scipy_logsumexp()
+        with np.errstate(all="ignore"):
+            want = logsumexp(f, axis=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = logsumexp_actions(f)
+        assert np.array_equal(got, want, equal_nan=True)
+
+    def test_nan_row_and_two_way_tie_row(self):
+        # the NaN row has no tie and the tied row two, so the tie count alone
+        # equals the row count; the finiteness test must send this table to
+        # the general path
+        f = np.array([[np.nan, 0.0, 1.0],
+                      [2.0, 2.0, -1.0],
+                      [0.5, 0.1, -0.3]])
+        assert np.count_nonzero(f == f.max(axis=1, keepdims=True)) == len(f)
+        self._check(f)
+
+    def test_finite_max_with_minus_inf_entries(self):
+        f = np.array([[0.3, -np.inf, -1.0],
+                      [-np.inf, -np.inf, 4.0],
+                      [1e300, -np.inf, -1e300]])
+        self._check(f)
+
+    def test_one_tied_row_among_single_max_rows(self):
+        rng = np.random.default_rng(11)
+        f = rng.normal(size=(40, 5))
+        f[17, 3] = f[17].max()
+        f[17, 0] = f[17, 3]
+        self._check(f)
+
+    def test_plus_inf_rows(self):
+        f = np.array([[np.inf, 0.0, 1.0],
+                      [0.2, -0.7, 1.5],
+                      [np.inf, np.inf, -np.inf]])
+        self._check(f)
+
+    def test_general_path_still_suppresses_its_warnings(self):
+        # all -inf rows divide by zero ties and subtract inf from inf
+        self._check(np.array([[-np.inf, -np.inf], [np.nan, np.nan], [0.0, 1.0]]))
+
+
 class TestSoftPolicyIteration:
     """Newton's method on the soft Bellman equation, under the contract of
     soft value iteration: both stop at sup-norm residual <= tol, so their
