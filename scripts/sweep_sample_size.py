@@ -14,8 +14,9 @@ import argparse
 
 import numpy as np
 
-from softirl.envs import build_env, expert_policy, sample_transitions
+from softirl.envs import build_env, sample_transitions
 from softirl.harness import builtin_experiment
+from softirl.mdp import soft_value_iteration
 from softirl.metrics import METRIC_NAMES, evaluate
 from softirl.solver import classify_then_regress
 
@@ -32,7 +33,7 @@ def main() -> None:
 
     cfg = builtin_experiment(args.name)
     mdp, r_true, _ = build_env(cfg.env)
-    pi = expert_policy(mdp, r_true)
+    _, q_true, pi = soft_value_iteration(mdp, r_true, tol=1e-10)
 
     lines = ["n,metric,mean,se"]
     for n in args.sizes:
@@ -41,7 +42,7 @@ def main() -> None:
             ds = sample_transitions(mdp, pi, n, seed=args.seed + rerun,
                                     env_id=cfg.name)
             sol = classify_then_regress(ds, cfg.solver)
-            report = evaluate(mdp, r_true, pi, sol.r, sol.v)
+            report = evaluate(mdp, r_true, pi, sol.r, sol.v, q_true=q_true)
             for m in METRIC_NAMES:
                 per_metric[m].append(getattr(report, m))
         for m in METRIC_NAMES:

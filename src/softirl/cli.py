@@ -46,8 +46,9 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("eval", help="score a solution directory against its environment")
     p.add_argument("solution", help="solution directory")
     add_common(p)
-    p = sub.add_parser("reproduce", help="run a packaged benchmark end to end")
-    p.add_argument("name", choices=("easy", "ident", "hard"))
+    p = sub.add_parser("reproduce", help="run a packaged benchmark, or the experiment a "
+                                         "--config file describes, end to end")
+    p.add_argument("name", nargs="?", choices=("easy", "ident", "hard"))
     p.add_argument("--reruns", type=int, default=None)
     add_common(p, config_required=False)
     p = sub.add_parser("diagnose", help="emit per-iteration solver diagnostics as CSV; "
@@ -115,17 +116,19 @@ def _cmd_baseline(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    from softirl.envs import build_env, expert_policy
+    from softirl.envs import build_env
     from softirl.harness import parse_config
+    from softirl.mdp import soft_value_iteration
     from softirl.metrics import METRIC_NAMES, evaluate
     from softirl.solver import load_solution
 
     cfg = parse_config(args.config)
     mdp, r_true, _ = build_env(cfg.env)
-    pi = expert_policy(mdp, r_true)
+    # one truth solve gives the expert policy and the Q the score compares to
+    _, q_true, pi = soft_value_iteration(mdp, r_true, tol=1e-10)
     solution = load_solution(args.solution)
     report = evaluate(mdp, r_true, pi, solution.r, solution.v,
-                      ref_action=cfg.ref_action)
+                      ref_action=cfg.ref_action, q_true=q_true)
     lines = ["metric,value"]
     for name in METRIC_NAMES:
         lines.append(f"{name},{getattr(report, name):.10g}")
@@ -141,12 +144,24 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    from softirl.harness import builtin_experiment, format_markdown_table, run_experiment
+    from softirl.harness import (
+        builtin_experiment,
+        format_markdown_table,
+        parse_config,
+        run_experiment,
+    )
 
-    cfg = builtin_experiment(args.name, reruns=args.reruns, base_seed=args.seed)
-    out = args.out or os.path.join("results", args.name)
+    if args.config is None:
+        cfg = builtin_experiment(args.name, reruns=args.reruns, base_seed=args.seed)
+    else:
+        cfg = parse_config(args.config)
+        if args.reruns is not None:
+            cfg.reruns = args.reruns
+        if args.seed is not None:
+            cfg.base_seed = args.seed
+    out = args.out or os.path.join("results", cfg.name)
     _, summary = run_experiment(cfg, out_dir=out, quiet=args.quiet)
-    table = format_markdown_table(args.name, summary)
+    table = format_markdown_table(cfg.name, summary)
     if not args.quiet:
         print(table, end="")
         print(f"files written to {out}")
@@ -203,6 +218,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "reproduce" and (args.name is None) == (args.config is None):
+            parser.error("reproduce takes exactly one of a benchmark name and --config")
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1

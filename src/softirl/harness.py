@@ -2,8 +2,12 @@
 
 A run fixes the environment (the truth), redraws the dataset per rerun with
 seed base_seed + rerun index, fits both methods, and aggregates the five
-metrics into raw.csv / summary.csv / table.md. Reruns are executed
-sequentially in index order so output files are byte-reproducible.
+metrics into raw.csv / summary.csv / table.md. It has two phases. First each
+rerun, in index order, samples its dataset, solves and scores Ours, and keeps
+only the dataset's joint frequency table. Then MaxEnt fits every surviving
+rerun in lockstep (`maxent_fit_lockstep`) and each fit is scored. Every
+rerun computes the bits it would alone, and rows, messages and failures are
+reported in index order, so output files are byte-reproducible.
 """
 
 from __future__ import annotations
@@ -16,10 +20,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from softirl.envs import GridworldSpec, expert_policy, build_env, sample_transitions
-from softirl.maxent import MaxEntConfig, maxent_fit
+from softirl.envs import GridworldSpec, build_env, sample_transitions
+from softirl.envs import expert_policy  # noqa: F401 - perfbench/spans.py wraps it by name here
+from softirl.maxent import MaxEntConfig, maxent_fit_lockstep
+from softirl.maxent import maxent_fit  # noqa: F401 - perfbench/spans.py wraps it by name here
 from softirl.metrics import METRIC_NAMES, evaluate
-from softirl.mdp import joint_frequency
+from softirl.mdp import joint_frequency, soft_value_iteration
 from softirl.oracles import ClassifierSpec, RegressorSpec
 from softirl.solver import (
     NormalizationMeasure,
@@ -77,30 +83,20 @@ def builtin_experiment(name: str, reruns: int | None = None,
     return cfg
 
 
-def _metric_weights(cfg: ExperimentConfig, dataset, n_states: int):
-    if cfg.weighting == "uniform":
-        return None
-    freq = joint_frequency(dataset.states, dataset.actions, n_states,
-                           dataset.meta["n_actions"])
-    return freq.sum(axis=1)
-
-
-def run_rerun(cfg: ExperimentConfig, mdp, r_true, fmap, pi_exp, rerun: int):
-    """One seeded rerun: sample, fit both methods, score both."""
-    seed = cfg.base_seed + rerun
+def _sample_and_solve(cfg: ExperimentConfig, mdp, r_true, q_true, pi_exp, rerun: int):
+    """Phase one of a rerun: sample, fit and score Ours. Returns the joint
+    frequency table MaxEnt fits, the metric weights and Ours' report."""
     dataset = sample_transitions(mdp, pi_exp, cfg.n, regime=cfg.regime,
-                                 seed=seed, env_id=cfg.name)
-    weights = _metric_weights(cfg, dataset, mdp.n_states)
+                                 seed=cfg.base_seed + rerun, env_id=cfg.name)
+    freq = joint_frequency(dataset.states, dataset.actions, mdp.n_states, mdp.n_actions)
+    weights = None if cfg.weighting == "uniform" else freq.sum(axis=1)
     if cfg.solver.split:
         solution = split_classify_regress(dataset, cfg.solver)
     else:
         solution = classify_then_regress(dataset, cfg.solver)
     ours = evaluate(mdp, r_true, pi_exp, solution.r, solution.v,
-                    weights=weights, ref_action=cfg.ref_action)
-    fit = maxent_fit(mdp, fmap.phi, dataset, cfg.baseline)
-    base = evaluate(mdp, r_true, pi_exp, fit.r_hat,
-                    weights=weights, ref_action=cfg.ref_action)
-    return {"MaxEnt": base, "Ours": ours}
+                    weights=weights, ref_action=cfg.ref_action, q_true=q_true)
+    return freq, weights, ours
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None, quiet: bool = False):
@@ -116,23 +112,46 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, quiet: bool = False):
     if cfg.weighting not in WEIGHTINGS:
         raise ValueError(f"unknown weighting {cfg.weighting!r}")
     mdp, r_true, fmap = build_env(cfg.env)
-    pi_exp = expert_policy(mdp, r_true)
+    # one truth solve gives the expert policy and the Q every score compares to
+    _, q_true, pi_exp = soft_value_iteration(mdp, r_true, tol=1e-10)
+
+    solved, errors = {}, {}
+    for rerun in range(cfg.reruns):
+        try:
+            solved[rerun] = _sample_and_solve(cfg, mdp, r_true, q_true, pi_exp, rerun)
+        except Exception as exc:  # noqa: BLE001 - rerun isolation is the contract
+            errors[rerun] = exc
+
+    try:
+        fits = maxent_fit_lockstep(mdp, fmap.phi, [freq for freq, _, _ in solved.values()],
+                                   cfg.baseline)
+    except Exception as exc:  # noqa: BLE001 - a config error fails every rerun alike
+        fits = [exc] * len(solved)
+    reports = {}
+    for (rerun, (_, weights, ours)), fit in zip(solved.items(), fits):
+        try:
+            if isinstance(fit, Exception):
+                raise fit
+            base = evaluate(mdp, r_true, pi_exp, fit.r_hat, weights=weights,
+                            ref_action=cfg.ref_action, q_true=q_true)
+        except Exception as exc:  # noqa: BLE001 - rerun isolation is the contract
+            errors[rerun] = exc
+            continue
+        reports[rerun] = {"MaxEnt": base, "Ours": ours}
 
     rows = []
     failures = []
     for rerun in range(cfg.reruns):
-        try:
-            reports = run_rerun(cfg, mdp, r_true, fmap, pi_exp, rerun)
-        except Exception as exc:  # noqa: BLE001 - rerun isolation is the contract
-            failures.append((rerun, repr(exc)))
+        if rerun in errors:
+            failures.append((rerun, repr(errors[rerun])))
             if not quiet:
-                print(f"warning: rerun {rerun} failed: {exc!r}", file=sys.stderr)
+                print(f"warning: rerun {rerun} failed: {errors[rerun]!r}", file=sys.stderr)
             continue
         for method in ("MaxEnt", "Ours"):
-            for metric, value in reports[method].as_dict().items():
+            for metric, value in reports[rerun][method].as_dict().items():
                 rows.append((rerun, method, metric, value))
         if not quiet:
-            ours = reports["Ours"]
+            ours = reports[rerun]["Ours"]
             print(f"rerun {rerun}: Ours corr={ours.corr_qdiff:.4f} kl={ours.kl:.5f}")
 
     n_ok = cfg.reruns - len(failures)

@@ -6,6 +6,9 @@ Q-sensitivity dQ solves the linear fixed point dQ = phi + gamma P[pi dQ],
 and the gradient dQ^T (w - expected) is computed by one adjoint solve with
 the transposed (S*A x S*A) system and a single right-hand side per step, so
 analytic and finite-difference gradients agree to numerical precision.
+`maxent_fit_lockstep` runs the ascents of several datasets side by side on
+one batched soft value iteration per epoch, each with the bits of its own
+`maxent_fit`.
 """
 
 from __future__ import annotations
@@ -16,7 +19,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from softirl.mdp import TabularMdp, joint_frequency, soft_value_iteration
+from softirl.mdp import (
+    TabularMdp,
+    _soft_value_iteration,
+    joint_frequency,
+    soft_value_iteration,
+)
 
 OPTIMIZERS = ("gd", "adam")
 SCHEDULES = ("constant", "invsqrt")
@@ -65,11 +73,11 @@ def _identity(n: int) -> np.ndarray:
     return eye
 
 
-def _loglik_and_grad(mdp: TabularMdp, phi_flat: np.ndarray, theta: np.ndarray,
-                     weights: np.ndarray, vi_tol: float, v0=None):
+def _loglik_and_grad(mdp: TabularMdp, phi_flat: np.ndarray, weights: np.ndarray,
+                     pi: np.ndarray):
+    """Mean log-likelihood of the weights under the soft-optimal policy pi of
+    r_theta, and its gradient in theta."""
     ns, na = mdp.n_states, mdp.n_actions
-    r = (phi_flat @ theta).reshape(ns, na)
-    v, q, pi = soft_value_iteration(mdp, r, tol=vi_tol, v0=v0)
     with np.errstate(divide="ignore"):
         log_pi = np.log(pi)
     ll = float(np.sum(weights * log_pi))
@@ -82,7 +90,7 @@ def _loglik_and_grad(mdp: TabularMdp, phi_flat: np.ndarray, theta: np.ndarray,
     state_w = weights.sum(axis=1)
     expected = (state_w[:, None] * pi).reshape(sa)
     adjoint = np.linalg.solve(m.T, weights.reshape(sa) - expected)
-    return ll, phi_flat.T @ adjoint, v
+    return ll, phi_flat.T @ adjoint
 
 
 def maxent_loglik_and_grad(mdp: TabularMdp, phi, theta, data):
@@ -98,13 +106,83 @@ def maxent_loglik_and_grad(mdp: TabularMdp, phi, theta, data):
         raise ValueError(f"theta has shape {theta.shape}, expected ({phi.shape[2]},)")
     weights = _data_weights(data, mdp.n_states, mdp.n_actions)
     phi_flat = phi.reshape(-1, phi.shape[2])
-    ll, grad, _ = _loglik_and_grad(mdp, phi_flat, theta, weights, vi_tol=1e-12)
-    return ll, grad
+    r = (phi_flat @ theta).reshape(mdp.n_states, mdp.n_actions)
+    _, _, pi = soft_value_iteration(mdp, r, tol=1e-12)
+    return _loglik_and_grad(mdp, phi_flat, weights, pi)
 
 
 def maxent_fit(mdp: TabularMdp, phi, data, cfg: MaxEntConfig) -> MaxEntFit:
     """Clipped gradient ascent on the conditional likelihood; returns the
     best-likelihood iterate."""
+    weights = _data_weights(data, mdp.n_states, mdp.n_actions)
+    (fit,) = maxent_fit_lockstep(mdp, phi, [weights], cfg)
+    if isinstance(fit, Exception):
+        raise fit
+    return fit
+
+
+class _Ascent:
+    """One likelihood ascent of a lockstep fit: its iterate, optimizer state,
+    loss trace and best iterate."""
+
+    def __init__(self, weights: np.ndarray, theta: np.ndarray):
+        self.weights = weights
+        self.theta = theta
+        self.adam_m = np.zeros_like(theta)
+        self.adam_v = np.zeros_like(theta)
+        self.grad = None
+        self.trace = []
+        self.best = None  # (loglik, theta, epoch)
+        self.stall = 0
+
+    def step(self, epoch: int, cfg: MaxEntConfig) -> None:
+        """Move theta along the clipped gradient (or its Adam moments)."""
+        beta1, beta2, eps = 0.9, 0.999, 1e-8
+        grad = self.grad
+        norm = float(np.linalg.norm(grad))
+        step_dir = grad if norm <= cfg.grad_clip else grad * (cfg.grad_clip / norm)
+        step = cfg.step_size / np.sqrt(epoch) if cfg.schedule == "invsqrt" else cfg.step_size
+        if cfg.optimizer == "adam":
+            self.adam_m = beta1 * self.adam_m + (1 - beta1) * step_dir
+            self.adam_v = beta2 * self.adam_v + (1 - beta2) * step_dir ** 2
+            m_hat = self.adam_m / (1 - beta1 ** epoch)
+            v_hat = self.adam_v / (1 - beta2 ** epoch)
+            self.theta = self.theta + step * m_hat / (np.sqrt(v_hat) + eps)
+        else:
+            self.theta = self.theta + step * step_dir
+
+    def record(self, epoch: int, ll: float, cfg: MaxEntConfig) -> bool:
+        """Log the epoch's likelihood; True once patience runs out."""
+        if epoch == 0:
+            self.trace.append(-ll)
+            self.best = (ll, self.theta.copy(), 0)
+            return False
+        if not np.isfinite(ll):
+            raise RuntimeError(f"likelihood became non-finite at epoch {epoch}; "
+                               f"loss trace: {self.trace}")
+        self.trace.append(-ll)
+        if ll > self.best[0] + cfg.tol:
+            self.best = (ll, self.theta.copy(), epoch)
+            self.stall = 0
+            return False
+        self.stall += 1
+        return self.stall >= cfg.patience
+
+    def fit(self, phi_flat: np.ndarray, shape) -> MaxEntFit:
+        ll, theta, epoch = self.best
+        return MaxEntFit(theta, (phi_flat @ theta).reshape(shape), self.trace, epoch,
+                         {"best_loglik": ll, "epochs_run": len(self.trace) - 1})
+
+
+def maxent_fit_lockstep(mdp: TabularMdp, phi, weights: list, cfg: MaxEntConfig) -> list:
+    """`maxent_fit` for several joint (S, A) frequency tables at once.
+
+    The ascents run in lockstep: each epoch solves the soft Bellman equation
+    of every running ascent in one batched soft value iteration, and each
+    ascent does the arithmetic of its own `maxent_fit` and stops at its own
+    epoch. The tables are used as given, not renormalized. Returns, per
+    table, its MaxEntFit or the exception its ascent raised.
+    """
     if cfg.step_size <= 0 or cfg.grad_clip <= 0:
         raise ValueError("step_size and grad_clip must be positive")
     if cfg.schedule not in SCHEDULES:
@@ -114,52 +192,44 @@ def maxent_fit(mdp: TabularMdp, phi, data, cfg: MaxEntConfig) -> MaxEntFit:
     phi = np.asarray(phi, dtype=float)
     d = phi.shape[2]
     phi_flat = phi.reshape(-1, d)
-    weights = _data_weights(data, mdp.n_states, mdp.n_actions)
-
     if cfg.init == "zeros":
         theta = np.zeros(d)
     elif cfg.init == "gaussian":
         theta = cfg.init_scale * np.random.default_rng(cfg.init_seed).normal(size=d)
     else:
         raise ValueError(f"unknown init {cfg.init!r}")
-
-    adam_m = np.zeros(d)
-    adam_v = np.zeros(d)
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
-
-    ll, grad, v_warm = _loglik_and_grad(mdp, phi_flat, theta, weights, cfg.vi_tol)
-    trace = [-ll]
-    best_ll, best_theta, best_epoch = ll, theta.copy(), 0
-    stall = 0
-    for epoch in range(1, cfg.max_epochs + 1):
-        norm = float(np.linalg.norm(grad))
-        step_dir = grad if norm <= cfg.grad_clip else grad * (cfg.grad_clip / norm)
-        step = cfg.step_size / np.sqrt(epoch) if cfg.schedule == "invsqrt" else cfg.step_size
-        if cfg.optimizer == "adam":
-            adam_m = beta1 * adam_m + (1 - beta1) * step_dir
-            adam_v = beta2 * adam_v + (1 - beta2) * step_dir ** 2
-            m_hat = adam_m / (1 - beta1 ** epoch)
-            v_hat = adam_v / (1 - beta2 ** epoch)
-            theta = theta + step * m_hat / (np.sqrt(v_hat) + eps)
-        else:
-            theta = theta + step * step_dir
-        ll, grad, v_warm = _loglik_and_grad(mdp, phi_flat, theta, weights,
-                                            cfg.vi_tol, v0=v_warm)
-        if not np.isfinite(ll):
-            raise RuntimeError(f"likelihood became non-finite at epoch {epoch}; "
-                               f"loss trace: {trace}")
-        trace.append(-ll)
-        if ll > best_ll + cfg.tol:
-            best_ll, best_theta, best_epoch = ll, theta.copy(), epoch
-            stall = 0
-        else:
-            stall += 1
-            if stall >= cfg.patience:
-                break
-
-    r_hat = (phi_flat @ best_theta).reshape(mdp.n_states, mdp.n_actions)
-    return MaxEntFit(best_theta, r_hat, trace, best_epoch,
-                     diagnostics={"best_loglik": best_ll, "epochs_run": len(trace) - 1})
+    shape = (mdp.n_states, mdp.n_actions)
+    ascents = [_Ascent(w, theta.copy()) for w in weights]
+    errors, v_warm = {}, {}
+    running = list(range(len(ascents)))
+    for epoch in range(cfg.max_epochs + 1):
+        rewards = {}
+        for i in running:
+            try:
+                if epoch:
+                    ascents[i].step(epoch, cfg)
+                rewards[i] = (phi_flat @ ascents[i].theta).reshape(shape)
+            except Exception as exc:  # noqa: BLE001 - each ascent fails alone
+                errors[i] = exc
+        if not rewards:
+            break
+        v0 = np.stack([v_warm[i] for i in rewards]) if epoch else None
+        solved = _soft_value_iteration(mdp, np.stack(list(rewards.values())), cfg.vi_tol, v0)
+        running = []
+        for i, result in zip(rewards, solved):
+            if isinstance(result, Exception):
+                errors[i] = result
+                continue
+            v, _, pi = result
+            try:
+                ll, ascents[i].grad = _loglik_and_grad(mdp, phi_flat, ascents[i].weights, pi)
+                if not ascents[i].record(epoch, ll, cfg):
+                    running.append(i)
+            except Exception as exc:  # noqa: BLE001 - each ascent fails alone
+                errors[i] = exc
+            v_warm[i] = v
+    return [errors[i] if i in errors else ascent.fit(phi_flat, shape)
+            for i, ascent in enumerate(ascents)]
 
 
 def save_maxent(fit: MaxEntFit, out_dir) -> None:

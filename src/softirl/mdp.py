@@ -114,29 +114,45 @@ def expect_mu(mu, f) -> np.ndarray:
     return np.sum(mu * f, axis=1)
 
 
-def _logsumexp_rows(f: np.ndarray) -> np.ndarray:
-    """Row-wise log-sum-exp of a 2-d float array.
+def _sum_actions(e: np.ndarray) -> np.ndarray:
+    """Column sums of an action-major (A, n) array with the bits of numpy's
+    row sums of its (n, A) transpose: those add in sequence below 8 terms,
+    as the elementwise reduction over axis 0 does, and pairwise from 8 up,
+    so wide action sets are summed as contiguous rows."""
+    if len(e) < 8:
+        return np.add.reduce(e, axis=0)
+    return np.ascontiguousarray(e.T).sum(axis=1)
 
-    The arithmetic is that of scipy.special.logsumexp: with the row max,
-    its tie count m and the sum s of the other terms' exp(f - max), the
-    result is log1p(s / m) + log(m) + max. Rows of all -inf give -inf, rows
-    holding +inf give +inf and rows holding NaN give NaN. If every row has
-    one finite max (a NaN row counts no tie, so finiteness is tested too),
-    m = 1: s / m is s and log(m) is +0.0, so log1p(s) + max has the same
-    bits, with no tie arithmetic and no warnings to suppress.
+
+def _logsumexp_action_major(f: np.ndarray) -> np.ndarray:
+    """Log-sum-exp over axis 0 of an action-major (A, n) array.
+
+    The arithmetic is that of scipy.special.logsumexp over each column: with
+    the column max, its tie count m and the sum s of the other terms'
+    exp(f - max), the result is log1p(s / m) + log(m) + max. Columns of all
+    -inf give -inf, columns holding +inf give +inf and columns holding NaN
+    give NaN. If every column has one finite max (a NaN column counts no
+    tie, so finiteness is tested too), m = 1: s / m is s and log(m) is +0.0,
+    so log1p(s) + max has the same bits, with no tie arithmetic and no
+    warnings to suppress; there every exp is finite, so zeroing the max's
+    term is a multiply by the not-a-max mask. Every step is elementwise
+    across columns.
     """
-    top = f.max(axis=1, keepdims=True)
-    ties = f == top
-    if np.count_nonzero(ties) == len(f) and np.isfinite(top).all():
-        e = np.exp(f - top)
-        e[ties] = 0.0
-        return np.log1p(e.sum(axis=1)) + top[:, 0]
+    top = np.maximum.reduce(f, axis=0)
+    others = f != top
+    if np.count_nonzero(others) == others.size - len(top) and np.isfinite(top).all():
+        e = f - top
+        np.exp(e, out=e)
+        e *= others
+        out = np.log1p(_sum_actions(e))
+        out += top
+        return out
+    ties = ~others
     with np.errstate(invalid="ignore", divide="ignore"):
         e = np.exp(f - top)
-        e[ties] = 0.0
-        m = ties.sum(axis=1, keepdims=True, dtype=float)
-        out = np.log1p(e.sum(axis=1, keepdims=True) / m) + np.log(m) + top
-    return out[:, 0]
+        np.putmask(e, ties, 0.0)
+        m = np.add.reduce(ties, axis=0, dtype=float)
+        return np.log1p(_sum_actions(e) / m) + np.log(m) + top
 
 
 def logsumexp_actions(f) -> np.ndarray:
@@ -144,7 +160,7 @@ def logsumexp_actions(f) -> np.ndarray:
     f = np.asarray(f, dtype=float)
     if f.ndim != 2:
         raise ValueError(f"state-action table must be 2-d, got shape {f.shape}")
-    return _logsumexp_rows(f)
+    return _logsumexp_action_major(f.T)
 
 
 def softmax_actions(q) -> np.ndarray:
@@ -162,6 +178,14 @@ def soft_bellman_residual(mdp: TabularMdp, r, v) -> np.ndarray:
     return v - apply_P(mdp, logsumexp_actions(r + mdp.gamma * v))
 
 
+def _as_stack(f, mdp: TabularMdp, name: str) -> np.ndarray:
+    """A (B, S, A) stack as given, or an (S, A) table as a stack of one."""
+    f = np.asarray(f, dtype=float)
+    if f.ndim == 3 and f.shape[1:] == (mdp.n_states, mdp.n_actions):
+        return f
+    return _check_table(f, mdp, name)[None]
+
+
 def soft_value_iteration(mdp: TabularMdp, r, tol: float = 1e-10,
                          max_iter: int = 100_000, v0=None):
     """Solve v = P logsumexp(r + gamma v) by fixed-point iteration.
@@ -169,28 +193,89 @@ def soft_value_iteration(mdp: TabularMdp, r, tol: float = 1e-10,
     Returns (v, Q, pi) with Q = r + gamma v and pi the row softmax of Q.
     The returned v has sup-norm Bellman residual at most `tol`. Raises
     RuntimeError (carrying the last residual bound) on non-convergence.
+    `r` and `v0` may also be (B, S, A) stacks of independent problems; the
+    results are then (B, S, A) stacks with the bits of one call per problem.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    r = _check_table(r, mdp, "r")
+    batched = np.ndim(r) == 3
+    r = _as_stack(r, mdp, "r")
+    if v0 is not None:
+        v0 = _as_stack(v0, mdp, "v0")
+        if v0.shape != r.shape:
+            raise ValueError(f"v0 has shape {v0.shape}, expected {r.shape}")
+    results = _soft_value_iteration(mdp, r, tol, v0, max_iter)
+    for index, result in enumerate(results):
+        if isinstance(result, RuntimeError):
+            raise RuntimeError(f"problem {index}: {result}") if batched else result
+    if not batched:
+        return results[0]
+    return tuple(np.stack(parts) for parts in zip(*results))
+
+
+def _soft_value_iteration(mdp: TabularMdp, r: np.ndarray, tol: float,
+                          v0: np.ndarray | None = None, max_iter: int = 100_000) -> list:
+    """The soft value-iteration loop over a (B, S, A) stack of problems.
+
+    Each sweep runs on action-major (A, B*S) arrays, so the reductions over
+    actions are elementwise across states and problems, and does each
+    problem's row-major arithmetic bit for bit. A problem leaves the batch at
+    the sweep where its own residual bound reaches `tol`. Returns, per
+    problem, (v, Q, pi) or the RuntimeError of a problem still short of
+    `tol` after `max_iter` sweeps.
+    """
+    n_problems, ns, na = r.shape
     gamma = mdp.gamma
-    v = np.zeros_like(r) if v0 is None else _check_table(v0, mdp, "v0").copy()
-    residual_bound = np.inf
+    r_am = np.ascontiguousarray(r.transpose(2, 0, 1)).reshape(na, -1)
+    v = np.zeros_like(r_am) if v0 is None else np.ascontiguousarray(
+        v0.transpose(2, 0, 1)).reshape(na, -1)
+    live = np.arange(n_problems)
+    bound = np.full(n_problems, np.inf)
+    targets = mdp._targets
+    if targets is not None:
+        # column j*S + s of the j-th live problem reads that problem's next states
+        targets = np.ascontiguousarray(targets.T[:, None, :] + ns * live[:, None]).reshape(na, -1)
+    results = [None] * n_problems
     for _ in range(max_iter):
-        v_new = apply_P(mdp, _logsumexp_rows(r + gamma * v))
+        f = gamma * v
+        f += r_am
+        lse = _logsumexp_action_major(f)
+        if targets is not None and np.isfinite(lse).all():
+            # apply_P's gather for every live problem: + 0.0 turns -0.0 into
+            # the matmul's +0.0
+            v_new = lse[targets]
+            v_new += 0.0
+        else:
+            v_new = np.empty_like(v)
+            for j in range(len(live)):
+                block = slice(j * ns, (j + 1) * ns)
+                v_new[:, block] = apply_P(mdp, lse[block].copy()).T
         d = v_new - v
-        diff = np.abs(d, out=d).max()
+        np.abs(d, out=d)
+        diff = np.maximum.reduce(d.reshape(na, len(live), ns), axis=(0, 2))
         v = v_new
         # One more backup moves v by at most gamma * diff, so gamma * diff
         # bounds the residual of v_new without an extra operator application.
-        residual_bound = gamma * diff
-        if residual_bound <= tol:
-            q = r + gamma * v
-            return v, q, softmax_actions(q)
-    raise RuntimeError(
-        f"soft value iteration did not reach tol={tol} in {max_iter} iterations; "
-        f"last residual bound {residual_bound:.3e}"
-    )
+        bound = gamma * diff
+        done = bound <= tol
+        if np.count_nonzero(done):
+            blocks = v.reshape(na, len(live), ns)
+            for j in np.flatnonzero(done):
+                v_j = np.ascontiguousarray(blocks[:, j].T)
+                q = r[live[j]] + gamma * v_j
+                results[live[j]] = (v_j, q, softmax_actions(q))
+            live, bound = live[~done], bound[~done]
+            if not len(live):
+                return results
+            keep = np.repeat(~done, ns)
+            r_am, v = r_am[:, keep], v[:, keep]
+            if targets is not None:
+                targets = np.ascontiguousarray(targets[:, :len(live) * ns])
+    for index, last in zip(live, bound):
+        results[index] = RuntimeError(
+            f"soft value iteration did not reach tol={tol} in {max_iter} iterations; "
+            f"last residual bound {last:.3e}")
+    return results
 
 
 def _solve_discounted(kernel: np.ndarray, gamma: float, rhs: np.ndarray, what: str):
@@ -209,7 +294,7 @@ def _soft_policy_iteration(mdp: TabularMdp, r: np.ndarray, tol: float = 1e-10, m
     v = np.zeros_like(r)
     for _ in range(max_iter):
         q = r + mdp.gamma * v
-        lse, pi = _logsumexp_rows(q), softmax_actions(q)
+        lse, pi = _logsumexp_action_major(q.T), softmax_actions(q)
         residual = np.max(np.abs(apply_P(mdp, lse) - v))
         if residual <= tol:
             return v, q, pi

@@ -55,17 +55,20 @@ def _weighted_pearson(x: np.ndarray, y: np.ndarray, w: np.ndarray):
 
 
 def evaluate(mdp: TabularMdp, r_true, pi_expert, r_hat, v_hat=None, q_hat=None,
-             weights=None, ref_action: int = 0) -> MetricsReport:
+             weights=None, ref_action: int = 0, q_true=None) -> MetricsReport:
     """Score an estimate against the ground truth.
 
     The estimated Q is r_hat + gamma v_hat when v_hat is given, otherwise it
     is recomputed by soft value iteration on r_hat (the natural choice for
     baselines that only model a reward). `weights` is a state distribution;
     None means uniform. The reference action's identically-zero column is
-    excluded from the RMSE/correlation support.
+    excluded from the RMSE/correlation support. `q_true`, when given, must be
+    the Q of `soft_value_iteration(mdp, r_true, tol=1e-10)`, which callers
+    scoring many estimates solve once.
     """
-    r_true = np.asarray(r_true, dtype=float)
-    _, q_true, _ = soft_value_iteration(mdp, r_true, tol=1e-10)
+    if q_true is None:
+        _, q_true, _ = soft_value_iteration(mdp, np.asarray(r_true, dtype=float), tol=1e-10)
+    q_true = np.asarray(q_true, dtype=float)
     if q_hat is None:
         if v_hat is not None:
             q_hat = np.asarray(r_hat, dtype=float) + mdp.gamma * np.asarray(v_hat, dtype=float)

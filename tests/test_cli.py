@@ -51,6 +51,11 @@ class TestUsageErrors:
     def test_unknown_subcommand_exits_one(self):
         assert main(["frobnicate"]) == 1
 
+    def test_reproduce_takes_exactly_one_source(self, cfg_path, capsys):
+        assert main(["reproduce"]) == 1
+        assert main(["reproduce", "easy", "--config", cfg_path]) == 1
+        assert "exactly one" in capsys.readouterr().err
+
     def test_no_arguments_exits_one(self):
         assert main([]) == 1
 
@@ -159,3 +164,15 @@ class TestPipeline:
         assert table.splitlines()[0].count("|") == 8
         assert os.path.exists(os.path.join(out, "raw.csv"))
         assert os.path.exists(os.path.join(out, "summary.csv"))
+
+    def test_reproduce_config_writes_run_experiment_raw_csv(self, cfg_path, tmp_path):
+        from softirl.harness import parse_config, run_experiment
+
+        out = tmp_path / "cli"
+        assert main(["reproduce", "--config", cfg_path, "--out", str(out), "--reruns", "3",
+                     "--seed", "4", "--quiet"]) == 0
+        cfg = parse_config(cfg_path)
+        cfg.reruns, cfg.base_seed = 3, 4
+        run_experiment(cfg, out_dir=tmp_path / "lib", quiet=True)
+        for name in ("raw.csv", "summary.csv", "table.md"):
+            assert (out / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()

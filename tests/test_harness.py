@@ -160,6 +160,55 @@ class TestRunExperiment:
             run_experiment(cfg, quiet=True)
 
 
+    def test_failing_reruns_are_dropped_alone(self, tmp_path, monkeypatch, capsys):
+        import softirl.harness as harness
+        import softirl.maxent as maxent
+        from softirl.envs import build_env, expert_policy, sample_transitions
+        from softirl.mdp import joint_frequency
+
+        cfg = tiny_experiment(reruns=10)  # 8 of 10 meet the 80% guard
+        run_experiment(cfg, out_dir=tmp_path / "clean")
+        clean = capsys.readouterr()
+        # rerun 1's ascent raises at its third gradient, inside the lockstep
+        # fit; rerun 3 fails earlier, in its Ours solve
+        mdp, r_true, fmap = build_env(cfg.env)
+        pi = expert_policy(mdp, r_true)
+        dataset = sample_transitions(mdp, pi, cfg.n, regime=cfg.regime,
+                                     seed=cfg.base_seed + 1, env_id=cfg.name)
+        target = joint_frequency(dataset.states, dataset.actions, mdp.n_states, mdp.n_actions)
+        real_grad, real_solve, calls = maxent._loglik_and_grad, harness.classify_then_regress, []
+
+        def singular_at_third_epoch(mdp, phi_flat, weights, pi):
+            if np.array_equal(weights, target):
+                calls.append(None)
+                if len(calls) == 3:
+                    raise np.linalg.LinAlgError("Singular matrix")
+            return real_grad(mdp, phi_flat, weights, pi)
+
+        def solve_fails_on_rerun_3(data, config):
+            if data.meta["seed"] == cfg.base_seed + 3:
+                raise ValueError("no solution")
+            return real_solve(data, config)
+
+        monkeypatch.setattr(maxent, "_loglik_and_grad", singular_at_third_epoch)
+        monkeypatch.setattr(harness, "classify_then_regress", solve_fails_on_rerun_3)
+        run_experiment(cfg, out_dir=tmp_path / "two")
+        failed = capsys.readouterr()
+        # rerun 1 warns as a sequential maxent_fit of its data would, and the
+        # warnings keep rerun order although rerun 3 failed first
+        calls.clear()
+        with pytest.raises(np.linalg.LinAlgError) as sequential:
+            maxent.maxent_fit(mdp, fmap.phi, dataset, cfg.baseline)
+        assert failed.err == (f"warning: rerun 1 failed: {sequential.value!r}\n"
+                              "warning: rerun 3 failed: ValueError('no solution')\n")
+        gone = ("rerun 1:", "rerun 3:", "1,", "3,")
+        keep = [line for line in clean.out.splitlines(True) if not line.startswith(gone)]
+        assert failed.out == "".join(keep)
+        raw = (tmp_path / "clean" / "raw.csv").read_text().splitlines(True)
+        assert (tmp_path / "two" / "raw.csv").read_text() == "".join(
+            line for line in raw if not line.startswith(gone))
+
+
 class TestBuiltin:
     def test_names(self):
         for name in ("easy", "ident", "hard"):

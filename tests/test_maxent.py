@@ -3,7 +3,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from softirl.envs import GridworldSpec, build_env, expert_policy, sample_transitions
-from softirl.maxent import MaxEntConfig, maxent_fit, maxent_loglik_and_grad
+from softirl.maxent import (
+    MaxEntConfig,
+    maxent_fit,
+    maxent_fit_lockstep,
+    maxent_loglik_and_grad,
+)
 from softirl.metrics import evaluate
 from softirl.mdp import TabularMdp, joint_frequency, soft_value_iteration
 
@@ -171,3 +176,69 @@ class TestMaxentFit:
             maxent_fit(mdp, phi, w, MaxEntConfig(step_size=-1.0))
         with pytest.raises(ValueError):
             maxent_fit(mdp, phi, w, MaxEntConfig(schedule="linear"))
+
+
+class TestLockstepFit:
+    """`maxent_fit_lockstep` runs the ascents of several datasets on one
+    batched soft value iteration per epoch; each must equal its own
+    `maxent_fit`."""
+
+    @staticmethod
+    def _problem():
+        spec = GridworldSpec(4, 4, topology="bounded", reward_kind="nonlinear",
+                             seed=2, gamma=0.9, min_action_prob=0.03)
+        mdp, r_true, fmap = build_env(spec)
+        pi = expert_policy(mdp, r_true)
+        datasets = [sample_transitions(mdp, pi, n, seed=seed, env_id="tiny")
+                    for seed, n in ((0, 300), (1, 3000), (2, 30_000), (3, 100))]
+        return mdp, fmap.phi, datasets
+
+    @pytest.mark.parametrize("cfg", [
+        MaxEntConfig(step_size=0.05, optimizer="adam", schedule="constant",
+                     max_epochs=80, patience=5),
+        MaxEntConfig(step_size=0.5, max_epochs=80, patience=3, tol=1e-4),
+        MaxEntConfig(max_epochs=25, init="gaussian", init_seed=3),
+    ])
+    def test_matches_sequential_fits(self, cfg):
+        mdp, phi, datasets = self._problem()
+        weights = [joint_frequency(ds.states, ds.actions, mdp.n_states, mdp.n_actions)
+                   for ds in datasets]
+        fits = maxent_fit_lockstep(mdp, phi, weights, cfg)
+        for ds, fit in zip(datasets, fits):
+            want = maxent_fit(mdp, phi, ds, cfg)
+            assert np.array_equal(fit.theta, want.theta)
+            assert np.array_equal(fit.r_hat, want.r_hat)
+            assert fit.loss_trace == want.loss_trace
+            assert fit.best_epoch == want.best_epoch
+            assert fit.diagnostics == want.diagnostics
+        if cfg.patience < cfg.max_epochs:
+            # patience stops the ascents at different epochs
+            assert len({fit.diagnostics["epochs_run"] for fit in fits}) >= 3
+
+    def test_a_failing_ascent_stops_alone(self, monkeypatch):
+        import softirl.maxent as maxent
+
+        mdp, phi, datasets = self._problem()
+        weights = [joint_frequency(ds.states, ds.actions, mdp.n_states, mdp.n_actions)
+                   for ds in datasets]
+        cfg = MaxEntConfig(step_size=0.05, optimizer="adam", schedule="constant",
+                           max_epochs=30, patience=5)
+        clean = maxent_fit_lockstep(mdp, phi, weights, cfg)
+        real, calls = maxent._loglik_and_grad, []
+
+        def singular_at_third_epoch(mdp, phi_flat, w, pi):
+            if np.array_equal(w, weights[1]):
+                calls.append(None)
+                if len(calls) == 3:
+                    raise np.linalg.LinAlgError("Singular matrix")
+            return real(mdp, phi_flat, w, pi)
+
+        monkeypatch.setattr(maxent, "_loglik_and_grad", singular_at_third_epoch)
+        fits = maxent_fit_lockstep(mdp, phi, weights, cfg)
+        assert isinstance(fits[1], np.linalg.LinAlgError)
+        for b in (0, 2, 3):
+            assert np.array_equal(fits[b].theta, clean[b].theta)
+            assert fits[b].loss_trace == clean[b].loss_trace
+        calls.clear()
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            maxent_fit(mdp, phi, datasets[1], cfg)

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from softirl.mdp import (
     TabularMdp,
     _soft_policy_iteration,
+    _soft_value_iteration,
     apply_P,
     conditional_loglik,
     expect_mu,
@@ -348,6 +349,104 @@ class TestSingleMaxPath:
     def test_general_path_still_suppresses_its_warnings(self):
         # all -inf rows divide by zero ties and subtract inf from inf
         self._check(np.array([[-np.inf, -np.inf], [np.nan, np.nan], [0.0, 1.0]]))
+
+
+def _one_hot_mdp(rng, n_states, n_actions, gamma):
+    """Random deterministic kernel: each (s, a) moves to one random state."""
+    t = np.zeros((n_states, n_actions, n_states))
+    nxt = rng.integers(0, n_states, size=(n_states, n_actions))
+    t[np.arange(n_states)[:, None], np.arange(n_actions), nxt] = 1.0
+    return TabularMdp(t, gamma)
+
+
+class TestBatchedSoftValueIteration:
+    """A (B, S, A) stack is swept action-major in one loop; every problem
+    must get the bits of its own call, and every call those of the scipy
+    reference sweep."""
+
+    @staticmethod
+    def _check(mdp, rewards, tol, v0=None):
+        stack_v0 = None if v0 is None else np.stack(v0)
+        got = soft_value_iteration(mdp, np.stack(rewards), tol=tol, v0=stack_v0)
+        for b, r in enumerate(rewards):
+            start = None if v0 is None else v0[b]
+            want = soft_value_iteration(mdp, r, tol=tol, v0=start)
+            for g, w, ref in zip(got, want, _reference_soft_value_iteration(mdp, r, tol, start)):
+                assert np.array_equal(g[b], w)
+                assert np.array_equal(w, ref)
+
+    @pytest.mark.parametrize("name", ["easy", "ident", "hard", "ident-noisy"])
+    def test_gridworlds(self, name):
+        mdp, r_true = _gridworld(name)
+        noise = np.random.default_rng(0).normal(scale=0.3, size=r_true.shape)
+        # r = 0 ties every row; the others stop at different sweeps
+        rewards = [r_true, 0.5 * r_true, r_true + noise, np.zeros_like(r_true)]
+        warm = [soft_value_iteration(mdp, 0.9 * r, tol=1e-6)[0] for r in rewards]
+        for v0 in (None, warm):
+            self._check(mdp, rewards, 1e-8, v0)
+
+    @pytest.mark.parametrize("n_actions", [2, 5, 7, 8, 9, 16])
+    def test_random_mdps(self, n_actions):
+        # from 8 actions on, numpy's row sums are pairwise, not sequential
+        rng = np.random.default_rng(n_actions)
+        for mdp in (random_mdp(rng, 7, n_actions, 0.9), _one_hot_mdp(rng, 7, n_actions, 0.9)):
+            rewards = [rng.normal(scale=scale, size=(7, n_actions)) for scale in (0.1, 1.0, 5.0)]
+            rewards += [np.round(rewards[1]), np.zeros((7, n_actions))]
+            v0 = [rng.normal(size=(7, n_actions)) for _ in rewards]
+            for start in (None, v0):
+                self._check(mdp, rewards, 1e-9, start)
+
+    def test_problems_leave_at_their_own_sweep(self):
+        mdp, r_true = _gridworld("ident")
+        v_star = soft_value_iteration(mdp, r_true, tol=1e-13)[0]
+        rewards = [r_true, r_true, 0.5 * r_true]
+        v0 = [v_star, np.zeros_like(v_star), v_star]
+        # started at its fixed point, the first problem stops after one sweep
+        first = _soft_value_iteration(mdp, np.stack(rewards), 1e-8, np.stack(v0), max_iter=1)
+        assert isinstance(first[0], tuple)
+        assert all(isinstance(result, RuntimeError) for result in first[1:])
+        self._check(mdp, rewards, 1e-8, v0)
+
+    def test_non_finite_rewards_fail_alone(self):
+        mdp, r_true = _gridworld("ident")
+        some_minus_inf = r_true.copy()
+        some_minus_inf[::3, 1] = -np.inf
+        plus_inf, nan, minus_inf_row = r_true.copy(), r_true.copy(), r_true.copy()
+        plus_inf[5, 2] = np.inf
+        nan[7, 0] = np.nan
+        minus_inf_row[9] = -np.inf
+        rewards = [r_true, some_minus_inf, plus_inf, nan, minus_inf_row]
+        with np.errstate(all="ignore"):
+            results = _soft_value_iteration(mdp, np.stack(rewards), 1e-8, max_iter=2000)
+            for r, result in zip(rewards, results):
+                try:
+                    want = soft_value_iteration(mdp, r, tol=1e-8, max_iter=2000)
+                except RuntimeError as exc:
+                    assert isinstance(result, RuntimeError) and str(result) == str(exc)
+                    continue
+                for g, w in zip(result, want):
+                    assert np.array_equal(g, w)
+        # -inf entries in a row still converge; +inf, NaN and an all -inf row
+        # reach the matmul's 0 * inf and never do
+        assert [isinstance(result, tuple) for result in results] == [True, True, False,
+                                                                     False, False]
+
+    def test_max_iter_names_the_first_unconverged_problem(self):
+        rng = np.random.default_rng(6)
+        mdp = random_mdp(rng, 3, 2, 0.99)
+        rewards = rng.normal(size=(3, 3, 2))
+        v0 = rng.normal(size=(3, 3, 2))
+        v0[0] = soft_value_iteration(mdp, rewards[0], tol=1e-14)[0]
+        with pytest.raises(RuntimeError) as batched:
+            soft_value_iteration(mdp, rewards, tol=1e-12, max_iter=3, v0=v0)
+        with pytest.raises(RuntimeError, match="residual") as single:
+            soft_value_iteration(mdp, rewards[1], tol=1e-12, max_iter=3, v0=v0[1])
+        assert str(batched.value) == f"problem 1: {single.value}"
+
+    def test_v0_must_match_the_stack(self):
+        mdp, r_true = _gridworld("easy")
+        with pytest.raises(ValueError, match="v0"):
+            soft_value_iteration(mdp, np.stack([r_true, r_true]), v0=r_true)
 
 
 class TestSoftPolicyIteration:

@@ -118,3 +118,22 @@ class TestEvaluate:
         pi = random_policy(rng, 3, 2)
         with pytest.raises(ValueError):
             evaluate(mdp, np.log(pi), pi, None, q_hat=np.zeros((4, 2)))
+
+    def test_given_q_true_scores_like_the_solved_truth(self):
+        from dataclasses import fields
+
+        from softirl.envs import GridworldSpec, build_env
+
+        mdp, r_true, _ = build_env(GridworldSpec(4, 4, topology="bounded", seed=5))
+        _, q_true, pi = soft_value_iteration(mdp, r_true, tol=1e-10)
+        rng = np.random.default_rng(7)
+        r_hat = r_true + rng.normal(scale=0.2, size=r_true.shape)
+        weights = rng.dirichlet(np.ones(mdp.n_states))
+        # Ours passes v_hat, MaxEnt only r_hat; both with each weighting
+        for v_hat in (rng.normal(size=r_true.shape), None):
+            for w in (None, weights):
+                solved = evaluate(mdp, r_true, pi, r_hat, v_hat, weights=w, ref_action=2)
+                given_q = evaluate(mdp, r_true, pi, r_hat, v_hat, weights=w, ref_action=2,
+                                   q_true=q_true)
+                for field in fields(solved):
+                    assert getattr(given_q, field.name) == getattr(solved, field.name)
