@@ -17,18 +17,12 @@ from softirl.envs import (
     sample_transitions,
     write_dataset,
 )
-from softirl.maxent import MaxEntConfig, MaxEntFit, maxent_fit, maxent_loglik_and_grad
+from softirl.maxent import MaxEntConfig, MaxEntFit, maxent_fit
 from softirl.mdp import (
     TabularMdp,
     apply_P,
-    conditional_loglik,
     expect_mu,
-    logsumexp_actions,
-    policy_Q,
-    policy_value,
-    soft_bellman_residual,
     soft_value_iteration,
-    stationary_distribution,
 )
 from softirl.metrics import MetricsReport, evaluate, qdiff
 from softirl.oracles import (
@@ -48,7 +42,6 @@ from softirl.solver import (
     check_normalization,
     classify_then_regress,
     exact_population_solver,
-    shape,
     split_classify_regress,
 )
 
@@ -74,7 +67,6 @@ __all__ = [
     "build_env",
     "check_normalization",
     "classify_then_regress",
-    "conditional_loglik",
     "evaluate",
     "exact_population_solver",
     "expect_mu",
@@ -82,18 +74,11 @@ __all__ = [
     "fit_classifier",
     "fit_regressor",
     "log_policy",
-    "logsumexp_actions",
     "maxent_fit",
-    "maxent_loglik_and_grad",
-    "policy_Q",
-    "policy_value",
     "qdiff",
     "read_dataset",
     "sample_transitions",
-    "shape",
-    "soft_bellman_residual",
     "soft_value_iteration",
     "split_classify_regress",
-    "stationary_distribution",
     "write_dataset",
 ]

@@ -53,7 +53,6 @@ class GridworldSpec:
     reward_scale: float = 2.5
     min_action_prob: float = 0.0
     move_noise: float = 0.0
-    feature_dim: int | None = None
 
     @property
     def n_states(self) -> int:
@@ -217,12 +216,6 @@ def build_env(spec: GridworldSpec):
         phi = _action_block_features(spec)
         raw = _nonlinear_reward(spec, rng)
 
-    if spec.feature_dim is not None and spec.feature_dim != phi.shape[2]:
-        raise ValueError(
-            f"feature_dim={spec.feature_dim} but reward kind {spec.reward_kind!r} "
-            f"produces {phi.shape[2]} features"
-        )
-
     raw = raw / max(np.max(np.abs(raw)), 1e-12)
     scale = spec.reward_scale
     r_true = scale * raw
@@ -328,7 +321,12 @@ def read_dataset(path) -> TransitionDataset:
             if "=" not in tok:
                 raise ValueError(f"{path}:1: malformed header token {tok!r}")
             key, val = tok.split("=", 1)
-            meta[key] = val if key in ("env", "regime") else int(val)
+            if key not in ("env", "regime"):
+                try:
+                    val = int(val)
+                except ValueError:
+                    raise ValueError(f"{path}:1: non-integer header value {tok!r}") from None
+            meta[key] = val
         for key in ("n", "n_states", "n_actions"):
             if key not in meta:
                 raise ValueError(f"{path}:1: header missing {key}")

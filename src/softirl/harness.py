@@ -233,7 +233,7 @@ def _coerce(value: str, target):
 
 _ENV_KEYS = {"width": int, "height": int, "topology": str, "reward_kind": str,
              "seed": int, "gamma": float, "reward_scale": float,
-             "min_action_prob": float, "move_noise": float, "feature_dim": int}
+             "min_action_prob": float, "move_noise": float}
 _SOLVER_SIMPLE = {"gamma": float, "split": bool, "folds": int}
 _CLASSIFIER_KEYS = {"classifier_kind": ("kind", str),
                     "smoothing_alpha": ("smoothing_alpha", float),
@@ -244,9 +244,8 @@ _CLASSIFIER_KEYS = {"classifier_kind": ("kind", str),
 _REGRESSOR_KEYS = {"regressor_kind": ("kind", str),
                    "ridge_lambda": ("ridge_lambda", float),
                    "fallback": ("fallback", float)}
-_BASELINE_KEYS = {"step_size": float, "schedule": str, "grad_clip": float,
-                  "max_epochs": int, "patience": int, "tol": float, "vi_tol": float,
-                  "init": str, "init_seed": int, "init_scale": float, "optimizer": str}
+_BASELINE_KEYS = {"step_size": float, "schedule": str, "max_epochs": int,
+                  "patience": int, "tol": float, "optimizer": str}
 _EVAL_KEYS = {"n": int, "regime": str, "reruns": int, "base_seed": int,
               "weighting": str, "ref_action": int, "name": str}
 

@@ -19,29 +19,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from softirl.mdp import (
-    TabularMdp,
-    _soft_value_iteration,
-    joint_frequency,
-    soft_value_iteration,
-)
+from softirl.mdp import TabularMdp, _soft_value_iteration, joint_frequency
+from softirl.mdp import soft_value_iteration  # noqa: F401 - perfbench/spans.py wraps it by name here
 
 OPTIMIZERS = ("gd", "adam")
 SCHEDULES = ("constant", "invsqrt")
+GRAD_CLIP = 10.0  # largest gradient norm an ascent steps along
+VI_TOL = 1e-8  # residual at which each epoch's soft value iteration stops
 
 
 @dataclass
 class MaxEntConfig:
     step_size: float = 1.0
     schedule: str = "invsqrt"
-    grad_clip: float = 10.0
     max_epochs: int = 300
     patience: int = 50
     tol: float = 1e-8
-    vi_tol: float = 1e-8
-    init: str = "zeros"
-    init_seed: int = 0
-    init_scale: float = 0.01
     optimizer: str = "gd"
 
 
@@ -93,24 +86,6 @@ def _loglik_and_grad(mdp: TabularMdp, phi_flat: np.ndarray, weights: np.ndarray,
     return ll, phi_flat.T @ adjoint
 
 
-def maxent_loglik_and_grad(mdp: TabularMdp, phi, theta, data):
-    """Mean per-decision log-likelihood and its exact gradient in theta.
-
-    `data` is a TransitionDataset-like object or a joint (S, A) weight table.
-    """
-    phi = np.asarray(phi, dtype=float)
-    if phi.shape[:2] != (mdp.n_states, mdp.n_actions):
-        raise ValueError(f"feature shape {phi.shape} does not match the MDP")
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (phi.shape[2],):
-        raise ValueError(f"theta has shape {theta.shape}, expected ({phi.shape[2]},)")
-    weights = _data_weights(data, mdp.n_states, mdp.n_actions)
-    phi_flat = phi.reshape(-1, phi.shape[2])
-    r = (phi_flat @ theta).reshape(mdp.n_states, mdp.n_actions)
-    _, _, pi = soft_value_iteration(mdp, r, tol=1e-12)
-    return _loglik_and_grad(mdp, phi_flat, weights, pi)
-
-
 def maxent_fit(mdp: TabularMdp, phi, data, cfg: MaxEntConfig) -> MaxEntFit:
     """Clipped gradient ascent on the conditional likelihood; returns the
     best-likelihood iterate."""
@@ -140,7 +115,7 @@ class _Ascent:
         beta1, beta2, eps = 0.9, 0.999, 1e-8
         grad = self.grad
         norm = float(np.linalg.norm(grad))
-        step_dir = grad if norm <= cfg.grad_clip else grad * (cfg.grad_clip / norm)
+        step_dir = grad if norm <= GRAD_CLIP else grad * (GRAD_CLIP / norm)
         step = cfg.step_size / np.sqrt(epoch) if cfg.schedule == "invsqrt" else cfg.step_size
         if cfg.optimizer == "adam":
             self.adam_m = beta1 * self.adam_m + (1 - beta1) * step_dir
@@ -183,8 +158,8 @@ def maxent_fit_lockstep(mdp: TabularMdp, phi, weights: list, cfg: MaxEntConfig) 
     epoch. The tables are used as given, not renormalized. Returns, per
     table, its MaxEntFit or the exception its ascent raised.
     """
-    if cfg.step_size <= 0 or cfg.grad_clip <= 0:
-        raise ValueError("step_size and grad_clip must be positive")
+    if cfg.step_size <= 0:
+        raise ValueError("step_size must be positive")
     if cfg.schedule not in SCHEDULES:
         raise ValueError(f"unknown schedule {cfg.schedule!r}")
     if cfg.optimizer not in OPTIMIZERS:
@@ -192,14 +167,8 @@ def maxent_fit_lockstep(mdp: TabularMdp, phi, weights: list, cfg: MaxEntConfig) 
     phi = np.asarray(phi, dtype=float)
     d = phi.shape[2]
     phi_flat = phi.reshape(-1, d)
-    if cfg.init == "zeros":
-        theta = np.zeros(d)
-    elif cfg.init == "gaussian":
-        theta = cfg.init_scale * np.random.default_rng(cfg.init_seed).normal(size=d)
-    else:
-        raise ValueError(f"unknown init {cfg.init!r}")
     shape = (mdp.n_states, mdp.n_actions)
-    ascents = [_Ascent(w, theta.copy()) for w in weights]
+    ascents = [_Ascent(w, np.zeros(d)) for w in weights]
     errors, v_warm = {}, {}
     running = list(range(len(ascents)))
     for epoch in range(cfg.max_epochs + 1):
@@ -214,7 +183,7 @@ def maxent_fit_lockstep(mdp: TabularMdp, phi, weights: list, cfg: MaxEntConfig) 
         if not rewards:
             break
         v0 = np.stack([v_warm[i] for i in rewards]) if epoch else None
-        solved = _soft_value_iteration(mdp, np.stack(list(rewards.values())), cfg.vi_tol, v0)
+        solved = _soft_value_iteration(mdp, np.stack(list(rewards.values())), VI_TOL, v0)
         running = []
         for i, result in zip(rewards, solved):
             if isinstance(result, Exception):

@@ -155,14 +155,6 @@ def _logsumexp_action_major(f: np.ndarray) -> np.ndarray:
         return np.log1p(_sum_actions(e) / m) + np.log(m) + top
 
 
-def logsumexp_actions(f) -> np.ndarray:
-    """Log-sum-exp over the action axis, computed with max-subtraction."""
-    f = np.asarray(f, dtype=float)
-    if f.ndim != 2:
-        raise ValueError(f"state-action table must be 2-d, got shape {f.shape}")
-    return _logsumexp_action_major(f.T)
-
-
 def softmax_actions(q) -> np.ndarray:
     """Row-wise softmax of a state-action table, stable for large logits."""
     q = np.asarray(q, dtype=float)
@@ -171,46 +163,20 @@ def softmax_actions(q) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def soft_bellman_residual(mdp: TabularMdp, r, v) -> np.ndarray:
-    """Residual of the soft Bellman condition; zero iff (r, v) is feasible."""
-    r = _check_table(r, mdp, "r")
-    v = _check_table(v, mdp, "v")
-    return v - apply_P(mdp, logsumexp_actions(r + mdp.gamma * v))
-
-
-def _as_stack(f, mdp: TabularMdp, name: str) -> np.ndarray:
-    """A (B, S, A) stack as given, or an (S, A) table as a stack of one."""
-    f = np.asarray(f, dtype=float)
-    if f.ndim == 3 and f.shape[1:] == (mdp.n_states, mdp.n_actions):
-        return f
-    return _check_table(f, mdp, name)[None]
-
-
-def soft_value_iteration(mdp: TabularMdp, r, tol: float = 1e-10,
-                         max_iter: int = 100_000, v0=None):
-    """Solve v = P logsumexp(r + gamma v) by fixed-point iteration.
+def soft_value_iteration(mdp: TabularMdp, r, tol: float = 1e-10, max_iter: int = 100_000):
+    """Solve v = P logsumexp(r + gamma v) by fixed-point iteration from v = 0.
 
     Returns (v, Q, pi) with Q = r + gamma v and pi the row softmax of Q.
     The returned v has sup-norm Bellman residual at most `tol`. Raises
     RuntimeError (carrying the last residual bound) on non-convergence.
-    `r` and `v0` may also be (B, S, A) stacks of independent problems; the
-    results are then (B, S, A) stacks with the bits of one call per problem.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    batched = np.ndim(r) == 3
-    r = _as_stack(r, mdp, "r")
-    if v0 is not None:
-        v0 = _as_stack(v0, mdp, "v0")
-        if v0.shape != r.shape:
-            raise ValueError(f"v0 has shape {v0.shape}, expected {r.shape}")
-    results = _soft_value_iteration(mdp, r, tol, v0, max_iter)
-    for index, result in enumerate(results):
-        if isinstance(result, RuntimeError):
-            raise RuntimeError(f"problem {index}: {result}") if batched else result
-    if not batched:
-        return results[0]
-    return tuple(np.stack(parts) for parts in zip(*results))
+    (result,) = _soft_value_iteration(mdp, _check_table(r, mdp, "r")[None], tol,
+                                      max_iter=max_iter)
+    if isinstance(result, RuntimeError):
+        raise result
+    return result
 
 
 def _soft_value_iteration(mdp: TabularMdp, r: np.ndarray, tol: float,
@@ -306,102 +272,10 @@ def _soft_policy_iteration(mdp: TabularMdp, r: np.ndarray, tol: float = 1e-10, m
                        f"steps; last residual {residual:.3e}")
 
 
-def policy_Q(mdp: TabularMdp, r, pi1) -> np.ndarray:
-    """Q-function of policy pi1 under reward r, by one dense linear solve."""
-    r = _check_table(r, mdp, "r")
-    pi1 = validate_policy(pi1, mdp.n_states, mdp.n_actions)
-    ns, na = mdp.n_states, mdp.n_actions
-    sa = ns * na
-    # M[(s,a),(s',a')] = P(s'|s,a) pi1(a'|s')
-    m = (mdp.transition[:, :, :, None] * pi1[None, None, :, :]).reshape(sa, sa)
-    q = np.linalg.solve(np.eye(sa) - mdp.gamma * m, r.reshape(sa))
-    residual = np.max(np.abs(q - r.reshape(sa) - mdp.gamma * (m @ q)))
-    if residual > 1e-9:
-        raise RuntimeError(f"policy Q solve residual {residual:.3e} exceeds 1e-9")
-    return q.reshape(ns, na)
-
-
-def policy_value(mdp: TabularMdp, r, pi1) -> np.ndarray:
-    """State value of policy pi1 under reward r."""
-    pi1 = validate_policy(pi1, mdp.n_states, mdp.n_actions)
-    return expect_mu(pi1, policy_Q(mdp, r, pi1))
-
-
 def state_kernel(mdp: TabularMdp, mu) -> np.ndarray:
     """State-to-state kernel induced by acting with mu: K[s, s'] = sum_a mu(a|s) P(s'|s,a)."""
     mu = validate_policy(mu, mdp.n_states, mdp.n_actions)
     return np.einsum("sa,san->sn", mu, mdp.transition)
-
-
-def stationary_distribution(mdp: TabularMdp, mu, tol: float = 1e-12,
-                            max_iter: int = 100_000) -> np.ndarray:
-    """Stationary state distribution of the chain s -> a~mu -> s', by power iteration."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    kernel = state_kernel(mdp, mu)
-    lam = np.full(mdp.n_states, 1.0 / mdp.n_states)
-    for _ in range(max_iter):
-        nxt = lam @ kernel
-        if np.max(np.abs(nxt - lam)) <= tol:
-            nxt /= nxt.sum()
-            return nxt
-        lam = nxt
-    raise RuntimeError(
-        "power iteration for the stationary distribution did not converge; the "
-        "chain is likely periodic or reducible -- mix mu with a uniform measure "
-        "or add restart mass to the kernel"
-    )
-
-
-def conditional_loglik(data, r, v, gamma: float) -> float:
-    """Average per-decision log-likelihood r + gamma v - logsumexp(r + gamma v).
-
-    `data` is either a joint (S, A) weight array (nonnegative, positive total
-    mass) or an object with integer index arrays `states` and `actions`
-    (e.g. a TransitionDataset).
-    """
-    r = np.asarray(r, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if r.shape != v.shape or r.ndim != 2:
-        raise ValueError(f"shape mismatch: r {r.shape} vs v {v.shape}")
-    q = r + gamma * v
-    ll = q - logsumexp_actions(q)[:, None]
-    if hasattr(data, "states") and hasattr(data, "actions"):
-        s = np.asarray(data.states)
-        a = np.asarray(data.actions)
-        if s.size == 0:
-            raise ValueError("empty dataset")
-        return float(np.mean(ll[s, a]))
-    w = np.asarray(data, dtype=float)
-    if w.shape != r.shape:
-        raise ValueError(f"weight table has shape {w.shape}, expected {r.shape}")
-    total = w.sum()
-    if total <= 0:
-        raise ValueError("weight table has no mass")
-    return float(np.sum(w * ll) / total)
-
-
-def sup_norm(f) -> float:
-    return float(np.max(np.abs(np.asarray(f, dtype=float))))
-
-
-def weighted_l2(f, weights) -> float:
-    """L2 norm of a table under a joint (S, A) weight distribution."""
-    f = np.asarray(f, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    if w.shape != f.shape:
-        raise ValueError(f"weights shape {w.shape} != table shape {f.shape}")
-    total = w.sum()
-    if total <= 0:
-        raise ValueError("weights have no mass")
-    return float(np.sqrt(np.sum(w * f ** 2) / total))
-
-
-def lambda_mu_weights(mdp: TabularMdp, mu, tol: float = 1e-12) -> np.ndarray:
-    """Joint stationary weights lambda(s) * mu(a|s) used by the L2 diagnostics."""
-    mu = validate_policy(mu, mdp.n_states, mdp.n_actions)
-    lam = stationary_distribution(mdp, mu, tol=tol)
-    return lam[:, None] * mu
 
 
 def joint_frequency(states, actions, n_states: int, n_actions: int) -> np.ndarray:

@@ -54,7 +54,7 @@ def _weighted_pearson(x: np.ndarray, y: np.ndarray, w: np.ndarray):
     return float(np.sum(w * (x - mx) * (y - my)) / np.sqrt(vx * vy)), True
 
 
-def evaluate(mdp: TabularMdp, r_true, pi_expert, r_hat, v_hat=None, q_hat=None,
+def evaluate(mdp: TabularMdp, r_true, pi_expert, r_hat, v_hat=None,
              weights=None, ref_action: int = 0, q_true=None) -> MetricsReport:
     """Score an estimate against the ground truth.
 
@@ -69,12 +69,10 @@ def evaluate(mdp: TabularMdp, r_true, pi_expert, r_hat, v_hat=None, q_hat=None,
     if q_true is None:
         _, q_true, _ = soft_value_iteration(mdp, np.asarray(r_true, dtype=float), tol=1e-10)
     q_true = np.asarray(q_true, dtype=float)
-    if q_hat is None:
-        if v_hat is not None:
-            q_hat = np.asarray(r_hat, dtype=float) + mdp.gamma * np.asarray(v_hat, dtype=float)
-        else:
-            _, q_hat, _ = soft_value_iteration(mdp, np.asarray(r_hat, dtype=float), tol=1e-10)
-    q_hat = np.asarray(q_hat, dtype=float)
+    if v_hat is not None:
+        q_hat = np.asarray(r_hat, dtype=float) + mdp.gamma * np.asarray(v_hat, dtype=float)
+    else:
+        _, q_hat, _ = soft_value_iteration(mdp, np.asarray(r_hat, dtype=float), tol=1e-10)
     if q_hat.shape != q_true.shape:
         raise ValueError(f"estimate shape {q_hat.shape} != truth shape {q_true.shape}")
 

@@ -54,7 +54,6 @@ class NormalizationMeasure:
 
     kind: str = "uniform"
     ref_action: int = 0
-    realized: np.ndarray | None = None
 
     def materialize(self, n_states: int, n_actions: int, behavior=None) -> np.ndarray:
         if self.kind == "uniform":
@@ -66,10 +65,9 @@ class NormalizationMeasure:
             table[:, self.ref_action] = 1.0
             return table
         if self.kind == "behavior-policy":
-            table = self.realized if self.realized is not None else behavior
-            if table is None:
+            if behavior is None:
                 raise ValueError("behavior-policy measure needs a realized policy table")
-            return validate_policy(table, n_states, n_actions)
+            return validate_policy(behavior, n_states, n_actions)
         raise ValueError(f"unknown normalization measure kind {self.kind!r}")
 
 
@@ -148,22 +146,11 @@ def _assemble(u: np.ndarray, v: np.ndarray, mu_t: np.ndarray, gamma: float):
     return r, -mu_w
 
 
-def check_normalization(r, mu, n_states=None, n_actions=None) -> float:
+def check_normalization(r, mu) -> float:
     """Largest per-state magnitude of the mu-integral of r."""
     r = np.asarray(r, dtype=float)
-    mu_t = _mu_table(mu, *(r.shape if n_states is None else (n_states, n_actions)))
+    mu_t = _mu_table(mu, *r.shape)
     return float(np.max(np.abs(np.sum(mu_t * r, axis=1))))
-
-
-def shape(r, v, c, mdp: TabularMdp):
-    """Potential shaping: (r + c - gamma Pc, v + Pc) preserves feasibility
-    and likelihood for any state potential c."""
-    r = np.asarray(r, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if r.shape != v.shape or r.shape != (mdp.n_states, mdp.n_actions):
-        raise ValueError(f"shape mismatch: r {r.shape}, v {v.shape}")
-    pc = apply_P(mdp, np.asarray(c, dtype=float))
-    return r + np.asarray(c, dtype=float)[:, None] - mdp.gamma * pc, v + pc
 
 
 def exact_population_solver(mdp: TabularMdp, pi, mu) -> IrlSolution:
@@ -317,8 +304,7 @@ def classify_then_regress(data, cfg: SolverConfig, *, population=None,
     return _fitted_fixed_point(cfg, u, mu_t, k_steps, fit, 1, diag, record_iterates)
 
 
-def split_classify_regress(data, cfg: SolverConfig, *,
-                           record_iterates: bool = False) -> IrlSolution:
+def split_classify_regress(data, cfg: SolverConfig) -> IrlSolution:
     """Sample-split variant: the classifier sees the first half of the data
     and regression step k fits on fold k mod `folds` of the second half."""
     n = data.n
@@ -346,7 +332,8 @@ def split_classify_regress(data, cfg: SolverConfig, *,
         return fit_regressor(cfg.regressor, data.states[sl], data.actions[sl],
                              data.next_states[sl], n_states, n_actions)
 
-    return _fitted_fixed_point(cfg, u, mu_t, k_steps, fit, folds, diag, record_iterates)
+    return _fitted_fixed_point(cfg, u, mu_t, k_steps, fit, folds, diag,
+                              record_iterates=False)
 
 
 def save_solution(solution: IrlSolution, out_dir) -> None:

@@ -1,0 +1,159 @@
+"""Reference implementations the tests check the package against.
+
+Nothing in the package calls these: they state the model's identities
+(soft Bellman feasibility, conditional likelihood, policy evaluation,
+potential shaping, the MaxEnt likelihood gradient) in plain code. Each one
+runs the package's own kernels (`mdp._logsumexp_action_major`,
+`maxent._loglik_and_grad`), so a test that uses them still tests package
+code.
+"""
+
+import numpy as np
+
+from softirl.maxent import _data_weights, _loglik_and_grad
+from softirl.mdp import (
+    TabularMdp,
+    _check_table,
+    _logsumexp_action_major,
+    apply_P,
+    expect_mu,
+    soft_value_iteration,
+    state_kernel,
+    validate_policy,
+)
+
+
+def logsumexp_actions(f) -> np.ndarray:
+    """Log-sum-exp over the action axis, computed with max-subtraction."""
+    f = np.asarray(f, dtype=float)
+    if f.ndim != 2:
+        raise ValueError(f"state-action table must be 2-d, got shape {f.shape}")
+    return _logsumexp_action_major(f.T)
+
+
+def soft_bellman_residual(mdp: TabularMdp, r, v) -> np.ndarray:
+    """Residual of the soft Bellman condition; zero iff (r, v) is feasible."""
+    r = _check_table(r, mdp, "r")
+    v = _check_table(v, mdp, "v")
+    return v - apply_P(mdp, logsumexp_actions(r + mdp.gamma * v))
+
+
+def policy_Q(mdp: TabularMdp, r, pi1) -> np.ndarray:
+    """Q-function of policy pi1 under reward r, by one dense linear solve."""
+    r = _check_table(r, mdp, "r")
+    pi1 = validate_policy(pi1, mdp.n_states, mdp.n_actions)
+    ns, na = mdp.n_states, mdp.n_actions
+    sa = ns * na
+    # M[(s,a),(s',a')] = P(s'|s,a) pi1(a'|s')
+    m = (mdp.transition[:, :, :, None] * pi1[None, None, :, :]).reshape(sa, sa)
+    q = np.linalg.solve(np.eye(sa) - mdp.gamma * m, r.reshape(sa))
+    residual = np.max(np.abs(q - r.reshape(sa) - mdp.gamma * (m @ q)))
+    if residual > 1e-9:
+        raise RuntimeError(f"policy Q solve residual {residual:.3e} exceeds 1e-9")
+    return q.reshape(ns, na)
+
+
+def policy_value(mdp: TabularMdp, r, pi1) -> np.ndarray:
+    """State value of policy pi1 under reward r."""
+    pi1 = validate_policy(pi1, mdp.n_states, mdp.n_actions)
+    return expect_mu(pi1, policy_Q(mdp, r, pi1))
+
+
+def stationary_distribution(mdp: TabularMdp, mu, tol: float = 1e-12,
+                            max_iter: int = 100_000) -> np.ndarray:
+    """Stationary state distribution of the chain s -> a~mu -> s', by power iteration."""
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    kernel = state_kernel(mdp, mu)
+    lam = np.full(mdp.n_states, 1.0 / mdp.n_states)
+    for _ in range(max_iter):
+        nxt = lam @ kernel
+        if np.max(np.abs(nxt - lam)) <= tol:
+            nxt /= nxt.sum()
+            return nxt
+        lam = nxt
+    raise RuntimeError(
+        "power iteration for the stationary distribution did not converge; the "
+        "chain is likely periodic or reducible -- mix mu with a uniform measure "
+        "or add restart mass to the kernel"
+    )
+
+
+def lambda_mu_weights(mdp: TabularMdp, mu, tol: float = 1e-12) -> np.ndarray:
+    """Joint stationary weights lambda(s) * mu(a|s) used by the L2 diagnostics."""
+    mu = validate_policy(mu, mdp.n_states, mdp.n_actions)
+    lam = stationary_distribution(mdp, mu, tol=tol)
+    return lam[:, None] * mu
+
+
+def conditional_loglik(data, r, v, gamma: float) -> float:
+    """Average per-decision log-likelihood r + gamma v - logsumexp(r + gamma v).
+
+    `data` is either a joint (S, A) weight array (nonnegative, positive total
+    mass) or an object with integer index arrays `states` and `actions`
+    (e.g. a TransitionDataset).
+    """
+    r = np.asarray(r, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if r.shape != v.shape or r.ndim != 2:
+        raise ValueError(f"shape mismatch: r {r.shape} vs v {v.shape}")
+    q = r + gamma * v
+    ll = q - logsumexp_actions(q)[:, None]
+    if hasattr(data, "states") and hasattr(data, "actions"):
+        s = np.asarray(data.states)
+        a = np.asarray(data.actions)
+        if s.size == 0:
+            raise ValueError("empty dataset")
+        return float(np.mean(ll[s, a]))
+    w = np.asarray(data, dtype=float)
+    if w.shape != r.shape:
+        raise ValueError(f"weight table has shape {w.shape}, expected {r.shape}")
+    total = w.sum()
+    if total <= 0:
+        raise ValueError("weight table has no mass")
+    return float(np.sum(w * ll) / total)
+
+
+def sup_norm(f) -> float:
+    return float(np.max(np.abs(np.asarray(f, dtype=float))))
+
+
+def weighted_l2(f, weights) -> float:
+    """L2 norm of a table under a joint (S, A) weight distribution."""
+    f = np.asarray(f, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    if w.shape != f.shape:
+        raise ValueError(f"weights shape {w.shape} != table shape {f.shape}")
+    total = w.sum()
+    if total <= 0:
+        raise ValueError("weights have no mass")
+    return float(np.sqrt(np.sum(w * f ** 2) / total))
+
+
+def shape(r, v, c, mdp: TabularMdp):
+    """Potential shaping: (r + c - gamma Pc, v + Pc) preserves feasibility
+    and likelihood for any state potential c."""
+    r = np.asarray(r, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if r.shape != v.shape or r.shape != (mdp.n_states, mdp.n_actions):
+        raise ValueError(f"shape mismatch: r {r.shape}, v {v.shape}")
+    pc = apply_P(mdp, np.asarray(c, dtype=float))
+    return r + np.asarray(c, dtype=float)[:, None] - mdp.gamma * pc, v + pc
+
+
+def maxent_loglik_and_grad(mdp: TabularMdp, phi, theta, data):
+    """Mean per-decision log-likelihood and its exact gradient in theta.
+
+    `data` is a TransitionDataset-like object or a joint (S, A) weight table.
+    """
+    phi = np.asarray(phi, dtype=float)
+    if phi.shape[:2] != (mdp.n_states, mdp.n_actions):
+        raise ValueError(f"feature shape {phi.shape} does not match the MDP")
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (phi.shape[2],):
+        raise ValueError(f"theta has shape {theta.shape}, expected ({phi.shape[2]},)")
+    weights = _data_weights(data, mdp.n_states, mdp.n_actions)
+    phi_flat = phi.reshape(-1, phi.shape[2])
+    r = (phi_flat @ theta).reshape(mdp.n_states, mdp.n_actions)
+    _, _, pi = soft_value_iteration(mdp, r, tol=1e-12)
+    return _loglik_and_grad(mdp, phi_flat, weights, pi)

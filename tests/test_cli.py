@@ -71,6 +71,26 @@ class TestRuntimeErrors:
         bad.write_text("[env]\nwidth = 2\nheight = 2\nbogus = 1\n")
         assert main(["gen-data", "--config", str(bad)]) == 2
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("baseline", "init", "zeros"),
+        ("baseline", "init_seed", "0"),
+        ("baseline", "init_scale", "0.01"),
+        ("baseline", "grad_clip", "10.0"),
+        ("baseline", "vi_tol", "1e-8"),
+        ("env", "feature_dim", "20"),
+    ])
+    def test_retired_key_is_unknown(self, tmp_path, capsys, section, key, value):
+        from softirl.harness import parse_config
+
+        path = tmp_path / "retired.ini"
+        path.write_text(TINY_CONFIG.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n"))
+        message = f"unknown [{section}] key {key!r}"
+        with pytest.raises(ValueError) as err:
+            parse_config(path)
+        assert str(err.value) == message
+        assert main(["solve", str(tmp_path / "data.txt"), "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
 
 def test_runtime_imports_leave_scipy_out():
     src = os.path.dirname(os.path.dirname(softirl.__file__))

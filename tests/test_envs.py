@@ -15,8 +15,9 @@ from softirl.envs import (
     write_dataset,
 )
 from softirl.harness import builtin_experiment
-from softirl.mdp import TabularMdp, soft_value_iteration, sup_norm
-from softirl.solver import shape
+from softirl.mdp import TabularMdp, soft_value_iteration
+
+from reference import shape, sup_norm
 
 
 def small_spec(**kw):
@@ -311,6 +312,13 @@ class TestDatasetIO:
         path.write_text("# transitions seed=0 env=- n=1 n_states=2 n_actions=2 regime=trajectory\n"
                         "5,0,1\n")
         with pytest.raises(ValueError, match=":2:.*out of range"):
+            read_dataset(path)
+
+    def test_non_integer_header_value_reports_line(self, tmp_path):
+        path = tmp_path / "badhdr.txt"
+        path.write_text("# transitions seed=0 env=- n=x n_states=4 n_actions=5 regime=trajectory\n"
+                        "0,1,2\n")
+        with pytest.raises(ValueError, match=r":1: non-integer header value 'n=x'"):
             read_dataset(path)
 
     def test_missing_header_rejected(self, tmp_path):

@@ -3,16 +3,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from softirl.envs import GridworldSpec, build_env, expert_policy, sample_transitions
-from softirl.maxent import (
-    MaxEntConfig,
-    maxent_fit,
-    maxent_fit_lockstep,
-    maxent_loglik_and_grad,
-)
+from softirl.maxent import MaxEntConfig, maxent_fit, maxent_fit_lockstep
 from softirl.metrics import evaluate
 from softirl.mdp import TabularMdp, joint_frequency, soft_value_iteration
 
 from conftest import random_mdp, random_policy
+from reference import maxent_loglik_and_grad
 
 
 def one_hot_features(ns, na):
@@ -113,17 +109,6 @@ class TestMaxentFit:
         assert_allclose(fit.theta, 0.0)
         assert len(fit.loss_trace) == 1
 
-    def test_gaussian_init_is_seeded(self):
-        rng = np.random.default_rng(4)
-        mdp = random_mdp(rng, 3, 2, 0.8)
-        phi = rng.normal(size=(3, 2, 4))
-        w = random_policy(rng, 3, 2) * rng.dirichlet(np.ones(3))[:, None]
-        cfg = MaxEntConfig(max_epochs=0, init="gaussian", init_seed=5)
-        f1 = maxent_fit(mdp, phi, w, cfg)
-        f2 = maxent_fit(mdp, phi, w, cfg)
-        assert np.array_equal(f1.theta, f2.theta)
-        assert np.any(f1.theta != 0.0)
-
     def test_best_likelihood_is_monotone_over_trace(self):
         rng = np.random.default_rng(5)
         mdp = random_mdp(rng, 4, 3, 0.9)
@@ -197,7 +182,6 @@ class TestLockstepFit:
         MaxEntConfig(step_size=0.05, optimizer="adam", schedule="constant",
                      max_epochs=80, patience=5),
         MaxEntConfig(step_size=0.5, max_epochs=80, patience=3, tol=1e-4),
-        MaxEntConfig(max_epochs=25, init="gaussian", init_seed=3),
     ])
     def test_matches_sequential_fits(self, cfg):
         mdp, phi, datasets = self._problem()

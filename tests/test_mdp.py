@@ -10,22 +10,31 @@ from softirl.mdp import (
     _soft_policy_iteration,
     _soft_value_iteration,
     apply_P,
-    conditional_loglik,
     expect_mu,
     joint_frequency,
+    soft_value_iteration,
+    softmax_actions,
+)
+
+from conftest import random_mdp, random_policy, toggle_mdp
+from reference import (
+    conditional_loglik,
     lambda_mu_weights,
     logsumexp_actions,
     policy_Q,
     policy_value,
+    shape,
     soft_bellman_residual,
-    soft_value_iteration,
-    softmax_actions,
     stationary_distribution,
     sup_norm,
     weighted_l2,
 )
 
-from conftest import random_mdp, random_policy, toggle_mdp
+
+def _warm_solve(mdp, r, tol, v0):
+    """One problem through the soft value-iteration loop, started at v0."""
+    (result,) = _soft_value_iteration(mdp, r[None], tol, v0[None])
+    return result
 
 
 class TestTabularMdp:
@@ -156,7 +165,7 @@ class TestSoftValueIteration:
         mdp = random_mdp(rng, 4, 3, 0.9)
         r = rng.normal(size=(4, 3))
         v1, _, _ = soft_value_iteration(mdp, r, tol=1e-13)
-        v2, _, _ = soft_value_iteration(mdp, r, tol=1e-13, v0=rng.normal(size=(4, 3)))
+        v2, _, _ = _warm_solve(mdp, r, 1e-13, rng.normal(size=(4, 3)))
         assert sup_norm(v1 - v2) <= 1e-11
 
     def test_geometric_error_decay(self):
@@ -214,7 +223,10 @@ class TestMatchesScipyReference:
         for r in (r_true, np.zeros_like(r_true)):
             warm, _, _ = soft_value_iteration(mdp, 0.9 * r, tol=1e-8)
             for tol, v0 in ((1e-8, None), (1e-10, None), (1e-8, warm)):
-                got = soft_value_iteration(mdp, r, tol=tol, v0=v0)
+                if v0 is None:
+                    got = soft_value_iteration(mdp, r, tol=tol)
+                else:
+                    got = _warm_solve(mdp, r, tol, v0)
                 want = _reference_soft_value_iteration(mdp, r, tol, v0)
                 for g, w in zip(got, want):
                     assert np.array_equal(g, w)
@@ -360,19 +372,22 @@ def _one_hot_mdp(rng, n_states, n_actions, gamma):
 
 
 class TestBatchedSoftValueIteration:
-    """A (B, S, A) stack is swept action-major in one loop; every problem
-    must get the bits of its own call, and every call those of the scipy
-    reference sweep."""
+    """`_soft_value_iteration` sweeps a (B, S, A) stack action-major in one
+    loop; every problem must get the bits of its own call, and every call
+    those of the scipy reference sweep."""
 
     @staticmethod
     def _check(mdp, rewards, tol, v0=None):
         stack_v0 = None if v0 is None else np.stack(v0)
-        got = soft_value_iteration(mdp, np.stack(rewards), tol=tol, v0=stack_v0)
+        got = _soft_value_iteration(mdp, np.stack(rewards), tol, stack_v0)
         for b, r in enumerate(rewards):
             start = None if v0 is None else v0[b]
-            want = soft_value_iteration(mdp, r, tol=tol, v0=start)
-            for g, w, ref in zip(got, want, _reference_soft_value_iteration(mdp, r, tol, start)):
-                assert np.array_equal(g[b], w)
+            if start is None:
+                want = soft_value_iteration(mdp, r, tol=tol)
+            else:
+                want = _warm_solve(mdp, r, tol, start)
+            for g, w, ref in zip(got[b], want, _reference_soft_value_iteration(mdp, r, tol, start)):
+                assert np.array_equal(g, w)
                 assert np.array_equal(w, ref)
 
     @pytest.mark.parametrize("name", ["easy", "ident", "hard", "ident-noisy"])
@@ -430,23 +445,6 @@ class TestBatchedSoftValueIteration:
         # reach the matmul's 0 * inf and never do
         assert [isinstance(result, tuple) for result in results] == [True, True, False,
                                                                      False, False]
-
-    def test_max_iter_names_the_first_unconverged_problem(self):
-        rng = np.random.default_rng(6)
-        mdp = random_mdp(rng, 3, 2, 0.99)
-        rewards = rng.normal(size=(3, 3, 2))
-        v0 = rng.normal(size=(3, 3, 2))
-        v0[0] = soft_value_iteration(mdp, rewards[0], tol=1e-14)[0]
-        with pytest.raises(RuntimeError) as batched:
-            soft_value_iteration(mdp, rewards, tol=1e-12, max_iter=3, v0=v0)
-        with pytest.raises(RuntimeError, match="residual") as single:
-            soft_value_iteration(mdp, rewards[1], tol=1e-12, max_iter=3, v0=v0[1])
-        assert str(batched.value) == f"problem 1: {single.value}"
-
-    def test_v0_must_match_the_stack(self):
-        mdp, r_true = _gridworld("easy")
-        with pytest.raises(ValueError, match="v0"):
-            soft_value_iteration(mdp, np.stack([r_true, r_true]), v0=r_true)
 
 
 class TestSoftPolicyIteration:
@@ -616,8 +614,6 @@ class TestConditionalLoglik:
         assert_allclose(ll, -entropy, atol=1e-12)
 
     def test_shaping_leaves_loglik_unchanged(self):
-        from softirl.solver import shape
-
         rng = np.random.default_rng(14)
         mdp = random_mdp(rng, 4, 3, 0.9)
         pi = random_policy(rng, 4, 3)

@@ -4,10 +4,11 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from softirl.metrics import evaluate, qdiff
-from softirl.solver import NormalizationMeasure, exact_population_solver, shape
+from softirl.solver import NormalizationMeasure, exact_population_solver
 from softirl.mdp import soft_value_iteration
 
 from conftest import random_mdp, random_policy
+from reference import shape
 
 
 class TestQdiff:
@@ -60,7 +61,7 @@ class TestEvaluate:
         r_true = np.log(pi)
         _, q_true, _ = soft_value_iteration(mdp, r_true, tol=1e-12)
         q_shifted = q_true + rng.normal(size=4)[:, None]
-        report = evaluate(mdp, r_true, pi, None, q_hat=q_shifted)
+        report = evaluate(mdp, r_true, pi, r_hat=q_shifted, v_hat=0)
         assert report.rmse_qdiff <= 1e-9
         assert report.kl <= 1e-9
 
@@ -94,8 +95,8 @@ class TestEvaluate:
         q_hat = np.log(pi).copy()
         q_hat[0, 1] += 1.0
         point = np.array([0.0, 1.0, 0.0])
-        m_bad = evaluate(mdp, r_true, pi, None, q_hat=q_hat)
-        m_masked = evaluate(mdp, r_true, pi, None, q_hat=q_hat, weights=point)
+        m_bad = evaluate(mdp, r_true, pi, r_hat=q_hat, v_hat=0)
+        m_masked = evaluate(mdp, r_true, pi, r_hat=q_hat, v_hat=0, weights=point)
         assert m_bad.rmse_qdiff > 0.1
         assert m_masked.rmse_qdiff <= 1e-9
 
@@ -117,7 +118,7 @@ class TestEvaluate:
         mdp = random_mdp(rng, 3, 2, 0.9)
         pi = random_policy(rng, 3, 2)
         with pytest.raises(ValueError):
-            evaluate(mdp, np.log(pi), pi, None, q_hat=np.zeros((4, 2)))
+            evaluate(mdp, np.log(pi), pi, r_hat=np.zeros((4, 2)), v_hat=0)
 
     def test_given_q_true_scores_like_the_solved_truth(self):
         from dataclasses import fields

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from softirl.mdp import logsumexp_actions
 from softirl.oracles import (
     ClassifierSpec,
     RegressorSpec,
@@ -11,6 +10,8 @@ from softirl.oracles import (
     fit_regressor,
     log_policy,
 )
+
+from reference import logsumexp_actions
 
 
 def synth_pairs(rng, pi, n):

@@ -10,17 +10,7 @@ from softirl.envs import (
     expert_policy,
     sample_transitions,
 )
-from softirl.mdp import (
-    TabularMdp,
-    apply_P,
-    expect_mu,
-    lambda_mu_weights,
-    logsumexp_actions,
-    policy_value,
-    soft_bellman_residual,
-    sup_norm,
-    weighted_l2,
-)
+from softirl.mdp import TabularMdp, apply_P, expect_mu
 from softirl.oracles import ClassifierSpec, RegressorSpec
 from softirl.solver import (
     NormalizationMeasure,
@@ -31,11 +21,19 @@ from softirl.solver import (
     load_solution,
     resolve_K,
     save_solution,
-    shape,
     split_classify_regress,
 )
 
 from conftest import random_mdp, random_policy, toggle_mdp
+from reference import (
+    lambda_mu_weights,
+    logsumexp_actions,
+    policy_value,
+    shape,
+    soft_bellman_residual,
+    sup_norm,
+    weighted_l2,
+)
 
 UNIFORM = NormalizationMeasure("uniform")
 

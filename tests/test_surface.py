@@ -1,0 +1,108 @@
+"""Surface guard: every name `softirl` exports has a caller outside the tests.
+
+A name counts as used when code reachable from an entry point refers to it.
+The entry points are the module-level code of `src/softirl` (the CLI's
+command table and `__main__` guard) and every file under `scripts/` and
+`perfbench/` (perfbench is `check_normalization`'s only caller). A reference
+inside a top-level function or class of the package counts only if that
+function or class is itself reachable, so a helper that only another unused
+helper calls does not count, and neither does an import alone.
+`__init__.py` re-exports names and is not searched.
+"""
+
+import ast
+from pathlib import Path
+
+import softirl
+
+ROOT = Path(__file__).resolve().parent.parent
+ENTRY = "<entry>"
+
+
+def _sources():
+    """(module name or None for an entry-point file, source text) pairs."""
+    for path in sorted((ROOT / "src" / "softirl").glob("*.py")):
+        if path.name != "__init__.py":
+            yield f"softirl.{path.stem}", path.read_text()
+    for folder in ("scripts", "perfbench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            yield None, path.read_text()
+
+
+def _reference_graph(sources):
+    """Edges from each package definition (module, name), or from ENTRY, to
+    the package definitions its code refers to, after following imports."""
+    parsed = []  # (module, tree, {local name: ("def", module, name) | ("module", module)})
+    for module, text in sources:
+        tree, table = ast.parse(text), {}
+        if module is not None:
+            for node in tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    table[node.name] = ("def", module, node.name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("softirl"):
+                for alias in node.names:
+                    if node.module == "softirl":
+                        target = ("module", f"softirl.{alias.name}")
+                    else:
+                        target = ("def", node.module, alias.name)
+                    table[alias.asname or alias.name] = target
+        parsed.append((module, tree, table))
+    bindings = {module: table for module, _, table in parsed if module is not None}
+
+    def origin(module, name):
+        """Follow re-imports to the module that defines `name`."""
+        seen = set()
+        while (module, name) not in seen:
+            seen.add((module, name))
+            kind, *target = bindings.get(module, {}).get(name, ("def", module, name))
+            if kind != "def" or tuple(target) == (module, name):
+                break
+            module, name = target
+        return module, name
+
+    edges = {}
+    for module, tree, table in parsed:
+        for top in tree.body:
+            owner = ENTRY
+            if module is not None and isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                owner = (module, top.name)
+            targets = edges.setdefault(owner, set())
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and table.get(node.id, ("",))[0] == "def":
+                    targets.add(origin(*table[node.id][1:]))
+                elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                      and table.get(node.value.id, ("",))[0] == "module"):
+                    targets.add(origin(table[node.value.id][1], node.attr))
+    return edges
+
+
+def _reachable(edges):
+    reached, frontier = set(), [ENTRY]
+    while frontier:
+        for target in edges.get(frontier.pop(), ()):
+            if target not in reached:
+                reached.add(target)
+                frontier.append(target)
+    return reached
+
+
+def test_every_exported_name_has_a_caller_outside_the_tests():
+    reached = _reachable(_reference_graph(_sources()))
+    unused = [name for name in softirl.__all__
+              if (getattr(softirl, name).__module__, name) not in reached]
+    assert unused == []
+
+
+def test_guard_follows_callers_not_mentions():
+    package = ("softirl.a", "def used(): helper_of_used()\n"
+                            "def helper_of_used(): pass\n"
+                            "def dead(): helper_of_dead()\n"
+                            "def helper_of_dead(): pass\n")
+    relay = ("softirl.b", "from softirl.a import used\nfrom softirl.a import dead\n")
+    script = (None, "from softirl import b\nb.used()\n")
+    reached = _reachable(_reference_graph([package, relay, script]))
+    assert ("softirl.a", "used") in reached
+    assert ("softirl.a", "helper_of_used") in reached
+    assert ("softirl.a", "dead") not in reached
+    assert ("softirl.a", "helper_of_dead") not in reached
