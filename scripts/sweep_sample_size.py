@@ -15,7 +15,7 @@ import argparse
 import numpy as np
 
 from softirl.envs import build_env, sample_transitions
-from softirl.harness import builtin_experiment
+from softirl.harness import BUILTIN_NAMES, builtin_experiment
 from softirl.mdp import soft_value_iteration
 from softirl.metrics import METRIC_NAMES, evaluate
 from softirl.solver import classify_then_regress
@@ -23,7 +23,7 @@ from softirl.solver import classify_then_regress
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--name", default="ident", choices=("easy", "ident", "hard"))
+    parser.add_argument("--name", default="ident", choices=BUILTIN_NAMES)
     parser.add_argument("--sizes", type=int, nargs="+",
                         default=[12_500, 50_000, 200_000, 800_000])
     parser.add_argument("--reruns", type=int, default=5)
@@ -33,7 +33,7 @@ def main() -> None:
 
     cfg = builtin_experiment(args.name)
     mdp, r_true, _ = build_env(cfg.env)
-    _, q_true, pi = soft_value_iteration(mdp, r_true, tol=1e-10)
+    _, q_true, pi = soft_value_iteration(mdp, r_true)
 
     lines = ["n,metric,mean,se"]
     for n in args.sizes:

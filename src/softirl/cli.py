@@ -25,6 +25,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
+    from softirl.harness import BUILTIN_NAMES
+
     parser = _Parser(prog="softirl",
                      description="Reward recovery from behavior data, plus benchmarks.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -48,7 +50,7 @@ def _build_parser() -> _Parser:
     add_common(p)
     p = sub.add_parser("reproduce", help="run a packaged benchmark, or the experiment a "
                                          "--config file describes, end to end")
-    p.add_argument("name", nargs="?", choices=("easy", "ident", "hard"))
+    p.add_argument("name", nargs="?", choices=BUILTIN_NAMES)
     p.add_argument("--reruns", type=int, default=None)
     add_common(p, config_required=False)
     p = sub.add_parser("diagnose", help="emit per-iteration solver diagnostics as CSV; "
@@ -125,7 +127,7 @@ def _cmd_eval(args) -> int:
     cfg = parse_config(args.config)
     mdp, r_true, _ = build_env(cfg.env)
     # one truth solve gives the expert policy and the Q the score compares to
-    _, q_true, pi = soft_value_iteration(mdp, r_true, tol=1e-10)
+    _, q_true, pi = soft_value_iteration(mdp, r_true)
     solution = load_solution(args.solution)
     report = evaluate(mdp, r_true, pi, solution.r, solution.v,
                       ref_action=cfg.ref_action, q_true=q_true)

@@ -74,10 +74,6 @@ class FeatureMap:
         phi.setflags(write=False)
         object.__setattr__(self, "phi", phi)
 
-    @property
-    def dim(self) -> int:
-        return self.phi.shape[2]
-
 
 @dataclass
 class TransitionDataset:
@@ -231,9 +227,9 @@ def build_env(spec: GridworldSpec):
     return mdp, r_true, FeatureMap(phi)
 
 
-def expert_policy(mdp: TabularMdp, r_true, tol: float = 1e-10) -> np.ndarray:
+def expert_policy(mdp: TabularMdp, r_true) -> np.ndarray:
     """Softmax-optimal behavior policy for the given reward."""
-    _, _, pi = soft_value_iteration(mdp, r_true, tol=tol)
+    _, _, pi = soft_value_iteration(mdp, r_true)
     return pi
 
 

@@ -16,6 +16,7 @@ import configparser
 import math
 import os
 import sys
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +36,11 @@ from softirl.solver import (
 )
 
 WEIGHTINGS = ("uniform", "empirical")
-BUILTIN_NAMES = ("easy", "ident", "hard")
+# name -> (width = height, topology, reward_kind, env seed, MaxEnt max_epochs)
+_BUILTINS = {"easy": (4, "torus", "linear", 11, 300),
+             "ident": (8, "bounded", "tabular-linear", 23, 150),
+             "hard": (8, "bounded", "nonlinear", 37, 150)}
+BUILTIN_NAMES = tuple(_BUILTINS)
 FLOAT_FMT = "%.10g"
 
 
@@ -55,32 +60,20 @@ class ExperimentConfig:
 
 def builtin_experiment(name: str, reruns: int | None = None,
                        base_seed: int | None = None) -> ExperimentConfig:
-    """The three packaged benchmark configurations."""
-    if name not in BUILTIN_NAMES:
+    """The three packaged benchmark configurations, built from the keys a
+    config file describing them would carry."""
+    if name not in _BUILTINS:
         raise ValueError(f"unknown builtin experiment {name!r}; choose from {BUILTIN_NAMES}")
-    if name == "easy":
-        env = GridworldSpec(4, 4, topology="torus", reward_kind="linear", seed=11,
-                            min_action_prob=0.03)
-        baseline = MaxEntConfig(step_size=0.05, optimizer="adam", max_epochs=300,
-                                patience=40, schedule="constant")
-    elif name == "ident":
-        env = GridworldSpec(8, 8, topology="bounded", reward_kind="tabular-linear",
-                            seed=23, min_action_prob=0.03)
-        baseline = MaxEntConfig(step_size=0.05, optimizer="adam", max_epochs=150,
-                                patience=40, schedule="constant")
-    else:
-        env = GridworldSpec(8, 8, topology="bounded", reward_kind="nonlinear", seed=37,
-                            min_action_prob=0.03)
-        baseline = MaxEntConfig(step_size=0.05, optimizer="adam", max_epochs=150,
-                                patience=40, schedule="constant")
-    solver = SolverConfig(gamma=env.gamma,
-                          classifier=ClassifierSpec(smoothing_alpha=1.0))
-    cfg = ExperimentConfig(env=env, solver=solver, baseline=baseline, name=name)
-    if reruns is not None:
-        cfg.reruns = reruns
-    if base_seed is not None:
-        cfg.base_seed = base_seed
-    return cfg
+    width, topology, reward_kind, seed, max_epochs = _BUILTINS[name]
+    run = {"name": name, "reruns": reruns, "base_seed": base_seed}
+    return _experiment({
+        "env": {"width": width, "height": width, "topology": topology,
+                "reward_kind": reward_kind, "seed": seed, "min_action_prob": 0.03},
+        "solver": {"smoothing_alpha": 1.0},
+        "baseline": {"step_size": 0.05, "optimizer": "adam", "max_epochs": max_epochs,
+                     "patience": 40, "schedule": "constant"},
+        "eval": {key: value for key, value in run.items() if value is not None},
+    })
 
 
 def _sample_and_solve(cfg: ExperimentConfig, mdp, r_true, q_true, pi_exp, rerun: int):
@@ -113,7 +106,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, quiet: bool = False):
         raise ValueError(f"unknown weighting {cfg.weighting!r}")
     mdp, r_true, fmap = build_env(cfg.env)
     # one truth solve gives the expert policy and the Q every score compares to
-    _, q_true, pi_exp = soft_value_iteration(mdp, r_true, tol=1e-10)
+    _, q_true, pi_exp = soft_value_iteration(mdp, r_true)
 
     solved, errors = {}, {}
     for rerun in range(cfg.reruns):
@@ -216,91 +209,80 @@ def format_markdown_table(name: str, summary) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _coerce(value: str, target):
-    if target is bool:
+def _coerce(value, typ):
+    if typ is bool:
         low = value.strip().lower()
         if low in ("true", "1", "yes"):
             return True
         if low in ("false", "0", "no"):
             return False
         raise ValueError(f"expected a boolean, got {value!r}")
-    if target is int:
-        return int(value)
-    if target is float:
-        return float(value)
-    return value
+    return typ(value)
 
 
-_ENV_KEYS = {"width": int, "height": int, "topology": str, "reward_kind": str,
-             "seed": int, "gamma": float, "reward_scale": float,
-             "min_action_prob": float, "move_noise": float}
-_SOLVER_SIMPLE = {"gamma": float, "split": bool, "folds": int}
-_CLASSIFIER_KEYS = {"classifier_kind": ("kind", str),
-                    "smoothing_alpha": ("smoothing_alpha", float),
-                    "prob_floor": ("prob_floor", float),
-                    "classifier_epochs": ("epochs", int),
-                    "classifier_learning_rate": ("learning_rate", float),
-                    "classifier_l2": ("l2", float)}
-_REGRESSOR_KEYS = {"regressor_kind": ("kind", str),
-                   "ridge_lambda": ("ridge_lambda", float),
-                   "fallback": ("fallback", float)}
-_BASELINE_KEYS = {"step_size": float, "schedule": str, "max_epochs": int,
-                  "patience": int, "tol": float, "optimizer": str}
-_EVAL_KEYS = {"n": int, "regime": str, "reruns": int, "base_seed": int,
-              "weighting": str, "ref_action": int, "name": str}
+def _k(value):
+    """[solver] k: an iteration count, or "auto"."""
+    return value if value == "auto" else int(value)
+
+
+# [section] key -> (target, field, type): the target is the spec whose field
+# the key sets (eval fields are the ExperimentConfig's own).
+_KEYS = {
+    "env": {key: ("env", key, typ) for key, typ in (
+        ("width", int), ("height", int), ("topology", str), ("reward_kind", str),
+        ("seed", int), ("gamma", float), ("reward_scale", float),
+        ("min_action_prob", float), ("move_noise", float))},
+    "solver": {
+        "k": ("solver", "K", _k),
+        "split": ("solver", "split", bool),
+        "folds": ("solver", "folds", int),
+        "mu": ("mu", "kind", str),
+        "mu_ref_action": ("mu", "ref_action", int),
+        "classifier_kind": ("classifier", "kind", str),
+        "smoothing_alpha": ("classifier", "smoothing_alpha", float),
+        "prob_floor": ("classifier", "prob_floor", float),
+        "classifier_epochs": ("classifier", "epochs", int),
+        "classifier_learning_rate": ("classifier", "learning_rate", float),
+        "classifier_l2": ("classifier", "l2", float),
+        "fallback": ("regressor", "fallback", float),
+    },
+    "baseline": {key: ("baseline", key, typ) for key, typ in (
+        ("step_size", float), ("schedule", str), ("max_epochs", int),
+        ("patience", int), ("tol", float), ("optimizer", str))},
+    "eval": {key: ("eval", key, typ) for key, typ in (
+        ("n", int), ("regime", str), ("reruns", int), ("base_seed", int),
+        ("weighting", str), ("ref_action", int), ("name", str))},
+}
+
+
+def _experiment(sections) -> ExperimentConfig:
+    """Build an ExperimentConfig from {section: {key: value}} through `_KEYS`;
+    unknown sections and keys are errors. The solver discounts with the
+    env's gamma, the one every score uses."""
+    kwargs = defaultdict(dict)
+    for section, items in sections.items():
+        if section not in _KEYS:
+            raise ValueError(f"unknown config section [{section}]")
+        for key, value in items.items():
+            if key not in _KEYS[section]:
+                raise ValueError(f"unknown [{section}] key {key!r}")
+            target, name, typ = _KEYS[section][key]
+            kwargs[target][name] = _coerce(value, typ)
+    if "width" not in kwargs["env"] or "height" not in kwargs["env"]:
+        raise ValueError("config [env] section must set width and height")
+    env = GridworldSpec(**kwargs["env"])
+    solver = SolverConfig(gamma=env.gamma, mu=NormalizationMeasure(**kwargs["mu"]),
+                          classifier=ClassifierSpec(**kwargs["classifier"]),
+                          regressor=RegressorSpec(**kwargs["regressor"]), **kwargs["solver"])
+    return ExperimentConfig(env=env, solver=solver, baseline=MaxEntConfig(**kwargs["baseline"]),
+                            **kwargs["eval"])
 
 
 def parse_config(path) -> ExperimentConfig:
-    """Read the sectioned key=value config format (sections env / solver /
-    baseline / eval); unknown keys are an error."""
+    """Read the sectioned key = value config format (sections env / solver /
+    baseline / eval); unknown sections and keys are errors."""
     if not os.path.exists(path):
         raise FileNotFoundError(f"config file not found: {path}")
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     parser.read(path)
-
-    env_kwargs = {}
-    for key, value in parser.items("env") if parser.has_section("env") else []:
-        if key not in _ENV_KEYS:
-            raise ValueError(f"unknown [env] key {key!r}")
-        env_kwargs[key] = _coerce(value, _ENV_KEYS[key])
-    if "width" not in env_kwargs or "height" not in env_kwargs:
-        raise ValueError("config [env] section must set width and height")
-    env = GridworldSpec(**env_kwargs)
-
-    solver = SolverConfig(gamma=env.gamma)
-    clf_kwargs, reg_kwargs = {}, {}
-    mu_kind, mu_ref = "uniform", 0
-    for key, value in parser.items("solver") if parser.has_section("solver") else []:
-        if key == "k":
-            solver.K = value if value == "auto" else int(value)
-        elif key == "mu":
-            mu_kind = value
-        elif key == "mu_ref_action":
-            mu_ref = int(value)
-        elif key in _SOLVER_SIMPLE:
-            setattr(solver, key, _coerce(value, _SOLVER_SIMPLE[key]))
-        elif key in _CLASSIFIER_KEYS:
-            name, typ = _CLASSIFIER_KEYS[key]
-            clf_kwargs[name] = _coerce(value, typ)
-        elif key in _REGRESSOR_KEYS:
-            name, typ = _REGRESSOR_KEYS[key]
-            reg_kwargs[name] = _coerce(value, typ)
-        else:
-            raise ValueError(f"unknown [solver] key {key!r}")
-    solver.mu = NormalizationMeasure(kind=mu_kind, ref_action=mu_ref)
-    solver.classifier = ClassifierSpec(**clf_kwargs)
-    solver.regressor = RegressorSpec(**reg_kwargs)
-
-    baseline_kwargs = {}
-    for key, value in parser.items("baseline") if parser.has_section("baseline") else []:
-        if key not in _BASELINE_KEYS:
-            raise ValueError(f"unknown [baseline] key {key!r}")
-        baseline_kwargs[key] = _coerce(value, _BASELINE_KEYS[key])
-    baseline = MaxEntConfig(**baseline_kwargs)
-
-    cfg = ExperimentConfig(env=env, solver=solver, baseline=baseline)
-    for key, value in parser.items("eval") if parser.has_section("eval") else []:
-        if key not in _EVAL_KEYS:
-            raise ValueError(f"unknown [eval] key {key!r}")
-        setattr(cfg, key, _coerce(value, _EVAL_KEYS[key]))
-    return cfg
+    return _experiment({name: dict(parser.items(name)) for name in parser.sections()})

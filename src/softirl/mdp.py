@@ -245,12 +245,12 @@ def _soft_value_iteration(mdp: TabularMdp, r: np.ndarray, tol: float,
 
 
 def _solve_discounted(kernel: np.ndarray, gamma: float, rhs: np.ndarray, what: str):
-    """Solve (I - gamma K) x = rhs densely; (x, residual), raising if residual > 1e-9."""
+    """Solve (I - gamma K) x = rhs densely, raising if the residual exceeds 1e-9."""
     x = np.linalg.solve(np.eye(len(rhs)) - gamma * kernel, rhs)
     residual = float(np.max(np.abs(x - gamma * (kernel @ x) - rhs)))
     if residual > 1e-9:
         raise RuntimeError(f"{what} solve residual {residual:.3e} exceeds 1e-9")
-    return x, residual
+    return x
 
 
 def _soft_policy_iteration(mdp: TabularMdp, r: np.ndarray, tol: float = 1e-10, max_iter: int = 50):
@@ -265,8 +265,8 @@ def _soft_policy_iteration(mdp: TabularMdp, r: np.ndarray, tol: float = 1e-10, m
         if residual <= tol:
             return v, q, pi
         # log pi as q - lse stays finite where pi underflows to 0
-        value, _ = _solve_discounted(state_kernel(mdp, pi), mdp.gamma,
-                                     np.sum(pi * (r - q + lse[:, None]), axis=1), "policy")
+        value = _solve_discounted(state_kernel(mdp, pi), mdp.gamma,
+                                  np.sum(pi * (r - q + lse[:, None]), axis=1), "policy")
         v = apply_P(mdp, value)
     raise RuntimeError(f"soft policy iteration did not reach tol={tol} in {max_iter} "
                        f"steps; last residual {residual:.3e}")

@@ -63,16 +63,16 @@ def evaluate(mdp: TabularMdp, r_true, pi_expert, r_hat, v_hat=None,
     baselines that only model a reward). `weights` is a state distribution;
     None means uniform. The reference action's identically-zero column is
     excluded from the RMSE/correlation support. `q_true`, when given, must be
-    the Q of `soft_value_iteration(mdp, r_true, tol=1e-10)`, which callers
-    scoring many estimates solve once.
+    the Q of `soft_value_iteration(mdp, r_true)` at its default tol, which
+    callers scoring many estimates solve once.
     """
     if q_true is None:
-        _, q_true, _ = soft_value_iteration(mdp, np.asarray(r_true, dtype=float), tol=1e-10)
+        _, q_true, _ = soft_value_iteration(mdp, np.asarray(r_true, dtype=float))
     q_true = np.asarray(q_true, dtype=float)
     if v_hat is not None:
         q_hat = np.asarray(r_hat, dtype=float) + mdp.gamma * np.asarray(v_hat, dtype=float)
     else:
-        _, q_hat, _ = soft_value_iteration(mdp, np.asarray(r_hat, dtype=float), tol=1e-10)
+        _, q_hat, _ = soft_value_iteration(mdp, np.asarray(r_hat, dtype=float))
     if q_hat.shape != q_true.shape:
         raise ValueError(f"estimate shape {q_hat.shape} != truth shape {q_true.shape}")
 

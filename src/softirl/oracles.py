@@ -103,19 +103,13 @@ def fit_classifier(spec: ClassifierSpec, states, actions,
         probs = np.full((n_states, n_actions), 1.0 / n_actions)
         seen = denom > 0
         probs[seen] = (counts[seen] + alpha) / denom[seen, None]
-        final_loss = _cross_entropy(counts, np.maximum(probs, 1e-300))
     elif spec.kind == "multinomial-logistic":
-        probs, final_loss = _fit_logistic(spec, counts, state_counts, n_states, n_actions)
+        probs = _fit_logistic(spec, counts, state_counts, n_states, n_actions)
     else:
         raise ValueError(f"unknown classifier kind {spec.kind!r}")
 
     probs = floor_and_renormalize(probs, spec.prob_floor)
-    diagnostics = {
-        "kind": spec.kind,
-        "final_loss": final_loss,
-        "n_unvisited_states": int(np.sum(state_counts == 0)),
-        "n_train": int(s.size),
-    }
+    diagnostics = {"n_unvisited_states": int(np.sum(state_counts == 0)), "n_train": int(s.size)}
     return FittedClassifier(probs, diagnostics)
 
 
@@ -147,7 +141,6 @@ def _fit_logistic(spec: ClassifierSpec, counts, state_counts, n_states, n_action
         if not np.isfinite(loss):
             raise RuntimeError(f"logistic training diverged; loss trace: {trace}")
         if trace and abs(trace[-1] - loss) < spec.tol:
-            trace.append(loss)
             break
         trace.append(loss)
         grad = phi.T @ (state_w[:, None] * p - counts / n) + spec.l2 * weights
@@ -156,7 +149,7 @@ def _fit_logistic(spec: ClassifierSpec, counts, state_counts, n_states, n_action
     z = logits - logits.max(axis=1, keepdims=True)
     p = np.exp(z)
     p /= p.sum(axis=1, keepdims=True)
-    return p, trace[-1] if trace else float("nan")
+    return p
 
 
 def log_policy(classifier: FittedClassifier) -> np.ndarray:
@@ -208,9 +201,5 @@ def fit_regressor(spec: RegressorSpec, states, actions, next_states,
     else:
         raise ValueError(f"unknown regressor kind {spec.kind!r}")
 
-    diagnostics = {
-        "kind": spec.kind,
-        "n_empty_cells": int(np.sum(cnt == 0)),
-        "n_train": int(s.size),
-    }
+    diagnostics = {"n_empty_cells": int(np.sum(cnt == 0)), "n_train": int(s.size)}
     return FittedRegressor(kernel, offset, counts, diagnostics)

@@ -37,14 +37,12 @@ from softirl.mdp import (
 )
 from softirl.oracles import (
     ClassifierSpec,
-    FittedRegressor,
     RegressorSpec,
     fit_classifier,
     fit_regressor,
     log_policy,
 )
 
-MU_KINDS = ("uniform", "point-mass", "behavior-policy")
 MAX_AUTO_K = 500
 
 
@@ -168,12 +166,9 @@ def exact_population_solver(mdp: TabularMdp, pi, mu) -> IrlSolution:
     u = np.log(pi)
     kernel = state_kernel(mdp, mu_t)
     rhs = -expect_mu(mu_t, u)
-    c_solve, solve_residual = _solve_discounted(kernel, mdp.gamma, rhs, "potential")
-    v = apply_P(mdp, c_solve)
+    v = apply_P(mdp, _solve_discounted(kernel, mdp.gamma, rhs, "potential"))
     r, c = _assemble(u, v, mu_t, mdp.gamma)
-    diag = SolverDiagnostics(eta=[], nu_proxy=0.0, iterations=0,
-                             extras={"solve_residual": solve_residual})
-    return IrlSolution(r, v, u, c, mu_t, mdp.gamma, diag)
+    return IrlSolution(r, v, u, c, mu_t, mdp.gamma, SolverDiagnostics(nu_proxy=0.0))
 
 
 def _classifier_train_kl(probs: np.ndarray, counts: np.ndarray) -> float:
@@ -266,32 +261,11 @@ def _fitted_fixed_point(cfg: SolverConfig, u, mu_t, k_steps: int, fit, folds: in
     return IrlSolution(r, v, u, c, mu_t, cfg.gamma, diag)
 
 
-def classify_then_regress(data, cfg: SolverConfig, *, population=None,
+def classify_then_regress(data, cfg: SolverConfig, *,
                           record_iterates: bool = False) -> IrlSolution:
     """Fitted fixed-point recovery: classify the behavior policy, then
     iterate regressions of mu[gamma v - u](s') on (s, a), all on the full
-    sample through one fitted map.
-
-    `population=(mdp, pi)` swaps both oracles for their exact population
-    versions (the classifier returns pi, the map is the true kernel with
-    eta = 0), which is the infinite-data limit used by the diagnostics.
-    """
-    if population is not None:
-        mdp, pi = population
-        pi = validate_policy(pi, mdp.n_states, mdp.n_actions)
-        if np.any(pi <= 0.0):
-            raise ValueError("behavior policy has zero entries (log undefined); floor it first")
-        u = np.log(pi)
-        mu_t = cfg.mu.materialize(mdp.n_states, mdp.n_actions, behavior=pi)
-        diag = SolverDiagnostics(nu_proxy=0.0)
-        k_steps = resolve_K(cfg.K, data.n if data is not None else None, cfg.gamma)
-        n_cells = mdp.n_states * mdp.n_actions
-        exact = FittedRegressor(mdp.transition.reshape(n_cells, mdp.n_states),
-                                np.zeros(n_cells),
-                                np.zeros((n_cells, mdp.n_states), dtype=np.int64),
-                                {"n_empty_cells": 0})
-        return _fitted_fixed_point(cfg, u, mu_t, k_steps, lambda fold: exact, 1, diag,
-                                   record_iterates)
+    sample through one fitted map."""
     if data.n < 1:
         raise ValueError("empty dataset")
     u, mu_t, diag = _fit_policy(cfg, data, data.n)

@@ -2,9 +2,10 @@
 
 Nothing in the package calls these: they state the model's identities
 (soft Bellman feasibility, conditional likelihood, policy evaluation,
-potential shaping, the MaxEnt likelihood gradient) in plain code. Each one
-runs the package's own kernels (`mdp._logsumexp_action_major`,
-`maxent._loglik_and_grad`), so a test that uses them still tests package
+potential shaping, the MaxEnt likelihood gradient, the fitted fixed point
+with exact oracles) in plain code. Each one runs the package's own kernels
+(`mdp._logsumexp_action_major`, `maxent._loglik_and_grad`,
+`solver._fitted_fixed_point`), so a test that uses them still tests package
 code.
 """
 
@@ -21,6 +22,8 @@ from softirl.mdp import (
     state_kernel,
     validate_policy,
 )
+from softirl.oracles import FittedRegressor
+from softirl.solver import SolverDiagnostics, _fitted_fixed_point, resolve_K
 
 
 def logsumexp_actions(f) -> np.ndarray:
@@ -157,3 +160,21 @@ def maxent_loglik_and_grad(mdp: TabularMdp, phi, theta, data):
     r = (phi_flat @ theta).reshape(mdp.n_states, mdp.n_actions)
     _, _, pi = soft_value_iteration(mdp, r, tol=1e-12)
     return _loglik_and_grad(mdp, phi_flat, weights, pi)
+
+
+def population_fixed_point(mdp: TabularMdp, pi, cfg, record_iterates=False):
+    """`classify_then_regress` with both oracles exact, its infinite-data
+    limit: the classifier returns pi and the regression map is the true
+    kernel, so eta = 0. `cfg.K` must be an integer."""
+    pi = validate_policy(pi, mdp.n_states, mdp.n_actions)
+    if np.any(pi <= 0.0):
+        raise ValueError("behavior policy has zero entries (log undefined); floor it first")
+    u = np.log(pi)
+    mu_t = cfg.mu.materialize(mdp.n_states, mdp.n_actions, behavior=pi)
+    n_cells = mdp.n_states * mdp.n_actions
+    exact = FittedRegressor(mdp.transition.reshape(n_cells, mdp.n_states), np.zeros(n_cells),
+                            np.zeros((n_cells, mdp.n_states), dtype=np.int64),
+                            {"n_empty_cells": 0})
+    return _fitted_fixed_point(cfg, u, mu_t, resolve_K(cfg.K, None, cfg.gamma),
+                               lambda fold: exact, 1, SolverDiagnostics(nu_proxy=0.0),
+                               record_iterates)

@@ -24,6 +24,7 @@ from reference import (
     conditional_loglik,
     maxent_loglik_and_grad,
     policy_value,
+    population_fixed_point,
     shape,
     soft_bellman_residual,
     sup_norm,
@@ -79,7 +80,7 @@ def test_criterion_2_exact_oracle_equivalence():
     for mdp, pi, mu in _fifty_mdps():
         exact = exact_population_solver(mdp, pi, mu)
         cfg = SolverConfig(gamma=mdp.gamma, K=200, mu=mu)
-        sol = classify_then_regress(None, cfg, population=(mdp, pi))
+        sol = population_fixed_point(mdp, pi, cfg)
         worst = max(worst, sup_norm(sol.r - exact.r))
     elapsed = time.time() - t0
     ok = worst <= 1e-8 and elapsed < 30.0
@@ -97,8 +98,7 @@ def test_criterion_3_contraction_rate():
         pi = random_policy(rng, mdp.n_states, mdp.n_actions)
         exact = exact_population_solver(mdp, pi, NormalizationMeasure("uniform"))
         cfg = SolverConfig(gamma=mdp.gamma, K=50)
-        sol = classify_then_regress(None, cfg, population=(mdp, pi),
-                                    record_iterates=True)
+        sol = population_fixed_point(mdp, pi, cfg, record_iterates=True)
         v_star_norm = sup_norm(exact.v)
         for k, v_k in enumerate(sol.diagnostics.extras["iterates"]):
             excess = sup_norm(v_k - exact.v) - (mdp.gamma ** k * v_star_norm + 1e-12)

@@ -78,6 +78,9 @@ class TestRuntimeErrors:
         ("baseline", "grad_clip", "10.0"),
         ("baseline", "vi_tol", "1e-8"),
         ("env", "feature_dim", "20"),
+        ("solver", "regressor_kind", "ridge"),
+        ("solver", "ridge_lambda", "0.1"),
+        ("solver", "gamma", "0.9"),
     ])
     def test_retired_key_is_unknown(self, tmp_path, capsys, section, key, value):
         from softirl.harness import parse_config
@@ -85,6 +88,18 @@ class TestRuntimeErrors:
         path = tmp_path / "retired.ini"
         path.write_text(TINY_CONFIG.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n"))
         message = f"unknown [{section}] key {key!r}"
+        with pytest.raises(ValueError) as err:
+            parse_config(path)
+        assert str(err.value) == message
+        assert main(["solve", str(tmp_path / "data.txt"), "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_misspelled_section_is_unknown(self, tmp_path, capsys):
+        from softirl.harness import parse_config
+
+        path = tmp_path / "misspelled.ini"
+        path.write_text(TINY_CONFIG + "\n[solvr]\nsplit = true\n")
+        message = "unknown config section [solvr]"
         with pytest.raises(ValueError) as err:
             parse_config(path)
         assert str(err.value) == message

@@ -59,7 +59,7 @@ class TestBuildEnv:
 
     def test_tabular_features_are_one_hot(self):
         _, _, fmap = build_env(small_spec())
-        assert fmap.dim == 9 * 5
+        assert fmap.phi.shape[2] == 9 * 5
         assert_allclose(fmap.phi.reshape(45, 45), np.eye(45))
 
     def test_min_action_prob_guard(self):

@@ -95,26 +95,31 @@ class TestParseConfig:
         assert cfg.solver.mu.kind == "uniform"
         assert cfg.baseline.optimizer == "adam"
         assert cfg.name == "ident"
+        assert cfg == builtin_experiment("ident")
 
     def test_every_key_parses_to_its_declared_type(self, tmp_path):
         from dataclasses import fields
 
-        from softirl.harness import _BASELINE_KEYS, _ENV_KEYS, _EVAL_KEYS
+        from softirl.harness import _KEYS, _k
 
-        assert set(_ENV_KEYS) == {f.name for f in fields(GridworldSpec)}
-        assert set(_BASELINE_KEYS) == {f.name for f in fields(MaxEntConfig)}
-        # "1" is a valid int, float and str, so only the declared type decides
-        sections = (("env", _ENV_KEYS, lambda cfg: cfg.env),
-                    ("baseline", _BASELINE_KEYS, lambda cfg: cfg.baseline),
-                    ("eval", _EVAL_KEYS, lambda cfg: cfg))
+        def targets(section):
+            return {field for _, field, _ in _KEYS[section].values()}
+
+        assert targets("env") == {f.name for f in fields(GridworldSpec)}
+        assert targets("baseline") == {f.name for f in fields(MaxEntConfig)}
+        assert sum(len(table) for table in _KEYS.values()) == 34
+        # "1" is a valid int, float, str and boolean, so only the declared type decides
         text = "".join(f"[{name}]\n" + "".join(f"{key} = 1\n" for key in table)
-                       for name, table, _ in sections)
+                       for name, table in _KEYS.items())
         path = tmp_path / "cfg.ini"
         path.write_text(text)
         cfg = parse_config(path)
-        for _, table, owner in sections:
-            for key, typ in table.items():
-                assert type(getattr(owner(cfg), key)) is typ, key
+        owners = {"env": cfg.env, "solver": cfg.solver, "mu": cfg.solver.mu,
+                  "classifier": cfg.solver.classifier, "regressor": cfg.solver.regressor,
+                  "baseline": cfg.baseline, "eval": cfg}
+        for table in _KEYS.values():
+            for key, (target, field, typ) in table.items():
+                assert type(getattr(owners[target], field)) is (int if typ is _k else typ), key
 
 
 class TestRunExperiment:

@@ -29,6 +29,7 @@ from reference import (
     lambda_mu_weights,
     logsumexp_actions,
     policy_value,
+    population_fixed_point,
     shape,
     soft_bellman_residual,
     sup_norm,
@@ -124,7 +125,7 @@ class TestClassifyThenRegress:
         pi = random_policy(rng, 5, 3)
         exact = exact_population_solver(mdp, pi, UNIFORM)
         cfg = SolverConfig(gamma=0.8, K=200)
-        sol = classify_then_regress(None, cfg, population=(mdp, pi))
+        sol = population_fixed_point(mdp, pi, cfg)
         assert sup_norm(sol.r - exact.r) <= 1e-8
 
     def test_k_zero_is_pure_normalization(self):
@@ -159,7 +160,7 @@ class TestClassifyThenRegress:
         pi = random_policy(rng, 4, 3)
         exact = exact_population_solver(mdp, pi, UNIFORM)
         cfg = SolverConfig(gamma=0.9, K=40)
-        sol = classify_then_regress(None, cfg, population=(mdp, pi), record_iterates=True)
+        sol = population_fixed_point(mdp, pi, cfg, record_iterates=True)
         iterates = sol.diagnostics.extras["iterates"]
         v_star_norm = sup_norm(exact.v)
         for k, v_k in enumerate(iterates):
@@ -171,7 +172,7 @@ class TestClassifyThenRegress:
         mdp = random_mdp(rng, 5, 3, 0.9)
         pi = random_policy(rng, 5, 3)
         cfg = SolverConfig(gamma=0.9, K=300, mu=NormalizationMeasure("behavior-policy"))
-        sol = classify_then_regress(None, cfg, population=(mdp, pi))
+        sol = population_fixed_point(mdp, pi, cfg)
         q = sol.r + 0.9 * sol.v
         assert sup_norm(q - logsumexp_actions(q)[:, None] - np.log(pi)) <= 1e-8
 
