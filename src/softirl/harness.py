@@ -267,7 +267,10 @@ def _experiment(sections) -> ExperimentConfig:
             if key not in _KEYS[section]:
                 raise ValueError(f"unknown [{section}] key {key!r}")
             target, name, typ = _KEYS[section][key]
-            kwargs[target][name] = _coerce(value, typ)
+            try:
+                kwargs[target][name] = _coerce(value, typ)
+            except ValueError as exc:
+                raise ValueError(f"[{section}] {key}: {exc}") from None
     if "width" not in kwargs["env"] or "height" not in kwargs["env"]:
         raise ValueError("config [env] section must set width and height")
     env = GridworldSpec(**kwargs["env"])

@@ -3,23 +3,22 @@
 The conditional log-likelihood of the data under the softmax policy of
 r_theta = <theta, phi> is maximized directly. The gradient is exact: the
 Q-sensitivity dQ solves the linear fixed point dQ = phi + gamma P[pi dQ],
-and the gradient dQ^T (w - expected) is computed by one adjoint solve with
-the transposed (S*A x S*A) system and a single right-hand side per step, so
-analytic and finite-difference gradients agree to numerical precision.
-`maxent_fit_lockstep` runs the ascents of several datasets side by side on
-one batched soft value iteration per epoch, each with the bits of its own
-`maxent_fit`.
+and dQ^T (w - expected) takes one adjoint solve on the S x S state system
+of pi, so analytic and finite-difference gradients agree to numerical
+precision. `maxent_fit_lockstep` runs the ascents of several datasets side
+by side on one batched soft value iteration per epoch, each with the bits
+of its own `maxent_fit`.
 """
 
 from __future__ import annotations
 
-import functools
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from softirl.mdp import TabularMdp, _soft_value_iteration, joint_frequency
+from softirl.mdp import (TabularMdp, _soft_value_iteration, _solve_discounted, joint_frequency,
+                         state_kernel)
 from softirl.mdp import soft_value_iteration  # noqa: F401 - perfbench/spans.py wraps it by name here
 
 OPTIMIZERS = ("gd", "adam")
@@ -59,31 +58,21 @@ def _data_weights(data, n_states: int, n_actions: int) -> np.ndarray:
     return w / total
 
 
-@functools.lru_cache(maxsize=8)
-def _identity(n: int) -> np.ndarray:
-    eye = np.eye(n)
-    eye.setflags(write=False)
-    return eye
-
-
 def _loglik_and_grad(mdp: TabularMdp, phi_flat: np.ndarray, weights: np.ndarray,
                      pi: np.ndarray):
     """Mean log-likelihood of the weights under the soft-optimal policy pi of
     r_theta, and its gradient in theta."""
-    ns, na = mdp.n_states, mdp.n_actions
     with np.errstate(divide="ignore"):
-        log_pi = np.log(pi)
-    ll = float(np.sum(weights * log_pi))
+        ll = float(np.sum(weights * np.log(pi)))
 
-    # dQ^T (w - expected) = phi^T (I - gamma M)^-T (w - expected): one right-hand side.
-    sa = ns * na
-    m = (mdp.transition[:, :, :, None] * pi[None, None, :, :]).reshape(sa, sa)
-    m *= mdp.gamma
-    np.subtract(_identity(sa), m, out=m)
-    state_w = weights.sum(axis=1)
-    expected = (state_w[:, None] * pi).reshape(sa)
-    adjoint = np.linalg.solve(m.T, weights.reshape(sa) - expected)
-    return ll, phi_flat.T @ adjoint
+    # dQ^T b = phi^T (I - gamma P~ Pi)^-T b with b = w - expected, where P~ is the
+    # (S*A x S) kernel and Pi the (S x S*A) policy map. By the push-through identity
+    # (I - gamma P~ Pi)^-T b = b + gamma Pi^T (I - gamma K_pi)^-T P~^T b, K_pi = Pi P~,
+    # so the one adjoint solve is on the S x S state system.
+    b = weights - weights.sum(axis=1)[:, None] * pi
+    y = _solve_discounted(state_kernel(mdp, pi).T, mdp.gamma,
+                          mdp.transition.reshape(-1, mdp.n_states).T @ b.reshape(-1), "adjoint")
+    return ll, phi_flat.T @ (b + mdp.gamma * pi * y[:, None]).reshape(-1)
 
 
 def maxent_fit(mdp: TabularMdp, phi, data, cfg: MaxEntConfig) -> MaxEntFit:

@@ -71,6 +71,16 @@ class TestRuntimeErrors:
         bad.write_text("[env]\nwidth = 2\nheight = 2\nbogus = 1\n")
         assert main(["gen-data", "--config", str(bad)]) == 2
 
+    @pytest.mark.parametrize("line, bad, where", [
+        ("width = 2", "width = 8x", "[env] width"),
+        ("mu = uniform", "mu = uniform\nsplit = maybe", "[solver] split"),
+    ], ids=["env-width", "solver-split"])
+    def test_malformed_value_names_its_key(self, tmp_path, capsys, line, bad, where):
+        path = tmp_path / "malformed.ini"
+        path.write_text(TINY_CONFIG.replace(line, bad))
+        assert main(["gen-data", "--config", str(path)]) == 2
+        assert f"{where}: " in capsys.readouterr().err
+
     @pytest.mark.parametrize("section, key, value", [
         ("baseline", "init", "zeros"),
         ("baseline", "init_seed", "0"),

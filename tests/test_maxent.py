@@ -86,11 +86,20 @@ def forward_sensitivity_gradient(mdp, phi, theta, w):
 
 
 class TestAdjointGradient:
-    @pytest.mark.parametrize("seed", range(6))
-    def test_matches_forward_sensitivity(self, seed):
+    # move_noise None draws a dense Dirichlet kernel; a float builds a 3x2
+    # gridworld's kernel, one-hot at 0 (a sparse K_pi) and slipping at 0.2.
+    @pytest.mark.parametrize("seed, move_noise", [
+        *(pytest.param(seed, None, id=str(seed)) for seed in range(6)),
+        pytest.param(6, 0.0, id="grid-one-hot"), pytest.param(7, 0.2, id="grid-slip")])
+    def test_matches_forward_sensitivity(self, seed, move_noise):
         rng = np.random.default_rng(100 + seed)
-        ns, na = int(rng.integers(3, 9)), int(rng.integers(2, 6))
-        mdp = random_mdp(rng, ns, na, float(rng.uniform(0.5, 0.97)))
+        if move_noise is None:
+            ns, na = int(rng.integers(3, 9)), int(rng.integers(2, 6))
+            mdp = random_mdp(rng, ns, na, float(rng.uniform(0.5, 0.97)))
+        else:
+            mdp, _, _ = build_env(GridworldSpec(3, 2, topology="bounded", seed=seed,
+                                                move_noise=move_noise))
+            ns, na = mdp.n_states, mdp.n_actions
         w = random_policy(rng, ns, na) * rng.dirichlet(np.ones(ns))[:, None]
         for phi in (one_hot_features(ns, na), block_features(rng, ns, na, 3)):
             theta = rng.normal(size=phi.shape[2])
