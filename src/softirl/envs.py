@@ -8,6 +8,7 @@ actions are stay/up/down/left/right.
 
 from __future__ import annotations
 
+import io
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
@@ -307,50 +308,78 @@ def write_dataset(dataset: TransitionDataset, path) -> None:
 
 
 def read_dataset(path) -> TransitionDataset:
-    """Inverse of write_dataset; raises ValueError naming the offending line."""
+    """Inverse of write_dataset; raises ValueError naming the offending line.
+
+    The body is parsed in one vectorised pass. Only a body that pass rejects
+    (a malformed or out-of-range field, a line of spaces) is scanned again
+    line by line, which names the first bad line or, where int() accepts what
+    the vectorised parser does not, reads the records as int() does.
+    """
     with open(path) as fh:
         header = fh.readline().rstrip("\n")
-        if not header.startswith(_HEADER_PREFIX):
-            raise ValueError(f"{path}:1: missing dataset header")
-        meta = {}
-        for tok in header[len(_HEADER_PREFIX):].split():
-            if "=" not in tok:
-                raise ValueError(f"{path}:1: malformed header token {tok!r}")
-            key, val = tok.split("=", 1)
-            if key not in ("env", "regime"):
-                try:
-                    val = int(val)
-                except ValueError:
-                    raise ValueError(f"{path}:1: non-integer header value {tok!r}") from None
-            meta[key] = val
-        for key in ("n", "n_states", "n_actions"):
-            if key not in meta:
-                raise ValueError(f"{path}:1: header missing {key}")
-
-        states, actions, next_states = [], [], []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 's,a,s_next', got {line!r}")
+        body = fh.read()
+    if not header.startswith(_HEADER_PREFIX):
+        raise ValueError(f"{path}:1: missing dataset header")
+    meta = {}
+    for tok in header[len(_HEADER_PREFIX):].split():
+        if "=" not in tok:
+            raise ValueError(f"{path}:1: malformed header token {tok!r}")
+        key, val = tok.split("=", 1)
+        if key not in ("env", "regime"):
             try:
-                s, a, s2 = (int(p) for p in parts)
+                val = int(val)
             except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-integer field in {line!r}") from None
-            if not 0 <= s < meta["n_states"] or not 0 <= s2 < meta["n_states"]:
-                raise ValueError(f"{path}:{lineno}: state index out of range")
-            if not 0 <= a < meta["n_actions"]:
-                raise ValueError(f"{path}:{lineno}: action index out of range")
-            states.append(s)
-            actions.append(a)
-            next_states.append(s2)
+                raise ValueError(f"{path}:1: non-integer header value {tok!r}") from None
+        meta[key] = val
+    for key in ("n", "n_states", "n_actions"):
+        if key not in meta:
+            raise ValueError(f"{path}:1: header missing {key}")
 
-    if len(states) != meta["n"]:
-        raise ValueError(f"{path}: header says n={meta['n']} but found {len(states)} records")
-    ds = TransitionDataset(np.array(states, dtype=np.int64),
-                           np.array(actions, dtype=np.int64),
-                           np.array(next_states, dtype=np.int64), meta)
+    try:
+        columns = _parse_records(body, meta["n_states"], meta["n_actions"])
+    except ValueError:
+        columns = _scan_records(path, body, meta["n_states"], meta["n_actions"])
+    if len(columns[0]) != meta["n"]:
+        raise ValueError(f"{path}: header says n={meta['n']} but found {len(columns[0])} records")
+    ds = TransitionDataset(*columns, meta)
     ds.validate()
     return ds
+
+
+def _parse_records(body: str, n_states: int, n_actions: int):
+    """The (s, a, s') columns of a dataset body in one pass; ValueError on a
+    malformed line or an index out of range."""
+    if not body or body.isspace():  # loadtxt warns on an empty body
+        return tuple(np.zeros((3, 0), dtype=np.int64))
+    records = np.loadtxt(io.StringIO(body), delimiter=",", dtype=np.int64,
+                         comments=None, ndmin=2)
+    if records.shape[1] != 3:
+        raise ValueError("expected three fields per line")
+    s, a, s2 = records.T.copy()
+    if records.min() < 0 or max(s.max(), s2.max()) >= n_states or a.max() >= n_actions:
+        raise ValueError("index out of range")
+    return s, a, s2
+
+
+def _scan_records(path, body: str, n_states: int, n_actions: int):
+    """`_parse_records` line by line with int(), raising at the first bad line."""
+    states, actions, next_states = [], [], []
+    for lineno, line in enumerate(body.split("\n"), start=2):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise ValueError(f"{path}:{lineno}: expected 's,a,s_next', got {line!r}")
+        try:
+            s, a, s2 = (int(p) for p in parts)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: non-integer field in {line!r}") from None
+        if not 0 <= s < n_states or not 0 <= s2 < n_states:
+            raise ValueError(f"{path}:{lineno}: state index out of range")
+        if not 0 <= a < n_actions:
+            raise ValueError(f"{path}:{lineno}: action index out of range")
+        states.append(s)
+        actions.append(a)
+        next_states.append(s2)
+    return tuple(np.array(c, dtype=np.int64) for c in (states, actions, next_states))

@@ -273,8 +273,9 @@ def _soft_policy_iteration(mdp: TabularMdp, r: np.ndarray, tol: float = 1e-10, m
 
 
 def state_kernel(mdp: TabularMdp, mu) -> np.ndarray:
-    """State-to-state kernel induced by acting with mu: K[s, s'] = sum_a mu(a|s) P(s'|s,a)."""
-    mu = validate_policy(mu, mdp.n_states, mdp.n_actions)
+    """State-to-state kernel induced by acting with mu: K[s, s'] = sum_a mu(a|s) P(s'|s,a).
+
+    mu is not checked: callers pass a policy they built or validated."""
     return np.einsum("sa,san->sn", mu, mdp.transition)
 
 

@@ -3,7 +3,9 @@
 Classifiers estimate the behavior policy from (s, a) pairs. Regressors
 estimate conditional means E[g(s') | s, a] for a next-state function g; both
 shipped regressor classes are linear in their targets, so one fit on a fold
-is a linear map from g to the (s, a) table, reused for every g.
+is a linear map from g to the (s, a) table, reused for every g. The map is
+held sparsely, as (row, col, value) triples over cells s * A + a and next
+states s': a tabular fold of m records has at most m of them.
 """
 
 from __future__ import annotations
@@ -57,13 +59,16 @@ class FittedClassifier:
 
 @dataclass
 class FittedRegressor:
-    """The fitted regression g -> kernel @ g + offset, flattened over cells
-    s * A + a: `kernel` is (S*A, S), `offset` is (S*A,), and `counts` is the
-    fold's (S*A, S) matrix of (s, a, s') record counts."""
+    """The fitted regression g -> offset + M g, flattened over cells s * A + a.
 
-    kernel: np.ndarray
+    `kernel` is the (rows, cols, values) triples of M's nonzero entries
+    M[s * A + a, s'], `offset` is (S*A,), and `counts` is the (rows, cols, n)
+    triples of the fold's nonzero (s, a, s') record counts, in row-major order.
+    """
+
+    kernel: tuple
     offset: np.ndarray
-    counts: np.ndarray
+    counts: tuple
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -161,7 +166,7 @@ def fit_regressor(spec: RegressorSpec, states, actions, next_states,
                   n_states: int, n_actions: int) -> FittedRegressor:
     """Least-squares fit of the next-state indicator on (s, a) over the
     configured class: regressing any target g(s') on the same records gives
-    kernel @ g + offset."""
+    offset + M g, with M held as triples (see FittedRegressor)."""
     s, a = _check_fit_inputs(states, actions, n_states, n_actions)
     s2 = np.asarray(next_states, dtype=np.int64)
     if s2.shape != s.shape:
@@ -174,12 +179,14 @@ def fit_regressor(spec: RegressorSpec, states, actions, next_states,
         raise ValueError("ridge_lambda must be nonnegative")
 
     n_cells = n_states * n_actions
-    counts = np.bincount((s * n_actions + a) * n_states + s2,
-                         minlength=n_cells * n_states).reshape(n_cells, n_states)
-    cnt = counts.sum(axis=1)
+    counts = np.bincount((s * n_actions + a) * n_states + s2, minlength=n_cells * n_states)
+    support = np.flatnonzero(counts > 0)  # a bool mask scans faster than int64
+    rows, cols = np.divmod(support, n_states)
+    n = counts[support]
+    cnt = np.bincount(rows, n, minlength=n_cells)
 
     if spec.kind == "tabular-mean":
-        kernel = counts / np.maximum(cnt, 1)[:, None]
+        kernel = (rows, cols, n / cnt[rows])
         offset = np.where(cnt > 0, 0.0, spec.fallback)
     elif spec.kind == "ridge":
         if spec.features is None:
@@ -196,10 +203,12 @@ def fit_regressor(spec: RegressorSpec, states, actions, next_states,
             raise ValueError(
                 "normal equations are rank-deficient; set ridge_lambda > 0"
             ) from None
-        kernel = phi_flat @ np.linalg.solve(gram, phi_flat.T @ counts)
+        product = phi_flat @ np.linalg.solve(gram, phi_flat.T @ counts.reshape(n_cells, n_states))
+        nonzero = np.nonzero(product)
+        kernel = (*nonzero, product[nonzero])
         offset = np.zeros(n_cells)
     else:
         raise ValueError(f"unknown regressor kind {spec.kind!r}")
 
     diagnostics = {"n_empty_cells": int(np.sum(cnt == 0)), "n_train": int(s.size)}
-    return FittedRegressor(kernel, offset, counts, diagnostics)
+    return FittedRegressor(kernel, offset, (rows, cols, n), diagnostics)

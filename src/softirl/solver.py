@@ -226,9 +226,10 @@ def _fitted_fixed_point(cfg: SolverConfig, u, mu_t, k_steps: int, fit, folds: in
     """The fitted fixed-point loop v <- M_k g + b_k with g = mu[gamma v - u].
 
     (M_k, b_k) is the map `fit(k mod folds)` returns, fitted again only when
-    the fold changes, so at most one fold's map is alive. eta[k] is the
-    root-mean-square misfit of v on that fold's records, read off its counts
-    (0 for the population map, which has none).
+    the fold changes, so at most one fold's map is alive; M_k g is summed
+    over its (row, col, value) triples. eta[k] is the root-mean-square misfit
+    of v on that fold's records, read off its count triples (0 for the
+    population map, which has none).
     """
     v = np.zeros_like(u)
     iterates = [v] if record_iterates else None
@@ -240,12 +241,13 @@ def _fitted_fixed_point(cfg: SolverConfig, u, mu_t, k_steps: int, fit, folds: in
                 fitted = fit(fold)
             except Exception as exc:
                 raise RuntimeError(f"regression oracle failed at iteration {k + 1}: {exc}") from exc
-            rows, cols = np.nonzero(fitted.counts)
-            weights = fitted.counts[rows, cols]
+            map_rows, map_cols, map_values = fitted.kernel
+            rows, cols, weights = fitted.counts
             n_records = max(int(weights.sum()), 1)
             empty_seen = max(empty_seen, fitted.diagnostics["n_empty_cells"])
         g = expect_mu(mu_t, cfg.gamma * v - u)
-        flat = fitted.kernel @ g + fitted.offset
+        flat = fitted.offset + np.bincount(map_rows, map_values * g[map_cols],
+                                           minlength=fitted.offset.size)
         diag.eta.append(float(np.sqrt(weights @ (flat[rows] - g[cols]) ** 2 / n_records)))
         v = flat.reshape(u.shape)
         if record_iterates:

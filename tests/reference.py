@@ -7,10 +7,17 @@ with exact oracles) in plain code. Each one runs the package's own kernels
 (`mdp._logsumexp_action_major`, `maxent._loglik_and_grad`,
 `solver._fitted_fixed_point`), so a test that uses them still tests package
 code.
+
+The last three are the plain forms of two fast paths: the dense fold map
+(`dense_fit_regressor`, `dense_fitted_fixed_point`) and the per-line
+dataset reader (`read_dataset_per_line`).
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
+from softirl.envs import _HEADER_PREFIX, TransitionDataset
 from softirl.maxent import _data_weights, _loglik_and_grad
 from softirl.mdp import (
     TabularMdp,
@@ -23,7 +30,13 @@ from softirl.mdp import (
     validate_policy,
 )
 from softirl.oracles import FittedRegressor
-from softirl.solver import SolverDiagnostics, _fitted_fixed_point, resolve_K
+from softirl.solver import (
+    IrlSolution,
+    SolverDiagnostics,
+    _assemble,
+    _fitted_fixed_point,
+    resolve_K,
+)
 
 
 def logsumexp_actions(f) -> np.ndarray:
@@ -67,7 +80,7 @@ def stationary_distribution(mdp: TabularMdp, mu, tol: float = 1e-12,
     """Stationary state distribution of the chain s -> a~mu -> s', by power iteration."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    kernel = state_kernel(mdp, mu)
+    kernel = state_kernel(mdp, validate_policy(mu, mdp.n_states, mdp.n_actions))
     lam = np.full(mdp.n_states, 1.0 / mdp.n_states)
     for _ in range(max_iter):
         nxt = lam @ kernel
@@ -172,9 +185,118 @@ def population_fixed_point(mdp: TabularMdp, pi, cfg, record_iterates=False):
     u = np.log(pi)
     mu_t = cfg.mu.materialize(mdp.n_states, mdp.n_actions, behavior=pi)
     n_cells = mdp.n_states * mdp.n_actions
-    exact = FittedRegressor(mdp.transition.reshape(n_cells, mdp.n_states), np.zeros(n_cells),
-                            np.zeros((n_cells, mdp.n_states), dtype=np.int64),
-                            {"n_empty_cells": 0})
+    transition = mdp.transition.reshape(n_cells, mdp.n_states)
+    support = np.nonzero(transition)
+    no_records = np.zeros(0, dtype=np.int64)
+    exact = FittedRegressor((*support, transition[support]), np.zeros(n_cells),
+                            (no_records, no_records, no_records), {"n_empty_cells": 0})
     return _fitted_fixed_point(cfg, u, mu_t, resolve_K(cfg.K, None, cfg.gamma),
                                lambda fold: exact, 1, SolverDiagnostics(nu_proxy=0.0),
                                record_iterates)
+
+
+@dataclass
+class DenseFit:
+    """A fold's map g -> kernel @ g + offset with dense (S*A, S) `kernel`
+    and `counts` matrices."""
+
+    kernel: np.ndarray
+    offset: np.ndarray
+    counts: np.ndarray
+    diagnostics: dict
+
+
+def dense_fit_regressor(spec, states, actions, next_states, n_states, n_actions):
+    """`oracles.fit_regressor` on dense (S*A, S) arrays: the tabular kernel
+    is counts / cnt, the ridge kernel the normal-equation product."""
+    s, a, s2 = (np.asarray(x, dtype=np.int64) for x in (states, actions, next_states))
+    n_cells = n_states * n_actions
+    counts = np.bincount((s * n_actions + a) * n_states + s2,
+                         minlength=n_cells * n_states).reshape(n_cells, n_states)
+    cnt = counts.sum(axis=1)
+    if spec.kind == "tabular-mean":
+        kernel = counts / np.maximum(cnt, 1)[:, None]
+        offset = np.where(cnt > 0, 0.0, spec.fallback)
+    else:
+        phi = np.asarray(spec.features, dtype=float).reshape(n_cells, -1)
+        gram = (phi * cnt[:, None]).T @ phi + spec.ridge_lambda * np.eye(phi.shape[1])
+        kernel = phi @ np.linalg.solve(gram, phi.T @ counts)
+        offset = np.zeros(n_cells)
+    return DenseFit(kernel, offset, counts,
+                    {"n_empty_cells": int(np.sum(cnt == 0)), "n_train": int(s.size)})
+
+
+def dense_fitted_fixed_point(cfg, u, mu_t, k_steps, fit, folds, diag, record_iterates):
+    """`solver._fitted_fixed_point` over `DenseFit` maps: v <- kernel @ g + offset,
+    with eta read off the dense counts' nonzeros."""
+    v = np.zeros_like(u)
+    fitted, fold, empty_seen = None, None, 0
+    for k in range(k_steps):
+        if k % folds != fold:
+            fold = k % folds
+            fitted = fit(fold)
+            rows, cols = np.nonzero(fitted.counts)
+            weights = fitted.counts[rows, cols]
+            n_records = max(int(weights.sum()), 1)
+            empty_seen = max(empty_seen, fitted.diagnostics["n_empty_cells"])
+        g = expect_mu(mu_t, cfg.gamma * v - u)
+        flat = fitted.kernel @ g + fitted.offset
+        diag.eta.append(float(np.sqrt(weights @ (flat[rows] - g[cols]) ** 2 / n_records)))
+        v = flat.reshape(u.shape)
+    if empty_seen:
+        diag.warnings.append(
+            f"up to {empty_seen} (s, a) cells unvisited per regression fold; fallback used"
+        )
+    diag.iterations = k_steps
+    r, c = _assemble(u, v, mu_t, cfg.gamma)
+    return IrlSolution(r, v, u, c, mu_t, cfg.gamma, diag)
+
+
+def read_dataset_per_line(path) -> TransitionDataset:
+    """`envs.read_dataset` parsing each body line in Python with int()."""
+    with open(path) as fh:
+        header = fh.readline().rstrip("\n")
+        if not header.startswith(_HEADER_PREFIX):
+            raise ValueError(f"{path}:1: missing dataset header")
+        meta = {}
+        for tok in header[len(_HEADER_PREFIX):].split():
+            if "=" not in tok:
+                raise ValueError(f"{path}:1: malformed header token {tok!r}")
+            key, val = tok.split("=", 1)
+            if key not in ("env", "regime"):
+                try:
+                    val = int(val)
+                except ValueError:
+                    raise ValueError(f"{path}:1: non-integer header value {tok!r}") from None
+            meta[key] = val
+        for key in ("n", "n_states", "n_actions"):
+            if key not in meta:
+                raise ValueError(f"{path}:1: header missing {key}")
+
+        states, actions, next_states = [], [], []
+        for lineno, line in enumerate(fh, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != 3:
+                raise ValueError(f"{path}:{lineno}: expected 's,a,s_next', got {line!r}")
+            try:
+                s, a, s2 = (int(p) for p in parts)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: non-integer field in {line!r}") from None
+            if not 0 <= s < meta["n_states"] or not 0 <= s2 < meta["n_states"]:
+                raise ValueError(f"{path}:{lineno}: state index out of range")
+            if not 0 <= a < meta["n_actions"]:
+                raise ValueError(f"{path}:{lineno}: action index out of range")
+            states.append(s)
+            actions.append(a)
+            next_states.append(s2)
+
+    if len(states) != meta["n"]:
+        raise ValueError(f"{path}: header says n={meta['n']} but found {len(states)} records")
+    ds = TransitionDataset(np.array(states, dtype=np.int64),
+                           np.array(actions, dtype=np.int64),
+                           np.array(next_states, dtype=np.int64), meta)
+    ds.validate()
+    return ds

@@ -302,12 +302,12 @@ def test_criterion_9_reproduce_determinism(tmp_path):
                  "--out", out1, "--quiet"]) == 0
     assert main(["reproduce", "ident", "--reruns", "3", "--seed", "7",
                  "--out", out2, "--quiet"]) == 0
-    raw1 = open(f"{out1}/raw.csv", "rb").read()
-    raw2 = open(f"{out2}/raw.csv", "rb").read()
+    raw1 = (tmp_path / "run1" / "raw.csv").read_bytes()
+    raw2 = (tmp_path / "run2" / "raw.csv").read_bytes()
     ok = raw1 == raw2
     _report("9", ok, f"raw.csv byte-identical across runs ({len(raw1)} bytes)")
     assert raw1 == raw2
     # markdown table has two method rows and five metric columns
-    table = open(f"{out1}/table.md").read().strip().splitlines()
+    table = (tmp_path / "run1" / "table.md").read_text().strip().splitlines()
     assert len(table) == 4
     assert table[0].count("|") == 8

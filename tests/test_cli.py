@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -140,7 +141,7 @@ class TestPipeline:
         out = capsys.readouterr().out
         assert "kl," in out
         body = dict(line.split(",") for line in
-                    open(metrics).read().strip().splitlines()[1:])
+                    Path(metrics).read_text().strip().splitlines()[1:])
         assert float(body["kl"]) >= 0.0
 
     def test_eval_on_exact_solution_gives_zero_kl(self, cfg_path, tmp_path):
@@ -174,7 +175,7 @@ class TestPipeline:
     def test_diagnose_writes_contraction_csv(self, cfg_path, tmp_path, capsys):
         out = str(tmp_path / "diag.csv")
         assert main(["diagnose", "--config", cfg_path, "--out", out]) == 0
-        lines = open(out).read().strip().splitlines()
+        lines = Path(out).read_text().strip().splitlines()
         assert lines[0] == "k,eta,sup_dist_to_exact_v,gamma_pow_k"
         assert len(lines) >= 3
         # distance to the exact fixed point shrinks over iterations
@@ -205,7 +206,7 @@ class TestPipeline:
                             lambda name, reruns=None, base_seed=None: tiny_experiment())
         out = str(tmp_path / "res")
         assert main(["reproduce", "easy", "--out", out, "--reruns", "2"]) == 0
-        table = open(os.path.join(out, "table.md")).read()
+        table = Path(out, "table.md").read_text()
         assert table.splitlines()[0].count("|") == 8
         assert os.path.exists(os.path.join(out, "raw.csv"))
         assert os.path.exists(os.path.join(out, "summary.csv"))

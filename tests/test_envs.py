@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +18,7 @@ from softirl.envs import (
 from softirl.harness import builtin_experiment
 from softirl.mdp import TabularMdp, soft_value_iteration
 
-from reference import shape, sup_norm
+from reference import read_dataset_per_line, shape, sup_norm
 
 
 def small_spec(**kw):
@@ -333,3 +334,40 @@ class TestDatasetIO:
                         "0,1,2\n")
         with pytest.raises(ValueError, match="n=2"):
             read_dataset(path)
+
+
+HEADER = "# transitions seed=0 env=- n={n} n_states={ns} n_actions=3 regime=trajectory\n"
+
+
+class TestReaderMatchesPerLineReference:
+    """The vectorised `read_dataset` against the per-line reader."""
+
+    @pytest.mark.parametrize("body, n", [
+        ("0,1,2\n0,1\n", 2), ("0,1,2,3\n", 1), ("x,1,2\n", 1), ("1.0,1,2\n", 1),
+        ("1_0,1,2\n", 1), ("# note\n0,1,2\n", 1),
+        ("-1,0,0\n", 1), ("4,0,0\n", 1), ("0,-1,0\n", 1), ("0,3,0\n", 1),
+        ("0,0,-1\n", 1), ("0,0,4\n", 1), ("0,1,2\n", 2)])
+    def test_same_error(self, tmp_path, body, n):
+        path = tmp_path / "bad.txt"
+        path.write_text(HEADER.format(n=n, ns=4) + body)
+        with pytest.raises(ValueError) as ours:
+            read_dataset(path)
+        with pytest.raises(ValueError) as ref:
+            read_dataset_per_line(path)
+        assert str(ours.value) == str(ref.value)
+
+    @pytest.mark.parametrize("body, n, ns", [
+        ("0,1,2\n\n3,2,1\n\n", 2, 4), (" 0 , 1 ,2 \n  3,2,1\t\n", 2, 4),
+        ("0,1,2\n3,2,1", 2, 4), ("", 0, 4), ("\n\n", 0, 4),
+        ("0,1,2\n   \n3,2,1\n", 2, 4), ("1_0,1,2\n", 1, 11)])
+    def test_same_records(self, tmp_path, body, n, ns):
+        path = tmp_path / "data.txt"
+        path.write_text(HEADER.format(n=n, ns=ns) + body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ours = read_dataset(path)
+        ref = read_dataset_per_line(path)
+        for column in ("states", "actions", "next_states"):
+            a, b = getattr(ours, column), getattr(ref, column)
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert ours.meta == ref.meta

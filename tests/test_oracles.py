@@ -115,8 +115,18 @@ class TestLogPolicy:
 
 def regress(fitted, g):
     """The fitted regression of the targets g(s') as an (S, A) table."""
-    n_states = fitted.counts.shape[1]
-    return (fitted.kernel @ np.asarray(g, dtype=float) + fitted.offset).reshape(n_states, -1)
+    g = np.asarray(g, dtype=float)
+    rows, cols, values = fitted.kernel
+    flat = fitted.offset + np.bincount(rows, values * g[cols], minlength=fitted.offset.size)
+    return flat.reshape(g.size, -1)
+
+
+def dense(triples, shape):
+    """The matrix holding a fit's (row, col, value) triples."""
+    rows, cols, values = triples
+    out = np.zeros(shape, dtype=values.dtype)
+    out[rows, cols] = values
+    return out
 
 
 class TestFitRegressor:
@@ -146,7 +156,8 @@ class TestFitRegressor:
             RegressorSpec(kind="ridge", ridge_lambda=0.0,
                           features=np.eye(ns * na).reshape(ns, na, ns * na)),
             s, a, s2, ns, na)
-        assert np.max(np.abs(tab.kernel - ridge.kernel)) <= 1e-10
+        shape = (ns * na, ns)
+        assert np.max(np.abs(dense(tab.kernel, shape) - dense(ridge.kernel, shape))) <= 1e-10
         assert np.all(tab.offset == 0.0) and np.all(ridge.offset == 0.0)
 
     def test_rank_deficient_advises_lambda(self):
@@ -173,9 +184,10 @@ class TestFitRegressor:
         fr = fit_regressor(RegressorSpec(kind="ridge", ridge_lambda=0.1,
                                          features=feats), s, a, s2, 2, 2)
         phi = feats.reshape(4, 3)
-        coef = np.linalg.lstsq(phi, fr.kernel, rcond=None)[0]
-        assert_allclose(phi @ coef, fr.kernel, atol=1e-12)
-        assert np.max(np.abs(fr.kernel)) > 0.1
+        kernel = dense(fr.kernel, (4, 2))
+        coef = np.linalg.lstsq(phi, kernel, rcond=None)[0]
+        assert_allclose(phi @ coef, kernel, atol=1e-12)
+        assert np.max(np.abs(kernel)) > 0.1
 
     def test_out_of_range_next_states_rejected(self):
         for bad in (-1, 2):
@@ -184,7 +196,7 @@ class TestFitRegressor:
 
     def test_counts_hold_every_record(self):
         fr = fit_regressor(RegressorSpec(), [0, 0, 1, 0], [1, 1, 0, 1], [1, 1, 0, 0], 2, 2)
-        assert fr.counts.tolist() == [[0, 0], [1, 2], [1, 0], [0, 0]]
+        assert dense(fr.counts, (4, 2)).tolist() == [[0, 0], [1, 2], [1, 0], [0, 0]]
         assert fr.diagnostics["n_train"] == 4
 
     def test_erm_dominates_constant_predictors(self):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from softirl import solver as solver_module
 from softirl.envs import (
     GridworldSpec,
     TransitionDataset,
@@ -10,6 +11,7 @@ from softirl.envs import (
     expert_policy,
     sample_transitions,
 )
+from softirl.harness import builtin_experiment
 from softirl.mdp import TabularMdp, apply_P, expect_mu
 from softirl.oracles import ClassifierSpec, RegressorSpec
 from softirl.solver import (
@@ -26,6 +28,8 @@ from softirl.solver import (
 
 from conftest import random_mdp, random_policy, toggle_mdp
 from reference import (
+    dense_fit_regressor,
+    dense_fitted_fixed_point,
     lambda_mu_weights,
     logsumexp_actions,
     policy_value,
@@ -319,6 +323,57 @@ class TestMatchesRefitReference:
         assert sup_norm(sol.r - r) <= REFERENCE_TOL
         assert sup_norm(np.array(sol.diagnostics.eta) - eta) <= REFERENCE_TOL
         assert max(eta) > 0.01
+
+
+def _dense_solve(monkeypatch, method, data, cfg):
+    """`method` with every fold fitted and applied densely (tests/reference.py)."""
+    with monkeypatch.context() as m:
+        m.setattr(solver_module, "fit_regressor", dense_fit_regressor)
+        m.setattr(solver_module, "_fitted_fixed_point", dense_fitted_fixed_point)
+        return method(data, cfg)
+
+
+@pytest.fixture(scope="module")
+def ident_50k():
+    experiment = builtin_experiment("ident")
+    mdp, r_true, _ = build_env(experiment.env)
+    data = sample_transitions(mdp, expert_policy(mdp, r_true), 50_000, seed=1, env_id="ident")
+    return data, experiment.solver
+
+
+class TestSparseFoldMapsMatchDense:
+    """The (row, col, value) fold maps against dense (S*A, S) kernels: bit
+    for bit where each visited cell has one next state, as on ident, and to
+    rounding where a row sums several terms."""
+
+    @pytest.mark.parametrize("method", [classify_then_regress, split_classify_regress])
+    def test_ident_bit_for_bit(self, monkeypatch, ident_50k, method):
+        data, cfg = ident_50k
+        sol = method(data, cfg)
+        ref = _dense_solve(monkeypatch, method, data, cfg)
+        assert np.array_equal(sol.v, ref.v)
+        assert np.array_equal(sol.r, ref.r)
+        assert np.array_equal(sol.diagnostics.eta, ref.diagnostics.eta)
+        assert sol.diagnostics.warnings == ref.diagnostics.warnings
+
+    @pytest.mark.parametrize("method", [classify_then_regress, split_classify_regress])
+    @pytest.mark.parametrize("case", ["move-noise", "ridge"])
+    def test_to_rounding(self, monkeypatch, method, case):
+        spec = GridworldSpec(4, 4, topology="torus", seed=3, min_action_prob=0.05,
+                             move_noise=0.3)
+        mdp, r_true, _ = build_env(spec)
+        data = sample_transitions(mdp, expert_policy(mdp, r_true), 20_000, seed=2, env_id="noisy")
+        regressor = RegressorSpec()
+        if case == "ridge":
+            features = np.random.default_rng(8).normal(size=(16, 5, 6))
+            regressor = RegressorSpec(kind="ridge", ridge_lambda=0.1, features=features)
+        cfg = SolverConfig(gamma=spec.gamma, regressor=regressor)
+        sol = method(data, cfg)
+        ref = _dense_solve(monkeypatch, method, data, cfg)
+        for ours, dense in ((sol.v, ref.v), (sol.r, ref.r),
+                            (sol.diagnostics.eta, ref.diagnostics.eta)):
+            ours, dense = np.asarray(ours), np.asarray(dense)
+            assert sup_norm(ours - dense) <= 1e-12 * sup_norm(dense)
 
 
 class TestShaping:
