@@ -8,7 +8,6 @@ benchmark harness are included.
 """
 
 from softirl.envs import (
-    FeatureMap,
     GridworldSpec,
     TransitionDataset,
     build_env,
@@ -32,7 +31,6 @@ from softirl.oracles import (
     RegressorSpec,
     fit_classifier,
     fit_regressor,
-    log_policy,
 )
 from softirl.solver import (
     IrlSolution,
@@ -49,7 +47,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ClassifierSpec",
-    "FeatureMap",
     "FittedClassifier",
     "FittedRegressor",
     "GridworldSpec",
@@ -73,7 +70,6 @@ __all__ = [
     "expert_policy",
     "fit_classifier",
     "fit_regressor",
-    "log_policy",
     "maxent_fit",
     "qdiff",
     "read_dataset",

@@ -106,8 +106,8 @@ def _cmd_baseline(args) -> int:
 
     cfg = parse_config(args.config)
     dataset = read_dataset(args.dataset)
-    mdp, _, fmap = build_env(cfg.env)
-    fit = maxent_fit(mdp, fmap.phi, dataset, cfg.baseline)
+    mdp, _, phi = build_env(cfg.env)
+    fit = maxent_fit(mdp, phi, dataset, cfg.baseline)
     out = args.out or "baseline"
     save_maxent(fit, out)
     if not args.quiet:

@@ -60,22 +60,6 @@ class GridworldSpec:
         return self.width * self.height
 
 
-@dataclass(frozen=True)
-class FeatureMap:
-    """Dense feature table phi[s, a] of fixed dimension d."""
-
-    phi: np.ndarray
-
-    def __post_init__(self):
-        phi = np.array(self.phi, dtype=float)
-        if phi.ndim != 3:
-            raise ValueError(f"phi must have shape (S, A, d), got {phi.shape}")
-        if not np.all(np.isfinite(phi)):
-            raise ValueError("features must be finite")
-        phi.setflags(write=False)
-        object.__setattr__(self, "phi", phi)
-
-
 @dataclass
 class TransitionDataset:
     """Observed (s, a, s') records plus provenance metadata."""
@@ -177,7 +161,8 @@ def _nonlinear_reward(spec: GridworldSpec, rng: np.random.Generator) -> np.ndarr
 
 
 def build_env(spec: GridworldSpec):
-    """Construct (TabularMdp, true reward table, FeatureMap) from a spec.
+    """Construct (TabularMdp, true reward table, read-only (S, A, d) feature
+    table phi) from a spec.
 
     Deterministic in the spec: the same spec always yields bit-identical
     outputs.
@@ -225,7 +210,8 @@ def build_env(spec: GridworldSpec):
             r_true = scale * raw
         else:
             raise RuntimeError("could not satisfy min_action_prob by rescaling")
-    return mdp, r_true, FeatureMap(phi)
+    phi.setflags(write=False)
+    return mdp, r_true, phi
 
 
 def expert_policy(mdp: TabularMdp, r_true) -> np.ndarray:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from softirl.envs import GridworldSpec, build_env, sample_transitions
+from softirl.envs import N_ACTIONS, GridworldSpec, build_env, sample_transitions
 from softirl.envs import expert_policy  # noqa: F401 - perfbench/spans.py wraps it by name here
 from softirl.maxent import MaxEntConfig, maxent_fit_lockstep
 from softirl.maxent import maxent_fit  # noqa: F401 - perfbench/spans.py wraps it by name here
@@ -70,8 +70,7 @@ def builtin_experiment(name: str, reruns: int | None = None,
         "env": {"width": width, "height": width, "topology": topology,
                 "reward_kind": reward_kind, "seed": seed, "min_action_prob": 0.03},
         "solver": {"smoothing_alpha": 1.0},
-        "baseline": {"step_size": 0.05, "optimizer": "adam", "max_epochs": max_epochs,
-                     "patience": 40, "schedule": "constant"},
+        "baseline": {"max_epochs": max_epochs},
         "eval": {key: value for key, value in run.items() if value is not None},
     })
 
@@ -104,7 +103,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, quiet: bool = False):
         raise ValueError("reruns must be at least 1")
     if cfg.weighting not in WEIGHTINGS:
         raise ValueError(f"unknown weighting {cfg.weighting!r}")
-    mdp, r_true, fmap = build_env(cfg.env)
+    mdp, r_true, phi = build_env(cfg.env)
     # one truth solve gives the expert policy and the Q every score compares to
     _, q_true, pi_exp = soft_value_iteration(mdp, r_true)
 
@@ -116,7 +115,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, quiet: bool = False):
             errors[rerun] = exc
 
     try:
-        fits = maxent_fit_lockstep(mdp, fmap.phi, [freq for freq, _, _ in solved.values()],
+        fits = maxent_fit_lockstep(mdp, phi, [freq for freq, _, _ in solved.values()],
                                    cfg.baseline)
     except Exception as exc:  # noqa: BLE001 - a config error fails every rerun alike
         fits = [exc] * len(solved)
@@ -247,8 +246,7 @@ _KEYS = {
         "fallback": ("regressor", "fallback", float),
     },
     "baseline": {key: ("baseline", key, typ) for key, typ in (
-        ("step_size", float), ("schedule", str), ("max_epochs", int),
-        ("patience", int), ("tol", float), ("optimizer", str))},
+        ("step_size", float), ("max_epochs", int), ("patience", int), ("tol", float))},
     "eval": {key: ("eval", key, typ) for key, typ in (
         ("n", int), ("regime", str), ("reruns", int), ("base_seed", int),
         ("weighting", str), ("ref_action", int), ("name", str))},
@@ -268,7 +266,9 @@ def _experiment(sections) -> ExperimentConfig:
                 raise ValueError(f"unknown [{section}] key {key!r}")
             target, name, typ = _KEYS[section][key]
             try:
-                kwargs[target][name] = _coerce(value, typ)
+                kwargs[target][name] = value = _coerce(value, typ)
+                if name == "ref_action" and not 0 <= value < N_ACTIONS:  # eval's and mu's
+                    raise ValueError(f"{value} is not an action index in [0, {N_ACTIONS})")
             except ValueError as exc:
                 raise ValueError(f"[{section}] {key}: {exc}") from None
     if "width" not in kwargs["env"] or "height" not in kwargs["env"]:

@@ -21,20 +21,18 @@ from softirl.mdp import (TabularMdp, _soft_value_iteration, _solve_discounted, j
                          state_kernel)
 from softirl.mdp import soft_value_iteration  # noqa: F401 - perfbench/spans.py wraps it by name here
 
-OPTIMIZERS = ("gd", "adam")
-SCHEDULES = ("constant", "invsqrt")
 GRAD_CLIP = 10.0  # largest gradient norm an ascent steps along
 VI_TOL = 1e-8  # residual at which each epoch's soft value iteration stops
 
 
 @dataclass
 class MaxEntConfig:
-    step_size: float = 1.0
-    schedule: str = "invsqrt"
+    """Adam at a constant step; stops after `patience` epochs without a `tol` gain."""
+
+    step_size: float = 0.05
     max_epochs: int = 300
-    patience: int = 50
+    patience: int = 40
     tol: float = 1e-8
-    optimizer: str = "gd"
 
 
 @dataclass
@@ -76,7 +74,7 @@ def _loglik_and_grad(mdp: TabularMdp, phi_flat: np.ndarray, weights: np.ndarray,
 
 
 def maxent_fit(mdp: TabularMdp, phi, data, cfg: MaxEntConfig) -> MaxEntFit:
-    """Clipped gradient ascent on the conditional likelihood; returns the
+    """Clipped Adam ascent on the conditional likelihood; returns the
     best-likelihood iterate."""
     weights = _data_weights(data, mdp.n_states, mdp.n_actions)
     (fit,) = maxent_fit_lockstep(mdp, phi, [weights], cfg)
@@ -86,7 +84,7 @@ def maxent_fit(mdp: TabularMdp, phi, data, cfg: MaxEntConfig) -> MaxEntFit:
 
 
 class _Ascent:
-    """One likelihood ascent of a lockstep fit: its iterate, optimizer state,
+    """One likelihood ascent of a lockstep fit: its iterate, Adam moments,
     loss trace and best iterate."""
 
     def __init__(self, weights: np.ndarray, theta: np.ndarray):
@@ -100,20 +98,16 @@ class _Ascent:
         self.stall = 0
 
     def step(self, epoch: int, cfg: MaxEntConfig) -> None:
-        """Move theta along the clipped gradient (or its Adam moments)."""
+        """Move theta by Adam along the clipped gradient."""
         beta1, beta2, eps = 0.9, 0.999, 1e-8
         grad = self.grad
         norm = float(np.linalg.norm(grad))
         step_dir = grad if norm <= GRAD_CLIP else grad * (GRAD_CLIP / norm)
-        step = cfg.step_size / np.sqrt(epoch) if cfg.schedule == "invsqrt" else cfg.step_size
-        if cfg.optimizer == "adam":
-            self.adam_m = beta1 * self.adam_m + (1 - beta1) * step_dir
-            self.adam_v = beta2 * self.adam_v + (1 - beta2) * step_dir ** 2
-            m_hat = self.adam_m / (1 - beta1 ** epoch)
-            v_hat = self.adam_v / (1 - beta2 ** epoch)
-            self.theta = self.theta + step * m_hat / (np.sqrt(v_hat) + eps)
-        else:
-            self.theta = self.theta + step * step_dir
+        self.adam_m = beta1 * self.adam_m + (1 - beta1) * step_dir
+        self.adam_v = beta2 * self.adam_v + (1 - beta2) * step_dir ** 2
+        m_hat = self.adam_m / (1 - beta1 ** epoch)
+        v_hat = self.adam_v / (1 - beta2 ** epoch)
+        self.theta = self.theta + cfg.step_size * m_hat / (np.sqrt(v_hat) + eps)
 
     def record(self, epoch: int, ll: float, cfg: MaxEntConfig) -> bool:
         """Log the epoch's likelihood; True once patience runs out."""
@@ -149,10 +143,6 @@ def maxent_fit_lockstep(mdp: TabularMdp, phi, weights: list, cfg: MaxEntConfig) 
     """
     if cfg.step_size <= 0:
         raise ValueError("step_size must be positive")
-    if cfg.schedule not in SCHEDULES:
-        raise ValueError(f"unknown schedule {cfg.schedule!r}")
-    if cfg.optimizer not in OPTIMIZERS:
-        raise ValueError(f"unknown optimizer {cfg.optimizer!r}")
     phi = np.asarray(phi, dtype=float)
     d = phi.shape[2]
     phi_flat = phi.reshape(-1, d)

@@ -114,8 +114,7 @@ def fit_classifier(spec: ClassifierSpec, states, actions,
         raise ValueError(f"unknown classifier kind {spec.kind!r}")
 
     probs = floor_and_renormalize(probs, spec.prob_floor)
-    diagnostics = {"n_unvisited_states": int(np.sum(state_counts == 0)), "n_train": int(s.size)}
-    return FittedClassifier(probs, diagnostics)
+    return FittedClassifier(probs, {"n_unvisited_states": int(np.sum(state_counts == 0))})
 
 
 def _cross_entropy(counts: np.ndarray, probs: np.ndarray) -> float:
@@ -155,11 +154,6 @@ def _fit_logistic(spec: ClassifierSpec, counts, state_counts, n_states, n_action
     p = np.exp(z)
     p /= p.sum(axis=1, keepdims=True)
     return p
-
-
-def log_policy(classifier: FittedClassifier) -> np.ndarray:
-    """Entrywise log of the fitted policy; flooring keeps it finite."""
-    return np.log(classifier.probs)
 
 
 def fit_regressor(spec: RegressorSpec, states, actions, next_states,

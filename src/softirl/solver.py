@@ -40,7 +40,6 @@ from softirl.oracles import (
     RegressorSpec,
     fit_classifier,
     fit_regressor,
-    log_policy,
 )
 
 MAX_AUTO_K = 500
@@ -125,12 +124,6 @@ def resolve_K(K, n: int | None, gamma: float) -> int:
     return int(K)
 
 
-def _mu_table(mu, n_states: int, n_actions: int, behavior=None) -> np.ndarray:
-    if isinstance(mu, NormalizationMeasure):
-        return mu.materialize(n_states, n_actions, behavior=behavior)
-    return validate_policy(mu, n_states, n_actions)
-
-
 def _assemble(u: np.ndarray, v: np.ndarray, mu_t: np.ndarray, gamma: float):
     """Closed-form return line shared by both algorithms.
 
@@ -144,14 +137,12 @@ def _assemble(u: np.ndarray, v: np.ndarray, mu_t: np.ndarray, gamma: float):
     return r, -mu_w
 
 
-def check_normalization(r, mu) -> float:
-    """Largest per-state magnitude of the mu-integral of r."""
-    r = np.asarray(r, dtype=float)
-    mu_t = _mu_table(mu, *r.shape)
-    return float(np.max(np.abs(np.sum(mu_t * r, axis=1))))
+def check_normalization(r, mu_table) -> float:
+    """Largest per-state magnitude of the integral of r against the (S, A) mu_table."""
+    return float(np.max(np.abs(np.sum(mu_table * r, axis=1))))
 
 
-def exact_population_solver(mdp: TabularMdp, pi, mu) -> IrlSolution:
+def exact_population_solver(mdp: TabularMdp, pi, mu: NormalizationMeasure) -> IrlSolution:
     """Unique normalized maximum-likelihood solution given the true policy.
 
     Solves (I - gamma K_mu) c = -mu log(pi) densely for the state potential
@@ -162,7 +153,7 @@ def exact_population_solver(mdp: TabularMdp, pi, mu) -> IrlSolution:
         raise ValueError(
             "behavior policy has zero entries (log undefined); floor it first"
         )
-    mu_t = _mu_table(mu, mdp.n_states, mdp.n_actions, behavior=pi)
+    mu_t = mu.materialize(mdp.n_states, mdp.n_actions, behavior=pi)
     u = np.log(pi)
     kernel = state_kernel(mdp, mu_t)
     rhs = -expect_mu(mu_t, u)
@@ -218,7 +209,7 @@ def _fit_policy(cfg: SolverConfig, data, n_train: int):
         )
     freq = joint_frequency(states, actions, n_states, n_actions)
     diag.kappa_hat = _empirical_kappa(freq, mu_t, diag.warnings)
-    return log_policy(clf), mu_t, diag
+    return np.log(clf.probs), mu_t, diag  # the floor keeps the log finite
 
 
 def _fitted_fixed_point(cfg: SolverConfig, u, mu_t, k_steps: int, fit, folds: int,

@@ -25,8 +25,6 @@ smoothing_alpha = 1.0
 
 [baseline]
 step_size = 0.05
-optimizer = adam
-schedule = constant
 max_epochs = 30
 
 [eval]
@@ -72,14 +70,20 @@ class TestRuntimeErrors:
         bad.write_text("[env]\nwidth = 2\nheight = 2\nbogus = 1\n")
         assert main(["gen-data", "--config", str(bad)]) == 2
 
-    @pytest.mark.parametrize("line, bad, where", [
-        ("width = 2", "width = 8x", "[env] width"),
-        ("mu = uniform", "mu = uniform\nsplit = maybe", "[solver] split"),
-    ], ids=["env-width", "solver-split"])
-    def test_malformed_value_names_its_key(self, tmp_path, capsys, line, bad, where):
+    @pytest.mark.parametrize("line, bad, where, command", [
+        ("width = 2", "width = 8x", "[env] width", ["gen-data"]),
+        ("mu = uniform", "mu = uniform\nsplit = maybe", "[solver] split", ["gen-data"]),
+        # an action index out of [0, 5) is a config error, before any data or solution is read
+        ("name = tiny", "name = tiny\nref_action = 7", "[eval] ref_action", ["eval", "sol"]),
+        ("name = tiny", "name = tiny\nref_action = 7", "[eval] ref_action", ["reproduce"]),
+        ("mu = uniform", "mu = point-mass\nmu_ref_action = -1", "[solver] mu_ref_action",
+         ["gen-data"]),
+    ], ids=["env-width", "solver-split", "eval-ref-action", "reproduce-ref-action",
+            "solver-mu-ref-action"])
+    def test_malformed_value_names_its_key(self, tmp_path, capsys, line, bad, where, command):
         path = tmp_path / "malformed.ini"
         path.write_text(TINY_CONFIG.replace(line, bad))
-        assert main(["gen-data", "--config", str(path)]) == 2
+        assert main([*command, "--config", str(path), "--quiet"]) == 2
         assert f"{where}: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("section, key, value", [

@@ -30,14 +30,14 @@ def small_spec(**kw):
 
 class TestBuildEnv:
     def test_torus_4x4_shape_and_determinism_of_kernel(self):
-        mdp, r, fmap = build_env(GridworldSpec(4, 4, topology="torus",
-                                               reward_kind="linear", seed=0,
-                                               min_action_prob=0.0))
+        mdp, r, phi = build_env(GridworldSpec(4, 4, topology="torus",
+                                              reward_kind="linear", seed=0,
+                                              min_action_prob=0.0))
         assert mdp.n_states == 16 and mdp.n_actions == 5
         # deterministic moves: every row is one-hot
         assert np.all(np.isin(mdp.transition, (0.0, 1.0)))
         assert r.shape == (16, 5)
-        assert fmap.phi.shape[:2] == (16, 5)
+        assert phi.shape[:2] == (16, 5)
 
     def test_bounded_corner_is_noop(self):
         mdp, _, _ = build_env(GridworldSpec(8, 8, topology="bounded", seed=0,
@@ -52,16 +52,23 @@ class TestBuildEnv:
         mdp2, r2, f2 = build_env(spec)
         assert np.array_equal(mdp1.transition, mdp2.transition)
         assert np.array_equal(r1, r2)
-        assert np.array_equal(f1.phi, f2.phi)
+        assert np.array_equal(f1, f2)
 
     def test_zero_size_grid_rejected(self):
         with pytest.raises(ValueError):
             build_env(small_spec(width=0))
 
     def test_tabular_features_are_one_hot(self):
-        _, _, fmap = build_env(small_spec())
-        assert fmap.phi.shape[2] == 9 * 5
-        assert_allclose(fmap.phi.reshape(45, 45), np.eye(45))
+        _, _, phi = build_env(small_spec())
+        assert phi.shape[2] == 9 * 5
+        assert_allclose(phi.reshape(45, 45), np.eye(45))
+
+    @pytest.mark.parametrize("reward_kind", ["linear", "tabular-linear", "nonlinear"])
+    def test_features_are_read_only(self, reward_kind):
+        _, _, phi = build_env(small_spec(reward_kind=reward_kind))
+        assert not phi.flags.writeable
+        with pytest.raises(ValueError):
+            phi[0, 0, 0] = 1.0
 
     def test_min_action_prob_guard(self):
         mdp, r, _ = build_env(small_spec(min_action_prob=0.05, reward_scale=10.0))

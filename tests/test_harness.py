@@ -30,8 +30,6 @@ smoothing_alpha = 1.0
 
 [baseline]
 step_size = 0.05
-optimizer = adam
-schedule = constant
 max_epochs = 40
 patience = 20
 
@@ -50,8 +48,7 @@ def tiny_experiment(**kw):
                           min_action_prob=0.05),
         n=3000,
         solver=SolverConfig(gamma=0.9, classifier=ClassifierSpec(smoothing_alpha=1.0)),
-        baseline=MaxEntConfig(step_size=0.05, optimizer="adam", schedule="constant",
-                              max_epochs=40, patience=20),
+        baseline=MaxEntConfig(step_size=0.05, max_epochs=40, patience=20),
         reruns=2,
         base_seed=1,
         name="tiny",
@@ -69,7 +66,7 @@ class TestParseConfig:
         assert cfg.env.width == 2 and cfg.env.gamma == 0.9
         assert cfg.solver.K == "auto"
         assert cfg.solver.classifier.smoothing_alpha == 1.0
-        assert cfg.baseline.optimizer == "adam"
+        assert cfg.baseline.step_size == 0.05 and cfg.baseline.patience == 20
         assert cfg.n == 3000 and cfg.reruns == 2 and cfg.name == "tiny"
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -93,9 +90,24 @@ class TestParseConfig:
         cfg = parse_config(path)
         assert cfg.env.topology == "bounded"
         assert cfg.solver.mu.kind == "uniform"
-        assert cfg.baseline.optimizer == "adam"
+        assert cfg.baseline.max_epochs == 150
         assert cfg.name == "ident"
         assert cfg == builtin_experiment("ident")
+
+    def test_readme_key_list_matches_the_key_table(self):
+        import re
+        from pathlib import Path
+
+        from softirl.harness import _KEYS
+
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split("Every accepted key, by section", 1)[1].split("\n\n")[1]
+        listed = {}
+        for bullet in re.split(r"^- ", block, flags=re.M)[1:]:
+            section = re.match(r"`\[(\w+)\]`", bullet).group(1)
+            # keys are lower-case; the (`GridworldSpec`)-style owner names are not
+            listed[section] = set(re.findall(r"`([a-z][a-z0-9_]*)`", bullet))
+        assert listed == {section: set(table) for section, table in _KEYS.items()}
 
     def test_every_key_parses_to_its_declared_type(self, tmp_path):
         from dataclasses import fields
@@ -107,7 +119,7 @@ class TestParseConfig:
 
         assert targets("env") == {f.name for f in fields(GridworldSpec)}
         assert targets("baseline") == {f.name for f in fields(MaxEntConfig)}
-        assert sum(len(table) for table in _KEYS.values()) == 34
+        assert sum(len(table) for table in _KEYS.values()) == 32
         # "1" is a valid int, float, str and boolean, so only the declared type decides
         text = "".join(f"[{name}]\n" + "".join(f"{key} = 1\n" for key in table)
                        for name, table in _KEYS.items())
@@ -176,7 +188,7 @@ class TestRunExperiment:
         clean = capsys.readouterr()
         # rerun 1's ascent raises at its third gradient, inside the lockstep
         # fit; rerun 3 fails earlier, in its Ours solve
-        mdp, r_true, fmap = build_env(cfg.env)
+        mdp, r_true, phi = build_env(cfg.env)
         pi = expert_policy(mdp, r_true)
         dataset = sample_transitions(mdp, pi, cfg.n, regime=cfg.regime,
                                      seed=cfg.base_seed + 1, env_id=cfg.name)
@@ -203,7 +215,7 @@ class TestRunExperiment:
         # warnings keep rerun order although rerun 3 failed first
         calls.clear()
         with pytest.raises(np.linalg.LinAlgError) as sequential:
-            maxent.maxent_fit(mdp, fmap.phi, dataset, cfg.baseline)
+            maxent.maxent_fit(mdp, phi, dataset, cfg.baseline)
         assert failed.err == (f"warning: rerun 1 failed: {sequential.value!r}\n"
                               "warning: rerun 3 failed: ValueError('no solution')\n")
         gone = ("rerun 1:", "rerun 3:", "1,", "3,")

@@ -123,8 +123,8 @@ class TestMaxentFit:
         mdp = random_mdp(rng, 4, 3, 0.9)
         phi = one_hot_features(4, 3)
         w = random_policy(rng, 4, 3) * rng.dirichlet(np.ones(4))[:, None]
-        fit = maxent_fit(mdp, phi, w, MaxEntConfig(step_size=0.05, optimizer="adam",
-                                                   schedule="constant", max_epochs=60))
+        fit = maxent_fit(mdp, phi, w, MaxEntConfig(step_size=0.05, max_epochs=60,
+                                                   patience=50))
         best = np.minimum.accumulate(fit.loss_trace)
         assert np.all(np.diff(best) <= 0)
         assert fit.diagnostics["best_loglik"] == -min(fit.loss_trace)
@@ -136,22 +136,19 @@ class TestMaxentFit:
         pi = expert_policy(mdp, r_true)
         ds = sample_transitions(mdp, pi, 20_000, seed=0, env_id="tiny")
         phi = one_hot_features(mdp.n_states, mdp.n_actions)
-        fit = maxent_fit(mdp, phi, ds, MaxEntConfig(step_size=0.05, optimizer="adam",
-                                                    schedule="constant",
-                                                    max_epochs=250, patience=50))
+        fit = maxent_fit(mdp, phi, ds, MaxEntConfig(step_size=0.05, max_epochs=250,
+                                                    patience=50))
         report = evaluate(mdp, r_true, pi, fit.r_hat)
         assert report.corr_qdiff >= 0.97
 
     def test_misspecified_features_underfit(self):
         spec = GridworldSpec(4, 4, topology="bounded", reward_kind="nonlinear",
                              seed=2, gamma=0.9, min_action_prob=0.03)
-        mdp, r_true, fmap = build_env(spec)
+        mdp, r_true, phi = build_env(spec)
         pi = expert_policy(mdp, r_true)
         ds = sample_transitions(mdp, pi, 20_000, seed=0, env_id="tiny")
-        fit = maxent_fit(mdp, fmap.phi, ds, MaxEntConfig(step_size=0.05,
-                                                         optimizer="adam",
-                                                         schedule="constant",
-                                                         max_epochs=150))
+        fit = maxent_fit(mdp, phi, ds, MaxEntConfig(step_size=0.05, max_epochs=150,
+                                                    patience=50))
         base = evaluate(mdp, r_true, pi, fit.r_hat)
         from softirl.solver import SolverConfig, classify_then_regress
         from softirl.oracles import ClassifierSpec
@@ -168,8 +165,6 @@ class TestMaxentFit:
         w = random_policy(rng, 3, 2) * rng.dirichlet(np.ones(3))[:, None]
         with pytest.raises(ValueError):
             maxent_fit(mdp, phi, w, MaxEntConfig(step_size=-1.0))
-        with pytest.raises(ValueError):
-            maxent_fit(mdp, phi, w, MaxEntConfig(schedule="linear"))
 
 
 class TestLockstepFit:
@@ -181,16 +176,15 @@ class TestLockstepFit:
     def _problem():
         spec = GridworldSpec(4, 4, topology="bounded", reward_kind="nonlinear",
                              seed=2, gamma=0.9, min_action_prob=0.03)
-        mdp, r_true, fmap = build_env(spec)
+        mdp, r_true, phi = build_env(spec)
         pi = expert_policy(mdp, r_true)
         datasets = [sample_transitions(mdp, pi, n, seed=seed, env_id="tiny")
                     for seed, n in ((0, 300), (1, 3000), (2, 30_000), (3, 100))]
-        return mdp, fmap.phi, datasets
+        return mdp, phi, datasets
 
     @pytest.mark.parametrize("cfg", [
-        MaxEntConfig(step_size=0.05, optimizer="adam", schedule="constant",
-                     max_epochs=80, patience=5),
-        MaxEntConfig(step_size=0.5, max_epochs=80, patience=3, tol=1e-4),
+        MaxEntConfig(step_size=0.05, max_epochs=80, patience=5),
+        MaxEntConfig(step_size=0.2, max_epochs=80, patience=3, tol=1e-4),
     ])
     def test_matches_sequential_fits(self, cfg):
         mdp, phi, datasets = self._problem()
@@ -214,8 +208,7 @@ class TestLockstepFit:
         mdp, phi, datasets = self._problem()
         weights = [joint_frequency(ds.states, ds.actions, mdp.n_states, mdp.n_actions)
                    for ds in datasets]
-        cfg = MaxEntConfig(step_size=0.05, optimizer="adam", schedule="constant",
-                           max_epochs=30, patience=5)
+        cfg = MaxEntConfig(step_size=0.05, max_epochs=30, patience=5)
         clean = maxent_fit_lockstep(mdp, phi, weights, cfg)
         real, calls = maxent._loglik_and_grad, []
 
