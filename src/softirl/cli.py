@@ -31,14 +31,15 @@ def _build_parser() -> _Parser:
                      description="Reward recovery from behavior data, plus benchmarks.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config_required=True):
+    def add_common(p, config_required=True, seed=False):
         p.add_argument("--config", required=config_required, help="config file path")
-        p.add_argument("--seed", type=int, default=None, help="seed override")
+        if seed:  # only the commands that sample a dataset read it
+            p.add_argument("--seed", type=int, default=None, help="seed override")
         p.add_argument("--out", default=None, help="output file or directory")
         p.add_argument("--quiet", action="store_true")
 
     p = sub.add_parser("gen-data", help="sample a transition dataset from an environment")
-    add_common(p)
+    add_common(p, seed=True)
     p = sub.add_parser("solve", help="recover reward/value tables from a dataset")
     p.add_argument("dataset", help="dataset file")
     add_common(p)
@@ -52,11 +53,11 @@ def _build_parser() -> _Parser:
                                          "--config file describes, end to end")
     p.add_argument("name", nargs="?", choices=BUILTIN_NAMES)
     p.add_argument("--reruns", type=int, default=None)
-    add_common(p, config_required=False)
+    add_common(p, config_required=False, seed=True)
     p = sub.add_parser("diagnose", help="emit per-iteration solver diagnostics as CSV; "
                                         "traces the full-sample estimator, so split = true "
                                         "is not traced")
-    add_common(p)
+    add_common(p, seed=True)
     return parser
 
 

@@ -114,11 +114,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, quiet: bool = False):
         except Exception as exc:  # noqa: BLE001 - rerun isolation is the contract
             errors[rerun] = exc
 
-    try:
-        fits = maxent_fit_lockstep(mdp, phi, [freq for freq, _, _ in solved.values()],
-                                   cfg.baseline)
-    except Exception as exc:  # noqa: BLE001 - a config error fails every rerun alike
-        fits = [exc] * len(solved)
+    fits = maxent_fit_lockstep(mdp, phi, [freq for freq, _, _ in solved.values()], cfg.baseline)
     reports = {}
     for (rerun, (_, weights, ours)), fit in zip(solved.items(), fits):
         try:
@@ -277,8 +273,11 @@ def _experiment(sections) -> ExperimentConfig:
     solver = SolverConfig(gamma=env.gamma, mu=NormalizationMeasure(**kwargs["mu"]),
                           classifier=ClassifierSpec(**kwargs["classifier"]),
                           regressor=RegressorSpec(**kwargs["regressor"]), **kwargs["solver"])
-    return ExperimentConfig(env=env, solver=solver, baseline=MaxEntConfig(**kwargs["baseline"]),
-                            **kwargs["eval"])
+    try:
+        baseline = MaxEntConfig(**kwargs["baseline"])
+    except ValueError as exc:  # its message starts with the field, which is the key
+        raise ValueError(f"[baseline] {exc}") from None
+    return ExperimentConfig(env=env, solver=solver, baseline=baseline, **kwargs["eval"])
 
 
 def parse_config(path) -> ExperimentConfig:

@@ -5,9 +5,10 @@ r_theta = <theta, phi> is maximized directly. The gradient is exact: the
 Q-sensitivity dQ solves the linear fixed point dQ = phi + gamma P[pi dQ],
 and dQ^T (w - expected) takes one adjoint solve on the S x S state system
 of pi, so analytic and finite-difference gradients agree to numerical
-precision. `maxent_fit_lockstep` runs the ascents of several datasets side
-by side on one batched soft value iteration per epoch, each with the bits
-of its own `maxent_fit`.
+precision. One ascent is the generator `_ascent`: it yields each epoch's
+reward table and is sent that table's soft Bellman solution.
+`maxent_fit_lockstep` drives several ascents side by side on one batched
+soft value iteration per epoch, each with the bits of its own `maxent_fit`.
 """
 
 from __future__ import annotations
@@ -33,6 +34,12 @@ class MaxEntConfig:
     max_epochs: int = 300
     patience: int = 40
     tol: float = 1e-8
+
+    def __post_init__(self):
+        if not self.step_size > 0:
+            raise ValueError(f"step_size: must be positive, got {self.step_size}")
+        if self.max_epochs < 0:
+            raise ValueError(f"max_epochs: must be nonnegative, got {self.max_epochs}")
 
 
 @dataclass
@@ -83,101 +90,77 @@ def maxent_fit(mdp: TabularMdp, phi, data, cfg: MaxEntConfig) -> MaxEntFit:
     return fit
 
 
-class _Ascent:
-    """One likelihood ascent of a lockstep fit: its iterate, Adam moments,
-    loss trace and best iterate."""
-
-    def __init__(self, weights: np.ndarray, theta: np.ndarray):
-        self.weights = weights
-        self.theta = theta
-        self.adam_m = np.zeros_like(theta)
-        self.adam_v = np.zeros_like(theta)
-        self.grad = None
-        self.trace = []
-        self.best = None  # (loglik, theta, epoch)
-        self.stall = 0
-
-    def step(self, epoch: int, cfg: MaxEntConfig) -> None:
-        """Move theta by Adam along the clipped gradient."""
-        beta1, beta2, eps = 0.9, 0.999, 1e-8
-        grad = self.grad
-        norm = float(np.linalg.norm(grad))
-        step_dir = grad if norm <= GRAD_CLIP else grad * (GRAD_CLIP / norm)
-        self.adam_m = beta1 * self.adam_m + (1 - beta1) * step_dir
-        self.adam_v = beta2 * self.adam_v + (1 - beta2) * step_dir ** 2
-        m_hat = self.adam_m / (1 - beta1 ** epoch)
-        v_hat = self.adam_v / (1 - beta2 ** epoch)
-        self.theta = self.theta + cfg.step_size * m_hat / (np.sqrt(v_hat) + eps)
-
-    def record(self, epoch: int, ll: float, cfg: MaxEntConfig) -> bool:
-        """Log the epoch's likelihood; True once patience runs out."""
-        if epoch == 0:
-            self.trace.append(-ll)
-            self.best = (ll, self.theta.copy(), 0)
-            return False
-        if not np.isfinite(ll):
+def _ascent(mdp: TabularMdp, phi_flat: np.ndarray, weights: np.ndarray, cfg: MaxEntConfig):
+    """One ascent from theta = 0: each epoch yields r_theta, is sent its
+    (v, Q, pi), and takes one Adam step along the clipped gradient. Returns
+    the best-likelihood iterate once `patience` epochs bring no `tol` gain
+    or `max_epochs` steps are taken."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    theta = np.zeros(phi_flat.shape[1])
+    adam_m, adam_v = np.zeros_like(theta), np.zeros_like(theta)
+    trace, stall = [], 0
+    for epoch in range(cfg.max_epochs + 1):
+        if epoch:
+            norm = float(np.linalg.norm(grad))
+            step_dir = grad if norm <= GRAD_CLIP else grad * (GRAD_CLIP / norm)
+            adam_m = beta1 * adam_m + (1 - beta1) * step_dir
+            adam_v = beta2 * adam_v + (1 - beta2) * step_dir ** 2
+            m_hat = adam_m / (1 - beta1 ** epoch)
+            v_hat = adam_v / (1 - beta2 ** epoch)
+            theta = theta + cfg.step_size * m_hat / (np.sqrt(v_hat) + eps)
+        _, _, pi = yield (phi_flat @ theta).reshape(weights.shape)
+        ll, grad = _loglik_and_grad(mdp, phi_flat, weights, pi)
+        if epoch and not np.isfinite(ll):
             raise RuntimeError(f"likelihood became non-finite at epoch {epoch}; "
-                               f"loss trace: {self.trace}")
-        self.trace.append(-ll)
-        if ll > self.best[0] + cfg.tol:
-            self.best = (ll, self.theta.copy(), epoch)
-            self.stall = 0
-            return False
-        self.stall += 1
-        return self.stall >= cfg.patience
-
-    def fit(self, phi_flat: np.ndarray, shape) -> MaxEntFit:
-        ll, theta, epoch = self.best
-        return MaxEntFit(theta, (phi_flat @ theta).reshape(shape), self.trace, epoch,
-                         {"best_loglik": ll, "epochs_run": len(self.trace) - 1})
+                               f"loss trace: {trace}")
+        trace.append(-ll)
+        if epoch == 0 or ll > best[0] + cfg.tol:
+            best, stall = (ll, theta.copy(), epoch), 0
+        else:
+            stall += 1
+            if stall >= cfg.patience:
+                break
+    ll, theta, epoch = best
+    return MaxEntFit(theta, (phi_flat @ theta).reshape(weights.shape), trace, epoch,
+                     {"best_loglik": ll, "epochs_run": len(trace) - 1})
 
 
 def maxent_fit_lockstep(mdp: TabularMdp, phi, weights: list, cfg: MaxEntConfig) -> list:
     """`maxent_fit` for several joint (S, A) frequency tables at once.
 
-    The ascents run in lockstep: each epoch solves the soft Bellman equation
-    of every running ascent in one batched soft value iteration, and each
-    ascent does the arithmetic of its own `maxent_fit` and stops at its own
-    epoch. The tables are used as given, not renormalized. Returns, per
-    table, its MaxEntFit or the exception its ascent raised.
+    Each epoch stacks the reward tables of the running ascents into one
+    soft value iteration, warm-started from each ascent's last v, and sends
+    each ascent its own (v, Q, pi), so each stops at its own epoch with the
+    bits it has alone. The tables are used as given, not renormalized.
+    Returns, per table, its MaxEntFit or the exception its ascent raised.
     """
-    if cfg.step_size <= 0:
-        raise ValueError("step_size must be positive")
-    phi = np.asarray(phi, dtype=float)
-    d = phi.shape[2]
-    phi_flat = phi.reshape(-1, d)
-    shape = (mdp.n_states, mdp.n_actions)
-    ascents = [_Ascent(w, np.zeros(d)) for w in weights]
-    errors, v_warm = {}, {}
-    running = list(range(len(ascents)))
-    for epoch in range(cfg.max_epochs + 1):
-        rewards = {}
-        for i in running:
-            try:
-                if epoch:
-                    ascents[i].step(epoch, cfg)
-                rewards[i] = (phi_flat @ ascents[i].theta).reshape(shape)
-            except Exception as exc:  # noqa: BLE001 - each ascent fails alone
-                errors[i] = exc
-        if not rewards:
-            break
-        v0 = np.stack([v_warm[i] for i in rewards]) if epoch else None
-        solved = _soft_value_iteration(mdp, np.stack(list(rewards.values())), VI_TOL, v0)
-        running = []
-        for i, result in zip(rewards, solved):
+    phi_flat = np.asarray(phi, dtype=float).reshape(mdp.n_states * mdp.n_actions, -1)
+    ascents = [_ascent(mdp, phi_flat, w, cfg) for w in weights]
+    results, rewards, v0 = [None] * len(ascents), {}, None
+
+    def advance(i, solved) -> bool:
+        """Send ascent i its solve; False once it has returned or raised."""
+        try:
+            rewards[i] = ascents[i].send(solved)
+            return True
+        except StopIteration as stop:
+            results[i] = stop.value
+        except Exception as exc:  # noqa: BLE001 - each ascent fails alone
+            results[i] = exc
+        return False
+
+    for i in range(len(ascents)):
+        advance(i, None)
+    while rewards:
+        batch, rewards, warm = rewards, {}, []
+        solved = _soft_value_iteration(mdp, np.stack(list(batch.values())), VI_TOL, v0)
+        for i, result in zip(batch, solved):
             if isinstance(result, Exception):
-                errors[i] = result
-                continue
-            v, _, pi = result
-            try:
-                ll, ascents[i].grad = _loglik_and_grad(mdp, phi_flat, ascents[i].weights, pi)
-                if not ascents[i].record(epoch, ll, cfg):
-                    running.append(i)
-            except Exception as exc:  # noqa: BLE001 - each ascent fails alone
-                errors[i] = exc
-            v_warm[i] = v
-    return [errors[i] if i in errors else ascent.fit(phi_flat, shape)
-            for i, ascent in enumerate(ascents)]
+                results[i] = result
+            elif advance(i, result):
+                warm.append(result[0])
+        v0 = np.stack(warm) if warm else None
+    return results
 
 
 def save_maxent(fit: MaxEntFit, out_dir) -> None:

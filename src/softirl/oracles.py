@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from softirl.mdp import softmax_actions
+
 
 @dataclass(frozen=True)
 class ClassifierSpec:
@@ -136,10 +138,7 @@ def _fit_logistic(spec: ClassifierSpec, counts, state_counts, n_states, n_action
     step = spec.learning_rate if spec.learning_rate is not None else 0.5 / (1.0 + lipschitz)
     trace = []
     for _ in range(spec.epochs):
-        logits = phi @ weights
-        z = logits - logits.max(axis=1, keepdims=True)
-        p = np.exp(z)
-        p /= p.sum(axis=1, keepdims=True)
+        p = softmax_actions(phi @ weights)
         loss = _cross_entropy(counts, np.maximum(p, 1e-300))
         loss += 0.5 * spec.l2 * float(np.sum(weights ** 2))
         if not np.isfinite(loss):
@@ -149,11 +148,7 @@ def _fit_logistic(spec: ClassifierSpec, counts, state_counts, n_states, n_action
         trace.append(loss)
         grad = phi.T @ (state_w[:, None] * p - counts / n) + spec.l2 * weights
         weights -= step * grad
-    logits = phi @ weights
-    z = logits - logits.max(axis=1, keepdims=True)
-    p = np.exp(z)
-    p /= p.sum(axis=1, keepdims=True)
-    return p
+    return softmax_actions(phi @ weights)
 
 
 def fit_regressor(spec: RegressorSpec, states, actions, next_states,

@@ -58,6 +58,13 @@ class TestUsageErrors:
     def test_no_arguments_exits_one(self):
         assert main([]) == 1
 
+    # only gen-data, diagnose and reproduce sample a dataset, so only they take a seed
+    @pytest.mark.parametrize("command", [["solve", "data.txt"], ["baseline", "data.txt"],
+                                         ["eval", "sol"]], ids=lambda c: c[0])
+    def test_seed_is_not_an_option_of_commands_that_ignore_it(self, cfg_path, capsys, command):
+        assert main([*command, "--config", cfg_path, "--seed", "3"]) == 1
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
 
 class TestRuntimeErrors:
     def test_solve_missing_dataset_exits_two(self, cfg_path, capsys):
@@ -78,8 +85,11 @@ class TestRuntimeErrors:
         ("name = tiny", "name = tiny\nref_action = 7", "[eval] ref_action", ["reproduce"]),
         ("mu = uniform", "mu = point-mass\nmu_ref_action = -1", "[solver] mu_ref_action",
          ["gen-data"]),
+        # MaxEnt's settings are checked at parse time, not by failing every rerun's fit
+        ("step_size = 0.05", "step_size = 0", "[baseline] step_size", ["reproduce"]),
+        ("max_epochs = 30", "max_epochs = -1", "[baseline] max_epochs", ["reproduce"]),
     ], ids=["env-width", "solver-split", "eval-ref-action", "reproduce-ref-action",
-            "solver-mu-ref-action"])
+            "solver-mu-ref-action", "baseline-step-size", "baseline-max-epochs"])
     def test_malformed_value_names_its_key(self, tmp_path, capsys, line, bad, where, command):
         path = tmp_path / "malformed.ini"
         path.write_text(TINY_CONFIG.replace(line, bad))

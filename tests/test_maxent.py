@@ -173,21 +173,27 @@ class TestLockstepFit:
     `maxent_fit`."""
 
     @staticmethod
-    def _problem():
+    def _problem(move_noise=0.0):
         spec = GridworldSpec(4, 4, topology="bounded", reward_kind="nonlinear",
-                             seed=2, gamma=0.9, min_action_prob=0.03)
+                             seed=2, gamma=0.9, min_action_prob=0.03, move_noise=move_noise)
         mdp, r_true, phi = build_env(spec)
         pi = expert_policy(mdp, r_true)
         datasets = [sample_transitions(mdp, pi, n, seed=seed, env_id="tiny")
                     for seed, n in ((0, 300), (1, 3000), (2, 30_000), (3, 100))]
         return mdp, phi, datasets
 
-    @pytest.mark.parametrize("cfg", [
-        MaxEntConfig(step_size=0.05, max_epochs=80, patience=5),
-        MaxEntConfig(step_size=0.2, max_epochs=80, patience=3, tol=1e-4),
+    # move_noise 0.1 makes the kernel stochastic, so each sweep applies P
+    # problem by problem instead of gathering one-hot next states
+    @pytest.mark.parametrize("cfg, move_noise", [
+        pytest.param(MaxEntConfig(step_size=0.05, max_epochs=80, patience=5), 0.0, id="cfg0"),
+        pytest.param(MaxEntConfig(step_size=0.2, max_epochs=80, patience=3, tol=1e-4), 0.0,
+                     id="cfg1"),
+        pytest.param(MaxEntConfig(step_size=0.05, max_epochs=80, patience=5), 0.1,
+                     id="cfg0-stochastic"),
     ])
-    def test_matches_sequential_fits(self, cfg):
-        mdp, phi, datasets = self._problem()
+    def test_matches_sequential_fits(self, cfg, move_noise):
+        mdp, phi, datasets = self._problem(move_noise)
+        assert (mdp._targets is None) == (move_noise > 0)
         weights = [joint_frequency(ds.states, ds.actions, mdp.n_states, mdp.n_actions)
                    for ds in datasets]
         fits = maxent_fit_lockstep(mdp, phi, weights, cfg)
@@ -202,7 +208,10 @@ class TestLockstepFit:
             # patience stops the ascents at different epochs
             assert len({fit.diagnostics["epochs_run"] for fit in fits}) >= 3
 
-    def test_a_failing_ascent_stops_alone(self, monkeypatch):
+    # epoch 0 fails at the ascent's first sent solve; its last epoch is the
+    # one where, unpatched, it returns its fit
+    @pytest.mark.parametrize("when", ["first", "middle", "last"])
+    def test_a_failing_ascent_stops_alone(self, monkeypatch, when):
         import softirl.maxent as maxent
 
         mdp, phi, datasets = self._problem()
@@ -210,18 +219,22 @@ class TestLockstepFit:
                    for ds in datasets]
         cfg = MaxEntConfig(step_size=0.05, max_epochs=30, patience=5)
         clean = maxent_fit_lockstep(mdp, phi, weights, cfg)
+        last = clean[1].diagnostics["epochs_run"]
+        fail_epoch = {"first": 0, "middle": 2, "last": last}[when]
+        assert 2 < last
         real, calls = maxent._loglik_and_grad, []
 
-        def singular_at_third_epoch(mdp, phi_flat, w, pi):
+        def singular_at_fail_epoch(mdp, phi_flat, w, pi):
             if np.array_equal(w, weights[1]):
                 calls.append(None)
-                if len(calls) == 3:
+                if len(calls) == fail_epoch + 1:
                     raise np.linalg.LinAlgError("Singular matrix")
             return real(mdp, phi_flat, w, pi)
 
-        monkeypatch.setattr(maxent, "_loglik_and_grad", singular_at_third_epoch)
+        monkeypatch.setattr(maxent, "_loglik_and_grad", singular_at_fail_epoch)
         fits = maxent_fit_lockstep(mdp, phi, weights, cfg)
         assert isinstance(fits[1], np.linalg.LinAlgError)
+        assert len(calls) == fail_epoch + 1
         for b in (0, 2, 3):
             assert np.array_equal(fits[b].theta, clean[b].theta)
             assert fits[b].loss_trace == clean[b].loss_trace
