@@ -31,7 +31,9 @@ TOPOLOGIES = ("torus", "bounded")
 REGIMES = ("iid-restart", "trajectory")
 
 _HEADER_PREFIX = "# transitions"
-_BLOCK = 2048  # records per block of the sampler's walk and of the dataset writer
+_BLOCK = 2048  # records per block of the sampler's tail walk and of the dataset writer
+_LANES = 4096  # segments per lockstep walk: ~0.5 MB of temporaries; 1k-16k time alike at 800k
+_TAIL = 32  # a lockstep step costs ~25 us at <= 64 lanes, a Python record ~0.5 us
 
 
 @dataclass(frozen=True)
@@ -54,6 +56,18 @@ class GridworldSpec:
     reward_scale: float = 2.5
     min_action_prob: float = 0.0
     move_noise: float = 0.0
+
+    def __post_init__(self):
+        for name in ("width", "height"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name}: must be at least 1, got {getattr(self, name)}")
+        if self.topology not in TOPOLOGIES:
+            raise ValueError(f"topology: must be one of {TOPOLOGIES}, got {self.topology!r}")
+        if self.reward_kind not in REWARD_KINDS:
+            raise ValueError(
+                f"reward_kind: must be one of {REWARD_KINDS}, got {self.reward_kind!r}")
+        if not 0.0 <= self.move_noise < 1.0:
+            raise ValueError(f"move_noise: must lie in [0, 1), got {self.move_noise}")
 
     @property
     def n_states(self) -> int:
@@ -167,15 +181,6 @@ def build_env(spec: GridworldSpec):
     Deterministic in the spec: the same spec always yields bit-identical
     outputs.
     """
-    if spec.width < 1 or spec.height < 1:
-        raise ValueError(f"grid must be nonempty, got {spec.width}x{spec.height}")
-    if spec.topology not in TOPOLOGIES:
-        raise ValueError(f"unknown topology {spec.topology!r}")
-    if spec.reward_kind not in REWARD_KINDS:
-        raise ValueError(f"unknown reward kind {spec.reward_kind!r}")
-    if not 0.0 <= spec.move_noise < 1.0:
-        raise ValueError("move_noise must lie in [0, 1)")
-
     targets = _move_targets(spec)
     ns = spec.n_states
     transition = np.zeros((ns, N_ACTIONS, ns))
@@ -228,6 +233,12 @@ def sample_transitions(mdp: TabularMdp, pi, n: int, init=None,
     iid-restart: the state rolls forward with probability gamma and restarts
     from `init` otherwise (the discounted occupancy sampler). trajectory: one
     long chain. `init` defaults to uniform.
+
+    Every uniform is drawn before the walk: the (n, 3) table, then one per
+    restart, in record order. The restarts cut the records into segments
+    whose first states are then known, and `_walk` advances all segments in
+    lockstep. The records are the bits a per-record `np.searchsorted` loop
+    draws from the same stream.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -245,34 +256,84 @@ def sample_transitions(mdp: TabularMdp, pi, n: int, init=None,
     init_cdf, pi_cdf, trans_cdf = (np.cumsum(p, axis=-1) for p in (init, pi, mdp.transition))
     for cdf in (init_cdf, pi_cdf, trans_cdf):
         cdf[..., -1] = np.inf
-    s = int(np.searchsorted(init_cdf, u[0, 2], side="right"))
     # Record i > 0 restarts iff u[i, 2] >= gamma (iid-restart only) and then
-    # takes the stream's next uniform, so all restart states can come first.
-    n_restarts = np.count_nonzero(u[1:, 2] >= mdp.gamma) if regime == "iid-restart" else 0
-    restart_states = iter(np.searchsorted(init_cdf, rng.random(n_restarts), side="right").tolist())
-    pi_cdf, trans_cdf = pi_cdf.tolist(), trans_cdf.tolist()
+    # takes the stream's next uniform, so every segment's first state is
+    # known before the walk.
+    restarts = (np.flatnonzero(u[1:, 2] >= mdp.gamma) + 1 if regime == "iid-restart"
+                else np.empty(0, dtype=np.intp))
+    first = np.searchsorted(init_cdf, np.append(u[0, 2], rng.random(len(restarts))), side="right")
     records = np.empty((3, n), dtype=np.int64)
-    for lo in range(0, n, _BLOCK):
-        hi = min(lo + _BLOCK, n)
-        stay = (u[lo:hi, 2] < mdp.gamma) | (regime == "trajectory")
-        stay[0] |= lo == 0
-        block_s, block_a, block_s2 = [], [], []
-        for keep, ua, us in zip(stay.tolist(), u[lo:hi, 0].tolist(), u[lo:hi, 1].tolist()):
-            if not keep:
-                s = next(restart_states)
-            a = bisect_right(pi_cdf[s], ua)
-            s2 = bisect_right(trans_cdf[s][a], us)
-            block_s.append(s)
-            block_a.append(a)
-            block_s2.append(s2)
-            s = s2
-        records[:, lo:hi] = block_s, block_a, block_s2
+    _walk(records, u, np.append(0, restarts), first, pi_cdf,
+          *_support_rows(trans_cdf, mdp.transition))
 
     meta = {"seed": seed, "env": env_id or "-", "n": n,
             "n_states": mdp.n_states, "n_actions": mdp.n_actions, "regime": regime}
     ds = TransitionDataset(*records, meta)
     ds.validate()
     return ds
+
+
+def _support_rows(trans_cdf: np.ndarray, transition: np.ndarray):
+    """Each transition CDF row cut to its support plus its last index, as
+    (S, A, W) tables of CDF values and state indices, padded with +inf.
+
+    A right-sided search stops at the first entry above u >= 0. A zero
+    mass at index 0 gives 0.0, and one further on repeats the entry before
+    it exactly, so that entry is a support index or the +inf last one: the
+    cut rows give the full rows' answer.
+    """
+    keep = transition > 0
+    keep[..., -1] = True
+    idx = np.argsort(~keep, axis=-1, kind="stable")[..., :keep.sum(axis=-1).max()]
+    cdf = np.take_along_axis(trans_cdf, idx, axis=-1)
+    cdf[~np.take_along_axis(keep, idx, axis=-1)] = np.inf
+    return cdf, idx
+
+
+def _walk(records, u, starts, first, pi_cdf, next_cdf, next_idx) -> None:
+    """Write the records of the segments that begin at `starts` in states
+    `first`, drawing with columns 0 and 1 of `u`.
+
+    Segments go longest first, `_LANES` at a time, so the live ones are a
+    prefix: step t takes record start + t of every live segment at once.
+    Once fewer than `_TAIL` are live, each finishes one record at a time
+    with `bisect` over the same rows.
+    """
+    n_actions, width = next_idx.shape[1:]
+    # the last CDF column is +inf, never <= u, so a step counts the others
+    pi_t = pi_cdf.T[:-1].copy()
+    next_t = next_cdf.reshape(-1, width).T[:-1].copy()
+    next_flat = next_idx.ravel()
+    pi_rows, cdf_rows, idx_rows = pi_cdf.tolist(), next_cdf.tolist(), next_idx.tolist()
+    lengths = np.diff(starts, append=len(u))
+    order = np.argsort(-lengths, kind="stable")
+    for group in range(0, len(order), _LANES):
+        start, length, s = (x[order[group:group + _LANES]] for x in (starts, lengths, first))
+        t, live = 0, len(start)
+        while live >= _TAIL:
+            i = start[:live] + t
+            draws = u.take(i, axis=0)
+            a = (pi_t.take(s, axis=1) <= draws[:, 0]).sum(axis=0, dtype=np.intp)
+            sa = s * n_actions + a
+            k = (next_t.take(sa, axis=1) <= draws[:, 1]).sum(axis=0, dtype=np.intp)
+            s2 = next_flat.take(sa * width + k)
+            records[0, i], records[1, i], records[2, i] = s, a, s2
+            t += 1
+            live = np.count_nonzero(length[:live] > t)
+            s = s2[:live]
+        for s, begin, stop in zip(s.tolist(), (start[:live] + t).tolist(),
+                                  (start[:live] + length[:live]).tolist()):
+            for lo in range(begin, stop, _BLOCK):
+                hi = min(lo + _BLOCK, stop)
+                block_s, block_a, block_s2 = [], [], []
+                for ua, us in zip(u[lo:hi, 0].tolist(), u[lo:hi, 1].tolist()):
+                    a = bisect_right(pi_rows[s], ua)
+                    s2 = idx_rows[s][a][bisect_right(cdf_rows[s][a], us)]
+                    block_s.append(s)
+                    block_a.append(a)
+                    block_s2.append(s2)
+                    s = s2
+                records[:, lo:hi] = block_s, block_a, block_s2
 
 
 def write_dataset(dataset: TransitionDataset, path) -> None:
@@ -289,8 +350,8 @@ def write_dataset(dataset: TransitionDataset, path) -> None:
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for lo in range(0, dataset.n, _BLOCK):
-            rows = zip(*(c[lo:lo + _BLOCK].tolist() for c in columns))
-            fh.write("".join(f"{s},{a},{s2}\n" for s, a, s2 in rows))
+            block = np.stack([c[lo:lo + _BLOCK] for c in columns], axis=1)
+            fh.write(("%d,%d,%d\n" * len(block)) % tuple(block.ravel().tolist()))
 
 
 def read_dataset(path) -> TransitionDataset:

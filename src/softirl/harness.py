@@ -265,11 +265,18 @@ def _experiment(sections) -> ExperimentConfig:
                 kwargs[target][name] = value = _coerce(value, typ)
                 if name == "ref_action" and not 0 <= value < N_ACTIONS:  # eval's and mu's
                     raise ValueError(f"{value} is not an action index in [0, {N_ACTIONS})")
+                if name == "K" and value != "auto" and value < 0:
+                    raise ValueError(f"must be nonnegative, got {value}")
+                if name == "folds" and value < 1:
+                    raise ValueError(f"must be at least 1, got {value}")
             except ValueError as exc:
                 raise ValueError(f"[{section}] {key}: {exc}") from None
     if "width" not in kwargs["env"] or "height" not in kwargs["env"]:
         raise ValueError("config [env] section must set width and height")
-    env = GridworldSpec(**kwargs["env"])
+    try:
+        env = GridworldSpec(**kwargs["env"])
+    except ValueError as exc:  # its message starts with the field, which is the key
+        raise ValueError(f"[env] {exc}") from None
     solver = SolverConfig(gamma=env.gamma, mu=NormalizationMeasure(**kwargs["mu"]),
                           classifier=ClassifierSpec(**kwargs["classifier"]),
                           regressor=RegressorSpec(**kwargs["regressor"]), **kwargs["solver"])

@@ -88,8 +88,18 @@ class TestRuntimeErrors:
         # MaxEnt's settings are checked at parse time, not by failing every rerun's fit
         ("step_size = 0.05", "step_size = 0", "[baseline] step_size", ["reproduce"]),
         ("max_epochs = 30", "max_epochs = -1", "[baseline] max_epochs", ["reproduce"]),
+        # so are the solver's iteration and fold counts and the env's values
+        ("k = auto", "k = -1", "[solver] k", ["reproduce"]),
+        ("mu = uniform", "mu = uniform\nsplit = true\nfolds = 0", "[solver] folds", ["reproduce"]),
+        ("topology = torus", "topology = cube", "[env] topology", ["reproduce"]),
+        ("reward_kind = tabular-linear", "reward_kind = cubic", "[env] reward_kind",
+         ["gen-data"]),
+        ("seed = 3", "seed = 3\nmove_noise = 1.0", "[env] move_noise", ["gen-data"]),
+        ("height = 2", "height = 0", "[env] height", ["gen-data"]),
     ], ids=["env-width", "solver-split", "eval-ref-action", "reproduce-ref-action",
-            "solver-mu-ref-action", "baseline-step-size", "baseline-max-epochs"])
+            "solver-mu-ref-action", "baseline-step-size", "baseline-max-epochs",
+            "solver-k", "solver-folds", "env-topology", "env-reward-kind", "env-move-noise",
+            "env-height"])
     def test_malformed_value_names_its_key(self, tmp_path, capsys, line, bad, where, command):
         path = tmp_path / "malformed.ini"
         path.write_text(TINY_CONFIG.replace(line, bad))

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from softirl import envs
 from softirl.envs import (
     _BLOCK,
+    _TAIL,
     GridworldSpec,
     TransitionDataset,
     build_env,
@@ -214,20 +216,32 @@ def _loop_reference(mdp, pi, n, init, regime, seed):
     return out
 
 
+def _segments(n, gamma, seed):
+    """Lengths of the restart segments the sampler walks for this seed."""
+    u2 = np.random.default_rng(seed).random((n, 3))[:, 2]
+    return np.diff(np.flatnonzero(np.append(True, u2[1:] >= gamma)), append=n)
+
+
+def _assert_matches_reference(mdp, pi, n, init, regime, seed):
+    ds = sample_transitions(mdp, pi, n, init=init, regime=regime, seed=seed)
+    want = _loop_reference(mdp, pi, n, init, regime, seed)
+    for got, ref in zip((ds.states, ds.actions, ds.next_states), want):
+        assert got.dtype == np.int64
+        assert np.array_equal(got, ref)
+
+
 class TestSamplerMatchesLoopReference:
     @staticmethod
-    def _check(name, n, regime, skewed, seed=7):
+    def _check(name, n, regime, skewed, seed=7, gamma=None):
         mdp, r_true, _ = build_env(_packaged_spec(name))
         pi = expert_policy(mdp, r_true)
+        if gamma is not None:
+            mdp = TabularMdp(mdp.transition, gamma)
         init = np.full(mdp.n_states, 1.0 / mdp.n_states)
         if skewed:  # non-uniform, with zero-mass states
             init = np.arange(mdp.n_states) % 3 * 1.0
             init /= init.sum()
-        ds = sample_transitions(mdp, pi, n, init=init, regime=regime, seed=seed)
-        want = _loop_reference(mdp, pi, n, init, regime, seed)
-        for got, ref in zip((ds.states, ds.actions, ds.next_states), want):
-            assert got.dtype == np.int64
-            assert np.array_equal(got, ref)
+        _assert_matches_reference(mdp, pi, n, init, regime, seed)
 
     @pytest.mark.parametrize("regime", ["iid-restart", "trajectory"])
     @pytest.mark.parametrize("name", ["easy", "ident", "hard", "ident-noisy"])
@@ -245,10 +259,11 @@ class TestSamplerMatchesLoopReference:
         # Ten masses of 0.1 sum to 1 - 2**-53, so a uniform of 1 - 2**-53
         # lies past every CDF entry; the stream of uniforms is replayed so
         # that such draws hit the first record, a restart and later records.
+        # With two zero-mass states after the ten, such a draw lands on the
+        # last, zero-mass state, as the clamped per-record search does.
         n, top = 3 * _BLOCK + 7, np.nextafter(1.0, 0.0)
         tenth = np.full(10, 0.1)
         assert np.cumsum(tenth)[-1] == top
-        mdp = TabularMdp(np.tile(tenth, (10, 10, 1)), 0.5)
         stream = np.random.default_rng(3).random(3 * n + n)
         stream[:3] = top
         stream[3 * n:][::7] = top
@@ -264,11 +279,51 @@ class TestSamplerMatchesLoopReference:
                 return np.array([next(self.rest) for _ in range(int(np.prod(size)))]).reshape(size)
 
         monkeypatch.setattr(np.random, "default_rng", Replay)
-        ds = sample_transitions(mdp, np.tile(tenth, (10, 1)), n, init=tenth, regime=regime)
-        want = _loop_reference(mdp, np.tile(tenth, (10, 1)), n, tenth, regime, 0)
-        assert ds.states[0] == 9 and ds.actions[0] == 9 and ds.next_states[0] == 9
-        for got, ref in zip((ds.states, ds.actions, ds.next_states), want):
-            assert np.array_equal(got, ref)
+        pi = np.tile(tenth, (12, 1))
+        for row in (tenth, np.append(tenth, [0.0, 0.0])):
+            n_states = len(row)
+            mdp = TabularMdp(np.tile(row, (n_states, 10, 1)), 0.5)
+            ds = sample_transitions(mdp, pi[:n_states], n, init=row, regime=regime)
+            want = _loop_reference(mdp, pi[:n_states], n, row, regime, 0)
+            last = n_states - 1
+            assert ds.states[0] == last and ds.actions[0] == 9 and ds.next_states[0] == last
+            for got, ref in zip((ds.states, ds.actions, ds.next_states), want):
+                assert np.array_equal(got, ref)
+
+    def test_long_segments_reach_the_tail(self):
+        # at gamma = 0.999 some segments outlive the lockstep walk by more
+        # than a block, so the record-by-record finish crosses block edges
+        n, seed = 40_000, 5
+        lengths = np.sort(_segments(n, 0.999, seed))[::-1]
+        assert len(lengths) >= _TAIL and lengths[0] - lengths[_TAIL - 1] > _BLOCK
+        self._check("ident", n, "iid-restart", skewed=False, seed=seed, gamma=0.999)
+
+    @pytest.mark.parametrize("name", ["ident", "ident-noisy"])
+    @pytest.mark.parametrize("lanes", [7, _TAIL, 50])
+    def test_more_segments_than_the_lane_cap(self, monkeypatch, lanes, name):
+        monkeypatch.setattr(envs, "_LANES", lanes)
+        assert len(_segments(3 * _BLOCK + 7, 0.97, 7)) > 3 * lanes
+        self._check(name, 3 * _BLOCK + 7, "iid-restart", skewed=True)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_live_segments_at_the_tail_threshold(self, offset):
+        # gamma is set so that exactly _TAIL + offset segments start
+        n, seed, count = 3 * _BLOCK + 7, 11, _TAIL + offset
+        u2 = np.sort(np.random.default_rng(seed).random((n, 3))[1:, 2])
+        gamma = float(u2[-(count - 1)])
+        assert len(_segments(n, gamma, seed)) == count
+        self._check("ident", n, "iid-restart", skewed=True, seed=seed, gamma=gamma)
+
+    @pytest.mark.parametrize("regime", ["iid-restart", "trajectory"])
+    def test_dense_random_kernel(self, regime):
+        # every next state has mass, so the cut rows keep all S columns
+        rng = np.random.default_rng(8)
+        n_states, n_actions = 64, 5
+        mdp = TabularMdp(rng.dirichlet(np.ones(n_states), size=(n_states, n_actions)), 0.97)
+        assert np.all(mdp.transition > 0)
+        pi = rng.dirichlet(np.ones(n_actions), size=n_states)
+        init = rng.dirichlet(np.ones(n_states))
+        _assert_matches_reference(mdp, pi, 3 * _BLOCK + 7, init, regime, seed=4)
 
 
 class TestDatasetIO:

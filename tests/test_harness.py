@@ -120,8 +120,10 @@ class TestParseConfig:
         assert targets("env") == {f.name for f in fields(GridworldSpec)}
         assert targets("baseline") == {f.name for f in fields(MaxEntConfig)}
         assert sum(len(table) for table in _KEYS.values()) == 32
-        # "1" is a valid int, float, str and boolean, so only the declared type decides
-        text = "".join(f"[{name}]\n" + "".join(f"{key} = 1\n" for key in table)
+        # "1" is a valid int, float, str and boolean, so only the declared type
+        # decides; the env keys GridworldSpec checks at parse time take valid values
+        valid = {"topology": "torus", "reward_kind": "linear", "move_noise": "0"}
+        text = "".join(f"[{name}]\n" + "".join(f"{key} = {valid.get(key, 1)}\n" for key in table)
                        for name, table in _KEYS.items())
         path = tmp_path / "cfg.ini"
         path.write_text(text)
