@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -61,16 +62,23 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _cmd_gen_data(args) -> int:
-    from softirl.envs import build_env, expert_policy, sample_transitions, write_dataset
+def _sample(args):
+    """(config, MDP, expert policy, dataset) for the commands that sample one."""
+    from softirl.envs import build_env, expert_policy, sample_transitions
     from softirl.harness import parse_config
 
     cfg = parse_config(args.config)
     seed = args.seed if args.seed is not None else cfg.base_seed
     mdp, r_true, _ = build_env(cfg.env)
     pi = expert_policy(mdp, r_true)
-    dataset = sample_transitions(mdp, pi, cfg.n, regime=cfg.regime, seed=seed,
-                                 env_id=cfg.name)
+    return cfg, mdp, pi, sample_transitions(mdp, pi, cfg.n, regime=cfg.regime, seed=seed,
+                                            env_id=cfg.name)
+
+
+def _cmd_gen_data(args) -> int:
+    from softirl.envs import write_dataset
+
+    _, _, _, dataset = _sample(args)
     out = args.out or "dataset.txt"
     write_dataset(dataset, out)
     if not args.quiet:
@@ -84,11 +92,8 @@ def _cmd_solve(args) -> int:
     from softirl.solver import classify_then_regress, save_solution, split_classify_regress
 
     cfg = parse_config(args.config)
-    dataset = read_dataset(args.dataset)
-    if cfg.solver.split:
-        solution = split_classify_regress(dataset, cfg.solver)
-    else:
-        solution = classify_then_regress(dataset, cfg.solver)
+    solve = split_classify_regress if cfg.solver.split else classify_then_regress
+    solution = solve(read_dataset(args.dataset), cfg.solver)
     out = args.out or "solution"
     save_solution(solution, out)
     if not args.quiet:
@@ -122,7 +127,7 @@ def _cmd_eval(args) -> int:
     from softirl.envs import build_env
     from softirl.harness import parse_config
     from softirl.mdp import soft_value_iteration
-    from softirl.metrics import METRIC_NAMES, evaluate
+    from softirl.metrics import evaluate
     from softirl.solver import load_solution
 
     cfg = parse_config(args.config)
@@ -132,10 +137,8 @@ def _cmd_eval(args) -> int:
     solution = load_solution(args.solution)
     report = evaluate(mdp, r_true, pi, solution.r, solution.v,
                       ref_action=cfg.ref_action, q_true=q_true)
-    lines = ["metric,value"]
-    for name in METRIC_NAMES:
-        lines.append(f"{name},{getattr(report, name):.10g}")
-    text = "\n".join(lines) + "\n"
+    text = "metric,value\n" + "".join(f"{name},{value:.10g}\n"
+                                      for name, value in report.as_dict().items())
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -154,14 +157,10 @@ def _cmd_reproduce(args) -> int:
         run_experiment,
     )
 
-    if args.config is None:
-        cfg = builtin_experiment(args.name, reruns=args.reruns, base_seed=args.seed)
-    else:
-        cfg = parse_config(args.config)
-        if args.reruns is not None:
-            cfg.reruns = args.reruns
-        if args.seed is not None:
-            cfg.base_seed = args.seed
+    overrides = {"reruns": args.reruns, "base_seed": args.seed}
+    overrides = {key: value for key, value in overrides.items() if value is not None}
+    cfg = (builtin_experiment(args.name, **overrides) if args.config is None
+           else replace(parse_config(args.config), **overrides))  # replace checks them
     out = args.out or os.path.join("results", cfg.name)
     _, summary = run_experiment(cfg, out_dir=out, quiet=args.quiet)
     table = format_markdown_table(cfg.name, summary)
@@ -172,16 +171,9 @@ def _cmd_reproduce(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
-    from softirl.envs import build_env, expert_policy, sample_transitions
-    from softirl.harness import parse_config
     from softirl.solver import classify_then_regress, exact_population_solver
 
-    cfg = parse_config(args.config)
-    seed = args.seed if args.seed is not None else cfg.base_seed
-    mdp, r_true, _ = build_env(cfg.env)
-    pi = expert_policy(mdp, r_true)
-    dataset = sample_transitions(mdp, pi, cfg.n, regime=cfg.regime, seed=seed,
-                                 env_id=cfg.name)
+    cfg, mdp, pi, dataset = _sample(args)
     solution = classify_then_regress(dataset, cfg.solver, record_iterates=True)
     exact = exact_population_solver(mdp, pi, cfg.solver.mu)
     diag = solution.diagnostics

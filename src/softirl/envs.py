@@ -150,11 +150,6 @@ def _action_block_features(spec: GridworldSpec) -> np.ndarray:
     return phi
 
 
-def _one_hot_features(spec: GridworldSpec) -> np.ndarray:
-    sa = spec.n_states * N_ACTIONS
-    return np.eye(sa).reshape(spec.n_states, N_ACTIONS, sa)
-
-
 def _nonlinear_reward(spec: GridworldSpec, rng: np.random.Generator) -> np.ndarray:
     """Sin/cos mixtures of grid coordinates with action-dependent phases.
 
@@ -197,7 +192,7 @@ def build_env(spec: GridworldSpec):
         theta = rng.normal(size=phi.shape[2])
         raw = phi @ theta
     elif spec.reward_kind == "tabular-linear":
-        phi = _one_hot_features(spec)
+        phi = np.eye(ns * N_ACTIONS).reshape(ns, N_ACTIONS, -1)
         raw = rng.uniform(-1.0, 1.0, size=(ns, N_ACTIONS))
     else:  # nonlinear truth, but only raw-coordinate features are exposed
         phi = _action_block_features(spec)

@@ -2,12 +2,12 @@
 
 A run fixes the environment (the truth), redraws the dataset per rerun with
 seed base_seed + rerun index, fits both methods, and aggregates the five
-metrics into raw.csv / summary.csv / table.md. It has two phases. First each
-rerun, in index order, samples its dataset, solves and scores Ours, and keeps
-only the dataset's joint frequency table. Then MaxEnt fits every surviving
-rerun in lockstep (`maxent_fit_lockstep`) and each fit is scored. Every
-rerun computes the bits it would alone, and rows, messages and failures are
-reported in index order, so output files are byte-reproducible.
+metrics into raw.csv / summary.csv / table.md. Each rerun is one job,
+`_rerun`: it samples, solves and scores Ours, then fits MaxEnt to the
+sample's joint frequency table and scores it; `maxent.run_lockstep` runs
+the jobs of all reruns side by side. Every rerun computes the bits it would
+alone, and rows, messages and failures are reported in index order, so
+output files are byte-reproducible.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from softirl.envs import N_ACTIONS, GridworldSpec, build_env, sample_transitions
+from softirl.envs import N_ACTIONS, REGIMES, GridworldSpec, build_env, sample_transitions
 from softirl.envs import expert_policy  # noqa: F401 - perfbench/spans.py wraps it by name here
-from softirl.maxent import MaxEntConfig, maxent_fit_lockstep
+from softirl.maxent import MaxEntConfig, ascent, run_lockstep
 from softirl.maxent import maxent_fit  # noqa: F401 - perfbench/spans.py wraps it by name here
 from softirl.metrics import METRIC_NAMES, evaluate
 from softirl.mdp import joint_frequency, soft_value_iteration
@@ -46,6 +46,9 @@ FLOAT_FMT = "%.10g"
 
 @dataclass
 class ExperimentConfig:
+    """One experiment; it also checks the solver values bounded by the
+    gridworld's N_ACTIONS actions, naming each by its path from here."""
+
     env: GridworldSpec
     n: int = 50_000
     regime: str = "iid-restart"
@@ -56,6 +59,21 @@ class ExperimentConfig:
     weighting: str = "uniform"
     ref_action: int = 0
     name: str = "experiment"
+
+    def __post_init__(self):
+        for name, choices in (("regime", REGIMES), ("weighting", WEIGHTINGS)):
+            if getattr(self, name) not in choices:
+                raise ValueError(f"{name}: must be one of {choices}, got {getattr(self, name)!r}")
+        for name in ("n", "reruns"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name}: must be at least 1, got {getattr(self, name)}")
+        for path, action in (("ref_action", self.ref_action),
+                             ("mu.ref_action", self.solver.mu.ref_action)):
+            if not 0 <= action < N_ACTIONS:
+                raise ValueError(f"{path}: {action} is not an action index in [0, {N_ACTIONS})")
+        if not self.solver.classifier.prob_floor < 1 / N_ACTIONS:
+            raise ValueError(f"classifier.prob_floor: must be below 1/{N_ACTIONS}, "
+                             f"got {self.solver.classifier.prob_floor}")
 
 
 def builtin_experiment(name: str, reruns: int | None = None,
@@ -75,20 +93,23 @@ def builtin_experiment(name: str, reruns: int | None = None,
     })
 
 
-def _sample_and_solve(cfg: ExperimentConfig, mdp, r_true, q_true, pi_exp, rerun: int):
-    """Phase one of a rerun: sample, fit and score Ours. Returns the joint
-    frequency table MaxEnt fits, the metric weights and Ours' report."""
+def _rerun(cfg: ExperimentConfig, mdp, r_true, q_true, pi_exp, phi, rerun: int):
+    """One rerun as a `run_lockstep` job: sample, solve and score Ours, then
+    fit MaxEnt to the sample's joint frequency table and score it. Returns
+    {method: report}."""
     dataset = sample_transitions(mdp, pi_exp, cfg.n, regime=cfg.regime,
                                  seed=cfg.base_seed + rerun, env_id=cfg.name)
     freq = joint_frequency(dataset.states, dataset.actions, mdp.n_states, mdp.n_actions)
     weights = None if cfg.weighting == "uniform" else freq.sum(axis=1)
-    if cfg.solver.split:
-        solution = split_classify_regress(dataset, cfg.solver)
-    else:
-        solution = classify_then_regress(dataset, cfg.solver)
+    solve = split_classify_regress if cfg.solver.split else classify_then_regress
+    solution = solve(dataset, cfg.solver)
     ours = evaluate(mdp, r_true, pi_exp, solution.r, solution.v,
                     weights=weights, ref_action=cfg.ref_action, q_true=q_true)
-    return freq, weights, ours
+    del dataset, solution  # while MaxEnt runs, a rerun holds only its table
+    fit = yield from ascent(mdp, phi, freq, cfg.baseline)
+    base = evaluate(mdp, r_true, pi_exp, fit.r_hat, weights=weights,
+                    ref_action=cfg.ref_action, q_true=q_true)
+    return {"MaxEnt": base, "Ours": ours}
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None, quiet: bool = False):
@@ -99,47 +120,24 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, quiet: bool = False):
     table [(rerun, method, metric, value)] and summary maps
     (method, metric) -> (mean, se, count).
     """
-    if cfg.reruns < 1:
-        raise ValueError("reruns must be at least 1")
-    if cfg.weighting not in WEIGHTINGS:
-        raise ValueError(f"unknown weighting {cfg.weighting!r}")
     mdp, r_true, phi = build_env(cfg.env)
     # one truth solve gives the expert policy and the Q every score compares to
     _, q_true, pi_exp = soft_value_iteration(mdp, r_true)
+    reports = run_lockstep(mdp, [_rerun(cfg, mdp, r_true, q_true, pi_exp, phi, rerun)
+                                 for rerun in range(cfg.reruns)])
 
-    solved, errors = {}, {}
-    for rerun in range(cfg.reruns):
-        try:
-            solved[rerun] = _sample_and_solve(cfg, mdp, r_true, q_true, pi_exp, rerun)
-        except Exception as exc:  # noqa: BLE001 - rerun isolation is the contract
-            errors[rerun] = exc
-
-    fits = maxent_fit_lockstep(mdp, phi, [freq for freq, _, _ in solved.values()], cfg.baseline)
-    reports = {}
-    for (rerun, (_, weights, ours)), fit in zip(solved.items(), fits):
-        try:
-            if isinstance(fit, Exception):
-                raise fit
-            base = evaluate(mdp, r_true, pi_exp, fit.r_hat, weights=weights,
-                            ref_action=cfg.ref_action, q_true=q_true)
-        except Exception as exc:  # noqa: BLE001 - rerun isolation is the contract
-            errors[rerun] = exc
-            continue
-        reports[rerun] = {"MaxEnt": base, "Ours": ours}
-
-    rows = []
-    failures = []
-    for rerun in range(cfg.reruns):
-        if rerun in errors:
-            failures.append((rerun, repr(errors[rerun])))
+    rows, failures = [], []
+    for rerun, report in enumerate(reports):
+        if isinstance(report, Exception):
+            failures.append((rerun, repr(report)))
             if not quiet:
-                print(f"warning: rerun {rerun} failed: {errors[rerun]!r}", file=sys.stderr)
+                print(f"warning: rerun {rerun} failed: {report!r}", file=sys.stderr)
             continue
         for method in ("MaxEnt", "Ours"):
-            for metric, value in reports[rerun][method].as_dict().items():
+            for metric, value in report[method].as_dict().items():
                 rows.append((rerun, method, metric, value))
         if not quiet:
-            ours = reports[rerun]["Ours"]
+            ours = report["Ours"]
             print(f"rerun {rerun}: Ours corr={ours.corr_qdiff:.4f} kl={ours.kl:.5f}")
 
     n_ok = cfg.reruns - len(failures)
@@ -249,10 +247,26 @@ _KEYS = {
 }
 
 
+_KEY_OF = {(target, name): f"[{section}] {key}"
+           for section, table in _KEYS.items() for key, (target, name, _) in table.items()}
+
+
+def _build(target: str, cls, **kwargs):
+    """cls(**kwargs), whose check messages start with a field's path from
+    `target`, with that path renamed to the config key that sets it."""
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        path, _, reason = str(exc).partition(": ")
+        owner, _, name = path.rpartition(".")
+        raise ValueError(f"{_KEY_OF[owner or target, name]}: {reason}") from None
+
+
 def _experiment(sections) -> ExperimentConfig:
     """Build an ExperimentConfig from {section: {key: value}} through `_KEYS`;
-    unknown sections and keys are errors. The solver discounts with the
-    env's gamma, the one every score uses."""
+    unknown sections and keys are errors, and so is a value its spec
+    rejects. The solver discounts with the env's gamma, the one every score
+    uses."""
     kwargs = defaultdict(dict)
     for section, items in sections.items():
         if section not in _KEYS:
@@ -262,29 +276,20 @@ def _experiment(sections) -> ExperimentConfig:
                 raise ValueError(f"unknown [{section}] key {key!r}")
             target, name, typ = _KEYS[section][key]
             try:
-                kwargs[target][name] = value = _coerce(value, typ)
-                if name == "ref_action" and not 0 <= value < N_ACTIONS:  # eval's and mu's
-                    raise ValueError(f"{value} is not an action index in [0, {N_ACTIONS})")
-                if name == "K" and value != "auto" and value < 0:
-                    raise ValueError(f"must be nonnegative, got {value}")
-                if name == "folds" and value < 1:
-                    raise ValueError(f"must be at least 1, got {value}")
+                kwargs[target][name] = _coerce(value, typ)
             except ValueError as exc:
                 raise ValueError(f"[{section}] {key}: {exc}") from None
     if "width" not in kwargs["env"] or "height" not in kwargs["env"]:
         raise ValueError("config [env] section must set width and height")
-    try:
-        env = GridworldSpec(**kwargs["env"])
-    except ValueError as exc:  # its message starts with the field, which is the key
-        raise ValueError(f"[env] {exc}") from None
-    solver = SolverConfig(gamma=env.gamma, mu=NormalizationMeasure(**kwargs["mu"]),
-                          classifier=ClassifierSpec(**kwargs["classifier"]),
-                          regressor=RegressorSpec(**kwargs["regressor"]), **kwargs["solver"])
-    try:
-        baseline = MaxEntConfig(**kwargs["baseline"])
-    except ValueError as exc:  # its message starts with the field, which is the key
-        raise ValueError(f"[baseline] {exc}") from None
-    return ExperimentConfig(env=env, solver=solver, baseline=baseline, **kwargs["eval"])
+    env = _build("env", GridworldSpec, **kwargs["env"])
+    solver = _build("solver", SolverConfig, gamma=env.gamma,
+                    mu=_build("mu", NormalizationMeasure, **kwargs["mu"]),
+                    classifier=_build("classifier", ClassifierSpec, **kwargs["classifier"]),
+                    regressor=_build("regressor", RegressorSpec, **kwargs["regressor"]),
+                    **kwargs["solver"])
+    baseline = _build("baseline", MaxEntConfig, **kwargs["baseline"])
+    return _build("eval", ExperimentConfig, env=env, solver=solver, baseline=baseline,
+                  **kwargs["eval"])
 
 
 def parse_config(path) -> ExperimentConfig:

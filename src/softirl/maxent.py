@@ -5,10 +5,10 @@ r_theta = <theta, phi> is maximized directly. The gradient is exact: the
 Q-sensitivity dQ solves the linear fixed point dQ = phi + gamma P[pi dQ],
 and dQ^T (w - expected) takes one adjoint solve on the S x S state system
 of pi, so analytic and finite-difference gradients agree to numerical
-precision. One ascent is the generator `_ascent`: it yields each epoch's
-reward table and is sent that table's soft Bellman solution.
-`maxent_fit_lockstep` drives several ascents side by side on one batched
-soft value iteration per epoch, each with the bits of its own `maxent_fit`.
+precision. One ascent is the generator `ascent`: it yields each epoch's
+reward table and is sent that table's soft Bellman solution. `run_lockstep`
+drives such jobs side by side on one batched soft value iteration per round,
+each with the bits it has alone; `maxent_fit` drives one ascent.
 """
 
 from __future__ import annotations
@@ -80,21 +80,13 @@ def _loglik_and_grad(mdp: TabularMdp, phi_flat: np.ndarray, weights: np.ndarray,
     return ll, phi_flat.T @ (b + mdp.gamma * pi * y[:, None]).reshape(-1)
 
 
-def maxent_fit(mdp: TabularMdp, phi, data, cfg: MaxEntConfig) -> MaxEntFit:
-    """Clipped Adam ascent on the conditional likelihood; returns the
-    best-likelihood iterate."""
-    weights = _data_weights(data, mdp.n_states, mdp.n_actions)
-    (fit,) = maxent_fit_lockstep(mdp, phi, [weights], cfg)
-    if isinstance(fit, Exception):
-        raise fit
-    return fit
-
-
-def _ascent(mdp: TabularMdp, phi_flat: np.ndarray, weights: np.ndarray, cfg: MaxEntConfig):
-    """One ascent from theta = 0: each epoch yields r_theta, is sent its
-    (v, Q, pi), and takes one Adam step along the clipped gradient. Returns
-    the best-likelihood iterate once `patience` epochs bring no `tol` gain
-    or `max_epochs` steps are taken."""
+def ascent(mdp: TabularMdp, phi, weights: np.ndarray, cfg: MaxEntConfig):
+    """One ascent on the joint (S, A) frequency table `weights`, used as
+    given, from theta = 0: each epoch yields r_theta, is sent its (v, Q, pi),
+    and takes one Adam step along the clipped gradient. Returns the
+    best-likelihood iterate once `patience` epochs bring no `tol` gain or
+    `max_epochs` steps are taken."""
+    phi_flat = np.asarray(phi, dtype=float).reshape(mdp.n_states * mdp.n_actions, -1)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     theta = np.zeros(phi_flat.shape[1])
     adam_m, adam_v = np.zeros_like(theta), np.zeros_like(theta)
@@ -125,31 +117,27 @@ def _ascent(mdp: TabularMdp, phi_flat: np.ndarray, weights: np.ndarray, cfg: Max
                      {"best_loglik": ll, "epochs_run": len(trace) - 1})
 
 
-def maxent_fit_lockstep(mdp: TabularMdp, phi, weights: list, cfg: MaxEntConfig) -> list:
-    """`maxent_fit` for several joint (S, A) frequency tables at once.
-
-    Each epoch stacks the reward tables of the running ascents into one
-    soft value iteration, warm-started from each ascent's last v, and sends
-    each ascent its own (v, Q, pi), so each stops at its own epoch with the
-    bits it has alone. The tables are used as given, not renormalized.
-    Returns, per table, its MaxEntFit or the exception its ascent raised.
-    """
-    phi_flat = np.asarray(phi, dtype=float).reshape(mdp.n_states * mdp.n_actions, -1)
-    ascents = [_ascent(mdp, phi_flat, w, cfg) for w in weights]
-    results, rewards, v0 = [None] * len(ascents), {}, None
+def run_lockstep(mdp: TabularMdp, jobs: list) -> list:
+    """Run jobs, generators such as `ascent` that yield reward tables and
+    are sent each table's (v, Q, pi). Each round stacks the pending tables
+    into one soft value iteration at VI_TOL, warm-started from each job's
+    last v, so each job gets the bits it would alone. Returns, per job, the
+    value it returns or the exception it raises; a job whose solve comes
+    back as a RuntimeError gets that error and is closed."""
+    results, rewards, v0 = [None] * len(jobs), {}, None
 
     def advance(i, solved) -> bool:
-        """Send ascent i its solve; False once it has returned or raised."""
+        """Send job i its solve; False once it has returned or raised."""
         try:
-            rewards[i] = ascents[i].send(solved)
+            rewards[i] = jobs[i].send(solved)
             return True
         except StopIteration as stop:
             results[i] = stop.value
-        except Exception as exc:  # noqa: BLE001 - each ascent fails alone
+        except Exception as exc:  # noqa: BLE001 - each job fails alone
             results[i] = exc
         return False
 
-    for i in range(len(ascents)):
+    for i in range(len(jobs)):
         advance(i, None)
     while rewards:
         batch, rewards, warm = rewards, {}, []
@@ -157,10 +145,21 @@ def maxent_fit_lockstep(mdp: TabularMdp, phi, weights: list, cfg: MaxEntConfig) 
         for i, result in zip(batch, solved):
             if isinstance(result, Exception):
                 results[i] = result
+                jobs[i].close()
             elif advance(i, result):
                 warm.append(result[0])
         v0 = np.stack(warm) if warm else None
     return results
+
+
+def maxent_fit(mdp: TabularMdp, phi, data, cfg: MaxEntConfig) -> MaxEntFit:
+    """Clipped Adam ascent on the conditional likelihood; returns the
+    best-likelihood iterate."""
+    weights = _data_weights(data, mdp.n_states, mdp.n_actions)
+    (fit,) = run_lockstep(mdp, [ascent(mdp, phi, weights, cfg)])
+    if isinstance(fit, Exception):
+        raise fit
+    return fit
 
 
 def save_maxent(fit: MaxEntFit, out_dir) -> None:

@@ -16,6 +16,9 @@ import numpy as np
 
 from softirl.mdp import softmax_actions
 
+CLASSIFIER_KINDS = ("tabular-count", "multinomial-logistic")
+REGRESSOR_KINDS = ("tabular-mean", "ridge")
+
 
 @dataclass(frozen=True)
 class ClassifierSpec:
@@ -36,6 +39,14 @@ class ClassifierSpec:
     tol: float = 1e-9
     state_features: np.ndarray | None = None
 
+    def __post_init__(self):
+        if self.kind not in CLASSIFIER_KINDS:
+            raise ValueError(f"kind: must be one of {CLASSIFIER_KINDS}, got {self.kind!r}")
+        if self.smoothing_alpha < 0:
+            raise ValueError(f"smoothing_alpha: must be nonnegative, got {self.smoothing_alpha}")
+        if not self.prob_floor > 0:
+            raise ValueError(f"prob_floor: must be positive, got {self.prob_floor}")
+
 
 @dataclass(frozen=True)
 class RegressorSpec:
@@ -49,6 +60,14 @@ class RegressorSpec:
     ridge_lambda: float = 0.0
     fallback: float = 0.0
     features: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.kind not in REGRESSOR_KINDS:
+            raise ValueError(f"kind: must be one of {REGRESSOR_KINDS}, got {self.kind!r}")
+        if self.ridge_lambda < 0:
+            raise ValueError(f"ridge_lambda: must be nonnegative, got {self.ridge_lambda}")
+        if not np.isfinite(self.fallback):
+            raise ValueError(f"fallback: must be finite, got {self.fallback}")
 
 
 @dataclass
@@ -74,12 +93,6 @@ class FittedRegressor:
     diagnostics: dict = field(default_factory=dict)
 
 
-def floor_and_renormalize(probs: np.ndarray, floor: float) -> np.ndarray:
-    """Clamp rows at `floor` and renormalize; keeps every entry >= floor / 2."""
-    p = np.maximum(np.asarray(probs, dtype=float), floor)
-    return p / p.sum(axis=1, keepdims=True)
-
-
 def _check_fit_inputs(states, actions, n_states, n_actions):
     s = np.asarray(states, dtype=np.int64)
     a = np.asarray(actions, dtype=np.int64)
@@ -95,33 +108,26 @@ def _check_fit_inputs(states, actions, n_states, n_actions):
 def fit_classifier(spec: ClassifierSpec, states, actions,
                    n_states: int, n_actions: int) -> FittedClassifier:
     """Estimate the behavior policy pi(a|s) from observed (s, a) pairs."""
-    if not 0.0 < spec.prob_floor < 1.0 / n_actions:
-        raise ValueError(f"prob_floor must lie in (0, 1/{n_actions})")
+    if not spec.prob_floor < 1.0 / n_actions:
+        raise ValueError(f"prob_floor must lie below 1/{n_actions}")
     s, a = _check_fit_inputs(states, actions, n_states, n_actions)
     counts = np.bincount(s * n_actions + a,
                          minlength=n_states * n_actions).reshape(n_states, n_actions)
     state_counts = counts.sum(axis=1)
 
     if spec.kind == "tabular-count":
-        if spec.smoothing_alpha < 0:
-            raise ValueError("smoothing_alpha must be nonnegative")
         alpha = spec.smoothing_alpha
         denom = state_counts + alpha * n_actions
         probs = np.full((n_states, n_actions), 1.0 / n_actions)
         seen = denom > 0
         probs[seen] = (counts[seen] + alpha) / denom[seen, None]
-    elif spec.kind == "multinomial-logistic":
-        probs = _fit_logistic(spec, counts, state_counts, n_states, n_actions)
     else:
-        raise ValueError(f"unknown classifier kind {spec.kind!r}")
+        probs = _fit_logistic(spec, counts, state_counts, n_states, n_actions)
 
-    probs = floor_and_renormalize(probs, spec.prob_floor)
+    # a clamped row sums to under 1 + A * floor < 2, so every entry stays >= floor / 2
+    probs = np.maximum(probs, spec.prob_floor)
+    probs /= probs.sum(axis=1, keepdims=True)
     return FittedClassifier(probs, {"n_unvisited_states": int(np.sum(state_counts == 0))})
-
-
-def _cross_entropy(counts: np.ndarray, probs: np.ndarray) -> float:
-    n = counts.sum()
-    return float(-np.sum(counts * np.log(probs)) / n)
 
 
 def _fit_logistic(spec: ClassifierSpec, counts, state_counts, n_states, n_actions):
@@ -139,7 +145,7 @@ def _fit_logistic(spec: ClassifierSpec, counts, state_counts, n_states, n_action
     trace = []
     for _ in range(spec.epochs):
         p = softmax_actions(phi @ weights)
-        loss = _cross_entropy(counts, np.maximum(p, 1e-300))
+        loss = float(-np.sum(counts * np.log(np.maximum(p, 1e-300))) / n)
         loss += 0.5 * spec.l2 * float(np.sum(weights ** 2))
         if not np.isfinite(loss):
             raise RuntimeError(f"logistic training diverged; loss trace: {trace}")
@@ -162,10 +168,6 @@ def fit_regressor(spec: RegressorSpec, states, actions, next_states,
         raise ValueError("next_states must align with states/actions")
     if s2.min() < 0 or s2.max() >= n_states:
         raise ValueError("next state index out of range")
-    if not np.isfinite(spec.fallback):
-        raise ValueError("fallback must be finite")
-    if spec.ridge_lambda < 0:
-        raise ValueError("ridge_lambda must be nonnegative")
 
     n_cells = n_states * n_actions
     counts = np.bincount((s * n_actions + a) * n_states + s2, minlength=n_cells * n_states)
@@ -177,7 +179,7 @@ def fit_regressor(spec: RegressorSpec, states, actions, next_states,
     if spec.kind == "tabular-mean":
         kernel = (rows, cols, n / cnt[rows])
         offset = np.where(cnt > 0, 0.0, spec.fallback)
-    elif spec.kind == "ridge":
+    else:
         if spec.features is None:
             raise ValueError("ridge regression needs a feature table")
         phi = np.asarray(spec.features, dtype=float)
@@ -196,8 +198,6 @@ def fit_regressor(spec: RegressorSpec, states, actions, next_states,
         nonzero = np.nonzero(product)
         kernel = (*nonzero, product[nonzero])
         offset = np.zeros(n_cells)
-    else:
-        raise ValueError(f"unknown regressor kind {spec.kind!r}")
 
     diagnostics = {"n_empty_cells": int(np.sum(cnt == 0)), "n_train": int(s.size)}
     return FittedRegressor(kernel, offset, (rows, cols, n), diagnostics)

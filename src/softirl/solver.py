@@ -43,6 +43,7 @@ from softirl.oracles import (
 )
 
 MAX_AUTO_K = 500
+MEASURES = ("uniform", "point-mass", "behavior-policy")
 
 
 @dataclass(frozen=True)
@@ -51,6 +52,10 @@ class NormalizationMeasure:
 
     kind: str = "uniform"
     ref_action: int = 0
+
+    def __post_init__(self):
+        if self.kind not in MEASURES:
+            raise ValueError(f"kind: must be one of {MEASURES}, got {self.kind!r}")
 
     def materialize(self, n_states: int, n_actions: int, behavior=None) -> np.ndarray:
         if self.kind == "uniform":
@@ -61,11 +66,9 @@ class NormalizationMeasure:
             table = np.zeros((n_states, n_actions))
             table[:, self.ref_action] = 1.0
             return table
-        if self.kind == "behavior-policy":
-            if behavior is None:
-                raise ValueError("behavior-policy measure needs a realized policy table")
-            return validate_policy(behavior, n_states, n_actions)
-        raise ValueError(f"unknown normalization measure kind {self.kind!r}")
+        if behavior is None:
+            raise ValueError("behavior-policy measure needs a realized policy table")
+        return validate_policy(behavior, n_states, n_actions)
 
 
 @dataclass
@@ -77,6 +80,12 @@ class SolverConfig:
     regressor: RegressorSpec = field(default_factory=RegressorSpec)
     split: bool = False
     folds: int | None = None
+
+    def __post_init__(self):
+        if self.K != "auto" and (isinstance(self.K, str) or self.K < 0):
+            raise ValueError(f"K: must be 'auto' or nonnegative, got {self.K!r}")
+        if self.folds is not None and self.folds < 1:
+            raise ValueError(f"folds: must be at least 1, got {self.folds}")
 
 
 @dataclass
@@ -284,8 +293,6 @@ def split_classify_regress(data, cfg: SolverConfig) -> IrlSolution:
 
     k_steps = resolve_K(cfg.K, n, cfg.gamma)
     folds = cfg.folds if cfg.folds is not None else max(k_steps, 1)
-    if folds < 1:
-        raise ValueError("folds must be at least 1")
     fold_size = half // folds
     if fold_size == 0:
         raise ValueError(f"fold size is 0: half={half}, folds={folds}")

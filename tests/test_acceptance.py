@@ -222,7 +222,7 @@ def test_criterion_7_ident_rmse_band(desk_scale):
     """Stated band: Ours RMSE <= 0.05 at n=50k.
 
     A per-state multinomial log-odds estimate at 50k records over 64 states
-    has an information floor above this band (ROADMAP open item 3 gives its
+    has an information floor above this band (ROADMAP item 2 gives its
     delta-method computation; see the sample-size sweep script for the
     dependence on n), so this band is expected to fail at the pinned n; it is
     asserted as stated rather than weakened.

@@ -96,10 +96,30 @@ class TestRuntimeErrors:
          ["gen-data"]),
         ("seed = 3", "seed = 3\nmove_noise = 1.0", "[env] move_noise", ["gen-data"]),
         ("height = 2", "height = 0", "[env] height", ["gen-data"]),
+        # and so are the sampler's, measure's and oracles' values, not only
+        # inside every rerun once its data is drawn
+        ("n = 2000", "n = 0", "[eval] n", ["reproduce"]),
+        ("name = tiny", "name = tiny\nregime = chain", "[eval] regime", ["reproduce"]),
+        ("mu = uniform", "mu = median", "[solver] mu", ["reproduce"]),
+        ("mu = uniform", "mu = uniform\nclassifier_kind = forest", "[solver] classifier_kind",
+         ["reproduce"]),
+        ("smoothing_alpha = 1.0", "smoothing_alpha = -1", "[solver] smoothing_alpha",
+         ["reproduce"]),
+        ("mu = uniform", "mu = uniform\nprob_floor = 0", "[solver] prob_floor", ["reproduce"]),
+        # a floor of 1/5 or more leaves no room for the gridworld's five actions
+        ("mu = uniform", "mu = uniform\nprob_floor = 0.5", "[solver] prob_floor",
+         ["reproduce"]),
+        ("mu = uniform", "mu = uniform\nfallback = nan", "[solver] fallback", ["reproduce"]),
+        ("name = tiny", "name = tiny\nweighting = states", "[eval] weighting", ["reproduce"]),
+        ("reruns = 2", "reruns = 0", "[eval] reruns", ["reproduce"]),
+        ("mu = uniform", "mu = point-mass\nmu_ref_action = 5", "[solver] mu_ref_action",
+         ["gen-data"]),
     ], ids=["env-width", "solver-split", "eval-ref-action", "reproduce-ref-action",
             "solver-mu-ref-action", "baseline-step-size", "baseline-max-epochs",
             "solver-k", "solver-folds", "env-topology", "env-reward-kind", "env-move-noise",
-            "env-height"])
+            "env-height", "eval-n", "eval-regime", "solver-mu", "solver-classifier-kind",
+            "solver-smoothing-alpha", "solver-prob-floor", "solver-prob-floor-above-uniform",
+            "solver-fallback", "eval-weighting", "eval-reruns", "solver-mu-ref-action-above"])
     def test_malformed_value_names_its_key(self, tmp_path, capsys, line, bad, where, command):
         path = tmp_path / "malformed.ini"
         path.write_text(TINY_CONFIG.replace(line, bad))
@@ -128,6 +148,12 @@ class TestRuntimeErrors:
         assert str(err.value) == message
         assert main(["solve", str(tmp_path / "data.txt"), "--config", str(path)]) == 2
         assert message in capsys.readouterr().err
+
+    def test_reruns_override_is_checked(self, cfg_path, tmp_path, capsys):
+        out = str(tmp_path / "res")
+        assert main(["reproduce", "--config", cfg_path, "--out", out, "--reruns", "0"]) == 2
+        assert "reruns: must be at least 1, got 0" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     def test_misspelled_section_is_unknown(self, tmp_path, capsys):
         from softirl.harness import parse_config

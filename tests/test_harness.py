@@ -121,8 +121,10 @@ class TestParseConfig:
         assert targets("baseline") == {f.name for f in fields(MaxEntConfig)}
         assert sum(len(table) for table in _KEYS.values()) == 32
         # "1" is a valid int, float, str and boolean, so only the declared type
-        # decides; the env keys GridworldSpec checks at parse time take valid values
-        valid = {"topology": "torus", "reward_kind": "linear", "move_noise": "0"}
+        # decides; the keys whose values are checked at parse time take valid ones
+        valid = {"topology": "torus", "reward_kind": "linear", "move_noise": "0",
+                 "mu": "uniform", "classifier_kind": "tabular-count", "prob_floor": "0.1",
+                 "regime": "iid-restart", "weighting": "uniform"}
         text = "".join(f"[{name}]\n" + "".join(f"{key} = {valid.get(key, 1)}\n" for key in table)
                        for name, table in _KEYS.items())
         path = tmp_path / "cfg.ini"
@@ -178,6 +180,83 @@ class TestRunExperiment:
         with pytest.raises((RuntimeError, ValueError)):
             run_experiment(cfg, quiet=True)
 
+    def test_each_rerun_has_the_bits_of_its_run_alone(self):
+        from softirl.envs import build_env, sample_transitions
+        from softirl.maxent import maxent_fit
+        from softirl.mdp import soft_value_iteration
+        from softirl.metrics import evaluate
+        from softirl.solver import classify_then_regress
+
+        cfg = tiny_experiment(reruns=3)
+        rows, _ = run_experiment(cfg, quiet=True)
+        mdp, r_true, phi = build_env(cfg.env)
+        _, q_true, pi = soft_value_iteration(mdp, r_true)
+        alone = []
+        for rerun in range(cfg.reruns):
+            dataset = sample_transitions(mdp, pi, cfg.n, regime=cfg.regime,
+                                         seed=cfg.base_seed + rerun, env_id=cfg.name)
+            solution = classify_then_regress(dataset, cfg.solver)
+            fit = maxent_fit(mdp, phi, dataset, cfg.baseline)
+            reports = {"MaxEnt": evaluate(mdp, r_true, pi, fit.r_hat, q_true=q_true),
+                       "Ours": evaluate(mdp, r_true, pi, solution.r, solution.v, q_true=q_true)}
+            alone += [(rerun, method, metric, value) for method in ("MaxEnt", "Ours")
+                      for metric, value in reports[method].as_dict().items()]
+        assert rows == alone
+
+    def test_a_failed_batched_solve_fails_only_its_rerun(self, tmp_path, monkeypatch, capsys):
+        import softirl.maxent as maxent
+
+        cfg = tiny_experiment(reruns=5)  # 4 of 5 meet the 80% guard
+        run_experiment(cfg, out_dir=tmp_path / "clean", quiet=True)
+        real, rounds = maxent._soft_value_iteration, []
+        error = RuntimeError("soft value iteration did not converge")
+
+        def rerun_2_fails_in_round_3(mdp, r, tol, v0=None):
+            results = real(mdp, r, tol, v0)
+            rounds.append(len(results))
+            if len(rounds) == 3:
+                assert len(results) == cfg.reruns  # no ascent has stopped yet
+                results[2] = error
+            return results
+
+        monkeypatch.setattr(maxent, "_soft_value_iteration", rerun_2_fails_in_round_3)
+        run_experiment(cfg, out_dir=tmp_path / "failed")
+        assert capsys.readouterr().err == f"warning: rerun 2 failed: {error!r}\n"
+        assert rounds[3] == cfg.reruns - 1
+        raw = (tmp_path / "clean" / "raw.csv").read_text().splitlines(True)
+        assert (tmp_path / "failed" / "raw.csv").read_text() == "".join(
+            line for line in raw if not line.startswith("2,"))
+
+    def test_a_failing_maxent_score_drops_both_methods_of_its_rerun(self, tmp_path,
+                                                                    monkeypatch, capsys):
+        import softirl.harness as harness
+        from softirl.envs import build_env, expert_policy, sample_transitions
+        from softirl.maxent import maxent_fit
+
+        cfg = tiny_experiment(reruns=5)
+        run_experiment(cfg, out_dir=tmp_path / "clean")
+        clean = capsys.readouterr()
+        mdp, r_true, phi = build_env(cfg.env)
+        dataset = sample_transitions(mdp, expert_policy(mdp, r_true), cfg.n,
+                                     regime=cfg.regime, seed=cfg.base_seed + 3, env_id=cfg.name)
+        target = maxent_fit(mdp, phi, dataset, cfg.baseline).r_hat
+        real = harness.evaluate
+
+        def rerun_3_maxent_fails(mdp, r_true, pi, r_hat, *args, **kwargs):
+            if not args and np.array_equal(r_hat, target):  # MaxEnt passes no v_hat
+                raise ValueError("no score")
+            return real(mdp, r_true, pi, r_hat, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "evaluate", rerun_3_maxent_fails)
+        run_experiment(cfg, out_dir=tmp_path / "failed")
+        failed = capsys.readouterr()
+        assert failed.err == "warning: rerun 3 failed: ValueError('no score')\n"
+        gone = ("rerun 3:", "3,")
+        assert failed.out == "".join(line for line in clean.out.splitlines(True)
+                                     if not line.startswith(gone))
+        raw = (tmp_path / "clean" / "raw.csv").read_text().splitlines(True)
+        assert (tmp_path / "failed" / "raw.csv").read_text() == "".join(
+            line for line in raw if not line.startswith(gone))
 
     def test_failing_reruns_are_dropped_alone(self, tmp_path, monkeypatch, capsys):
         import softirl.harness as harness

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from softirl.envs import GridworldSpec, build_env, expert_policy, sample_transitions
-from softirl.maxent import MaxEntConfig, maxent_fit, maxent_fit_lockstep
+from softirl.maxent import MaxEntConfig, ascent, maxent_fit, run_lockstep
 from softirl.metrics import evaluate
 from softirl.mdp import TabularMdp, joint_frequency, soft_value_iteration
 
@@ -167,10 +167,14 @@ class TestMaxentFit:
             maxent_fit(mdp, phi, w, MaxEntConfig(step_size=-1.0))
 
 
+def fit_lockstep(mdp, phi, weights, cfg):
+    """One `ascent` per frequency table, run side by side by `run_lockstep`."""
+    return run_lockstep(mdp, [ascent(mdp, phi, w, cfg) for w in weights])
+
+
 class TestLockstepFit:
-    """`maxent_fit_lockstep` runs the ascents of several datasets on one
-    batched soft value iteration per epoch; each must equal its own
-    `maxent_fit`."""
+    """`run_lockstep` runs the ascents of several datasets on one batched
+    soft value iteration per epoch; each must equal its own `maxent_fit`."""
 
     @staticmethod
     def _problem(move_noise=0.0):
@@ -196,7 +200,7 @@ class TestLockstepFit:
         assert (mdp._targets is None) == (move_noise > 0)
         weights = [joint_frequency(ds.states, ds.actions, mdp.n_states, mdp.n_actions)
                    for ds in datasets]
-        fits = maxent_fit_lockstep(mdp, phi, weights, cfg)
+        fits = fit_lockstep(mdp, phi, weights, cfg)
         for ds, fit in zip(datasets, fits):
             want = maxent_fit(mdp, phi, ds, cfg)
             assert np.array_equal(fit.theta, want.theta)
@@ -218,7 +222,7 @@ class TestLockstepFit:
         weights = [joint_frequency(ds.states, ds.actions, mdp.n_states, mdp.n_actions)
                    for ds in datasets]
         cfg = MaxEntConfig(step_size=0.05, max_epochs=30, patience=5)
-        clean = maxent_fit_lockstep(mdp, phi, weights, cfg)
+        clean = fit_lockstep(mdp, phi, weights, cfg)
         last = clean[1].diagnostics["epochs_run"]
         fail_epoch = {"first": 0, "middle": 2, "last": last}[when]
         assert 2 < last
@@ -232,7 +236,7 @@ class TestLockstepFit:
             return real(mdp, phi_flat, w, pi)
 
         monkeypatch.setattr(maxent, "_loglik_and_grad", singular_at_fail_epoch)
-        fits = maxent_fit_lockstep(mdp, phi, weights, cfg)
+        fits = fit_lockstep(mdp, phi, weights, cfg)
         assert isinstance(fits[1], np.linalg.LinAlgError)
         assert len(calls) == fail_epoch + 1
         for b in (0, 2, 3):
