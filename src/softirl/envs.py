@@ -17,9 +17,8 @@ import numpy as np
 from softirl.mdp import (
     TabularMdp,
     _soft_policy_iteration,
+    check_distribution,
     soft_value_iteration,
-    validate_policy,
-    validate_state_distribution,
 )
 
 ACTIONS = ("stay", "up", "down", "left", "right")
@@ -239,10 +238,10 @@ def sample_transitions(mdp: TabularMdp, pi, n: int, init=None,
         raise ValueError("n must be at least 1")
     if regime not in REGIMES:
         raise ValueError(f"unknown sampling regime {regime!r}")
-    pi = validate_policy(pi, mdp.n_states, mdp.n_actions)
+    pi = check_distribution(pi, (mdp.n_states, mdp.n_actions), "pi")
     if init is None:
         init = np.full(mdp.n_states, 1.0 / mdp.n_states)
-    init = validate_state_distribution(init, mdp.n_states)
+    init = check_distribution(init, (mdp.n_states,), "init")
 
     rng = np.random.default_rng(seed)
     u = rng.random((n, 3))
@@ -383,9 +382,7 @@ def read_dataset(path) -> TransitionDataset:
         columns = _scan_records(path, body, meta["n_states"], meta["n_actions"])
     if len(columns[0]) != meta["n"]:
         raise ValueError(f"{path}: header says n={meta['n']} but found {len(columns[0])} records")
-    ds = TransitionDataset(*columns, meta)
-    ds.validate()
-    return ds
+    return TransitionDataset(*columns, meta)
 
 
 def _parse_records(body: str, n_states: int, n_actions: int):

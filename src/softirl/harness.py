@@ -17,7 +17,7 @@ import math
 import os
 import sys
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -118,8 +118,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, quiet: bool = False):
     Individual rerun failures are recorded and excluded; the run aborts if
     fewer than 80% succeed. Returns (rows, summary) where rows is the long
     table [(rerun, method, metric, value)] and summary maps
-    (method, metric) -> (mean, se, count).
+    (method, metric) -> (mean, se, count). The config is rebuilt first, so
+    a value assigned after it was built is checked before anything runs.
     """
+    cfg = replace(cfg, solver=replace(cfg.solver), baseline=replace(cfg.baseline))
     mdp, r_true, phi = build_env(cfg.env)
     # one truth solve gives the expert policy and the Q every score compares to
     _, q_true, pi_exp = soft_value_iteration(mdp, r_true)

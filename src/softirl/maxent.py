@@ -51,18 +51,6 @@ class MaxEntFit:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _data_weights(data, n_states: int, n_actions: int) -> np.ndarray:
-    if hasattr(data, "states") and hasattr(data, "actions"):
-        return joint_frequency(data.states, data.actions, n_states, n_actions)
-    w = np.asarray(data, dtype=float)
-    if w.shape != (n_states, n_actions):
-        raise ValueError(f"weight table has shape {w.shape}, expected ({n_states}, {n_actions})")
-    total = w.sum()
-    if total <= 0:
-        raise ValueError("weight table has no mass")
-    return w / total
-
-
 def _loglik_and_grad(mdp: TabularMdp, phi_flat: np.ndarray, weights: np.ndarray,
                      pi: np.ndarray):
     """Mean log-likelihood of the weights under the soft-optimal policy pi of
@@ -152,10 +140,11 @@ def run_lockstep(mdp: TabularMdp, jobs: list) -> list:
     return results
 
 
-def maxent_fit(mdp: TabularMdp, phi, data, cfg: MaxEntConfig) -> MaxEntFit:
-    """Clipped Adam ascent on the conditional likelihood; returns the
-    best-likelihood iterate."""
-    weights = _data_weights(data, mdp.n_states, mdp.n_actions)
+def maxent_fit(mdp: TabularMdp, phi, dataset, cfg: MaxEntConfig) -> MaxEntFit:
+    """Clipped Adam ascent on the conditional likelihood of a dataset's
+    (s, a) records; returns the best-likelihood iterate. A frequency table
+    goes to `ascent` directly."""
+    weights = joint_frequency(dataset.states, dataset.actions, mdp.n_states, mdp.n_actions)
     (fit,) = run_lockstep(mdp, [ascent(mdp, phi, weights, cfg)])
     if isinstance(fit, Exception):
         raise fit

@@ -24,18 +24,9 @@ class TabularMdp:
 
     def __post_init__(self):
         t = np.array(self.transition, dtype=float)
-        if t.ndim != 3 or t.shape[0] != t.shape[2]:
-            raise ValueError(f"transition must have shape (S, A, S), got {t.shape}")
-        if t.shape[0] < 1 or t.shape[1] < 1:
-            raise ValueError("need at least one state and one action")
-        if not np.all(np.isfinite(t)) or np.any(t < 0):
-            raise ValueError("transition entries must be finite and nonnegative")
-        row_err = np.max(np.abs(t.sum(axis=2) - 1.0))
-        if row_err > ROW_SUM_TOL:
-            raise ValueError(
-                f"every transition row must sum to 1 within {ROW_SUM_TOL}; "
-                f"worst deviation {row_err:.3e}"
-            )
+        if t.ndim != 3 or 0 in t.shape:
+            raise ValueError(f"transition must have shape (S, A, S) with S, A >= 1, got {t.shape}")
+        check_distribution(t, (len(t), t.shape[1], len(t)), "transition")
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError(f"gamma must lie in [0, 1), got {self.gamma}")
         t.setflags(write=False)
@@ -53,32 +44,20 @@ class TabularMdp:
         return self.transition.shape[1]
 
 
-def validate_policy(probs, n_states=None, n_actions=None) -> np.ndarray:
-    """Check that `probs` is a row-stochastic (S, A) table and return it as float."""
-    p = np.asarray(probs, dtype=float)
-    if p.ndim != 2:
-        raise ValueError(f"policy table must be 2-d, got shape {p.shape}")
-    if n_states is not None and p.shape != (n_states, n_actions):
-        raise ValueError(f"policy shape {p.shape} != ({n_states}, {n_actions})")
+def check_distribution(p, shape: tuple, what: str) -> np.ndarray:
+    """`p` as a float array, checked to have `shape`, finite nonnegative
+    entries and sums of 1 within ROW_SUM_TOL over its last axis; each
+    ValueError names the table as `what`."""
+    p = np.asarray(p, dtype=float)
+    if p.shape != shape:
+        raise ValueError(f"{what} has shape {p.shape}, expected {shape}")
     if not np.all(np.isfinite(p)) or np.any(p < 0):
-        raise ValueError("policy entries must be finite and nonnegative")
-    row_err = np.max(np.abs(p.sum(axis=1) - 1.0))
-    if row_err > ROW_SUM_TOL:
-        raise ValueError(f"policy rows must sum to 1 within {ROW_SUM_TOL}")
+        raise ValueError(f"{what} entries must be finite and nonnegative")
+    err = np.max(np.abs(p.sum(axis=-1) - 1.0))
+    if err > ROW_SUM_TOL:
+        raise ValueError(f"{what} must sum to 1 within {ROW_SUM_TOL} over its last axis; "
+                         f"worst deviation {err:.3e}")
     return p
-
-
-def validate_state_distribution(weights, n_states=None) -> np.ndarray:
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != 1:
-        raise ValueError(f"state distribution must be 1-d, got shape {w.shape}")
-    if n_states is not None and w.shape[0] != n_states:
-        raise ValueError(f"state distribution has {w.shape[0]} entries, expected {n_states}")
-    if not np.all(np.isfinite(w)) or np.any(w < 0):
-        raise ValueError("state distribution entries must be finite and nonnegative")
-    if abs(w.sum() - 1.0) > ROW_SUM_TOL:
-        raise ValueError(f"state distribution must sum to 1 within {ROW_SUM_TOL}")
-    return w
 
 
 def _check_table(f, mdp: TabularMdp, name: str) -> np.ndarray:

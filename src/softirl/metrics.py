@@ -11,12 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from softirl.mdp import (
-    TabularMdp,
-    soft_value_iteration,
-    softmax_actions,
-    validate_state_distribution,
-)
+from softirl.mdp import TabularMdp, check_distribution, soft_value_iteration, softmax_actions
 
 METRIC_NAMES = ("rmse_qdiff", "corr_qdiff", "kl", "tv", "top1")
 
@@ -78,7 +73,7 @@ def evaluate(mdp: TabularMdp, r_true, pi_expert, r_hat, v_hat=None,
 
     if weights is None:
         weights = np.full(mdp.n_states, 1.0 / mdp.n_states)
-    weights = validate_state_distribution(weights, mdp.n_states)
+    weights = check_distribution(weights, (mdp.n_states,), "weights")
 
     d_true = qdiff(q_true, ref_action)
     d_hat = qdiff(q_hat, ref_action)

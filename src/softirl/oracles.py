@@ -72,10 +72,11 @@ class RegressorSpec:
 
 @dataclass
 class FittedClassifier:
-    """Floored, renormalized policy estimate plus training diagnostics."""
+    """Floored, renormalized policy estimate and the (S, A) record counts
+    it was fitted to."""
 
     probs: np.ndarray
-    diagnostics: dict = field(default_factory=dict)
+    counts: np.ndarray
 
 
 @dataclass
@@ -127,7 +128,7 @@ def fit_classifier(spec: ClassifierSpec, states, actions,
     # a clamped row sums to under 1 + A * floor < 2, so every entry stays >= floor / 2
     probs = np.maximum(probs, spec.prob_floor)
     probs /= probs.sum(axis=1, keepdims=True)
-    return FittedClassifier(probs, {"n_unvisited_states": int(np.sum(state_counts == 0))})
+    return FittedClassifier(probs, counts)
 
 
 def _fit_logistic(spec: ClassifierSpec, counts, state_counts, n_states, n_actions):

@@ -30,10 +30,10 @@ from softirl.mdp import (
     TabularMdp,
     _solve_discounted,
     apply_P,
+    check_distribution,
     expect_mu,
     joint_frequency,
     state_kernel,
-    validate_policy,
 )
 from softirl.oracles import (
     ClassifierSpec,
@@ -68,7 +68,7 @@ class NormalizationMeasure:
             return table
         if behavior is None:
             raise ValueError("behavior-policy measure needs a realized policy table")
-        return validate_policy(behavior, n_states, n_actions)
+        return check_distribution(behavior, (n_states, n_actions), "behavior")
 
 
 @dataclass
@@ -157,7 +157,7 @@ def exact_population_solver(mdp: TabularMdp, pi, mu: NormalizationMeasure) -> Ir
     Solves (I - gamma K_mu) c = -mu log(pi) densely for the state potential
     (K_mu the state kernel under mu), then v = Pc and r via the shaping form.
     """
-    pi = validate_policy(pi, mdp.n_states, mdp.n_actions)
+    pi = check_distribution(pi, (mdp.n_states, mdp.n_actions), "pi")
     if np.any(pi <= 0.0):
         raise ValueError(
             "behavior policy has zero entries (log undefined); floor it first"
@@ -207,15 +207,11 @@ def _fit_policy(cfg: SolverConfig, data, n_train: int):
     clf = fit_classifier(cfg.classifier, states[:n_train], actions[:n_train],
                          n_states, n_actions)
     mu_t = cfg.mu.materialize(n_states, n_actions, behavior=clf.probs)
-    diag = SolverDiagnostics()
-    counts = np.bincount(states[:n_train] * n_actions + actions[:n_train],
-                         minlength=n_states * n_actions).reshape(n_states, n_actions)
-    diag.nu_proxy = _classifier_train_kl(clf.probs, counts)
-    if clf.diagnostics["n_unvisited_states"]:
+    diag = SolverDiagnostics(nu_proxy=_classifier_train_kl(clf.probs, clf.counts))
+    unvisited = np.count_nonzero(clf.counts.sum(axis=1) == 0)
+    if unvisited:
         diag.warnings.append(
-            f"{clf.diagnostics['n_unvisited_states']} states never visited; "
-            "classifier rows default to uniform there"
-        )
+            f"{unvisited} states never visited; classifier rows default to uniform there")
     freq = joint_frequency(states, actions, n_states, n_actions)
     diag.kappa_hat = _empirical_kappa(freq, mu_t, diag.warnings)
     return np.log(clf.probs), mu_t, diag  # the floor keeps the log finite

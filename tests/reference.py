@@ -18,16 +18,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from softirl.envs import _HEADER_PREFIX, TransitionDataset
-from softirl.maxent import _data_weights, _loglik_and_grad
+from softirl.maxent import _loglik_and_grad
 from softirl.mdp import (
     TabularMdp,
     _check_table,
     _logsumexp_action_major,
     apply_P,
+    check_distribution,
     expect_mu,
     soft_value_iteration,
     state_kernel,
-    validate_policy,
 )
 from softirl.oracles import FittedRegressor
 from softirl.solver import (
@@ -57,7 +57,7 @@ def soft_bellman_residual(mdp: TabularMdp, r, v) -> np.ndarray:
 def policy_Q(mdp: TabularMdp, r, pi1) -> np.ndarray:
     """Q-function of policy pi1 under reward r, by one dense linear solve."""
     r = _check_table(r, mdp, "r")
-    pi1 = validate_policy(pi1, mdp.n_states, mdp.n_actions)
+    pi1 = check_distribution(pi1, (mdp.n_states, mdp.n_actions), "pi1")
     ns, na = mdp.n_states, mdp.n_actions
     sa = ns * na
     # M[(s,a),(s',a')] = P(s'|s,a) pi1(a'|s')
@@ -71,7 +71,7 @@ def policy_Q(mdp: TabularMdp, r, pi1) -> np.ndarray:
 
 def policy_value(mdp: TabularMdp, r, pi1) -> np.ndarray:
     """State value of policy pi1 under reward r."""
-    pi1 = validate_policy(pi1, mdp.n_states, mdp.n_actions)
+    pi1 = check_distribution(pi1, (mdp.n_states, mdp.n_actions), "pi1")
     return expect_mu(pi1, policy_Q(mdp, r, pi1))
 
 
@@ -80,7 +80,7 @@ def stationary_distribution(mdp: TabularMdp, mu, tol: float = 1e-12,
     """Stationary state distribution of the chain s -> a~mu -> s', by power iteration."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    kernel = state_kernel(mdp, validate_policy(mu, mdp.n_states, mdp.n_actions))
+    kernel = state_kernel(mdp, check_distribution(mu, (mdp.n_states, mdp.n_actions), "mu"))
     lam = np.full(mdp.n_states, 1.0 / mdp.n_states)
     for _ in range(max_iter):
         nxt = lam @ kernel
@@ -97,7 +97,7 @@ def stationary_distribution(mdp: TabularMdp, mu, tol: float = 1e-12,
 
 def lambda_mu_weights(mdp: TabularMdp, mu, tol: float = 1e-12) -> np.ndarray:
     """Joint stationary weights lambda(s) * mu(a|s) used by the L2 diagnostics."""
-    mu = validate_policy(mu, mdp.n_states, mdp.n_actions)
+    mu = check_distribution(mu, (mdp.n_states, mdp.n_actions), "mu")
     lam = stationary_distribution(mdp, mu, tol=tol)
     return lam[:, None] * mu
 
@@ -157,10 +157,9 @@ def shape(r, v, c, mdp: TabularMdp):
     return r + np.asarray(c, dtype=float)[:, None] - mdp.gamma * pc, v + pc
 
 
-def maxent_loglik_and_grad(mdp: TabularMdp, phi, theta, data):
-    """Mean per-decision log-likelihood and its exact gradient in theta.
-
-    `data` is a TransitionDataset-like object or a joint (S, A) weight table.
+def maxent_loglik_and_grad(mdp: TabularMdp, phi, theta, weights):
+    """Mean per-decision log-likelihood and its exact gradient in theta,
+    for a joint (S, A) weight table with positive mass (normalized here).
     """
     phi = np.asarray(phi, dtype=float)
     if phi.shape[:2] != (mdp.n_states, mdp.n_actions):
@@ -168,7 +167,10 @@ def maxent_loglik_and_grad(mdp: TabularMdp, phi, theta, data):
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (phi.shape[2],):
         raise ValueError(f"theta has shape {theta.shape}, expected ({phi.shape[2]},)")
-    weights = _data_weights(data, mdp.n_states, mdp.n_actions)
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != (mdp.n_states, mdp.n_actions) or not weights.sum() > 0:
+        raise ValueError(f"need an ({mdp.n_states}, {mdp.n_actions}) weight table with mass")
+    weights = weights / weights.sum()
     phi_flat = phi.reshape(-1, phi.shape[2])
     r = (phi_flat @ theta).reshape(mdp.n_states, mdp.n_actions)
     _, _, pi = soft_value_iteration(mdp, r, tol=1e-12)
@@ -179,7 +181,7 @@ def population_fixed_point(mdp: TabularMdp, pi, cfg, record_iterates=False):
     """`classify_then_regress` with both oracles exact, its infinite-data
     limit: the classifier returns pi and the regression map is the true
     kernel, so eta = 0. `cfg.K` must be an integer."""
-    pi = validate_policy(pi, mdp.n_states, mdp.n_actions)
+    pi = check_distribution(pi, (mdp.n_states, mdp.n_actions), "pi")
     if np.any(pi <= 0.0):
         raise ValueError("behavior policy has zero entries (log undefined); floor it first")
     u = np.log(pi)

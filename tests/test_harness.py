@@ -174,11 +174,28 @@ class TestRunExperiment:
         rows, summary = run_experiment(cfg, quiet=True)
         assert np.isfinite(summary[("Ours", "kl")][0])
 
-    def test_failure_rate_guard(self):
-        cfg = tiny_experiment(reruns=2)
-        cfg.solver.K = -1  # force every rerun to fail
-        with pytest.raises((RuntimeError, ValueError)):
-            run_experiment(cfg, quiet=True)
+    def test_failure_rate_guard(self, monkeypatch):
+        import softirl.harness as harness
+
+        def no_solution(data, config):
+            raise ValueError("no solution")
+
+        monkeypatch.setattr(harness, "classify_then_regress", no_solution)  # every rerun fails
+        with pytest.raises(RuntimeError, match="0/2 reruns succeeded"):
+            run_experiment(tiny_experiment(reruns=2), quiet=True)
+
+    # each value, assigned after the config was built, once ran unchecked:
+    # reruns = 0 wrote an all-nan table, "states" scored as empirical and a
+    # negative step made MaxEnt's ascent a descent
+    @pytest.mark.parametrize("owner, name, value", [
+        ("eval", "reruns", 0), ("eval", "weighting", "states"),
+        ("baseline", "step_size", -1.0)])
+    def test_a_value_set_after_building_is_checked(self, tmp_path, owner, name, value):
+        cfg = tiny_experiment()
+        setattr(cfg.baseline if owner == "baseline" else cfg, name, value)
+        with pytest.raises(ValueError, match=f"^{name}: "):
+            run_experiment(cfg, out_dir=tmp_path, quiet=True)
+        assert not any(tmp_path.iterdir())
 
     def test_each_rerun_has_the_bits_of_its_run_alone(self):
         from softirl.envs import build_env, sample_transitions

@@ -114,7 +114,7 @@ class TestMaxentFit:
         mdp = random_mdp(rng, 3, 2, 0.8)
         phi = rng.normal(size=(3, 2, 4))
         w = random_policy(rng, 3, 2) * rng.dirichlet(np.ones(3))[:, None]
-        fit = maxent_fit(mdp, phi, w, MaxEntConfig(max_epochs=0))
+        (fit,) = fit_lockstep(mdp, phi, [w], MaxEntConfig(max_epochs=0))
         assert_allclose(fit.theta, 0.0)
         assert len(fit.loss_trace) == 1
 
@@ -123,8 +123,8 @@ class TestMaxentFit:
         mdp = random_mdp(rng, 4, 3, 0.9)
         phi = one_hot_features(4, 3)
         w = random_policy(rng, 4, 3) * rng.dirichlet(np.ones(4))[:, None]
-        fit = maxent_fit(mdp, phi, w, MaxEntConfig(step_size=0.05, max_epochs=60,
-                                                   patience=50))
+        (fit,) = fit_lockstep(mdp, phi, [w], MaxEntConfig(step_size=0.05, max_epochs=60,
+                                                          patience=50))
         best = np.minimum.accumulate(fit.loss_trace)
         assert np.all(np.diff(best) <= 0)
         assert fit.diagnostics["best_loglik"] == -min(fit.loss_trace)
@@ -159,12 +159,8 @@ class TestMaxentFit:
         assert base.corr_qdiff < ours.corr_qdiff
 
     def test_bad_config_rejected(self):
-        rng = np.random.default_rng(6)
-        mdp = random_mdp(rng, 3, 2, 0.8)
-        phi = rng.normal(size=(3, 2, 4))
-        w = random_policy(rng, 3, 2) * rng.dirichlet(np.ones(3))[:, None]
-        with pytest.raises(ValueError):
-            maxent_fit(mdp, phi, w, MaxEntConfig(step_size=-1.0))
+        with pytest.raises(ValueError, match="step_size"):
+            MaxEntConfig(step_size=-1.0)
 
 
 def fit_lockstep(mdp, phi, weights, cfg):

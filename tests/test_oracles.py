@@ -45,7 +45,14 @@ class TestFitClassifier:
     def test_unvisited_state_gets_uniform_row(self):
         fc = fit_classifier(ClassifierSpec(), [0], [1], 3, 2)
         assert_allclose(fc.probs[2], 0.5, atol=1e-6)
-        assert fc.diagnostics["n_unvisited_states"] == 2
+        assert np.count_nonzero(fc.counts.sum(axis=1) == 0) == 2
+
+    @pytest.mark.parametrize("kind", ["tabular-count", "multinomial-logistic"])
+    def test_counts_are_the_records_per_cell(self, kind):
+        rng = np.random.default_rng(9)
+        s, a = rng.integers(0, 4, size=300), rng.integers(0, 3, size=300)
+        fc = fit_classifier(ClassifierSpec(kind=kind, epochs=5), s, a, 4, 3)
+        assert np.array_equal(fc.counts, np.bincount(s * 3 + a, minlength=12).reshape(4, 3))
 
     def test_empty_data_rejected(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Surface guard: every name `softirl` exports, and every module-level
-constant of the package, has a caller outside the tests.
+function, class and constant of the package, private ones included, has a
+caller outside the tests.
 
 A name counts as used when code reachable from an entry point refers to it.
 The entry points are the module-level code of `src/softirl` (the CLI's
@@ -108,13 +109,25 @@ def test_every_exported_name_has_a_caller_outside_the_tests():
     assert unused == []
 
 
-def test_every_module_constant_has_a_caller_outside_the_tests():
+def _unreached(names_of):
+    """(module, name) of each package definition that `names_of(node)` lists
+    for a module-level statement and no entry point reaches."""
     sources = list(_sources())
     reached = _reachable(_reference_graph(sources))
-    unused = [(module, name) for module, text in sources if module is not None
-              for node in ast.parse(text).body for name in _constants(node)
-              if (module, name) not in reached]
-    assert unused == []
+    return [(module, name) for module, text in sources if module is not None
+            for node in ast.parse(text).body for name in names_of(node)
+            if (module, name) not in reached]
+
+
+def test_every_module_constant_has_a_caller_outside_the_tests():
+    assert _unreached(_constants) == []
+
+
+def test_every_module_function_and_class_has_a_caller_outside_the_tests():
+    def definitions(node):
+        return [node.name] if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else []
+
+    assert _unreached(definitions) == []
 
 
 def test_guard_follows_callers_not_mentions():
