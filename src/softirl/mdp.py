@@ -31,9 +31,12 @@ class TabularMdp:
             raise ValueError(f"gamma must lie in [0, 1), got {self.gamma}")
         t.setflags(write=False)
         object.__setattr__(self, "transition", t)
-        # one-hot rows (deterministic moves): `apply_P` gathers at these next states
-        one_hot = np.all((t == 0.0) | (t == 1.0))
-        object.__setattr__(self, "_targets", t.argmax(axis=2) if one_hot else None)
+        # one-hot rows (deterministic moves): `apply_P` gathers at these next states;
+        # `_onto`: they reach every state, so soft VI may take its residual on states
+        targets = t.argmax(axis=2) if np.all((t == 0.0) | (t == 1.0)) else None
+        object.__setattr__(self, "_targets", targets)
+        object.__setattr__(self, "_onto", targets is not None and bool(
+            np.bincount(targets.ravel(), minlength=len(t)).all()))
 
     @property
     def n_states(self) -> int:
@@ -103,35 +106,37 @@ def _sum_actions(e: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(e.T).sum(axis=1)
 
 
-def _logsumexp_action_major(f: np.ndarray) -> np.ndarray:
-    """Log-sum-exp over axis 0 of an action-major (A, n) array.
+def _logsumexp_action_major(f: np.ndarray, work: tuple | None = None):
+    """Log-sum-exp over axis 0 of an action-major (A, n) array, and whether
+    every column max is finite, which makes every result finite.
 
     The arithmetic is that of scipy.special.logsumexp over each column: with
     the column max, its tie count m and the sum s of the other terms'
     exp(f - max), the result is log1p(s / m) + log(m) + max. Columns of all
     -inf give -inf, columns holding +inf give +inf and columns holding NaN
-    give NaN. If every column has one finite max (a NaN column counts no
-    tie, so finiteness is tested too), m = 1: s / m is s and log(m) is +0.0,
-    so log1p(s) + max has the same bits, with no tie arithmetic and no
-    warnings to suppress; there every exp is finite, so zeroing the max's
-    term is a multiply by the not-a-max mask. Every step is elementwise
-    across columns.
+    give NaN. If every column has one finite max, m = 1: s / m is s and
+    log(m) is +0.0, so log1p(s) + max has the same bits, with no tie
+    arithmetic and no warnings to suppress. A NaN column counts no tie, so
+    the finite maxes are counted too (their sum could warn: inf - inf and
+    overflow). Every step is elementwise across columns; `work` may hold
+    (n,), boolean (A, n) and (A, n) buffers for the maxes, ties and exps.
     """
-    top = np.maximum.reduce(f, axis=0)
-    others = f != top
-    if np.count_nonzero(others) == others.size - len(top) and np.isfinite(top).all():
-        e = f - top
+    top, ties, e = work or (np.empty(f.shape[1]), np.empty(f.shape, bool), np.empty(f.shape))
+    np.maximum.reduce(f, axis=0, out=top)
+    np.equal(f, top, out=ties)
+    finite = np.count_nonzero(np.isfinite(top)) == len(top)
+    if finite and np.count_nonzero(ties) == len(top):
+        np.subtract(f, top, out=e)
         np.exp(e, out=e)
-        e *= others
+        np.putmask(e, ties, 0.0)
         out = np.log1p(_sum_actions(e))
         out += top
-        return out
-    ties = ~others
+        return out, finite
     with np.errstate(invalid="ignore", divide="ignore"):
         e = np.exp(f - top)
         np.putmask(e, ties, 0.0)
         m = np.add.reduce(ties, axis=0, dtype=float)
-        return np.log1p(_sum_actions(e) / m) + np.log(m) + top
+        return np.log1p(_sum_actions(e) / m) + np.log(m) + top, finite
 
 
 def softmax_actions(q) -> np.ndarray:
@@ -164,59 +169,66 @@ def _soft_value_iteration(mdp: TabularMdp, r: np.ndarray, tol: float,
 
     Each sweep runs on action-major (A, B*S) arrays, so the reductions over
     actions are elementwise across states and problems, and does each
-    problem's row-major arithmetic bit for bit. A problem leaves the batch at
-    the sweep where its own residual bound reaches `tol`. Returns, per
-    problem, (v, Q, pi) or the RuntimeError of a problem still short of
-    `tol` after `max_iter` sweeps.
+    problem's row-major arithmetic bit for bit; its buffers are made once per
+    batch width. A problem leaves the batch at the sweep where its own
+    residual bound reaches `tol`. Returns, per problem, (v, Q, pi) or the
+    RuntimeError of a problem still short of `tol` after `max_iter` sweeps.
+
+    One-hot kernels gather finite log-sum-exps at the next states with the
+    matmul's bits and without `apply_P`'s + 0.0: no log-sum-exp is -0.0, as
+    log1p(s), log(m) >= +0.0 and +0.0 + -0.0 = +0.0. If the moves reach every
+    state, max |v_new - v| over (s, a) is max |lse_new - lse| over states, so
+    the residual takes that (B*S,) vector, bar the first sweep of a warm start.
     """
     n_problems, ns, na = r.shape
-    gamma = mdp.gamma
+    gamma, targets = mdp.gamma, mdp._targets
     r_am = np.ascontiguousarray(r.transpose(2, 0, 1)).reshape(na, -1)
     v = np.zeros_like(r_am) if v0 is None else np.ascontiguousarray(
         v0.transpose(2, 0, 1)).reshape(na, -1)
     live = np.arange(n_problems)
-    bound = np.full(n_problems, np.inf)
-    targets = mdp._targets
-    if targets is not None:
-        # column j*S + s of the j-th live problem reads that problem's next states
-        targets = np.ascontiguousarray(targets.T[:, None, :] + ns * live[:, None]).reshape(na, -1)
-    results = [None] * n_problems
+    diff = np.full(n_problems, np.inf)
+    # the last sweep's log-sum-exp while v is its gather on onto targets; None on
+    # a warm start, after a matmul sweep and after a problem leaves: the residual takes v
+    lse_old = np.zeros(n_problems * ns) if v0 is None and mdp._onto else None
+    results, width = [None] * n_problems, 0
     for _ in range(max_iter):
-        f = gamma * v
+        if width != len(live):  # a new or narrower batch: remake the buffers
+            width = len(live)
+            f, e = np.empty_like(v), np.empty_like(v)
+            work = (np.empty(width * ns), np.empty(v.shape, bool), e)
+            if targets is not None:
+                # column j*S + s of the j-th live problem reads that problem's next states
+                gather = (targets.T[:, None, :] + ns * np.arange(width)[:, None]).reshape(na, -1)
+        np.multiply(v, gamma, out=f)
         f += r_am
-        lse = _logsumexp_action_major(f)
-        if targets is not None and np.isfinite(lse).all():
-            # apply_P's gather for every live problem: + 0.0 turns -0.0 into
-            # the matmul's +0.0
-            v_new = lse[targets]
-            v_new += 0.0
+        lse, finite = _logsumexp_action_major(f, work)
+        if finite and targets is not None:
+            v_new = lse[gather]
         else:
             v_new = np.empty_like(v)
-            for j in range(len(live)):
+            for j in range(width):
                 block = slice(j * ns, (j + 1) * ns)
                 v_new[:, block] = apply_P(mdp, lse[block].copy()).T
-        d = v_new - v
+        d = lse - lse_old if finite and lse_old is not None else v_new - v
+        lse_old = lse if finite and mdp._onto else None
         np.abs(d, out=d)
-        diff = np.maximum.reduce(d.reshape(na, len(live), ns), axis=(0, 2))
+        diff = np.maximum.reduce(d.reshape(-1, width, ns), axis=(0, 2))
         v = v_new
-        # One more backup moves v by at most gamma * diff, so gamma * diff
-        # bounds the residual of v_new without an extra operator application.
-        bound = gamma * diff
-        done = bound <= tol
-        if np.count_nonzero(done):
-            blocks = v.reshape(na, len(live), ns)
+        # One more backup moves v by at most gamma * diff, so gamma * diff bounds the
+        # residual of v; it is monotone in diff, so the least diff (fmin skips NaN) decides.
+        if gamma * float(np.fmin.reduce(diff)) <= tol:
+            done = gamma * diff <= tol
+            blocks = v.reshape(na, width, ns)
             for j in np.flatnonzero(done):
                 v_j = np.ascontiguousarray(blocks[:, j].T)
                 q = r[live[j]] + gamma * v_j
                 results[live[j]] = (v_j, q, softmax_actions(q))
-            live, bound = live[~done], bound[~done]
+            live, diff = live[~done], diff[~done]
             if not len(live):
                 return results
             keep = np.repeat(~done, ns)
-            r_am, v = r_am[:, keep], v[:, keep]
-            if targets is not None:
-                targets = np.ascontiguousarray(targets[:, :len(live) * ns])
-    for index, last in zip(live, bound):
+            r_am, v, lse_old = r_am[:, keep], v[:, keep], None
+    for index, last in zip(live, gamma * diff):
         results[index] = RuntimeError(
             f"soft value iteration did not reach tol={tol} in {max_iter} iterations; "
             f"last residual bound {last:.3e}")
@@ -239,7 +251,7 @@ def _soft_policy_iteration(mdp: TabularMdp, r: np.ndarray, tol: float = 1e-10, m
     v = np.zeros_like(r)
     for _ in range(max_iter):
         q = r + mdp.gamma * v
-        lse, pi = _logsumexp_action_major(q.T), softmax_actions(q)
+        lse, pi = _logsumexp_action_major(q.T)[0], softmax_actions(q)
         residual = np.max(np.abs(apply_P(mdp, lse) - v))
         if residual <= tol:
             return v, q, pi

@@ -212,7 +212,9 @@ def _fit_policy(cfg: SolverConfig, data, n_train: int):
     if unvisited:
         diag.warnings.append(
             f"{unvisited} states never visited; classifier rows default to uniform there")
-    freq = joint_frequency(states, actions, n_states, n_actions)
+    # the classifier counted every record unless the sample is split
+    freq = (clf.counts / n_train if n_train == len(states)
+            else joint_frequency(states, actions, n_states, n_actions))
     diag.kappa_hat = _empirical_kappa(freq, mu_t, diag.warnings)
     return np.log(clf.probs), mu_t, diag  # the floor keeps the log finite
 

@@ -44,7 +44,7 @@ def logsumexp_actions(f) -> np.ndarray:
     f = np.asarray(f, dtype=float)
     if f.ndim != 2:
         raise ValueError(f"state-action table must be 2-d, got shape {f.shape}")
-    return _logsumexp_action_major(f.T)
+    return _logsumexp_action_major(f.T)[0]
 
 
 def soft_bellman_residual(mdp: TabularMdp, r, v) -> np.ndarray:

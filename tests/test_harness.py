@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import softirl
 from softirl.harness import (
     ExperimentConfig,
     builtin_experiment,
@@ -139,6 +144,20 @@ class TestParseConfig:
 
 
 class TestRunExperiment:
+    def test_a_run_leaves_numpy_ma_unimported(self):
+        # importing numpy.ma, as np.unique does, raises a fresh interpreter's
+        # peak RSS by 1.2 MB (ru_maxrss, numpy 2.4)
+        code = ("import sys\n"
+                "from softirl.harness import builtin_experiment, run_experiment\n"
+                "cfg = builtin_experiment('ident', reruns=2)\n"
+                "cfg.n, cfg.baseline.max_epochs = 5000, 5\n"
+                "run_experiment(cfg, quiet=True)\n"
+                "print('numpy.ma' in sys.modules)")
+        src = os.path.dirname(os.path.dirname(softirl.__file__))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert done.stdout.strip() == "False"
+
     def test_outputs_and_determinism(self, tmp_path):
         cfg = tiny_experiment()
         run_experiment(cfg, out_dir=tmp_path / "a", quiet=True)

@@ -248,17 +248,20 @@ def _scipy_logsumexp():
     return pytest.importorskip("scipy.special").logsumexp
 
 
-def _reference_soft_value_iteration(mdp, r, tol, v0=None):
-    """The scipy-based sweep the solver's own log-sum-exp must reproduce."""
+def _reference_soft_value_iteration(mdp, r, tol, v0=None, max_iter=100_000):
+    """The scipy-based sweep the solver's own log-sum-exp must reproduce,
+    raising the solver's RuntimeError if it has not converged in `max_iter`."""
     logsumexp = _scipy_logsumexp()
     v = np.zeros_like(r) if v0 is None else v0.copy()
-    while True:
+    for _ in range(max_iter):
         v_new = apply_P(mdp, logsumexp(r + mdp.gamma * v, axis=1))
         diff = np.max(np.abs(v_new - v))
         v = v_new
         if mdp.gamma * diff <= tol:
             q = r + mdp.gamma * v
             return v, q, softmax_actions(q)
+    raise RuntimeError(f"soft value iteration did not reach tol={tol} in {max_iter} iterations; "
+                       f"last residual bound {mdp.gamma * diff:.3e}")
 
 
 def _gridworld(name):
@@ -376,7 +379,7 @@ class TestOneHotGather:
 
 class TestSingleMaxPath:
     """Tables where every row has one finite max take the short path of
-    `_logsumexp_rows`; all others take scipy's tie arithmetic."""
+    `_logsumexp_action_major`; all others take scipy's tie arithmetic."""
 
     def _check(self, f):
         logsumexp = _scipy_logsumexp()
@@ -503,6 +506,65 @@ class TestBatchedSoftValueIteration:
         # reach the matmul's 0 * inf and never do
         assert [isinstance(result, tuple) for result in results] == [True, True, False,
                                                                      False, False]
+
+
+class TestUnreachableState:
+    """A one-hot kernel where no (s, a) moves into the last state: that
+    state's log-sum-exp never reaches v, so the residual must be taken over
+    v, not over the log-sum-exp of every state."""
+
+    tol, max_iter = 1e-10, 400
+
+    @staticmethod
+    def _mdp_and_rewards():
+        rng = np.random.default_rng(12)
+        n_states, n_actions = 7, 3
+        t = np.zeros((n_states, n_actions, n_states))
+        nxt = rng.integers(0, n_states - 1, size=(n_states, n_actions))
+        nxt[:n_states - 1, 0] = np.arange(n_states - 1)  # every other state is reached
+        t[np.arange(n_states)[:, None], np.arange(n_actions), nxt] = 1.0
+        finite = rng.normal(size=(n_states, n_actions))
+        rewards = {"finite": finite}
+        for name, row, value in (("minus-inf-row", slice(None), -np.inf),
+                                 ("plus-inf", 1, np.inf), ("nan", 0, np.nan)):
+            rewards[name] = finite.copy()
+            rewards[name][-1, row] = value
+        return TabularMdp(t, 0.9), rewards
+
+    def _expect(self, mdp, r, v0, got):
+        try:
+            want = _reference_soft_value_iteration(mdp, r, self.tol, v0, self.max_iter)
+        except RuntimeError as exc:
+            assert isinstance(got, RuntimeError) and str(got) == str(exc)
+            return
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("start", ["cold", "warm"])
+    def test_alone_and_in_a_mixed_batch(self, start):
+        mdp, rewards = self._mdp_and_rewards()
+        assert not mdp.transition[:, :, -1].any()
+        v0 = None
+        if start == "warm":
+            # the finite problem's fixed point with the unreachable state's row
+            # moved: from the second sweep on, v barely moves while that
+            # state's log-sum-exp still does
+            v0 = _reference_soft_value_iteration(mdp, rewards["finite"], self.tol)[0]
+            v0[-1] += np.random.default_rng(13).normal(scale=5.0, size=v0.shape[1])
+        names = list(rewards)
+        stack = np.stack([rewards[name] for name in names])
+        stack_v0 = None if v0 is None else np.stack([v0] * len(names))
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for name, r in rewards.items():
+                start_v = None if v0 is None else v0[None]
+                (got,) = _soft_value_iteration(mdp, r[None], self.tol, start_v, self.max_iter)
+                self._expect(mdp, r, v0, got)
+            batch = _soft_value_iteration(mdp, stack, self.tol, stack_v0, self.max_iter)
+            for name, got in zip(names, batch):
+                self._expect(mdp, rewards[name], v0, got)
+        # the finite problem converges; every non-finite one reaches the matmul's NaN
+        assert [isinstance(got, tuple) for got in batch] == [True, False, False, False]
 
 
 class TestSoftPolicyIteration:
