@@ -13,6 +13,10 @@ from dataclasses import replace
 
 import numpy as np
 
+# Names are looked up on their modules at call time, so a patched attribute is the one called.
+from softirl import envs, harness, maxent, metrics, solver
+from softirl.mdp import soft_value_iteration
+
 SPLIT_NOT_TRACED = "diagnose traces the full-sample estimator; split = true is not traced"
 
 
@@ -26,8 +30,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
-    from softirl.harness import BUILTIN_NAMES
-
     parser = _Parser(prog="softirl",
                      description="Reward recovery from behavior data, plus benchmarks.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -52,7 +54,7 @@ def _build_parser() -> _Parser:
     add_common(p)
     p = sub.add_parser("reproduce", help="run a packaged benchmark, or the experiment a "
                                          "--config file describes, end to end")
-    p.add_argument("name", nargs="?", choices=BUILTIN_NAMES)
+    p.add_argument("name", nargs="?", choices=harness.BUILTIN_NAMES)
     p.add_argument("--reruns", type=int, default=None)
     add_common(p, config_required=False, seed=True)
     p = sub.add_parser("diagnose", help="emit per-iteration solver diagnostics as CSV; "
@@ -64,38 +66,29 @@ def _build_parser() -> _Parser:
 
 def _sample(args):
     """(config, MDP, expert policy, dataset) for the commands that sample one."""
-    from softirl.envs import build_env, expert_policy, sample_transitions
-    from softirl.harness import parse_config
-
-    cfg = parse_config(args.config)
+    cfg = harness.parse_config(args.config)
     seed = args.seed if args.seed is not None else cfg.base_seed
-    mdp, r_true, _ = build_env(cfg.env)
-    pi = expert_policy(mdp, r_true)
-    return cfg, mdp, pi, sample_transitions(mdp, pi, cfg.n, regime=cfg.regime, seed=seed,
-                                            env_id=cfg.name)
+    mdp, r_true, _ = envs.build_env(cfg.env)
+    pi = envs.expert_policy(mdp, r_true)
+    return cfg, mdp, pi, envs.sample_transitions(mdp, pi, cfg.n, regime=cfg.regime,
+                                                 seed=seed, env_id=cfg.name)
 
 
 def _cmd_gen_data(args) -> int:
-    from softirl.envs import write_dataset
-
     _, _, _, dataset = _sample(args)
     out = args.out or "dataset.txt"
-    write_dataset(dataset, out)
+    envs.write_dataset(dataset, out)
     if not args.quiet:
         print(f"wrote {dataset.n} records to {out}")
     return 0
 
 
 def _cmd_solve(args) -> int:
-    from softirl.envs import read_dataset
-    from softirl.harness import parse_config
-    from softirl.solver import classify_then_regress, save_solution, split_classify_regress
-
-    cfg = parse_config(args.config)
-    solve = split_classify_regress if cfg.solver.split else classify_then_regress
-    solution = solve(read_dataset(args.dataset), cfg.solver)
+    cfg = harness.parse_config(args.config)
+    solve = solver.split_classify_regress if cfg.solver.split else solver.classify_then_regress
+    solution = solve(envs.read_dataset(args.dataset), cfg.solver)
     out = args.out or "solution"
-    save_solution(solution, out)
+    solver.save_solution(solution, out)
     if not args.quiet:
         print(f"solution written to {out} "
               f"(K={solution.diagnostics.iterations}, "
@@ -106,16 +99,12 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
-    from softirl.envs import build_env, read_dataset
-    from softirl.harness import parse_config
-    from softirl.maxent import maxent_fit, save_maxent
-
-    cfg = parse_config(args.config)
-    dataset = read_dataset(args.dataset)
-    mdp, _, phi = build_env(cfg.env)
-    fit = maxent_fit(mdp, phi, dataset, cfg.baseline)
+    cfg = harness.parse_config(args.config)
+    dataset = envs.read_dataset(args.dataset)
+    mdp, _, phi = envs.build_env(cfg.env)
+    fit = maxent.maxent_fit(mdp, phi, dataset, cfg.baseline)
     out = args.out or "baseline"
-    save_maxent(fit, out)
+    maxent.save_maxent(fit, out)
     if not args.quiet:
         print(f"baseline written to {out} "
               f"(epochs={fit.diagnostics['epochs_run']}, "
@@ -124,19 +113,13 @@ def _cmd_baseline(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    from softirl.envs import build_env
-    from softirl.harness import parse_config
-    from softirl.mdp import soft_value_iteration
-    from softirl.metrics import evaluate
-    from softirl.solver import load_solution
-
-    cfg = parse_config(args.config)
-    mdp, r_true, _ = build_env(cfg.env)
+    cfg = harness.parse_config(args.config)
+    mdp, r_true, _ = envs.build_env(cfg.env)
     # one truth solve gives the expert policy and the Q the score compares to
     _, q_true, pi = soft_value_iteration(mdp, r_true)
-    solution = load_solution(args.solution)
-    report = evaluate(mdp, r_true, pi, solution.r, solution.v,
-                      ref_action=cfg.ref_action, q_true=q_true)
+    solution = solver.load_solution(args.solution)
+    report = metrics.evaluate(mdp, r_true, pi, solution.r, solution.v,
+                              ref_action=cfg.ref_action, q_true=q_true)
     text = "metric,value\n" + "".join(f"{name},{value:.10g}\n"
                                       for name, value in report.as_dict().items())
     if args.out:
@@ -150,20 +133,13 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    from softirl.harness import (
-        builtin_experiment,
-        format_markdown_table,
-        parse_config,
-        run_experiment,
-    )
-
     overrides = {"reruns": args.reruns, "base_seed": args.seed}
     overrides = {key: value for key, value in overrides.items() if value is not None}
-    cfg = (builtin_experiment(args.name, **overrides) if args.config is None
-           else replace(parse_config(args.config), **overrides))  # replace checks them
+    cfg = (harness.builtin_experiment(args.name, **overrides) if args.config is None
+           else replace(harness.parse_config(args.config), **overrides))  # replace checks them
     out = args.out or os.path.join("results", cfg.name)
-    _, summary = run_experiment(cfg, out_dir=out, quiet=args.quiet)
-    table = format_markdown_table(cfg.name, summary)
+    _, summary = harness.run_experiment(cfg, out_dir=out, quiet=args.quiet)
+    table = harness.format_markdown_table(cfg.name, summary)
     if not args.quiet:
         print(table, end="")
         print(f"files written to {out}")
@@ -171,11 +147,9 @@ def _cmd_reproduce(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
-    from softirl.solver import classify_then_regress, exact_population_solver
-
     cfg, mdp, pi, dataset = _sample(args)
-    solution = classify_then_regress(dataset, cfg.solver, record_iterates=True)
-    exact = exact_population_solver(mdp, pi, cfg.solver.mu)
+    solution = solver.classify_then_regress(dataset, cfg.solver, record_iterates=True)
+    exact = solver.exact_population_solver(mdp, pi, cfg.solver.mu)
     diag = solution.diagnostics
     iterates = diag.extras["iterates"]
     lines = ["k,eta,sup_dist_to_exact_v,gamma_pow_k"]

@@ -215,8 +215,7 @@ def build_env(spec: GridworldSpec):
 
 def expert_policy(mdp: TabularMdp, r_true) -> np.ndarray:
     """Softmax-optimal behavior policy for the given reward."""
-    _, _, pi = soft_value_iteration(mdp, r_true)
-    return pi
+    return soft_value_iteration(mdp, r_true)[2]
 
 
 def sample_transitions(mdp: TabularMdp, pi, n: int, init=None,
@@ -262,9 +261,7 @@ def sample_transitions(mdp: TabularMdp, pi, n: int, init=None,
 
     meta = {"seed": seed, "env": env_id or "-", "n": n,
             "n_states": mdp.n_states, "n_actions": mdp.n_actions, "regime": regime}
-    ds = TransitionDataset(*records, meta)
-    ds.validate()
-    return ds
+    return TransitionDataset(*records, meta)
 
 
 def _support_rows(trans_cdf: np.ndarray, transition: np.ndarray):

@@ -26,7 +26,7 @@ from softirl.envs import expert_policy  # noqa: F401 - perfbench/spans.py wraps 
 from softirl.maxent import MaxEntConfig, ascent, run_lockstep
 from softirl.maxent import maxent_fit  # noqa: F401 - perfbench/spans.py wraps it by name here
 from softirl.metrics import METRIC_NAMES, evaluate
-from softirl.mdp import joint_frequency, soft_value_iteration
+from softirl.mdp import soft_value_iteration
 from softirl.oracles import ClassifierSpec, RegressorSpec
 from softirl.solver import (
     NormalizationMeasure,
@@ -99,10 +99,10 @@ def _rerun(cfg: ExperimentConfig, mdp, r_true, q_true, pi_exp, phi, rerun: int):
     {method: report}."""
     dataset = sample_transitions(mdp, pi_exp, cfg.n, regime=cfg.regime,
                                  seed=cfg.base_seed + rerun, env_id=cfg.name)
-    freq = joint_frequency(dataset.states, dataset.actions, mdp.n_states, mdp.n_actions)
-    weights = None if cfg.weighting == "uniform" else freq.sum(axis=1)
     solve = split_classify_regress if cfg.solver.split else classify_then_regress
     solution = solve(dataset, cfg.solver)
+    freq = solution.diagnostics.freq
+    weights = None if cfg.weighting == "uniform" else freq.sum(axis=1)
     ours = evaluate(mdp, r_true, pi_exp, solution.r, solution.v,
                     weights=weights, ref_action=cfg.ref_action, q_true=q_true)
     del dataset, solution  # while MaxEnt runs, a rerun holds only its table
@@ -237,8 +237,6 @@ _KEYS = {
         "smoothing_alpha": ("classifier", "smoothing_alpha", float),
         "prob_floor": ("classifier", "prob_floor", float),
         "classifier_epochs": ("classifier", "epochs", int),
-        "classifier_learning_rate": ("classifier", "learning_rate", float),
-        "classifier_l2": ("classifier", "l2", float),
         "fallback": ("regressor", "fallback", float),
     },
     "baseline": {key: ("baseline", key, typ) for key, typ in (

@@ -13,6 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 ROW_SUM_TOL = 1e-12
+# soft value iteration's error, from tol, the sweeps run and the last residual bound
+_UNCONVERGED = ("soft value iteration did not reach tol={} in {} iterations; "
+                "last residual bound {:.3e}")
 
 
 @dataclass(frozen=True)
@@ -61,15 +64,6 @@ def check_distribution(p, shape: tuple, what: str) -> np.ndarray:
         raise ValueError(f"{what} must sum to 1 within {ROW_SUM_TOL} over its last axis; "
                          f"worst deviation {err:.3e}")
     return p
-
-
-def _check_table(f, mdp: TabularMdp, name: str) -> np.ndarray:
-    f = np.asarray(f, dtype=float)
-    if f.shape != (mdp.n_states, mdp.n_actions):
-        raise ValueError(
-            f"{name} has shape {f.shape}, expected ({mdp.n_states}, {mdp.n_actions})"
-        )
-    return f
 
 
 def apply_P(mdp: TabularMdp, f) -> np.ndarray:
@@ -156,8 +150,10 @@ def soft_value_iteration(mdp: TabularMdp, r, tol: float = 1e-10, max_iter: int =
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    (result,) = _soft_value_iteration(mdp, _check_table(r, mdp, "r")[None], tol,
-                                      max_iter=max_iter)
+    r = np.asarray(r, dtype=float)
+    if r.shape != (mdp.n_states, mdp.n_actions):
+        raise ValueError(f"r has shape {r.shape}, expected ({mdp.n_states}, {mdp.n_actions})")
+    (result,) = _soft_value_iteration(mdp, r[None], tol, max_iter=max_iter)
     if isinstance(result, RuntimeError):
         raise result
     return result
@@ -172,7 +168,8 @@ def _soft_value_iteration(mdp: TabularMdp, r: np.ndarray, tol: float,
     problem's row-major arithmetic bit for bit; its buffers are made once per
     batch width. A problem leaves the batch at the sweep where its own
     residual bound reaches `tol`. Returns, per problem, (v, Q, pi) or the
-    RuntimeError of a problem still short of `tol` after `max_iter` sweeps.
+    RuntimeError of a problem short of `tol` after `max_iter` sweeps, or at
+    the first sweep where its bound is NaN.
 
     One-hot kernels gather finite log-sum-exps at the next states with the
     matmul's bits and without `apply_P`'s + 0.0: no log-sum-exp is -0.0, as
@@ -191,7 +188,7 @@ def _soft_value_iteration(mdp: TabularMdp, r: np.ndarray, tol: float,
     # a warm start, after a matmul sweep and after a problem leaves: the residual takes v
     lse_old = np.zeros(n_problems * ns) if v0 is None and mdp._onto else None
     results, width = [None] * n_problems, 0
-    for _ in range(max_iter):
+    for sweep in range(1, max_iter + 1):
         if width != len(live):  # a new or narrower batch: remake the buffers
             width = len(live)
             f, e = np.empty_like(v), np.empty_like(v)
@@ -216,22 +213,24 @@ def _soft_value_iteration(mdp: TabularMdp, r: np.ndarray, tol: float,
         v = v_new
         # One more backup moves v by at most gamma * diff, so gamma * diff bounds the
         # residual of v; it is monotone in diff, so the least diff (fmin skips NaN) decides.
-        if gamma * float(np.fmin.reduce(diff)) <= tol:
-            done = gamma * diff <= tol
+        # A NaN bound never clears (0 * inf, inf - inf) and starts on a non-finite sweep: fail it.
+        if gamma * float(np.fmin.reduce(diff)) <= tol or not finite and np.isnan(diff).any():
+            done, failed = gamma * diff <= tol, np.isnan(diff)
             blocks = v.reshape(na, width, ns)
             for j in np.flatnonzero(done):
                 v_j = np.ascontiguousarray(blocks[:, j].T)
                 q = r[live[j]] + gamma * v_j
                 results[live[j]] = (v_j, q, softmax_actions(q))
+            for j in np.flatnonzero(failed):
+                results[live[j]] = RuntimeError(_UNCONVERGED.format(tol, sweep, np.nan))
+            done |= failed
             live, diff = live[~done], diff[~done]
             if not len(live):
                 return results
             keep = np.repeat(~done, ns)
             r_am, v, lse_old = r_am[:, keep], v[:, keep], None
     for index, last in zip(live, gamma * diff):
-        results[index] = RuntimeError(
-            f"soft value iteration did not reach tol={tol} in {max_iter} iterations; "
-            f"last residual bound {last:.3e}")
+        results[index] = RuntimeError(_UNCONVERGED.format(tol, max_iter, last))
     return results
 
 

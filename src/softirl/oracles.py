@@ -25,18 +25,16 @@ class ClassifierSpec:
     """Configuration for fit_classifier.
 
     prob_floor must be positive so the fitted log-policy stays bounded.
-    For the logistic kind, `state_features` is an (S, d) matrix (None means
-    one-hot states) and `learning_rate=None` picks 0.5 / (1 + L) from a
-    curvature estimate.
+    The logistic kind runs at most `epochs` full-batch gradient steps of
+    size 0.5 / (1 + L), L the largest squared norm of a state's features,
+    and stops once the loss moves by less than 1e-9; `state_features` is an
+    (S, d) matrix (None means one-hot states).
     """
 
     kind: str = "tabular-count"
     smoothing_alpha: float = 0.0
     prob_floor: float = 1e-6
-    learning_rate: float | None = None
     epochs: int = 500
-    l2: float = 0.0
-    tol: float = 1e-9
     state_features: np.ndarray | None = None
 
     def __post_init__(self):
@@ -141,20 +139,17 @@ def _fit_logistic(spec: ClassifierSpec, counts, state_counts, n_states, n_action
     state_w = state_counts / n
 
     weights = np.zeros((phi.shape[1], n_actions))
-    lipschitz = float(np.max(np.sum(phi ** 2, axis=1)))
-    step = spec.learning_rate if spec.learning_rate is not None else 0.5 / (1.0 + lipschitz)
+    step = 0.5 / (1.0 + float(np.max(np.sum(phi ** 2, axis=1))))
     trace = []
     for _ in range(spec.epochs):
         p = softmax_actions(phi @ weights)
         loss = float(-np.sum(counts * np.log(np.maximum(p, 1e-300))) / n)
-        loss += 0.5 * spec.l2 * float(np.sum(weights ** 2))
         if not np.isfinite(loss):
             raise RuntimeError(f"logistic training diverged; loss trace: {trace}")
-        if trace and abs(trace[-1] - loss) < spec.tol:
+        if trace and abs(trace[-1] - loss) < 1e-9:
             break
         trace.append(loss)
-        grad = phi.T @ (state_w[:, None] * p - counts / n) + spec.l2 * weights
-        weights -= step * grad
+        weights -= step * (phi.T @ (state_w[:, None] * p - counts / n))
     return softmax_actions(phi @ weights)
 
 

@@ -95,12 +95,14 @@ class SolverDiagnostics:
     eta[k] is the root-mean-square misfit of the k-th regression on its own
     fitting fold; nu_proxy is the train KL between the empirical conditional
     and the fitted classifier; kappa_hat is the largest ratio of (empirical
-    state marginal x mu) to empirical (s, a) mass over the visited support.
+    state marginal x mu) to empirical (s, a) mass over the visited support,
+    and freq is that (S, A) joint frequency table of the whole sample.
     """
 
     eta: list = field(default_factory=list)
     nu_proxy: float | None = None
     kappa_hat: float | None = None
+    freq: np.ndarray | None = None
     iterations: int = 0
     warnings: list = field(default_factory=list)
     extras: dict = field(default_factory=dict)
@@ -191,8 +193,6 @@ def _empirical_kappa(freq: np.ndarray, mu_t: np.ndarray, warnings: list) -> floa
     uncovered = np.sum((target > 0) & ~visited)
     if uncovered:
         warnings.append(f"{int(uncovered)} (s, a) cells carry mu mass but were never visited")
-    if not np.any(visited):
-        return float("inf")
     return float(np.max(target[visited] / freq[visited]))
 
 
@@ -213,9 +213,9 @@ def _fit_policy(cfg: SolverConfig, data, n_train: int):
         diag.warnings.append(
             f"{unvisited} states never visited; classifier rows default to uniform there")
     # the classifier counted every record unless the sample is split
-    freq = (clf.counts / n_train if n_train == len(states)
-            else joint_frequency(states, actions, n_states, n_actions))
-    diag.kappa_hat = _empirical_kappa(freq, mu_t, diag.warnings)
+    diag.freq = (clf.counts / n_train if n_train == len(states)
+                 else joint_frequency(states, actions, n_states, n_actions))
+    diag.kappa_hat = _empirical_kappa(diag.freq, mu_t, diag.warnings)
     return np.log(clf.probs), mu_t, diag  # the floor keeps the log finite
 
 

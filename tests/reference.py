@@ -21,7 +21,6 @@ from softirl.envs import _HEADER_PREFIX, TransitionDataset
 from softirl.maxent import _loglik_and_grad
 from softirl.mdp import (
     TabularMdp,
-    _check_table,
     _logsumexp_action_major,
     apply_P,
     check_distribution,
@@ -47,16 +46,24 @@ def logsumexp_actions(f) -> np.ndarray:
     return _logsumexp_action_major(f.T)[0]
 
 
+def _table(f, mdp: TabularMdp, name: str) -> np.ndarray:
+    """`f` as a float array, checked to be an (S, A) table of `mdp`."""
+    f = np.asarray(f, dtype=float)
+    if f.shape != (mdp.n_states, mdp.n_actions):
+        raise ValueError(f"{name} has shape {f.shape}, expected ({mdp.n_states}, {mdp.n_actions})")
+    return f
+
+
 def soft_bellman_residual(mdp: TabularMdp, r, v) -> np.ndarray:
     """Residual of the soft Bellman condition; zero iff (r, v) is feasible."""
-    r = _check_table(r, mdp, "r")
-    v = _check_table(v, mdp, "v")
+    r = _table(r, mdp, "r")
+    v = _table(v, mdp, "v")
     return v - apply_P(mdp, logsumexp_actions(r + mdp.gamma * v))
 
 
 def policy_Q(mdp: TabularMdp, r, pi1) -> np.ndarray:
     """Q-function of policy pi1 under reward r, by one dense linear solve."""
-    r = _check_table(r, mdp, "r")
+    r = _table(r, mdp, "r")
     pi1 = check_distribution(pi1, (mdp.n_states, mdp.n_actions), "pi1")
     ns, na = mdp.n_states, mdp.n_actions
     sa = ns * na

@@ -136,6 +136,8 @@ class TestRuntimeErrors:
         ("solver", "regressor_kind", "ridge"),
         ("solver", "ridge_lambda", "0.1"),
         ("solver", "gamma", "0.9"),
+        ("solver", "classifier_learning_rate", "0.1"),
+        ("solver", "classifier_l2", "0.01"),
     ])
     def test_retired_key_is_unknown(self, tmp_path, capsys, section, key, value):
         from softirl.harness import parse_config
@@ -193,6 +195,33 @@ class TestPipeline:
         body = dict(line.split(",") for line in
                     Path(metrics).read_text().strip().splitlines()[1:])
         assert float(body["kl"]) >= 0.0
+
+    def test_commands_call_the_module_attributes(self, tmp_path, monkeypatch):
+        """A tracer patches attributes of `softirl.envs`, `softirl.solver` and
+        `softirl.metrics`; the commands must call the patched names, not
+        copies bound when the CLI was imported."""
+        from softirl import envs, metrics, solver
+
+        calls = {}
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            return counted
+
+        for module, name in ((envs, "build_env"), (solver, "split_classify_regress"),
+                             (metrics, "evaluate")):
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        split_cfg = tmp_path / "split.ini"
+        split_cfg.write_text(TINY_CONFIG.replace("[solver]\n", "[solver]\nsplit = true\n"))
+        common = ["--config", str(split_cfg), "--quiet"]
+        data, soldir = str(tmp_path / "data.txt"), str(tmp_path / "sol")
+        assert main(["gen-data", *common, "--out", data]) == 0
+        assert main(["solve", data, *common, "--out", soldir]) == 0
+        assert main(["eval", soldir, *common, "--out", str(tmp_path / "m.csv")]) == 0
+        # gen-data and eval build the environment, solve fits, eval scores
+        assert calls == {"build_env": 2, "split_classify_regress": 1, "evaluate": 1}
 
     def test_eval_on_exact_solution_gives_zero_kl(self, cfg_path, tmp_path):
         from softirl.envs import build_env, expert_policy

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -250,17 +251,20 @@ def _scipy_logsumexp():
 
 def _reference_soft_value_iteration(mdp, r, tol, v0=None, max_iter=100_000):
     """The scipy-based sweep the solver's own log-sum-exp must reproduce,
-    raising the solver's RuntimeError if it has not converged in `max_iter`."""
+    raising the solver's RuntimeError if it has not converged in `max_iter`,
+    or at once when the residual bound is NaN, which never clears."""
     logsumexp = _scipy_logsumexp()
     v = np.zeros_like(r) if v0 is None else v0.copy()
-    for _ in range(max_iter):
+    for sweep in range(1, max_iter + 1):
         v_new = apply_P(mdp, logsumexp(r + mdp.gamma * v, axis=1))
         diff = np.max(np.abs(v_new - v))
         v = v_new
         if mdp.gamma * diff <= tol:
             q = r + mdp.gamma * v
             return v, q, softmax_actions(q)
-    raise RuntimeError(f"soft value iteration did not reach tol={tol} in {max_iter} iterations; "
+        if np.isnan(diff):
+            break
+    raise RuntimeError(f"soft value iteration did not reach tol={tol} in {sweep} iterations; "
                        f"last residual bound {mdp.gamma * diff:.3e}")
 
 
@@ -565,6 +569,35 @@ class TestUnreachableState:
                 self._expect(mdp, rewards[name], v0, got)
         # the finite problem converges; every non-finite one reaches the matmul's NaN
         assert [isinstance(got, tuple) for got in batch] == [True, False, False, False]
+
+
+class TestNonFiniteProblemLeaves:
+    """A NaN residual bound never clears, so its problem leaves the batch at
+    the first sweep that shows it, not after `max_iter` sweeps."""
+
+    def test_ident_batch_at_the_default_max_iter(self):
+        mdp, r_true = _gridworld("ident")
+        rewards = [r_true]
+        for row, col, value in ((5, 2, np.nan), (9, 0, np.inf), (13, slice(None), -np.inf)):
+            rewards.append(r_true.copy())
+            rewards[-1][row, col] = value
+        tol = 1e-10
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            batch = _soft_value_iteration(mdp, np.stack(rewards), tol)
+            for r, got in zip(rewards[1:], batch[1:]):
+                assert isinstance(got, RuntimeError)
+                with pytest.raises(RuntimeError) as alone:
+                    soft_value_iteration(mdp, r, tol=tol)
+                with pytest.raises(RuntimeError) as want:
+                    _reference_soft_value_iteration(mdp, r, tol)
+                assert str(got) == str(alone.value) == str(want.value)
+                sweeps = int(re.search(r" in (\d+) iterations", str(got)).group(1))
+                assert sweeps <= 3 and str(got).endswith("last residual bound nan")
+        alone = soft_value_iteration(mdp, r_true, tol=tol)
+        want = _reference_soft_value_iteration(mdp, r_true, tol)
+        for g, a, w in zip(batch[0], alone, want):
+            assert np.array_equal(g, a) and np.array_equal(g, w)
 
 
 class TestSoftPolicyIteration:

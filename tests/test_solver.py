@@ -14,7 +14,7 @@ from softirl.envs import (
     sample_transitions,
 )
 from softirl.harness import builtin_experiment
-from softirl.mdp import TabularMdp, apply_P, expect_mu
+from softirl.mdp import TabularMdp, apply_P, expect_mu, joint_frequency
 from softirl.oracles import ClassifierSpec, RegressorSpec
 from softirl.solver import (
     NormalizationMeasure,
@@ -260,6 +260,18 @@ class TestSplitClassifyRegress:
         sol = split_classify_regress(ds, SolverConfig(gamma=0.9, K=2))
         assert "1 states never visited; classifier rows default to uniform there" \
             in sol.diagnostics.warnings
+
+
+@pytest.mark.parametrize("solve", [classify_then_regress, split_classify_regress],
+                         ids=lambda f: f.__name__)
+def test_diagnostics_carry_the_full_sample_frequency_table(solve):
+    """MaxEnt fits to this table and empirical weighting reads it, so it must
+    be the whole sample's joint frequency, also when the classifier saw half."""
+    ds = _tiny_dataset(np.random.default_rng(23), n=301)
+    freq = solve(ds, SolverConfig(gamma=0.9, K=3)).diagnostics.freq
+    want = joint_frequency(ds.states, ds.actions, ds.meta["n_states"], ds.meta["n_actions"])
+    assert freq.dtype == want.dtype and freq.shape == want.shape
+    assert freq.tobytes() == want.tobytes()
 
 
 def _refit_reference(data, cfg, u, mu_t, split):
