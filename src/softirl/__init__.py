@@ -20,7 +20,6 @@ from softirl.maxent import MaxEntConfig, MaxEntFit, maxent_fit
 from softirl.mdp import (
     TabularMdp,
     apply_P,
-    expect_mu,
     soft_value_iteration,
 )
 from softirl.metrics import MetricsReport, evaluate, qdiff
@@ -66,7 +65,6 @@ __all__ = [
     "classify_then_regress",
     "evaluate",
     "exact_population_solver",
-    "expect_mu",
     "expert_policy",
     "fit_classifier",
     "fit_regressor",

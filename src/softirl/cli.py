@@ -151,9 +151,8 @@ def _cmd_diagnose(args) -> int:
     solution = solver.classify_then_regress(dataset, cfg.solver, record_iterates=True)
     exact = solver.exact_population_solver(mdp, pi, cfg.solver.mu)
     diag = solution.diagnostics
-    iterates = diag.extras["iterates"]
     lines = ["k,eta,sup_dist_to_exact_v,gamma_pow_k"]
-    for k, v_k in enumerate(iterates):
+    for k, v_k in enumerate(diag.iterates):
         eta = diag.eta[k - 1] if k >= 1 else float("nan")
         dist = float(np.max(np.abs(v_k - exact.v)))
         lines.append(f"{k},{eta:.10g},{dist:.10g},{cfg.solver.gamma ** k:.10g}")

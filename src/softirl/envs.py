@@ -18,6 +18,7 @@ from softirl.mdp import (
     TabularMdp,
     _soft_policy_iteration,
     check_distribution,
+    check_records,
     soft_value_iteration,
 )
 
@@ -65,8 +66,14 @@ class GridworldSpec:
         if self.reward_kind not in REWARD_KINDS:
             raise ValueError(
                 f"reward_kind: must be one of {REWARD_KINDS}, got {self.reward_kind!r}")
-        if not 0.0 <= self.move_noise < 1.0:
-            raise ValueError(f"move_noise: must lie in [0, 1), got {self.move_noise}")
+        # shrinking the reward lifts the least action probability towards 1 / N_ACTIONS, not to it
+        for name, hi in (("gamma", 1.0), ("move_noise", 1.0), ("min_action_prob", 1 / N_ACTIONS)):
+            if not 0.0 <= getattr(self, name) < hi:
+                raise ValueError(f"{name}: must lie in [0, {hi:g}), got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"seed: must be nonnegative, got {self.seed}")
+        if not 0.0 < self.reward_scale < np.inf:
+            raise ValueError(f"reward_scale: must be finite and positive, got {self.reward_scale}")
 
     @property
     def n_states(self) -> int:
@@ -87,17 +94,8 @@ class TransitionDataset:
         return len(self.states)
 
     def validate(self) -> None:
-        if not (len(self.states) == len(self.actions) == len(self.next_states)):
-            raise ValueError("record arrays must have equal length")
-        ns = self.meta.get("n_states")
-        na = self.meta.get("n_actions")
-        if ns is not None:
-            for name, arr, hi in (("state", self.states, ns),
-                                  ("action", self.actions, na),
-                                  ("next state", self.next_states, ns)):
-                arr = np.asarray(arr)
-                if arr.size and (arr.min() < 0 or arr.max() >= hi):
-                    raise ValueError(f"{name} index out of range [0, {hi})")
+        check_records(self.meta["n_states"], self.meta["n_actions"],
+                      self.states, self.actions, self.next_states)
         if self.meta.get("n", self.n) != self.n:
             raise ValueError(f"meta n={self.meta['n']} != {self.n} records")
 
@@ -384,17 +382,14 @@ def read_dataset(path) -> TransitionDataset:
 
 def _parse_records(body: str, n_states: int, n_actions: int):
     """The (s, a, s') columns of a dataset body in one pass; ValueError on a
-    malformed line or an index out of range."""
+    malformed line or a bad index (`check_records`)."""
     if not body or body.isspace():  # loadtxt warns on an empty body
         return tuple(np.zeros((3, 0), dtype=np.int64))
     records = np.loadtxt(io.StringIO(body), delimiter=",", dtype=np.int64,
                          comments=None, ndmin=2)
     if records.shape[1] != 3:
         raise ValueError("expected three fields per line")
-    s, a, s2 = records.T.copy()
-    if records.min() < 0 or max(s.max(), s2.max()) >= n_states or a.max() >= n_actions:
-        raise ValueError("index out of range")
-    return s, a, s2
+    return check_records(n_states, n_actions, *records.T.copy())
 
 
 def _scan_records(path, body: str, n_states: int, n_actions: int):

@@ -47,7 +47,7 @@ FLOAT_FMT = "%.10g"
 @dataclass
 class ExperimentConfig:
     """One experiment; it also checks the solver values bounded by the
-    gridworld's N_ACTIONS actions, naming each by its path from here."""
+    gridworld's N_ACTIONS actions or by n, naming each by its path from here."""
 
     env: GridworldSpec
     n: int = 50_000
@@ -67,6 +67,11 @@ class ExperimentConfig:
         for name in ("n", "reruns"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name}: must be at least 1, got {getattr(self, name)}")
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed: must be nonnegative, got {self.base_seed}")
+        if self.solver.split and (folds := self.solver.fold_count(self.n)) > self.n // 2:
+            raise ValueError(f"solver.folds: split needs at most n // 2 = {self.n // 2} folds "
+                             f"(one per iteration if unset), got {folds}")
         for path, action in (("ref_action", self.ref_action),
                              ("mu.ref_action", self.solver.mu.ref_action)):
             if not 0 <= action < N_ACTIONS:

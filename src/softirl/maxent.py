@@ -40,6 +40,10 @@ class MaxEntConfig:
             raise ValueError(f"step_size: must be positive, got {self.step_size}")
         if self.max_epochs < 0:
             raise ValueError(f"max_epochs: must be nonnegative, got {self.max_epochs}")
+        if self.patience < 1:
+            raise ValueError(f"patience: must be at least 1, got {self.patience}")
+        if not 0.0 <= self.tol < np.inf:
+            raise ValueError(f"tol: must be finite and nonnegative, got {self.tol}")
 
 
 @dataclass

@@ -66,6 +66,19 @@ def check_distribution(p, shape: tuple, what: str) -> np.ndarray:
     return p
 
 
+def check_records(n_states: int, n_actions: int, states, actions, next_states=None) -> tuple:
+    """The (s, a) or (s, a, s') record columns as int64 arrays, checked to have
+    equal lengths and indices in [0, S), [0, A), [0, S); each ValueError names its column."""
+    columns = [np.asarray(c, dtype=np.int64) for c in (states, actions, next_states) if c is not None]
+    if len({c.shape for c in columns}) > 1:
+        raise ValueError("record columns must have equal length")
+    for name, c, hi in zip(("state", "action", "next state"), columns,
+                           (n_states, n_actions, n_states)):
+        if c.size and (c.min() < 0 or c.max() >= hi):
+            raise ValueError(f"{name} index out of range [0, {hi})")
+    return tuple(columns)
+
+
 def apply_P(mdp: TabularMdp, f) -> np.ndarray:
     """Expected next-state value: result[s, a] = sum_s' P(s'|s,a) f(s').
 
@@ -79,15 +92,6 @@ def apply_P(mdp: TabularMdp, f) -> np.ndarray:
     if mdp._targets is not None and np.isfinite(f).all():
         return f[mdp._targets] + 0.0
     return mdp.transition @ f
-
-
-def expect_mu(mu, f) -> np.ndarray:
-    """Action expectation under a conditional measure: result[s] = sum_a mu(a|s) f(s,a)."""
-    mu = np.asarray(mu, dtype=float)
-    f = np.asarray(f, dtype=float)
-    if mu.shape != f.shape or mu.ndim != 2:
-        raise ValueError(f"shape mismatch: mu {mu.shape} vs f {f.shape}")
-    return np.sum(mu * f, axis=1)
 
 
 def _sum_actions(e: np.ndarray) -> np.ndarray:

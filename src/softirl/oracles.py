@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from softirl.mdp import softmax_actions
+from softirl.mdp import check_records, softmax_actions
 
 CLASSIFIER_KINDS = ("tabular-count", "multinomial-logistic")
 REGRESSOR_KINDS = ("tabular-mean", "ridge")
@@ -44,6 +44,8 @@ class ClassifierSpec:
             raise ValueError(f"smoothing_alpha: must be nonnegative, got {self.smoothing_alpha}")
         if not self.prob_floor > 0:
             raise ValueError(f"prob_floor: must be positive, got {self.prob_floor}")
+        if self.epochs < 1:
+            raise ValueError(f"epochs: must be at least 1, got {self.epochs}")
 
 
 @dataclass(frozen=True)
@@ -92,24 +94,14 @@ class FittedRegressor:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _check_fit_inputs(states, actions, n_states, n_actions):
-    s = np.asarray(states, dtype=np.int64)
-    a = np.asarray(actions, dtype=np.int64)
-    if s.size == 0:
-        raise ValueError("empty training data")
-    if s.shape != a.shape:
-        raise ValueError("states and actions must have equal length")
-    if s.min() < 0 or s.max() >= n_states or a.min() < 0 or a.max() >= n_actions:
-        raise ValueError("state or action index out of range")
-    return s, a
-
-
 def fit_classifier(spec: ClassifierSpec, states, actions,
                    n_states: int, n_actions: int) -> FittedClassifier:
     """Estimate the behavior policy pi(a|s) from observed (s, a) pairs."""
     if not spec.prob_floor < 1.0 / n_actions:
         raise ValueError(f"prob_floor must lie below 1/{n_actions}")
-    s, a = _check_fit_inputs(states, actions, n_states, n_actions)
+    s, a = check_records(n_states, n_actions, states, actions)
+    if s.size == 0:
+        raise ValueError("empty training data")
     counts = np.bincount(s * n_actions + a,
                          minlength=n_states * n_actions).reshape(n_states, n_actions)
     state_counts = counts.sum(axis=1)
@@ -158,12 +150,9 @@ def fit_regressor(spec: RegressorSpec, states, actions, next_states,
     """Least-squares fit of the next-state indicator on (s, a) over the
     configured class: regressing any target g(s') on the same records gives
     offset + M g, with M held as triples (see FittedRegressor)."""
-    s, a = _check_fit_inputs(states, actions, n_states, n_actions)
-    s2 = np.asarray(next_states, dtype=np.int64)
-    if s2.shape != s.shape:
-        raise ValueError("next_states must align with states/actions")
-    if s2.min() < 0 or s2.max() >= n_states:
-        raise ValueError("next state index out of range")
+    s, a, s2 = check_records(n_states, n_actions, states, actions, next_states)
+    if s.size == 0:
+        raise ValueError("empty training data")
 
     n_cells = n_states * n_actions
     counts = np.bincount((s * n_actions + a) * n_states + s2, minlength=n_cells * n_states)

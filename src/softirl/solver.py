@@ -31,7 +31,6 @@ from softirl.mdp import (
     _solve_discounted,
     apply_P,
     check_distribution,
-    expect_mu,
     joint_frequency,
     state_kernel,
 )
@@ -87,6 +86,10 @@ class SolverConfig:
         if self.folds is not None and self.folds < 1:
             raise ValueError(f"folds: must be at least 1, got {self.folds}")
 
+    def fold_count(self, n: int) -> int:
+        """Regression folds of a split solve on n records: `folds`, or one per step."""
+        return self.folds if self.folds is not None else max(resolve_K(self.K, n, self.gamma), 1)
+
 
 @dataclass
 class SolverDiagnostics:
@@ -97,15 +100,19 @@ class SolverDiagnostics:
     and the fitted classifier; kappa_hat is the largest ratio of (empirical
     state marginal x mu) to empirical (s, a) mass over the visited support,
     and freq is that (S, A) joint frequency table of the whole sample.
+    iterations is len(eta); iterates holds v_0 .. v_K when a solve records them.
     """
 
     eta: list = field(default_factory=list)
     nu_proxy: float | None = None
     kappa_hat: float | None = None
     freq: np.ndarray | None = None
-    iterations: int = 0
     warnings: list = field(default_factory=list)
-    extras: dict = field(default_factory=dict)
+    iterates: list | None = None
+
+    @property
+    def iterations(self) -> int:
+        return len(self.eta)
 
 
 @dataclass
@@ -167,7 +174,7 @@ def exact_population_solver(mdp: TabularMdp, pi, mu: NormalizationMeasure) -> Ir
     mu_t = mu.materialize(mdp.n_states, mdp.n_actions, behavior=pi)
     u = np.log(pi)
     kernel = state_kernel(mdp, mu_t)
-    rhs = -expect_mu(mu_t, u)
+    rhs = -np.sum(mu_t * u, axis=1)
     v = apply_P(mdp, _solve_discounted(kernel, mdp.gamma, rhs, "potential"))
     r, c = _assemble(u, v, mu_t, mdp.gamma)
     return IrlSolution(r, v, u, c, mu_t, mdp.gamma, SolverDiagnostics(nu_proxy=0.0))
@@ -230,7 +237,7 @@ def _fitted_fixed_point(cfg: SolverConfig, u, mu_t, k_steps: int, fit, folds: in
     population map, which has none).
     """
     v = np.zeros_like(u)
-    iterates = [v] if record_iterates else None
+    diag.iterates = [v] if record_iterates else None
     fitted, fold, empty_seen = None, None, 0
     for k in range(k_steps):
         if k % folds != fold:
@@ -243,20 +250,17 @@ def _fitted_fixed_point(cfg: SolverConfig, u, mu_t, k_steps: int, fit, folds: in
             rows, cols, weights = fitted.counts
             n_records = max(int(weights.sum()), 1)
             empty_seen = max(empty_seen, fitted.diagnostics["n_empty_cells"])
-        g = expect_mu(mu_t, cfg.gamma * v - u)
+        g = np.sum(mu_t * (cfg.gamma * v - u), axis=1)
         flat = fitted.offset + np.bincount(map_rows, map_values * g[map_cols],
                                            minlength=fitted.offset.size)
         diag.eta.append(float(np.sqrt(weights @ (flat[rows] - g[cols]) ** 2 / n_records)))
         v = flat.reshape(u.shape)
         if record_iterates:
-            iterates.append(v)
+            diag.iterates.append(v)
     if empty_seen:
         diag.warnings.append(
             f"up to {empty_seen} (s, a) cells unvisited per regression fold; fallback used"
         )
-    diag.iterations = k_steps
-    if record_iterates:
-        diag.extras["iterates"] = iterates
     r, c = _assemble(u, v, mu_t, cfg.gamma)
     return IrlSolution(r, v, u, c, mu_t, cfg.gamma, diag)
 
@@ -289,8 +293,7 @@ def split_classify_regress(data, cfg: SolverConfig) -> IrlSolution:
     n_actions = data.meta["n_actions"]
     u, mu_t, diag = _fit_policy(cfg, data, half)
 
-    k_steps = resolve_K(cfg.K, n, cfg.gamma)
-    folds = cfg.folds if cfg.folds is not None else max(k_steps, 1)
+    k_steps, folds = resolve_K(cfg.K, n, cfg.gamma), cfg.fold_count(n)
     fold_size = half // folds
     if fold_size == 0:
         raise ValueError(f"fold size is 0: half={half}, folds={folds}")
@@ -344,7 +347,6 @@ def load_solution(out_dir) -> IrlSolution:
     diag = SolverDiagnostics(eta=payload.get("eta", []),
                              nu_proxy=payload.get("nu_proxy"),
                              kappa_hat=payload.get("kappa_hat"),
-                             iterations=payload.get("iterations", 0),
                              warnings=payload.get("warnings", []))
     return IrlSolution(tables["r"], tables["v"], tables["u"], c,
                        tables["mu"], payload["gamma"], diag)

@@ -24,7 +24,6 @@ from softirl.mdp import (
     _logsumexp_action_major,
     apply_P,
     check_distribution,
-    expect_mu,
     soft_value_iteration,
     state_kernel,
 )
@@ -52,6 +51,15 @@ def _table(f, mdp: TabularMdp, name: str) -> np.ndarray:
     if f.shape != (mdp.n_states, mdp.n_actions):
         raise ValueError(f"{name} has shape {f.shape}, expected ({mdp.n_states}, {mdp.n_actions})")
     return f
+
+
+def expect_mu(mu, f) -> np.ndarray:
+    """Action expectation under a conditional measure: result[s] = sum_a mu(a|s) f(s,a)."""
+    mu = np.asarray(mu, dtype=float)
+    f = np.asarray(f, dtype=float)
+    if mu.shape != f.shape or mu.ndim != 2:
+        raise ValueError(f"shape mismatch: mu {mu.shape} vs f {f.shape}")
+    return np.sum(mu * f, axis=1)
 
 
 def soft_bellman_residual(mdp: TabularMdp, r, v) -> np.ndarray:
@@ -256,7 +264,6 @@ def dense_fitted_fixed_point(cfg, u, mu_t, k_steps, fit, folds, diag, record_ite
         diag.warnings.append(
             f"up to {empty_seen} (s, a) cells unvisited per regression fold; fallback used"
         )
-    diag.iterations = k_steps
     r, c = _assemble(u, v, mu_t, cfg.gamma)
     return IrlSolution(r, v, u, c, mu_t, cfg.gamma, diag)
 

@@ -100,7 +100,7 @@ def test_criterion_3_contraction_rate():
         cfg = SolverConfig(gamma=mdp.gamma, K=50)
         sol = population_fixed_point(mdp, pi, cfg, record_iterates=True)
         v_star_norm = sup_norm(exact.v)
-        for k, v_k in enumerate(sol.diagnostics.extras["iterates"]):
+        for k, v_k in enumerate(sol.diagnostics.iterates):
             excess = sup_norm(v_k - exact.v) - (mdp.gamma ** k * v_star_norm + 1e-12)
             worst_excess = max(worst_excess, excess)
     ok = worst_excess <= 0.0

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import softirl
+from softirl import envs, harness
 from softirl.cli import main
 
 TINY_CONFIG = """\
@@ -33,6 +34,82 @@ reruns = 2
 base_seed = 1
 name = tiny
 """
+
+
+# (line, replacement, the key its error names, command): each replacement is a
+# malformed value that parsing rejects before any environment is built
+MALFORMED_VALUES = [
+    pytest.param("width = 2", "width = 8x", "[env] width", ["gen-data"], id="env-width"),
+    pytest.param("mu = uniform", "mu = uniform\nsplit = maybe", "[solver] split",
+                 ["gen-data"], id="solver-split"),
+    # an action index out of [0, 5) is a config error, before any data or solution is read
+    pytest.param("name = tiny", "name = tiny\nref_action = 7", "[eval] ref_action",
+                 ["eval", "sol"], id="eval-ref-action"),
+    pytest.param("name = tiny", "name = tiny\nref_action = 7", "[eval] ref_action",
+                 ["reproduce"], id="reproduce-ref-action"),
+    pytest.param("mu = uniform", "mu = point-mass\nmu_ref_action = -1", "[solver] mu_ref_action",
+                 ["gen-data"], id="solver-mu-ref-action"),
+    # MaxEnt's settings are checked at parse time, not by failing every rerun's fit
+    pytest.param("step_size = 0.05", "step_size = 0", "[baseline] step_size",
+                 ["reproduce"], id="baseline-step-size"),
+    pytest.param("max_epochs = 30", "max_epochs = -1", "[baseline] max_epochs",
+                 ["reproduce"], id="baseline-max-epochs"),
+    # so are the solver's iteration and fold counts and the env's values
+    pytest.param("k = auto", "k = -1", "[solver] k", ["reproduce"], id="solver-k"),
+    pytest.param("mu = uniform", "mu = uniform\nsplit = true\nfolds = 0", "[solver] folds",
+                 ["reproduce"], id="solver-folds"),
+    pytest.param("topology = torus", "topology = cube", "[env] topology",
+                 ["reproduce"], id="env-topology"),
+    pytest.param("reward_kind = tabular-linear", "reward_kind = cubic", "[env] reward_kind",
+                 ["gen-data"], id="env-reward-kind"),
+    pytest.param("seed = 3", "seed = 3\nmove_noise = 1.0", "[env] move_noise",
+                 ["gen-data"], id="env-move-noise"),
+    pytest.param("height = 2", "height = 0", "[env] height", ["gen-data"], id="env-height"),
+    # and so are the sampler's, measure's and oracles' values, not only
+    # inside every rerun once its data is drawn
+    pytest.param("n = 2000", "n = 0", "[eval] n", ["reproduce"], id="eval-n"),
+    pytest.param("name = tiny", "name = tiny\nregime = chain", "[eval] regime",
+                 ["reproduce"], id="eval-regime"),
+    pytest.param("mu = uniform", "mu = median", "[solver] mu", ["reproduce"], id="solver-mu"),
+    pytest.param("mu = uniform", "mu = uniform\nclassifier_kind = forest",
+                 "[solver] classifier_kind", ["reproduce"], id="solver-classifier-kind"),
+    pytest.param("smoothing_alpha = 1.0", "smoothing_alpha = -1", "[solver] smoothing_alpha",
+                 ["reproduce"], id="solver-smoothing-alpha"),
+    pytest.param("mu = uniform", "mu = uniform\nprob_floor = 0", "[solver] prob_floor",
+                 ["reproduce"], id="solver-prob-floor"),
+    # a floor of 1/5 or more leaves no room for the gridworld's five actions
+    pytest.param("mu = uniform", "mu = uniform\nprob_floor = 0.5", "[solver] prob_floor",
+                 ["reproduce"], id="solver-prob-floor-above-uniform"),
+    pytest.param("mu = uniform", "mu = uniform\nfallback = nan", "[solver] fallback",
+                 ["reproduce"], id="solver-fallback"),
+    pytest.param("name = tiny", "name = tiny\nweighting = states", "[eval] weighting",
+                 ["reproduce"], id="eval-weighting"),
+    pytest.param("reruns = 2", "reruns = 0", "[eval] reruns", ["reproduce"], id="eval-reruns"),
+    pytest.param("mu = uniform", "mu = point-mass\nmu_ref_action = 5", "[solver] mu_ref_action",
+                 ["gen-data"], id="solver-mu-ref-action-above"),
+    # each value below passed parsing before and failed late or silently
+    pytest.param("seed = 3", "seed = -1", "[env] seed", ["gen-data"], id="env-seed"),
+    pytest.param("gamma = 0.9", "gamma = 1.0", "[env] gamma", ["reproduce"], id="env-gamma"),
+    pytest.param("seed = 3", "seed = 3\nreward_scale = nan", "[env] reward_scale",
+                 ["reproduce"], id="env-reward-scale"),
+    # no reward meets a floor of 1/5 on all five actions
+    pytest.param("min_action_prob = 0.05", "min_action_prob = 0.25", "[env] min_action_prob",
+                 ["reproduce"], id="env-min-action-prob"),
+    pytest.param("mu = uniform",
+                 "mu = uniform\nclassifier_kind = multinomial-logistic\nclassifier_epochs = 0",
+                 "[solver] classifier_epochs", ["reproduce"], id="solver-classifier-epochs"),
+    pytest.param("max_epochs = 30", "max_epochs = 30\npatience = -2", "[baseline] patience",
+                 ["reproduce"], id="baseline-patience"),
+    pytest.param("max_epochs = 30", "max_epochs = 30\ntol = nan", "[baseline] tol",
+                 ["reproduce"], id="baseline-tol"),
+    pytest.param("base_seed = 1", "base_seed = -1", "[eval] base_seed",
+                 ["reproduce"], id="eval-base-seed"),
+    # a split solve needs at most n // 2 = 1000 folds; unset, there is one per iteration
+    pytest.param("mu = uniform", "mu = uniform\nsplit = true\nfolds = 1001", "[solver] folds",
+                 ["gen-data"], id="solver-folds-above-half"),
+    pytest.param("k = auto", "k = 1001\nsplit = true", "[solver] folds",
+                 ["reproduce"], id="solver-k-above-half"),
+]
 
 
 @pytest.fixture
@@ -77,54 +154,35 @@ class TestRuntimeErrors:
         bad.write_text("[env]\nwidth = 2\nheight = 2\nbogus = 1\n")
         assert main(["gen-data", "--config", str(bad)]) == 2
 
-    @pytest.mark.parametrize("line, bad, where, command", [
-        ("width = 2", "width = 8x", "[env] width", ["gen-data"]),
-        ("mu = uniform", "mu = uniform\nsplit = maybe", "[solver] split", ["gen-data"]),
-        # an action index out of [0, 5) is a config error, before any data or solution is read
-        ("name = tiny", "name = tiny\nref_action = 7", "[eval] ref_action", ["eval", "sol"]),
-        ("name = tiny", "name = tiny\nref_action = 7", "[eval] ref_action", ["reproduce"]),
-        ("mu = uniform", "mu = point-mass\nmu_ref_action = -1", "[solver] mu_ref_action",
-         ["gen-data"]),
-        # MaxEnt's settings are checked at parse time, not by failing every rerun's fit
-        ("step_size = 0.05", "step_size = 0", "[baseline] step_size", ["reproduce"]),
-        ("max_epochs = 30", "max_epochs = -1", "[baseline] max_epochs", ["reproduce"]),
-        # so are the solver's iteration and fold counts and the env's values
-        ("k = auto", "k = -1", "[solver] k", ["reproduce"]),
-        ("mu = uniform", "mu = uniform\nsplit = true\nfolds = 0", "[solver] folds", ["reproduce"]),
-        ("topology = torus", "topology = cube", "[env] topology", ["reproduce"]),
-        ("reward_kind = tabular-linear", "reward_kind = cubic", "[env] reward_kind",
-         ["gen-data"]),
-        ("seed = 3", "seed = 3\nmove_noise = 1.0", "[env] move_noise", ["gen-data"]),
-        ("height = 2", "height = 0", "[env] height", ["gen-data"]),
-        # and so are the sampler's, measure's and oracles' values, not only
-        # inside every rerun once its data is drawn
-        ("n = 2000", "n = 0", "[eval] n", ["reproduce"]),
-        ("name = tiny", "name = tiny\nregime = chain", "[eval] regime", ["reproduce"]),
-        ("mu = uniform", "mu = median", "[solver] mu", ["reproduce"]),
-        ("mu = uniform", "mu = uniform\nclassifier_kind = forest", "[solver] classifier_kind",
-         ["reproduce"]),
-        ("smoothing_alpha = 1.0", "smoothing_alpha = -1", "[solver] smoothing_alpha",
-         ["reproduce"]),
-        ("mu = uniform", "mu = uniform\nprob_floor = 0", "[solver] prob_floor", ["reproduce"]),
-        # a floor of 1/5 or more leaves no room for the gridworld's five actions
-        ("mu = uniform", "mu = uniform\nprob_floor = 0.5", "[solver] prob_floor",
-         ["reproduce"]),
-        ("mu = uniform", "mu = uniform\nfallback = nan", "[solver] fallback", ["reproduce"]),
-        ("name = tiny", "name = tiny\nweighting = states", "[eval] weighting", ["reproduce"]),
-        ("reruns = 2", "reruns = 0", "[eval] reruns", ["reproduce"]),
-        ("mu = uniform", "mu = point-mass\nmu_ref_action = 5", "[solver] mu_ref_action",
-         ["gen-data"]),
-    ], ids=["env-width", "solver-split", "eval-ref-action", "reproduce-ref-action",
-            "solver-mu-ref-action", "baseline-step-size", "baseline-max-epochs",
-            "solver-k", "solver-folds", "env-topology", "env-reward-kind", "env-move-noise",
-            "env-height", "eval-n", "eval-regime", "solver-mu", "solver-classifier-kind",
-            "solver-smoothing-alpha", "solver-prob-floor", "solver-prob-floor-above-uniform",
-            "solver-fallback", "eval-weighting", "eval-reruns", "solver-mu-ref-action-above"])
-    def test_malformed_value_names_its_key(self, tmp_path, capsys, line, bad, where, command):
+    @pytest.mark.parametrize("line, bad, where, command", MALFORMED_VALUES)
+    def test_malformed_value_names_its_key(self, tmp_path, capsys, monkeypatch,
+                                           line, bad, where, command):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a malformed config reached the environment")
+
+        for module in (envs, harness):
+            for name in ("build_env", "sample_transitions"):
+                monkeypatch.setattr(module, name, unreachable)
         path = tmp_path / "malformed.ini"
+        assert TINY_CONFIG.count(line) == 1
         path.write_text(TINY_CONFIG.replace(line, bad))
         assert main([*command, "--config", str(path), "--quiet"]) == 2
         assert f"{where}: " in capsys.readouterr().err
+
+    def test_every_key_has_a_malformed_value_case(self):
+        keys = {f"[{section}] {key}" for section, table in harness._KEYS.items() for key in table}
+        covered = {case.values[2] for case in MALFORMED_VALUES}
+        assert covered <= keys
+        assert keys - covered == {"[eval] name"}  # free text, which no spec checks
+
+    def test_negative_base_seed_fails_before_any_rerun(self, tmp_path, capsys):
+        path = tmp_path / "seed.ini"
+        path.write_text(TINY_CONFIG.replace("reruns = 2", "reruns = 10")
+                        .replace("base_seed = 1", "base_seed = -1"))
+        out = tmp_path / "res"
+        assert main(["reproduce", "--config", str(path), "--out", str(out), "--quiet"]) == 2
+        assert "[eval] base_seed: must be nonnegative, got -1" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("section, key, value", [
         ("baseline", "init", "zeros"),

@@ -128,8 +128,9 @@ class TestParseConfig:
         # "1" is a valid int, float, str and boolean, so only the declared type
         # decides; the keys whose values are checked at parse time take valid ones
         valid = {"topology": "torus", "reward_kind": "linear", "move_noise": "0",
-                 "mu": "uniform", "classifier_kind": "tabular-count", "prob_floor": "0.1",
-                 "regime": "iid-restart", "weighting": "uniform"}
+                 "gamma": "0.5", "min_action_prob": "0", "mu": "uniform",
+                 "classifier_kind": "tabular-count", "prob_floor": "0.1",
+                 "regime": "iid-restart", "weighting": "uniform", "n": "2"}
         text = "".join(f"[{name}]\n" + "".join(f"{key} = {valid.get(key, 1)}\n" for key in table)
                        for name, table in _KEYS.items())
         path = tmp_path / "cfg.ini"
@@ -141,6 +142,15 @@ class TestParseConfig:
         for table in _KEYS.values():
             for key, (target, field, typ) in table.items():
                 assert type(getattr(owners[target], field)) is (int if typ is _k else typ), key
+
+    def test_split_fold_count_is_checked_against_n(self):
+        # K = 'auto' resolves to 188 steps at n = 300 and 197 at n = 400 (gamma 0.97),
+        # one fold each, and a split solve regresses on n // 2 records
+        env = GridworldSpec(4, 4)
+        split = SolverConfig(gamma=env.gamma, split=True)
+        with pytest.raises(ValueError, match=r"^solver\.folds: .* n // 2 = 150 .* got 188$"):
+            ExperimentConfig(env, n=300, solver=split)
+        assert ExperimentConfig(env, n=400, solver=split).solver.fold_count(400) == 197
 
 
 class TestRunExperiment:

@@ -11,7 +11,7 @@ from softirl.mdp import (
     _soft_policy_iteration,
     _soft_value_iteration,
     apply_P,
-    expect_mu,
+    check_records,
     joint_frequency,
     soft_value_iteration,
     softmax_actions,
@@ -20,6 +20,7 @@ from softirl.mdp import (
 from conftest import random_mdp, random_policy, toggle_mdp
 from reference import (
     conditional_loglik,
+    expect_mu,
     lambda_mu_weights,
     logsumexp_actions,
     policy_Q,
@@ -113,6 +114,46 @@ class TestCheckDistribution:
     def test_a_sum_within_tolerance_is_accepted(self, entry):
         table, call = _entry_points()[entry]
         call(_off_by(1e-13)(np.array(table)))
+
+def _record_entry_points():
+    """name -> (column count, the call that checks them) for each public entry
+    point that takes (s, a) or (s, a, s') records of a 3-state, 2-action MDP."""
+    from softirl.envs import TransitionDataset
+    from softirl.oracles import ClassifierSpec, RegressorSpec, fit_classifier, fit_regressor
+
+    def dataset(*columns):
+        TransitionDataset(*columns, meta={"n_states": 3, "n_actions": 2}).validate()
+
+    return {"dataset": (3, dataset),
+            "classifier": (2, lambda *c: fit_classifier(ClassifierSpec(), *c, 3, 2)),
+            "regressor": (3, lambda *c: fit_regressor(RegressorSpec(), *c, 3, 2))}
+
+
+class TestCheckRecords:
+    """Every entry point checks its records with `check_records`."""
+
+    def test_columns_come_back_as_int64(self):
+        columns = check_records(3, 2, [0, 2], np.array([1, 0], dtype=np.int32), (2, 0))
+        assert [c.dtype for c in columns] == [np.int64] * 3
+        assert [c.tolist() for c in columns] == [[0, 2], [1, 0], [2, 0]]
+        assert len(check_records(3, 2, [], [])) == 2
+
+    @pytest.mark.parametrize("entry", ["dataset", "classifier", "regressor"])
+    def test_an_index_out_of_range_is_rejected_by_its_column(self, entry):
+        width, call = _record_entry_points()[entry]
+        for column, (name, hi) in enumerate([("state", 3), ("action", 2), ("next state", 3)][:width]):
+            for bad in (-1, hi):
+                columns = [[0, 1], [1, 0], [2, 0]][:width]
+                columns[column] = [0, bad]
+                with pytest.raises(ValueError, match=rf"^{name} index out of range \[0, {hi}\)$"):
+                    call(*columns)
+
+    @pytest.mark.parametrize("entry", ["dataset", "classifier", "regressor"])
+    def test_columns_of_unequal_length_are_rejected(self, entry):
+        width, call = _record_entry_points()[entry]
+        with pytest.raises(ValueError, match="^record columns must have equal length$"):
+            call(*[[0, 1], [1, 0], [2, 0]][:width - 1], [0])
+
 
 class TestApplyP:
     @given(st.integers(0, 10_000))

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from softirl.envs import (
     sample_transitions,
 )
 from softirl.harness import builtin_experiment
-from softirl.mdp import TabularMdp, apply_P, expect_mu, joint_frequency
+from softirl.mdp import TabularMdp, apply_P, joint_frequency
 from softirl.oracles import ClassifierSpec, RegressorSpec
 from softirl.solver import (
     NormalizationMeasure,
@@ -32,6 +33,7 @@ from conftest import random_mdp, random_policy, toggle_mdp
 from reference import (
     dense_fit_regressor,
     dense_fitted_fixed_point,
+    expect_mu,
     lambda_mu_weights,
     logsumexp_actions,
     policy_value,
@@ -167,7 +169,7 @@ class TestClassifyThenRegress:
         exact = exact_population_solver(mdp, pi, UNIFORM)
         cfg = SolverConfig(gamma=0.9, K=40)
         sol = population_fixed_point(mdp, pi, cfg, record_iterates=True)
-        iterates = sol.diagnostics.extras["iterates"]
+        iterates = sol.diagnostics.iterates
         v_star_norm = sup_norm(exact.v)
         for k, v_k in enumerate(iterates):
             assert sup_norm(v_k - exact.v) <= mdp.gamma ** k * v_star_norm + 1e-12
@@ -193,7 +195,7 @@ class TestClassifyThenRegress:
         sol = classify_then_regress(ds, cfg)
         exact = exact_population_solver(mdp, pi, UNIFORM)
         assert sup_norm(sol.r - exact.r) <= 0.15
-        assert len(sol.diagnostics.eta) == sol.diagnostics.iterations
+        assert len(sol.diagnostics.eta) == resolve_K(cfg.K, ds.n, cfg.gamma)
         assert sol.diagnostics.kappa_hat is not None
 
     def test_oracle_failure_names_the_iteration(self):
@@ -514,6 +516,16 @@ class TestSolutionIO:
         assert_allclose(back.u, sol.u, atol=0)
         assert_allclose(back.c, sol.c, atol=0)
         assert back.gamma == sol.gamma
+
+    def test_the_iteration_count_is_the_eta_count(self, tmp_path):
+        sol = classify_then_regress(_tiny_dataset(np.random.default_rng(3)),
+                                    SolverConfig(gamma=0.9, K=7))
+        save_solution(sol, tmp_path / "sol")
+        payload = json.loads((tmp_path / "sol" / "diagnostics.json").read_text())
+        assert payload["iterations"] == len(payload["eta"]) == 7
+        assert load_solution(tmp_path / "sol").diagnostics.iterations == 7
+        with pytest.raises(AttributeError):
+            sol.diagnostics.iterations = 3
 
 
 def _fixed_point(mdp, mu, u, iters=4000):
