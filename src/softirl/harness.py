@@ -69,6 +69,8 @@ class ExperimentConfig:
                 raise ValueError(f"{name}: must be at least 1, got {getattr(self, name)}")
         if self.base_seed < 0:
             raise ValueError(f"base_seed: must be nonnegative, got {self.base_seed}")
+        if any(ch.isspace() for ch in self.name):  # the name is a dataset header token
+            raise ValueError(f"name: must not contain whitespace, got {self.name!r}")
         if self.solver.split and (folds := self.solver.fold_count(self.n)) > self.n // 2:
             raise ValueError(f"solver.folds: split needs at most n // 2 = {self.n // 2} folds "
                              f"(one per iteration if unset), got {folds}")

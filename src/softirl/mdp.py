@@ -16,6 +16,8 @@ ROW_SUM_TOL = 1e-12
 # soft value iteration's error, from tol, the sweeps run and the last residual bound
 _UNCONVERGED = ("soft value iteration did not reach tol={} in {} iterations; "
                 "last residual bound {:.3e}")
+# sweeps between soft value iteration's residual checks on onto one-hot kernels
+CHECK_EVERY = 16
 
 
 @dataclass(frozen=True)
@@ -171,70 +173,87 @@ def _soft_value_iteration(mdp: TabularMdp, r: np.ndarray, tol: float,
     actions are elementwise across states and problems, and does each
     problem's row-major arithmetic bit for bit; its buffers are made once per
     batch width. A problem leaves the batch at the sweep where its own
-    residual bound reaches `tol`. Returns, per problem, (v, Q, pi) or the
-    RuntimeError of a problem short of `tol` after `max_iter` sweeps, or at
-    the first sweep where its bound is NaN.
+    residual bound reaches `tol`, with v = P lse of that sweep's log-sum-exps.
+    Returns, per problem, (v, Q, pi) or the RuntimeError of a problem short
+    of `tol` after `max_iter` sweeps, or at the first sweep where its bound is NaN.
 
     One-hot kernels gather finite log-sum-exps at the next states with the
     matmul's bits and without `apply_P`'s + 0.0: no log-sum-exp is -0.0, as
-    log1p(s), log(m) >= +0.0 and +0.0 + -0.0 = +0.0. If the moves reach every
-    state, max |v_new - v| over (s, a) is max |lse_new - lse| over states, so
-    the residual takes that (B*S,) vector, bar the first sweep of a warm start.
+    log1p(s), log(m) >= +0.0 and +0.0 + -0.0 = +0.0. If the moves also reach
+    every state, the loop carries lse, not v: a gather only copies, so
+    (gamma * lse)[gather] + r has the bits of gamma * v + r, and max |v_new - v|
+    over (s, a) is max |lse_new - lse| over states. These residuals are checked
+    together every CHECK_EVERY sweeps; a non-finite sweep after unchecked ones
+    is run again once they are. The other sweeps (a warm start's first, the
+    one after a non-finite sweep, all on other kernels) make v and check it.
     """
     n_problems, ns, na = r.shape
     gamma, targets = mdp.gamma, mdp._targets
     r_am = np.ascontiguousarray(r.transpose(2, 0, 1)).reshape(na, -1)
-    v = np.zeros_like(r_am) if v0 is None else np.ascontiguousarray(
-        v0.transpose(2, 0, 1)).reshape(na, -1)
-    live = np.arange(n_problems)
-    diff = np.full(n_problems, np.inf)
-    # the last sweep's log-sum-exp while v is its gather on onto targets; None on
-    # a warm start, after a matmul sweep and after a problem leaves: the residual takes v
-    lse_old = np.zeros(n_problems * ns) if v0 is None and mdp._onto else None
-    results, width = [None] * n_problems, 0
-    for sweep in range(1, max_iter + 1):
+    # block: the log-sum-exps before and after each sweep not yet checked;
+    # v: the next sweep's values, None on onto kernels while they are the gather of block[-1]
+    block, last = [np.zeros(n_problems * ns)], np.full(n_problems, np.inf)
+    v = None if v0 is None else np.ascontiguousarray(v0.transpose(2, 0, 1)).reshape(na, -1)
+    if v is None and not mdp._onto:
+        v = np.zeros_like(r_am)
+    live, results, width, sweep = np.arange(n_problems), [None] * n_problems, 0, 0
+    while sweep < max_iter:
+        sweep += 1
         if width != len(live):  # a new or narrower batch: remake the buffers
             width = len(live)
-            f, e = np.empty_like(v), np.empty_like(v)
-            work = (np.empty(width * ns), np.empty(v.shape, bool), e)
+            shape = (na, width * ns)
+            work = (np.empty(width * ns), np.empty(shape, bool), np.empty(shape))
             if targets is not None:
-                # column j*S + s of the j-th live problem reads that problem's next states
-                gather = (targets.T[:, None, :] + ns * np.arange(width)[:, None]).reshape(na, -1)
-        np.multiply(v, gamma, out=f)
+                # C-ordered: column j*S + s of the j-th live problem reads its next states
+                gather = (np.ascontiguousarray(targets.T)[:, None]
+                          + ns * np.arange(width)[:, None]).reshape(shape)
+        f = (gamma * block[-1])[gather] if v is None else gamma * v
         f += r_am
         lse, finite = _logsumexp_action_major(f, work)
-        if finite and targets is not None:
-            v_new = lse[gather]
+        if v is None and finite:
+            block.append(lse)
+            if len(block) <= CHECK_EVERY and sweep < max_iter:
+                continue
+        if v is None and (finite or len(block) > 1):
+            sweep -= not finite  # check the unchecked sweeps, then run this one again
+            d = np.abs(np.diff(block, axis=0))
+            diff = np.maximum.reduce(d.reshape(len(d), width, ns), axis=2)
         else:
-            v_new = np.empty_like(v)
-            for j in range(width):
-                block = slice(j * ns, (j + 1) * ns)
-                v_new[:, block] = apply_P(mdp, lse[block].copy()).T
-        d = lse - lse_old if finite and lse_old is not None else v_new - v
-        lse_old = lse if finite and mdp._onto else None
-        np.abs(d, out=d)
-        diff = np.maximum.reduce(d.reshape(-1, width, ns), axis=(0, 2))
-        v = v_new
-        # One more backup moves v by at most gamma * diff, so gamma * diff bounds the
-        # residual of v; it is monotone in diff, so the least diff (fmin skips NaN) decides.
-        # A NaN bound never clears (0 * inf, inf - inf) and starts on a non-finite sweep: fail it.
-        if gamma * float(np.fmin.reduce(diff)) <= tol or not finite and np.isnan(diff).any():
-            done, failed = gamma * diff <= tol, np.isnan(diff)
-            blocks = v.reshape(na, width, ns)
-            for j in np.flatnonzero(done):
-                v_j = np.ascontiguousarray(blocks[:, j].T)
-                q = r[live[j]] + gamma * v_j
-                results[live[j]] = (v_j, q, softmax_actions(q))
-            for j in np.flatnonzero(failed):
-                results[live[j]] = RuntimeError(_UNCONVERGED.format(tol, sweep, np.nan))
-            done |= failed
-            live, diff = live[~done], diff[~done]
-            if not len(live):
-                return results
-            keep = np.repeat(~done, ns)
-            r_am, v, lse_old = r_am[:, keep], v[:, keep], None
-    for index, last in zip(live, gamma * diff):
-        results[index] = RuntimeError(_UNCONVERGED.format(tol, max_iter, last))
+            if finite and targets is not None:
+                v_new = lse[gather]
+            else:
+                v_new = np.empty(shape)
+                for j in range(width):
+                    cols = slice(j * ns, (j + 1) * ns)
+                    v_new[:, cols] = apply_P(mdp, lse[cols].copy()).T
+            d = v_new - (block[-1][gather] if v is None else v)
+            np.abs(d, out=d)
+            diff = np.maximum.reduce(d.reshape(na, width, ns), axis=(0, 2))[None]
+            block, v = [lse], None if finite and mdp._onto else v_new
+        # One more backup moves v by at most gamma * diff, so gamma * diff bounds its
+        # residual. A NaN bound never clears (0 * inf, inf - inf): it fails its problem.
+        stop = (gamma * diff <= tol) | np.isnan(diff)
+        leave = stop.any(axis=0)
+        last = gamma * diff[-1, ~leave]
+        for j in np.flatnonzero(leave):
+            k = stop[:, j].argmax()  # the row of the problem's first stopping sweep
+            if np.isnan(diff[k, j]):
+                results[live[j]] = RuntimeError(_UNCONVERGED.format(
+                    tol, sweep - len(diff) + 1 + k, np.nan))
+                continue
+            lse_j = block[k - len(diff)][j * ns:(j + 1) * ns].copy()
+            v_j = lse_j[targets] if targets is not None else mdp.transition @ lse_j
+            q = r[live[j]] + gamma * v_j
+            results[live[j]] = (v_j, q, softmax_actions(q))
+        live, block = live[~leave], block[-1:]
+        if not len(live):
+            return results
+        if leave.any():
+            keep = np.repeat(~leave, ns)
+            r_am, block = r_am[:, keep], [block[-1][keep]]
+            v = None if v is None else v[:, keep]
+    for index, bound in zip(live, last):
+        results[index] = RuntimeError(_UNCONVERGED.format(tol, max_iter, bound))
     return results
 
 

@@ -57,6 +57,8 @@ class NormalizationMeasure:
             raise ValueError(f"kind: must be one of {MEASURES}, got {self.kind!r}")
 
     def materialize(self, n_states: int, n_actions: int, behavior=None) -> np.ndarray:
+        """The (S, A) measure table; the behavior-policy measure is `behavior`
+        as given, which callers pass as a checked policy table."""
         if self.kind == "uniform":
             return np.full((n_states, n_actions), 1.0 / n_actions)
         if self.kind == "point-mass":
@@ -67,7 +69,7 @@ class NormalizationMeasure:
             return table
         if behavior is None:
             raise ValueError("behavior-policy measure needs a realized policy table")
-        return check_distribution(behavior, (n_states, n_actions), "behavior")
+        return behavior
 
 
 @dataclass
@@ -291,12 +293,11 @@ def split_classify_regress(data, cfg: SolverConfig) -> IrlSolution:
         raise ValueError("need at least 2 records to split")
     n_states = data.meta["n_states"]
     n_actions = data.meta["n_actions"]
-    u, mu_t, diag = _fit_policy(cfg, data, half)
-
     k_steps, folds = resolve_K(cfg.K, n, cfg.gamma), cfg.fold_count(n)
     fold_size = half // folds
     if fold_size == 0:
         raise ValueError(f"fold size is 0: half={half}, folds={folds}")
+    u, mu_t, diag = _fit_policy(cfg, data, half)
     if fold_size < n_states:
         diag.warnings.append(
             f"fold size {fold_size} is below the state count; coverage gaps likely"

@@ -109,6 +109,11 @@ MALFORMED_VALUES = [
                  ["gen-data"], id="solver-folds-above-half"),
     pytest.param("k = auto", "k = 1001\nsplit = true", "[solver] folds",
                  ["reproduce"], id="solver-k-above-half"),
+    # the name is the dataset header's env token: whitespace is refused before
+    # gen-data builds and samples, and by reproduce, which writes no dataset
+    pytest.param("name = tiny", "name = tiny run", "[eval] name", ["gen-data"], id="eval-name"),
+    pytest.param("name = tiny", "name = tiny run", "[eval] name", ["reproduce"],
+                 id="reproduce-name"),
 ]
 
 
@@ -172,8 +177,7 @@ class TestRuntimeErrors:
     def test_every_key_has_a_malformed_value_case(self):
         keys = {f"[{section}] {key}" for section, table in harness._KEYS.items() for key in table}
         covered = {case.values[2] for case in MALFORMED_VALUES}
-        assert covered <= keys
-        assert keys - covered == {"[eval] name"}  # free text, which no spec checks
+        assert covered == keys
 
     def test_negative_base_seed_fails_before_any_rerun(self, tmp_path, capsys):
         path = tmp_path / "seed.ini"
@@ -208,6 +212,25 @@ class TestRuntimeErrors:
         assert str(err.value) == message
         assert main(["solve", str(tmp_path / "data.txt"), "--config", str(path)]) == 2
         assert message in capsys.readouterr().err
+
+    def test_split_solve_checks_its_folds_before_classifying(self, tmp_path, capsys,
+                                                             monkeypatch):
+        from softirl import solver
+
+        # 40 records pass gen-data; split at n = 2000 they leave no record per fold
+        small, split = tmp_path / "small.ini", tmp_path / "split.ini"
+        small.write_text(TINY_CONFIG.replace("n = 2000", "n = 40"))
+        split.write_text(TINY_CONFIG.replace("mu = uniform", "mu = uniform\nsplit = true"))
+        data = str(tmp_path / "data.txt")
+        assert main(["gen-data", "--config", str(small), "--out", data, "--quiet"]) == 0
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the classifier ran before the fold check")
+
+        monkeypatch.setattr(solver, "fit_classifier", unreachable)
+        assert main(["solve", data, "--config", str(split), "--out", str(tmp_path / "sol"),
+                     "--quiet"]) == 2
+        assert "fold size is 0: half=20, folds=36" in capsys.readouterr().err
 
     def test_reruns_override_is_checked(self, cfg_path, tmp_path, capsys):
         out = str(tmp_path / "res")

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from softirl.mdp import (
+    CHECK_EVERY,
     TabularMdp,
     _soft_policy_iteration,
     _soft_value_iteration,
@@ -639,6 +640,84 @@ class TestNonFiniteProblemLeaves:
         want = _reference_soft_value_iteration(mdp, r_true, tol)
         for g, a, w in zip(batch[0], alone, want):
             assert np.array_equal(g, a) and np.array_equal(g, w)
+
+
+def _reference_iterates(mdp, r, tol):
+    """v from 0 after each sweep of `_reference_soft_value_iteration`, run one
+    sweep at a time, up to the sweep where the reference stops at `tol`."""
+    vs = [np.zeros_like(r)]
+    while len(vs) == 1 or mdp.gamma * np.max(np.abs(vs[-1] - vs[-2])) > tol:
+        vs.append(_reference_soft_value_iteration(mdp, r, np.inf, vs[-1], max_iter=1)[0])
+    return vs
+
+
+class TestResidualBlocks:
+    """On onto one-hot kernels the residual is checked once per CHECK_EVERY
+    sweeps. Each problem must still stop at its own sweep with the reference's
+    bits, and fail with the reference's text wherever `max_iter` or a
+    non-finite sweep falls within a block."""
+
+    tol = 1e-8
+    n_sweeps = 2 * CHECK_EVERY + 1
+
+    @staticmethod
+    def _assert_matches(got, want):
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+    def test_cold_problems_stop_at_every_offset(self):
+        mdp, r_true = _gridworld("ident")
+        log_pi = np.log(soft_value_iteration(mdp, r_true)[2])
+        # r = log pi + b has v* = b / (1 - gamma): from v = 0 the residual
+        # bound is about b gamma^k, so b sets the stopping sweep
+        rewards = [log_pi + 1e-6 * mdp.gamma ** -(j + 0.5) for j in range(CHECK_EVERY)]
+        iterates = [_reference_iterates(mdp, r, self.tol) for r in rewards]
+        assert {(len(vs) - 1) % CHECK_EVERY for vs in iterates} == set(range(CHECK_EVERY))
+        batch = _soft_value_iteration(mdp, np.stack(rewards), self.tol)
+        for r, vs, got in zip(rewards, iterates, batch):
+            # the reference's last sweep returns what the reference returns from v = 0
+            self._assert_matches(got, _reference_soft_value_iteration(mdp, r, np.inf, vs[-2], 1))
+
+    def test_warm_problems_stop_at_every_offset(self):
+        mdp, r_true = _gridworld("ident")
+        vs = _reference_iterates(mdp, r_true, self.tol)
+        # started k sweeps short of the reference's stop, a problem stops at sweep k
+        starts = [vs[-1 - k] for k in range(1, self.n_sweeps + 1)]
+        rewards = np.stack([r_true] * len(starts))
+        batch = _soft_value_iteration(mdp, rewards, self.tol, np.stack(starts))
+        for start, got in zip(starts, batch):
+            self._assert_matches(got, _reference_soft_value_iteration(mdp, r_true, self.tol, start))
+
+    def test_every_max_iter_within_two_blocks(self):
+        mdp, r_true = _gridworld("ident")
+        vs = _reference_iterates(mdp, r_true, self.tol)
+        shape = r_true / np.abs(r_true).max()
+        # near the float maximum, v overflows to inf after some finite sweeps
+        # (at sweeps 2, 16, 17 and 33 for these scales), and 0 * inf makes the
+        # matmul's NaN; r_true never stops within 33 sweeps from v = 0
+        overflow = [scale * (1 + 0.01 * shape) for scale in (1e308, 1.43e307, 1.365e307, 8.5e306)]
+        warm = [vs[-1 - k] for k in (1, CHECK_EVERY, CHECK_EVERY + 1, 2 * CHECK_EVERY,
+                                     self.n_sweeps)]
+        batches = [(overflow + [r_true], [None] * 5),
+                   (overflow + [r_true] * 5, [np.zeros_like(r_true)] * 4 + warm)]
+        failed_at = set()
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for max_iter in range(1, self.n_sweeps + 1):
+                for rewards, starts in batches:
+                    v0 = None if starts[0] is None else np.stack(starts)
+                    batch = _soft_value_iteration(mdp, np.stack(rewards), self.tol, v0, max_iter)
+                    for r, start, got in zip(rewards, starts, batch):
+                        try:
+                            want = _reference_soft_value_iteration(mdp, r, self.tol, start,
+                                                                   max_iter)
+                        except RuntimeError as exc:
+                            assert isinstance(got, RuntimeError) and str(got) == str(exc)
+                            if str(exc).endswith("nan"):
+                                failed_at.add(int(re.search(r" in (\d+) it", str(exc))[1]))
+                            continue
+                        self._assert_matches(got, want)
+        assert failed_at == {2, CHECK_EVERY, CHECK_EVERY + 1, 2 * CHECK_EVERY + 1}
 
 
 class TestSoftPolicyIteration:
