@@ -16,7 +16,7 @@ ROW_SUM_TOL = 1e-12
 # soft value iteration's error, from tol, the sweeps run and the last residual bound
 _UNCONVERGED = ("soft value iteration did not reach tol={} in {} iterations; "
                 "last residual bound {:.3e}")
-# sweeps between soft value iteration's residual checks on onto one-hot kernels
+# sweeps between soft value iteration's residual checks
 CHECK_EVERY = 16
 
 
@@ -37,10 +37,10 @@ class TabularMdp:
         t.setflags(write=False)
         object.__setattr__(self, "transition", t)
         # one-hot rows (deterministic moves): `apply_P` gathers at these next states;
-        # `_onto`: they reach every state, so soft VI may take its residual on states
+        # `_onto`: they reach every one of two or more states, so soft VI carries lse
         targets = t.argmax(axis=2) if np.all((t == 0.0) | (t == 1.0)) else None
         object.__setattr__(self, "_targets", targets)
-        object.__setattr__(self, "_onto", targets is not None and bool(
+        object.__setattr__(self, "_onto", targets is not None and len(t) >= 2 and bool(
             np.bincount(targets.ravel(), minlength=len(t)).all()))
 
     @property
@@ -177,59 +177,51 @@ def _soft_value_iteration(mdp: TabularMdp, r: np.ndarray, tol: float,
     Returns, per problem, (v, Q, pi) or the RuntimeError of a problem short
     of `tol` after `max_iter` sweeps, or at the first sweep where its bound is NaN.
 
-    One-hot kernels gather finite log-sum-exps at the next states with the
-    matmul's bits and without `apply_P`'s + 0.0: no log-sum-exp is -0.0, as
-    log1p(s), log(m) >= +0.0 and +0.0 + -0.0 = +0.0. If the moves also reach
-    every state, the loop carries lse, not v: a gather only copies, so
-    (gamma * lse)[gather] + r has the bits of gamma * v + r, and max |v_new - v|
-    over (s, a) is max |lse_new - lse| over states. These residuals are checked
-    together every CHECK_EVERY sweeps; a non-finite sweep after unchecked ones
-    is run again once they are. The other sweeps (a warm start's first, the
-    one after a non-finite sweep, all on other kernels) make v and check it.
+    The kernel fixes the state the loop carries for the whole solve. On onto
+    kernels it is lse, and v its gather, which has the matmul's bits (no
+    log-sum-exp is -0.0). A gather only copies, so (gamma * lse)[gather] + r
+    has the bits of gamma * v + r, and max |v_new - v| over (s, a) is
+    max |lse_new - lse| over states. A non-finite lse gets a NaN bound: some
+    move misses each of two or more states, so the matmul's 0 * inf makes
+    its v NaN. On other kernels the state is v = P lse, by `apply_P` per
+    problem. On every kernel the residuals are checked together, every
+    CHECK_EVERY sweeps, at `max_iter`, at a warm start's first sweep (v0
+    against v over (s, a)) and at a non-finite sweep.
     """
     n_problems, ns, na = r.shape
-    gamma, targets = mdp.gamma, mdp._targets
+    gamma, onto = mdp.gamma, mdp._onto
     r_am = np.ascontiguousarray(r.transpose(2, 0, 1)).reshape(na, -1)
-    # block: the log-sum-exps before and after each sweep not yet checked;
-    # v: the next sweep's values, None on onto kernels while they are the gather of block[-1]
-    block, last = [np.zeros(n_problems * ns)], np.full(n_problems, np.inf)
-    v = None if v0 is None else np.ascontiguousarray(v0.transpose(2, 0, 1)).reshape(na, -1)
-    if v is None and not mdp._onto:
-        v = np.zeros_like(r_am)
-    live, results, width, sweep = np.arange(n_problems), [None] * n_problems, 0, 0
-    while sweep < max_iter:
-        sweep += 1
+    # block: the states from the last check on; a 2-d state is v over (s, a)
+    block = [np.zeros(n_problems * ns if onto else r_am.shape) if v0 is None
+             else np.ascontiguousarray(v0.transpose(2, 0, 1)).reshape(na, -1)]
+    live, results, width = np.arange(n_problems), [None] * n_problems, 0
+    last = np.full(n_problems, np.inf)
+    for sweep in range(1, max_iter + 1):
         if width != len(live):  # a new or narrower batch: remake the buffers
             width = len(live)
             shape = (na, width * ns)
             work = (np.empty(width * ns), np.empty(shape, bool), np.empty(shape))
-            if targets is not None:
+            if onto:
                 # C-ordered: column j*S + s of the j-th live problem reads its next states
-                gather = (np.ascontiguousarray(targets.T)[:, None]
+                gather = (np.ascontiguousarray(mdp._targets.T)[:, None]
                           + ns * np.arange(width)[:, None]).reshape(shape)
-        f = (gamma * block[-1])[gather] if v is None else gamma * v
+        f = gamma * block[-1] if block[-1].ndim == 2 else (gamma * block[-1])[gather]
         f += r_am
-        lse, finite = _logsumexp_action_major(f, work)
-        if v is None and finite:
-            block.append(lse)
-            if len(block) <= CHECK_EVERY and sweep < max_iter:
-                continue
-        if v is None and (finite or len(block) > 1):
-            sweep -= not finite  # check the unchecked sweeps, then run this one again
-            d = np.abs(np.diff(block, axis=0))
-            diff = np.maximum.reduce(d.reshape(len(d), width, ns), axis=2)
-        else:
-            if finite and targets is not None:
-                v_new = lse[gather]
-            else:
-                v_new = np.empty(shape)
-                for j in range(width):
-                    cols = slice(j * ns, (j + 1) * ns)
-                    v_new[:, cols] = apply_P(mdp, lse[cols].copy()).T
-            d = v_new - (block[-1][gather] if v is None else v)
-            np.abs(d, out=d)
-            diff = np.maximum.reduce(d.reshape(na, width, ns), axis=(0, 2))[None]
-            block, v = [lse], None if finite and mdp._onto else v_new
+        state, finite = _logsumexp_action_major(f, work)
+        if not onto:
+            lse, state = state, np.empty(shape)
+            for j in range(width):
+                cols = slice(j * ns, (j + 1) * ns)
+                state[:, cols] = apply_P(mdp, lse[cols].copy()).T
+        block.append(state)
+        if len(block) <= CHECK_EVERY and sweep < max_iter and finite and (sweep > 1 or v0 is None):
+            continue
+        if block[0].ndim > state.ndim:  # v0 against the first sweep's v
+            block[-1] = state[gather]
+        d = np.abs(np.diff(block, axis=0))
+        diff = np.maximum.reduce(d.reshape(len(d), -1, width, ns), axis=(1, 3))
+        if onto and not finite:
+            diff[-1, ~np.isfinite(state).reshape(width, ns).all(axis=1)] = np.nan
         # One more backup moves v by at most gamma * diff, so gamma * diff bounds its
         # residual. A NaN bound never clears (0 * inf, inf - inf): it fails its problem.
         stop = (gamma * diff <= tol) | np.isnan(diff)
@@ -241,17 +233,17 @@ def _soft_value_iteration(mdp: TabularMdp, r: np.ndarray, tol: float,
                 results[live[j]] = RuntimeError(_UNCONVERGED.format(
                     tol, sweep - len(diff) + 1 + k, np.nan))
                 continue
-            lse_j = block[k - len(diff)][j * ns:(j + 1) * ns].copy()
-            v_j = lse_j[targets] if targets is not None else mdp.transition @ lse_j
+            cols = slice(j * ns, (j + 1) * ns)
+            x = block[k + 1]
+            v_j = x[cols][mdp._targets] if x.ndim == 1 else np.ascontiguousarray(x[:, cols].T)
             q = r[live[j]] + gamma * v_j
             results[live[j]] = (v_j, q, softmax_actions(q))
-        live, block = live[~leave], block[-1:]
+        live, block = live[~leave], [state]
         if not len(live):
             return results
         if leave.any():
-            keep = np.repeat(~leave, ns)
-            r_am, block = r_am[:, keep], [block[-1][keep]]
-            v = None if v is None else v[:, keep]
+            keep = np.repeat(~leave, ns)  # compress, unlike a mask, keeps C order
+            r_am, block = np.compress(keep, r_am, axis=1), [np.compress(keep, state, axis=-1)]
     for index, bound in zip(live, last):
         results[index] = RuntimeError(_UNCONVERGED.format(tol, max_iter, bound))
     return results

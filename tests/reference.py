@@ -3,7 +3,7 @@
 Nothing in the package calls these: they state the model's identities
 (soft Bellman feasibility, conditional likelihood, policy evaluation,
 potential shaping, the MaxEnt likelihood gradient, the fitted fixed point
-with exact oracles) in plain code. Each one runs the package's own kernels
+with exact oracles and its full-sample limit as K grows) in plain code. Each one runs the package's own kernels
 (`mdp._logsumexp_action_major`, `maxent._loglik_and_grad`,
 `solver._fitted_fixed_point`), so a test that uses them still tests package
 code.
@@ -22,16 +22,18 @@ from softirl.maxent import _loglik_and_grad
 from softirl.mdp import (
     TabularMdp,
     _logsumexp_action_major,
+    _solve_discounted,
     apply_P,
     check_distribution,
     soft_value_iteration,
     state_kernel,
 )
-from softirl.oracles import FittedRegressor
+from softirl.oracles import FittedRegressor, fit_regressor
 from softirl.solver import (
     IrlSolution,
     SolverDiagnostics,
     _assemble,
+    _fit_policy,
     _fitted_fixed_point,
     resolve_K,
 )
@@ -210,6 +212,26 @@ def population_fixed_point(mdp: TabularMdp, pi, cfg, record_iterates=False):
     return _fitted_fixed_point(cfg, u, mu_t, resolve_K(cfg.K, None, cfg.gamma),
                                lambda fold: exact, 1, SolverDiagnostics(nu_proxy=0.0),
                                record_iterates)
+
+
+def plugin_fixed_point(dataset, cfg):
+    """`classify_then_regress` at K = infinity, by one linear solve. Its loop
+    is v <- M g + f with g = mu[gamma v - u], M and f the full sample's fitted
+    map, so the fixed point's g = c solves (I - gamma mu M) c = mu[gamma f - u]
+    and v = M c + f. Returns that solution and M as a dense (S*A, S) array."""
+    ns, na = dataset.meta["n_states"], dataset.meta["n_actions"]
+    u, mu_t, diag = _fit_policy(cfg, dataset, dataset.n)
+    fitted = fit_regressor(cfg.regressor, dataset.states, dataset.actions,
+                           dataset.next_states, ns, na)
+    rows, cols, values = fitted.kernel
+    kernel = np.zeros((ns * na, ns))
+    kernel[rows, cols] = values
+    offset = fitted.offset.reshape(ns, na)
+    g = _solve_discounted(np.einsum("sa,san->sn", mu_t, kernel.reshape(ns, na, ns)), cfg.gamma,
+                          np.sum(mu_t * (cfg.gamma * offset - u), axis=1), "plug-in")
+    v = (kernel @ g).reshape(ns, na) + offset
+    r, c = _assemble(u, v, mu_t, cfg.gamma)
+    return IrlSolution(r, v, u, c, mu_t, cfg.gamma, diag), kernel
 
 
 @dataclass

@@ -652,10 +652,11 @@ def _reference_iterates(mdp, r, tol):
 
 
 class TestResidualBlocks:
-    """On onto one-hot kernels the residual is checked once per CHECK_EVERY
-    sweeps. Each problem must still stop at its own sweep with the reference's
-    bits, and fail with the reference's text wherever `max_iter` or a
-    non-finite sweep falls within a block."""
+    """The residual is checked once per CHECK_EVERY sweeps, on onto one-hot
+    kernels (ident) and stochastic ones (ident-noisy) alike. Each problem must
+    still stop at its own sweep with the reference's bits, and fail with the
+    reference's text wherever `max_iter` or a non-finite sweep falls within a
+    block."""
 
     tol = 1e-8
     n_sweeps = 2 * CHECK_EVERY + 1
@@ -665,8 +666,9 @@ class TestResidualBlocks:
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
 
-    def test_cold_problems_stop_at_every_offset(self):
-        mdp, r_true = _gridworld("ident")
+    @pytest.mark.parametrize("name", ["ident", "ident-noisy"])
+    def test_cold_problems_stop_at_every_offset(self, name):
+        mdp, r_true = _gridworld(name)
         log_pi = np.log(soft_value_iteration(mdp, r_true)[2])
         # r = log pi + b has v* = b / (1 - gamma): from v = 0 the residual
         # bound is about b gamma^k, so b sets the stopping sweep
@@ -678,8 +680,9 @@ class TestResidualBlocks:
             # the reference's last sweep returns what the reference returns from v = 0
             self._assert_matches(got, _reference_soft_value_iteration(mdp, r, np.inf, vs[-2], 1))
 
-    def test_warm_problems_stop_at_every_offset(self):
-        mdp, r_true = _gridworld("ident")
+    @pytest.mark.parametrize("name", ["ident", "ident-noisy"])
+    def test_warm_problems_stop_at_every_offset(self, name):
+        mdp, r_true = _gridworld(name)
         vs = _reference_iterates(mdp, r_true, self.tol)
         # started k sweeps short of the reference's stop, a problem stops at sweep k
         starts = [vs[-1 - k] for k in range(1, self.n_sweeps + 1)]
@@ -688,8 +691,9 @@ class TestResidualBlocks:
         for start, got in zip(starts, batch):
             self._assert_matches(got, _reference_soft_value_iteration(mdp, r_true, self.tol, start))
 
-    def test_every_max_iter_within_two_blocks(self):
-        mdp, r_true = _gridworld("ident")
+    @pytest.mark.parametrize("name", ["ident", "ident-noisy"])
+    def test_every_max_iter_within_two_blocks(self, name):
+        mdp, r_true = _gridworld(name)
         vs = _reference_iterates(mdp, r_true, self.tol)
         shape = r_true / np.abs(r_true).max()
         # near the float maximum, v overflows to inf after some finite sweeps
@@ -718,6 +722,32 @@ class TestResidualBlocks:
                             continue
                         self._assert_matches(got, want)
         assert failed_at == {2, CHECK_EVERY, CHECK_EVERY + 1, 2 * CHECK_EVERY + 1}
+
+
+class TestOneStateKernel:
+    """Every move of a one-state kernel reaches its one state, so no 0 * inf
+    turns a non-finite log-sum-exp into NaN: v goes to +-inf, and only the
+    next sweep's inf - inf makes a NaN bound. The loop must stop where the
+    reference does, alone and in a batch."""
+
+    mdp = TabularMdp(np.ones((1, 2, 1)), 0.9)
+    rewards = np.array([[[np.inf, 0.0]], [[-np.inf, -np.inf]], [[1e308, 1e308]]])
+
+    def test_non_finite_sweeps_fail_at_the_references_sweep(self):
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            batch = _soft_value_iteration(self.mdp, self.rewards, 1e-8)
+            for r, got, sweeps in zip(self.rewards, batch, (2, 2, 3)):
+                (alone,) = _soft_value_iteration(self.mdp, r[None], 1e-8)
+                with pytest.raises(RuntimeError) as want:
+                    _reference_soft_value_iteration(self.mdp, r, 1e-8)
+                assert str(got) == str(alone) == str(want.value)
+                assert f" in {sweeps} iterations; last residual bound nan" in str(got)
+
+    def test_no_sweep_at_max_iter_zero(self):
+        for rewards in [self.rewards] + [r[None] for r in self.rewards]:
+            for got in _soft_value_iteration(self.mdp, rewards, 1e-8, max_iter=0):
+                assert str(got).endswith(" in 0 iterations; last residual bound inf")
 
 
 class TestSoftPolicyIteration:

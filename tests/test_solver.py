@@ -36,6 +36,7 @@ from reference import (
     expect_mu,
     lambda_mu_weights,
     logsumexp_actions,
+    plugin_fixed_point,
     policy_value,
     population_fixed_point,
     shape,
@@ -390,6 +391,44 @@ class TestSparseFoldMapsMatchDense:
                             (sol.diagnostics.eta, ref.diagnostics.eta)):
             ours, dense = np.asarray(ours), np.asarray(dense)
             assert sup_norm(ours - dense) <= 1e-12 * sup_norm(dense)
+
+
+class TestPluginFixedPoint:
+    """`classify_then_regress` against its K = infinity limit, one linear
+    solve over the same fitted map (ROADMAP item 5). The K-th iterate's v
+    error is (gamma M mu)^K applied to -v_plug, so it is at most rho^K times
+    |v_plug|, rho = gamma * |M|_inf; r = w - mu w with w = u - gamma v moves by
+    at most 2 gamma times that."""
+
+    @pytest.mark.parametrize("case", ["covered", "empty-cells", "ridge"])
+    def test_full_sample_solve_lies_within_the_rate_bound(self, ident_50k, case):
+        data, cfg = ident_50k
+        if case != "covered":
+            name = "ident" if case == "empty-cells" else "easy"
+            experiment = builtin_experiment(name)
+            mdp, r_true, phi = build_env(experiment.env)
+            cfg = experiment.solver
+            if case == "ridge":
+                cfg = dataclasses.replace(cfg, regressor=RegressorSpec(
+                    kind="ridge", ridge_lambda=1e-3, features=phi))
+            n = 2_000 if case == "empty-cells" else 50_000
+            data = sample_transitions(mdp, expert_policy(mdp, r_true), n, seed=1, env_id=name)
+        sol = classify_then_regress(data, cfg)
+        plug, kernel = plugin_fixed_point(data, cfg)
+        unvisited = any("unvisited per regression" in w for w in sol.diagnostics.warnings)
+        assert unvisited == (case == "empty-cells")
+        if case == "ridge":
+            # ridge's M has rows of absolute sum above 1 (gamma |M|_inf is 2.69
+            # here), so its rate is the spectral radius of gamma mu M, which
+            # shares the nonzero eigenvalues of gamma M mu
+            ns, na = data.meta["n_states"], data.meta["n_actions"]
+            mu_kernel = np.einsum("sa,san->sn", plug.mu_table, kernel.reshape(ns, na, ns))
+            rho = np.max(np.abs(np.linalg.eigvals(cfg.gamma * mu_kernel)))
+        else:
+            rho = cfg.gamma * np.max(np.abs(kernel).sum(axis=1))
+        bound = rho ** resolve_K(cfg.K, data.n, cfg.gamma) * sup_norm(plug.v) + 1e-9
+        assert sup_norm(sol.v - plug.v) <= bound
+        assert sup_norm(sol.r - plug.r) <= 2 * cfg.gamma * bound
 
 
 class TestRidgeAtLowN:
