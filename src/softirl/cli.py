@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -66,12 +65,11 @@ def _build_parser() -> _Parser:
 
 def _sample(args):
     """(config, MDP, expert policy, dataset) for the commands that sample one."""
-    cfg = harness.parse_config(args.config)
-    seed = args.seed if args.seed is not None else cfg.base_seed
+    cfg = harness.parse_config(args.config, base_seed=args.seed)
     mdp, r_true, _ = envs.build_env(cfg.env)
     pi = envs.expert_policy(mdp, r_true)
     return cfg, mdp, pi, envs.sample_transitions(mdp, pi, cfg.n, regime=cfg.regime,
-                                                 seed=seed, env_id=cfg.name)
+                                                 seed=cfg.base_seed, env_id=cfg.name)
 
 
 def _cmd_gen_data(args) -> int:
@@ -134,9 +132,8 @@ def _cmd_eval(args) -> int:
 
 def _cmd_reproduce(args) -> int:
     overrides = {"reruns": args.reruns, "base_seed": args.seed}
-    overrides = {key: value for key, value in overrides.items() if value is not None}
     cfg = (harness.builtin_experiment(args.name, **overrides) if args.config is None
-           else replace(harness.parse_config(args.config), **overrides))  # replace checks them
+           else harness.parse_config(args.config, **overrides))
     out = args.out or os.path.join("results", cfg.name)
     _, summary = harness.run_experiment(cfg, out_dir=out, quiet=args.quiet)
     table = harness.format_markdown_table(cfg.name, summary)

@@ -27,7 +27,7 @@ from softirl.maxent import MaxEntConfig, ascent, run_lockstep
 from softirl.maxent import maxent_fit  # noqa: F401 - perfbench/spans.py wraps it by name here
 from softirl.metrics import METRIC_NAMES, evaluate
 from softirl.mdp import soft_value_iteration
-from softirl.oracles import ClassifierSpec, RegressorSpec
+from softirl.oracles import ClassifierSpec
 from softirl.solver import (
     NormalizationMeasure,
     SolverConfig,
@@ -244,7 +244,6 @@ _KEYS = {
         "smoothing_alpha": ("classifier", "smoothing_alpha", float),
         "prob_floor": ("classifier", "prob_floor", float),
         "classifier_epochs": ("classifier", "epochs", int),
-        "fallback": ("regressor", "fallback", float),
     },
     "baseline": {key: ("baseline", key, typ) for key, typ in (
         ("step_size", float), ("max_epochs", int), ("patience", int), ("tol", float))},
@@ -292,18 +291,20 @@ def _experiment(sections) -> ExperimentConfig:
     solver = _build("solver", SolverConfig, gamma=env.gamma,
                     mu=_build("mu", NormalizationMeasure, **kwargs["mu"]),
                     classifier=_build("classifier", ClassifierSpec, **kwargs["classifier"]),
-                    regressor=_build("regressor", RegressorSpec, **kwargs["regressor"]),
                     **kwargs["solver"])
     baseline = _build("baseline", MaxEntConfig, **kwargs["baseline"])
     return _build("eval", ExperimentConfig, env=env, solver=solver, baseline=baseline,
                   **kwargs["eval"])
 
 
-def parse_config(path) -> ExperimentConfig:
+def parse_config(path, **overrides) -> ExperimentConfig:
     """Read the sectioned key = value config format (sections env / solver /
-    baseline / eval); unknown sections and keys are errors."""
+    baseline / eval); unknown sections and keys are errors. `overrides` that
+    are not None set [eval] keys over the file's and are checked as those."""
     if not os.path.exists(path):
         raise FileNotFoundError(f"config file not found: {path}")
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     parser.read(path)
-    return _experiment({name: dict(parser.items(name)) for name in parser.sections()})
+    sections = {name: dict(parser.items(name)) for name in parser.sections()}
+    sections.setdefault("eval", {}).update({k: v for k, v in overrides.items() if v is not None})
+    return _experiment(sections)

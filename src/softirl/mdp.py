@@ -183,10 +183,10 @@ def _soft_value_iteration(mdp: TabularMdp, r: np.ndarray, tol: float,
     has the bits of gamma * v + r, and max |v_new - v| over (s, a) is
     max |lse_new - lse| over states. A non-finite lse gets a NaN bound: some
     move misses each of two or more states, so the matmul's 0 * inf makes
-    its v NaN. On other kernels the state is v = P lse, by `apply_P` per
-    problem. On every kernel the residuals are checked together, every
-    CHECK_EVERY sweeps, at `max_iter`, at a warm start's first sweep (v0
-    against v over (s, a)) and at a non-finite sweep.
+    its v NaN. On other kernels the state is v = P lse, one stacked matmul
+    per sweep with `apply_P`'s bits per problem. Residuals are checked on
+    every kernel together, every CHECK_EVERY sweeps, at `max_iter`, at a
+    warm start's first sweep (v0 against v over (s, a)), at a non-finite one.
     """
     n_problems, ns, na = r.shape
     gamma, onto = mdp.gamma, mdp._onto
@@ -208,11 +208,9 @@ def _soft_value_iteration(mdp: TabularMdp, r: np.ndarray, tol: float,
         f = gamma * block[-1] if block[-1].ndim == 2 else (gamma * block[-1])[gather]
         f += r_am
         state, finite = _logsumexp_action_major(f, work)
-        if not onto:
-            lse, state = state, np.empty(shape)
-            for j in range(width):
-                cols = slice(j * ns, (j + 1) * ns)
-                state[:, cols] = apply_P(mdp, lse[cols].copy()).T
+        if not onto:  # v = P lse in one product, copied to C order: a reshape would be strided
+            state = np.matmul(mdp.transition, state.reshape(width, 1, ns, 1))
+            state = state.reshape(-1, na).T.copy()
         block.append(state)
         if len(block) <= CHECK_EVERY and sweep < max_iter and finite and (sweep > 1 or v0 is None):
             continue

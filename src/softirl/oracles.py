@@ -50,15 +50,11 @@ class ClassifierSpec:
 
 @dataclass(frozen=True)
 class RegressorSpec:
-    """Configuration for fit_regressor.
-
-    `fallback` fills unvisited (s, a) cells of the tabular kind; `features`
-    is the (S, A, d) table the ridge kind regresses on.
-    """
+    """Configuration for fit_regressor: `features` is the (S, A, d) table
+    the ridge kind regresses on."""
 
     kind: str = "tabular-mean"
     ridge_lambda: float = 0.0
-    fallback: float = 0.0
     features: np.ndarray | None = None
 
     def __post_init__(self):
@@ -66,8 +62,6 @@ class RegressorSpec:
             raise ValueError(f"kind: must be one of {REGRESSOR_KINDS}, got {self.kind!r}")
         if self.ridge_lambda < 0:
             raise ValueError(f"ridge_lambda: must be nonnegative, got {self.ridge_lambda}")
-        if not np.isfinite(self.fallback):
-            raise ValueError(f"fallback: must be finite, got {self.fallback}")
 
 
 @dataclass
@@ -81,15 +75,15 @@ class FittedClassifier:
 
 @dataclass
 class FittedRegressor:
-    """The fitted regression g -> offset + M g, flattened over cells s * A + a.
+    """The fitted regression g -> M g, flattened over cells s * A + a.
 
     `kernel` is the (rows, cols, values) triples of M's nonzero entries
-    M[s * A + a, s'], `offset` is (S*A,), and `counts` is the (rows, cols, n)
-    triples of the fold's nonzero (s, a, s') record counts, in row-major order.
+    M[s * A + a, s'], so a tabular cell without records has no triple and
+    predicts 0; `counts` is the (rows, cols, n) triples of the fold's nonzero
+    (s, a, s') record counts, in row-major order.
     """
 
     kernel: tuple
-    offset: np.ndarray
     counts: tuple
     diagnostics: dict = field(default_factory=dict)
 
@@ -149,7 +143,7 @@ def fit_regressor(spec: RegressorSpec, states, actions, next_states,
                   n_states: int, n_actions: int) -> FittedRegressor:
     """Least-squares fit of the next-state indicator on (s, a) over the
     configured class: regressing any target g(s') on the same records gives
-    offset + M g, with M held as triples (see FittedRegressor)."""
+    M g, with M held as triples (see FittedRegressor)."""
     s, a, s2 = check_records(n_states, n_actions, states, actions, next_states)
     if s.size == 0:
         raise ValueError("empty training data")
@@ -163,7 +157,6 @@ def fit_regressor(spec: RegressorSpec, states, actions, next_states,
 
     if spec.kind == "tabular-mean":
         kernel = (rows, cols, n / cnt[rows])
-        offset = np.where(cnt > 0, 0.0, spec.fallback)
     else:
         if spec.features is None:
             raise ValueError("ridge regression needs a feature table")
@@ -182,7 +175,6 @@ def fit_regressor(spec: RegressorSpec, states, actions, next_states,
         product = phi_flat @ np.linalg.solve(gram, phi_flat.T @ counts.reshape(n_cells, n_states))
         nonzero = np.nonzero(product)
         kernel = (*nonzero, product[nonzero])
-        offset = np.zeros(n_cells)
 
     diagnostics = {"n_empty_cells": int(np.sum(cnt == 0)), "n_train": int(s.size)}
-    return FittedRegressor(kernel, offset, (rows, cols, n), diagnostics)
+    return FittedRegressor(kernel, (rows, cols, n), diagnostics)

@@ -230,13 +230,13 @@ def _fit_policy(cfg: SolverConfig, data, n_train: int):
 
 def _fitted_fixed_point(cfg: SolverConfig, u, mu_t, k_steps: int, fit, folds: int,
                         diag: SolverDiagnostics, record_iterates: bool) -> IrlSolution:
-    """The fitted fixed-point loop v <- M_k g + b_k with g = mu[gamma v - u].
+    """The fitted fixed-point loop v <- M_k g with g = mu[gamma v - u].
 
-    (M_k, b_k) is the map `fit(k mod folds)` returns, fitted again only when
-    the fold changes, so at most one fold's map is alive; M_k g is summed
-    over its (row, col, value) triples. eta[k] is the root-mean-square misfit
-    of v on that fold's records, read off its count triples (0 for the
-    population map, which has none).
+    M_k is the map `fit(k mod folds)` returns, fitted again only when the
+    fold changes, so at most one fold's map is alive; each step is one
+    product, M_k g summed over its (row, col, value) triples. eta[k] is the
+    root-mean-square misfit of v on that fold's records, read off its count
+    triples (0 for the population map, which has none).
     """
     v = np.zeros_like(u)
     diag.iterates = [v] if record_iterates else None
@@ -253,8 +253,7 @@ def _fitted_fixed_point(cfg: SolverConfig, u, mu_t, k_steps: int, fit, folds: in
             n_records = max(int(weights.sum()), 1)
             empty_seen = max(empty_seen, fitted.diagnostics["n_empty_cells"])
         g = np.sum(mu_t * (cfg.gamma * v - u), axis=1)
-        flat = fitted.offset + np.bincount(map_rows, map_values * g[map_cols],
-                                           minlength=fitted.offset.size)
+        flat = np.bincount(map_rows, map_values * g[map_cols], minlength=u.size)
         diag.eta.append(float(np.sqrt(weights @ (flat[rows] - g[cols]) ** 2 / n_records)))
         v = flat.reshape(u.shape)
         if record_iterates:

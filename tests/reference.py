@@ -207,7 +207,7 @@ def population_fixed_point(mdp: TabularMdp, pi, cfg, record_iterates=False):
     transition = mdp.transition.reshape(n_cells, mdp.n_states)
     support = np.nonzero(transition)
     no_records = np.zeros(0, dtype=np.int64)
-    exact = FittedRegressor((*support, transition[support]), np.zeros(n_cells),
+    exact = FittedRegressor((*support, transition[support]),
                             (no_records, no_records, no_records), {"n_empty_cells": 0})
     return _fitted_fixed_point(cfg, u, mu_t, resolve_K(cfg.K, None, cfg.gamma),
                                lambda fold: exact, 1, SolverDiagnostics(nu_proxy=0.0),
@@ -216,9 +216,9 @@ def population_fixed_point(mdp: TabularMdp, pi, cfg, record_iterates=False):
 
 def plugin_fixed_point(dataset, cfg):
     """`classify_then_regress` at K = infinity, by one linear solve. Its loop
-    is v <- M g + f with g = mu[gamma v - u], M and f the full sample's fitted
-    map, so the fixed point's g = c solves (I - gamma mu M) c = mu[gamma f - u]
-    and v = M c + f. Returns that solution and M as a dense (S*A, S) array."""
+    is v <- M g with g = mu[gamma v - u], M the full sample's fitted map, so
+    the fixed point's g = c solves (I - gamma mu M) c = -mu u and v = M c.
+    Returns that solution and M as a dense (S*A, S) array."""
     ns, na = dataset.meta["n_states"], dataset.meta["n_actions"]
     u, mu_t, diag = _fit_policy(cfg, dataset, dataset.n)
     fitted = fit_regressor(cfg.regressor, dataset.states, dataset.actions,
@@ -226,21 +226,19 @@ def plugin_fixed_point(dataset, cfg):
     rows, cols, values = fitted.kernel
     kernel = np.zeros((ns * na, ns))
     kernel[rows, cols] = values
-    offset = fitted.offset.reshape(ns, na)
     g = _solve_discounted(np.einsum("sa,san->sn", mu_t, kernel.reshape(ns, na, ns)), cfg.gamma,
-                          np.sum(mu_t * (cfg.gamma * offset - u), axis=1), "plug-in")
-    v = (kernel @ g).reshape(ns, na) + offset
+                          -np.sum(mu_t * u, axis=1), "plug-in")
+    v = (kernel @ g).reshape(ns, na)
     r, c = _assemble(u, v, mu_t, cfg.gamma)
     return IrlSolution(r, v, u, c, mu_t, cfg.gamma, diag), kernel
 
 
 @dataclass
 class DenseFit:
-    """A fold's map g -> kernel @ g + offset with dense (S*A, S) `kernel`
-    and `counts` matrices."""
+    """A fold's map g -> kernel @ g with dense (S*A, S) `kernel` and
+    `counts` matrices."""
 
     kernel: np.ndarray
-    offset: np.ndarray
     counts: np.ndarray
     diagnostics: dict
 
@@ -255,18 +253,16 @@ def dense_fit_regressor(spec, states, actions, next_states, n_states, n_actions)
     cnt = counts.sum(axis=1)
     if spec.kind == "tabular-mean":
         kernel = counts / np.maximum(cnt, 1)[:, None]
-        offset = np.where(cnt > 0, 0.0, spec.fallback)
     else:
         phi = np.asarray(spec.features, dtype=float).reshape(n_cells, -1)
         gram = (phi * cnt[:, None]).T @ phi + spec.ridge_lambda * np.eye(phi.shape[1])
         kernel = phi @ np.linalg.solve(gram, phi.T @ counts)
-        offset = np.zeros(n_cells)
-    return DenseFit(kernel, offset, counts,
+    return DenseFit(kernel, counts,
                     {"n_empty_cells": int(np.sum(cnt == 0)), "n_train": int(s.size)})
 
 
 def dense_fitted_fixed_point(cfg, u, mu_t, k_steps, fit, folds, diag, record_iterates):
-    """`solver._fitted_fixed_point` over `DenseFit` maps: v <- kernel @ g + offset,
+    """`solver._fitted_fixed_point` over `DenseFit` maps: v <- kernel @ g,
     with eta read off the dense counts' nonzeros."""
     v = np.zeros_like(u)
     fitted, fold, empty_seen = None, None, 0
@@ -279,7 +275,7 @@ def dense_fitted_fixed_point(cfg, u, mu_t, k_steps, fit, folds, diag, record_ite
             n_records = max(int(weights.sum()), 1)
             empty_seen = max(empty_seen, fitted.diagnostics["n_empty_cells"])
         g = expect_mu(mu_t, cfg.gamma * v - u)
-        flat = fitted.kernel @ g + fitted.offset
+        flat = fitted.kernel @ g
         diag.eta.append(float(np.sqrt(weights @ (flat[rows] - g[cols]) ** 2 / n_records)))
         v = flat.reshape(u.shape)
     if empty_seen:

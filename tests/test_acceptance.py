@@ -23,6 +23,7 @@ from conftest import CRITERION_LINES, random_mdp, random_policy
 from reference import (
     conditional_loglik,
     maxent_loglik_and_grad,
+    plugin_fixed_point,
     policy_value,
     population_fixed_point,
     shape,
@@ -105,6 +106,33 @@ def test_criterion_3_contraction_rate():
             worst_excess = max(worst_excess, excess)
     ok = worst_excess <= 0.0
     _report("3", ok, f"max excess over gamma^k bound {worst_excess:.2e}")
+    assert worst_excess <= 0.0
+
+
+@pytest.mark.parametrize("name", ["easy", "ident", "hard"])
+def test_criterion_3_data_level_contraction(name):
+    # On a sample the loop contracts toward its own K = infinity limit: the
+    # tabular map M is sub-stochastic (a cell without records is a zero row),
+    # so |v_k - v_plug| <= gamma^k |v_plug| at every k. n = 2k leaves cells
+    # unvisited, so the zero rows are exercised too.
+    experiment = builtin_experiment(name)
+    mdp, r_true, _ = build_env(experiment.env)
+    pi, gamma = expert_policy(mdp, r_true), experiment.solver.gamma
+    worst_excess = worst_ratio = 0.0
+    for n, seed in ((50_000, 1), (2_000, 1), (2_000, 2)):
+        data = sample_transitions(mdp, pi, n, seed=seed, env_id=name)
+        sol = classify_then_regress(data, experiment.solver, record_iterates=True)
+        plug, _ = plugin_fixed_point(data, experiment.solver)
+        unvisited = any("unvisited per regression" in w for w in sol.diagnostics.warnings)
+        assert unvisited == (n == 2_000)
+        v_plug_norm = sup_norm(plug.v)
+        for k, v_k in enumerate(sol.diagnostics.iterates):
+            gap, bound = sup_norm(v_k - plug.v), gamma ** k * v_plug_norm
+            worst_excess = max(worst_excess, gap - (bound + 1e-9))
+            worst_ratio = max(worst_ratio, gap / bound if k else 0.0)
+    ok = worst_excess <= 0.0
+    _report(f"3 ({name}, data)", ok, f"max excess over gamma^k bound {worst_excess:.2e}, "
+                                     f"largest ratio over k >= 1 {worst_ratio:.4f}")
     assert worst_excess <= 0.0
 
 

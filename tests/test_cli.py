@@ -80,8 +80,6 @@ MALFORMED_VALUES = [
     # a floor of 1/5 or more leaves no room for the gridworld's five actions
     pytest.param("mu = uniform", "mu = uniform\nprob_floor = 0.5", "[solver] prob_floor",
                  ["reproduce"], id="solver-prob-floor-above-uniform"),
-    pytest.param("mu = uniform", "mu = uniform\nfallback = nan", "[solver] fallback",
-                 ["reproduce"], id="solver-fallback"),
     pytest.param("name = tiny", "name = tiny\nweighting = states", "[eval] weighting",
                  ["reproduce"], id="eval-weighting"),
     pytest.param("reruns = 2", "reruns = 0", "[eval] reruns", ["reproduce"], id="eval-reruns"),
@@ -200,6 +198,7 @@ class TestRuntimeErrors:
         ("solver", "gamma", "0.9"),
         ("solver", "classifier_learning_rate", "0.1"),
         ("solver", "classifier_l2", "0.01"),
+        ("solver", "fallback", "0.0"),
     ])
     def test_retired_key_is_unknown(self, tmp_path, capsys, section, key, value):
         from softirl.harness import parse_config
@@ -232,10 +231,32 @@ class TestRuntimeErrors:
                      "--quiet"]) == 2
         assert "fold size is 0: half=20, folds=36" in capsys.readouterr().err
 
-    def test_reruns_override_is_checked(self, cfg_path, tmp_path, capsys):
+    # each override is checked as its [eval] key before anything is built
+    @pytest.mark.parametrize("command, override, message", [
+        pytest.param(["gen-data"], "--seed=-1", "base_seed: must be nonnegative, got -1",
+                     id="gen-data-seed"),
+        pytest.param(["diagnose"], "--seed=-3", "base_seed: must be nonnegative, got -3",
+                     id="diagnose-seed"),
+        pytest.param(["reproduce"], "--seed=-1", "base_seed: must be nonnegative, got -1",
+                     id="reproduce-config-seed"),
+        pytest.param(["reproduce"], "--reruns=0", "reruns: must be at least 1, got 0",
+                     id="reproduce-config-reruns"),
+        pytest.param(["reproduce", "ident"], "--seed=-1", "base_seed: must be nonnegative, got -1",
+                     id="reproduce-name-seed"),
+        pytest.param(["reproduce", "ident"], "--reruns=0", "reruns: must be at least 1, got 0",
+                     id="reproduce-name-reruns"),
+    ])
+    def test_reruns_override_is_checked(self, cfg_path, tmp_path, capsys, monkeypatch,
+                                        command, override, message):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("an override reached the environment before its check")
+
+        for module in (envs, harness):
+            monkeypatch.setattr(module, "build_env", unreachable)
         out = str(tmp_path / "res")
-        assert main(["reproduce", "--config", cfg_path, "--out", out, "--reruns", "0"]) == 2
-        assert "reruns: must be at least 1, got 0" in capsys.readouterr().err
+        source = [] if len(command) > 1 else ["--config", cfg_path]
+        assert main([*command, *source, "--out", out, override, "--quiet"]) == 2
+        assert capsys.readouterr().err == f"error: [eval] {message}\n"
         assert not os.path.exists(out)
 
     def test_misspelled_section_is_unknown(self, tmp_path, capsys):

@@ -124,7 +124,7 @@ class TestParseConfig:
 
         assert targets("env") == {f.name for f in fields(GridworldSpec)}
         assert targets("baseline") == {f.name for f in fields(MaxEntConfig)}
-        assert sum(len(table) for table in _KEYS.values()) == 30
+        assert sum(len(table) for table in _KEYS.values()) == 29
         # "1" is a valid int, float, str and boolean, so only the declared type
         # decides; the keys whose values are checked at parse time take valid ones
         valid = {"topology": "torus", "reward_kind": "linear", "move_noise": "0",
@@ -137,8 +137,7 @@ class TestParseConfig:
         path.write_text(text)
         cfg = parse_config(path)
         owners = {"env": cfg.env, "solver": cfg.solver, "mu": cfg.solver.mu,
-                  "classifier": cfg.solver.classifier, "regressor": cfg.solver.regressor,
-                  "baseline": cfg.baseline, "eval": cfg}
+                  "classifier": cfg.solver.classifier, "baseline": cfg.baseline, "eval": cfg}
         for table in _KEYS.values():
             for key, (target, field, typ) in table.items():
                 assert type(getattr(owners[target], field)) is (int if typ is _k else typ), key

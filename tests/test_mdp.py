@@ -553,6 +553,31 @@ class TestBatchedSoftValueIteration:
         assert [isinstance(result, tuple) for result in results] == [True, True, False,
                                                                      False, False]
 
+    def test_a_sweep_off_onto_kernels_is_one_product(self, monkeypatch):
+        # v = P lse of every live problem comes from one stacked matmul per
+        # sweep, not from one apply_P call per problem
+        from softirl import mdp as mdp_module
+
+        mdp, r_true = _gridworld("ident-noisy")
+        calls = {"matmul": 0, "sweeps": 0}
+        matmul, lse = np.matmul, mdp_module._logsumexp_action_major
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("apply_P was called inside the sweep")
+
+        monkeypatch.setattr(np, "matmul", counted("matmul", matmul))
+        monkeypatch.setattr(mdp_module, "_logsumexp_action_major", counted("sweeps", lse))
+        monkeypatch.setattr(mdp_module, "apply_P", unreachable)
+        results = _soft_value_iteration(mdp, np.stack([r_true, 0.5 * r_true, -r_true]), 1e-8)
+        assert all(isinstance(result, tuple) for result in results)
+        assert calls["matmul"] == calls["sweeps"] > 100
+
 
 class TestUnreachableState:
     """A one-hot kernel where no (s, a) moves into the last state: that

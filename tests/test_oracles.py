@@ -119,12 +119,11 @@ class TestLogPolicy:
         assert np.log(fc.probs).min() >= np.log(1e-6 / 2)
 
 
-def regress(fitted, g):
+def regress(fitted, g, n_actions):
     """The fitted regression of the targets g(s') as an (S, A) table."""
     g = np.asarray(g, dtype=float)
     rows, cols, values = fitted.kernel
-    flat = fitted.offset + np.bincount(rows, values * g[cols], minlength=fitted.offset.size)
-    return flat.reshape(g.size, -1)
+    return np.bincount(rows, values * g[cols], minlength=g.size * n_actions).reshape(g.size, -1)
 
 
 def dense(triples, shape):
@@ -140,13 +139,13 @@ class TestFitRegressor:
         for spec in (RegressorSpec(),
                      RegressorSpec(kind="ridge", features=np.ones((2, 3, 1)))):
             fr = fit_regressor(spec, [0, 0, 1], [0, 1, 2], [1, 0, 1], 2, 3)
-            table = regress(fr, [7.0, 7.0])
+            table = regress(fr, [7.0, 7.0], 3)
             for s, a in [(0, 0), (0, 1), (1, 2)]:
                 assert_allclose(table[s, a], 7.0, atol=1e-10)
 
     def test_cell_mean(self):
         fr = fit_regressor(RegressorSpec(), [0, 0], [1, 1], [0, 1], 2, 2)
-        assert regress(fr, [1.0, 3.0])[0, 1] == 2.0
+        assert regress(fr, [1.0, 3.0], 2)[0, 1] == 2.0
 
     def test_ridge_one_hot_equals_tabular_mean(self):
         rng = np.random.default_rng(3)
@@ -164,7 +163,6 @@ class TestFitRegressor:
             s, a, s2, ns, na)
         shape = (ns * na, ns)
         assert np.max(np.abs(dense(tab.kernel, shape) - dense(ridge.kernel, shape))) <= 1e-10
-        assert np.all(tab.offset == 0.0) and np.all(ridge.offset == 0.0)
 
     def test_rank_deficient_advises_lambda(self):
         feats = np.eye(4).reshape(2, 2, 4)
@@ -173,10 +171,10 @@ class TestFitRegressor:
                           [0], [0], [0], 2, 2)
 
     def test_fallback_for_empty_cells(self):
-        fr = fit_regressor(RegressorSpec(fallback=-2.5), [0], [0], [0], 2, 2)
-        table = regress(fr, [1.0, 0.0])
-        assert table[0, 0] == 1.0
-        assert table[1, 1] == -2.5
+        # a cell without records has no kernel triple, so it predicts 0 for every target
+        fr = fit_regressor(RegressorSpec(), [0], [0], [0], 2, 2)
+        table = regress(fr, [1.0, -4.0], 2)
+        assert table.tobytes() == np.array([[1.0, 0.0], [0.0, 0.0]]).tobytes()
         assert fr.diagnostics["n_empty_cells"] == 3
 
     def test_ridge_prediction_is_linear_in_features(self):
@@ -213,7 +211,7 @@ class TestFitRegressor:
         g = rng.normal(size=3)
         y = g[s2]
         fr = fit_regressor(RegressorSpec(), s, a, s2, 3, 2)
-        fit_risk = np.mean((regress(fr, g)[s, a] - y) ** 2)
+        fit_risk = np.mean((regress(fr, g, 2)[s, a] - y) ** 2)
         best_const = np.mean((y.mean() - y) ** 2)
         assert fit_risk <= best_const + 1e-12
 

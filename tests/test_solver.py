@@ -297,7 +297,7 @@ def _refit_reference(data, cfg, u, mu_t, split):
         cnt = np.bincount(cells, minlength=ns * na).astype(float)
         sums = np.bincount(cells, weights=y, minlength=ns * na)
         if spec.kind == "tabular-mean":
-            flat = np.where(cnt > 0, sums / np.maximum(cnt, 1.0), spec.fallback)
+            flat = np.where(cnt > 0, sums / np.maximum(cnt, 1.0), 0.0)
         else:
             phi = spec.features.reshape(ns * na, -1)
             gram = (phi * cnt[:, None]).T @ phi + spec.ridge_lambda * np.eye(phi.shape[1])
@@ -321,7 +321,6 @@ class TestMatchesRefitReference:
         regressor = RegressorSpec()
         n = 20_000
         if case == "empty-cells":
-            regressor = RegressorSpec(fallback=-1.5)
             n = 120 if split else 30
         elif case == "ridge":
             features = np.random.default_rng(6).normal(size=(4, 5, 3))
@@ -434,7 +433,7 @@ class TestPluginFixedPoint:
 class TestRidgeAtLowN:
     def test_ridge_recovers_the_normalized_reward_better_than_tabular_on_hard(self):
         # At n = 2k some of hard's (s, a) cells go unvisited, and the tabular
-        # mean fills them with its fallback; ridge on the env's features
+        # mean predicts 0 there; ridge on the env's features
         # predicts them from the visited cells. The score is the RMSE of r
         # against the exact normalized truth, which sees the regression stage.
         experiment = builtin_experiment("hard")
