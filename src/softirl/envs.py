@@ -11,6 +11,7 @@ from __future__ import annotations
 import io
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -175,12 +176,13 @@ def build_env(spec: GridworldSpec):
     """
     targets = _move_targets(spec)
     ns = spec.n_states
+    # each cell gets 1 - noise, then noise / A per slip action b in order: a
+    # fixed b hits every (s, a) once, so each `+=` adds in the scalar loop's order
+    cells = np.arange(ns)[:, None], np.arange(N_ACTIONS)
     transition = np.zeros((ns, N_ACTIONS, ns))
-    for s in range(ns):
-        for a in range(N_ACTIONS):
-            transition[s, a, targets[s, a]] += 1.0 - spec.move_noise
-            for b in range(N_ACTIONS):
-                transition[s, a, targets[s, b]] += spec.move_noise / N_ACTIONS
+    transition[(*cells, targets)] = 1.0 - spec.move_noise
+    for b in range(N_ACTIONS):
+        transition[(*cells, targets[:, [b]])] += spec.move_noise / N_ACTIONS
     mdp = TabularMdp(transition, spec.gamma)
 
     rng = np.random.default_rng(spec.seed)
@@ -199,8 +201,9 @@ def build_env(spec: GridworldSpec):
     scale = spec.reward_scale
     r_true = scale * raw
     if spec.min_action_prob > 0.0:
-        for _ in range(80):
-            _, _, pi = _soft_policy_iteration(mdp, r_true, tol=1e-9)
+        v = np.zeros_like(r_true)
+        for _ in range(80):  # each scale starts from the last one's v, scaled as the reward is
+            v, _, pi = _soft_policy_iteration(mdp, r_true, tol=1e-9, v0=0.9 * v)
             if pi.min() >= spec.min_action_prob:
                 break
             scale *= 0.9
@@ -244,25 +247,27 @@ def sample_transitions(mdp: TabularMdp, pi, n: int, init=None,
     u = rng.random((n, 3))
     # CDF rows end in +inf: a right-sided search then returns at most the last
     # index, the min(., S - 1) / min(., A - 1) clamp for rows just under 1.
-    init_cdf, pi_cdf, trans_cdf = (np.cumsum(p, axis=-1) for p in (init, pi, mdp.transition))
-    for cdf in (init_cdf, pi_cdf, trans_cdf):
+    init_cdf, pi_cdf = (np.cumsum(p, axis=-1) for p in (init, pi))
+    for cdf in (init_cdf, pi_cdf):
         cdf[..., -1] = np.inf
     # Record i > 0 restarts iff u[i, 2] >= gamma (iid-restart only) and then
     # takes the stream's next uniform, so every segment's first state is
     # known before the walk.
-    restarts = (np.flatnonzero(u[1:, 2] >= mdp.gamma) + 1 if regime == "iid-restart"
-                else np.empty(0, dtype=np.intp))
-    first = np.searchsorted(init_cdf, np.append(u[0, 2], rng.random(len(restarts))), side="right")
+    starts = np.append(0, np.flatnonzero(u[1:, 2] >= mdp.gamma) + 1 if regime == "iid-restart"
+                       else np.empty(0, dtype=np.intp))
+    first = np.searchsorted(init_cdf, np.append(u[0, 2], rng.random(len(starts) - 1)), side="right")
+    # the walk reads column 0, and column 1 only where a move is random
+    u_act, u_move = u[:, 0].copy(), None if mdp._targets is not None else u[:, 1].copy()
+    del u
     records = np.empty((3, n), dtype=np.int64)
-    _walk(records, u, np.append(0, restarts), first, pi_cdf,
-          *_support_rows(trans_cdf, mdp.transition))
+    _walk(records, starts, first, pi_cdf, u_act, u_move, *_support_rows(mdp.transition))
 
     meta = {"seed": seed, "env": env_id or "-", "n": n,
             "n_states": mdp.n_states, "n_actions": mdp.n_actions, "regime": regime}
     return TransitionDataset(*records, meta)
 
 
-def _support_rows(trans_cdf: np.ndarray, transition: np.ndarray):
+def _support_rows(transition: np.ndarray):
     """Each transition CDF row cut to its support plus its last index, as
     (S, A, W) tables of CDF values and state indices, padded with +inf.
 
@@ -271,17 +276,22 @@ def _support_rows(trans_cdf: np.ndarray, transition: np.ndarray):
     it exactly, so that entry is a support index or the +inf last one: the
     cut rows give the full rows' answer.
     """
+    trans_cdf = np.cumsum(transition, axis=-1)
+    trans_cdf[..., -1] = np.inf
     keep = transition > 0
     keep[..., -1] = True
-    idx = np.argsort(~keep, axis=-1, kind="stable")[..., :keep.sum(axis=-1).max()]
+    idx = np.argsort(~keep, axis=-1, kind="stable")[..., :keep.sum(axis=-1).max()].copy()
     cdf = np.take_along_axis(trans_cdf, idx, axis=-1)
     cdf[~np.take_along_axis(keep, idx, axis=-1)] = np.inf
     return cdf, idx
 
 
-def _walk(records, u, starts, first, pi_cdf, next_cdf, next_idx) -> None:
+def _walk(records, starts, first, pi_cdf, u_act, u_move, next_cdf, next_idx) -> None:
     """Write the records of the segments that begin at `starts` in states
-    `first`, drawing with columns 0 and 1 of `u`.
+    `first`, drawing actions with `u_act` and moves with `u_move`, or on
+    one-hot kernels (`u_move` None) taking each cut row's first index, its
+    target (`TabularMdp._targets`). A next state is the next record's state,
+    but at a segment's end, which goes in the segment's slot of `first`.
 
     Segments go longest first, `_LANES` at a time, so the live ones are a
     prefix: step t takes record start + t of every live segment at once.
@@ -294,35 +304,49 @@ def _walk(records, u, starts, first, pi_cdf, next_cdf, next_idx) -> None:
     next_t = next_cdf.reshape(-1, width).T[:-1].copy()
     next_flat = next_idx.ravel()
     pi_rows, cdf_rows, idx_rows = pi_cdf.tolist(), next_cdf.tolist(), next_idx.tolist()
-    lengths = np.diff(starts, append=len(u))
+    states, actions, next_states = records  # a store through a row view beats records[0, i]
+    lengths = np.diff(starts, append=len(u_act))
     order = np.argsort(-lengths, kind="stable")
     for group in range(0, len(order), _LANES):
-        start, length, s = (x[order[group:group + _LANES]] for x in (starts, lengths, first))
+        segment = order[group:group + _LANES]
+        start, length, s = starts[segment], lengths[segment], first[segment]
         t, live = 0, len(start)
         while live >= _TAIL:
             i = start[:live] + t
-            draws = u.take(i, axis=0)
-            a = (pi_t.take(s, axis=1) <= draws[:, 0]).sum(axis=0, dtype=np.intp)
+            a = _count_at_most(pi_t, s, u_act.take(i))
             sa = s * n_actions + a
-            k = (next_t.take(sa, axis=1) <= draws[:, 1]).sum(axis=0, dtype=np.intp)
+            k = 0 if u_move is None else _count_at_most(next_t, sa, u_move.take(i))
             s2 = next_flat.take(sa * width + k)
-            records[0, i], records[1, i], records[2, i] = s, a, s2
+            states[i], actions[i] = s, a
             t += 1
-            live = np.count_nonzero(length[:live] > t)
+            ended, live = live, np.count_nonzero(length[:live] > t)
+            first[segment[live:ended]] = s2[live:ended]  # read by this group already
             s = s2[:live]
-        for s, begin, stop in zip(s.tolist(), (start[:live] + t).tolist(),
-                                  (start[:live] + length[:live]).tolist()):
+        for j, s, begin, stop in zip(segment[:live].tolist(), s.tolist(),
+                                     (start[:live] + t).tolist(),
+                                     (start[:live] + length[:live]).tolist()):
             for lo in range(begin, stop, _BLOCK):
                 hi = min(lo + _BLOCK, stop)
-                block_s, block_a, block_s2 = [], [], []
-                for ua, us in zip(u[lo:hi, 0].tolist(), u[lo:hi, 1].tolist()):
+                block_s, block_a = [], []
+                # 0.0 lies below every entry of a one-hot cut row: its first index
+                moves = repeat(0.0) if u_move is None else u_move[lo:hi].tolist()
+                for ua, us in zip(u_act[lo:hi].tolist(), moves):
                     a = bisect_right(pi_rows[s], ua)
-                    s2 = idx_rows[s][a][bisect_right(cdf_rows[s][a], us)]
                     block_s.append(s)
                     block_a.append(a)
-                    block_s2.append(s2)
-                    s = s2
-                records[:, lo:hi] = block_s, block_a, block_s2
+                    s = idx_rows[s][a][bisect_right(cdf_rows[s][a], us)]
+                states[lo:hi], actions[lo:hi] = block_s, block_a
+            first[j] = s
+    next_states[:-1] = states[1:]
+    next_states[np.append(starts[1:], len(u_act)) - 1] = first
+
+
+def _count_at_most(table, columns, u) -> np.ndarray:
+    """Per lane j, the rows of `table` at most u[j] in column columns[j], a row at a time."""
+    count = np.zeros(len(columns), dtype=np.intp)
+    for row in table:
+        count += row.take(columns) <= u
+    return count
 
 
 def write_dataset(dataset: TransitionDataset, path) -> None:

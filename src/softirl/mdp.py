@@ -186,7 +186,9 @@ def _soft_value_iteration(mdp: TabularMdp, r: np.ndarray, tol: float,
     its v NaN. On other kernels the state is v = P lse, one stacked matmul
     per sweep with `apply_P`'s bits per problem. Residuals are checked on
     every kernel together, every CHECK_EVERY sweeps, at `max_iter`, at a
-    warm start's first sweep (v0 against v over (s, a)), at a non-finite one.
+    warm start's first sweep (v0 against v over (s, a)), at a non-finite one,
+    and where every live bound must have reached `tol`, if sooner: a problem
+    stops at its first sweep whose bound does, wherever the checks fall.
     """
     n_problems, ns, na = r.shape
     gamma, onto = mdp.gamma, mdp._onto
@@ -195,7 +197,7 @@ def _soft_value_iteration(mdp: TabularMdp, r: np.ndarray, tol: float,
     block = [np.zeros(n_problems * ns if onto else r_am.shape) if v0 is None
              else np.ascontiguousarray(v0.transpose(2, 0, 1)).reshape(na, -1)]
     live, results, width = np.arange(n_problems), [None] * n_problems, 0
-    last = np.full(n_problems, np.inf)
+    last, due = np.full(n_problems, np.inf), CHECK_EVERY
     for sweep in range(1, max_iter + 1):
         if width != len(live):  # a new or narrower batch: remake the buffers
             width = len(live)
@@ -212,7 +214,7 @@ def _soft_value_iteration(mdp: TabularMdp, r: np.ndarray, tol: float,
             state = np.matmul(mdp.transition, state.reshape(width, 1, ns, 1))
             state = state.reshape(-1, na).T.copy()
         block.append(state)
-        if len(block) <= CHECK_EVERY and sweep < max_iter and finite and (sweep > 1 or v0 is None):
+        if len(block) <= due and sweep < max_iter and finite and (sweep > 1 or v0 is None):
             continue
         if block[0].ndim > state.ndim:  # v0 against the first sweep's v
             block[-1] = state[gather]
@@ -239,6 +241,8 @@ def _soft_value_iteration(mdp: TabularMdp, r: np.ndarray, tol: float,
         live, block = live[~leave], [state]
         if not len(live):
             return results
+        # a bound shrinks by gamma per sweep: every live one reaches tol within this many
+        due = int(min(np.ceil(np.log(last.max() / tol) / -np.log(gamma)), CHECK_EVERY))
         if leave.any():
             keep = np.repeat(~leave, ns)  # compress, unlike a mask, keeps C order
             r_am, block = np.compress(keep, r_am, axis=1), [np.compress(keep, state, axis=-1)]
@@ -256,11 +260,13 @@ def _solve_discounted(kernel: np.ndarray, gamma: float, rhs: np.ndarray, what: s
     return x
 
 
-def _soft_policy_iteration(mdp: TabularMdp, r: np.ndarray, tol: float = 1e-10, max_iter: int = 50):
+def _soft_policy_iteration(mdp: TabularMdp, r: np.ndarray, tol: float = 1e-10, max_iter: int = 50,
+                           v0: np.ndarray | None = None):
     """`soft_value_iteration`'s contract by Newton's method (soft policy iteration):
     each step solves (I - gamma K_pi) V = sum_a pi (r - log pi), pi = softmax(r + gamma v),
-    and sets v = PV, until one extra sweep shows |P logsumexp(r + gamma v) - v| <= tol."""
-    v = np.zeros_like(r)
+    and sets v = PV, until one extra sweep shows |P logsumexp(r + gamma v) - v| <= tol.
+    It starts from the (S, A) table `v0`, or from v = 0."""
+    v = np.zeros_like(r) if v0 is None else v0
     for _ in range(max_iter):
         q = r + mdp.gamma * v
         lse, pi = _logsumexp_action_major(q.T)[0], softmax_actions(q)

@@ -8,20 +8,22 @@ with exact oracles and its full-sample limit as K grows) in plain code. Each one
 `solver._fitted_fixed_point`), so a test that uses them still tests package
 code.
 
-The last three are the plain forms of two fast paths: the dense fold map
-(`dense_fit_regressor`, `dense_fitted_fixed_point`) and the per-line
-dataset reader (`read_dataset_per_line`).
+The last four are the plain forms of three fast paths: the dense fold map
+(`dense_fit_regressor`, `dense_fitted_fixed_point`), the per-line
+dataset reader (`read_dataset_per_line`) and `build_env`'s kernel fill and
+reward rescale (`cold_build_env`).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from softirl.envs import _HEADER_PREFIX, TransitionDataset
+from softirl.envs import _HEADER_PREFIX, N_ACTIONS, TransitionDataset, _move_targets, build_env
 from softirl.maxent import _loglik_and_grad
 from softirl.mdp import (
     TabularMdp,
     _logsumexp_action_major,
+    _soft_policy_iteration,
     _solve_discounted,
     apply_P,
     check_distribution,
@@ -334,3 +336,31 @@ def read_dataset_per_line(path) -> TransitionDataset:
                            np.array(next_states, dtype=np.int64), meta)
     ds.validate()
     return ds
+
+
+def cold_build_env(spec):
+    """`envs.build_env`'s (transition, r_true, phi) from a kernel filled one
+    cell at a time and a rescale that starts every Newton solve from v = 0,
+    with |pi.min() - min_action_prob| at each scale tried."""
+    targets, ns = _move_targets(spec), spec.n_states
+    transition = np.zeros((ns, N_ACTIONS, ns))
+    for s in range(ns):
+        for a in range(N_ACTIONS):
+            transition[s, a, targets[s, a]] += 1.0 - spec.move_noise
+            for b in range(N_ACTIONS):
+                transition[s, a, targets[s, b]] += spec.move_noise / N_ACTIONS
+    mdp = TabularMdp(transition, spec.gamma)
+    _, raw, phi = build_env(replace(spec, min_action_prob=0.0, reward_scale=1.0))
+    scale, gaps = spec.reward_scale, []
+    r_true = scale * raw
+    if spec.min_action_prob > 0.0:
+        for _ in range(80):
+            _, _, pi = _soft_policy_iteration(mdp, r_true, tol=1e-9)
+            gaps.append(abs(pi.min() - spec.min_action_prob))
+            if pi.min() >= spec.min_action_prob:
+                break
+            scale *= 0.9
+            r_true = scale * raw
+        else:
+            raise RuntimeError("could not satisfy min_action_prob by rescaling")
+    return transition, r_true, phi, gaps

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from softirl import mdp as mdp_module
 from softirl.mdp import (
     CHECK_EVERY,
     TabularMdp,
@@ -556,8 +557,6 @@ class TestBatchedSoftValueIteration:
     def test_a_sweep_off_onto_kernels_is_one_product(self, monkeypatch):
         # v = P lse of every live problem comes from one stacked matmul per
         # sweep, not from one apply_P call per problem
-        from softirl import mdp as mdp_module
-
         mdp, r_true = _gridworld("ident-noisy")
         calls = {"matmul": 0, "sweeps": 0}
         matmul, lse = np.matmul, mdp_module._logsumexp_action_major
@@ -677,11 +676,11 @@ def _reference_iterates(mdp, r, tol):
 
 
 class TestResidualBlocks:
-    """The residual is checked once per CHECK_EVERY sweeps, on onto one-hot
-    kernels (ident) and stochastic ones (ident-noisy) alike. Each problem must
-    still stop at its own sweep with the reference's bits, and fail with the
-    reference's text wherever `max_iter` or a non-finite sweep falls within a
-    block."""
+    """The residual is checked once per CHECK_EVERY sweeps, or sooner where
+    every live problem must have stopped, on onto one-hot kernels (ident) and
+    stochastic ones (ident-noisy) alike. Each problem must still stop at its
+    own sweep with the reference's bits, and fail with the reference's text
+    wherever `max_iter` or a non-finite sweep falls within a block."""
 
     tol = 1e-8
     n_sweeps = 2 * CHECK_EVERY + 1
@@ -704,6 +703,23 @@ class TestResidualBlocks:
         for r, vs, got in zip(rewards, iterates, batch):
             # the reference's last sweep returns what the reference returns from v = 0
             self._assert_matches(got, _reference_soft_value_iteration(mdp, r, np.inf, vs[-2], 1))
+
+    @pytest.mark.parametrize("name", ["ident", "ident-noisy"])
+    def test_batch_ends_at_its_last_problems_stop(self, name, monkeypatch):
+        # after each check, the bounds shrinking by gamma per sweep predict the
+        # sweep by which every live problem stops; on these problems that is
+        # the last one's own sweep (167), not the end of its block (176)
+        mdp, r_true = _gridworld(name)
+        log_pi = np.log(soft_value_iteration(mdp, r_true)[2])
+        rewards = [log_pi + 1e-6 * mdp.gamma ** -(j + 0.5) for j in range(CHECK_EVERY)]
+        stops = [len(_reference_iterates(mdp, r, self.tol)) - 1 for r in rewards]
+        assert max(stops) % CHECK_EVERY
+        sweeps = []
+        lse = mdp_module._logsumexp_action_major  # one call per sweep
+        monkeypatch.setattr(mdp_module, "_logsumexp_action_major",
+                            lambda *args: sweeps.append(1) or lse(*args))
+        _soft_value_iteration(mdp, np.stack(rewards), self.tol)
+        assert len(sweeps) == max(stops)
 
     @pytest.mark.parametrize("name", ["ident", "ident-noisy"])
     def test_warm_problems_stop_at_every_offset(self, name):
