@@ -245,8 +245,7 @@ _KEYS = {
         "prob_floor": ("classifier", "prob_floor", float),
         "classifier_epochs": ("classifier", "epochs", int),
     },
-    "baseline": {key: ("baseline", key, typ) for key, typ in (
-        ("step_size", float), ("max_epochs", int), ("patience", int), ("tol", float))},
+    "baseline": {key: ("baseline", key, typ) for key, typ in (("max_epochs", int), ("tol", float))},
     "eval": {key: ("eval", key, typ) for key, typ in (
         ("n", int), ("regime", str), ("reruns", int), ("base_seed", int),
         ("weighting", str), ("ref_action", int), ("name", str))},

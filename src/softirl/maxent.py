@@ -23,25 +23,21 @@ from softirl.mdp import (TabularMdp, _soft_value_iteration, _solve_discounted, j
 from softirl.mdp import soft_value_iteration  # noqa: F401 - perfbench/spans.py wraps it by name here
 
 GRAD_CLIP = 10.0  # largest gradient norm an ascent steps along
+STEP_SIZE = 0.05  # Adam's constant step
+PATIENCE = 40  # epochs without a `tol` gain after which an ascent stops
 VI_TOL = 1e-8  # residual at which each epoch's soft value iteration stops
 
 
 @dataclass
 class MaxEntConfig:
-    """Adam at a constant step; stops after `patience` epochs without a `tol` gain."""
+    """Adam at STEP_SIZE; stops after PATIENCE epochs without a `tol` gain."""
 
-    step_size: float = 0.05
     max_epochs: int = 300
-    patience: int = 40
     tol: float = 1e-8
 
     def __post_init__(self):
-        if not self.step_size > 0:
-            raise ValueError(f"step_size: must be positive, got {self.step_size}")
         if self.max_epochs < 0:
             raise ValueError(f"max_epochs: must be nonnegative, got {self.max_epochs}")
-        if self.patience < 1:
-            raise ValueError(f"patience: must be at least 1, got {self.patience}")
         if not 0.0 <= self.tol < np.inf:
             raise ValueError(f"tol: must be finite and nonnegative, got {self.tol}")
 
@@ -76,7 +72,7 @@ def ascent(mdp: TabularMdp, phi, weights: np.ndarray, cfg: MaxEntConfig):
     """One ascent on the joint (S, A) frequency table `weights`, used as
     given, from theta = 0: each epoch yields r_theta, is sent its (v, Q, pi),
     and takes one Adam step along the clipped gradient. Returns the
-    best-likelihood iterate once `patience` epochs bring no `tol` gain or
+    best-likelihood iterate once PATIENCE epochs bring no `tol` gain or
     `max_epochs` steps are taken."""
     phi_flat = np.asarray(phi, dtype=float).reshape(mdp.n_states * mdp.n_actions, -1)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -91,7 +87,7 @@ def ascent(mdp: TabularMdp, phi, weights: np.ndarray, cfg: MaxEntConfig):
             adam_v = beta2 * adam_v + (1 - beta2) * step_dir ** 2
             m_hat = adam_m / (1 - beta1 ** epoch)
             v_hat = adam_v / (1 - beta2 ** epoch)
-            theta = theta + cfg.step_size * m_hat / (np.sqrt(v_hat) + eps)
+            theta = theta + STEP_SIZE * m_hat / (np.sqrt(v_hat) + eps)
         _, _, pi = yield (phi_flat @ theta).reshape(weights.shape)
         ll, grad = _loglik_and_grad(mdp, phi_flat, weights, pi)
         if epoch and not np.isfinite(ll):
@@ -102,7 +98,7 @@ def ascent(mdp: TabularMdp, phi, weights: np.ndarray, cfg: MaxEntConfig):
             best, stall = (ll, theta.copy(), epoch), 0
         else:
             stall += 1
-            if stall >= cfg.patience:
+            if stall >= PATIENCE:
                 break
     ll, theta, epoch = best
     return MaxEntFit(theta, (phi_flat @ theta).reshape(weights.shape), trace, epoch,

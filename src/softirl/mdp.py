@@ -36,8 +36,8 @@ class TabularMdp:
             raise ValueError(f"gamma must lie in [0, 1), got {self.gamma}")
         t.setflags(write=False)
         object.__setattr__(self, "transition", t)
-        # one-hot rows (deterministic moves): `apply_P` gathers at these next states;
-        # `_onto`: they reach every one of two or more states, so soft VI carries lse
+        # one-hot rows (deterministic moves): soft VI and the sampler gather these next
+        # states; `_onto`: they reach every one of two or more states, so soft VI carries lse
         targets = t.argmax(axis=2) if np.all((t == 0.0) | (t == 1.0)) else None
         object.__setattr__(self, "_targets", targets)
         object.__setattr__(self, "_onto", targets is not None and len(t) >= 2 and bool(
@@ -82,17 +82,10 @@ def check_records(n_states: int, n_actions: int, states, actions, next_states=No
 
 
 def apply_P(mdp: TabularMdp, f) -> np.ndarray:
-    """Expected next-state value: result[s, a] = sum_s' P(s'|s,a) f(s').
-
-    One-hot kernels with finite f gather f(s') + 0.0, the matmul's bits: its
-    dot product is f(s') plus signed zeros, so a -0.0 comes back +0.0.
-    Non-finite f (0 * inf is NaN) and stochastic kernels take the matmul.
-    """
+    """Expected next-state value: result[s, a] = sum_s' P(s'|s,a) f(s')."""
     f = np.asarray(f, dtype=float)
     if f.shape != (mdp.n_states,):
         raise ValueError(f"state function has shape {f.shape}, expected ({mdp.n_states},)")
-    if mdp._targets is not None and np.isfinite(f).all():
-        return f[mdp._targets] + 0.0
     return mdp.transition @ f
 
 

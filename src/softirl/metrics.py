@@ -93,6 +93,6 @@ def evaluate(mdp: TabularMdp, r_true, pi_expert, r_hat, v_hat=None,
                             0.0)
     kl = float(np.sum(weights * kl_terms.sum(axis=1)))
     tv = float(np.sum(weights * 0.5 * np.abs(pi_expert - pi_hat).sum(axis=1)))
-    # np.argmax breaks ties at the lowest index on both sides
+    # argmax takes a tie's lowest index; Ours' q_hat is u - mu w only up to rounding
     top1 = float(np.sum(weights * (pi_hat.argmax(axis=1) == pi_expert.argmax(axis=1))))
     return MetricsReport(rmse, corr, kl, tv, top1, corr_defined)

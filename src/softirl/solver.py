@@ -88,9 +88,19 @@ class SolverConfig:
         if self.folds is not None and self.folds < 1:
             raise ValueError(f"folds: must be at least 1, got {self.folds}")
 
+    def steps(self, n: int) -> int:
+        """Fitted fixed-point steps on n records: K, where 'auto' picks
+        ceil(ln n / ln(1/gamma)) capped at MAX_AUTO_K, so the remaining
+        iteration error gamma^K is about 1/n."""
+        if self.K != "auto":
+            return int(self.K)
+        if self.gamma <= 0.0:
+            return 1
+        return min(max(1, math.ceil(math.log(n) / math.log(1.0 / self.gamma))), MAX_AUTO_K)
+
     def fold_count(self, n: int) -> int:
         """Regression folds of a split solve on n records: `folds`, or one per step."""
-        return self.folds if self.folds is not None else max(resolve_K(self.K, n, self.gamma), 1)
+        return self.folds if self.folds is not None else max(self.steps(n), 1)
 
 
 @dataclass
@@ -126,22 +136,6 @@ class IrlSolution:
     mu_table: np.ndarray
     gamma: float
     diagnostics: SolverDiagnostics = field(default_factory=SolverDiagnostics)
-
-
-def resolve_K(K, n: int | None, gamma: float) -> int:
-    """'auto' picks ceil(ln n / ln(1/gamma)) capped at MAX_AUTO_K, so the
-    remaining iteration error gamma^K is about 1/n."""
-    if isinstance(K, str):
-        if K != "auto":
-            raise ValueError(f"K must be an integer or 'auto', got {K!r}")
-        if n is None:
-            raise ValueError("K='auto' needs a dataset to read n from")
-        if gamma <= 0.0:
-            return 1
-        return min(max(1, math.ceil(math.log(n) / math.log(1.0 / gamma))), MAX_AUTO_K)
-    if K < 0:
-        raise ValueError("K must be nonnegative")
-    return int(K)
 
 
 def _assemble(u: np.ndarray, v: np.ndarray, mu_t: np.ndarray, gamma: float):
@@ -266,6 +260,28 @@ def _fitted_fixed_point(cfg: SolverConfig, u, mu_t, k_steps: int, fit, folds: in
     return IrlSolution(r, v, u, c, mu_t, cfg.gamma, diag)
 
 
+def _classify_regress(data, cfg: SolverConfig, n_train: int, folds: list,
+                      record_iterates: bool) -> IrlSolution:
+    """Classify on the first `n_train` records, then run the fitted
+    fixed-point loop, step k regressing on the records `folds[k mod
+    len(folds)]`; split folds smaller than the state count get a warning."""
+    n_states, n_actions = data.meta["n_states"], data.meta["n_actions"]
+    u, mu_t, diag = _fit_policy(cfg, data, n_train)
+    fold_size = len(data.states[folds[0]])
+    if n_train < data.n and fold_size < n_states:
+        diag.warnings.append(
+            f"fold size {fold_size} is below the state count; coverage gaps likely"
+        )
+
+    def fit(fold):
+        sl = folds[fold]
+        return fit_regressor(cfg.regressor, data.states[sl], data.actions[sl],
+                             data.next_states[sl], n_states, n_actions)
+
+    return _fitted_fixed_point(cfg, u, mu_t, cfg.steps(data.n), fit, len(folds), diag,
+                               record_iterates)
+
+
 def classify_then_regress(data, cfg: SolverConfig, *,
                           record_iterates: bool = False) -> IrlSolution:
     """Fitted fixed-point recovery: classify the behavior policy, then
@@ -273,42 +289,21 @@ def classify_then_regress(data, cfg: SolverConfig, *,
     sample through one fitted map."""
     if data.n < 1:
         raise ValueError("empty dataset")
-    u, mu_t, diag = _fit_policy(cfg, data, data.n)
-    k_steps = resolve_K(cfg.K, data.n, cfg.gamma)
-
-    def fit(fold):
-        return fit_regressor(cfg.regressor, data.states, data.actions, data.next_states,
-                             data.meta["n_states"], data.meta["n_actions"])
-
-    return _fitted_fixed_point(cfg, u, mu_t, k_steps, fit, 1, diag, record_iterates)
+    return _classify_regress(data, cfg, data.n, [slice(None)], record_iterates)
 
 
 def split_classify_regress(data, cfg: SolverConfig) -> IrlSolution:
     """Sample-split variant: the classifier sees the first half of the data
     and regression step k fits on fold k mod `folds` of the second half."""
-    n = data.n
-    half = n // 2
+    half = data.n // 2
     if half < 1:
         raise ValueError("need at least 2 records to split")
-    n_states = data.meta["n_states"]
-    n_actions = data.meta["n_actions"]
-    k_steps, folds = resolve_K(cfg.K, n, cfg.gamma), cfg.fold_count(n)
+    folds = cfg.fold_count(data.n)
     fold_size = half // folds
     if fold_size == 0:
         raise ValueError(f"fold size is 0: half={half}, folds={folds}")
-    u, mu_t, diag = _fit_policy(cfg, data, half)
-    if fold_size < n_states:
-        diag.warnings.append(
-            f"fold size {fold_size} is below the state count; coverage gaps likely"
-        )
-
-    def fit(fold):
-        sl = slice(half + fold * fold_size, half + (fold + 1) * fold_size)
-        return fit_regressor(cfg.regressor, data.states[sl], data.actions[sl],
-                             data.next_states[sl], n_states, n_actions)
-
-    return _fitted_fixed_point(cfg, u, mu_t, k_steps, fit, folds, diag,
-                              record_iterates=False)
+    return _classify_regress(data, cfg, half, [
+        slice(half + k * fold_size, half + (k + 1) * fold_size) for k in range(folds)], False)
 
 
 def save_solution(solution: IrlSolution, out_dir) -> None:

@@ -37,7 +37,6 @@ from softirl.solver import (
     _assemble,
     _fit_policy,
     _fitted_fixed_point,
-    resolve_K,
 )
 
 
@@ -211,7 +210,7 @@ def population_fixed_point(mdp: TabularMdp, pi, cfg, record_iterates=False):
     no_records = np.zeros(0, dtype=np.int64)
     exact = FittedRegressor((*support, transition[support]),
                             (no_records, no_records, no_records), {"n_empty_cells": 0})
-    return _fitted_fixed_point(cfg, u, mu_t, resolve_K(cfg.K, None, cfg.gamma),
+    return _fitted_fixed_point(cfg, u, mu_t, int(cfg.K),
                                lambda fold: exact, 1, SolverDiagnostics(nu_proxy=0.0),
                                record_iterates)
 

@@ -25,7 +25,6 @@ mu = uniform
 smoothing_alpha = 1.0
 
 [baseline]
-step_size = 0.05
 max_epochs = 30
 
 [eval]
@@ -50,8 +49,6 @@ MALFORMED_VALUES = [
     pytest.param("mu = uniform", "mu = point-mass\nmu_ref_action = -1", "[solver] mu_ref_action",
                  ["gen-data"], id="solver-mu-ref-action"),
     # MaxEnt's settings are checked at parse time, not by failing every rerun's fit
-    pytest.param("step_size = 0.05", "step_size = 0", "[baseline] step_size",
-                 ["reproduce"], id="baseline-step-size"),
     pytest.param("max_epochs = 30", "max_epochs = -1", "[baseline] max_epochs",
                  ["reproduce"], id="baseline-max-epochs"),
     # so are the solver's iteration and fold counts and the env's values
@@ -96,8 +93,6 @@ MALFORMED_VALUES = [
     pytest.param("mu = uniform",
                  "mu = uniform\nclassifier_kind = multinomial-logistic\nclassifier_epochs = 0",
                  "[solver] classifier_epochs", ["reproduce"], id="solver-classifier-epochs"),
-    pytest.param("max_epochs = 30", "max_epochs = 30\npatience = -2", "[baseline] patience",
-                 ["reproduce"], id="baseline-patience"),
     pytest.param("max_epochs = 30", "max_epochs = 30\ntol = nan", "[baseline] tol",
                  ["reproduce"], id="baseline-tol"),
     pytest.param("base_seed = 1", "base_seed = -1", "[eval] base_seed",
@@ -192,6 +187,8 @@ class TestRuntimeErrors:
         ("baseline", "init_scale", "0.01"),
         ("baseline", "grad_clip", "10.0"),
         ("baseline", "vi_tol", "1e-8"),
+        ("baseline", "step_size", "0.05"),
+        ("baseline", "patience", "40"),
         ("env", "feature_dim", "20"),
         ("solver", "regressor_kind", "ridge"),
         ("solver", "ridge_lambda", "0.1"),

@@ -34,9 +34,7 @@ mu = uniform
 smoothing_alpha = 1.0
 
 [baseline]
-step_size = 0.05
 max_epochs = 40
-patience = 20
 
 [eval]
 n = 3000
@@ -53,7 +51,7 @@ def tiny_experiment(**kw):
                           min_action_prob=0.05),
         n=3000,
         solver=SolverConfig(gamma=0.9, classifier=ClassifierSpec(smoothing_alpha=1.0)),
-        baseline=MaxEntConfig(step_size=0.05, max_epochs=40, patience=20),
+        baseline=MaxEntConfig(max_epochs=40),
         reruns=2,
         base_seed=1,
         name="tiny",
@@ -71,7 +69,7 @@ class TestParseConfig:
         assert cfg.env.width == 2 and cfg.env.gamma == 0.9
         assert cfg.solver.K == "auto"
         assert cfg.solver.classifier.smoothing_alpha == 1.0
-        assert cfg.baseline.step_size == 0.05 and cfg.baseline.patience == 20
+        assert cfg.baseline.max_epochs == 40
         assert cfg.n == 3000 and cfg.reruns == 2 and cfg.name == "tiny"
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -124,7 +122,7 @@ class TestParseConfig:
 
         assert targets("env") == {f.name for f in fields(GridworldSpec)}
         assert targets("baseline") == {f.name for f in fields(MaxEntConfig)}
-        assert sum(len(table) for table in _KEYS.values()) == 29
+        assert sum(len(table) for table in _KEYS.values()) == 27
         # "1" is a valid int, float, str and boolean, so only the declared type
         # decides; the keys whose values are checked at parse time take valid ones
         valid = {"topology": "torus", "reward_kind": "linear", "move_noise": "0",
@@ -214,10 +212,10 @@ class TestRunExperiment:
 
     # each value, assigned after the config was built, once ran unchecked:
     # reruns = 0 wrote an all-nan table, "states" scored as empirical and a
-    # negative step made MaxEnt's ascent a descent
+    # negative max_epochs left MaxEnt's ascent no iterate to return
     @pytest.mark.parametrize("owner, name, value", [
         ("eval", "reruns", 0), ("eval", "weighting", "states"),
-        ("baseline", "step_size", -1.0)])
+        ("baseline", "max_epochs", -1)])
     def test_a_value_set_after_building_is_checked(self, tmp_path, owner, name, value):
         cfg = tiny_experiment()
         setattr(cfg.baseline if owner == "baseline" else cfg, name, value)

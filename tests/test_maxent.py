@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import softirl.maxent as maxent
 from softirl.envs import GridworldSpec, build_env, expert_policy, sample_transitions
 from softirl.maxent import MaxEntConfig, ascent, maxent_fit, run_lockstep
 from softirl.metrics import evaluate
@@ -118,37 +119,37 @@ class TestMaxentFit:
         assert_allclose(fit.theta, 0.0)
         assert len(fit.loss_trace) == 1
 
-    def test_best_likelihood_is_monotone_over_trace(self):
+    def test_best_likelihood_is_monotone_over_trace(self, monkeypatch):
+        monkeypatch.setattr(maxent, "PATIENCE", 50)
         rng = np.random.default_rng(5)
         mdp = random_mdp(rng, 4, 3, 0.9)
         phi = one_hot_features(4, 3)
         w = random_policy(rng, 4, 3) * rng.dirichlet(np.ones(4))[:, None]
-        (fit,) = fit_lockstep(mdp, phi, [w], MaxEntConfig(step_size=0.05, max_epochs=60,
-                                                          patience=50))
+        (fit,) = fit_lockstep(mdp, phi, [w], MaxEntConfig(max_epochs=60))
         best = np.minimum.accumulate(fit.loss_trace)
         assert np.all(np.diff(best) <= 0)
         assert fit.diagnostics["best_loglik"] == -min(fit.loss_trace)
 
-    def test_realizable_recovery_on_tiny_grid(self):
+    def test_realizable_recovery_on_tiny_grid(self, monkeypatch):
+        monkeypatch.setattr(maxent, "PATIENCE", 50)
         spec = GridworldSpec(2, 2, topology="torus", seed=8, gamma=0.9,
                              min_action_prob=0.05)
         mdp, r_true, _ = build_env(spec)
         pi = expert_policy(mdp, r_true)
         ds = sample_transitions(mdp, pi, 20_000, seed=0, env_id="tiny")
         phi = one_hot_features(mdp.n_states, mdp.n_actions)
-        fit = maxent_fit(mdp, phi, ds, MaxEntConfig(step_size=0.05, max_epochs=250,
-                                                    patience=50))
+        fit = maxent_fit(mdp, phi, ds, MaxEntConfig(max_epochs=250))
         report = evaluate(mdp, r_true, pi, fit.r_hat)
         assert report.corr_qdiff >= 0.97
 
-    def test_misspecified_features_underfit(self):
+    def test_misspecified_features_underfit(self, monkeypatch):
+        monkeypatch.setattr(maxent, "PATIENCE", 50)
         spec = GridworldSpec(4, 4, topology="bounded", reward_kind="nonlinear",
                              seed=2, gamma=0.9, min_action_prob=0.03)
         mdp, r_true, phi = build_env(spec)
         pi = expert_policy(mdp, r_true)
         ds = sample_transitions(mdp, pi, 20_000, seed=0, env_id="tiny")
-        fit = maxent_fit(mdp, phi, ds, MaxEntConfig(step_size=0.05, max_epochs=150,
-                                                    patience=50))
+        fit = maxent_fit(mdp, phi, ds, MaxEntConfig(max_epochs=150))
         base = evaluate(mdp, r_true, pi, fit.r_hat)
         from softirl.solver import SolverConfig, classify_then_regress
         from softirl.oracles import ClassifierSpec
@@ -159,8 +160,8 @@ class TestMaxentFit:
         assert base.corr_qdiff < ours.corr_qdiff
 
     def test_bad_config_rejected(self):
-        with pytest.raises(ValueError, match="step_size"):
-            MaxEntConfig(step_size=-1.0)
+        with pytest.raises(ValueError, match="max_epochs"):
+            MaxEntConfig(max_epochs=-1)
 
 
 def fit_lockstep(mdp, phi, weights, cfg):
@@ -184,14 +185,14 @@ class TestLockstepFit:
 
     # move_noise 0.1 makes the kernel stochastic, so each sweep applies P
     # problem by problem instead of gathering one-hot next states
-    @pytest.mark.parametrize("cfg, move_noise", [
-        pytest.param(MaxEntConfig(step_size=0.05, max_epochs=80, patience=5), 0.0, id="cfg0"),
-        pytest.param(MaxEntConfig(step_size=0.2, max_epochs=80, patience=3, tol=1e-4), 0.0,
-                     id="cfg1"),
-        pytest.param(MaxEntConfig(step_size=0.05, max_epochs=80, patience=5), 0.1,
-                     id="cfg0-stochastic"),
+    @pytest.mark.parametrize("step, patience, cfg, move_noise", [
+        pytest.param(0.05, 5, MaxEntConfig(max_epochs=80), 0.0, id="cfg0"),
+        pytest.param(0.2, 3, MaxEntConfig(max_epochs=80, tol=1e-4), 0.0, id="cfg1"),
+        pytest.param(0.05, 5, MaxEntConfig(max_epochs=80), 0.1, id="cfg0-stochastic"),
     ])
-    def test_matches_sequential_fits(self, cfg, move_noise):
+    def test_matches_sequential_fits(self, monkeypatch, step, patience, cfg, move_noise):
+        monkeypatch.setattr(maxent, "STEP_SIZE", step)
+        monkeypatch.setattr(maxent, "PATIENCE", patience)
         mdp, phi, datasets = self._problem(move_noise)
         assert (mdp._targets is None) == (move_noise > 0)
         weights = [joint_frequency(ds.states, ds.actions, mdp.n_states, mdp.n_actions)
@@ -204,20 +205,18 @@ class TestLockstepFit:
             assert fit.loss_trace == want.loss_trace
             assert fit.best_epoch == want.best_epoch
             assert fit.diagnostics == want.diagnostics
-        if cfg.patience < cfg.max_epochs:
-            # patience stops the ascents at different epochs
-            assert len({fit.diagnostics["epochs_run"] for fit in fits}) >= 3
+        # patience stops the ascents at different epochs
+        assert len({fit.diagnostics["epochs_run"] for fit in fits}) >= 3
 
     # epoch 0 fails at the ascent's first sent solve; its last epoch is the
     # one where, unpatched, it returns its fit
     @pytest.mark.parametrize("when", ["first", "middle", "last"])
     def test_a_failing_ascent_stops_alone(self, monkeypatch, when):
-        import softirl.maxent as maxent
-
+        monkeypatch.setattr(maxent, "PATIENCE", 5)
         mdp, phi, datasets = self._problem()
         weights = [joint_frequency(ds.states, ds.actions, mdp.n_states, mdp.n_actions)
                    for ds in datasets]
-        cfg = MaxEntConfig(step_size=0.05, max_epochs=30, patience=5)
+        cfg = MaxEntConfig(max_epochs=30)
         clean = fit_lockstep(mdp, phi, weights, cfg)
         last = clean[1].diagnostics["epochs_run"]
         fail_epoch = {"first": 0, "middle": 2, "last": last}[when]

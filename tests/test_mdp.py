@@ -364,8 +364,9 @@ class TestMatchesScipyReference:
 
 
 class TestOneHotGather:
-    """On deterministic kernels `apply_P` gathers f at the next state; its
-    bytes must equal those of the matmul it replaces."""
+    """Soft value iteration and the sampler gather deterministic moves at
+    `TabularMdp._targets`. On finite f the gather f(s') + 0.0 has the bytes
+    of the matmul `transition @ f`, which `apply_P` runs on every kernel."""
 
     @staticmethod
     def _one_hot_mdps():
@@ -394,28 +395,24 @@ class TestOneHotGather:
             assert mdp._targets is not None
 
     def test_gather_is_bit_identical_to_matmul(self):
-        for mdp in self._one_hot_mdps():
-            for f in self._finite_vectors(mdp.n_states):
-                assert apply_P(mdp, f).tobytes() == (mdp.transition @ f).tobytes()
-
-    def test_non_finite_values_take_the_matmul(self):
-        for mdp in self._one_hot_mdps():
-            for bad in (np.inf, -np.inf, np.nan):
-                f = np.linspace(-1.0, 1.0, mdp.n_states)
-                f[-1] = bad
-                with np.errstate(invalid="ignore"):
-                    want = mdp.transition @ f
-                    got = apply_P(mdp, f)
-                assert np.array_equal(got, want, equal_nan=True)
-                # the matmul's 0 * inf = NaN reaches rows the gather leaves finite
-                assert np.isnan(want).any()
-
-    def test_stochastic_kernels_take_the_matmul(self):
         from dataclasses import replace
 
         from softirl.envs import build_env
         from softirl.harness import builtin_experiment
 
+        for mdp in self._one_hot_mdps():
+            for f in self._finite_vectors(mdp.n_states):
+                want = (mdp.transition @ f).tobytes()
+                assert (f[mdp._targets] + 0.0).tobytes() == want
+                assert apply_P(mdp, f).tobytes() == want
+            for bad in (np.inf, -np.inf, np.nan):
+                f = np.linspace(-1.0, 1.0, mdp.n_states)
+                f[-1] = bad
+                with np.errstate(invalid="ignore"):
+                    want, got = mdp.transition @ f, apply_P(mdp, f)
+                assert np.array_equal(got, want, equal_nan=True)
+                # the matmul's 0 * inf = NaN reaches rows a gather leaves finite
+                assert np.isnan(want).any()
         noisy = build_env(replace(builtin_experiment("ident").env, move_noise=0.3))[0]
         dense = random_mdp(np.random.default_rng(8), 6, 3, 0.9)
         for mdp in (noisy, dense):

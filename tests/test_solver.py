@@ -24,7 +24,6 @@ from softirl.solver import (
     classify_then_regress,
     exact_population_solver,
     load_solution,
-    resolve_K,
     save_solution,
     split_classify_regress,
 )
@@ -196,7 +195,7 @@ class TestClassifyThenRegress:
         sol = classify_then_regress(ds, cfg)
         exact = exact_population_solver(mdp, pi, UNIFORM)
         assert sup_norm(sol.r - exact.r) <= 0.15
-        assert len(sol.diagnostics.eta) == resolve_K(cfg.K, ds.n, cfg.gamma)
+        assert len(sol.diagnostics.eta) == cfg.steps(ds.n)
         assert sol.diagnostics.kappa_hat is not None
 
     def test_oracle_failure_names_the_iteration(self):
@@ -212,12 +211,11 @@ class TestClassifyThenRegress:
             NormalizationMeasure("behavior-policy").materialize(2, 2)
 
     def test_auto_k_rule(self):
-        assert resolve_K("auto", 50_000, 0.97) == int(np.ceil(np.log(50_000) / np.log(1 / 0.97)))
-        assert resolve_K("auto", 10, 0.5) == 4
-        assert resolve_K("auto", 2, 0.0) == 1
-        assert resolve_K("auto", 10 ** 9, 0.999) == 500  # capped
-        with pytest.raises(ValueError):
-            resolve_K("auto", None, 0.9)
+        assert SolverConfig(gamma=0.97).steps(50_000) == \
+            int(np.ceil(np.log(50_000) / np.log(1 / 0.97)))
+        assert SolverConfig(gamma=0.5).steps(10) == 4
+        assert SolverConfig(gamma=0.0).steps(2) == 1
+        assert SolverConfig(gamma=0.999).steps(10 ** 9) == 500  # capped
 
 
 class TestSplitClassifyRegress:
@@ -284,7 +282,7 @@ def _refit_reference(data, cfg, u, mu_t, split):
     ns, na = u.shape
     spec = cfg.regressor
     s, a, s2 = (np.asarray(x) for x in (data.states, data.actions, data.next_states))
-    k_steps = resolve_K(cfg.K, data.n, cfg.gamma)
+    k_steps = cfg.steps(data.n)
     half = data.n // 2
     folds = cfg.folds if cfg.folds is not None else max(k_steps, 1)
     size = half // folds
@@ -425,7 +423,7 @@ class TestPluginFixedPoint:
             rho = np.max(np.abs(np.linalg.eigvals(cfg.gamma * mu_kernel)))
         else:
             rho = cfg.gamma * np.max(np.abs(kernel).sum(axis=1))
-        bound = rho ** resolve_K(cfg.K, data.n, cfg.gamma) * sup_norm(plug.v) + 1e-9
+        bound = rho ** cfg.steps(data.n) * sup_norm(plug.v) + 1e-9
         assert sup_norm(sol.v - plug.v) <= bound
         assert sup_norm(sol.r - plug.r) <= 2 * cfg.gamma * bound
 
