@@ -395,16 +395,14 @@ class TestOneHotGather:
             assert mdp._targets is not None
 
     def test_gather_is_bit_identical_to_matmul(self):
-        from dataclasses import replace
-
-        from softirl.envs import build_env
-        from softirl.harness import builtin_experiment
-
         for mdp in self._one_hot_mdps():
             for f in self._finite_vectors(mdp.n_states):
                 want = (mdp.transition @ f).tobytes()
                 assert (f[mdp._targets] + 0.0).tobytes() == want
                 assert apply_P(mdp, f).tobytes() == want
+
+    def test_non_finite_values_take_the_matmul(self):
+        for mdp in self._one_hot_mdps():
             for bad in (np.inf, -np.inf, np.nan):
                 f = np.linspace(-1.0, 1.0, mdp.n_states)
                 f[-1] = bad
@@ -413,6 +411,13 @@ class TestOneHotGather:
                 assert np.array_equal(got, want, equal_nan=True)
                 # the matmul's 0 * inf = NaN reaches rows a gather leaves finite
                 assert np.isnan(want).any()
+
+    def test_stochastic_kernels_take_the_matmul(self):
+        from dataclasses import replace
+
+        from softirl.envs import build_env
+        from softirl.harness import builtin_experiment
+
         noisy = build_env(replace(builtin_experiment("ident").env, move_noise=0.3))[0]
         dense = random_mdp(np.random.default_rng(8), 6, 3, 0.9)
         for mdp in (noisy, dense):
