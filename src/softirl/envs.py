@@ -80,6 +80,10 @@ class GridworldSpec:
     def n_states(self) -> int:
         return self.width * self.height
 
+    @property
+    def n_actions(self) -> int:
+        return N_ACTIONS
+
 
 @dataclass
 class TransitionDataset:

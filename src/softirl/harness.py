@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from softirl.envs import N_ACTIONS, REGIMES, GridworldSpec, build_env, sample_transitions
+from softirl.envs import REGIMES, GridworldSpec, build_env, sample_transitions
 from softirl.envs import expert_policy  # noqa: F401 - perfbench/spans.py wraps it by name here
 from softirl.maxent import MaxEntConfig, ascent, run_lockstep
 from softirl.maxent import maxent_fit  # noqa: F401 - perfbench/spans.py wraps it by name here
@@ -47,7 +47,7 @@ FLOAT_FMT = "%.10g"
 @dataclass
 class ExperimentConfig:
     """One experiment; it also checks the solver values bounded by the
-    gridworld's N_ACTIONS actions or by n, naming each by its path from here."""
+    env's action count or by n, naming each by its path from here."""
 
     env: GridworldSpec
     n: int = 50_000
@@ -76,11 +76,9 @@ class ExperimentConfig:
                              f"(one per iteration if unset), got {folds}")
         for path, action in (("ref_action", self.ref_action),
                              ("mu.ref_action", self.solver.mu.ref_action)):
-            if not 0 <= action < N_ACTIONS:
-                raise ValueError(f"{path}: {action} is not an action index in [0, {N_ACTIONS})")
-        if not self.solver.classifier.prob_floor < 1 / N_ACTIONS:
-            raise ValueError(f"classifier.prob_floor: must be below 1/{N_ACTIONS}, "
-                             f"got {self.solver.classifier.prob_floor}")
+            if not 0 <= action < self.env.n_actions:
+                raise ValueError(
+                    f"{path}: {action} is not an action index in [0, {self.env.n_actions})")
 
 
 def builtin_experiment(name: str, reruns: int | None = None,
@@ -242,8 +240,6 @@ _KEYS = {
         "mu_ref_action": ("mu", "ref_action", int),
         "classifier_kind": ("classifier", "kind", str),
         "smoothing_alpha": ("classifier", "smoothing_alpha", float),
-        "prob_floor": ("classifier", "prob_floor", float),
-        "classifier_epochs": ("classifier", "epochs", int),
     },
     "baseline": {key: ("baseline", key, typ) for key, typ in (("max_epochs", int), ("tol", float))},
     "eval": {key: ("eval", key, typ) for key, typ in (

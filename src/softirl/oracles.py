@@ -18,14 +18,15 @@ from softirl.mdp import check_records, softmax_actions
 
 CLASSIFIER_KINDS = ("tabular-count", "multinomial-logistic")
 REGRESSOR_KINDS = ("tabular-mean", "ridge")
+PROB_FLOOR = 1e-6  # least fitted probability, so the log-policy stays bounded
+LOGISTIC_EPOCHS = 500  # the logistic classifier's cap on gradient steps
 
 
 @dataclass(frozen=True)
 class ClassifierSpec:
-    """Configuration for fit_classifier.
-
-    prob_floor must be positive so the fitted log-policy stays bounded.
-    The logistic kind runs at most `epochs` full-batch gradient steps of
+    """Configuration for fit_classifier, which floors every probability at
+    PROB_FLOOR. `smoothing_alpha` is the tabular kind's Laplace count. The
+    logistic kind runs at most LOGISTIC_EPOCHS full-batch gradient steps of
     size 0.5 / (1 + L), L the largest squared norm of a state's features,
     and stops once the loss moves by less than 1e-9; `state_features` is an
     (S, d) matrix (None means one-hot states).
@@ -33,19 +34,15 @@ class ClassifierSpec:
 
     kind: str = "tabular-count"
     smoothing_alpha: float = 0.0
-    prob_floor: float = 1e-6
-    epochs: int = 500
     state_features: np.ndarray | None = None
 
     def __post_init__(self):
         if self.kind not in CLASSIFIER_KINDS:
             raise ValueError(f"kind: must be one of {CLASSIFIER_KINDS}, got {self.kind!r}")
-        if self.smoothing_alpha < 0:
-            raise ValueError(f"smoothing_alpha: must be nonnegative, got {self.smoothing_alpha}")
-        if not self.prob_floor > 0:
-            raise ValueError(f"prob_floor: must be positive, got {self.prob_floor}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs: must be at least 1, got {self.epochs}")
+        alpha = self.smoothing_alpha
+        if not 0 <= alpha < np.inf or alpha and self.kind != "tabular-count":
+            raise ValueError("smoothing_alpha: must be finite and nonnegative, and 0 for the "
+                             f"logistic kind, got {alpha}")
 
 
 @dataclass(frozen=True)
@@ -91,8 +88,8 @@ class FittedRegressor:
 def fit_classifier(spec: ClassifierSpec, states, actions,
                    n_states: int, n_actions: int) -> FittedClassifier:
     """Estimate the behavior policy pi(a|s) from observed (s, a) pairs."""
-    if not spec.prob_floor < 1.0 / n_actions:
-        raise ValueError(f"prob_floor must lie below 1/{n_actions}")
+    if not PROB_FLOOR < 1.0 / n_actions:
+        raise ValueError(f"PROB_FLOOR must lie below 1/{n_actions}")
     s, a = check_records(n_states, n_actions, states, actions)
     if s.size == 0:
         raise ValueError("empty training data")
@@ -110,7 +107,7 @@ def fit_classifier(spec: ClassifierSpec, states, actions,
         probs = _fit_logistic(spec, counts, state_counts, n_states, n_actions)
 
     # a clamped row sums to under 1 + A * floor < 2, so every entry stays >= floor / 2
-    probs = np.maximum(probs, spec.prob_floor)
+    probs = np.maximum(probs, PROB_FLOOR)
     probs /= probs.sum(axis=1, keepdims=True)
     return FittedClassifier(probs, counts)
 
@@ -127,7 +124,7 @@ def _fit_logistic(spec: ClassifierSpec, counts, state_counts, n_states, n_action
     weights = np.zeros((phi.shape[1], n_actions))
     step = 0.5 / (1.0 + float(np.max(np.sum(phi ** 2, axis=1))))
     trace = []
-    for _ in range(spec.epochs):
+    for _ in range(LOGISTIC_EPOCHS):
         p = softmax_actions(phi @ weights)
         loss = float(-np.sum(counts * np.log(np.maximum(p, 1e-300))) / n)
         if not np.isfinite(loss):

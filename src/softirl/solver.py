@@ -254,7 +254,7 @@ def _fitted_fixed_point(cfg: SolverConfig, u, mu_t, k_steps: int, fit, folds: in
             diag.iterates.append(v)
     if empty_seen:
         diag.warnings.append(
-            f"up to {empty_seen} (s, a) cells unvisited per regression fold; fallback used"
+            f"up to {empty_seen} (s, a) cells unvisited per regression fold; each predicts 0"
         )
     r, c = _assemble(u, v, mu_t, cfg.gamma)
     return IrlSolution(r, v, u, c, mu_t, cfg.gamma, diag)

@@ -281,7 +281,7 @@ def dense_fitted_fixed_point(cfg, u, mu_t, k_steps, fit, folds, diag, record_ite
         v = flat.reshape(u.shape)
     if empty_seen:
         diag.warnings.append(
-            f"up to {empty_seen} (s, a) cells unvisited per regression fold; fallback used"
+            f"up to {empty_seen} (s, a) cells unvisited per regression fold; each predicts 0"
         )
     r, c = _assemble(u, v, mu_t, cfg.gamma)
     return IrlSolution(r, v, u, c, mu_t, cfg.gamma, diag)

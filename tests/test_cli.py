@@ -72,11 +72,15 @@ MALFORMED_VALUES = [
                  "[solver] classifier_kind", ["reproduce"], id="solver-classifier-kind"),
     pytest.param("smoothing_alpha = 1.0", "smoothing_alpha = -1", "[solver] smoothing_alpha",
                  ["reproduce"], id="solver-smoothing-alpha"),
-    pytest.param("mu = uniform", "mu = uniform\nprob_floor = 0", "[solver] prob_floor",
-                 ["reproduce"], id="solver-prob-floor"),
-    # a floor of 1/5 or more leaves no room for the gridworld's five actions
-    pytest.param("mu = uniform", "mu = uniform\nprob_floor = 0.5", "[solver] prob_floor",
-                 ["reproduce"], id="solver-prob-floor-above-uniform"),
+    # a NaN count fails every state's `denom > 0` test, which would make each row uniform,
+    # and an infinite one makes every row NaN
+    pytest.param("smoothing_alpha = 1.0", "smoothing_alpha = nan", "[solver] smoothing_alpha",
+                 ["gen-data"], id="solver-smoothing-alpha-nan"),
+    pytest.param("smoothing_alpha = 1.0", "smoothing_alpha = inf", "[solver] smoothing_alpha",
+                 ["solve", "data.txt"], id="solver-smoothing-alpha-inf"),
+    # the logistic classifier has no Laplace count to smooth with
+    pytest.param("mu = uniform", "mu = uniform\nclassifier_kind = multinomial-logistic",
+                 "[solver] smoothing_alpha", ["reproduce"], id="solver-smoothing-alpha-logistic"),
     pytest.param("name = tiny", "name = tiny\nweighting = states", "[eval] weighting",
                  ["reproduce"], id="eval-weighting"),
     pytest.param("reruns = 2", "reruns = 0", "[eval] reruns", ["reproduce"], id="eval-reruns"),
@@ -90,9 +94,6 @@ MALFORMED_VALUES = [
     # no reward meets a floor of 1/5 on all five actions
     pytest.param("min_action_prob = 0.05", "min_action_prob = 0.25", "[env] min_action_prob",
                  ["reproduce"], id="env-min-action-prob"),
-    pytest.param("mu = uniform",
-                 "mu = uniform\nclassifier_kind = multinomial-logistic\nclassifier_epochs = 0",
-                 "[solver] classifier_epochs", ["reproduce"], id="solver-classifier-epochs"),
     pytest.param("max_epochs = 30", "max_epochs = 30\ntol = nan", "[baseline] tol",
                  ["reproduce"], id="baseline-tol"),
     pytest.param("base_seed = 1", "base_seed = -1", "[eval] base_seed",
@@ -196,6 +197,9 @@ class TestRuntimeErrors:
         ("solver", "classifier_learning_rate", "0.1"),
         ("solver", "classifier_l2", "0.01"),
         ("solver", "fallback", "0.0"),
+        ("solver", "prob_floor", "1e-6"),
+        ("solver", "prob_floor", "0.5"),
+        ("solver", "classifier_epochs", "500"),
     ])
     def test_retired_key_is_unknown(self, tmp_path, capsys, section, key, value):
         from softirl.harness import parse_config

@@ -122,13 +122,13 @@ class TestParseConfig:
 
         assert targets("env") == {f.name for f in fields(GridworldSpec)}
         assert targets("baseline") == {f.name for f in fields(MaxEntConfig)}
-        assert sum(len(table) for table in _KEYS.values()) == 27
+        assert sum(len(table) for table in _KEYS.values()) == 25
         # "1" is a valid int, float, str and boolean, so only the declared type
         # decides; the keys whose values are checked at parse time take valid ones
         valid = {"topology": "torus", "reward_kind": "linear", "move_noise": "0",
                  "gamma": "0.5", "min_action_prob": "0", "mu": "uniform",
-                 "classifier_kind": "tabular-count", "prob_floor": "0.1",
-                 "regime": "iid-restart", "weighting": "uniform", "n": "2"}
+                 "classifier_kind": "tabular-count", "regime": "iid-restart",
+                 "weighting": "uniform", "n": "2"}
         text = "".join(f"[{name}]\n" + "".join(f"{key} = {valid.get(key, 1)}\n" for key in table)
                        for name, table in _KEYS.items())
         path = tmp_path / "cfg.ini"
@@ -148,6 +148,33 @@ class TestParseConfig:
         with pytest.raises(ValueError, match=r"^solver\.folds: .* n // 2 = 150 .* got 188$"):
             ExperimentConfig(env, n=300, solver=split)
         assert ExperimentConfig(env, n=400, solver=split).solver.fold_count(400) == 197
+
+
+class TestReadmeExamples:
+    def test_file_format_examples_are_lines_of_the_stated_commands(self, tmp_path,
+                                                                  monkeypatch):
+        import re
+        from pathlib import Path
+
+        from softirl.cli import main
+
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        config = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+        assert config.count("n = 50000") == 1
+        (tmp_path / "ident.ini").write_text(config.replace("n = 50000", "n = 3"))
+        monkeypatch.chdir(tmp_path)
+        assert main(["gen-data", "--config", "ident.ini", "--out", "data.txt", "--seed", "3",
+                     "--quiet"]) == 0
+        assert main(["reproduce", "ident", "--reruns", "2", "--seed", "0", "--quiet"]) == 0
+        section = readme.split("## File formats\n", 1)[1].split("\n## ", 1)[0]
+        blocks = re.findall(r"```\n(.*?)```", section, re.S)
+        outputs = ["data.txt", "results/ident/raw.csv", "results/ident/summary.csv",
+                   "results/ident/table.md"]
+        assert len(blocks) == len(outputs)
+        for block, name in zip(blocks, outputs):
+            written = (tmp_path / name).read_text().splitlines()
+            for line in block.splitlines():
+                assert line == "..." or line in written, (name, line)
 
 
 class TestRunExperiment:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from softirl import oracles
 from softirl.oracles import (
     ClassifierSpec,
     RegressorSpec,
@@ -32,9 +33,9 @@ def mean_kl(pi, probs):
 
 
 class TestFitClassifier:
-    def test_empirical_frequencies(self):
-        spec = ClassifierSpec(smoothing_alpha=0.0, prob_floor=1e-9)
-        fc = fit_classifier(spec, [0, 0, 0], [0, 0, 1], 1, 2)
+    def test_empirical_frequencies(self, monkeypatch):
+        monkeypatch.setattr(oracles, "PROB_FLOOR", 1e-9)
+        fc = fit_classifier(ClassifierSpec(smoothing_alpha=0.0), [0, 0, 0], [0, 0, 1], 1, 2)
         assert_allclose(fc.probs[0], [2 / 3, 1 / 3], atol=1e-8)
 
     def test_huge_alpha_is_uniform(self):
@@ -48,19 +49,21 @@ class TestFitClassifier:
         assert np.count_nonzero(fc.counts.sum(axis=1) == 0) == 2
 
     @pytest.mark.parametrize("kind", ["tabular-count", "multinomial-logistic"])
-    def test_counts_are_the_records_per_cell(self, kind):
+    def test_counts_are_the_records_per_cell(self, kind, monkeypatch):
+        monkeypatch.setattr(oracles, "LOGISTIC_EPOCHS", 5)
         rng = np.random.default_rng(9)
         s, a = rng.integers(0, 4, size=300), rng.integers(0, 3, size=300)
-        fc = fit_classifier(ClassifierSpec(kind=kind, epochs=5), s, a, 4, 3)
+        fc = fit_classifier(ClassifierSpec(kind=kind), s, a, 4, 3)
         assert np.array_equal(fc.counts, np.bincount(s * 3 + a, minlength=12).reshape(4, 3))
 
     def test_empty_data_rejected(self):
         with pytest.raises(ValueError):
             fit_classifier(ClassifierSpec(), [], [], 2, 2)
 
-    def test_prob_floor_must_be_valid(self):
+    def test_prob_floor_must_be_valid(self, monkeypatch):
+        monkeypatch.setattr(oracles, "PROB_FLOOR", 0.5)
         with pytest.raises(ValueError):
-            fit_classifier(ClassifierSpec(prob_floor=0.5), [0], [0], 1, 3)
+            fit_classifier(ClassifierSpec(), [0], [0], 1, 3)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=20, deadline=None)
@@ -68,25 +71,27 @@ class TestFitClassifier:
         rng = np.random.default_rng(seed)
         pi = rng.dirichlet(np.full(4, 0.3), size=3)  # sparse-ish rows
         s, a = synth_pairs(rng, np.maximum(pi, 1e-12) / np.maximum(pi, 1e-12).sum(1, keepdims=True), 200)
-        spec = ClassifierSpec(prob_floor=1e-4)
-        fc = fit_classifier(spec, s, a, 3, 4)
+        # hypothesis rejects function-scoped fixtures such as monkeypatch, so patch per example
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracles, "PROB_FLOOR", 1e-4)
+            fc = fit_classifier(ClassifierSpec(), s, a, 3, 4)
         assert_allclose(fc.probs.sum(axis=1), 1.0, atol=1e-12)
-        assert fc.probs.min() >= spec.prob_floor / 2
+        assert fc.probs.min() >= 1e-4 / 2
 
-    def test_logistic_close_to_tabular_mle(self):
+    def test_logistic_close_to_tabular_mle(self, monkeypatch):
+        monkeypatch.setattr(oracles, "LOGISTIC_EPOCHS", 4000)
         rng = np.random.default_rng(77)
         pi = rng.dirichlet(np.full(3, 2.0), size=4)
         s, a = synth_pairs(rng, pi, 50_000)
         tab = fit_classifier(ClassifierSpec(), s, a, 4, 3)
-        logit = fit_classifier(
-            ClassifierSpec(kind="multinomial-logistic", epochs=4000), s, a, 4, 3)
+        logit = fit_classifier(ClassifierSpec(kind="multinomial-logistic"), s, a, 4, 3)
         assert mean_kl(pi, logit.probs) <= 2 * mean_kl(pi, tab.probs) + 1e-6
 
-    def test_logistic_with_features(self):
+    def test_logistic_with_features(self, monkeypatch):
+        monkeypatch.setattr(oracles, "LOGISTIC_EPOCHS", 2000)
         # two states sharing one feature direction force tied predictions
         phi = np.array([[1.0], [1.0]])
-        spec = ClassifierSpec(kind="multinomial-logistic", state_features=phi,
-                              epochs=2000)
+        spec = ClassifierSpec(kind="multinomial-logistic", state_features=phi)
         fc = fit_classifier(spec, [0, 0, 1, 1], [0, 0, 1, 0], 2, 2)
         assert_allclose(fc.probs[0], fc.probs[1], atol=1e-12)
 
@@ -115,7 +120,7 @@ class TestLogPolicy:
         assert np.max(np.abs(logsumexp_actions(np.log(fc.probs)))) <= 1e-12
 
     def test_bounded_below_by_floor(self):
-        fc = fit_classifier(ClassifierSpec(prob_floor=1e-6), [0] * 50, [0] * 50, 1, 2)
+        fc = fit_classifier(ClassifierSpec(), [0] * 50, [0] * 50, 1, 2)
         assert np.log(fc.probs).min() >= np.log(1e-6 / 2)
 
 
