@@ -294,12 +294,16 @@ def _experiment(sections) -> ExperimentConfig:
 
 def parse_config(path, **overrides) -> ExperimentConfig:
     """Read the sectioned key = value config format (sections env / solver /
-    baseline / eval); unknown sections and keys are errors. `overrides` that
-    are not None set [eval] keys over the file's and are checked as those."""
+    baseline / eval); values are read raw, so `%` is plain text, and
+    unknown sections and keys are errors. `overrides` that are not None set
+    [eval] keys over the file's and are checked as those."""
     if not os.path.exists(path):
         raise FileNotFoundError(f"config file not found: {path}")
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    parser.read(path)
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
+    try:
+        parser.read(path)
+    except configparser.Error as exc:
+        raise ValueError(f"{path}: malformed config: {exc}") from None
     sections = {name: dict(parser.items(name)) for name in parser.sections()}
     sections.setdefault("eval", {}).update({k: v for k, v in overrides.items() if v is not None})
     return _experiment(sections)

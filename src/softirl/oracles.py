@@ -140,38 +140,67 @@ def fit_regressor(spec: RegressorSpec, states, actions, next_states,
                   n_states: int, n_actions: int) -> FittedRegressor:
     """Least-squares fit of the next-state indicator on (s, a) over the
     configured class: regressing any target g(s') on the same records gives
-    M g, with M held as triples (see FittedRegressor)."""
+    M g, with M held as triples (see FittedRegressor). The one-fold case of
+    fit_regressor_folds."""
+    return next(fit_regressor_folds(spec, states, actions, next_states, n_states, n_actions, 1))
+
+
+def fit_regressor_folds(spec: RegressorSpec, states, actions, next_states,
+                        n_states: int, n_actions: int, folds: int):
+    """Yield fit_regressor's fit of each of `folds` equal consecutive folds
+    of the records in turn, from one check and one count of the (fold,
+    s * A + a, s') keys: a dense bincount when their range is at most the
+    record count, else a sort. Each fold's count and tabular triples are
+    views into the shared sorted counts. The check and count run when the
+    first fold is taken and a ridge fold's solve when it is, so a failure
+    surfaces at its fold."""
     s, a, s2 = check_records(n_states, n_actions, states, actions, next_states)
     if s.size == 0:
         raise ValueError("empty training data")
-
+    if folds < 1 or s.size % folds:
+        raise ValueError(f"{s.size} records do not split into {folds} equal folds")
     n_cells = n_states * n_actions
-    counts = np.bincount((s * n_actions + a) * n_states + s2, minlength=n_cells * n_states)
-    support = np.flatnonzero(counts > 0)  # a bool mask scans faster than int64
-    rows, cols = np.divmod(support, n_states)
-    n = counts[support]
-    cnt = np.bincount(rows, n, minlength=n_cells)
-
-    if spec.kind == "tabular-mean":
-        kernel = (rows, cols, n / cnt[rows])
-    else:
+    if spec.kind == "ridge":
         if spec.features is None:
             raise ValueError("ridge regression needs a feature table")
         phi = np.asarray(spec.features, dtype=float)
         if phi.shape[:2] != (n_states, n_actions):
             raise ValueError(f"features shape {phi.shape} does not match ({n_states}, {n_actions}, d)")
-        phi_flat = phi.reshape(n_cells, -1)
-        d = phi_flat.shape[1]
-        gram = (phi_flat * cnt[:, None]).T @ phi_flat + spec.ridge_lambda * np.eye(d)
-        try:
-            np.linalg.cholesky(gram)
-        except np.linalg.LinAlgError:
-            raise ValueError(
-                "normal equations are rank-deficient; set ridge_lambda > 0"
-            ) from None
-        product = phi_flat @ np.linalg.solve(gram, phi_flat.T @ counts.reshape(n_cells, n_states))
-        nonzero = np.nonzero(product)
-        kernel = (*nonzero, product[nonzero])
+        phi = phi.reshape(n_cells, -1)
 
-    diagnostics = {"n_empty_cells": int(np.sum(cnt == 0)), "n_train": int(s.size)}
-    return FittedRegressor(kernel, (rows, cols, n), diagnostics)
+    span = n_cells * n_states  # keys per fold
+    keys = (s * n_actions + a) * n_states + s2
+    if folds > 1:
+        keys += np.repeat(np.arange(folds) * span, s.size // folds)
+    if folds * span <= s.size:
+        counts = np.bincount(keys, minlength=folds * span)
+        support = np.flatnonzero(counts > 0)  # a bool mask scans faster than int64
+        n = counts[support]
+    else:
+        support, n = np.unique(keys, return_counts=True)
+    cells, cols = np.divmod(support, n_states)  # cells = fold * S * A + s * A + a
+    cnt = np.bincount(cells, n, minlength=folds * n_cells)
+    rows, values = cells % n_cells, n / cnt[cells]
+    cnt = cnt.reshape(folds, n_cells)
+    empty = np.count_nonzero(cnt == 0, axis=1).tolist()
+    bounds = np.searchsorted(support, np.arange(folds + 1) * span).tolist()
+
+    for fold in range(folds):
+        lo, hi = bounds[fold], bounds[fold + 1]
+        if spec.kind == "tabular-mean":
+            kernel = rows[lo:hi], cols[lo:hi], values[lo:hi]
+        else:
+            fold_counts = np.zeros(span, dtype=n.dtype)
+            fold_counts[support[lo:hi] - fold * span] = n[lo:hi]
+            gram = (phi * cnt[fold, :, None]).T @ phi + spec.ridge_lambda * np.eye(phi.shape[1])
+            try:
+                np.linalg.cholesky(gram)
+            except np.linalg.LinAlgError:
+                raise ValueError(
+                    "normal equations are rank-deficient; set ridge_lambda > 0"
+                ) from None
+            product = phi @ np.linalg.solve(gram, phi.T @ fold_counts.reshape(n_cells, n_states))
+            nonzero = np.nonzero(product)
+            kernel = (*nonzero, product[nonzero])
+        diagnostics = {"n_empty_cells": empty[fold], "n_train": s.size // folds}
+        yield FittedRegressor(kernel, (rows[lo:hi], cols[lo:hi], n[lo:hi]), diagnostics)

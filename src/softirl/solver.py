@@ -10,7 +10,8 @@ fixed point. Both shipped regressors are linear in their targets, so each
 regression fold is fitted once as a linear map over next-state functions
 and applied at every step that uses it: `classify_then_regress` fits the
 full sample once, `split_classify_regress` dedicates half the data to
-classification and fits fold k mod `folds` of the other half for step k.
+classification and regresses step k on fold k mod `folds` of the other
+half, all folds fitted from one count of that half.
 
 Both variants return rewards through the same closed form r = w - mu w with
 w = u - gamma v, which satisfies the normalization identically (and exactly
@@ -39,6 +40,7 @@ from softirl.oracles import (
     RegressorSpec,
     fit_classifier,
     fit_regressor,
+    fit_regressor_folds,
 )
 
 MAX_AUTO_K = 500
@@ -226,11 +228,11 @@ def _fitted_fixed_point(cfg: SolverConfig, u, mu_t, k_steps: int, fit, folds: in
                         diag: SolverDiagnostics, record_iterates: bool) -> IrlSolution:
     """The fitted fixed-point loop v <- M_k g with g = mu[gamma v - u].
 
-    M_k is the map `fit(k mod folds)` returns, fitted again only when the
-    fold changes, so at most one fold's map is alive; each step is one
-    product, M_k g summed over its (row, col, value) triples. eta[k] is the
-    root-mean-square misfit of v on that fold's records, read off its count
-    triples (0 for the population map, which has none).
+    M_k is the map `fit(k mod folds)` returns, asked for again only when
+    the fold changes; each step is one product, M_k g summed over its
+    (row, col, value) triples. eta[k] is the root-mean-square misfit of v on
+    that fold's records, read off its count triples (0 for the population
+    map, which has none).
     """
     v = np.zeros_like(u)
     diag.iterates = [v] if record_iterates else None
@@ -260,25 +262,32 @@ def _fitted_fixed_point(cfg: SolverConfig, u, mu_t, k_steps: int, fit, folds: in
     return IrlSolution(r, v, u, c, mu_t, cfg.gamma, diag)
 
 
-def _classify_regress(data, cfg: SolverConfig, n_train: int, folds: list,
+def _classify_regress(data, cfg: SolverConfig, n_train: int, regress: slice, folds: int,
                       record_iterates: bool) -> IrlSolution:
     """Classify on the first `n_train` records, then run the fitted
-    fixed-point loop, step k regressing on the records `folds[k mod
-    len(folds)]`; split folds smaller than the state count get a warning."""
+    fixed-point loop, step k regressing on fold k mod `folds` of the records
+    `regress`; split folds smaller than the state count get a warning."""
     n_states, n_actions = data.meta["n_states"], data.meta["n_actions"]
     u, mu_t, diag = _fit_policy(cfg, data, n_train)
-    fold_size = len(data.states[folds[0]])
+    args = (cfg.regressor, data.states[regress], data.actions[regress],
+            data.next_states[regress], n_states, n_actions)
+    fold_size = len(args[1]) // folds
     if n_train < data.n and fold_size < n_states:
         diag.warnings.append(
             f"fold size {fold_size} is below the state count; coverage gaps likely"
         )
+    if folds == 1:  # through fit_regressor, the name perfbench/spans.py traces
+        def fit(fold):
+            return fit_regressor(*args)
+    else:
+        maps, fitted = fit_regressor_folds(*args, folds), []
 
-    def fit(fold):
-        sl = folds[fold]
-        return fit_regressor(cfg.regressor, data.states[sl], data.actions[sl],
-                             data.next_states[sl], n_states, n_actions)
+        def fit(fold):  # the loop takes folds 0, 1, ... in turn, then cycles
+            if fold == len(fitted):
+                fitted.append(next(maps))
+            return fitted[fold]
 
-    return _fitted_fixed_point(cfg, u, mu_t, cfg.steps(data.n), fit, len(folds), diag,
+    return _fitted_fixed_point(cfg, u, mu_t, cfg.steps(data.n), fit, folds, diag,
                                record_iterates)
 
 
@@ -289,7 +298,7 @@ def classify_then_regress(data, cfg: SolverConfig, *,
     sample through one fitted map."""
     if data.n < 1:
         raise ValueError("empty dataset")
-    return _classify_regress(data, cfg, data.n, [slice(None)], record_iterates)
+    return _classify_regress(data, cfg, data.n, slice(None), 1, record_iterates)
 
 
 def split_classify_regress(data, cfg: SolverConfig) -> IrlSolution:
@@ -302,8 +311,7 @@ def split_classify_regress(data, cfg: SolverConfig) -> IrlSolution:
     fold_size = half // folds
     if fold_size == 0:
         raise ValueError(f"fold size is 0: half={half}, folds={folds}")
-    return _classify_regress(data, cfg, half, [
-        slice(half + k * fold_size, half + (k + 1) * fold_size) for k in range(folds)], False)
+    return _classify_regress(data, cfg, half, slice(half, half + folds * fold_size), folds, False)
 
 
 def save_solution(solution: IrlSolution, out_dir) -> None:

@@ -8,10 +8,12 @@ with exact oracles and its full-sample limit as K grows) in plain code. Each one
 `solver._fitted_fixed_point`), so a test that uses them still tests package
 code.
 
-The last four are the plain forms of three fast paths: the dense fold map
-(`dense_fit_regressor`, `dense_fitted_fixed_point`), the per-line
-dataset reader (`read_dataset_per_line`) and `build_env`'s kernel fill and
-reward rescale (`cold_build_env`).
+The last six are the plain forms of four fast paths: the dense fold maps
+(`dense_fit_regressor`, `dense_fit_regressor_folds`,
+`dense_fitted_fixed_point`), the per-record dataset writer
+(`write_dataset_per_record`), the per-line dataset reader
+(`read_dataset_per_line`) and `build_env`'s kernel fill and reward rescale
+(`cold_build_env`).
 """
 
 from dataclasses import dataclass, replace
@@ -262,6 +264,14 @@ def dense_fit_regressor(spec, states, actions, next_states, n_states, n_actions)
                     {"n_empty_cells": int(np.sum(cnt == 0)), "n_train": int(s.size)})
 
 
+def dense_fit_regressor_folds(spec, states, actions, next_states, n_states, n_actions, folds):
+    """`oracles.fit_regressor_folds` as one `dense_fit_regressor` per fold."""
+    size = len(states) // folds
+    for lo in range(0, folds * size, size):
+        yield dense_fit_regressor(spec, states[lo:lo + size], actions[lo:lo + size],
+                                  next_states[lo:lo + size], n_states, n_actions)
+
+
 def dense_fitted_fixed_point(cfg, u, mu_t, k_steps, fit, folds, diag, record_iterates):
     """`solver._fitted_fixed_point` over `DenseFit` maps: v <- kernel @ g,
     with eta read off the dense counts' nonzeros."""
@@ -285,6 +295,17 @@ def dense_fitted_fixed_point(cfg, u, mu_t, k_steps, fit, folds, diag, record_ite
         )
     r, c = _assemble(u, v, mu_t, cfg.gamma)
     return IrlSolution(r, v, u, c, mu_t, cfg.gamma, diag)
+
+
+def write_dataset_per_record(dataset: TransitionDataset, path) -> None:
+    """`envs.write_dataset` formatting each record with its own `%`."""
+    m = dataset.meta
+    with open(path, "w") as fh:
+        fh.write(f"{_HEADER_PREFIX} seed={m.get('seed', 0)} env={m.get('env', '-') or '-'} "
+                 f"n={dataset.n} n_states={m['n_states']} n_actions={m['n_actions']} "
+                 f"regime={m.get('regime', 'iid-restart')}\n")
+        for record in zip(dataset.states, dataset.actions, dataset.next_states):
+            fh.write("%d,%d,%d\n" % record)
 
 
 def read_dataset_per_line(path) -> TransitionDataset:

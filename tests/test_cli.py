@@ -153,6 +153,19 @@ class TestRuntimeErrors:
         bad.write_text("[env]\nwidth = 2\nheight = 2\nbogus = 1\n")
         assert main(["gen-data", "--config", str(bad)]) == 2
 
+    @pytest.mark.parametrize("text, expected", [
+        ("width = 2\n", "{path}: malformed config: File contains no section headers"),
+        ("[env]\nwidth = 2\nwidth = 3\n", "{path}: malformed config: While reading from"),
+        # values are read raw: the % is part of the value, which the key's check rejects
+        ("[env]\ngamma = 90%\n", "[env] gamma: "),
+    ], ids=["no-section-header", "duplicate-key", "percent-in-value"])
+    def test_malformed_file_exits_two(self, tmp_path, capsys, text, expected):
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        assert main(["gen-data", "--config", str(path), "--out", str(tmp_path / "d.txt")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and expected.format(path=path) in err
+
     @pytest.mark.parametrize("line, bad, where, command", MALFORMED_VALUES)
     def test_malformed_value_names_its_key(self, tmp_path, capsys, monkeypatch,
                                            line, bad, where, command):

@@ -23,7 +23,13 @@ from softirl.envs import (
 from softirl.harness import builtin_experiment
 from softirl.mdp import TabularMdp, soft_value_iteration
 
-from reference import cold_build_env, read_dataset_per_line, shape, sup_norm
+from reference import (
+    cold_build_env,
+    read_dataset_per_line,
+    shape,
+    sup_norm,
+    write_dataset_per_record,
+)
 
 
 def small_spec(**kw):
@@ -477,6 +483,26 @@ class TestDatasetIO:
                         "0,1,2\n")
         with pytest.raises(ValueError, match="n=2"):
             read_dataset(path)
+
+
+class TestWriterMatchesPerRecordReference:
+    """`write_dataset`, which formats each distinct record of a block once,
+    against one `%` per record."""
+
+    @pytest.mark.parametrize("n", [1, 3 * _BLOCK + 5])
+    def test_same_bytes_and_round_trip(self, tmp_path, n):
+        mdp, r_true, _ = build_env(GridworldSpec(4, 4, topology="torus", seed=3,
+                                                 min_action_prob=0.05, move_noise=0.3))
+        ds = sample_transitions(mdp, expert_policy(mdp, r_true), n, seed=2, env_id="noisy")
+        ours, ref = tmp_path / "ours.txt", tmp_path / "ref.txt"
+        write_dataset(ds, ours)
+        write_dataset_per_record(ds, ref)
+        assert ours.read_bytes() == ref.read_bytes()
+        for path in (ours, ref):
+            back = read_dataset(path)
+            for column in ("states", "actions", "next_states"):
+                assert np.array_equal(getattr(back, column), getattr(ds, column))
+            assert back.meta == ds.meta
 
 
 HEADER = "# transitions seed=0 env=- n={n} n_states={ns} n_actions=3 regime=trajectory\n"

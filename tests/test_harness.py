@@ -78,6 +78,11 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="bogus"):
             parse_config(path)
 
+    def test_values_are_read_raw(self, tmp_path):
+        path = tmp_path / "cfg.ini"
+        path.write_text("[env]\nwidth = 2\nheight = 2\n[eval]\nname = 50%(run)s\n")
+        assert parse_config(path).name == "50%(run)s"
+
     def test_missing_file(self):
         with pytest.raises(FileNotFoundError):
             parse_config("/nonexistent/cfg.ini")

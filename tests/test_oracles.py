@@ -9,9 +9,10 @@ from softirl.oracles import (
     RegressorSpec,
     fit_classifier,
     fit_regressor,
+    fit_regressor_folds,
 )
 
-from reference import logsumexp_actions
+from reference import dense_fit_regressor, logsumexp_actions
 
 
 def synth_pairs(rng, pi, n):
@@ -219,6 +220,92 @@ class TestFitRegressor:
         fit_risk = np.mean((regress(fr, g, 2)[s, a] - y) ** 2)
         best_const = np.mean((y.mean() - y) ** 2)
         assert fit_risk <= best_const + 1e-12
+
+
+def _noisy_records(n):
+    """n (s, a, s') records of a 4 x 4 torus whose moves slip with probability 0.3."""
+    from softirl.envs import GridworldSpec, build_env, expert_policy, sample_transitions
+    mdp, r_true, _ = build_env(GridworldSpec(4, 4, topology="torus", seed=3,
+                                             min_action_prob=0.05, move_noise=0.3))
+    data = sample_transitions(mdp, expert_policy(mdp, r_true), n, seed=2, env_id="noisy")
+    return (data.states, data.actions, data.next_states), 16, 5
+
+
+def _assert_same_fit(ours, ref):
+    """Triple for triple and bit for bit, with the same dtypes and diagnostics."""
+    for a, b in zip((*ours.kernel, *ours.counts), (*ref.kernel, *ref.counts)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert ours.diagnostics == ref.diagnostics
+
+
+class TestFoldMapsMatchPerFoldFits:
+    """`fit_regressor_folds` against `fit_regressor` on each fold alone."""
+
+    def _check(self, spec, records, ns, na, folds):
+        size = len(records[0]) // folds
+        maps = list(fit_regressor_folds(spec, *records, ns, na, folds))
+        assert len(maps) == folds
+        for k, fitted in enumerate(maps):
+            fold = [c[k * size:(k + 1) * size] for c in records]
+            _assert_same_fit(fitted, fit_regressor(spec, *fold, ns, na))
+        return maps
+
+    def test_ident_split_folds(self):
+        from softirl.envs import build_env, expert_policy, sample_transitions
+        from softirl.harness import builtin_experiment
+        experiment = builtin_experiment("ident")
+        mdp, r_true, _ = build_env(experiment.env)
+        data = sample_transitions(mdp, expert_policy(mdp, r_true), 50_000, seed=1,
+                                  env_id="ident")
+        half, folds = data.n // 2, experiment.solver.fold_count(data.n)
+        end = half + folds * (half // folds)
+        records = [c[half:end] for c in (data.states, data.actions, data.next_states)]
+        maps = self._check(RegressorSpec(), records, 64, 5, folds)
+        # every fold's triples are views into the arrays the folds share
+        assert all(np.shares_memory(m.counts[0], maps[0].counts[0].base) for m in maps)
+
+    @pytest.mark.parametrize("folds", [1, 8, 50])
+    def test_move_noise(self, folds):
+        # folds of 2,500 records reach the 1,280 keys a fold has, so they are
+        # counted by bincount; folds of 400 are counted by a sort
+        records, ns, na = _noisy_records(20_000)
+        self._check(RegressorSpec(), records, ns, na, folds)
+
+    def test_ridge(self):
+        records, ns, na = _noisy_records(4_000)
+        features = np.random.default_rng(8).normal(size=(ns, na, 6))
+        self._check(RegressorSpec(kind="ridge", ridge_lambda=0.1, features=features),
+                    records, ns, na, 4)
+
+    def test_fold_with_an_empty_cell(self):
+        records = ([0, 0, 1, 1, 0, 0, 0, 1], [0, 1, 0, 1, 0, 0, 1, 1], [1, 0, 0, 1, 0, 1, 1, 0])
+        maps = self._check(RegressorSpec(), records, 2, 2, 2)
+        assert [m.diagnostics["n_empty_cells"] for m in maps] == [0, 1]
+
+    @pytest.mark.parametrize("n", [1_000, 2_000])
+    def test_both_counting_branches_match_the_dense_fit(self, n):
+        # a fold of 1,000 records is counted by a sort and one of 2,000 by
+        # bincount over its 1,280 keys; both give the dense fit's nonzeros
+        records, ns, na = _noisy_records(n)
+        ours = fit_regressor(RegressorSpec(), *records, ns, na)
+        ref = dense_fit_regressor(RegressorSpec(), *records, ns, na)
+        rows, cols = np.nonzero(ref.counts)
+        for a, b in zip((*ours.kernel, *ours.counts),
+                        (rows, cols, ref.kernel[rows, cols], rows, cols, ref.counts[rows, cols])):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert ours.diagnostics == ref.diagnostics
+
+    def test_a_rank_deficient_fold_fails_when_it_is_taken(self):
+        spec = RegressorSpec(kind="ridge", features=np.eye(4).reshape(2, 2, 4))
+        maps = fit_regressor_folds(spec, [0, 0, 1, 1, 0, 0, 0, 0], [0, 1, 0, 1, 0, 0, 0, 0],
+                                   [0] * 8, 2, 2, 2)
+        assert next(maps).diagnostics["n_empty_cells"] == 0
+        with pytest.raises(ValueError, match="ridge_lambda"):
+            next(maps)
+
+    def test_records_must_split_into_equal_folds(self):
+        with pytest.raises(ValueError, match="3 records do not split into 2 equal folds"):
+            next(fit_regressor_folds(RegressorSpec(), [0] * 3, [0] * 3, [0] * 3, 1, 1, 2))
 
 
 class TestKlShrinksWithN:

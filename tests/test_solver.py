@@ -31,6 +31,7 @@ from softirl.solver import (
 from conftest import random_mdp, random_policy, toggle_mdp
 from reference import (
     dense_fit_regressor,
+    dense_fit_regressor_folds,
     dense_fitted_fixed_point,
     expect_mu,
     lambda_mu_weights,
@@ -253,6 +254,18 @@ class TestSplitClassifyRegress:
         with pytest.raises(ValueError, match="fold"):
             split_classify_regress(ds, cfg)
 
+    def test_a_failing_fold_names_its_first_iteration(self):
+        # the regression half is two folds of four records; the second fold
+        # covers one of the four cells, so its one-hot ridge fit without a
+        # penalty is rank-deficient, and it is first used at iteration 2
+        ds = TransitionDataset(np.array([0, 0, 1, 1] * 3 + [0] * 4),
+                               np.array([0, 1, 0, 1] * 3 + [0] * 4), np.zeros(16, dtype=int),
+                               {"n_states": 2, "n_actions": 2})
+        cfg = SolverConfig(gamma=0.9, K=4, folds=2, regressor=RegressorSpec(
+            kind="ridge", features=np.eye(4).reshape(2, 2, 4)))
+        with pytest.raises(RuntimeError, match="failed at iteration 2: .*ridge_lambda"):
+            split_classify_regress(ds, cfg)
+
     def test_warns_about_states_the_classifier_half_missed(self):
         # state 3 only appears in the second half, which the classifier skips
         ds = TransitionDataset(np.array([0, 1, 2, 0, 3, 3, 1, 2]), np.zeros(8, dtype=int),
@@ -343,6 +356,7 @@ def _dense_solve(monkeypatch, method, data, cfg):
     """`method` with every fold fitted and applied densely (tests/reference.py)."""
     with monkeypatch.context() as m:
         m.setattr(solver_module, "fit_regressor", dense_fit_regressor)
+        m.setattr(solver_module, "fit_regressor_folds", dense_fit_regressor_folds)
         m.setattr(solver_module, "_fitted_fixed_point", dense_fitted_fixed_point)
         return method(data, cfg)
 
