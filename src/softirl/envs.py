@@ -363,19 +363,19 @@ def write_dataset(dataset: TransitionDataset, path) -> None:
     header = (f"{_HEADER_PREFIX} seed={m.get('seed', 0)} env={env} n={dataset.n} "
               f"n_states={m['n_states']} n_actions={m['n_actions']} "
               f"regime={m.get('regime', 'iid-restart')}")
-    n_states, n_actions = m["n_states"], m["n_actions"]
     columns = [np.asarray(c, dtype=np.int64)
                for c in (dataset.states, dataset.actions, dataset.next_states)]
+    # each field is one of max(S, A) indices: format each index once, then
+    # join a block's (s, ",", a, ",", s', "\n") pieces in one pass
+    names = np.array([str(i) for i in range(max(m["n_states"], m["n_actions"]))], dtype=object)
+    pieces = np.empty((_BLOCK, 6), dtype=object)
+    pieces[:, 1::2] = [",", ",", "\n"]
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for lo in range(0, dataset.n, _BLOCK):
-            s, a, s2 = (c[lo:lo + _BLOCK] for c in columns)
-            # format each distinct record of the block once, then lay the lines out in order
-            keys, inverse = np.unique((s * n_actions + a) * n_states + s2, return_inverse=True)
-            cells, next_states = np.divmod(keys, n_states)
-            distinct = np.stack([*np.divmod(cells, n_actions), next_states], axis=1)
-            lines = (("%d,%d,%d\n" * len(distinct)) % tuple(distinct.ravel().tolist())).splitlines(True)
-            fh.write("".join([lines[i] for i in inverse.tolist()]))
+            block = pieces[:min(_BLOCK, dataset.n - lo)]
+            block[:, ::2] = names[np.stack([c[lo:lo + _BLOCK] for c in columns], axis=1)]
+            fh.write("".join(block.ravel().tolist()))
 
 
 def read_dataset(path) -> TransitionDataset:

@@ -276,6 +276,7 @@ def _classify_regress(data, cfg: SolverConfig, n_train: int, regress: slice, fol
         diag.warnings.append(
             f"fold size {fold_size} is below the state count; coverage gaps likely"
         )
+    k_steps = cfg.steps(data.n)
     if folds == 1:  # through fit_regressor, the name perfbench/spans.py traces
         def fit(fold):
             return fit_regressor(*args)
@@ -283,12 +284,14 @@ def _classify_regress(data, cfg: SolverConfig, n_train: int, regress: slice, fol
         maps, fitted = fit_regressor_folds(*args, folds), []
 
         def fit(fold):  # the loop takes folds 0, 1, ... in turn, then cycles
-            if fold == len(fitted):
-                fitted.append(next(maps))
-            return fitted[fold]
+            if fold < len(fitted):
+                return fitted[fold]
+            fold_map = next(maps)
+            if folds < k_steps:  # kept only when the loop comes back to it
+                fitted.append(fold_map)
+            return fold_map
 
-    return _fitted_fixed_point(cfg, u, mu_t, cfg.steps(data.n), fit, folds, diag,
-                               record_iterates)
+    return _fitted_fixed_point(cfg, u, mu_t, k_steps, fit, folds, diag, record_iterates)
 
 
 def classify_then_regress(data, cfg: SolverConfig, *,

@@ -486,14 +486,28 @@ class TestDatasetIO:
 
 
 class TestWriterMatchesPerRecordReference:
-    """`write_dataset`, which formats each distinct record of a block once,
-    against one `%` per record."""
+    """`write_dataset`, which formats each index once and joins a block's
+    pieces, against one `%` per record."""
 
-    @pytest.mark.parametrize("n", [1, 3 * _BLOCK + 5])
-    def test_same_bytes_and_round_trip(self, tmp_path, n):
-        mdp, r_true, _ = build_env(GridworldSpec(4, 4, topology="torus", seed=3,
+    @staticmethod
+    def _dataset(case):
+        if case == "distinct":  # almost every record of a block distinct, 1- to 4-digit fields
+            rng = np.random.default_rng(5)
+            n = 2 * _BLOCK + 7
+            return TransitionDataset(rng.integers(0, 5000, n), rng.integers(0, 5, n),
+                                     rng.integers(0, 5000, n),
+                                     {"n_states": 5000, "n_actions": 5, "n": n, "seed": 0,
+                                      "env": "random", "regime": "iid-restart"})
+        # the 2 x 1 grid has fewer states than actions
+        shape, n = {"n-1": ((4, 4), 1), "blocks": ((4, 4), 3 * _BLOCK + 5),
+                    "two-states": ((2, 1), 600)}[case]
+        mdp, r_true, _ = build_env(GridworldSpec(*shape, topology="torus", seed=3,
                                                  min_action_prob=0.05, move_noise=0.3))
-        ds = sample_transitions(mdp, expert_policy(mdp, r_true), n, seed=2, env_id="noisy")
+        return sample_transitions(mdp, expert_policy(mdp, r_true), n, seed=2, env_id="noisy")
+
+    @pytest.mark.parametrize("case", ["n-1", "blocks", "two-states", "distinct"])
+    def test_same_bytes_and_round_trip(self, tmp_path, case):
+        ds = self._dataset(case)
         ours, ref = tmp_path / "ours.txt", tmp_path / "ref.txt"
         write_dataset(ds, ours)
         write_dataset_per_record(ds, ref)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -265,6 +266,28 @@ class TestSplitClassifyRegress:
             kind="ridge", features=np.eye(4).reshape(2, 2, 4)))
         with pytest.raises(RuntimeError, match="failed at iteration 2: .*ridge_lambda"):
             split_classify_regress(ds, cfg)
+
+    @pytest.mark.parametrize("folds", [None, 2])
+    def test_keeps_a_fold_map_only_when_the_loop_comes_back_to_it(self, monkeypatch, folds):
+        # one fold per step (folds=None): each ridge map must be freed once the
+        # next one is in use; 2 folds over K = 6 steps: each is fitted once and
+        # kept, since the generator has no third map to give
+        rng = np.random.default_rng(13)
+        ds = _tiny_dataset(rng, n=480)
+        cfg = SolverConfig(gamma=0.9, K=6, folds=folds, regressor=RegressorSpec(
+            kind="ridge", ridge_lambda=0.1, features=rng.normal(size=(4, 5, 3))))
+        real, maps, older_alive = solver_module.fit_regressor_folds, [], []
+
+        def tracked(*args):
+            for fold_map in real(*args):
+                older_alive.append(sum(ref() is not None for ref in maps[:-1]))
+                maps.append(weakref.ref(fold_map.kernel[2]))
+                yield fold_map
+
+        monkeypatch.setattr(solver_module, "fit_regressor_folds", tracked)
+        split_classify_regress(ds, cfg)
+        assert len(maps) == (6 if folds is None else 2)
+        assert older_alive == [0] * len(maps)
 
     def test_warns_about_states_the_classifier_half_missed(self):
         # state 3 only appears in the second half, which the classifier skips
