@@ -71,9 +71,9 @@ class ExperimentConfig:
             raise ValueError(f"base_seed: must be nonnegative, got {self.base_seed}")
         if any(ch.isspace() for ch in self.name):  # the name is a dataset header token
             raise ValueError(f"name: must not contain whitespace, got {self.name!r}")
-        if self.solver.split and (folds := self.solver.fold_count(self.n)) > self.n // 2:
-            raise ValueError(f"solver.folds: split needs at most n // 2 = {self.n // 2} folds "
-                             f"(one per iteration if unset), got {folds}")
+        if self.solver.split and (k := self.solver.steps(self.n)) > self.n // 2:
+            raise ValueError(f"solver.K: split needs at most n // 2 = {self.n // 2} steps, "
+                             f"one regression fold each, got {k}")
         for path, action in (("ref_action", self.ref_action),
                              ("mu.ref_action", self.solver.mu.ref_action)):
             if not 0 <= action < self.env.n_actions:
@@ -235,7 +235,6 @@ _KEYS = {
     "solver": {
         "k": ("solver", "K", _k),
         "split": ("solver", "split", bool),
-        "folds": ("solver", "folds", int),
         "mu": ("mu", "kind", str),
         "mu_ref_action": ("mu", "ref_action", int),
         "classifier_kind": ("classifier", "kind", str),
@@ -297,13 +296,16 @@ def parse_config(path, **overrides) -> ExperimentConfig:
     baseline / eval); values are read raw, so `%` is plain text, and
     unknown sections and keys are errors. `overrides` that are not None set
     [eval] keys over the file's and are checked as those."""
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"config file not found: {path}")
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
-    try:
-        parser.read(path)
-    except configparser.Error as exc:
-        raise ValueError(f"{path}: malformed config: {exc}") from None
+    with open(path) as fh:  # unlike parser.read, raises the OSError of a path it cannot open
+        try:
+            parser.read_file(fh)
+        except configparser.ParsingError as exc:  # its message goes on with the raw lines
+            line = exc.lineno if hasattr(exc, "lineno") else exc.errors[0][0]
+            raise ValueError(f"{path}: malformed config: {str(exc).splitlines()[0]} "
+                             f"(line {line})") from None
+        except configparser.Error as exc:  # a duplicate, whose message names its line
+            raise ValueError(f"{path}: malformed config: {exc}") from None
     sections = {name: dict(parser.items(name)) for name in parser.sections()}
     sections.setdefault("eval", {}).update({k: v for k, v in overrides.items() if v is not None})
     return _experiment(sections)

@@ -9,9 +9,9 @@ classification oracle for pi and an iterated regression oracle for the value
 fixed point. Both shipped regressors are linear in their targets, so each
 regression fold is fitted once as a linear map over next-state functions
 and applied at every step that uses it: `classify_then_regress` fits the
-full sample once, `split_classify_regress` dedicates half the data to
-classification and regresses step k on fold k mod `folds` of the other
-half, all folds fitted from one count of that half.
+full sample once and applies that map at every step, `split_classify_regress`
+dedicates half the data to classification and regresses step k on fold k of
+K equal folds of the other half, all fitted from one count of that half.
 
 Both variants return rewards through the same closed form r = w - mu w with
 w = u - gamma v, which satisfies the normalization identically (and exactly
@@ -76,19 +76,20 @@ class NormalizationMeasure:
 
 @dataclass
 class SolverConfig:
+    """Settings of a data-driven solve. K sets the fitted fixed-point step
+    count and, for a split solve, the regression fold count: step k
+    regresses on fold k of the second half."""
+
     gamma: float = 0.97
     K: int | str = "auto"
     mu: NormalizationMeasure = field(default_factory=NormalizationMeasure)
     classifier: ClassifierSpec = field(default_factory=ClassifierSpec)
     regressor: RegressorSpec = field(default_factory=RegressorSpec)
     split: bool = False
-    folds: int | None = None
 
     def __post_init__(self):
         if self.K != "auto" and (isinstance(self.K, str) or self.K < 0):
             raise ValueError(f"K: must be 'auto' or nonnegative, got {self.K!r}")
-        if self.folds is not None and self.folds < 1:
-            raise ValueError(f"folds: must be at least 1, got {self.folds}")
 
     def steps(self, n: int) -> int:
         """Fitted fixed-point steps on n records: K, where 'auto' picks
@@ -99,10 +100,6 @@ class SolverConfig:
         if self.gamma <= 0.0:
             return 1
         return min(max(1, math.ceil(math.log(n) / math.log(1.0 / self.gamma))), MAX_AUTO_K)
-
-    def fold_count(self, n: int) -> int:
-        """Regression folds of a split solve on n records: `folds`, or one per step."""
-        return self.folds if self.folds is not None else max(self.steps(n), 1)
 
 
 @dataclass
@@ -224,26 +221,26 @@ def _fit_policy(cfg: SolverConfig, data, n_train: int):
     return np.log(clf.probs), mu_t, diag  # the floor keeps the log finite
 
 
-def _fitted_fixed_point(cfg: SolverConfig, u, mu_t, k_steps: int, fit, folds: int,
+def _fitted_fixed_point(cfg: SolverConfig, u, mu_t, k_steps: int, maps,
                         diag: SolverDiagnostics, record_iterates: bool) -> IrlSolution:
     """The fitted fixed-point loop v <- M_k g with g = mu[gamma v - u].
 
-    M_k is the map `fit(k mod folds)` returns, asked for again only when
-    the fold changes; each step is one product, M_k g summed over its
-    (row, col, value) triples. eta[k] is the root-mean-square misfit of v on
-    that fold's records, read off its count triples (0 for the population
-    map, which has none).
+    M_k is the k-th map the iterator `maps` yields, taken when step k is
+    reached and unpacked only when it is a new map; each step is one
+    product, M_k g summed over its (row, col, value) triples. eta[k] is the
+    root-mean-square misfit of v on that map's records, read off its count
+    triples (0 for the population map, which has none).
     """
     v = np.zeros_like(u)
     diag.iterates = [v] if record_iterates else None
-    fitted, fold, empty_seen = None, None, 0
+    fitted, empty_seen = None, 0
     for k in range(k_steps):
-        if k % folds != fold:
-            fold = k % folds
-            try:
-                fitted = fit(fold)
-            except Exception as exc:
-                raise RuntimeError(f"regression oracle failed at iteration {k + 1}: {exc}") from exc
+        try:
+            step_map = next(maps)
+        except Exception as exc:
+            raise RuntimeError(f"regression oracle failed at iteration {k + 1}: {exc}") from exc
+        if step_map is not fitted:
+            fitted = step_map
             map_rows, map_cols, map_values = fitted.kernel
             rows, cols, weights = fitted.counts
             n_records = max(int(weights.sum()), 1)
@@ -262,36 +259,11 @@ def _fitted_fixed_point(cfg: SolverConfig, u, mu_t, k_steps: int, fit, folds: in
     return IrlSolution(r, v, u, c, mu_t, cfg.gamma, diag)
 
 
-def _classify_regress(data, cfg: SolverConfig, n_train: int, regress: slice, folds: int,
-                      record_iterates: bool) -> IrlSolution:
-    """Classify on the first `n_train` records, then run the fitted
-    fixed-point loop, step k regressing on fold k mod `folds` of the records
-    `regress`; split folds smaller than the state count get a warning."""
-    n_states, n_actions = data.meta["n_states"], data.meta["n_actions"]
-    u, mu_t, diag = _fit_policy(cfg, data, n_train)
-    args = (cfg.regressor, data.states[regress], data.actions[regress],
-            data.next_states[regress], n_states, n_actions)
-    fold_size = len(args[1]) // folds
-    if n_train < data.n and fold_size < n_states:
-        diag.warnings.append(
-            f"fold size {fold_size} is below the state count; coverage gaps likely"
-        )
-    k_steps = cfg.steps(data.n)
-    if folds == 1:  # through fit_regressor, the name perfbench/spans.py traces
-        def fit(fold):
-            return fit_regressor(*args)
-    else:
-        maps, fitted = fit_regressor_folds(*args, folds), []
-
-        def fit(fold):  # the loop takes folds 0, 1, ... in turn, then cycles
-            if fold < len(fitted):
-                return fitted[fold]
-            fold_map = next(maps)
-            if folds < k_steps:  # kept only when the loop comes back to it
-                fitted.append(fold_map)
-            return fold_map
-
-    return _fitted_fixed_point(cfg, u, mu_t, k_steps, fit, folds, diag, record_iterates)
+def _every_step(*args):
+    """fit_regressor's one map of the records `args`, fitted when first taken, at every step."""
+    fitted = fit_regressor(*args)
+    while True:
+        yield fitted
 
 
 def classify_then_regress(data, cfg: SolverConfig, *,
@@ -301,20 +273,32 @@ def classify_then_regress(data, cfg: SolverConfig, *,
     sample through one fitted map."""
     if data.n < 1:
         raise ValueError("empty dataset")
-    return _classify_regress(data, cfg, data.n, slice(None), 1, record_iterates)
+    u, mu_t, diag = _fit_policy(cfg, data, data.n)
+    maps = _every_step(cfg.regressor, data.states, data.actions, data.next_states,
+                       data.meta["n_states"], data.meta["n_actions"])
+    return _fitted_fixed_point(cfg, u, mu_t, cfg.steps(data.n), maps, diag, record_iterates)
 
 
 def split_classify_regress(data, cfg: SolverConfig) -> IrlSolution:
     """Sample-split variant: the classifier sees the first half of the data
-    and regression step k fits on fold k mod `folds` of the second half."""
+    and regression step k fits on fold k of K equal folds of the second
+    half; folds smaller than the state count get a warning."""
     half = data.n // 2
     if half < 1:
         raise ValueError("need at least 2 records to split")
-    folds = cfg.fold_count(data.n)
-    fold_size = half // folds
+    k_steps = cfg.steps(data.n)
+    fold_size = half // max(k_steps, 1)
     if fold_size == 0:
-        raise ValueError(f"fold size is 0: half={half}, folds={folds}")
-    return _classify_regress(data, cfg, half, slice(half, half + folds * fold_size), folds, False)
+        raise ValueError(f"fold size is 0: half={half}, folds={k_steps}")
+    n_states, n_actions = data.meta["n_states"], data.meta["n_actions"]
+    u, mu_t, diag = _fit_policy(cfg, data, half)
+    if fold_size < n_states:
+        diag.warnings.append(f"fold size {fold_size} is below the state count; "
+                             "coverage gaps likely")
+    regress = slice(half, half + k_steps * fold_size)
+    maps = fit_regressor_folds(cfg.regressor, data.states[regress], data.actions[regress],
+                               data.next_states[regress], n_states, n_actions, k_steps)
+    return _fitted_fixed_point(cfg, u, mu_t, k_steps, maps, diag, False)
 
 
 def save_solution(solution: IrlSolution, out_dir) -> None:

@@ -16,6 +16,7 @@ The last six are the plain forms of four fast paths: the dense fold maps
 (`cold_build_env`).
 """
 
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -212,9 +213,8 @@ def population_fixed_point(mdp: TabularMdp, pi, cfg, record_iterates=False):
     no_records = np.zeros(0, dtype=np.int64)
     exact = FittedRegressor((*support, transition[support]),
                             (no_records, no_records, no_records), {"n_empty_cells": 0})
-    return _fitted_fixed_point(cfg, u, mu_t, int(cfg.K),
-                               lambda fold: exact, 1, SolverDiagnostics(nu_proxy=0.0),
-                               record_iterates)
+    return _fitted_fixed_point(cfg, u, mu_t, int(cfg.K), itertools.repeat(exact),
+                               SolverDiagnostics(nu_proxy=0.0), record_iterates)
 
 
 def plugin_fixed_point(dataset, cfg):
@@ -272,15 +272,15 @@ def dense_fit_regressor_folds(spec, states, actions, next_states, n_states, n_ac
                                   next_states[lo:lo + size], n_states, n_actions)
 
 
-def dense_fitted_fixed_point(cfg, u, mu_t, k_steps, fit, folds, diag, record_iterates):
+def dense_fitted_fixed_point(cfg, u, mu_t, k_steps, maps, diag, record_iterates):
     """`solver._fitted_fixed_point` over `DenseFit` maps: v <- kernel @ g,
     with eta read off the dense counts' nonzeros."""
     v = np.zeros_like(u)
-    fitted, fold, empty_seen = None, None, 0
-    for k in range(k_steps):
-        if k % folds != fold:
-            fold = k % folds
-            fitted = fit(fold)
+    fitted, empty_seen = None, 0
+    for _ in range(k_steps):
+        step_map = next(maps)
+        if step_map is not fitted:
+            fitted = step_map
             rows, cols = np.nonzero(fitted.counts)
             weights = fitted.counts[rows, cols]
             n_records = max(int(weights.sum()), 1)

@@ -51,10 +51,11 @@ MALFORMED_VALUES = [
     # MaxEnt's settings are checked at parse time, not by failing every rerun's fit
     pytest.param("max_epochs = 30", "max_epochs = -1", "[baseline] max_epochs",
                  ["reproduce"], id="baseline-max-epochs"),
-    # so are the solver's iteration and fold counts and the env's values
+    # so are the solver's iteration count, which is a split solve's fold count,
+    # and the env's values
     pytest.param("k = auto", "k = -1", "[solver] k", ["reproduce"], id="solver-k"),
-    pytest.param("mu = uniform", "mu = uniform\nsplit = true\nfolds = 0", "[solver] folds",
-                 ["reproduce"], id="solver-folds"),
+    pytest.param("k = auto", "k = -1\nsplit = true", "[solver] k", ["reproduce"],
+                 id="solver-k-split"),
     pytest.param("topology = torus", "topology = cube", "[env] topology",
                  ["reproduce"], id="env-topology"),
     pytest.param("reward_kind = tabular-linear", "reward_kind = cubic", "[env] reward_kind",
@@ -98,10 +99,11 @@ MALFORMED_VALUES = [
                  ["reproduce"], id="baseline-tol"),
     pytest.param("base_seed = 1", "base_seed = -1", "[eval] base_seed",
                  ["reproduce"], id="eval-base-seed"),
-    # a split solve needs at most n // 2 = 1000 folds; unset, there is one per iteration
-    pytest.param("mu = uniform", "mu = uniform\nsplit = true\nfolds = 1001", "[solver] folds",
-                 ["gen-data"], id="solver-folds-above-half"),
-    pytest.param("k = auto", "k = 1001\nsplit = true", "[solver] folds",
+    # a split solve regresses each step on its own fold, so it needs at most
+    # n // 2 = 1000 steps
+    pytest.param("k = auto", "k = 1001\nsplit = true", "[solver] k",
+                 ["gen-data"], id="solver-k-above-half-gen-data"),
+    pytest.param("k = auto", "k = 1001\nsplit = true", "[solver] k",
                  ["reproduce"], id="solver-k-above-half"),
     # the name is the dataset header's env token: whitespace is refused before
     # gen-data builds and samples, and by reproduce, which writes no dataset
@@ -154,17 +156,28 @@ class TestRuntimeErrors:
         assert main(["gen-data", "--config", str(bad)]) == 2
 
     @pytest.mark.parametrize("text, expected", [
-        ("width = 2\n", "{path}: malformed config: File contains no section headers"),
-        ("[env]\nwidth = 2\nwidth = 3\n", "{path}: malformed config: While reading from"),
+        ("width = 2\n",
+         "{path}: malformed config: File contains no section headers. (line 1)"),
+        ("[env]\nwidth = 2\nwidth = 3\n", "{path}: malformed config: While reading from "
+         "'{path}' [line  3]: option 'width' in section 'env' already exists"),
+        ("[env]\nwidth = 2\nheight\n",
+         "{path}: malformed config: Source contains parsing errors: '{path}' (line 3)"),
         # values are read raw: the % is part of the value, which the key's check rejects
         ("[env]\ngamma = 90%\n", "[env] gamma: "),
-    ], ids=["no-section-header", "duplicate-key", "percent-in-value"])
+        # a path that exists but cannot be read as a file is an OS error, not an empty config
+        (None, "Is a directory: '{path}'"),
+    ], ids=["no-section-header", "duplicate-key", "key-without-value", "percent-in-value",
+            "directory"])
     def test_malformed_file_exits_two(self, tmp_path, capsys, text, expected):
         path = tmp_path / "bad.ini"
-        path.write_text(text)
+        if text is None:
+            path.mkdir()
+        else:
+            path.write_text(text)
         assert main(["gen-data", "--config", str(path), "--out", str(tmp_path / "d.txt")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and expected.format(path=path) in err
+        assert err.count("\n") == 1 and err.endswith("\n")
 
     @pytest.mark.parametrize("line, bad, where, command", MALFORMED_VALUES)
     def test_malformed_value_names_its_key(self, tmp_path, capsys, monkeypatch,
@@ -213,6 +226,7 @@ class TestRuntimeErrors:
         ("solver", "prob_floor", "1e-6"),
         ("solver", "prob_floor", "0.5"),
         ("solver", "classifier_epochs", "500"),
+        ("solver", "folds", "2"),
     ])
     def test_retired_key_is_unknown(self, tmp_path, capsys, section, key, value):
         from softirl.harness import parse_config

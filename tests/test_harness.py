@@ -127,7 +127,7 @@ class TestParseConfig:
 
         assert targets("env") == {f.name for f in fields(GridworldSpec)}
         assert targets("baseline") == {f.name for f in fields(MaxEntConfig)}
-        assert sum(len(table) for table in _KEYS.values()) == 25
+        assert sum(len(table) for table in _KEYS.values()) == 24
         # "1" is a valid int, float, str and boolean, so only the declared type
         # decides; the keys whose values are checked at parse time take valid ones
         valid = {"topology": "torus", "reward_kind": "linear", "move_noise": "0",
@@ -150,9 +150,9 @@ class TestParseConfig:
         # one fold each, and a split solve regresses on n // 2 records
         env = GridworldSpec(4, 4)
         split = SolverConfig(gamma=env.gamma, split=True)
-        with pytest.raises(ValueError, match=r"^solver\.folds: .* n // 2 = 150 .* got 188$"):
+        with pytest.raises(ValueError, match=r"^solver\.K: .* n // 2 = 150 .* got 188$"):
             ExperimentConfig(env, n=300, solver=split)
-        assert ExperimentConfig(env, n=400, solver=split).solver.fold_count(400) == 197
+        assert ExperimentConfig(env, n=400, solver=split).solver.steps(400) == 197
 
 
 class TestReadmeExamples:

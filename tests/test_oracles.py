@@ -257,7 +257,7 @@ class TestFoldMapsMatchPerFoldFits:
         mdp, r_true, _ = build_env(experiment.env)
         data = sample_transitions(mdp, expert_policy(mdp, r_true), 50_000, seed=1,
                                   env_id="ident")
-        half, folds = data.n // 2, experiment.solver.fold_count(data.n)
+        half, folds = data.n // 2, experiment.solver.steps(data.n)  # one fold per step
         end = half + folds * (half // folds)
         records = [c[half:end] for c in (data.states, data.actions, data.next_states)]
         maps = self._check(RegressorSpec(), records, 64, 5, folds)

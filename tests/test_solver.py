@@ -138,11 +138,21 @@ class TestClassifyThenRegress:
         sol = population_fixed_point(mdp, pi, cfg)
         assert sup_norm(sol.r - exact.r) <= 1e-8
 
-    def test_k_zero_is_pure_normalization(self):
+    @pytest.mark.parametrize("solve", [classify_then_regress, split_classify_regress],
+                             ids=lambda f: f.__name__)
+    def test_k_zero_is_pure_normalization(self, monkeypatch, solve):
+        def unreachable(*args):
+            raise AssertionError("a regression map was fitted at K = 0")
+
+        def unreachable_folds(*args):  # a generator, as the real one: it fits when a fold is taken
+            yield unreachable()
+
+        monkeypatch.setattr(solver_module, "fit_regressor", unreachable)
+        monkeypatch.setattr(solver_module, "fit_regressor_folds", unreachable_folds)
         rng = np.random.default_rng(6)
         ds = _tiny_dataset(rng)
         cfg = SolverConfig(gamma=0.9, K=0)
-        sol = classify_then_regress(ds, cfg)
+        sol = solve(ds, cfg)
         assert_allclose(sol.v, 0.0)
         mu_u = np.sum(sol.mu_table * sol.u, axis=1)
         assert_allclose(sol.r, sol.u - mu_u[:, None], atol=1e-14)
@@ -256,25 +266,23 @@ class TestSplitClassifyRegress:
             split_classify_regress(ds, cfg)
 
     def test_a_failing_fold_names_its_first_iteration(self):
-        # the regression half is two folds of four records; the second fold
-        # covers one of the four cells, so its one-hot ridge fit without a
-        # penalty is rank-deficient, and it is first used at iteration 2
+        # at K = 2 the regression half is two folds of four records; the second
+        # fold covers one of the four cells, so its one-hot ridge fit without a
+        # penalty is rank-deficient, and it is used at iteration 2
         ds = TransitionDataset(np.array([0, 0, 1, 1] * 3 + [0] * 4),
                                np.array([0, 1, 0, 1] * 3 + [0] * 4), np.zeros(16, dtype=int),
                                {"n_states": 2, "n_actions": 2})
-        cfg = SolverConfig(gamma=0.9, K=4, folds=2, regressor=RegressorSpec(
+        cfg = SolverConfig(gamma=0.9, K=2, regressor=RegressorSpec(
             kind="ridge", features=np.eye(4).reshape(2, 2, 4)))
         with pytest.raises(RuntimeError, match="failed at iteration 2: .*ridge_lambda"):
             split_classify_regress(ds, cfg)
 
-    @pytest.mark.parametrize("folds", [None, 2])
-    def test_keeps_a_fold_map_only_when_the_loop_comes_back_to_it(self, monkeypatch, folds):
-        # one fold per step (folds=None): each ridge map must be freed once the
-        # next one is in use; 2 folds over K = 6 steps: each is fitted once and
-        # kept, since the generator has no third map to give
+    def test_frees_each_fold_map_once_its_step_is_done(self, monkeypatch):
+        # one fold per step: when the generator gives a step's ridge map, no map
+        # before the one just in use may still be alive
         rng = np.random.default_rng(13)
         ds = _tiny_dataset(rng, n=480)
-        cfg = SolverConfig(gamma=0.9, K=6, folds=folds, regressor=RegressorSpec(
+        cfg = SolverConfig(gamma=0.9, K=6, regressor=RegressorSpec(
             kind="ridge", ridge_lambda=0.1, features=rng.normal(size=(4, 5, 3))))
         real, maps, older_alive = solver_module.fit_regressor_folds, [], []
 
@@ -286,8 +294,8 @@ class TestSplitClassifyRegress:
 
         monkeypatch.setattr(solver_module, "fit_regressor_folds", tracked)
         split_classify_regress(ds, cfg)
-        assert len(maps) == (6 if folds is None else 2)
-        assert older_alive == [0] * len(maps)
+        assert len(maps) == 6
+        assert older_alive == [0] * 6
 
     def test_warns_about_states_the_classifier_half_missed(self):
         # state 3 only appears in the second half, which the classifier skips
@@ -320,12 +328,10 @@ def _refit_reference(data, cfg, u, mu_t, split):
     s, a, s2 = (np.asarray(x) for x in (data.states, data.actions, data.next_states))
     k_steps = cfg.steps(data.n)
     half = data.n // 2
-    folds = cfg.folds if cfg.folds is not None else max(k_steps, 1)
-    size = half // folds
+    size = half // max(k_steps, 1)
     v, eta = np.zeros((ns, na)), []
     for k in range(k_steps):
-        sl = slice(half + (k % folds) * size, half + (k % folds + 1) * size) \
-            if split else slice(None)
+        sl = slice(half + k * size, half + (k + 1) * size) if split else slice(None)
         y = np.sum(mu_t * (cfg.gamma * v - u), axis=1)[s2[sl]]
         cells = s[sl] * na + a[sl]
         cnt = np.bincount(cells, minlength=ns * na).astype(float)
@@ -360,7 +366,8 @@ class TestMatchesRefitReference:
             features = np.random.default_rng(6).normal(size=(4, 5, 3))
             regressor = RegressorSpec(kind="ridge", ridge_lambda=0.1, features=features)
         ds = sample_transitions(mdp, pi, n, seed=7, env_id="tiny")
-        cfg = SolverConfig(gamma=0.9, K=40, folds=6 if split else None, regressor=regressor,
+        # split, K = 6 steps cut the regression half into 6 folds, one per step
+        cfg = SolverConfig(gamma=0.9, K=6 if split else 40, regressor=regressor,
                            mu=NormalizationMeasure("behavior-policy"))
         sol = (split_classify_regress if split else classify_then_regress)(ds, cfg)
         unvisited = any("unvisited per regression" in w for w in sol.diagnostics.warnings)
