@@ -14,9 +14,8 @@ import argparse
 
 import numpy as np
 
-from softirl.envs import build_env, sample_transitions
+from softirl.envs import sample_transitions, truth
 from softirl.harness import BUILTIN_NAMES, builtin_experiment
-from softirl.mdp import soft_value_iteration
 from softirl.metrics import METRIC_NAMES, evaluate
 from softirl.solver import classify_then_regress
 
@@ -32,8 +31,7 @@ def main() -> None:
     args = parser.parse_args()
 
     cfg = builtin_experiment(args.name)
-    mdp, r_true, _ = build_env(cfg.env)
-    _, q_true, pi = soft_value_iteration(mdp, r_true)
+    mdp, r_true, _, q_true, pi = truth(cfg.env)
 
     lines = ["n,metric,mean,se"]
     for n in args.sizes:

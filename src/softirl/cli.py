@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -14,7 +15,6 @@ import numpy as np
 
 # Names are looked up on their modules at call time, so a patched attribute is the one called.
 from softirl import envs, harness, maxent, metrics, solver
-from softirl.mdp import soft_value_iteration
 
 SPLIT_NOT_TRACED = "diagnose traces the full-sample estimator; split = true is not traced"
 
@@ -28,6 +28,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{message}\n{self.format_usage()}")
 
 
+@functools.cache  # built on the first call, not at import, and reused by every later one
 def _build_parser() -> _Parser:
     parser = _Parser(prog="softirl",
                      description="Reward recovery from behavior data, plus benchmarks.")
@@ -66,8 +67,7 @@ def _build_parser() -> _Parser:
 def _sample(args):
     """(config, MDP, expert policy, dataset) for the commands that sample one."""
     cfg = harness.parse_config(args.config, base_seed=args.seed)
-    mdp, r_true, _ = envs.build_env(cfg.env)
-    pi = envs.expert_policy(mdp, r_true)
+    mdp, _, _, _, pi = envs.truth(cfg.env)
     return cfg, mdp, pi, envs.sample_transitions(mdp, pi, cfg.n, regime=cfg.regime,
                                                  seed=cfg.base_seed, env_id=cfg.name)
 
@@ -112,9 +112,7 @@ def _cmd_baseline(args) -> int:
 
 def _cmd_eval(args) -> int:
     cfg = harness.parse_config(args.config)
-    mdp, r_true, _ = envs.build_env(cfg.env)
-    # one truth solve gives the expert policy and the Q the score compares to
-    _, q_true, pi = soft_value_iteration(mdp, r_true)
+    mdp, r_true, _, q_true, pi = envs.truth(cfg.env)
     solution = solver.load_solution(args.solution)
     report = metrics.evaluate(mdp, r_true, pi, solution.r, solution.v,
                               ref_action=cfg.ref_action, q_true=q_true)

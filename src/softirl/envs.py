@@ -3,7 +3,8 @@
 Three reward generators are provided: low-dimensional linear rewards on a
 torus, free tabular rewards, and smooth nonlinear rewards that raw-coordinate
 features cannot represent. States are indexed s = y * width + x; the five
-actions are stay/up/down/left/right.
+actions are stay/up/down/left/right. A spec fixes the environment and its
+truth (reward, expert policy and Q), which `truth` solves once per process.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import io
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import repeat
 
 import numpy as np
@@ -221,6 +223,19 @@ def build_env(spec: GridworldSpec):
 def expert_policy(mdp: TabularMdp, r_true) -> np.ndarray:
     """Softmax-optimal behavior policy for the given reward."""
     return soft_value_iteration(mdp, r_true)[2]
+
+
+@lru_cache(maxsize=1)
+def truth(spec: GridworldSpec):
+    """(TabularMdp, true reward, phi, true Q, expert policy): `build_env(spec)`
+    and one soft value iteration at its default tol, kept for the last spec
+    asked for, so a process builds and solves it once. Its arrays are read-only.
+    """
+    mdp, r_true, phi = build_env(spec)
+    _, q_true, pi_expert = soft_value_iteration(mdp, r_true)
+    for table in (r_true, q_true, pi_expert):
+        table.setflags(write=False)
+    return mdp, r_true, phi, q_true, pi_expert
 
 
 def sample_transitions(mdp: TabularMdp, pi, n: int, init=None,

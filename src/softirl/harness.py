@@ -1,13 +1,14 @@
 """Experiment orchestration: seeded reruns, aggregation, and file outputs.
 
-A run fixes the environment (the truth), redraws the dataset per rerun with
-seed base_seed + rerun index, fits both methods, and aggregates the five
-metrics into raw.csv / summary.csv / table.md. Each rerun is one job,
-`_rerun`: it samples, solves and scores Ours, then fits MaxEnt to the
-sample's joint frequency table and scores it; `maxent.run_lockstep` runs
-the jobs of all reruns side by side. Every rerun computes the bits it would
-alone, and rows, messages and failures are reported in index order, so
-output files are byte-reproducible.
+A run takes its environment and truth (reward, expert policy and Q) from
+`envs.truth`, which builds and solves them once per spec and process. It
+redraws the dataset per rerun with seed base_seed + rerun index, fits both
+methods, and aggregates the five metrics into raw.csv / summary.csv /
+table.md. Each rerun is one job, `_rerun`: it samples, solves and scores
+Ours, then fits MaxEnt to the sample's joint frequency table and scores it;
+`maxent.run_lockstep` runs the jobs of all reruns side by side. Every
+rerun computes the bits it would alone, and rows, messages and failures are
+reported in index order, so output files are byte-reproducible.
 """
 
 from __future__ import annotations
@@ -21,12 +22,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from softirl.envs import REGIMES, GridworldSpec, build_env, sample_transitions
+from softirl.envs import REGIMES, GridworldSpec, sample_transitions, truth
+from softirl.envs import build_env  # noqa: F401 - perfbench/spans.py wraps it by name here
 from softirl.envs import expert_policy  # noqa: F401 - perfbench/spans.py wraps it by name here
 from softirl.maxent import MaxEntConfig, ascent, run_lockstep
 from softirl.maxent import maxent_fit  # noqa: F401 - perfbench/spans.py wraps it by name here
 from softirl.metrics import METRIC_NAMES, evaluate
-from softirl.mdp import soft_value_iteration
 from softirl.oracles import ClassifierSpec
 from softirl.solver import (
     NormalizationMeasure,
@@ -127,9 +128,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, quiet: bool = False):
     a value assigned after it was built is checked before anything runs.
     """
     cfg = replace(cfg, solver=replace(cfg.solver), baseline=replace(cfg.baseline))
-    mdp, r_true, phi = build_env(cfg.env)
-    # one truth solve gives the expert policy and the Q every score compares to
-    _, q_true, pi_exp = soft_value_iteration(mdp, r_true)
+    mdp, r_true, phi, q_true, pi_exp = truth(cfg.env)
     reports = run_lockstep(mdp, [_rerun(cfg, mdp, r_true, q_true, pi_exp, phi, rerun)
                                  for rerun in range(cfg.reruns)])
 

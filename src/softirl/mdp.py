@@ -39,6 +39,8 @@ class TabularMdp:
         # one-hot rows (deterministic moves): soft VI and the sampler gather these next
         # states; `_onto`: they reach every one of two or more states, so soft VI carries lse
         targets = t.argmax(axis=2) if np.all((t == 0.0) | (t == 1.0)) else None
+        if targets is not None:
+            targets.setflags(write=False)  # shared, as the kernel is, by every user of the MDP
         object.__setattr__(self, "_targets", targets)
         object.__setattr__(self, "_onto", targets is not None and len(t) >= 2 and bool(
             np.bincount(targets.ravel(), minlength=len(t)).all()))

@@ -58,8 +58,8 @@ def evaluate(mdp: TabularMdp, r_true, pi_expert, r_hat, v_hat=None,
     baselines that only model a reward). `weights` is a state distribution;
     None means uniform. The reference action's identically-zero column is
     excluded from the RMSE/correlation support. `q_true`, when given, must be
-    the Q of `soft_value_iteration(mdp, r_true)` at its default tol, which
-    callers scoring many estimates solve once.
+    the Q of `soft_value_iteration(mdp, r_true)` at its default tol, as
+    `envs.truth` returns it for callers scoring many estimates.
     """
     if q_true is None:
         _, q_true, _ = soft_value_iteration(mdp, np.asarray(r_true, dtype=float))

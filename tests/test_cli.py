@@ -136,6 +136,19 @@ class TestUsageErrors:
     def test_no_arguments_exits_one(self):
         assert main([]) == 1
 
+    def test_reused_parser_parses_after_a_usage_error(self, cfg_path, tmp_path, capsys):
+        from softirl.cli import _build_parser
+
+        assert _build_parser() is _build_parser()
+        assert main(["gen-data", "--config", cfg_path, "--bogus"]) == 1
+        assert main(["solve", "data.txt"]) == 1
+        capsys.readouterr()
+        out = tmp_path / "data.txt"
+        assert main(["gen-data", "--config", cfg_path, "--seed", "4", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote 2000 records to {out}\n"
+        assert main(["reproduce", "easy", "--config", cfg_path]) == 1
+        assert "exactly one" in capsys.readouterr().err
+
     # only gen-data, diagnose and reproduce sample a dataset, so only they take a seed
     @pytest.mark.parametrize("command", [["solve", "data.txt"], ["baseline", "data.txt"],
                                          ["eval", "sol"]], ids=lambda c: c[0])
@@ -280,7 +293,8 @@ class TestRuntimeErrors:
             raise AssertionError("an override reached the environment before its check")
 
         for module in (envs, harness):
-            monkeypatch.setattr(module, "build_env", unreachable)
+            for name in ("build_env", "truth"):
+                monkeypatch.setattr(module, name, unreachable)
         out = str(tmp_path / "res")
         source = [] if len(command) > 1 else ["--config", cfg_path]
         assert main([*command, *source, "--out", out, override, "--quiet"]) == 2
@@ -332,6 +346,7 @@ class TestPipeline:
         copies bound when the CLI was imported."""
         from softirl import envs, metrics, solver
 
+        envs.truth.cache_clear()
         calls = {}
 
         def counting(name, fn):
@@ -350,8 +365,14 @@ class TestPipeline:
         assert main(["gen-data", *common, "--out", data]) == 0
         assert main(["solve", data, *common, "--out", soldir]) == 0
         assert main(["eval", soldir, *common, "--out", str(tmp_path / "m.csv")]) == 0
-        # gen-data and eval build the environment, solve fits, eval scores
-        assert calls == {"build_env": 2, "split_classify_regress": 1, "evaluate": 1}
+        # gen-data builds the environment, eval reuses it, solve fits, eval scores
+        assert calls == {"build_env": 1, "split_classify_regress": 1, "evaluate": 1}
+
+        monkeypatch.setattr(envs, "truth", counting("truth", envs.truth))
+        assert main(["gen-data", *common, "--out", data]) == 0
+        assert main(["eval", soldir, *common, "--out", str(tmp_path / "m.csv")]) == 0
+        assert main(["diagnose", *common, "--out", str(tmp_path / "d.csv")]) == 0
+        assert calls["truth"] == 3 and calls["build_env"] == 1
 
     def test_eval_on_exact_solution_gives_zero_kl(self, cfg_path, tmp_path):
         from softirl.envs import build_env, expert_policy

@@ -160,6 +160,48 @@ class TestMatchesColdRescale:
         assert min(gaps) > 1e-6
 
 
+class TestTruth:
+    @pytest.mark.parametrize("spec", [
+        *(_packaged_spec(name) for name in ("easy", "ident", "hard")),
+        small_spec(move_noise=0.2, min_action_prob=0.05),
+    ], ids=["easy", "ident", "hard", "move-noise-0.2"])
+    def test_matches_a_fresh_build_and_solve(self, spec):
+        envs.truth.cache_clear()
+        got = envs.truth(spec)
+        mdp, r_true, phi = build_env(spec)
+        _, q_true, pi = soft_value_iteration(mdp, r_true)
+        assert got[0].gamma == mdp.gamma
+        for g, w in zip((got[0].transition, *got[1:]), (mdp.transition, r_true, phi, q_true, pi)):
+            assert np.array_equal(g, w)
+
+    def test_arrays_are_read_only(self):
+        mdp, r_true, phi, q_true, pi = envs.truth(small_spec())
+        for table in (mdp.transition, mdp._targets, r_true, phi, q_true, pi):
+            with pytest.raises(ValueError):
+                table[0, 0] = 1.0
+
+    def test_equal_specs_build_once(self, monkeypatch):
+        builds = []
+        monkeypatch.setattr(envs, "build_env", lambda spec: builds.append(spec) or build_env(spec))
+        envs.truth.cache_clear()
+        first = envs.truth(small_spec(seed=6))
+        assert envs.truth(small_spec(seed=6)) is first
+        assert len(builds) == 1
+        envs.truth(small_spec(seed=7))
+        assert envs.truth(small_spec(seed=6)) is not first  # one entry is kept
+        assert len(builds) == 3
+
+    def test_a_failed_build_is_not_kept(self, monkeypatch):
+        builds = []
+        monkeypatch.setattr(envs, "build_env", lambda spec: builds.append(spec) or build_env(spec))
+        envs.truth.cache_clear()
+        spec = small_spec(min_action_prob=0.19999)  # the rescale cannot lift pi that far
+        for calls in (1, 2):
+            with pytest.raises(RuntimeError, match="could not satisfy min_action_prob"):
+                envs.truth(spec)
+            assert len(builds) == calls
+
+
 class TestExpertPolicy:
     def test_zero_reward_uniform(self):
         mdp, _, _ = build_env(small_spec())
