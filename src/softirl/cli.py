@@ -83,7 +83,7 @@ def _cmd_gen_data(args) -> int:
 
 def _cmd_solve(args) -> int:
     cfg = harness.parse_config(args.config)
-    solve = solver.split_classify_regress if cfg.solver.split else solver.classify_then_regress
+    solve = solver.split_classify_regress if cfg.split else solver.classify_then_regress
     solution = solve(envs.read_dataset(args.dataset), cfg.solver)
     out = args.out or "solution"
     solver.save_solution(solution, out)
@@ -122,6 +122,9 @@ def _cmd_eval(args) -> int:
         with open(args.out, "w") as fh:
             fh.write(text)
     if not args.quiet:
+        if cfg.weighting != "uniform":  # a solution directory holds no state frequencies
+            print(f"warning: [eval] weighting = {cfg.weighting} applies to reproduce; eval has "
+                  "no dataset and scores with uniform weights", file=sys.stderr)
         print(text, end="")
         if not report.corr_defined:
             print("note: correlation undefined (zero-variance Q-differences)")
@@ -159,7 +162,7 @@ def _cmd_diagnose(args) -> int:
         print(f"kappa_hat = {diag.kappa_hat:.6g}")
         print(f"nu_proxy (train KL) = {diag.nu_proxy:.6g}")
         warnings = list(diag.warnings)
-        if cfg.solver.split:
+        if cfg.split:
             warnings.append(SPLIT_NOT_TRACED)
         for w in warnings:
             print(f"warning: {w}")

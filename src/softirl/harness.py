@@ -54,6 +54,7 @@ class ExperimentConfig:
     n: int = 50_000
     regime: str = "iid-restart"
     solver: SolverConfig = field(default_factory=SolverConfig)
+    split: bool = False
     baseline: MaxEntConfig = field(default_factory=MaxEntConfig)
     reruns: int = 20
     base_seed: int = 0
@@ -72,7 +73,7 @@ class ExperimentConfig:
             raise ValueError(f"base_seed: must be nonnegative, got {self.base_seed}")
         if any(ch.isspace() for ch in self.name):  # the name is a dataset header token
             raise ValueError(f"name: must not contain whitespace, got {self.name!r}")
-        if self.solver.split and (k := self.solver.steps(self.n)) > self.n // 2:
+        if self.split and (k := self.solver.steps(self.n)) > self.n // 2:
             raise ValueError(f"solver.K: split needs at most n // 2 = {self.n // 2} steps, "
                              f"one regression fold each, got {k}")
         for path, action in (("ref_action", self.ref_action),
@@ -105,7 +106,7 @@ def _rerun(cfg: ExperimentConfig, mdp, r_true, q_true, pi_exp, phi, rerun: int):
     {method: report}."""
     dataset = sample_transitions(mdp, pi_exp, cfg.n, regime=cfg.regime,
                                  seed=cfg.base_seed + rerun, env_id=cfg.name)
-    solve = split_classify_regress if cfg.solver.split else classify_then_regress
+    solve = split_classify_regress if cfg.split else classify_then_regress
     solution = solve(dataset, cfg.solver)
     freq = solution.diagnostics.freq
     weights = None if cfg.weighting == "uniform" else freq.sum(axis=1)
@@ -225,7 +226,7 @@ def _k(value):
 
 
 # [section] key -> (target, field, type): the target is the spec whose field
-# the key sets (eval fields are the ExperimentConfig's own).
+# the key sets (eval fields are the ExperimentConfig's own, as is [solver] split's).
 _KEYS = {
     "env": {key: ("env", key, typ) for key, typ in (
         ("width", int), ("height", int), ("topology", str), ("reward_kind", str),
@@ -233,7 +234,7 @@ _KEYS = {
         ("min_action_prob", float), ("move_noise", float))},
     "solver": {
         "k": ("solver", "K", _k),
-        "split": ("solver", "split", bool),
+        "split": ("eval", "split", bool),
         "mu": ("mu", "kind", str),
         "mu_ref_action": ("mu", "ref_action", int),
         "classifier_kind": ("classifier", "kind", str),

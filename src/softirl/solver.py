@@ -85,7 +85,6 @@ class SolverConfig:
     mu: NormalizationMeasure = field(default_factory=NormalizationMeasure)
     classifier: ClassifierSpec = field(default_factory=ClassifierSpec)
     regressor: RegressorSpec = field(default_factory=RegressorSpec)
-    split: bool = False
 
     def __post_init__(self):
         if self.K != "auto" and (isinstance(self.K, str) or self.K < 0):

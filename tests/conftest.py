@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from softirl.mdp import TabularMdp
 
@@ -32,17 +31,3 @@ def toggle_mdp(gamma: float = 0.5) -> TabularMdp:
     t[0, 1, 1] = t[1, 1, 0] = 1.0  # toggle
     return TabularMdp(t, gamma)
 
-
-@pytest.fixture
-def make_mdp():
-    return random_mdp
-
-
-@pytest.fixture
-def make_policy():
-    return random_policy
-
-
-@pytest.fixture
-def toggle():
-    return toggle_mdp()

@@ -393,6 +393,28 @@ class TestPipeline:
         assert float(body["kl"]) <= 1e-8
         assert float(body["top1"]) == 1.0
 
+    def test_eval_warns_that_weighting_applies_to_reproduce(self, cfg_path, tmp_path, capsys):
+        # a solution directory holds no state frequencies, so eval scores uniformly
+        empirical = tmp_path / "empirical.ini"
+        empirical.write_text(TINY_CONFIG.replace("[eval]\n", "[eval]\nweighting = empirical\n"))
+        data, soldir = str(tmp_path / "data.txt"), str(tmp_path / "sol")
+        assert main(["gen-data", "--config", cfg_path, "--out", data, "--quiet"]) == 0
+        assert main(["solve", data, "--config", cfg_path, "--out", soldir, "--quiet"]) == 0
+        capsys.readouterr()
+        runs = {}
+        for name, path in (("uniform", cfg_path), ("empirical", str(empirical))):
+            out = tmp_path / f"{name}.csv"
+            assert main(["eval", soldir, "--config", path, "--out", str(out)]) == 0
+            runs[name] = capsys.readouterr(), out.read_bytes()
+        warning = ("warning: [eval] weighting = empirical applies to reproduce; "
+                   "eval has no dataset and scores with uniform weights\n")
+        assert runs["uniform"][0].err == ""
+        assert runs["empirical"][0].err == warning
+        assert runs["empirical"][0].out == runs["uniform"][0].out
+        assert runs["empirical"][1] == runs["uniform"][1]
+        assert main(["eval", soldir, "--config", str(empirical), "--quiet"]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_baseline_outputs(self, cfg_path, tmp_path):
         data = str(tmp_path / "data.txt")
         bdir = str(tmp_path / "base")

@@ -149,10 +149,10 @@ class TestParseConfig:
         # K = 'auto' resolves to 188 steps at n = 300 and 197 at n = 400 (gamma 0.97),
         # one fold each, and a split solve regresses on n // 2 records
         env = GridworldSpec(4, 4)
-        split = SolverConfig(gamma=env.gamma, split=True)
+        solver = SolverConfig(gamma=env.gamma)
         with pytest.raises(ValueError, match=r"^solver\.K: .* n // 2 = 150 .* got 188$"):
-            ExperimentConfig(env, n=300, solver=split)
-        assert ExperimentConfig(env, n=400, solver=split).solver.steps(400) == 197
+            ExperimentConfig(env, n=300, solver=solver, split=True)
+        assert ExperimentConfig(env, n=400, solver=solver, split=True).solver.steps(400) == 197
 
 
 class TestReadmeExamples:

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from softirl import oracles
@@ -66,16 +65,13 @@ class TestFitClassifier:
         with pytest.raises(ValueError):
             fit_classifier(ClassifierSpec(), [0], [0], 1, 3)
 
-    @given(st.integers(0, 10_000))
-    @settings(max_examples=20, deadline=None)
-    def test_rows_are_floored_distributions(self, seed):
+    @pytest.mark.parametrize("seed", range(20))
+    def test_rows_are_floored_distributions(self, seed, monkeypatch):
+        monkeypatch.setattr(oracles, "PROB_FLOOR", 1e-4)
         rng = np.random.default_rng(seed)
         pi = rng.dirichlet(np.full(4, 0.3), size=3)  # sparse-ish rows
         s, a = synth_pairs(rng, np.maximum(pi, 1e-12) / np.maximum(pi, 1e-12).sum(1, keepdims=True), 200)
-        # hypothesis rejects function-scoped fixtures such as monkeypatch, so patch per example
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(oracles, "PROB_FLOOR", 1e-4)
-            fc = fit_classifier(ClassifierSpec(), s, a, 3, 4)
+        fc = fit_classifier(ClassifierSpec(), s, a, 3, 4)
         assert_allclose(fc.probs.sum(axis=1), 1.0, atol=1e-12)
         assert fc.probs.min() >= 1e-4 / 2
 

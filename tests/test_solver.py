@@ -4,7 +4,6 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from softirl import solver as solver_module
@@ -74,8 +73,7 @@ class TestTuApply:
         assert_allclose(out1, out2, atol=1e-14)
         assert_allclose(out1, apply_P(mdp, expect_mu(mu, -u)), atol=1e-14)
 
-    @given(st.integers(0, 10_000))
-    @settings(max_examples=25, deadline=None)
+    @pytest.mark.parametrize("seed", range(25))
     def test_gamma_contraction(self, seed):
         rng = np.random.default_rng(seed)
         mdp = random_mdp(rng, 4, 3, float(rng.uniform(0.3, 0.97)))
@@ -164,8 +162,7 @@ class TestClassifyThenRegress:
         sol = classify_then_regress(ds, cfg)
         assert np.all(sol.r[:, 1] == 0.0)
 
-    @given(st.integers(0, 10_000))
-    @settings(max_examples=15, deadline=None)
+    @pytest.mark.parametrize("seed", range(15))
     def test_normalization_holds_by_construction(self, seed):
         rng = np.random.default_rng(seed)
         ds = _tiny_dataset(rng, n=300)
