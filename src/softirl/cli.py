@@ -114,17 +114,13 @@ def _cmd_eval(args) -> int:
     cfg = harness.parse_config(args.config)
     mdp, r_true, _, q_true, pi = envs.truth(cfg.env)
     solution = solver.load_solution(args.solution)
-    report = metrics.evaluate(mdp, r_true, pi, solution.r, solution.v,
-                              ref_action=cfg.ref_action, q_true=q_true)
+    report = metrics.evaluate(mdp, r_true, pi, solution.r, solution.v, q_true=q_true)
     text = "metric,value\n" + "".join(f"{name},{value:.10g}\n"
                                       for name, value in report.as_dict().items())
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
     if not args.quiet:
-        if cfg.weighting != "uniform":  # a solution directory holds no state frequencies
-            print(f"warning: [eval] weighting = {cfg.weighting} applies to reproduce; eval has "
-                  "no dataset and scores with uniform weights", file=sys.stderr)
         print(text, end="")
         if not report.corr_defined:
             print("note: correlation undefined (zero-variance Q-differences)")

@@ -36,7 +36,6 @@ from softirl.solver import (
     split_classify_regress,
 )
 
-WEIGHTINGS = ("uniform", "empirical")
 # name -> (width = height, topology, reward_kind, env seed, MaxEnt max_epochs)
 _BUILTINS = {"easy": (4, "torus", "linear", 11, 300),
              "ident": (8, "bounded", "tabular-linear", 23, 150),
@@ -58,14 +57,11 @@ class ExperimentConfig:
     baseline: MaxEntConfig = field(default_factory=MaxEntConfig)
     reruns: int = 20
     base_seed: int = 0
-    weighting: str = "uniform"
-    ref_action: int = 0
     name: str = "experiment"
 
     def __post_init__(self):
-        for name, choices in (("regime", REGIMES), ("weighting", WEIGHTINGS)):
-            if getattr(self, name) not in choices:
-                raise ValueError(f"{name}: must be one of {choices}, got {getattr(self, name)!r}")
+        if self.regime not in REGIMES:
+            raise ValueError(f"regime: must be one of {REGIMES}, got {self.regime!r}")
         for name in ("n", "reruns"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name}: must be at least 1, got {getattr(self, name)}")
@@ -76,11 +72,10 @@ class ExperimentConfig:
         if self.split and (k := self.solver.steps(self.n)) > self.n // 2:
             raise ValueError(f"solver.K: split needs at most n // 2 = {self.n // 2} steps, "
                              f"one regression fold each, got {k}")
-        for path, action in (("ref_action", self.ref_action),
-                             ("mu.ref_action", self.solver.mu.ref_action)):
-            if not 0 <= action < self.env.n_actions:
-                raise ValueError(
-                    f"{path}: {action} is not an action index in [0, {self.env.n_actions})")
+        action = self.solver.mu.ref_action
+        if not 0 <= action < self.env.n_actions:
+            raise ValueError(
+                f"mu.ref_action: {action} is not an action index in [0, {self.env.n_actions})")
 
 
 def builtin_experiment(name: str, reruns: int | None = None,
@@ -109,13 +104,10 @@ def _rerun(cfg: ExperimentConfig, mdp, r_true, q_true, pi_exp, phi, rerun: int):
     solve = split_classify_regress if cfg.split else classify_then_regress
     solution = solve(dataset, cfg.solver)
     freq = solution.diagnostics.freq
-    weights = None if cfg.weighting == "uniform" else freq.sum(axis=1)
-    ours = evaluate(mdp, r_true, pi_exp, solution.r, solution.v,
-                    weights=weights, ref_action=cfg.ref_action, q_true=q_true)
+    ours = evaluate(mdp, r_true, pi_exp, solution.r, solution.v, q_true=q_true)
     del dataset, solution  # while MaxEnt runs, a rerun holds only its table
     fit = yield from ascent(mdp, phi, freq, cfg.baseline)
-    base = evaluate(mdp, r_true, pi_exp, fit.r_hat, weights=weights,
-                    ref_action=cfg.ref_action, q_true=q_true)
+    base = evaluate(mdp, r_true, pi_exp, fit.r_hat, q_true=q_true)
     return {"MaxEnt": base, "Ours": ours}
 
 
@@ -242,8 +234,7 @@ _KEYS = {
     },
     "baseline": {key: ("baseline", key, typ) for key, typ in (("max_epochs", int), ("tol", float))},
     "eval": {key: ("eval", key, typ) for key, typ in (
-        ("n", int), ("regime", str), ("reruns", int), ("base_seed", int),
-        ("weighting", str), ("ref_action", int), ("name", str))},
+        ("n", int), ("regime", str), ("reruns", int), ("base_seed", int), ("name", str))},
 }
 
 

@@ -22,7 +22,6 @@ from softirl.mdp import (TabularMdp, _soft_value_iteration, _solve_discounted, j
                          state_kernel)
 from softirl.mdp import soft_value_iteration  # noqa: F401 - perfbench/spans.py wraps it by name here
 
-GRAD_CLIP = 10.0  # largest gradient norm an ascent steps along
 STEP_SIZE = 0.05  # Adam's constant step
 PATIENCE = 40  # epochs without a `tol` gain after which an ascent stops
 VI_TOL = 1e-8  # residual at which each epoch's soft value iteration stops
@@ -71,7 +70,7 @@ def _loglik_and_grad(mdp: TabularMdp, phi_flat: np.ndarray, weights: np.ndarray,
 def ascent(mdp: TabularMdp, phi, weights: np.ndarray, cfg: MaxEntConfig):
     """One ascent on the joint (S, A) frequency table `weights`, used as
     given, from theta = 0: each epoch yields r_theta, is sent its (v, Q, pi),
-    and takes one Adam step along the clipped gradient. Returns the
+    and takes one Adam step along the gradient. Returns the
     best-likelihood iterate once PATIENCE epochs bring no `tol` gain or
     `max_epochs` steps are taken."""
     phi_flat = np.asarray(phi, dtype=float).reshape(mdp.n_states * mdp.n_actions, -1)
@@ -81,10 +80,8 @@ def ascent(mdp: TabularMdp, phi, weights: np.ndarray, cfg: MaxEntConfig):
     trace, stall = [], 0
     for epoch in range(cfg.max_epochs + 1):
         if epoch:
-            norm = float(np.linalg.norm(grad))
-            step_dir = grad if norm <= GRAD_CLIP else grad * (GRAD_CLIP / norm)
-            adam_m = beta1 * adam_m + (1 - beta1) * step_dir
-            adam_v = beta2 * adam_v + (1 - beta2) * step_dir ** 2
+            adam_m = beta1 * adam_m + (1 - beta1) * grad
+            adam_v = beta2 * adam_v + (1 - beta2) * grad ** 2
             m_hat = adam_m / (1 - beta1 ** epoch)
             v_hat = adam_v / (1 - beta2 ** epoch)
             theta = theta + STEP_SIZE * m_hat / (np.sqrt(v_hat) + eps)
@@ -141,9 +138,14 @@ def run_lockstep(mdp: TabularMdp, jobs: list) -> list:
 
 
 def maxent_fit(mdp: TabularMdp, phi, dataset, cfg: MaxEntConfig) -> MaxEntFit:
-    """Clipped Adam ascent on the conditional likelihood of a dataset's
-    (s, a) records; returns the best-likelihood iterate. A frequency table
-    goes to `ascent` directly."""
+    """Adam ascent on the conditional likelihood of a dataset's (s, a)
+    records; returns the best-likelihood iterate. A dataset whose header
+    names another state or action count than the MDP's is a ValueError. A
+    frequency table goes to `ascent` directly."""
+    shape = (dataset.meta["n_states"], dataset.meta["n_actions"])
+    if shape != (mdp.n_states, mdp.n_actions):
+        raise ValueError(f"dataset has n_states={shape[0]} n_actions={shape[1]}, but the MDP "
+                         f"has n_states={mdp.n_states} n_actions={mdp.n_actions}")
     weights = joint_frequency(dataset.states, dataset.actions, mdp.n_states, mdp.n_actions)
     (fit,) = run_lockstep(mdp, [ascent(mdp, phi, weights, cfg)])
     if isinstance(fit, Exception):

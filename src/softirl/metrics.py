@@ -1,8 +1,8 @@
 """Recovery metrics: Q-difference RMSE/correlation and policy KL/TV/top-1.
 
-Q-differences Q(s, a) - Q(s, ref) are invariant to state-potential shaping,
+Q-differences Q(s, a) - Q(s, 0) are invariant to state-potential shaping,
 so they compare reward recovery without fixing a normalization. All five
-metrics are weighted by a state distribution (uniform by default).
+metrics average over states uniformly.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from softirl.mdp import TabularMdp, check_distribution, soft_value_iteration, softmax_actions
+from softirl.mdp import TabularMdp, soft_value_iteration, softmax_actions
 
 METRIC_NAMES = ("rmse_qdiff", "corr_qdiff", "kl", "tv", "top1")
 
@@ -29,14 +29,12 @@ class MetricsReport:
         return {name: getattr(self, name) for name in METRIC_NAMES}
 
 
-def qdiff(q, ref_action: int = 0) -> np.ndarray:
-    """Q(s, a) - Q(s, ref_action); the reference column is identically zero."""
+def qdiff(q) -> np.ndarray:
+    """Q(s, a) - Q(s, 0); the reference column 0 is identically zero."""
     q = np.asarray(q, dtype=float)
     if q.ndim != 2:
         raise ValueError(f"Q table must be 2-d, got shape {q.shape}")
-    if not 0 <= ref_action < q.shape[1]:
-        raise IndexError(f"ref_action {ref_action} out of range for {q.shape[1]} actions")
-    return q - q[:, ref_action][:, None]
+    return q - q[:, 0][:, None]
 
 
 def _weighted_pearson(x: np.ndarray, y: np.ndarray, w: np.ndarray):
@@ -50,14 +48,14 @@ def _weighted_pearson(x: np.ndarray, y: np.ndarray, w: np.ndarray):
 
 
 def evaluate(mdp: TabularMdp, r_true, pi_expert, r_hat, v_hat=None,
-             weights=None, ref_action: int = 0, q_true=None) -> MetricsReport:
+             q_true=None) -> MetricsReport:
     """Score an estimate against the ground truth.
 
     The estimated Q is r_hat + gamma v_hat when v_hat is given, otherwise it
     is recomputed by soft value iteration on r_hat (the natural choice for
-    baselines that only model a reward). `weights` is a state distribution;
-    None means uniform. The reference action's identically-zero column is
-    excluded from the RMSE/correlation support. `q_true`, when given, must be
+    baselines that only model a reward). Every metric averages over states
+    uniformly. The reference action 0's identically-zero column is excluded
+    from the RMSE/correlation support. `q_true`, when given, must be
     the Q of `soft_value_iteration(mdp, r_true)` at its default tol, as
     `envs.truth` returns it for callers scoring many estimates.
     """
@@ -71,18 +69,15 @@ def evaluate(mdp: TabularMdp, r_true, pi_expert, r_hat, v_hat=None,
     if q_hat.shape != q_true.shape:
         raise ValueError(f"estimate shape {q_hat.shape} != truth shape {q_true.shape}")
 
-    if weights is None:
-        weights = np.full(mdp.n_states, 1.0 / mdp.n_states)
-    weights = check_distribution(weights, (mdp.n_states,), "weights")
-
-    d_true = qdiff(q_true, ref_action)
-    d_hat = qdiff(q_hat, ref_action)
-    keep = [a for a in range(mdp.n_actions) if a != ref_action]
-    delta = d_hat[:, keep] - d_true[:, keep]
-    rmse = float(np.sqrt(np.sum(weights[:, None] * delta ** 2) / len(keep)))
+    # uniform weights in weighted sums, and columns taken by a fancy index, whose
+    # column-major copy sets the order of the RMSE's sum: both fix each score's rounding
+    weights = np.full(mdp.n_states, 1.0 / mdp.n_states)
+    keep = list(range(1, mdp.n_actions))
+    d_true = qdiff(q_true)[:, keep]
+    d_hat = qdiff(q_hat)[:, keep]
+    rmse = float(np.sqrt(np.sum(weights[:, None] * (d_hat - d_true) ** 2) / len(keep)))
     w_flat = np.repeat(weights[:, None], len(keep), axis=1).reshape(-1)
-    corr, corr_defined = _weighted_pearson(d_true[:, keep].reshape(-1),
-                                           d_hat[:, keep].reshape(-1), w_flat)
+    corr, corr_defined = _weighted_pearson(d_true.reshape(-1), d_hat.reshape(-1), w_flat)
 
     pi_expert = np.asarray(pi_expert, dtype=float)
     pi_hat = softmax_actions(q_hat)

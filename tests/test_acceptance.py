@@ -301,14 +301,14 @@ def test_criterion_7_hard_row(desk_scale):
 @pytest.mark.parametrize("name", ["easy", "ident", "hard"])
 def test_criterion_7_ours_rmse_sits_on_the_delta_method_floor(desk_scale, name):
     """ROADMAP item 2: a per-state log-odds estimate from N_s visits has
-    delta-method variance (1/pi_a + 1/pi_ref) / N_s, so the table RMSE has
-    the floor sqrt(mean of that over states and non-reference actions), with
-    pi the expert policy and N_s counted in each rerun's sample. Ours' mean
-    RMSE must lie within 3 SE of the floors' mean."""
+    delta-method variance (1/pi_a + 1/pi_0) / N_s against the reference
+    action 0, so the table RMSE has the floor sqrt(mean of that over states
+    and actions a >= 1), with pi the expert policy and N_s counted in each
+    rerun's sample. Ours' mean RMSE must lie within 3 SE of the floors' mean."""
     cfg = builtin_experiment(name, reruns=N_RERUNS, base_seed=100)
     mdp, r_true, _ = build_env(cfg.env)
     pi = expert_policy(mdp, r_true)
-    odds_var = 1 / np.delete(pi, cfg.ref_action, axis=1) + 1 / pi[:, [cfg.ref_action]]
+    odds_var = 1 / pi[:, 1:] + 1 / pi[:, [0]]
     floors = []
     for rerun in range(N_RERUNS):
         data = sample_transitions(mdp, pi, cfg.n, regime=cfg.regime,

@@ -41,11 +41,7 @@ MALFORMED_VALUES = [
     pytest.param("width = 2", "width = 8x", "[env] width", ["gen-data"], id="env-width"),
     pytest.param("mu = uniform", "mu = uniform\nsplit = maybe", "[solver] split",
                  ["gen-data"], id="solver-split"),
-    # an action index out of [0, 5) is a config error, before any data or solution is read
-    pytest.param("name = tiny", "name = tiny\nref_action = 7", "[eval] ref_action",
-                 ["eval", "sol"], id="eval-ref-action"),
-    pytest.param("name = tiny", "name = tiny\nref_action = 7", "[eval] ref_action",
-                 ["reproduce"], id="reproduce-ref-action"),
+    # an action index out of [0, 5) is a config error, before any data is read
     pytest.param("mu = uniform", "mu = point-mass\nmu_ref_action = -1", "[solver] mu_ref_action",
                  ["gen-data"], id="solver-mu-ref-action"),
     # MaxEnt's settings are checked at parse time, not by failing every rerun's fit
@@ -82,8 +78,6 @@ MALFORMED_VALUES = [
     # the logistic classifier has no Laplace count to smooth with
     pytest.param("mu = uniform", "mu = uniform\nclassifier_kind = multinomial-logistic",
                  "[solver] smoothing_alpha", ["reproduce"], id="solver-smoothing-alpha-logistic"),
-    pytest.param("name = tiny", "name = tiny\nweighting = states", "[eval] weighting",
-                 ["reproduce"], id="eval-weighting"),
     pytest.param("reruns = 2", "reruns = 0", "[eval] reruns", ["reproduce"], id="eval-reruns"),
     pytest.param("mu = uniform", "mu = point-mass\nmu_ref_action = 5", "[solver] mu_ref_action",
                  ["gen-data"], id="solver-mu-ref-action-above"),
@@ -240,6 +234,8 @@ class TestRuntimeErrors:
         ("solver", "prob_floor", "0.5"),
         ("solver", "classifier_epochs", "500"),
         ("solver", "folds", "2"),
+        ("eval", "weighting", "empirical"),
+        ("eval", "ref_action", "0"),
     ])
     def test_retired_key_is_unknown(self, tmp_path, capsys, section, key, value):
         from softirl.harness import parse_config
@@ -393,28 +389,6 @@ class TestPipeline:
         assert float(body["kl"]) <= 1e-8
         assert float(body["top1"]) == 1.0
 
-    def test_eval_warns_that_weighting_applies_to_reproduce(self, cfg_path, tmp_path, capsys):
-        # a solution directory holds no state frequencies, so eval scores uniformly
-        empirical = tmp_path / "empirical.ini"
-        empirical.write_text(TINY_CONFIG.replace("[eval]\n", "[eval]\nweighting = empirical\n"))
-        data, soldir = str(tmp_path / "data.txt"), str(tmp_path / "sol")
-        assert main(["gen-data", "--config", cfg_path, "--out", data, "--quiet"]) == 0
-        assert main(["solve", data, "--config", cfg_path, "--out", soldir, "--quiet"]) == 0
-        capsys.readouterr()
-        runs = {}
-        for name, path in (("uniform", cfg_path), ("empirical", str(empirical))):
-            out = tmp_path / f"{name}.csv"
-            assert main(["eval", soldir, "--config", path, "--out", str(out)]) == 0
-            runs[name] = capsys.readouterr(), out.read_bytes()
-        warning = ("warning: [eval] weighting = empirical applies to reproduce; "
-                   "eval has no dataset and scores with uniform weights\n")
-        assert runs["uniform"][0].err == ""
-        assert runs["empirical"][0].err == warning
-        assert runs["empirical"][0].out == runs["uniform"][0].out
-        assert runs["empirical"][1] == runs["uniform"][1]
-        assert main(["eval", soldir, "--config", str(empirical), "--quiet"]) == 0
-        assert capsys.readouterr().err == ""
-
     def test_baseline_outputs(self, cfg_path, tmp_path):
         data = str(tmp_path / "data.txt")
         bdir = str(tmp_path / "base")
@@ -423,6 +397,26 @@ class TestPipeline:
                      "--quiet"]) == 0
         for name in ("theta.csv", "r.csv", "loss.csv"):
             assert os.path.exists(os.path.join(bdir, name))
+
+    # a dataset of the 2x2 config (4 states) against a 4x4 config, and the reverse
+    @pytest.mark.parametrize("data_shape, config_shape", [(2, 4), (4, 2)],
+                             ids=["smaller-dataset", "larger-dataset"])
+    def test_baseline_rejects_a_dataset_of_another_environment(self, tmp_path, capsys,
+                                                                data_shape, config_shape):
+        configs = {}
+        for side in (data_shape, config_shape):
+            configs[side] = tmp_path / f"{side}x{side}.ini"
+            configs[side].write_text(TINY_CONFIG.replace("width = 2\nheight = 2",
+                                                         f"width = {side}\nheight = {side}"))
+        data, bdir = str(tmp_path / "data.txt"), tmp_path / "base"
+        assert main(["gen-data", "--config", str(configs[data_shape]), "--out", data,
+                     "--quiet"]) == 0
+        assert main(["baseline", data, "--config", str(configs[config_shape]),
+                     "--out", str(bdir), "--quiet"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: dataset has n_states={data_shape ** 2} n_actions=5, but the MDP "
+            f"has n_states={config_shape ** 2} n_actions=5\n")
+        assert not bdir.exists()
 
     def test_diagnose_writes_contraction_csv(self, cfg_path, tmp_path, capsys):
         out = str(tmp_path / "diag.csv")

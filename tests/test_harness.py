@@ -40,7 +40,6 @@ max_epochs = 40
 n = 3000
 reruns = 2
 base_seed = 1
-weighting = uniform
 name = tiny
 """
 
@@ -127,13 +126,12 @@ class TestParseConfig:
 
         assert targets("env") == {f.name for f in fields(GridworldSpec)}
         assert targets("baseline") == {f.name for f in fields(MaxEntConfig)}
-        assert sum(len(table) for table in _KEYS.values()) == 24
+        assert sum(len(table) for table in _KEYS.values()) == 22
         # "1" is a valid int, float, str and boolean, so only the declared type
         # decides; the keys whose values are checked at parse time take valid ones
         valid = {"topology": "torus", "reward_kind": "linear", "move_noise": "0",
                  "gamma": "0.5", "min_action_prob": "0", "mu": "uniform",
-                 "classifier_kind": "tabular-count", "regime": "iid-restart",
-                 "weighting": "uniform", "n": "2"}
+                 "classifier_kind": "tabular-count", "regime": "iid-restart", "n": "2"}
         text = "".join(f"[{name}]\n" + "".join(f"{key} = {valid.get(key, 1)}\n" for key in table)
                        for name, table in _KEYS.items())
         path = tmp_path / "cfg.ini"
@@ -227,11 +225,6 @@ class TestRunExperiment:
         assert lines[0].count("|") == 8  # Exp, Method, five metrics
         assert "MaxEnt" in lines[2] and "Ours" in lines[3]
 
-    def test_empirical_weighting_runs(self):
-        cfg = tiny_experiment(weighting="empirical", reruns=1)
-        rows, summary = run_experiment(cfg, quiet=True)
-        assert np.isfinite(summary[("Ours", "kl")][0])
-
     def test_failure_rate_guard(self, monkeypatch):
         import softirl.harness as harness
 
@@ -243,11 +236,10 @@ class TestRunExperiment:
             run_experiment(tiny_experiment(reruns=2), quiet=True)
 
     # each value, assigned after the config was built, once ran unchecked:
-    # reruns = 0 wrote an all-nan table, "states" scored as empirical and a
-    # negative max_epochs left MaxEnt's ascent no iterate to return
+    # reruns = 0 wrote an all-nan table and a negative max_epochs left
+    # MaxEnt's ascent no iterate to return
     @pytest.mark.parametrize("owner, name, value", [
-        ("eval", "reruns", 0), ("eval", "weighting", "states"),
-        ("baseline", "max_epochs", -1)])
+        ("eval", "reruns", 0), ("baseline", "max_epochs", -1)])
     def test_a_value_set_after_building_is_checked(self, tmp_path, owner, name, value):
         cfg = tiny_experiment()
         setattr(cfg.baseline if owner == "baseline" else cfg, name, value)

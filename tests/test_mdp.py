@@ -63,18 +63,16 @@ def _entry_points():
     """(table name, a valid table, the call that checks it) for each public
     entry point that takes a probability table."""
     from softirl.envs import sample_transitions
-    from softirl.metrics import evaluate
     from softirl.solver import NormalizationMeasure, exact_population_solver
 
     rng = np.random.default_rng(12)
     mdp = random_mdp(rng, 4, 3, 0.9)
-    pi, r = random_policy(rng, 4, 3), rng.normal(size=(4, 3))
+    pi = random_policy(rng, 4, 3)
     return {
         "transition": (mdp.transition, lambda p: TabularMdp(p, 0.9)),
         "pi": (pi, lambda p: sample_transitions(mdp, p, 10)),
         "init": (np.full(4, 0.25), lambda p: sample_transitions(mdp, pi, 10, init=p)),
         "pi-exact": (pi, lambda p: exact_population_solver(mdp, p, NormalizationMeasure())),
-        "weights": (np.full(4, 0.25), lambda p: evaluate(mdp, r, pi, r, weights=p)),
     }
 
 
@@ -105,13 +103,13 @@ class TestCheckDistribution:
 
     @pytest.mark.parametrize("defect", [_shape, _nan, _negative, _off_by(1e-11)],
                              ids=["shape", "nan", "negative", "sum-off-1e-11"])
-    @pytest.mark.parametrize("entry", ["transition", "pi", "init", "pi-exact", "weights"])
+    @pytest.mark.parametrize("entry", ["transition", "pi", "init", "pi-exact"])
     def test_a_bad_table_is_rejected_by_name(self, entry, defect):
         table, call = _entry_points()[entry]
         with pytest.raises(ValueError, match=rf"^{entry.split('-')[0]} "):
             call(defect(np.array(table)))
 
-    @pytest.mark.parametrize("entry", ["transition", "pi", "init", "pi-exact", "weights"])
+    @pytest.mark.parametrize("entry", ["transition", "pi", "init", "pi-exact"])
     def test_a_sum_within_tolerance_is_accepted(self, entry):
         table, call = _entry_points()[entry]
         call(_off_by(1e-13)(np.array(table)))

@@ -307,8 +307,8 @@ class TestSplitClassifyRegress:
 @pytest.mark.parametrize("solve", [classify_then_regress, split_classify_regress],
                          ids=lambda f: f.__name__)
 def test_diagnostics_carry_the_full_sample_frequency_table(solve):
-    """MaxEnt fits to this table and empirical weighting reads it, so it must
-    be the whole sample's joint frequency, also when the classifier saw half."""
+    """MaxEnt fits to this table, so it must be the whole sample's joint
+    frequency, also when the classifier saw half."""
     ds = _tiny_dataset(np.random.default_rng(23), n=301)
     freq = solve(ds, SolverConfig(gamma=0.9, K=3)).diagnostics.freq
     want = joint_frequency(ds.states, ds.actions, ds.meta["n_states"], ds.meta["n_actions"])
