@@ -83,8 +83,10 @@ def _cmd_gen_data(args) -> int:
 
 def _cmd_solve(args) -> int:
     cfg = harness.parse_config(args.config)
+    dataset = envs.read_dataset(args.dataset)
+    dataset.check_shape(cfg.env.n_states, cfg.env.n_actions)
     solve = solver.split_classify_regress if cfg.split else solver.classify_then_regress
-    solution = solve(envs.read_dataset(args.dataset), cfg.solver)
+    solution = solve(dataset, cfg.solver)
     out = args.out or "solution"
     solver.save_solution(solution, out)
     if not args.quiet:
@@ -122,7 +124,7 @@ def _cmd_eval(args) -> int:
             fh.write(text)
     if not args.quiet:
         print(text, end="")
-        if not report.corr_defined:
+        if np.isnan(report.corr_qdiff):
             print("note: correlation undefined (zero-variance Q-differences)")
     return 0
 

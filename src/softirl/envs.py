@@ -106,6 +106,13 @@ class TransitionDataset:
         if self.meta.get("n", self.n) != self.n:
             raise ValueError(f"meta n={self.meta['n']} != {self.n} records")
 
+    def check_shape(self, n_states: int, n_actions: int) -> None:
+        """ValueError unless the header names the MDP's state and action counts."""
+        if (self.meta["n_states"], self.meta["n_actions"]) != (n_states, n_actions):
+            raise ValueError(f"dataset has n_states={self.meta['n_states']} n_actions="
+                             f"{self.meta['n_actions']}, but the MDP has n_states={n_states} "
+                             f"n_actions={n_actions}")
+
 
 def _cell_index(x: int, y: int, width: int) -> int:
     return y * width + x

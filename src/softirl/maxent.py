@@ -142,10 +142,7 @@ def maxent_fit(mdp: TabularMdp, phi, dataset, cfg: MaxEntConfig) -> MaxEntFit:
     records; returns the best-likelihood iterate. A dataset whose header
     names another state or action count than the MDP's is a ValueError. A
     frequency table goes to `ascent` directly."""
-    shape = (dataset.meta["n_states"], dataset.meta["n_actions"])
-    if shape != (mdp.n_states, mdp.n_actions):
-        raise ValueError(f"dataset has n_states={shape[0]} n_actions={shape[1]}, but the MDP "
-                         f"has n_states={mdp.n_states} n_actions={mdp.n_actions}")
+    dataset.check_shape(mdp.n_states, mdp.n_actions)
     weights = joint_frequency(dataset.states, dataset.actions, mdp.n_states, mdp.n_actions)
     (fit,) = run_lockstep(mdp, [ascent(mdp, phi, weights, cfg)])
     if isinstance(fit, Exception):

@@ -142,6 +142,12 @@ def softmax_actions(q) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def row_kl(p, q) -> np.ndarray:
+    """KL(p(.|s) || q(.|s)) per row; a term where p is 0 is 0, and q is floored at 1e-300."""
+    log_ratio = np.log(np.maximum(p, 1e-300)) - np.log(np.maximum(q, 1e-300))
+    return np.where(p > 0, p * log_ratio, 0.0).sum(axis=1)
+
+
 def soft_value_iteration(mdp: TabularMdp, r, tol: float = 1e-10, max_iter: int = 100_000):
     """Solve v = P logsumexp(r + gamma v) by fixed-point iteration from v = 0.
 

@@ -33,6 +33,7 @@ from softirl.mdp import (
     apply_P,
     check_distribution,
     joint_frequency,
+    row_kl,
     state_kernel,
 )
 from softirl.oracles import (
@@ -180,9 +181,7 @@ def _classifier_train_kl(probs: np.ndarray, counts: np.ndarray) -> float:
     state_counts = counts.sum(axis=1)
     seen = state_counts > 0
     emp = counts[seen] / state_counts[seen, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(emp > 0, emp * (np.log(np.maximum(emp, 1e-300)) - np.log(probs[seen])), 0.0)
-    return float(np.sum(state_counts[seen] / state_counts.sum() * terms.sum(axis=1)))
+    return float(np.sum(state_counts[seen] / state_counts.sum() * row_kl(emp, probs[seen])))
 
 
 def _empirical_kappa(freq: np.ndarray, mu_t: np.ndarray, warnings: list) -> float:

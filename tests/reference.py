@@ -13,7 +13,9 @@ The last six are the plain forms of four fast paths: the dense fold maps
 `dense_fitted_fixed_point`), the per-record dataset writer
 (`write_dataset_per_record`), the per-line dataset reader
 (`read_dataset_per_line`) and `build_env`'s kernel fill and reward rescale
-(`cold_build_env`).
+(`cold_build_env`). `weighted_evaluate` keeps `metrics.evaluate`'s arithmetic
+from before it took plain means: sums weighted by 1/S, which a packaged
+benchmark's scores match bit for bit.
 """
 
 import itertools
@@ -23,6 +25,7 @@ import numpy as np
 
 from softirl.envs import _HEADER_PREFIX, N_ACTIONS, TransitionDataset, _move_targets, build_env
 from softirl.maxent import _loglik_and_grad
+from softirl.metrics import qdiff
 from softirl.mdp import (
     TabularMdp,
     _logsumexp_action_major,
@@ -31,6 +34,7 @@ from softirl.mdp import (
     apply_P,
     check_distribution,
     soft_value_iteration,
+    softmax_actions,
     state_kernel,
 )
 from softirl.oracles import FittedRegressor, fit_regressor
@@ -384,3 +388,38 @@ def cold_build_env(spec):
         else:
             raise RuntimeError("could not satisfy min_action_prob by rescaling")
     return transition, r_true, phi, gaps
+
+
+def weighted_evaluate(mdp: TabularMdp, r_true, pi_expert, r_hat, v_hat=None,
+                      q_true=None) -> dict:
+    """`metrics.evaluate` as a weighted sum over states with weights 1/S, and
+    its correlation as a Pearson weighted by 1/S per (state, action) entry."""
+    if q_true is None:
+        _, q_true, _ = soft_value_iteration(mdp, np.asarray(r_true, dtype=float))
+    if v_hat is not None:
+        q_hat = np.asarray(r_hat, dtype=float) + mdp.gamma * np.asarray(v_hat, dtype=float)
+    else:
+        _, q_hat, _ = soft_value_iteration(mdp, np.asarray(r_hat, dtype=float))
+    weights = np.full(mdp.n_states, 1.0 / mdp.n_states)
+    keep = list(range(1, mdp.n_actions))
+    d_true = qdiff(q_true)[:, keep]
+    d_hat = qdiff(q_hat)[:, keep]
+    rmse = float(np.sqrt(np.sum(weights[:, None] * (d_hat - d_true) ** 2) / len(keep)))
+    x, y = d_true.reshape(-1), d_hat.reshape(-1)
+    w = np.repeat(weights[:, None], len(keep), axis=1).reshape(-1)
+    w = w / w.sum()
+    mx, my = np.sum(w * x), np.sum(w * y)
+    vx, vy = np.sum(w * (x - mx) ** 2), np.sum(w * (y - my) ** 2)
+    corr = (float("nan") if vx <= 0 or vy <= 0
+            else float(np.sum(w * (x - mx) * (y - my)) / np.sqrt(vx * vy)))
+    pi_expert = np.asarray(pi_expert, dtype=float)
+    pi_hat = softmax_actions(q_hat)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kl_terms = np.where(pi_expert > 0,
+                            pi_expert * (np.log(np.maximum(pi_expert, 1e-300))
+                                         - np.log(np.maximum(pi_hat, 1e-300))),
+                            0.0)
+    kl = float(np.sum(weights * kl_terms.sum(axis=1)))
+    tv = float(np.sum(weights * 0.5 * np.abs(pi_expert - pi_hat).sum(axis=1)))
+    top1 = float(np.sum(weights * (pi_hat.argmax(axis=1) == pi_expert.argmax(axis=1))))
+    return {"rmse_qdiff": rmse, "corr_qdiff": corr, "kl": kl, "tv": tv, "top1": top1}

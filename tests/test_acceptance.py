@@ -9,8 +9,9 @@ import time
 import numpy as np
 import pytest
 
-from softirl.envs import build_env, expert_policy, sample_transitions
+from softirl.envs import build_env, expert_policy, sample_transitions, truth
 from softirl.harness import builtin_experiment, run_experiment
+from softirl.metrics import evaluate
 from softirl.solver import (
     NormalizationMeasure,
     SolverConfig,
@@ -322,6 +323,39 @@ def test_criterion_7_ours_rmse_sits_on_the_delta_method_floor(desk_scale, name):
     _report(f"7/{name}-floor", ok, f"Ours RMSE {ours_rmse:.4f} +- {se:.4f}, "
                                    f"floor {np.mean(floors):.4f} ({gap:+.2f} SE)")
     assert abs(gap) <= 3.0
+
+
+RATE_SIZES = (12_500, 50_000, 200_000)
+
+
+@pytest.mark.parametrize("name", ["ident", "hard"])
+def test_criterion_7_ours_rmse_rate(name):
+    """The finite-sample rate: Ours' mean RMSE over 5 reruns (data seeds
+    0-4) at n = 12.5k, 50k and 200k falls with a log-log slope in
+    [-0.60, -0.40], around the 1/sqrt(n) of a per-state log-odds estimate.
+    Seeds 0-4 give -0.517 on ident and -0.487 on hard. The band comes from
+    40 blocks of 5 seeds (0-199): the slope had mean -0.490, sd 0.019 and
+    range [-0.522, -0.452] on ident, and mean -0.496, sd 0.018 and range
+    [-0.542, -0.463] on hard, so each edge lies at least 4.8 sd from the mean.
+    The report line gives the n at which the fitted line reaches the ident
+    RMSE band of 0.05 (561k on ident)."""
+    cfg = builtin_experiment(name)
+    mdp, r_true, _, q_true, pi = truth(cfg.env)
+    means = []
+    for n in RATE_SIZES:
+        rmse = []
+        for seed in range(5):
+            data = sample_transitions(mdp, pi, n, seed=seed, env_id=name)
+            sol = classify_then_regress(data, cfg.solver)
+            rmse.append(evaluate(mdp, r_true, pi, sol.r, sol.v, q_true=q_true).rmse_qdiff)
+        means.append(np.mean(rmse))
+    slope, intercept = np.polyfit(np.log(RATE_SIZES), np.log(means), 1)
+    n_band = np.exp((np.log(0.05) - intercept) / slope)
+    ok = -0.60 <= slope <= -0.40
+    _report(f"7/{name}-rate", ok, f"Ours RMSE {', '.join(f'{m:.4f}' for m in means)} at "
+                                  f"n = 12.5k, 50k, 200k: slope {slope:.3f} (band -0.60 to "
+                                  f"-0.40), RMSE 0.05 at n = {n_band / 1e3:.0f}k")
+    assert -0.60 <= slope <= -0.40
 
 
 def test_criterion_7_runtime(desk_scale):

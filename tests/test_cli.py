@@ -398,10 +398,13 @@ class TestPipeline:
         for name in ("theta.csv", "r.csv", "loss.csv"):
             assert os.path.exists(os.path.join(bdir, name))
 
-    # a dataset of the 2x2 config (4 states) against a 4x4 config, and the reverse
-    @pytest.mark.parametrize("data_shape, config_shape", [(2, 4), (4, 2)],
-                             ids=["smaller-dataset", "larger-dataset"])
-    def test_baseline_rejects_a_dataset_of_another_environment(self, tmp_path, capsys,
+    # a dataset of the 2x2 config (4 states) against a 4x4 config, and the reverse,
+    # given to baseline and to solve
+    @pytest.mark.parametrize("command, data_shape, config_shape", [
+        ("baseline", 2, 4), ("baseline", 4, 2), ("solve", 2, 4), ("solve", 4, 2)],
+        ids=["smaller-dataset", "larger-dataset", "solve-smaller-dataset",
+             "solve-larger-dataset"])
+    def test_baseline_rejects_a_dataset_of_another_environment(self, tmp_path, capsys, command,
                                                                 data_shape, config_shape):
         configs = {}
         for side in (data_shape, config_shape):
@@ -411,7 +414,7 @@ class TestPipeline:
         data, bdir = str(tmp_path / "data.txt"), tmp_path / "base"
         assert main(["gen-data", "--config", str(configs[data_shape]), "--out", data,
                      "--quiet"]) == 0
-        assert main(["baseline", data, "--config", str(configs[config_shape]),
+        assert main([command, data, "--config", str(configs[config_shape]),
                      "--out", str(bdir), "--quiet"]) == 2
         assert capsys.readouterr().err == (
             f"error: dataset has n_states={data_shape ** 2} n_actions=5, but the MDP "

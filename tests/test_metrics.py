@@ -7,7 +7,7 @@ from softirl.solver import NormalizationMeasure, exact_population_solver
 from softirl.mdp import soft_value_iteration
 
 from conftest import random_mdp, random_policy
-from reference import shape
+from reference import shape, weighted_evaluate
 
 
 class TestQdiff:
@@ -77,7 +77,6 @@ class TestEvaluate:
         mdp = random_mdp(rng, 4, 3, 0.9)
         pi = random_policy(rng, 4, 3)
         report = evaluate(mdp, np.log(pi), pi, np.zeros((4, 3)), np.zeros((4, 3)))
-        assert not report.corr_defined
         assert np.isnan(report.corr_qdiff)
 
     @pytest.mark.parametrize("seed", range(15))
@@ -114,3 +113,23 @@ class TestEvaluate:
             given_q = evaluate(mdp, r_true, pi, r_hat, v_hat, q_true=q_true)
             for field in fields(solved):
                 assert getattr(given_q, field.name) == getattr(solved, field.name)
+
+
+# 280 estimates scored with v_hat and 20 re-planned per benchmark
+@pytest.mark.parametrize("name", ["easy", "ident", "hard"])
+def test_packaged_benchmarks_score_like_the_weighted_sums(name):
+    """Every packaged benchmark has S in {16, 64} states and A - 1 = 4 scored
+    actions, so 1/S and 1/(S (A - 1)) are powers of two: a plain mean over
+    states rounds exactly as the sum weighted by 1/S did."""
+    from softirl.envs import truth
+    from softirl.harness import builtin_experiment
+
+    mdp, r_true, _, q_true, pi = truth(builtin_experiment(name).env)
+    v_true = (q_true - r_true) / mdp.gamma
+    rng = np.random.default_rng(32)
+    for i in range(300):
+        scale = 10.0 ** rng.uniform(-3, 1)
+        r_hat = r_true + scale * rng.normal(size=r_true.shape)
+        v_hat = None if i % 15 == 0 else v_true + scale * rng.normal(size=r_true.shape)
+        got = evaluate(mdp, r_true, pi, r_hat, v_hat, q_true=q_true).as_dict()
+        assert got == weighted_evaluate(mdp, r_true, pi, r_hat, v_hat, q_true=q_true)
