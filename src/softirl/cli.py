@@ -116,6 +116,9 @@ def _cmd_eval(args) -> int:
     cfg = harness.parse_config(args.config)
     mdp, r_true, _, q_true, pi = envs.truth(cfg.env)
     solution = solver.load_solution(args.solution)
+    if solution.gamma != mdp.gamma:  # JSON round-trips a float exactly
+        raise ValueError(f"{args.solution} was solved with gamma = {solution.gamma}, "
+                         f"but the config's [env] gamma is {mdp.gamma}")
     report = metrics.evaluate(mdp, r_true, pi, solution.r, solution.v, q_true=q_true)
     text = "metric,value\n" + "".join(f"{name},{value:.10g}\n"
                                       for name, value in report.as_dict().items())
@@ -189,8 +192,8 @@ def main(argv=None) -> int:
         return 1
     try:
         return _COMMANDS[args.command](args)
-    except (OSError, ValueError, RuntimeError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, ValueError, RuntimeError, KeyError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -27,6 +27,7 @@ from softirl.envs import build_env  # noqa: F401 - perfbench/spans.py wraps it b
 from softirl.envs import expert_policy  # noqa: F401 - perfbench/spans.py wraps it by name here
 from softirl.maxent import MaxEntConfig, ascent, run_lockstep
 from softirl.maxent import maxent_fit  # noqa: F401 - perfbench/spans.py wraps it by name here
+from softirl.mdp import joint_frequency
 from softirl.metrics import METRIC_NAMES, evaluate
 from softirl.oracles import ClassifierSpec
 from softirl.solver import (
@@ -103,8 +104,8 @@ def _rerun(cfg: ExperimentConfig, mdp, r_true, q_true, pi_exp, phi, rerun: int):
                                  seed=cfg.base_seed + rerun, env_id=cfg.name)
     solve = split_classify_regress if cfg.split else classify_then_regress
     solution = solve(dataset, cfg.solver)
-    freq = solution.diagnostics.freq
     ours = evaluate(mdp, r_true, pi_exp, solution.r, solution.v, q_true=q_true)
+    freq = joint_frequency(dataset.states, dataset.actions, mdp.n_states, mdp.n_actions)
     del dataset, solution  # while MaxEnt runs, a rerun holds only its table
     fit = yield from ascent(mdp, phi, freq, cfg.baseline)
     base = evaluate(mdp, r_true, pi_exp, fit.r_hat, q_true=q_true)
@@ -201,15 +202,12 @@ def format_markdown_table(name: str, summary) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _coerce(value, typ):
-    if typ is bool:
-        low = value.strip().lower()
-        if low in ("true", "1", "yes"):
-            return True
-        if low in ("false", "0", "no"):
-            return False
-        raise ValueError(f"expected a boolean, got {value!r}")
-    return typ(value)
+def _boolean(value):
+    """[solver] split: a boolean word configparser accepts (true/false, yes/no, on/off, 1/0)."""
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[value.lower()]
+    except KeyError:
+        raise ValueError(f"expected a boolean, got {value!r}") from None
 
 
 def _k(value):
@@ -217,8 +215,8 @@ def _k(value):
     return value if value == "auto" else int(value)
 
 
-# [section] key -> (target, field, type): the target is the spec whose field
-# the key sets (eval fields are the ExperimentConfig's own, as is [solver] split's).
+# [section] key -> (target, field, parser): parser(value) sets the field of the target
+# spec (eval fields are the ExperimentConfig's own, as is [solver] split's).
 _KEYS = {
     "env": {key: ("env", key, typ) for key, typ in (
         ("width", int), ("height", int), ("topology", str), ("reward_kind", str),
@@ -226,7 +224,7 @@ _KEYS = {
         ("min_action_prob", float), ("move_noise", float))},
     "solver": {
         "k": ("solver", "K", _k),
-        "split": ("eval", "split", bool),
+        "split": ("eval", "split", _boolean),
         "mu": ("mu", "kind", str),
         "mu_ref_action": ("mu", "ref_action", int),
         "classifier_kind": ("classifier", "kind", str),
@@ -265,9 +263,9 @@ def _experiment(sections) -> ExperimentConfig:
         for key, value in items.items():
             if key not in _KEYS[section]:
                 raise ValueError(f"unknown [{section}] key {key!r}")
-            target, name, typ = _KEYS[section][key]
+            target, name, parse = _KEYS[section][key]
             try:
-                kwargs[target][name] = _coerce(value, typ)
+                kwargs[target][name] = parse(value)
             except ValueError as exc:
                 raise ValueError(f"[{section}] {key}: {exc}") from None
     if "width" not in kwargs["env"] or "height" not in kwargs["env"]:

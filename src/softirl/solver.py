@@ -109,15 +109,14 @@ class SolverDiagnostics:
     eta[k] is the root-mean-square misfit of the k-th regression on its own
     fitting fold; nu_proxy is the train KL between the empirical conditional
     and the fitted classifier; kappa_hat is the largest ratio of (empirical
-    state marginal x mu) to empirical (s, a) mass over the visited support,
-    and freq is that (S, A) joint frequency table of the whole sample.
-    iterations is len(eta); iterates holds v_0 .. v_K when a solve records them.
+    state marginal x mu) to empirical (s, a) mass over the visited support
+    of the whole sample. iterations is len(eta); iterates holds v_0 .. v_K
+    when a solve records them.
     """
 
     eta: list = field(default_factory=list)
     nu_proxy: float | None = None
     kappa_hat: float | None = None
-    freq: np.ndarray | None = None
     warnings: list = field(default_factory=list)
     iterates: list | None = None
 
@@ -177,11 +176,13 @@ def exact_population_solver(mdp: TabularMdp, pi, mu: NormalizationMeasure) -> Ir
 
 def _classifier_train_kl(probs: np.ndarray, counts: np.ndarray) -> float:
     """KL of the fitted policy from the empirical conditional, weighted by
-    empirical state frequency (finite because the fit is floored)."""
+    empirical state frequency (finite because the fit is floored), clamped at
+    0 against the +-1e-17 terms of a fit equal to the empirical rows up to rounding."""
     state_counts = counts.sum(axis=1)
     seen = state_counts > 0
     emp = counts[seen] / state_counts[seen, None]
-    return float(np.sum(state_counts[seen] / state_counts.sum() * row_kl(emp, probs[seen])))
+    return max(0.0, float(np.sum(state_counts[seen] / state_counts.sum()
+                                 * row_kl(emp, probs[seen]))))
 
 
 def _empirical_kappa(freq: np.ndarray, mu_t: np.ndarray, warnings: list) -> float:
@@ -213,9 +214,9 @@ def _fit_policy(cfg: SolverConfig, data, n_train: int):
         diag.warnings.append(
             f"{unvisited} states never visited; classifier rows default to uniform there")
     # the classifier counted every record unless the sample is split
-    diag.freq = (clf.counts / n_train if n_train == len(states)
-                 else joint_frequency(states, actions, n_states, n_actions))
-    diag.kappa_hat = _empirical_kappa(diag.freq, mu_t, diag.warnings)
+    freq = (clf.counts / n_train if n_train == len(states)
+            else joint_frequency(states, actions, n_states, n_actions))
+    diag.kappa_hat = _empirical_kappa(freq, mu_t, diag.warnings)
     return np.log(clf.probs), mu_t, diag  # the floor keeps the log finite
 
 
@@ -299,42 +300,36 @@ def split_classify_regress(data, cfg: SolverConfig) -> IrlSolution:
     return _fitted_fixed_point(cfg, u, mu_t, k_steps, maps, diag, False)
 
 
+# (file stem, IrlSolution field) of each <stem>.csv a solution directory holds: c.csv
+# is the (S,) potential under a "c" header, the rest (S, A) under action indices
+_TABLES = (("r", "r"), ("v", "v"), ("u", "u"), ("c", "c"), ("mu", "mu_table"))
+# the SolverDiagnostics fields diagnostics.json holds, beside gamma and iterations
+_DIAGNOSTICS = ("eta", "nu_proxy", "kappa_hat", "warnings")
+
+
 def save_solution(solution: IrlSolution, out_dir) -> None:
-    """Write r/v/u/c tables as CSV (action-index header) plus diagnostics.json."""
+    """Write the `_TABLES` tables as CSV plus diagnostics.json."""
     os.makedirs(out_dir, exist_ok=True)
-    header = ",".join(str(a) for a in range(solution.r.shape[1]))
-    for name, table in (("r", solution.r), ("v", solution.v), ("u", solution.u)):
-        np.savetxt(os.path.join(out_dir, f"{name}.csv"), table,
-                   fmt="%.17g", delimiter=",", header=header, comments="")
-    np.savetxt(os.path.join(out_dir, "c.csv"), solution.c,
-               fmt="%.17g", delimiter=",", header="c", comments="")
-    np.savetxt(os.path.join(out_dir, "mu.csv"), solution.mu_table,
-               fmt="%.17g", delimiter=",", header=header, comments="")
+    actions = ",".join(str(a) for a in range(solution.r.shape[1]))
+    for stem, name in _TABLES:
+        table = getattr(solution, name)
+        np.savetxt(os.path.join(out_dir, f"{stem}.csv"), table, fmt="%.17g", delimiter=",",
+                   header=stem if table.ndim == 1 else actions, comments="")
     d = solution.diagnostics
-    payload = {
-        "gamma": solution.gamma,
-        "eta": d.eta,
-        "nu_proxy": d.nu_proxy,
-        "kappa_hat": d.kappa_hat,
-        "iterations": d.iterations,
-        "warnings": d.warnings,
-    }
+    payload = {key: getattr(d, key) for key in _DIAGNOSTICS}
+    payload.update(gamma=solution.gamma, iterations=d.iterations)
     with open(os.path.join(out_dir, "diagnostics.json"), "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def load_solution(out_dir) -> IrlSolution:
-    tables = {}
-    for name in ("r", "v", "u", "mu"):
-        tables[name] = np.loadtxt(os.path.join(out_dir, f"{name}.csv"),
-                                  delimiter=",", skiprows=1, ndmin=2)
-    c = np.loadtxt(os.path.join(out_dir, "c.csv"), delimiter=",", skiprows=1, ndmin=1)
+    """Read a `save_solution` directory; a diagnostics key missing from its
+    JSON gets the SolverDiagnostics default."""
+    tables = {name: np.loadtxt(os.path.join(out_dir, f"{stem}.csv"), delimiter=",",
+                               skiprows=1, ndmin=1 if stem == "c" else 2)
+              for stem, name in _TABLES}
     with open(os.path.join(out_dir, "diagnostics.json")) as fh:
         payload = json.load(fh)
-    diag = SolverDiagnostics(eta=payload.get("eta", []),
-                             nu_proxy=payload.get("nu_proxy"),
-                             kappa_hat=payload.get("kappa_hat"),
-                             warnings=payload.get("warnings", []))
-    return IrlSolution(tables["r"], tables["v"], tables["u"], c,
-                       tables["mu"], payload["gamma"], diag)
+    diag = SolverDiagnostics(**{key: payload[key] for key in _DIAGNOSTICS if key in payload})
+    return IrlSolution(**tables, gamma=payload["gamma"], diagnostics=diag)

@@ -297,6 +297,20 @@ class TestRuntimeErrors:
         assert capsys.readouterr().err == f"error: [eval] {message}\n"
         assert not os.path.exists(out)
 
+    # numpy's allocation error has a message; Python's own, as from bytearray(1 << 60), has none
+    @pytest.mark.parametrize("message, line", [
+        ("Unable to allocate 954. GiB for an array with shape (160000, 5, 160000)",
+         "Unable to allocate 954. GiB for an array with shape (160000, 5, 160000)"),
+        ("", "MemoryError")], ids=["numpy", "bare"])
+    def test_an_allocation_failure_exits_two_on_one_line(self, cfg_path, capsys, monkeypatch,
+                                                         message, line):
+        def too_large(spec):
+            raise MemoryError(message) if message else MemoryError()
+
+        monkeypatch.setattr(envs, "truth", too_large)
+        assert main(["gen-data", "--config", cfg_path, "--quiet"]) == 2
+        assert capsys.readouterr().err == f"error: {line}\n"
+
     def test_misspelled_section_is_unknown(self, tmp_path, capsys):
         from softirl.harness import parse_config
 
@@ -388,6 +402,32 @@ class TestPipeline:
                     metrics.read_text().strip().splitlines()[1:])
         assert float(body["kl"]) <= 1e-8
         assert float(body["top1"]) == 1.0
+
+    def test_eval_rejects_a_solution_of_another_discount(self, cfg_path, tmp_path, capsys):
+        data, soldir = str(tmp_path / "data.txt"), str(tmp_path / "sol")
+        assert main(["gen-data", "--config", cfg_path, "--out", data, "--quiet"]) == 0
+        assert main(["solve", data, "--config", cfg_path, "--out", soldir, "--quiet"]) == 0
+        other = tmp_path / "other.ini"
+        other.write_text(TINY_CONFIG.replace("gamma = 0.9", "gamma = 0.5"))
+        metrics = tmp_path / "m.csv"
+        assert main(["eval", soldir, "--config", str(other), "--out", str(metrics)]) == 2
+        assert capsys.readouterr().err == (f"error: {soldir} was solved with gamma = 0.9, "
+                                           "but the config's [env] gamma is 0.5\n")
+        assert not metrics.exists()
+
+    def test_eval_notes_an_undefined_correlation(self, cfg_path, tmp_path, capsys):
+        import numpy as np
+
+        from softirl.solver import IrlSolution, save_solution
+
+        # a zero reward and value: every estimated Q-difference is 0
+        zeros = np.zeros((4, 5))
+        save_solution(IrlSolution(zeros, zeros, zeros, np.zeros(4), zeros + 0.2, 0.9),
+                      tmp_path / "zero")
+        assert main(["eval", str(tmp_path / "zero"), "--config", cfg_path]) == 0
+        out = capsys.readouterr().out
+        assert "corr_qdiff,nan\n" in out
+        assert out.endswith("note: correlation undefined (zero-variance Q-differences)\n")
 
     def test_baseline_outputs(self, cfg_path, tmp_path):
         data = str(tmp_path / "data.txt")

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -242,6 +243,11 @@ class TestSampleTransitions:
         assert np.array_equal(d1.states, d2.states)
         assert np.array_equal(d1.actions, d2.actions)
         assert np.array_equal(d1.next_states, d2.next_states)
+
+    def test_unknown_regime_rejected(self):
+        mdp, r, _ = build_env(small_spec())
+        with pytest.raises(ValueError, match="^unknown sampling regime 'chain'$"):
+            sample_transitions(mdp, expert_policy(mdp, r), 10, regime="chain", seed=0)
 
     def test_records_obey_kernel_support(self):
         mdp, r, _ = build_env(small_spec(move_noise=0.1))
@@ -512,6 +518,28 @@ class TestDatasetIO:
                         "0,1,2\n")
         with pytest.raises(ValueError, match=r":1: non-integer header value 'n=x'"):
             read_dataset(path)
+
+    @pytest.mark.parametrize("header, message", [
+        ("seed=0 env=- n=1 n_states=4 n_actions=5 trajectory",
+         ":1: malformed header token 'trajectory'"),
+        ("seed=0 env=- n=1 n_states=4 regime=trajectory", ":1: header missing n_actions"),
+    ], ids=["token-without-equals", "missing-key"])
+    def test_a_bad_header_names_its_defect(self, tmp_path, header, message):
+        path = tmp_path / "hdr.txt"
+        path.write_text(f"# transitions {header}\n0,1,2\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path) + message)}$"):
+            read_dataset(path)
+
+    @pytest.mark.parametrize("meta, message", [
+        ({"env": "toy", "n": 5}, "meta n=5 != 3 records"),
+        ({"env": "toy run"}, "env id must not contain whitespace: 'toy run'"),
+    ], ids=["meta-n", "env-with-space"])
+    def test_write_rejects_a_bad_meta(self, tmp_path, meta, message):
+        ds = TransitionDataset(np.array([0, 1, 2]), np.array([1, 0, 3]), np.array([2, 2, 0]),
+                               meta={"n_states": 4, "n_actions": 5, **meta})
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            write_dataset(ds, tmp_path / "data.txt")
+        assert not (tmp_path / "data.txt").exists()
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "nohdr.txt"

@@ -12,6 +12,7 @@ from softirl.harness import (
     format_markdown_table,
     parse_config,
     run_experiment,
+    summarize,
 )
 from softirl.envs import GridworldSpec
 from softirl.maxent import MaxEntConfig
@@ -101,6 +102,13 @@ class TestParseConfig:
         assert cfg.name == "ident"
         assert cfg == builtin_experiment("ident")
 
+    @pytest.mark.parametrize("env", ["width = 2", "height = 2"], ids=["no-height", "no-width"])
+    def test_env_must_set_width_and_height(self, tmp_path, env):
+        path = tmp_path / "cfg.ini"
+        path.write_text(f"[env]\n{env}\n")
+        with pytest.raises(ValueError, match=r"^config \[env\] section must set width and height$"):
+            parse_config(path)
+
     def test_readme_key_list_matches_the_key_table(self):
         import re
         from pathlib import Path
@@ -119,7 +127,7 @@ class TestParseConfig:
     def test_every_key_parses_to_its_declared_type(self, tmp_path):
         from dataclasses import fields
 
-        from softirl.harness import _KEYS, _k
+        from softirl.harness import _KEYS, _boolean, _k
 
         def targets(section):
             return {field for _, field, _ in _KEYS[section].values()}
@@ -139,9 +147,17 @@ class TestParseConfig:
         cfg = parse_config(path)
         owners = {"env": cfg.env, "solver": cfg.solver, "mu": cfg.solver.mu,
                   "classifier": cfg.solver.classifier, "baseline": cfg.baseline, "eval": cfg}
+        types = {_k: int, _boolean: bool}
         for table in _KEYS.values():
-            for key, (target, field, typ) in table.items():
-                assert type(getattr(owners[target], field)) is (int if typ is _k else typ), key
+            for key, (target, field, parse) in table.items():
+                assert type(getattr(owners[target], field)) is types.get(parse, parse), key
+
+    @pytest.mark.parametrize("word, value", [("on", True), ("off", False), ("Yes", True),
+                                             ("0", False), ("TRUE", True)])
+    def test_split_takes_configparser_boolean_words(self, tmp_path, word, value):
+        path = tmp_path / "cfg.ini"
+        path.write_text(f"[env]\nwidth = 2\nheight = 2\n[solver]\nsplit = {word}\n")
+        assert parse_config(path).split is value
 
     def test_split_fold_count_is_checked_against_n(self):
         # K = 'auto' resolves to 188 steps at n = 300 and 197 at n = 400 (gamma 0.97),
@@ -216,6 +232,16 @@ class TestRunExperiment:
         assert abs(np.mean(vals) - mean) <= 1e-9
         assert abs(np.std(vals, ddof=1) / np.sqrt(3) - se) <= 1e-9
 
+    def test_a_metric_without_finite_values_summarizes_to_nan(self):
+        rows = [(0, "Ours", "corr_qdiff", float("nan")), (1, "Ours", "corr_qdiff", float("nan")),
+                (0, "Ours", "kl", 0.5)]
+        summary = summarize(rows)
+        mean, se, n = summary[("Ours", "corr_qdiff")]
+        assert np.isnan(mean) and np.isnan(se) and n == 0
+        assert summary[("MaxEnt", "kl")][2] == 0
+        mean, se, n = summary[("Ours", "kl")]
+        assert mean == 0.5 and np.isnan(se) and n == 1
+
     def test_markdown_table_shape(self):
         cfg = tiny_experiment()
         rows, summary = run_experiment(cfg, quiet=True)
@@ -247,14 +273,17 @@ class TestRunExperiment:
             run_experiment(cfg, out_dir=tmp_path, quiet=True)
         assert not any(tmp_path.iterdir())
 
-    def test_each_rerun_has_the_bits_of_its_run_alone(self):
+    @pytest.mark.parametrize("split", [False, True], ids=["full-sample", "split"])
+    def test_each_rerun_has_the_bits_of_its_run_alone(self, split):
+        # MaxEnt fits the whole sample's table also when the classifier saw half
         from softirl.envs import build_env, sample_transitions
         from softirl.maxent import maxent_fit
         from softirl.mdp import soft_value_iteration
         from softirl.metrics import evaluate
-        from softirl.solver import classify_then_regress
+        from softirl.solver import classify_then_regress, split_classify_regress
 
-        cfg = tiny_experiment(reruns=3)
+        cfg = tiny_experiment(reruns=3, split=split)
+        solve = split_classify_regress if split else classify_then_regress
         rows, _ = run_experiment(cfg, quiet=True)
         mdp, r_true, phi = build_env(cfg.env)
         _, q_true, pi = soft_value_iteration(mdp, r_true)
@@ -262,7 +291,7 @@ class TestRunExperiment:
         for rerun in range(cfg.reruns):
             dataset = sample_transitions(mdp, pi, cfg.n, regime=cfg.regime,
                                          seed=cfg.base_seed + rerun, env_id=cfg.name)
-            solution = classify_then_regress(dataset, cfg.solver)
+            solution = solve(dataset, cfg.solver)
             fit = maxent_fit(mdp, phi, dataset, cfg.baseline)
             reports = {"MaxEnt": evaluate(mdp, r_true, pi, fit.r_hat, q_true=q_true),
                        "Ours": evaluate(mdp, r_true, pi, solution.r, solution.v, q_true=q_true)}

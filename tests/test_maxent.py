@@ -159,6 +159,19 @@ class TestMaxentFit:
         ours = evaluate(mdp, r_true, pi, sol.r, sol.v)
         assert base.corr_qdiff < ours.corr_qdiff
 
+    def test_a_non_finite_likelihood_stops_the_ascent(self):
+        # driven by hand: epoch 1 is sent a policy with a zero where the data has mass
+        rng = np.random.default_rng(7)
+        mdp = random_mdp(rng, 3, 2, 0.8)
+        w = random_policy(rng, 3, 2) * rng.dirichlet(np.ones(3))[:, None]
+        job = ascent(mdp, rng.normal(size=(3, 2, 4)), w, MaxEntConfig(max_epochs=5))
+        job.send(None)
+        job.send(soft_value_iteration(mdp, np.zeros((3, 2))))
+        v, q, pi = soft_value_iteration(mdp, np.zeros((3, 2)))
+        pi[0] = [1.0, 0.0]
+        with pytest.raises(RuntimeError, match="^likelihood became non-finite at epoch 1; "):
+            job.send((v, q, pi))
+
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError, match="max_epochs"):
             MaxEntConfig(max_epochs=-1)

@@ -47,6 +47,11 @@ class TestTabularMdp:
         with pytest.raises(ValueError):
             TabularMdp(t, 0.9)
 
+    @pytest.mark.parametrize("shape", [(2, 2), (0, 1, 0), (2, 0, 2)])
+    def test_rejects_a_transition_not_of_shape_s_a_s(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"with S, A >= 1, got {shape}")):
+            TabularMdp(np.ones(shape), 0.9)
+
     def test_rejects_gamma_one(self):
         t = np.ones((1, 1, 1))
         with pytest.raises(ValueError):
@@ -256,6 +261,14 @@ class TestSoftValueIteration:
         v, _, pi_star = soft_value_iteration(mdp, np.log(pi), tol=1e-12)
         assert sup_norm(v) <= 1e-10
         assert_allclose(pi_star, pi, atol=1e-10)
+
+    @pytest.mark.parametrize("r, tol, message", [
+        (np.zeros((2, 2)), 0.0, "tol must be positive"),
+        (np.zeros((2, 3)), 1e-10, "r has shape (2, 3), expected (2, 2)"),
+    ], ids=["tol", "reward-shape"])
+    def test_bad_arguments_rejected(self, r, tol, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            soft_value_iteration(toggle_mdp(), r, tol=tol)
 
     def test_two_starts_agree(self):
         rng = np.random.default_rng(4)
@@ -990,3 +1003,5 @@ class TestNorms:
     def test_joint_frequency(self):
         w = joint_frequency([0, 0, 1], [1, 1, 0], 2, 2)
         assert_allclose(w, [[0.0, 2 / 3], [1 / 3, 0.0]])
+        with pytest.raises(ValueError, match="^empty index arrays$"):
+            joint_frequency([], [], 2, 2)

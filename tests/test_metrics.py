@@ -17,6 +17,10 @@ class TestQdiff:
     def test_frozen_example(self):
         assert_allclose(qdiff(np.array([[1.0, 3.0, 2.0]])), [[0.0, 2.0, 1.0]])
 
+    def test_a_table_that_is_not_2d_is_rejected(self):
+        with pytest.raises(ValueError, match=r"^Q table must be 2-d, got shape \(3,\)$"):
+            qdiff(np.zeros(3))
+
     def test_reference_column_is_zero(self):
         rng = np.random.default_rng(0)
         d = qdiff(rng.normal(size=(5, 4)))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -59,6 +61,11 @@ class TestFitClassifier:
     def test_empty_data_rejected(self):
         with pytest.raises(ValueError):
             fit_classifier(ClassifierSpec(), [], [], 2, 2)
+
+    def test_logistic_features_must_have_a_row_per_state(self):
+        spec = ClassifierSpec(kind="multinomial-logistic", state_features=np.eye(3))
+        with pytest.raises(ValueError, match="^state_features first axis must be 2$"):
+            fit_classifier(spec, [0, 1], [0, 1], 2, 2)
 
     def test_prob_floor_must_be_valid(self, monkeypatch):
         monkeypatch.setattr(oracles, "PROB_FLOOR", 0.5)
@@ -165,6 +172,23 @@ class TestFitRegressor:
             s, a, s2, ns, na)
         shape = (ns * na, ns)
         assert np.max(np.abs(dense(tab.kernel, shape) - dense(ridge.kernel, shape))) <= 1e-10
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"kind": "forest"}, "kind: must be one of"),
+        ({"ridge_lambda": -0.1}, "ridge_lambda: must be nonnegative, got -0.1"),
+    ], ids=["kind", "ridge-lambda"])
+    def test_bad_spec_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            RegressorSpec(**kwargs)
+
+    @pytest.mark.parametrize("spec, records, message", [
+        (RegressorSpec(), ([], [], []), "empty training data"),
+        (RegressorSpec(kind="ridge", features=np.ones((3, 2, 1))), ([0], [0], [0]),
+         "features shape (3, 2, 1) does not match (2, 2, d)"),
+    ], ids=["no-records", "ridge-feature-shape"])
+    def test_bad_fit_input_rejected(self, spec, records, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fit_regressor(spec, *records, 2, 2)
 
     def test_rank_deficient_advises_lambda(self):
         feats = np.eye(4).reshape(2, 2, 4)

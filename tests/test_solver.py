@@ -15,7 +15,7 @@ from softirl.envs import (
     sample_transitions,
 )
 from softirl.harness import builtin_experiment
-from softirl.mdp import TabularMdp, apply_P, joint_frequency
+from softirl.mdp import TabularMdp, apply_P
 from softirl.oracles import ClassifierSpec, RegressorSpec
 from softirl.solver import (
     NormalizationMeasure,
@@ -207,6 +207,16 @@ class TestClassifyThenRegress:
         assert len(sol.diagnostics.eta) == cfg.steps(ds.n)
         assert sol.diagnostics.kappa_hat is not None
 
+    def test_nu_proxy_is_not_negative_when_the_fit_equals_the_empirical_rows(self):
+        # every action is seen, so each KL term is renormalization rounding:
+        # the unclamped sum is -6.2e-18 on this sample
+        spec = GridworldSpec(3, 3, topology="bounded", reward_kind="tabular-linear", seed=5,
+                             min_action_prob=0.03)
+        mdp, r_true, _ = build_env(spec)
+        ds = sample_transitions(mdp, expert_policy(mdp, r_true), 2000, seed=12, env_id="g")
+        assert classify_then_regress(ds, SolverConfig(gamma=spec.gamma, K=0)) \
+            .diagnostics.nu_proxy == 0.0
+
     def test_oracle_failure_names_the_iteration(self):
         rng = np.random.default_rng(22)
         ds = _tiny_dataset(rng)
@@ -214,6 +224,20 @@ class TestClassifyThenRegress:
                            regressor=RegressorSpec(kind="ridge"))  # no features
         with pytest.raises(RuntimeError, match="iteration 1"):
             classify_then_regress(ds, cfg)
+
+    def test_point_mass_action_must_be_an_action_index(self):
+        with pytest.raises(ValueError, match="^ref_action 3 out of range$"):
+            NormalizationMeasure("point-mass", ref_action=3).materialize(2, 3)
+
+    @pytest.mark.parametrize("solve, n, message", [
+        (classify_then_regress, 0, "empty dataset"),
+        (split_classify_regress, 1, "need at least 2 records to split"),
+    ], ids=["full-sample", "split"])
+    def test_too_few_records_rejected(self, solve, n, message):
+        ds = TransitionDataset(np.zeros(n, dtype=int), np.zeros(n, dtype=int),
+                               np.zeros(n, dtype=int), {"n_states": 2, "n_actions": 2})
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            solve(ds, SolverConfig(gamma=0.9, K=1))
 
     def test_behavior_measure_needs_a_policy(self):
         with pytest.raises(ValueError, match="policy"):
@@ -302,18 +326,6 @@ class TestSplitClassifyRegress:
         sol = split_classify_regress(ds, SolverConfig(gamma=0.9, K=2))
         assert "1 states never visited; classifier rows default to uniform there" \
             in sol.diagnostics.warnings
-
-
-@pytest.mark.parametrize("solve", [classify_then_regress, split_classify_regress],
-                         ids=lambda f: f.__name__)
-def test_diagnostics_carry_the_full_sample_frequency_table(solve):
-    """MaxEnt fits to this table, so it must be the whole sample's joint
-    frequency, also when the classifier saw half."""
-    ds = _tiny_dataset(np.random.default_rng(23), n=301)
-    freq = solve(ds, SolverConfig(gamma=0.9, K=3)).diagnostics.freq
-    want = joint_frequency(ds.states, ds.actions, ds.meta["n_states"], ds.meta["n_actions"])
-    assert freq.dtype == want.dtype and freq.shape == want.shape
-    assert freq.tobytes() == want.tobytes()
 
 
 def _refit_reference(data, cfg, u, mu_t, split):
@@ -583,16 +595,29 @@ class TestStability:
 
 class TestSolutionIO:
     def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(21)
-        mdp = random_mdp(rng, 4, 3, 0.9)
-        sol = exact_population_solver(mdp, random_policy(rng, 4, 3), UNIFORM)
+        # state 3 is never visited, so the solve leaves warnings to carry
+        ds = TransitionDataset(np.array([0, 1, 2, 0, 1, 2]), np.array([0, 1, 0, 1, 1, 0]),
+                               np.array([1, 2, 0, 1, 2, 0]), {"n_states": 4, "n_actions": 2})
+        sol = classify_then_regress(ds, SolverConfig(gamma=0.9, K=3))
+        assert sol.diagnostics.warnings
         save_solution(sol, tmp_path / "sol")
         back = load_solution(tmp_path / "sol")
-        assert_allclose(back.r, sol.r, atol=0)
-        assert_allclose(back.v, sol.v, atol=0)
-        assert_allclose(back.u, sol.u, atol=0)
-        assert_allclose(back.c, sol.c, atol=0)
+        for name in ("r", "v", "u", "c", "mu_table"):
+            assert_allclose(getattr(back, name), getattr(sol, name), atol=0, err_msg=name)
+            assert getattr(back, name).shape == getattr(sol, name).shape, name
         assert back.gamma == sol.gamma
+        for name in ("eta", "nu_proxy", "kappa_hat", "warnings"):
+            assert getattr(back.diagnostics, name) == getattr(sol.diagnostics, name), name
+
+    def test_a_key_missing_from_the_json_gets_its_default(self, tmp_path):
+        sol = classify_then_regress(_tiny_dataset(np.random.default_rng(4)),
+                                    SolverConfig(gamma=0.9, K=2))
+        save_solution(sol, tmp_path / "sol")
+        path = tmp_path / "sol" / "diagnostics.json"
+        path.write_text(json.dumps({"gamma": 0.9}))
+        back = load_solution(tmp_path / "sol")
+        assert (back.diagnostics.eta, back.diagnostics.nu_proxy, back.diagnostics.kappa_hat,
+                back.diagnostics.warnings) == ([], None, None, [])
 
     def test_the_iteration_count_is_the_eta_count(self, tmp_path):
         sol = classify_then_regress(_tiny_dataset(np.random.default_rng(3)),
