@@ -6,42 +6,50 @@ The Q-difference error of the classify-then-regress estimate is driven by
 per-state log-odds estimation; `test_criterion_7_ours_rmse_rate` in
 tests/test_acceptance.py measures its RMSE's log-log slope against n (-0.517
 on ident, -0.487 on hard, over n = 12.5k-200k). This sweep shows which n a
-given accuracy band needs. Each metric's mean and SE over the reruns come
-from `harness.summarize`, which leaves out non-finite values.
+given accuracy band needs. Each rerun is drawn and scored as a `reproduce`
+rerun is, by `harness.draw` and `harness.score`, and each metric's mean and
+SE over the reruns come from `harness.summarize`, which leaves out
+non-finite values.
 
 Usage: python3 scripts/sweep_sample_size.py --name ident --reruns 5 \
            --sizes 50000 200000 800000 --out sweep.csv
 """
 
 import argparse
+from dataclasses import replace
 
-from softirl.envs import sample_transitions, truth
-from softirl.harness import BUILTIN_NAMES, builtin_experiment, summarize
-from softirl.metrics import METRIC_NAMES, evaluate
+from softirl.harness import BUILTIN_NAMES, builtin_experiment, draw, score, summarize
+from softirl.metrics import METRIC_NAMES
 from softirl.solver import classify_then_regress
+
+
+def at_least(low):
+    """An argparse type: an integer of at least `low`."""
+    def integer(text):
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return int(text)
+    return integer
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--name", default="ident", choices=BUILTIN_NAMES)
-    parser.add_argument("--sizes", type=int, nargs="+",
+    parser.add_argument("--sizes", type=at_least(1), nargs="+",
                         default=[12_500, 50_000, 200_000, 800_000])
-    parser.add_argument("--reruns", type=int, default=5)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--reruns", type=at_least(1), default=5)
+    parser.add_argument("--seed", type=at_least(0), default=0)
     parser.add_argument("--out", default="sweep.csv")
     args = parser.parse_args()
 
     cfg = builtin_experiment(args.name)
-    mdp, r_true, _, q_true, pi = truth(cfg.env)
 
     lines = ["n,metric,mean,se"]
     for n in args.sizes:
         rows = []
         for rerun in range(args.reruns):
-            ds = sample_transitions(mdp, pi, n, seed=args.seed + rerun,
-                                    env_id=cfg.name)
-            sol = classify_then_regress(ds, cfg.solver)
-            report = evaluate(mdp, r_true, pi, sol.r, sol.v, q_true=q_true)
+            sol = classify_then_regress(draw(replace(cfg, n=n), args.seed + rerun), cfg.solver)
+            report = score(cfg, sol.r, sol.v)
             rows += [(rerun, "Ours", m, v) for m, v in report.as_dict().items()]
         summary = summarize(rows)
         mean = {m: summary[("Ours", m)][0] for m in METRIC_NAMES}

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 # Names are looked up on their modules at call time, so a patched attribute is the one called.
-from softirl import envs, harness, maxent, metrics, solver
+from softirl import envs, harness, maxent, solver
 
 SPLIT_NOT_TRACED = "diagnose traces the full-sample estimator; split = true is not traced"
 
@@ -64,16 +64,9 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _sample(args):
-    """(config, MDP, expert policy, dataset) for the commands that sample one."""
-    cfg = harness.parse_config(args.config, base_seed=args.seed)
-    mdp, _, _, _, pi = envs.truth(cfg.env)
-    return cfg, mdp, pi, envs.sample_transitions(mdp, pi, cfg.n, regime=cfg.regime,
-                                                 seed=cfg.base_seed, env_id=cfg.name)
-
-
 def _cmd_gen_data(args) -> int:
-    _, _, _, dataset = _sample(args)
+    cfg = harness.parse_config(args.config, base_seed=args.seed)
+    dataset = harness.draw(cfg, cfg.base_seed)
     out = args.out or "dataset.txt"
     envs.write_dataset(dataset, out)
     if not args.quiet:
@@ -114,12 +107,11 @@ def _cmd_baseline(args) -> int:
 
 def _cmd_eval(args) -> int:
     cfg = harness.parse_config(args.config)
-    mdp, r_true, _, q_true, pi = envs.truth(cfg.env)
     solution = solver.load_solution(args.solution)
-    if solution.gamma != mdp.gamma:  # JSON round-trips a float exactly
+    if solution.gamma != cfg.env.gamma:  # JSON round-trips a float exactly
         raise ValueError(f"{args.solution} was solved with gamma = {solution.gamma}, "
-                         f"but the config's [env] gamma is {mdp.gamma}")
-    report = metrics.evaluate(mdp, r_true, pi, solution.r, solution.v, q_true=q_true)
+                         f"but the config's [env] gamma is {cfg.env.gamma}")
+    report = harness.score(cfg, solution.r, solution.v)
     text = "metric,value\n" + "".join(f"{name},{value:.10g}\n"
                                       for name, value in report.as_dict().items())
     if args.out:
@@ -146,7 +138,12 @@ def _cmd_reproduce(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
-    cfg, mdp, pi, dataset = _sample(args)
+    cfg = harness.parse_config(args.config, base_seed=args.seed)
+    mdp, _, _, _, pi = envs.truth(cfg.env)
+    if not np.all(pi > 0.0):  # the exact fixed point takes log(pi)
+        raise ValueError("the exact fixed point needs every expert action probability "
+                         "above 0; [env] min_action_prob above 0 ensures it")
+    dataset = harness.draw(cfg, cfg.base_seed)
     solution = solver.classify_then_regress(dataset, cfg.solver, record_iterates=True)
     exact = solver.exact_population_solver(mdp, pi, cfg.solver.mu)
     diag = solution.diagnostics

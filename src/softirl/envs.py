@@ -35,8 +35,10 @@ REGIMES = ("iid-restart", "trajectory")
 
 _HEADER_PREFIX = "# transitions"
 _BLOCK = 2048  # records per block of the sampler's tail walk and of the dataset writer
-_LANES = 4096  # segments per lockstep walk: ~0.5 MB of temporaries; 1k-16k time alike at 800k
-_TAIL = 32  # a lockstep step costs ~25 us at <= 64 lanes, a Python record ~0.5 us
+_LANES = 4096  # segments per lockstep walk (BENCH_15.json: ~0.4 MB of step temporaries,
+               # and 1,024 lanes walked ~10 % slower at n = 800k)
+_TAIL = 32  # on ident's one-hot kernel a lockstep step took ~20 us at 8-64 lanes and a
+            # Python record ~0.3 us (timeit, one BLAS thread)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
 """Experiment orchestration: seeded reruns, aggregation, and file outputs.
 
-A run takes its environment and truth (reward, expert policy and Q) from
-`envs.truth`, which builds and solves them once per spec and process. It
-redraws the dataset per rerun with seed base_seed + rerun index, fits both
+`draw` samples a config's dataset and `score` scores an estimate against its
+env's truth (reward, expert policy and Q), which `envs.truth` builds and
+solves once per spec and process; the CLI and the sweep script use both. A
+run draws the dataset per rerun with seed base_seed + rerun index, fits both
 methods, and aggregates the five metrics into raw.csv / summary.csv /
-table.md. Each rerun is one job, `_rerun`: it samples, solves and scores
+table.md. Each rerun is one job, `_rerun`: it draws, solves and scores
 Ours, then fits MaxEnt to the sample's joint frequency table and scores it;
 `maxent.run_lockstep` runs the jobs of all reruns side by side. Every
 rerun computes the bits it would alone, and rows, messages and failures are
@@ -96,20 +97,30 @@ def builtin_experiment(name: str, reruns: int | None = None,
     })
 
 
-def _rerun(cfg: ExperimentConfig, mdp, r_true, q_true, pi_exp, phi, rerun: int):
-    """One rerun as a `run_lockstep` job: sample, solve and score Ours, then
+def draw(cfg: ExperimentConfig, seed: int):
+    """The config's n records, of its regime, from its env's expert, drawn with `seed`."""
+    mdp, _, _, _, pi = truth(cfg.env)
+    return sample_transitions(mdp, pi, cfg.n, regime=cfg.regime, seed=seed, env_id=cfg.name)
+
+
+def score(cfg: ExperimentConfig, r_hat, v_hat=None):
+    """`evaluate` of an estimate, with its soft value if it has one, against the env's truth."""
+    mdp, r_true, _, q_true, pi = truth(cfg.env)
+    return evaluate(mdp, r_true, pi, r_hat, v_hat=v_hat, q_true=q_true)
+
+
+def _rerun(cfg: ExperimentConfig, mdp, phi, rerun: int):
+    """One rerun as a `run_lockstep` job: draw, solve and score Ours, then
     fit MaxEnt to the sample's joint frequency table and score it. Returns
     {method: report}."""
-    dataset = sample_transitions(mdp, pi_exp, cfg.n, regime=cfg.regime,
-                                 seed=cfg.base_seed + rerun, env_id=cfg.name)
+    dataset = draw(cfg, cfg.base_seed + rerun)
     solve = split_classify_regress if cfg.split else classify_then_regress
     solution = solve(dataset, cfg.solver)
-    ours = evaluate(mdp, r_true, pi_exp, solution.r, solution.v, q_true=q_true)
+    ours = score(cfg, solution.r, solution.v)
     freq = joint_frequency(dataset.states, dataset.actions, mdp.n_states, mdp.n_actions)
     del dataset, solution  # while MaxEnt runs, a rerun holds only its table
     fit = yield from ascent(mdp, phi, freq, cfg.baseline)
-    base = evaluate(mdp, r_true, pi_exp, fit.r_hat, q_true=q_true)
-    return {"MaxEnt": base, "Ours": ours}
+    return {"MaxEnt": score(cfg, fit.r_hat), "Ours": ours}
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None, quiet: bool = False):
@@ -122,9 +133,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, quiet: bool = False):
     a value assigned after it was built is checked before anything runs.
     """
     cfg = replace(cfg, solver=replace(cfg.solver), baseline=replace(cfg.baseline))
-    mdp, r_true, phi, q_true, pi_exp = truth(cfg.env)
-    reports = run_lockstep(mdp, [_rerun(cfg, mdp, r_true, q_true, pi_exp, phi, rerun)
-                                 for rerun in range(cfg.reruns)])
+    mdp, _, phi, _, _ = truth(cfg.env)
+    reports = run_lockstep(mdp, [_rerun(cfg, mdp, phi, rerun) for rerun in range(cfg.reruns)])
 
     rows, failures = [], []
     for rerun, report in enumerate(reports):
@@ -295,6 +305,8 @@ def parse_config(path, **overrides) -> ExperimentConfig:
                              f"(line {line})") from None
         except configparser.Error as exc:  # a duplicate, whose message names its line
             raise ValueError(f"{path}: malformed config: {exc}") from None
+    if parser.defaults():  # configparser would merge its keys into every section
+        raise ValueError("unknown config section [DEFAULT]")
     sections = {name: dict(parser.items(name)) for name in parser.sections()}
     sections.setdefault("eval", {}).update({k: v for k, v in overrides.items() if v is not None})
     return _experiment(sections)

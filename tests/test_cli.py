@@ -302,14 +302,17 @@ class TestRuntimeErrors:
         ("Unable to allocate 954. GiB for an array with shape (160000, 5, 160000)",
          "Unable to allocate 954. GiB for an array with shape (160000, 5, 160000)"),
         ("", "MemoryError")], ids=["numpy", "bare"])
-    def test_an_allocation_failure_exits_two_on_one_line(self, cfg_path, capsys, monkeypatch,
-                                                         message, line):
+    def test_an_allocation_failure_exits_two_on_one_line(self, cfg_path, tmp_path, capsys,
+                                                         monkeypatch, message, line):
         def too_large(spec):
             raise MemoryError(message) if message else MemoryError()
 
-        monkeypatch.setattr(envs, "truth", too_large)
-        assert main(["gen-data", "--config", cfg_path, "--quiet"]) == 2
+        for module in (envs, harness):
+            monkeypatch.setattr(module, "truth", too_large)
+        out = tmp_path / "d.txt"
+        assert main(["gen-data", "--config", cfg_path, "--out", str(out), "--quiet"]) == 2
         assert capsys.readouterr().err == f"error: {line}\n"
+        assert not out.exists()
 
     def test_misspelled_section_is_unknown(self, tmp_path, capsys):
         from softirl.harness import parse_config
@@ -322,6 +325,20 @@ class TestRuntimeErrors:
         assert str(err.value) == message
         assert main(["solve", str(tmp_path / "data.txt"), "--config", str(path)]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", ["", "\n[eval]\nn = 10\n"], ids=["env", "env-and-eval"])
+    def test_default_section_is_unknown(self, tmp_path, capsys, extra):
+        from softirl.harness import parse_config
+
+        # configparser would merge [DEFAULT]'s keys into every section
+        path = tmp_path / "default.ini"
+        path.write_text("[DEFAULT]\nwidth = 3\nheight = 3\n\n[env]\nseed = 5\n" + extra)
+        message = "unknown config section [DEFAULT]"
+        with pytest.raises(ValueError) as err:
+            parse_config(path)
+        assert str(err.value) == message
+        assert main(["gen-data", "--config", str(path), "--out", str(tmp_path / "d.txt")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_runtime_imports_leave_scipy_out():
@@ -350,11 +367,25 @@ class TestPipeline:
                     Path(metrics).read_text().strip().splitlines()[1:])
         assert float(body["kl"]) >= 0.0
 
+    def test_a_cli_chain_scores_the_reproduce_rerun_of_its_seed(self, cfg_path, tmp_path):
+        # rerun 1 of base seed 4 draws at seed 5, and both score Ours the same way
+        data, soldir, scores = (str(tmp_path / name) for name in ("data.txt", "sol", "m.csv"))
+        assert main(["gen-data", "--config", cfg_path, "--out", data, "--seed", "5",
+                     "--quiet"]) == 0
+        assert main(["solve", data, "--config", cfg_path, "--out", soldir, "--quiet"]) == 0
+        assert main(["eval", soldir, "--config", cfg_path, "--out", scores, "--quiet"]) == 0
+        res = tmp_path / "res"
+        assert main(["reproduce", "--config", cfg_path, "--out", str(res), "--reruns", "2",
+                     "--seed", "4", "--quiet"]) == 0
+        rerun_1 = [line.removeprefix("1,Ours,") for line in
+                   (res / "raw.csv").read_text().splitlines() if line.startswith("1,Ours,")]
+        assert Path(scores).read_text().splitlines()[1:] == rerun_1
+
     def test_commands_call_the_module_attributes(self, tmp_path, monkeypatch):
         """A tracer patches attributes of `softirl.envs`, `softirl.solver` and
-        `softirl.metrics`; the commands must call the patched names, not
+        `softirl.harness`; the commands must call the patched names, not
         copies bound when the CLI was imported."""
-        from softirl import envs, metrics, solver
+        from softirl import envs, solver
 
         envs.truth.cache_clear()
         calls = {}
@@ -366,7 +397,7 @@ class TestPipeline:
             return counted
 
         for module, name in ((envs, "build_env"), (solver, "split_classify_regress"),
-                             (metrics, "evaluate")):
+                             (harness, "evaluate")):
             monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         split_cfg = tmp_path / "split.ini"
         split_cfg.write_text(TINY_CONFIG.replace("[solver]\n", "[solver]\nsplit = true\n"))
@@ -378,11 +409,14 @@ class TestPipeline:
         # gen-data builds the environment, eval reuses it, solve fits, eval scores
         assert calls == {"build_env": 1, "split_classify_regress": 1, "evaluate": 1}
 
-        monkeypatch.setattr(envs, "truth", counting("truth", envs.truth))
+        # harness.draw and harness.score look up harness's truth; diagnose checks
+        # the expert policy of envs' truth before it draws
+        for module in (envs, harness):
+            monkeypatch.setattr(module, "truth", counting("truth", module.truth))
         assert main(["gen-data", *common, "--out", data]) == 0
         assert main(["eval", soldir, *common, "--out", str(tmp_path / "m.csv")]) == 0
         assert main(["diagnose", *common, "--out", str(tmp_path / "d.csv")]) == 0
-        assert calls["truth"] == 3 and calls["build_env"] == 1
+        assert calls["truth"] == 4 and calls["build_env"] == 1
 
     def test_eval_on_exact_solution_gives_zero_kl(self, cfg_path, tmp_path):
         from softirl.envs import build_env, expert_policy
@@ -485,6 +519,24 @@ class TestPipeline:
         assert main(["diagnose", "--config", cfg_path, "--out", str(full)]) == 0
         assert SPLIT_NOT_TRACED not in capsys.readouterr().out
         assert out.read_bytes() == full.read_bytes()
+
+    def test_diagnose_rejects_an_expert_with_a_zero_action_probability(self, tmp_path,
+                                                                        capsys, monkeypatch):
+        # at this scale some expert probabilities underflow to 0, so log(pi) is undefined
+        path = tmp_path / "sharp.ini"
+        path.write_text("[env]\nwidth = 3\nheight = 3\nreward_scale = 1000\n"
+                        "[eval]\nn = 3000\n")
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("diagnose drew a dataset before checking the expert")
+
+        monkeypatch.setattr(harness, "draw", unreachable)
+        out = tmp_path / "diag.csv"
+        assert main(["diagnose", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: the exact fixed point needs every expert action probability above 0; "
+            "[env] min_action_prob above 0 ensures it\n")
+        assert not out.exists()
 
     def test_reproduce_tiny_writes_table(self, tmp_path, capsys, monkeypatch):
         # patch the builtin registry to a tiny config so this stays fast

@@ -6,21 +6,40 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import softirl
 from softirl.metrics import METRIC_NAMES
 
 ROOT = Path(__file__).resolve().parent.parent
+SRC = os.path.dirname(os.path.dirname(softirl.__file__))
+
+
+def run_sweep(*args):
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / "sweep_sample_size.py"), *args],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
+                          timeout=120)
 
 
 def test_sweep_sample_size_writes_one_finite_row_per_metric(tmp_path):
     out = tmp_path / "sweep.csv"
-    src = os.path.dirname(os.path.dirname(softirl.__file__))
-    subprocess.run([sys.executable, str(ROOT / "scripts" / "sweep_sample_size.py"),
-                    "--name", "easy", "--sizes", "2000", "--reruns", "2", "--out", str(out)],
-                   capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
-                   check=True, timeout=120)
+    run_sweep("--name", "easy", "--sizes", "2000", "--reruns", "2",
+              "--out", str(out)).check_returncode()
     header, *rows = out.read_text().splitlines()
     assert header == "n,metric,mean,se"
     fields = [row.split(",") for row in rows]
     assert [metric for _, metric, _, _ in fields] == list(METRIC_NAMES)
     assert all(n == "2000" and math.isfinite(float(mean)) for n, _, mean, _ in fields)
+
+
+# each would sample nothing (nan rows), or fail in numpy with a traceback
+@pytest.mark.parametrize("flag, value, low", [
+    ("--reruns", "0", 1), ("--sizes", "0", 1), ("--seed", "-1", 0)])
+def test_sweep_sample_size_rejects_a_value_it_cannot_use(tmp_path, flag, value, low):
+    out = tmp_path / "sweep.csv"
+    done = run_sweep("--name", "easy", "--sizes", "2000", "--reruns", "1", "--out", str(out),
+                     flag, value)
+    assert done.returncode == 2
+    assert done.stderr.startswith("usage: ")
+    assert done.stderr.endswith(f"argument {flag}: must be at least {low}, got {value}\n")
+    assert not out.exists()
