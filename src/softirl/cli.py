@@ -147,10 +147,13 @@ def _cmd_diagnose(args) -> int:
     solution = solver.classify_then_regress(dataset, cfg.solver, record_iterates=True)
     exact = solver.exact_population_solver(mdp, pi, cfg.solver.mu)
     diag = solution.diagnostics
+    # sup |v_k - v*| of every iterate in place, so the stack is the one (K + 1, S, A) temporary
+    dists = np.stack(diag.iterates)
+    dists -= exact.v
+    dists = np.abs(dists, out=dists).max(axis=(1, 2)).tolist()
     lines = ["k,eta,sup_dist_to_exact_v,gamma_pow_k"]
-    for k, v_k in enumerate(diag.iterates):
+    for k, dist in enumerate(dists):
         eta = diag.eta[k - 1] if k >= 1 else float("nan")
-        dist = float(np.max(np.abs(v_k - exact.v)))
         lines.append(f"{k},{eta:.10g},{dist:.10g},{cfg.solver.gamma ** k:.10g}")
     text = "\n".join(lines) + "\n"
     out = args.out or "diagnostics.csv"

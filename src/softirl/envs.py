@@ -9,7 +9,6 @@ truth (reward, expert policy and Q), which `truth` solves once per process.
 
 from __future__ import annotations
 
-import io
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -34,11 +33,12 @@ TOPOLOGIES = ("torus", "bounded")
 REGIMES = ("iid-restart", "trajectory")
 
 _HEADER_PREFIX = "# transitions"
-_BLOCK = 2048  # records per block of the sampler's tail walk and of the dataset writer
+_BLOCK = 2048  # records per block of the sampler's tail walk, the dataset writer and reader
 _LANES = 4096  # segments per lockstep walk (BENCH_15.json: ~0.4 MB of step temporaries,
                # and 1,024 lanes walked ~10 % slower at n = 800k)
-_TAIL = 32  # on ident's one-hot kernel a lockstep step took ~20 us at 8-64 lanes and a
-            # Python record ~0.3 us (timeit, one BLAS thread)
+_TAIL = 32  # live segments below which each finishes in Python; ident draws took 6.7, 6.6,
+            # 6.6 and 7.2 ms at n = 50k and 56.3, 55.0, 55.9 and 56.3 ms at 800k with 16, 32,
+            # 64 and 128 (min of 31 and 11 timeit runs, one BLAS thread, 2-vCPU Xeon)
 
 
 @dataclass(frozen=True)
@@ -384,35 +384,48 @@ def write_dataset(dataset: TransitionDataset, path) -> None:
     env = str(m.get("env", "-")) or "-"
     if any(ch.isspace() for ch in env):
         raise ValueError(f"env id must not contain whitespace: {env!r}")
+    n_states, n_actions = m["n_states"], m["n_actions"]
     header = (f"{_HEADER_PREFIX} seed={m.get('seed', 0)} env={env} n={dataset.n} "
-              f"n_states={m['n_states']} n_actions={m['n_actions']} "
+              f"n_states={n_states} n_actions={n_actions} "
               f"regime={m.get('regime', 'iid-restart')}")
-    columns = [np.asarray(c, dtype=np.int64)
-               for c in (dataset.states, dataset.actions, dataset.next_states)]
-    # each field is one of max(S, A) indices: format each index once, then
-    # join a block's (s, ",", a, ",", s', "\n") pieces in one pass
-    names = np.array([str(i) for i in range(max(m["n_states"], m["n_actions"]))], dtype=object)
-    pieces = np.empty((_BLOCK, 6), dtype=object)
-    pieces[:, 1::2] = [",", ",", "\n"]
+    states, actions, next_states = (np.asarray(c, dtype=np.int64)
+                                    for c in (dataset.states, dataset.actions, dataset.next_states))
+    # format each (s, a) cell's "s,a," and each state's "s'\n" once, then join
+    # a block's two pieces per record in one pass
+    cells = np.array([f"{s},{a}," for s in range(n_states) for a in range(n_actions)],
+                     dtype=object)
+    ends = np.array([f"{s}\n" for s in range(n_states)], dtype=object)
+    pieces = np.empty((_BLOCK, 2), dtype=object)
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for lo in range(0, dataset.n, _BLOCK):
-            block = pieces[:min(_BLOCK, dataset.n - lo)]
-            block[:, ::2] = names[np.stack([c[lo:lo + _BLOCK] for c in columns], axis=1)]
+            hi = min(lo + _BLOCK, dataset.n)
+            block = pieces[:hi - lo]
+            block[:, 0] = cells[states[lo:hi] * n_actions + actions[lo:hi]]
+            block[:, 1] = ends[next_states[lo:hi]]
             fh.write("".join(block.ravel().tolist()))
 
 
 def read_dataset(path) -> TransitionDataset:
     """Inverse of write_dataset; raises ValueError naming the offending line.
 
-    The body is parsed in one vectorised pass. Only a body that pass rejects
-    (a malformed or out-of-range field, a line of spaces) is scanned again
-    line by line, which names the first bad line or, where int() accepts what
-    the vectorised parser does not, reads the records as int() does.
+    The file is read as bytes, with text mode's universal newlines. The body
+    is parsed with numpy a block at a time (`_parse_records`), which takes
+    only lines of three plain-digit fields. Any other body (spaces, signs,
+    underscores, blank lines, over-wide fields, a bad index, bytes that are
+    not UTF-8) is scanned again line by line with int(), which names the
+    first bad line or reads the records as int() does.
     """
-    with open(path) as fh:
-        header = fh.readline().rstrip("\n")
-        body = fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if b"\r" in data:  # "\r\n" and "\r" end lines, as they do in text mode
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    header, _, body = data.partition(b"\n")
+    del data
+    try:
+        header = header.decode()
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}:1: not UTF-8 text") from None
     if not header.startswith(_HEADER_PREFIX):
         raise ValueError(f"{path}:1: missing dataset header")
     meta = {}
@@ -439,23 +452,51 @@ def read_dataset(path) -> TransitionDataset:
     return TransitionDataset(*columns, meta)
 
 
-def _parse_records(body: str, n_states: int, n_actions: int):
-    """The (s, a, s') columns of a dataset body in one pass; ValueError on a
-    malformed line or a bad index (`check_records`)."""
-    if not body or body.isspace():  # loadtxt warns on an empty body
-        return tuple(np.zeros((3, 0), dtype=np.int64))
-    records = np.loadtxt(io.StringIO(body), delimiter=",", dtype=np.int64,
-                         comments=None, ndmin=2)
-    if records.shape[1] != 3:
-        raise ValueError("expected three fields per line")
-    return check_records(n_states, n_actions, *records.T.copy())
+_FIELD_ENDS = np.frombuffer(b",,\n", np.uint8)  # the bytes that end a record's three fields
 
 
-def _scan_records(path, body: str, n_states: int, n_actions: int):
+def _parse_records(body: bytes, n_states: int, n_actions: int):
+    """The (s, a, s') columns of a dataset body, parsed about `_BLOCK` lines
+    at a time into one preallocated (3, n) table; ValueError unless every line
+    is three fields of 1 to `width` digits (the largest index's width, at most
+    18) ended by ",", "," and a newline, or on a bad index (`check_records`)."""
+    if body and not body.endswith(b"\n"):
+        body += b"\n"
+    width = min(len(str(max(n_states, n_actions) - 1)), 18)  # 18 digits stay within int64
+    records = np.empty((3, body.count(b"\n")), dtype=np.int64)
+    lo = row = 0
+    while lo < len(body):
+        # a chunk ends at the last newline within _BLOCK lines of the widest kind
+        hi = body.rfind(b"\n", lo, lo + _BLOCK * (3 * width + 3)) + 1
+        if hi == 0:
+            raise ValueError("line too long")
+        chunk = np.frombuffer(body, np.uint8, hi - lo, lo)
+        digits = chunk - np.uint8(ord("0"))
+        ends = np.flatnonzero(digits > 9)  # every byte that is not a digit
+        fields = len(ends)
+        if fields % 3 or (chunk.take(ends).reshape(-1, 3) != _FIELD_ENDS).any():
+            raise ValueError("expected three digit fields per line")
+        places = np.diff(ends, prepend=-1) - 1  # each field's digit count
+        if places.min() < 1 or places.max() > width:
+            raise ValueError("empty or over-wide field")
+        # cast before scaling: a uint8 digit times 10 ** place wraps
+        values = digits.take(ends - 1).astype(np.int64)
+        for place in range(1, width):
+            digit = digits.take(ends - 1 - place, mode="clip").astype(np.int64)
+            values += np.where(places > place, digit, 0) * 10 ** place
+        records[:, row:row + fields // 3] = values.reshape(-1, 3).T
+        lo, row = hi, row + fields // 3
+    return check_records(n_states, n_actions, *records)
+
+
+def _scan_records(path, body: bytes, n_states: int, n_actions: int):
     """`_parse_records` line by line with int(), raising at the first bad line."""
     states, actions, next_states = [], [], []
-    for lineno, line in enumerate(body.split("\n"), start=2):
-        line = line.strip()
+    for lineno, raw in enumerate(body.split(b"\n"), start=2):
+        try:
+            line = raw.decode().strip()
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}:{lineno}: not UTF-8 text") from None
         if not line:
             continue
         parts = line.split(",")

@@ -21,6 +21,7 @@ import numpy as np
 from softirl.mdp import (TabularMdp, _soft_value_iteration, _solve_discounted, joint_frequency,
                          state_kernel)
 from softirl.mdp import soft_value_iteration  # noqa: F401 - perfbench/spans.py wraps it by name here
+from softirl.solver import _write_table
 
 STEP_SIZE = 0.05  # Adam's constant step
 PATIENCE = 40  # epochs without a `tol` gain after which an ascent stops
@@ -152,10 +153,7 @@ def maxent_fit(mdp: TabularMdp, phi, dataset, cfg: MaxEntConfig) -> MaxEntFit:
 
 def save_maxent(fit: MaxEntFit, out_dir) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    np.savetxt(os.path.join(out_dir, "theta.csv"), fit.theta,
-               fmt="%.17g", delimiter=",", header="theta", comments="")
-    header = ",".join(str(a) for a in range(fit.r_hat.shape[1]))
-    np.savetxt(os.path.join(out_dir, "r.csv"), fit.r_hat,
-               fmt="%.17g", delimiter=",", header=header, comments="")
-    np.savetxt(os.path.join(out_dir, "loss.csv"), np.asarray(fit.loss_trace),
-               fmt="%.17g", delimiter=",", header="neg_loglik", comments="")
+    actions = ",".join(str(a) for a in range(fit.r_hat.shape[1]))
+    for stem, table, header in (("theta", fit.theta, "theta"), ("r", fit.r_hat, actions),
+                                ("loss", np.asarray(fit.loss_trace), "neg_loglik")):
+        _write_table(os.path.join(out_dir, f"{stem}.csv"), table, header)

@@ -307,14 +307,23 @@ _TABLES = (("r", "r"), ("v", "v"), ("u", "u"), ("c", "c"), ("mu", "mu_table"))
 _DIAGNOSTICS = ("eta", "nu_proxy", "kappa_hat", "warnings")
 
 
+def _write_table(path, table: np.ndarray, header: str) -> None:
+    """`np.savetxt(path, table, fmt="%.17g", delimiter=",", header=header,
+    comments="")` in one `%` call: a 1-d table is one value per line."""
+    line = ",".join(["%.17g"] * (1 if table.ndim == 1 else table.shape[1])) + "\n"
+    text = (line * len(table)) % tuple(table.ravel().tolist())
+    with open(path, "w") as fh:
+        fh.write(f"{header}\n{text}")
+
+
 def save_solution(solution: IrlSolution, out_dir) -> None:
     """Write the `_TABLES` tables as CSV plus diagnostics.json."""
     os.makedirs(out_dir, exist_ok=True)
     actions = ",".join(str(a) for a in range(solution.r.shape[1]))
     for stem, name in _TABLES:
         table = getattr(solution, name)
-        np.savetxt(os.path.join(out_dir, f"{stem}.csv"), table, fmt="%.17g", delimiter=",",
-                   header=stem if table.ndim == 1 else actions, comments="")
+        _write_table(os.path.join(out_dir, f"{stem}.csv"), table,
+                     stem if table.ndim == 1 else actions)
     d = solution.diagnostics
     payload = {key: getattr(d, key) for key in _DIAGNOSTICS}
     payload.update(gamma=solution.gamma, iterations=d.iterations)
@@ -325,11 +334,14 @@ def save_solution(solution: IrlSolution, out_dir) -> None:
 
 def load_solution(out_dir) -> IrlSolution:
     """Read a `save_solution` directory; a diagnostics key missing from its
-    JSON gets the SolverDiagnostics default."""
+    JSON gets the SolverDiagnostics default, and a missing gamma is a ValueError."""
     tables = {name: np.loadtxt(os.path.join(out_dir, f"{stem}.csv"), delimiter=",",
                                skiprows=1, ndmin=1 if stem == "c" else 2)
               for stem, name in _TABLES}
-    with open(os.path.join(out_dir, "diagnostics.json")) as fh:
+    path = os.path.join(out_dir, "diagnostics.json")
+    with open(path) as fh:
         payload = json.load(fh)
+    if "gamma" not in payload:
+        raise ValueError(f"{path}: missing key 'gamma'")
     diag = SolverDiagnostics(**{key: payload[key] for key in _DIAGNOSTICS if key in payload})
     return IrlSolution(**tables, gamma=payload["gamma"], diagnostics=diag)

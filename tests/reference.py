@@ -8,14 +8,15 @@ with exact oracles and its full-sample limit as K grows) in plain code. Each one
 `solver._fitted_fixed_point`), so a test that uses them still tests package
 code.
 
-The last six are the plain forms of four fast paths: the dense fold maps
+The last seven are the plain forms of five fast paths: the dense fold maps
 (`dense_fit_regressor`, `dense_fit_regressor_folds`,
 `dense_fitted_fixed_point`), the per-record dataset writer
 (`write_dataset_per_record`), the per-line dataset reader
-(`read_dataset_per_line`) and `build_env`'s kernel fill and reward rescale
-(`cold_build_env`). `weighted_evaluate` keeps `metrics.evaluate`'s arithmetic
-from before it took plain means: sums weighted by 1/S, which a packaged
-benchmark's scores match bit for bit.
+(`read_dataset_per_line`), the row-by-row table writer (`savetxt_table`)
+and `build_env`'s kernel fill and reward rescale (`cold_build_env`).
+`weighted_evaluate` keeps `metrics.evaluate`'s arithmetic from before it
+took plain means: sums weighted by 1/S, which a packaged benchmark's scores
+match bit for bit.
 """
 
 import itertools
@@ -360,6 +361,11 @@ def read_dataset_per_line(path) -> TransitionDataset:
                            np.array(next_states, dtype=np.int64), meta)
     ds.validate()
     return ds
+
+
+def savetxt_table(path, table, header: str) -> None:
+    """`solver._write_table` as `np.savetxt`, which formats one row at a time."""
+    np.savetxt(path, table, fmt="%.17g", delimiter=",", header=header, comments="")
 
 
 def cold_build_env(spec):

@@ -449,6 +449,15 @@ class TestPipeline:
                                            "but the config's [env] gamma is 0.5\n")
         assert not metrics.exists()
 
+    def test_eval_names_a_missing_gamma(self, cfg_path, tmp_path, capsys):
+        data, soldir = str(tmp_path / "data.txt"), tmp_path / "sol"
+        assert main(["gen-data", "--config", cfg_path, "--out", data, "--quiet"]) == 0
+        assert main(["solve", data, "--config", cfg_path, "--out", str(soldir), "--quiet"]) == 0
+        (soldir / "diagnostics.json").write_text('{"eta": [0.5]}\n')
+        assert main(["eval", str(soldir), "--config", cfg_path, "--quiet"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {soldir / 'diagnostics.json'}: missing key 'gamma'\n")
+
     def test_eval_notes_an_undefined_correlation(self, cfg_path, tmp_path, capsys):
         import numpy as np
 
@@ -506,6 +515,25 @@ class TestPipeline:
         last = float(lines[-1].split(",")[2])
         assert last <= first
         assert "kappa_hat" in capsys.readouterr().out
+
+    def test_diagnose_trace_matches_a_per_iterate_loop(self, cfg_path, tmp_path):
+        import numpy as np
+
+        from softirl import solver
+
+        out = tmp_path / "diag.csv"
+        assert main(["diagnose", "--config", cfg_path, "--out", str(out), "--quiet"]) == 0
+        cfg = harness.parse_config(cfg_path)
+        mdp, _, _, _, pi = envs.truth(cfg.env)
+        diag = solver.classify_then_regress(harness.draw(cfg, cfg.base_seed), cfg.solver,
+                                            record_iterates=True).diagnostics
+        exact = solver.exact_population_solver(mdp, pi, cfg.solver.mu)
+        lines = ["k,eta,sup_dist_to_exact_v,gamma_pow_k"]
+        for k, v_k in enumerate(diag.iterates):
+            eta = diag.eta[k - 1] if k >= 1 else float("nan")
+            dist = float(np.max(np.abs(v_k - exact.v)))
+            lines.append(f"{k},{eta:.10g},{dist:.10g},{cfg.solver.gamma ** k:.10g}")
+        assert out.read_text() == "\n".join(lines) + "\n"
 
     def test_diagnose_warns_that_split_is_not_traced(self, cfg_path, tmp_path, capsys):
         from softirl.cli import SPLIT_NOT_TRACED

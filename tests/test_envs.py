@@ -592,6 +592,15 @@ class TestWriterMatchesPerRecordReference:
 HEADER = "# transitions seed=0 env=- n={n} n_states={ns} n_actions=3 regime=trajectory\n"
 
 
+def _digit_lines(n_states, n):
+    """n records of three actions whose state fields take every width from 1
+    to the largest index's."""
+    fields = np.random.default_rng(0).integers(0, n_states, size=(n, 3))
+    fields[:, 1] %= 3
+    fields[:4, ::2] = np.minimum([[0, 7], [42, 999], [n_states - 1, 10], [100, 1]], n_states - 1)
+    return [f"{s},{a},{s2}" for s, a, s2 in fields.tolist()]
+
+
 class TestReaderMatchesPerLineReference:
     """The vectorised `read_dataset` against the per-line reader."""
 
@@ -624,3 +633,87 @@ class TestReaderMatchesPerLineReference:
             a, b = getattr(ours, column), getattr(ref, column)
             assert a.dtype == b.dtype and np.array_equal(a, b)
         assert ours.meta == ref.meta
+
+    # (name, n_states, body): bodies the block-wise parser takes, and bodies it
+    # hands to the line scan; the records or the error must be the reference's
+    CASES = {
+        "blocks-1-to-4-digits": (5000, "\n".join(_digit_lines(5000, 3 * _BLOCK + 7)) + "\n"),
+        "blocks-no-last-newline": (5000, "\n".join(_digit_lines(5000, 3 * _BLOCK + 7))),
+        "blocks-crlf": (5000, "\r\n".join(_digit_lines(5000, 3 * _BLOCK + 7)) + "\r\n"),
+        "blocks-cr": (64, "\r".join(_digit_lines(64, 2 * _BLOCK)) + "\r"),
+        "blocks-2-digits": (64, "\n".join(_digit_lines(64, 5 * _BLOCK + 1)) + "\n"),
+        "leading-zeros-within-width": (5000, "007,1,2\n0,1,0042\n"),
+        "leading-zeros-over-width": (64, "007,1,2\n"),
+        "plus-sign": (4, "+3,1,2\n"),
+        "underscore": (11, "1_0,1,2\n"),
+        "crlf": (4, "0,1,2\r\n3,2,1\r\n"),
+        "no-last-newline": (4, "0,1,2\n3,2,1"),
+        "empty": (4, ""),
+        "bare-newlines": (4, "\n\n\n"),
+        "fewer-states-than-actions": (2, "1,2,0\n0,0,1\n"),
+        "fewer-states-than-actions-bad-action": (2, "1,2,0\n0,3,1\n"),
+        "fewer-states-than-actions-bad-state": (2, "1,2,0\n2,0,1\n"),
+        "empty-field": (4, "0,,2\n"),
+        "very-wide-field": (4, "0," + "1" * 40 + ",2\n"),
+        # fields past 18 digits would overflow int64: the line scan reads them
+        "indices-past-int64": (10 ** 20, "0,1,2\n" + "1" * 19 + ",1,2\n"),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_agrees_with_the_per_line_reader(self, tmp_path, case):
+        n_states, body = self.CASES[case]
+        n = len([line for line in body.replace("\r", "\n").split("\n") if line.strip()])
+        path = tmp_path / "data.txt"
+        path.write_bytes((HEADER.format(n=n, ns=n_states) + body).encode())
+        _assert_agrees(path)
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_the_block_parser_takes_plain_digit_lines_only(self, case):
+        n_states, body = self.CASES[case]
+        body = body.replace("\r\n", "\n").replace("\r", "\n").encode()  # as read_dataset does
+        field = rb"\d{1,%d}" % min(len(str(max(n_states, 3) - 1)), 18)
+        # the "bad" cases are plain lines that hold an index out of range
+        plain = re.fullmatch(rb"(%s,%s,%s(\n|$))*" % (field, field, field), body)
+        takes = plain and "bad" not in case
+        try:
+            columns = envs._parse_records(body, n_states, 3)
+        except ValueError:
+            assert not takes
+        else:
+            assert takes and len(columns[0]) == len(body.splitlines())
+
+    @pytest.mark.parametrize("defect", ["0,1", "x,1,2", "-1,0,0", "0,3,0", "0,0,64", "1 ,1,2 x",
+                                        "0,1,2,3"])
+    def test_a_defect_in_a_late_block_names_its_line(self, tmp_path, defect):
+        lines = _digit_lines(64, 4 * _BLOCK)
+        lines[3 * _BLOCK + 11] = defect
+        path = tmp_path / "data.txt"
+        path.write_text(HEADER.format(n=len(lines), ns=64) + "\n".join(lines) + "\n")
+        assert f":{3 * _BLOCK + 13}: " in _assert_agrees(path)
+
+    @pytest.mark.parametrize("line, where", [(6, "body"), (1, "header")])
+    def test_a_byte_that_is_not_utf8_names_its_line(self, tmp_path, line, where):
+        path = tmp_path / "data.txt"
+        lines = (HEADER.format(n=6, ns=4) + "0,1,2\n" * 6).encode().split(b"\n")
+        lines[line - 1] = lines[line - 1][:-1] + b"\xff" if where == "header" else b"0,\xff,2"
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{line}: not UTF-8 text$"):
+            read_dataset(path)
+
+
+def _assert_agrees(path):
+    """`read_dataset` and `read_dataset_per_line` read the same records, or
+    raise the same message, which this returns (None when both read)."""
+    try:
+        ref = read_dataset_per_line(path)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as ours:
+            read_dataset(path)
+        assert str(ours.value) == str(exc)
+        return str(exc)
+    ours = read_dataset(path)
+    for column in ("states", "actions", "next_states"):
+        a, b = getattr(ours, column), getattr(ref, column)
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert ours.meta == ref.meta
+    return None

@@ -415,3 +415,15 @@ class TestBuiltin:
         assert builtin_experiment("easy").env.n_states == 16
         assert builtin_experiment("ident").env.n_states == 64
         assert builtin_experiment("hard").env.reward_kind == "nonlinear"
+
+
+def test_every_bench_record_the_readme_cites_exists_and_is_json():
+    import json
+    import re
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    cited = set(re.findall(r"BENCH_\d+\.json", (root / "README.md").read_text()))
+    assert cited
+    for name in sorted(cited):
+        assert isinstance(json.loads((root / name).read_text()), dict), name

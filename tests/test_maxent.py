@@ -4,12 +4,12 @@ from numpy.testing import assert_allclose
 
 import softirl.maxent as maxent
 from softirl.envs import GridworldSpec, build_env, expert_policy, sample_transitions
-from softirl.maxent import MaxEntConfig, ascent, maxent_fit, run_lockstep
+from softirl.maxent import MaxEntConfig, MaxEntFit, ascent, maxent_fit, run_lockstep
 from softirl.metrics import evaluate
 from softirl.mdp import TabularMdp, joint_frequency, soft_value_iteration
 
 from conftest import random_mdp, random_policy
-from reference import maxent_loglik_and_grad
+from reference import maxent_loglik_and_grad, savetxt_table
 
 
 def one_hot_features(ns, na):
@@ -171,6 +171,16 @@ class TestMaxentFit:
         pi[0] = [1.0, 0.0]
         with pytest.raises(RuntimeError, match="^likelihood became non-finite at epoch 1; "):
             job.send((v, q, pi))
+
+    def test_saved_tables_match_savetxt_byte_for_byte(self, tmp_path):
+        special = np.array([np.nan, np.inf, -np.inf, -0.0, 1e-300, 0.1, -2.5e17])
+        fit = MaxEntFit(special, special[:6].reshape(2, 3), [1.0, 0.5, -0.0])
+        maxent.save_maxent(fit, tmp_path / "base")
+        for stem, table, header in (("theta", fit.theta, "theta"), ("r", fit.r_hat, "0,1,2"),
+                                    ("loss", np.asarray(fit.loss_trace), "neg_loglik")):
+            savetxt_table(tmp_path / f"{stem}.csv", table, header)
+            assert ((tmp_path / "base" / f"{stem}.csv").read_bytes()
+                    == (tmp_path / f"{stem}.csv").read_bytes()), stem
 
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError, match="max_epochs"):

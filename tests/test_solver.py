@@ -18,6 +18,7 @@ from softirl.harness import builtin_experiment
 from softirl.mdp import TabularMdp, apply_P
 from softirl.oracles import ClassifierSpec, RegressorSpec
 from softirl.solver import (
+    IrlSolution,
     NormalizationMeasure,
     SolverConfig,
     check_normalization,
@@ -39,6 +40,7 @@ from reference import (
     plugin_fixed_point,
     policy_value,
     population_fixed_point,
+    savetxt_table,
     shape,
     soft_bellman_residual,
     sup_norm,
@@ -628,6 +630,19 @@ class TestSolutionIO:
         assert load_solution(tmp_path / "sol").diagnostics.iterations == 7
         with pytest.raises(AttributeError):
             sol.diagnostics.iterations = 3
+
+    @pytest.mark.parametrize("size", [(1, 1), (3, 4)], ids=["1x1", "3x4"])
+    def test_tables_match_savetxt_byte_for_byte(self, tmp_path, size):
+        special = [np.nan, np.inf, -np.inf, -0.0, 1e-300, 0.1, -2.5e17, 1.0]
+        # each table starts the cycle of special values at another entry
+        r, v, u, mu, c = (np.resize(np.roll(special, i), size) for i in range(5))
+        sol = IrlSolution(r, v, u, c[:, 0], mu, 0.9)
+        save_solution(sol, tmp_path / "sol")
+        actions = ",".join(str(a) for a in range(size[1]))
+        for stem, table in (("r", r), ("v", v), ("u", u), ("c", c[:, 0]), ("mu", mu)):
+            ref = tmp_path / f"{stem}.csv"
+            savetxt_table(ref, table, stem if table.ndim == 1 else actions)
+            assert (tmp_path / "sol" / f"{stem}.csv").read_bytes() == ref.read_bytes(), stem
 
 
 def _fixed_point(mdp, mu, u, iters=4000):
