@@ -111,6 +111,9 @@ def _cmd_eval(args) -> int:
     if solution.gamma != cfg.env.gamma:  # JSON round-trips a float exactly
         raise ValueError(f"{args.solution} was solved with gamma = {solution.gamma}, "
                          f"but the config's [env] gamma is {cfg.env.gamma}")
+    if solution.r.shape != (cfg.env.n_states, cfg.env.n_actions):
+        raise ValueError(f"{args.solution} holds a solution of (S, A) = {solution.r.shape}, but "
+                         f"the config's environment has ({cfg.env.n_states}, {cfg.env.n_actions})")
     report = harness.score(cfg, solution.r, solution.v)
     text = "metric,value\n" + "".join(f"{name},{value:.10g}\n"
                                       for name, value in report.as_dict().items())

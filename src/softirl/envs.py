@@ -407,15 +407,10 @@ def write_dataset(dataset: TransitionDataset, path) -> None:
 
 
 def read_dataset(path) -> TransitionDataset:
-    """Inverse of write_dataset; raises ValueError naming the offending line.
-
-    The file is read as bytes, with text mode's universal newlines. The body
-    is parsed with numpy a block at a time (`_parse_records`), which takes
-    only lines of three plain-digit fields. Any other body (spaces, signs,
-    underscores, blank lines, over-wide fields, a bad index, bytes that are
-    not UTF-8) is scanned again line by line with int(), which names the
-    first bad line or reads the records as int() does.
-    """
+    """Inverse of write_dataset, whose grammar is the only one it reads: one
+    `s,a,s_next` line per record, each field 1 to `width` digits (the largest
+    index's count, at most 18), with "\r\n" and "\r" ending lines as in text
+    mode. Any other body, or an index out of range, is `<path>:<line>: <reason>`."""
     with open(path, "rb") as fh:
         data = fh.read()
     if b"\r" in data:  # "\r\n" and "\r" end lines, as they do in text mode
@@ -443,10 +438,7 @@ def read_dataset(path) -> TransitionDataset:
         if key not in meta:
             raise ValueError(f"{path}:1: header missing {key}")
 
-    try:
-        columns = _parse_records(body, meta["n_states"], meta["n_actions"])
-    except ValueError:
-        columns = _scan_records(path, body, meta["n_states"], meta["n_actions"])
+    columns = _parse_records(path, body, meta["n_states"], meta["n_actions"])
     if len(columns[0]) != meta["n"]:
         raise ValueError(f"{path}: header says n={meta['n']} but found {len(columns[0])} records")
     return TransitionDataset(*columns, meta)
@@ -455,11 +447,9 @@ def read_dataset(path) -> TransitionDataset:
 _FIELD_ENDS = np.frombuffer(b",,\n", np.uint8)  # the bytes that end a record's three fields
 
 
-def _parse_records(body: bytes, n_states: int, n_actions: int):
-    """The (s, a, s') columns of a dataset body, parsed about `_BLOCK` lines
-    at a time into one preallocated (3, n) table; ValueError unless every line
-    is three fields of 1 to `width` digits (the largest index's width, at most
-    18) ended by ",", "," and a newline, or on a bad index (`check_records`)."""
+def _parse_records(path, body: bytes, n_states: int, n_actions: int):
+    """The (s, a, s') columns of a dataset body, parsed about `_BLOCK` lines at a
+    time into one (3, n) table; only a failed check looks for the first bad line."""
     if body and not body.endswith(b"\n"):
         body += b"\n"
     width = min(len(str(max(n_states, n_actions) - 1)), 18)  # 18 digits stay within int64
@@ -468,17 +458,18 @@ def _parse_records(body: bytes, n_states: int, n_actions: int):
     while lo < len(body):
         # a chunk ends at the last newline within _BLOCK lines of the widest kind
         hi = body.rfind(b"\n", lo, lo + _BLOCK * (3 * width + 3)) + 1
-        if hi == 0:
-            raise ValueError("line too long")
+        if hi == 0:  # the line at lo is longer than any record
+            raise _line_error(path, body, lo, width)
         chunk = np.frombuffer(body, np.uint8, hi - lo, lo)
         digits = chunk - np.uint8(ord("0"))
         ends = np.flatnonzero(digits > 9)  # every byte that is not a digit
-        fields = len(ends)
-        if fields % 3 or (chunk.take(ends).reshape(-1, 3) != _FIELD_ENDS).any():
-            raise ValueError("expected three digit fields per line")
         places = np.diff(ends, prepend=-1) - 1  # each field's digit count
-        if places.min() < 1 or places.max() > width:
-            raise ValueError("empty or over-wide field")
+        fields = len(ends)
+        if (fields % 3 or (chunk.take(ends).reshape(-1, 3) != _FIELD_ENDS).any()
+                or places.min() < 1 or places.max() > width):
+            bad = ((chunk.take(ends) != np.resize(_FIELD_ENDS, fields))
+                   | (places < 1) | (places > width))  # the fields whose end or width is wrong
+            raise _line_error(path, body, lo + ends[bad.argmax()], width)
         # cast before scaling: a uint8 digit times 10 ** place wraps
         values = digits.take(ends - 1).astype(np.int64)
         for place in range(1, width):
@@ -486,31 +477,21 @@ def _parse_records(body: bytes, n_states: int, n_actions: int):
             values += np.where(places > place, digit, 0) * 10 ** place
         records[:, row:row + fields // 3] = values.reshape(-1, 3).T
         lo, row = hi, row + fields // 3
-    return check_records(n_states, n_actions, *records)
+    try:
+        return check_records(n_states, n_actions, *records)
+    except ValueError:  # digits are never negative: find the first index past its bound
+        limits = (n_states, n_actions, n_states)
+        i, column = divmod(int((records.T >= limits).argmax()), 3)
+        raise ValueError(f"{path}:{i + 2}: {('state', 'action', 'next state')[column]} index "
+                         f"out of range [0, {limits[column]})") from None
 
 
-def _scan_records(path, body: bytes, n_states: int, n_actions: int):
-    """`_parse_records` line by line with int(), raising at the first bad line."""
-    states, actions, next_states = [], [], []
-    for lineno, raw in enumerate(body.split(b"\n"), start=2):
-        try:
-            line = raw.decode().strip()
-        except UnicodeDecodeError:
-            raise ValueError(f"{path}:{lineno}: not UTF-8 text") from None
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise ValueError(f"{path}:{lineno}: expected 's,a,s_next', got {line!r}")
-        try:
-            s, a, s2 = (int(p) for p in parts)
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: non-integer field in {line!r}") from None
-        if not 0 <= s < n_states or not 0 <= s2 < n_states:
-            raise ValueError(f"{path}:{lineno}: state index out of range")
-        if not 0 <= a < n_actions:
-            raise ValueError(f"{path}:{lineno}: action index out of range")
-        states.append(s)
-        actions.append(a)
-        next_states.append(s2)
-    return tuple(np.array(c, dtype=np.int64) for c in (states, actions, next_states))
+def _line_error(path, body: bytes, p: int, width: int) -> ValueError:
+    """The ValueError that names the body line holding byte p."""
+    line = body[body.rfind(b"\n", 0, p) + 1:body.find(b"\n", p)]
+    lineno = body.count(b"\n", 0, p) + 2
+    try:
+        reason = f"expected 's,a,s_next' of at most {width} digits each, got {line.decode()!r}"
+    except UnicodeDecodeError:
+        reason = "not UTF-8 text"
+    return ValueError(f"{path}:{lineno}: {reason}")

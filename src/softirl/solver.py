@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -333,11 +334,24 @@ def save_solution(solution: IrlSolution, out_dir) -> None:
 
 
 def load_solution(out_dir) -> IrlSolution:
-    """Read a `save_solution` directory; a diagnostics key missing from its
-    JSON gets the SolverDiagnostics default, and a missing gamma is a ValueError."""
-    tables = {name: np.loadtxt(os.path.join(out_dir, f"{stem}.csv"), delimiter=",",
-                               skiprows=1, ndmin=1 if stem == "c" else 2)
-              for stem, name in _TABLES}
+    """Read a `save_solution` directory; a diagnostics key missing from its JSON
+    gets the SolverDiagnostics default. A missing gamma, or a table malformed, empty
+    or not of r.csv's (S, A) ((S,) for c.csv), is a ValueError naming its path."""
+    tables = {}
+    for stem, name in _TABLES:
+        path = os.path.join(out_dir, f"{stem}.csv")
+        try:
+            with warnings.catch_warnings():  # a table without rows is named below
+                warnings.simplefilter("ignore", UserWarning)
+                table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=1 if stem == "c" else 2)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        if not len(table):
+            raise ValueError(f"{path}: no rows")
+        shape = tables["r"].shape if tables else table.shape
+        if table.shape != (shape[:1] if stem == "c" else shape):
+            raise ValueError(f"{path}: shape {table.shape} does not match r.csv's (S, A) = {shape}")
+        tables[name] = table
     path = os.path.join(out_dir, "diagnostics.json")
     with open(path) as fh:
         payload = json.load(fh)

@@ -449,6 +449,22 @@ class TestPipeline:
                                            "but the config's [env] gamma is 0.5\n")
         assert not metrics.exists()
 
+    def test_eval_rejects_a_solution_of_another_shape_before_building(
+            self, cfg_path, tmp_path, capsys, monkeypatch):
+        data, soldir = str(tmp_path / "data.txt"), str(tmp_path / "sol")
+        assert main(["gen-data", "--config", cfg_path, "--out", data, "--quiet"]) == 0
+        assert main(["solve", data, "--config", cfg_path, "--out", soldir, "--quiet"]) == 0
+        other = tmp_path / "other.ini"
+        other.write_text(TINY_CONFIG.replace("width = 2", "width = 3"))
+
+        def built(*args):
+            raise AssertionError("eval built the environment")
+
+        monkeypatch.setattr(harness, "truth", built)
+        assert main(["eval", soldir, "--config", str(other), "--quiet"]) == 2
+        assert capsys.readouterr().err == (f"error: {soldir} holds a solution of (S, A) = (4, 5), "
+                                           "but the config's environment has (6, 5)\n")
+
     def test_eval_names_a_missing_gamma(self, cfg_path, tmp_path, capsys):
         data, soldir = str(tmp_path / "data.txt"), tmp_path / "sol"
         assert main(["gen-data", "--config", cfg_path, "--out", data, "--quiet"]) == 0

@@ -602,40 +602,44 @@ def _digit_lines(n_states, n):
 
 
 class TestReaderMatchesPerLineReference:
-    """The vectorised `read_dataset` against the per-line reader."""
+    """`read_dataset`, which takes `write_dataset`'s grammar only, against the
+    per-line reader, which also takes blank lines, spaces, signs and
+    underscores: the same records on a body in the grammar, and otherwise an
+    error naming the first line out of it, or holding an index out of range."""
 
     @pytest.mark.parametrize("body, n", [
         ("0,1,2\n0,1\n", 2), ("0,1,2,3\n", 1), ("x,1,2\n", 1), ("1.0,1,2\n", 1),
         ("1_0,1,2\n", 1), ("# note\n0,1,2\n", 1),
         ("-1,0,0\n", 1), ("4,0,0\n", 1), ("0,-1,0\n", 1), ("0,3,0\n", 1),
-        ("0,0,-1\n", 1), ("0,0,4\n", 1), ("0,1,2\n", 2)])
+        ("0,0,-1\n", 1), ("0,0,4\n", 1), ("0,1,2\n", 2),
+        ("0,3,0\n4,0,0\n", 2)])  # the first bad record, not the first bad column
     def test_same_error(self, tmp_path, body, n):
+        """Both readers reject these, naming the same path and line."""
         path = tmp_path / "bad.txt"
         path.write_text(HEADER.format(n=n, ns=4) + body)
-        with pytest.raises(ValueError) as ours:
-            read_dataset(path)
         with pytest.raises(ValueError) as ref:
             read_dataset_per_line(path)
-        assert str(ours.value) == str(ref.value)
+        where = re.match(rf"{re.escape(str(path))}(:\d+)?: ", str(ref.value)).group()
+        with pytest.raises(ValueError, match=f"^{re.escape(where)}"):
+            read_dataset(path)
 
     @pytest.mark.parametrize("body, n, ns", [
         ("0,1,2\n\n3,2,1\n\n", 2, 4), (" 0 , 1 ,2 \n  3,2,1\t\n", 2, 4),
         ("0,1,2\n3,2,1", 2, 4), ("", 0, 4), ("\n\n", 0, 4),
         ("0,1,2\n   \n3,2,1\n", 2, 4), ("1_0,1,2\n", 1, 11)])
     def test_same_records(self, tmp_path, body, n, ns):
+        """The per-line reader reads each body; `read_dataset` reads the same
+        records, or names the first blank, spaced or `1_0` line."""
         path = tmp_path / "data.txt"
         path.write_text(HEADER.format(n=n, ns=ns) + body)
+        read_dataset_per_line(path)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            ours = read_dataset(path)
-        ref = read_dataset_per_line(path)
-        for column in ("states", "actions", "next_states"):
-            a, b = getattr(ours, column), getattr(ref, column)
-            assert a.dtype == b.dtype and np.array_equal(a, b)
-        assert ours.meta == ref.meta
+            _assert_agrees(path)
 
-    # (name, n_states, body): bodies the block-wise parser takes, and bodies it
-    # hands to the line scan; the records or the error must be the reference's
+    # (name, n_states, body): bodies in write_dataset's grammar, and bodies out
+    # of it that the per-line reader reads (signs, underscores, blank lines,
+    # zeros past the width) or rejects
     CASES = {
         "blocks-1-to-4-digits": (5000, "\n".join(_digit_lines(5000, 3 * _BLOCK + 7)) + "\n"),
         "blocks-no-last-newline": (5000, "\n".join(_digit_lines(5000, 3 * _BLOCK + 7))),
@@ -655,7 +659,7 @@ class TestReaderMatchesPerLineReference:
         "fewer-states-than-actions-bad-state": (2, "1,2,0\n2,0,1\n"),
         "empty-field": (4, "0,,2\n"),
         "very-wide-field": (4, "0," + "1" * 40 + ",2\n"),
-        # fields past 18 digits would overflow int64: the line scan reads them
+        # fields past 18 digits would overflow int64: out of the grammar
         "indices-past-int64": (10 ** 20, "0,1,2\n" + "1" * 19 + ",1,2\n"),
     }
 
@@ -676,14 +680,14 @@ class TestReaderMatchesPerLineReference:
         plain = re.fullmatch(rb"(%s,%s,%s(\n|$))*" % (field, field, field), body)
         takes = plain and "bad" not in case
         try:
-            columns = envs._parse_records(body, n_states, 3)
+            columns = envs._parse_records("data.txt", body, n_states, 3)
         except ValueError:
             assert not takes
         else:
             assert takes and len(columns[0]) == len(body.splitlines())
 
     @pytest.mark.parametrize("defect", ["0,1", "x,1,2", "-1,0,0", "0,3,0", "0,0,64", "1 ,1,2 x",
-                                        "0,1,2,3"])
+                                        "0,1,2,3", "0,,2", "007,1,2"])
     def test_a_defect_in_a_late_block_names_its_line(self, tmp_path, defect):
         lines = _digit_lines(64, 4 * _BLOCK)
         lines[3 * _BLOCK + 11] = defect
@@ -701,16 +705,41 @@ class TestReaderMatchesPerLineReference:
             read_dataset(path)
 
 
+def _first_bad_line(path):
+    """The line of `path` that `read_dataset` must name, found line by line:
+    the first body line that is not three fields of 1 to `width` digits, else
+    the first with an index out of range; None when there is neither."""
+    header, *lines = re.split(rb"\r\n|\r|\n", path.read_bytes())
+    meta = dict(tok.split(b"=", 1) for tok in header.split()[2:])
+    n_states, n_actions = int(meta[b"n_states"]), int(meta[b"n_actions"])
+    if lines and not lines[-1]:  # the newline that ends the last line
+        lines.pop()
+    field = rb"\d{1,%d}" % min(len(str(max(n_states, n_actions) - 1)), 18)
+    for lineno, line in enumerate(lines, start=2):
+        if not re.fullmatch(b",".join([field] * 3), line):
+            return lineno
+    for lineno, line in enumerate(lines, start=2):
+        s, a, s2 = (int(f) for f in line.split(b","))
+        if s >= n_states or a >= n_actions or s2 >= n_states:
+            return lineno
+    return None
+
+
 def _assert_agrees(path):
-    """`read_dataset` and `read_dataset_per_line` read the same records, or
-    raise the same message, which this returns (None when both read)."""
-    try:
-        ref = read_dataset_per_line(path)
-    except ValueError as exc:
-        with pytest.raises(ValueError) as ours:
+    """`read_dataset` reads `read_dataset_per_line`'s records, or raises
+    `<path>:<line>: ` with `_first_bad_line`'s line, which is also the
+    per-line reader's where that rejects the file too. Returns the message
+    (None when `read_dataset` reads)."""
+    line = _first_bad_line(path)
+    if line is not None:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{line}: ") as ours:
             read_dataset(path)
-        assert str(ours.value) == str(exc)
-        return str(exc)
+        try:
+            read_dataset_per_line(path)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}:{line}: ")
+        return str(ours.value)
+    ref = read_dataset_per_line(path)
     ours = read_dataset(path)
     for column in ("states", "actions", "next_states"):
         a, b = getattr(ours, column), getattr(ref, column)

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import re
+import warnings
 import weakref
 
 import numpy as np
@@ -643,6 +645,26 @@ class TestSolutionIO:
             ref = tmp_path / f"{stem}.csv"
             savetxt_table(ref, table, stem if table.ndim == 1 else actions)
             assert (tmp_path / "sol" / f"{stem}.csv").read_bytes() == ref.read_bytes(), stem
+
+    @pytest.mark.parametrize("stem, rows, message", [
+        ("r", slice(5), r"v\.csv: shape \(9, 5\) does not match r\.csv's \(S, A\) = \(4, 5\)$"),
+        ("r", slice(1), r"r\.csv: no rows$"),
+        ("u", slice(None), r"u\.csv: the number of columns changed from 5 to 3 at row 2;"),
+    ], ids=["r-cut-to-4-rows", "r-header-only", "u-ragged"])
+    def test_a_malformed_table_names_its_path(self, tmp_path, stem, rows, message):
+        """A table numpy reads but of another shape, one without rows (no numpy
+        warning either), and one numpy cannot read: each error names its file."""
+        table = np.arange(45.0).reshape(9, 5)  # a 3 x 3 grid's (S, A)
+        save_solution(IrlSolution(table, table, table, table[:, 0], table, 0.9), tmp_path)
+        path = tmp_path / f"{stem}.csv"
+        lines = path.read_text().splitlines(keepends=True)[rows]
+        if stem == "u":
+            lines[2] = "1,2,3\n"
+        path.write_text("".join(lines))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{re.escape(str(tmp_path))}/{message}"):
+                load_solution(tmp_path)
 
 
 def _fixed_point(mdp, mu, u, iters=4000):
