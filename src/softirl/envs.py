@@ -17,6 +17,7 @@ from itertools import repeat
 import numpy as np
 
 from softirl.mdp import (
+    _CHUNK,
     TabularMdp,
     _soft_policy_iteration,
     check_distribution,
@@ -184,7 +185,8 @@ def _nonlinear_reward(spec: GridworldSpec, rng: np.random.Generator) -> np.ndarr
 
 def build_env(spec: GridworldSpec):
     """Construct (TabularMdp, true reward table, read-only (S, A, d) feature
-    table phi) from a spec.
+    table phi) from a spec. On `tabular-linear` phi is None: one-hot
+    features, each (s, a) cell its own, which MaxEnt reads without a table.
 
     Deterministic in the spec: the same spec always yields bit-identical
     outputs.
@@ -206,7 +208,7 @@ def build_env(spec: GridworldSpec):
         theta = rng.normal(size=phi.shape[2])
         raw = phi @ theta
     elif spec.reward_kind == "tabular-linear":
-        phi = np.eye(ns * N_ACTIONS).reshape(ns, N_ACTIONS, -1)
+        phi = None
         raw = rng.uniform(-1.0, 1.0, size=(ns, N_ACTIONS))
     else:  # nonlinear truth, but only raw-coordinate features are exposed
         phi = _action_block_features(spec)
@@ -225,7 +227,8 @@ def build_env(spec: GridworldSpec):
             r_true = scale * raw
         else:
             raise RuntimeError("could not satisfy min_action_prob by rescaling")
-    phi.setflags(write=False)
+    if phi is not None:
+        phi.setflags(write=False)
     return mdp, r_true, phi
 
 
@@ -238,7 +241,8 @@ def expert_policy(mdp: TabularMdp, r_true) -> np.ndarray:
 def truth(spec: GridworldSpec):
     """(TabularMdp, true reward, phi, true Q, expert policy): `build_env(spec)`
     and one soft value iteration at its default tol, kept for the last spec
-    asked for, so a process builds and solves it once. Its arrays are read-only.
+    asked for, so a process builds and solves it once. Its arrays are
+    read-only; phi is None on `tabular-linear`, as `build_env` gives it.
     """
     mdp, r_true, phi = build_env(spec)
     _, q_true, pi_expert = soft_value_iteration(mdp, r_true)
@@ -256,11 +260,11 @@ def sample_transitions(mdp: TabularMdp, pi, n: int, init=None,
     from `init` otherwise (the discounted occupancy sampler). trajectory: one
     long chain. `init` defaults to uniform.
 
-    Every uniform is drawn before the walk: the (n, 3) table, then one per
-    restart, in record order. The restarts cut the records into segments
-    whose first states are then known, and `_walk` advances all segments in
-    lockstep. The records are the bits a per-record `np.searchsorted` loop
-    draws from the same stream.
+    Every uniform is drawn before the walk: the rows of one (n, 3) table,
+    `_CHUNK` rows at a time, then one per restart, in record order. The
+    restarts cut the records into segments whose first states are then
+    known, and `_walk` advances all segments in lockstep. The records are
+    the bits a per-record `np.searchsorted` loop draws from the same stream.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -272,22 +276,29 @@ def sample_transitions(mdp: TabularMdp, pi, n: int, init=None,
     init = check_distribution(init, (mdp.n_states,), "init")
 
     rng = np.random.default_rng(seed)
-    u = rng.random((n, 3))
     # CDF rows end in +inf: a right-sided search then returns at most the last
     # index, the min(., S - 1) / min(., A - 1) clamp for rows just under 1.
     init_cdf, pi_cdf = (np.cumsum(p, axis=-1) for p in (init, pi))
     for cdf in (init_cdf, pi_cdf):
         cdf[..., -1] = np.inf
-    # Record i > 0 restarts iff u[i, 2] >= gamma (iid-restart only) and then
-    # takes the stream's next uniform, so every segment's first state is
-    # known before the walk.
-    starts = np.append(0, np.flatnonzero(u[1:, 2] >= mdp.gamma) + 1 if regime == "iid-restart"
-                       else np.empty(0, dtype=np.intp))
-    first = np.searchsorted(init_cdf, np.append(u[0, 2], rng.random(len(starts) - 1)), side="right")
-    # the walk reads column 0, and column 1 only where a move is random
-    u_act, u_move = u[:, 0].copy(), None if mdp._targets is not None else u[:, 1].copy()
-    del u
     records = np.empty((3, n), dtype=np.int64)
+    # The walk reads uniform column 0 (kept in the next-state row, which it
+    # writes last), and column 1 only where a move is random. Record i > 0
+    # restarts iff u[i, 2] >= gamma (iid-restart only) and then takes the
+    # stream's next uniform, so every segment's first state is known.
+    u_act, u_move = records[2].view(np.float64), None if mdp._targets is not None else np.empty(n)
+    starts = [np.zeros(1, dtype=np.intp)]
+    for lo in range(0, n, _CHUNK):
+        u = rng.random((min(_CHUNK, n - lo), 3))  # the rows one (n, 3) draw gives
+        u_act[lo:lo + len(u)] = u[:, 0]
+        if u_move is not None:
+            u_move[lo:lo + len(u)] = u[:, 1]
+        if lo == 0:  # record 0 starts the first segment
+            u_first, u, lo = u[0, 2], u[1:], 1
+        if regime == "iid-restart":
+            starts.append(np.flatnonzero(u[:, 2] >= mdp.gamma) + lo)
+    starts = np.concatenate(starts)
+    first = np.searchsorted(init_cdf, np.append(u_first, rng.random(len(starts) - 1)), side="right")
     _walk(records, starts, first, pi_cdf, u_act, u_move, *_support_rows(mdp.transition))
 
     meta = {"seed": seed, "env": env_id or "-", "n": n,
@@ -302,16 +313,20 @@ def _support_rows(transition: np.ndarray):
     A right-sided search stops at the first entry above u >= 0. A zero
     mass at index 0 gives 0.0, and one further on repeats the entry before
     it exactly, so that entry is a support index or the +inf last one: the
-    cut rows give the full rows' answer.
+    cut rows give the full rows' answer. A cumsum over the kernel's nonzeros
+    has the full row's bits: adding 0.0 to a nonnegative sum is exact.
     """
-    trans_cdf = np.cumsum(transition, axis=-1)
-    trans_cdf[..., -1] = np.inf
-    keep = transition > 0
-    keep[..., -1] = True
-    idx = np.argsort(~keep, axis=-1, kind="stable")[..., :keep.sum(axis=-1).max()].copy()
-    cdf = np.take_along_axis(trans_cdf, idx, axis=-1)
-    cdf[~np.take_along_axis(keep, idx, axis=-1)] = np.inf
-    return cdf, idx
+    n_states, shape = transition.shape[-1], (*transition.shape[:2], -1)
+    rows = transition.reshape(-1, n_states)
+    cell, col = np.nonzero(rows[:, :-1])  # each cell's support in order
+    kept = np.bincount(cell, minlength=len(rows))
+    pos = np.arange(len(cell)) - np.repeat(np.cumsum(kept) - kept, kept)
+    width = kept.max() + 1
+    mass, idx = np.zeros((len(rows), width)), np.full((len(rows), width), n_states - 1)
+    mass[cell, pos], idx[cell, pos] = rows[cell, col], col
+    cdf = np.cumsum(mass, axis=1)
+    cdf[np.arange(width) >= kept[:, None]] = np.inf
+    return cdf.reshape(shape), idx.reshape(shape)
 
 
 def _walk(records, starts, first, pi_cdf, u_act, u_move, next_cdf, next_idx) -> None:
@@ -324,7 +339,8 @@ def _walk(records, starts, first, pi_cdf, u_act, u_move, next_cdf, next_idx) -> 
     Segments go longest first, `_LANES` at a time, so the live ones are a
     prefix: step t takes record start + t of every live segment at once.
     Once fewer than `_TAIL` are live, each finishes one record at a time
-    with `bisect` over the same rows.
+    with `bisect` over the same rows. The next states are written last, so
+    `u_act` may live in their row.
     """
     n_actions, width = next_idx.shape[1:]
     # the last CDF column is +inf, never <= u, so a step counts the others

@@ -1,7 +1,8 @@
 """Linear-reward MaxEnt IRL baseline fit by exact-gradient ascent.
 
 The conditional log-likelihood of the data under the softmax policy of
-r_theta = <theta, phi> is maximized directly. The gradient is exact: the
+r_theta = <theta, phi> is maximized directly; phi None stands for one-hot
+features, r_theta = theta. The gradient is exact: the
 Q-sensitivity dQ solves the linear fixed point dQ = phi + gamma P[pi dQ],
 and dQ^T (w - expected) takes one adjoint solve on the S x S state system
 of pi, so analytic and finite-difference gradients agree to numerical
@@ -54,7 +55,7 @@ class MaxEntFit:
 def _loglik_and_grad(mdp: TabularMdp, phi_flat: np.ndarray, weights: np.ndarray,
                      pi: np.ndarray):
     """Mean log-likelihood of the weights under the soft-optimal policy pi of
-    r_theta, and its gradient in theta."""
+    r_theta, and its gradient in theta (per cell if `phi_flat` is None)."""
     with np.errstate(divide="ignore"):
         ll = float(np.sum(weights * np.log(pi)))
 
@@ -65,7 +66,8 @@ def _loglik_and_grad(mdp: TabularMdp, phi_flat: np.ndarray, weights: np.ndarray,
     b = weights - weights.sum(axis=1)[:, None] * pi
     y = _solve_discounted(state_kernel(mdp, pi).T, mdp.gamma,
                           mdp.transition.reshape(-1, mdp.n_states).T @ b.reshape(-1), "adjoint")
-    return ll, phi_flat.T @ (b + mdp.gamma * pi * y[:, None]).reshape(-1)
+    grad = (b + mdp.gamma * pi * y[:, None]).reshape(-1)
+    return ll, grad if phi_flat is None else phi_flat.T @ grad
 
 
 def ascent(mdp: TabularMdp, phi, weights: np.ndarray, cfg: MaxEntConfig):
@@ -73,10 +75,18 @@ def ascent(mdp: TabularMdp, phi, weights: np.ndarray, cfg: MaxEntConfig):
     given, from theta = 0: each epoch yields r_theta, is sent its (v, Q, pi),
     and takes one Adam step along the gradient. Returns the
     best-likelihood iterate once PATIENCE epochs bring no `tol` gain or
-    `max_epochs` steps are taken."""
-    phi_flat = np.asarray(phi, dtype=float).reshape(mdp.n_states * mdp.n_actions, -1)
+    `max_epochs` steps are taken.
+
+    `phi` None stands for one-hot features: r_theta is theta and the gradient
+    the per-cell vector. On finite values the (S*A)^2 identity's matvecs give
+    these bits but turn -0.0 into +0.0, which moves nothing: theta and Adam's
+    moments start at +0.0 and are never -0.0 (a sum is -0.0 only if both
+    terms are), so a gradient's -0.0 adds to them as +0.0 does."""
+    n_cells = mdp.n_states * mdp.n_actions
+    phi_flat = None if phi is None else np.asarray(phi, dtype=float).reshape(n_cells, -1)
+    reward = np.copy if phi_flat is None else phi_flat.__matmul__  # theta -> r_theta per cell
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    theta = np.zeros(phi_flat.shape[1])
+    theta = np.zeros(n_cells if phi_flat is None else phi_flat.shape[1])
     adam_m, adam_v = np.zeros_like(theta), np.zeros_like(theta)
     trace, stall = [], 0
     for epoch in range(cfg.max_epochs + 1):
@@ -86,7 +96,7 @@ def ascent(mdp: TabularMdp, phi, weights: np.ndarray, cfg: MaxEntConfig):
             m_hat = adam_m / (1 - beta1 ** epoch)
             v_hat = adam_v / (1 - beta2 ** epoch)
             theta = theta + STEP_SIZE * m_hat / (np.sqrt(v_hat) + eps)
-        _, _, pi = yield (phi_flat @ theta).reshape(weights.shape)
+        _, _, pi = yield reward(theta).reshape(weights.shape)
         ll, grad = _loglik_and_grad(mdp, phi_flat, weights, pi)
         if epoch and not np.isfinite(ll):
             raise RuntimeError(f"likelihood became non-finite at epoch {epoch}; "
@@ -99,7 +109,7 @@ def ascent(mdp: TabularMdp, phi, weights: np.ndarray, cfg: MaxEntConfig):
             if stall >= PATIENCE:
                 break
     ll, theta, epoch = best
-    return MaxEntFit(theta, (phi_flat @ theta).reshape(weights.shape), trace, epoch,
+    return MaxEntFit(theta, reward(theta).reshape(weights.shape), trace, epoch,
                      {"best_loglik": ll, "epochs_run": len(trace) - 1})
 
 

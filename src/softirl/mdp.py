@@ -18,6 +18,7 @@ _UNCONVERGED = ("soft value iteration did not reach tol={} in {} iterations; "
                 "last residual bound {:.3e}")
 # sweeps between soft value iteration's residual checks
 CHECK_EVERY = 16
+_CHUNK = 1 << 14  # records per chunk of the sampler's uniforms and of `_count_keys`
 
 
 @dataclass(frozen=True)
@@ -295,5 +296,17 @@ def joint_frequency(states, actions, n_states: int, n_actions: int) -> np.ndarra
     a = np.asarray(actions)
     if s.size == 0:
         raise ValueError("empty index arrays")
-    counts = np.bincount(s * n_actions + a, minlength=n_states * n_actions)
+    counts = _count_keys(lambda lo, hi: s[lo:hi] * n_actions + a[lo:hi], s.size,
+                         n_states * n_actions)
     return counts.reshape(n_states, n_actions) / s.size
+
+
+def _count_keys(keys, n: int, n_bins: int) -> np.ndarray:
+    """`np.bincount` of n records' keys in [0, n_bins), where keys(lo, hi)
+    gives records lo:hi's, taken max(_CHUNK, n_bins) records at a time so that
+    no n-sized key array exists; the counts are integers, so they are exact."""
+    counts = np.zeros(n_bins, dtype=np.intp)
+    step = max(_CHUNK, n_bins)  # each chunk's bincount costs n_bins
+    for lo in range(0, n, step):
+        counts += np.bincount(keys(lo, min(lo + step, n)), minlength=n_bins)
+    return counts

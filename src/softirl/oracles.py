@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from softirl.mdp import check_records, softmax_actions
+from softirl.mdp import _count_keys, check_records, softmax_actions
 
 CLASSIFIER_KINDS = ("tabular-count", "multinomial-logistic")
 REGRESSOR_KINDS = ("tabular-mean", "ridge")
@@ -93,8 +93,8 @@ def fit_classifier(spec: ClassifierSpec, states, actions,
     s, a = check_records(n_states, n_actions, states, actions)
     if s.size == 0:
         raise ValueError("empty training data")
-    counts = np.bincount(s * n_actions + a,
-                         minlength=n_states * n_actions).reshape(n_states, n_actions)
+    counts = _count_keys(lambda lo, hi: s[lo:hi] * n_actions + a[lo:hi], s.size,
+                         n_states * n_actions).reshape(n_states, n_actions)
     state_counts = counts.sum(axis=1)
 
     if spec.kind == "tabular-count":
@@ -149,11 +149,12 @@ def fit_regressor_folds(spec: RegressorSpec, states, actions, next_states,
                         n_states: int, n_actions: int, folds: int):
     """Yield fit_regressor's fit of each of `folds` equal consecutive folds
     of the records in turn, from one check and one count of the (fold,
-    s * A + a, s') keys: a dense bincount when their range is at most the
-    record count, else a sort. Each fold's count and tabular triples are
-    views into the shared sorted counts. The check and count run when the
-    first fold is taken and a ridge fold's solve when it is, so a failure
-    surfaces at its fold."""
+    s * A + a, s') keys: when their range is at most the record count, a
+    dense bincount of one chunk of records at a time (`mdp._count_keys`), so
+    no key array of the record count exists; else a sort of all keys. Each
+    fold's count and tabular triples are views into the shared sorted
+    counts. The check and count run when the first fold is taken and a
+    ridge fold's solve when it is, so a failure surfaces at its fold."""
     s, a, s2 = check_records(n_states, n_actions, states, actions, next_states)
     if s.size == 0:
         raise ValueError("empty training data")
@@ -168,16 +169,18 @@ def fit_regressor_folds(spec: RegressorSpec, states, actions, next_states,
             raise ValueError(f"features shape {phi.shape} does not match ({n_states}, {n_actions}, d)")
         phi = phi.reshape(n_cells, -1)
 
-    span = n_cells * n_states  # keys per fold
-    keys = (s * n_actions + a) * n_states + s2
-    if folds > 1:
-        keys += np.repeat(np.arange(folds) * span, s.size // folds)
+    span, size = n_cells * n_states, s.size // folds  # keys and records per fold
+
+    def keys(lo, hi):  # the (fold, s * A + a, s') keys of records lo:hi
+        fold = np.arange(lo, hi) // size if folds > 1 else 0
+        return (fold * n_cells + s[lo:hi] * n_actions + a[lo:hi]) * n_states + s2[lo:hi]
+
     if folds * span <= s.size:
-        counts = np.bincount(keys, minlength=folds * span)
+        counts = _count_keys(keys, s.size, folds * span)
         support = np.flatnonzero(counts > 0)  # a bool mask scans faster than int64
         n = counts[support]
     else:
-        support, n = np.unique(keys, return_counts=True)
+        support, n = np.unique(keys(0, s.size), return_counts=True)
     cells, cols = np.divmod(support, n_states)  # cells = fold * S * A + s * A + a
     cnt = np.bincount(cells, n, minlength=folds * n_cells)
     rows, values = cells % n_cells, n / cnt[cells]
@@ -202,5 +205,5 @@ def fit_regressor_folds(spec: RegressorSpec, states, actions, next_states,
             product = phi @ np.linalg.solve(gram, phi.T @ fold_counts.reshape(n_cells, n_states))
             nonzero = np.nonzero(product)
             kernel = (*nonzero, product[nonzero])
-        diagnostics = {"n_empty_cells": empty[fold], "n_train": s.size // folds}
+        diagnostics = {"n_empty_cells": empty[fold], "n_train": size}
         yield FittedRegressor(kernel, (rows[lo:hi], cols[lo:hi], n[lo:hi]), diagnostics)

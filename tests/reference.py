@@ -8,12 +8,14 @@ with exact oracles and its full-sample limit as K grows) in plain code. Each one
 `solver._fitted_fixed_point`), so a test that uses them still tests package
 code.
 
-The last seven are the plain forms of five fast paths: the dense fold maps
+The last eight are the plain forms of six fast paths: the dense fold maps
 (`dense_fit_regressor`, `dense_fit_regressor_folds`,
 `dense_fitted_fixed_point`), the per-record dataset writer
 (`write_dataset_per_record`), the per-line dataset reader
-(`read_dataset_per_line`), the row-by-row table writer (`savetxt_table`)
-and `build_env`'s kernel fill and reward rescale (`cold_build_env`).
+(`read_dataset_per_line`), the row-by-row table writer (`savetxt_table`),
+`build_env`'s kernel fill and reward rescale (`cold_build_env`) and the
+sampler's cut CDF rows from the dense (S, A, S) cumsum
+(`dense_support_rows`).
 `weighted_evaluate` keeps `metrics.evaluate`'s arithmetic from before it
 took plain means: sums weighted by 1/S, which a packaged benchmark's scores
 match bit for bit.
@@ -394,6 +396,20 @@ def cold_build_env(spec):
         else:
             raise RuntimeError("could not satisfy min_action_prob by rescaling")
     return transition, r_true, phi, gaps
+
+
+def dense_support_rows(transition: np.ndarray):
+    """`envs._support_rows` from the dense (S, A, S) CDF, cut by a stable
+    argsort to each row's support plus its last index; the padding's CDF is
+    +inf and its indices are the first ones off the support."""
+    trans_cdf = np.cumsum(transition, axis=-1)
+    trans_cdf[..., -1] = np.inf
+    keep = transition > 0
+    keep[..., -1] = True
+    idx = np.argsort(~keep, axis=-1, kind="stable")[..., :keep.sum(axis=-1).max()].copy()
+    cdf = np.take_along_axis(trans_cdf, idx, axis=-1)
+    cdf[~np.take_along_axis(keep, idx, axis=-1)] = np.inf
+    return cdf, idx
 
 
 def weighted_evaluate(mdp: TabularMdp, r_true, pi_expert, r_hat, v_hat=None,

@@ -497,6 +497,31 @@ class TestPipeline:
         for name in ("theta.csv", "r.csv", "loss.csv"):
             assert os.path.exists(os.path.join(bdir, name))
 
+    def test_baseline_one_hot_features_write_the_identity_bytes(self, cfg_path, tmp_path,
+                                                                monkeypatch):
+        # tabular-linear's phi is None; the explicit identity it stands for
+        # gives the same files byte for byte
+        import numpy as np
+
+        data = str(tmp_path / "data.txt")
+        assert main(["gen-data", "--config", cfg_path, "--out", data, "--quiet"]) == 0
+        assert main(["baseline", data, "--config", cfg_path, "--out",
+                     str(tmp_path / "none"), "--quiet"]) == 0
+        build_env = envs.build_env
+
+        def identity_features(spec):
+            mdp, r_true, phi = build_env(spec)
+            assert phi is None
+            cells = mdp.n_states * mdp.n_actions
+            return mdp, r_true, np.eye(cells).reshape(mdp.n_states, mdp.n_actions, cells)
+
+        monkeypatch.setattr(envs, "build_env", identity_features)
+        assert main(["baseline", data, "--config", cfg_path, "--out",
+                     str(tmp_path / "eye"), "--quiet"]) == 0
+        for name in ("theta.csv", "r.csv", "loss.csv"):
+            assert ((tmp_path / "none" / name).read_bytes()
+                    == (tmp_path / "eye" / name).read_bytes()), name
+
     # a dataset of the 2x2 config (4 states) against a 4x4 config, and the reverse,
     # given to baseline and to solve
     @pytest.mark.parametrize("command, data_shape, config_shape", [

@@ -26,6 +26,7 @@ from softirl.mdp import TabularMdp, soft_value_iteration
 
 from reference import (
     cold_build_env,
+    dense_support_rows,
     read_dataset_per_line,
     shape,
     sup_norm,
@@ -71,13 +72,17 @@ class TestBuildEnv:
             build_env(small_spec(width=0))
 
     def test_tabular_features_are_one_hot(self):
+        # None stands for one-hot features, each (s, a) cell its own; MaxEnt
+        # reads it as np.eye(S * A) (test_maxent.TestOneHotFeatures)
         _, _, phi = build_env(small_spec())
-        assert phi.shape[2] == 9 * 5
-        assert_allclose(phi.reshape(45, 45), np.eye(45))
+        assert phi is None
 
     @pytest.mark.parametrize("reward_kind", ["linear", "tabular-linear", "nonlinear"])
     def test_features_are_read_only(self, reward_kind):
         _, _, phi = build_env(small_spec(reward_kind=reward_kind))
+        if reward_kind == "tabular-linear":  # one-hot features have no table to write
+            assert phi is None
+            return
         assert not phi.flags.writeable
         with pytest.raises(ValueError):
             phi[0, 0, 0] = 1.0
@@ -155,7 +160,12 @@ class TestMatchesColdRescale:
         got = build_env(spec)
         warm = len(steps)
         *want, gaps = cold_build_env(spec)
-        for g, w in zip((got[0].transition, *got[1:]), want):
+        tables = list(zip((got[0].transition, got[1]), want[:2]))
+        if spec.reward_kind == "tabular-linear":  # one-hot features: None on both sides
+            assert got[2] is None and want[2] is None
+        else:
+            tables.append((got[2], want[2]))
+        for g, w in tables:
             assert g.shape == w.shape and g.tobytes() == w.tobytes()
         assert warm < len(steps) - warm
         assert min(gaps) > 1e-6
@@ -172,12 +182,21 @@ class TestTruth:
         mdp, r_true, phi = build_env(spec)
         _, q_true, pi = soft_value_iteration(mdp, r_true)
         assert got[0].gamma == mdp.gamma
-        for g, w in zip((got[0].transition, *got[1:]), (mdp.transition, r_true, phi, q_true, pi)):
+        tables = [(got[0].transition, mdp.transition), (got[1], r_true), (got[3], q_true),
+                  (got[4], pi)]
+        if spec.reward_kind == "tabular-linear":  # one-hot features: None from both
+            assert got[2] is None and phi is None
+        else:
+            tables.append((got[2], phi))
+        for g, w in tables:
             assert np.array_equal(g, w)
 
     def test_arrays_are_read_only(self):
         mdp, r_true, phi, q_true, pi = envs.truth(small_spec())
-        for table in (mdp.transition, mdp._targets, r_true, phi, q_true, pi):
+        assert phi is None  # tabular-linear: one-hot features have no table
+        tables = [mdp.transition, mdp._targets, r_true, q_true, pi,
+                  envs.truth(small_spec(reward_kind="linear"))[2]]
+        for table in tables:
             with pytest.raises(ValueError):
                 table[0, 0] = 1.0
 
@@ -437,15 +456,68 @@ class TestSamplerMatchesLoopReference:
         pi = np.array([[0.2, 0.5, 0.3]])
         _assert_matches_reference(mdp, pi, 3 * _BLOCK + 7, np.ones(1), regime, seed=10)
 
+    @pytest.mark.parametrize("regime", ["iid-restart", "trajectory"])
+    @pytest.mark.parametrize("name", ["ident", "ident-noisy"])
+    @pytest.mark.parametrize("chunk", [1, 7, _BLOCK])
+    def test_uniforms_drawn_in_chunks(self, monkeypatch, chunk, name, regime):
+        # successive draws of `chunk` rows continue the one (n, 3) stream, and
+        # a restart at a chunk's first row is found there
+        monkeypatch.setattr(envs, "_CHUNK", chunk)
+        self._check(name, 3 * _BLOCK + 7, regime, skewed=True, seed=chunk)
+
+
+def _zero_last_column_kernel():
+    """A random kernel whose first and last next states have no mass."""
+    rng = np.random.default_rng(2)
+    mass = rng.dirichlet(np.ones(5), size=(7, 3)) * (rng.random((7, 3, 5)) < 0.6)
+    mass[..., 2] += 1e-3  # every row keeps some mass
+    return np.pad(mass / mass.sum(axis=-1, keepdims=True), ((0, 0), (0, 0), (1, 1)))
+
+
+class TestSupportRows:
+    """`_support_rows` from the kernel's nonzeros against the dense CDF cut
+    (`reference.dense_support_rows`): the same CDF bits, the same indices at
+    every kept position (the support and the last index), the same records."""
+
+    @pytest.mark.parametrize("kernel", ["one-hot", "noise-0.2", "noise-0.3", "one-state",
+                                        "zero-last-column"])
+    def test_matches_the_dense_cut(self, kernel, monkeypatch):
+        if kernel == "one-state":
+            transition = np.ones((1, 3, 1))
+        elif kernel == "zero-last-column":
+            transition = _zero_last_column_kernel()
+        else:
+            noise = float(kernel.split("-")[1]) if kernel != "one-hot" else 0.0
+            transition = build_env(replace(_packaged_spec("ident"),
+                                           move_noise=noise))[0].transition
+        mdp = TabularMdp(transition, 0.9)
+        got, want = envs._support_rows(mdp.transition), dense_support_rows(mdp.transition)
+        assert got[0].shape == want[0].shape and got[0].tobytes() == want[0].tobytes()
+        kept = np.arange(want[0].shape[-1]) <= np.isfinite(want[0]).sum(axis=-1)[..., None]
+        assert got[1].dtype == want[1].dtype and np.array_equal(got[1][kept], want[1][kept])
+        if kernel == "zero-last-column":
+            assert not transition[..., -1].any() and not transition[..., 0].any()
+            assert np.isfinite(want[0]).sum(axis=-1).min() < want[0].shape[-1] - 1  # padding
+
+        rng = np.random.default_rng(3)
+        pi = rng.dirichlet(np.ones(mdp.n_actions), size=mdp.n_states)
+        ds = sample_transitions(mdp, pi, 3 * _BLOCK + 7, seed=5)
+        monkeypatch.setattr(envs, "_support_rows", dense_support_rows)
+        ref = sample_transitions(mdp, pi, 3 * _BLOCK + 7, seed=5)
+        for g, w in zip((ds.states, ds.actions, ds.next_states),
+                        (ref.states, ref.actions, ref.next_states)):
+            assert np.array_equal(g, w)
+
 
 class TestSamplerMemory:
-    """The sampler keeps the uniforms' action column, and their move column
-    only on stochastic kernels, and frees the (n, 3) table before the
-    (3, n) records exist. Measured peak at n = 200k, in n * 8 bytes: 4.39
-    on ident and 5.46 with move_noise 0.3; the (n, 3) table plus the
-    records alone are 6."""
+    """The sampler draws the uniforms `_CHUNK` rows at a time and keeps their
+    action column in the records' next-state row, and their move column only
+    on stochastic kernels. Measured peak at n = 200k, in n * 8 bytes: 3.52 on
+    ident and 4.52 with move_noise 0.3 (4.38 and 5.45 with one (n, 3) draw);
+    the records alone are 3, and one chunk of uniforms is 0.25."""
 
-    @pytest.mark.parametrize("name, bound", [("ident", 4.5), ("ident-noisy", 5.5)])
+    @pytest.mark.parametrize("name, bound", [("ident", 3.6), ("ident-noisy", 4.6)],
+                             ids=["ident", "ident-noisy"])
     def test_peak_traced_allocation(self, name, bound):
         mdp, r_true, _ = build_env(_packaged_spec(name))
         pi = expert_policy(mdp, r_true)

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 import softirl.maxent as maxent
 from softirl.envs import GridworldSpec, build_env, expert_policy, sample_transitions
+from softirl.harness import builtin_experiment
 from softirl.maxent import MaxEntConfig, MaxEntFit, ascent, maxent_fit, run_lockstep
 from softirl.metrics import evaluate
 from softirl.mdp import TabularMdp, joint_frequency, soft_value_iteration
@@ -185,6 +186,42 @@ class TestMaxentFit:
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError, match="max_epochs"):
             MaxEntConfig(max_epochs=-1)
+
+
+class TestOneHotFeatures:
+    """`phi` None against the explicit identity it stands for: every reward
+    an ascent yields, and its fit, are the same bits."""
+
+    @staticmethod
+    def _drive(mdp, phi, weights, cfg):
+        """The rewards one ascent yields, each solved alone, and its fit."""
+        job, rewards = ascent(mdp, phi, weights, cfg), []
+        try:
+            reward = next(job)
+            while True:
+                rewards.append(reward)
+                reward = job.send(soft_value_iteration(mdp, reward, tol=maxent.VI_TOL))
+        except StopIteration as stop:
+            return rewards, stop.value
+
+    @pytest.mark.parametrize("name, max_epochs", [("ident", 12), ("tabular-3x3", 150)])
+    def test_same_bits_as_the_identity(self, name, max_epochs):
+        spec = (builtin_experiment("ident").env if name == "ident"
+                else GridworldSpec(3, 3, topology="bounded", seed=4, min_action_prob=0.03))
+        mdp, r_true, phi = build_env(spec)
+        assert phi is None
+        data = sample_transitions(mdp, expert_policy(mdp, r_true), 5_000, seed=2)
+        weights = joint_frequency(data.states, data.actions, mdp.n_states, mdp.n_actions)
+        cfg = MaxEntConfig(max_epochs=max_epochs)
+        got_rewards, got = self._drive(mdp, None, weights, cfg)
+        want_rewards, want = self._drive(
+            mdp, one_hot_features(mdp.n_states, mdp.n_actions), weights, cfg)
+        assert len(got_rewards) == len(want_rewards) == len(got.loss_trace) > 1
+        for g, w in [*zip(got_rewards, want_rewards), (got.theta, want.theta),
+                     (got.r_hat, want.r_hat)]:
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+        assert np.array(got.loss_trace).tobytes() == np.array(want.loss_trace).tobytes()
+        assert (got.best_epoch, got.diagnostics) == (want.best_epoch, want.diagnostics)
 
 
 def fit_lockstep(mdp, phi, weights, cfg):
