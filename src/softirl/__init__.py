@@ -27,7 +27,6 @@ from softirl.oracles import (
     ClassifierSpec,
     FittedClassifier,
     FittedRegressor,
-    RegressorSpec,
     fit_classifier,
     fit_regressor,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "MaxEntFit",
     "MetricsReport",
     "NormalizationMeasure",
-    "RegressorSpec",
     "SolverConfig",
     "SolverDiagnostics",
     "TabularMdp",

@@ -49,7 +49,8 @@ FLOAT_FMT = "%.10g"
 @dataclass
 class ExperimentConfig:
     """One experiment; it also checks the solver values bounded by the
-    env's action count or by n, naming each by its path from here."""
+    env's action count or by n, and the solver's discount, which must be the
+    env's, naming each by its path from here."""
 
     env: GridworldSpec
     n: int = 50_000
@@ -71,6 +72,9 @@ class ExperimentConfig:
             raise ValueError(f"base_seed: must be nonnegative, got {self.base_seed}")
         if any(ch.isspace() for ch in self.name):  # the name is a dataset header token
             raise ValueError(f"name: must not contain whitespace, got {self.name!r}")
+        if self.solver.gamma != self.env.gamma:
+            raise ValueError(f"solver.gamma: must be the env's gamma {self.env.gamma}, "
+                             f"got {self.solver.gamma}")
         if self.split and (k := self.solver.steps(self.n)) > self.n // 2:
             raise ValueError(f"solver.K: split needs at most n // 2 = {self.n // 2} steps, "
                              f"one regression fold each, got {k}")

@@ -1,11 +1,12 @@
 """Blackbox probabilistic classification and regression oracles.
 
-Classifiers estimate the behavior policy from (s, a) pairs. Regressors
-estimate conditional means E[g(s') | s, a] for a next-state function g; both
-shipped regressor classes are linear in their targets, so one fit on a fold
-is a linear map from g to the (s, a) table, reused for every g. The map is
-held sparsely, as (row, col, value) triples over cells s * A + a and next
-states s': a tabular fold of m records has at most m of them.
+Classifiers estimate the behavior policy from (s, a) pairs; the classifier
+is the pluggable stage. The regressor estimates conditional means
+E[g(s') | s, a] for a next-state function g by the tabular mean, which is
+linear in its targets, so one fit on a fold is a linear map from g to the
+(s, a) table, reused for every g. The map is held sparsely, as (row, col,
+value) triples over cells s * A + a and next states s': a fold of m records
+has at most m of them.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import numpy as np
 from softirl.mdp import _count_keys, check_records, softmax_actions
 
 CLASSIFIER_KINDS = ("tabular-count", "multinomial-logistic")
-REGRESSOR_KINDS = ("tabular-mean", "ridge")
 PROB_FLOOR = 1e-6  # least fitted probability, so the log-policy stays bounded
 LOGISTIC_EPOCHS = 500  # the logistic classifier's cap on gradient steps
 
@@ -28,8 +28,8 @@ class ClassifierSpec:
     PROB_FLOOR. `smoothing_alpha` is the tabular kind's Laplace count. The
     logistic kind runs at most LOGISTIC_EPOCHS full-batch gradient steps of
     size 0.5 / (1 + L), L the largest squared norm of a state's features,
-    and stops once the loss moves by less than 1e-9; `state_features` is an
-    (S, d) matrix (None means one-hot states).
+    and stops once the loss moves by less than 1e-9; `state_features` is its
+    finite (S, d) matrix (None means one-hot states).
     """
 
     kind: str = "tabular-count"
@@ -43,22 +43,13 @@ class ClassifierSpec:
         if not 0 <= alpha < np.inf or alpha and self.kind != "tabular-count":
             raise ValueError("smoothing_alpha: must be finite and nonnegative, and 0 for the "
                              f"logistic kind, got {alpha}")
-
-
-@dataclass(frozen=True)
-class RegressorSpec:
-    """Configuration for fit_regressor: `features` is the (S, A, d) table
-    the ridge kind regresses on."""
-
-    kind: str = "tabular-mean"
-    ridge_lambda: float = 0.0
-    features: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.kind not in REGRESSOR_KINDS:
-            raise ValueError(f"kind: must be one of {REGRESSOR_KINDS}, got {self.kind!r}")
-        if self.ridge_lambda < 0:
-            raise ValueError(f"ridge_lambda: must be nonnegative, got {self.ridge_lambda}")
+        if self.state_features is not None:
+            if self.kind != "multinomial-logistic":
+                raise ValueError("state_features: only the multinomial-logistic kind reads it")
+            phi = np.asarray(self.state_features, dtype=float)
+            if phi.ndim != 2 or not np.all(np.isfinite(phi)):
+                raise ValueError("state_features: must be a 2-d array of finite values, "
+                                 f"got shape {phi.shape}")
 
 
 @dataclass
@@ -75,7 +66,7 @@ class FittedRegressor:
     """The fitted regression g -> M g, flattened over cells s * A + a.
 
     `kernel` is the (rows, cols, values) triples of M's nonzero entries
-    M[s * A + a, s'], so a tabular cell without records has no triple and
+    M[s * A + a, s'], so a cell without records has no triple and
     predicts 0; `counts` is the (rows, cols, n) triples of the fold's nonzero
     (s, a, s') record counts, in row-major order.
     """
@@ -136,39 +127,29 @@ def _fit_logistic(spec: ClassifierSpec, counts, state_counts, n_states, n_action
     return softmax_actions(phi @ weights)
 
 
-def fit_regressor(spec: RegressorSpec, states, actions, next_states,
-                  n_states: int, n_actions: int) -> FittedRegressor:
-    """Least-squares fit of the next-state indicator on (s, a) over the
-    configured class: regressing any target g(s') on the same records gives
+def fit_regressor(states, actions, next_states, n_states: int, n_actions: int) -> FittedRegressor:
+    """Tabular mean of the next-state indicator per (s, a) cell, its
+    least-squares fit: regressing any target g(s') on the same records gives
     M g, with M held as triples (see FittedRegressor). The one-fold case of
     fit_regressor_folds."""
-    return next(fit_regressor_folds(spec, states, actions, next_states, n_states, n_actions, 1))
+    return next(fit_regressor_folds(states, actions, next_states, n_states, n_actions, 1))
 
 
-def fit_regressor_folds(spec: RegressorSpec, states, actions, next_states,
-                        n_states: int, n_actions: int, folds: int):
+def fit_regressor_folds(states, actions, next_states, n_states: int, n_actions: int,
+                        folds: int):
     """Yield fit_regressor's fit of each of `folds` equal consecutive folds
     of the records in turn, from one check and one count of the (fold,
     s * A + a, s') keys: when their range is at most the record count, a
     dense bincount of one chunk of records at a time (`mdp._count_keys`), so
     no key array of the record count exists; else a sort of all keys. Each
-    fold's count and tabular triples are views into the shared sorted
-    counts. The check and count run when the first fold is taken and a
-    ridge fold's solve when it is, so a failure surfaces at its fold."""
+    fold's count and kernel triples are views into the shared sorted
+    counts. The check and count run when the first fold is taken."""
     s, a, s2 = check_records(n_states, n_actions, states, actions, next_states)
     if s.size == 0:
         raise ValueError("empty training data")
     if folds < 1 or s.size % folds:
         raise ValueError(f"{s.size} records do not split into {folds} equal folds")
     n_cells = n_states * n_actions
-    if spec.kind == "ridge":
-        if spec.features is None:
-            raise ValueError("ridge regression needs a feature table")
-        phi = np.asarray(spec.features, dtype=float)
-        if phi.shape[:2] != (n_states, n_actions):
-            raise ValueError(f"features shape {phi.shape} does not match ({n_states}, {n_actions}, d)")
-        phi = phi.reshape(n_cells, -1)
-
     span, size = n_cells * n_states, s.size // folds  # keys and records per fold
 
     def keys(lo, hi):  # the (fold, s * A + a, s') keys of records lo:hi
@@ -184,26 +165,11 @@ def fit_regressor_folds(spec: RegressorSpec, states, actions, next_states,
     cells, cols = np.divmod(support, n_states)  # cells = fold * S * A + s * A + a
     cnt = np.bincount(cells, n, minlength=folds * n_cells)
     rows, values = cells % n_cells, n / cnt[cells]
-    cnt = cnt.reshape(folds, n_cells)
-    empty = np.count_nonzero(cnt == 0, axis=1).tolist()
+    empty = np.count_nonzero(cnt.reshape(folds, n_cells) == 0, axis=1).tolist()
     bounds = np.searchsorted(support, np.arange(folds + 1) * span).tolist()
 
     for fold in range(folds):
         lo, hi = bounds[fold], bounds[fold + 1]
-        if spec.kind == "tabular-mean":
-            kernel = rows[lo:hi], cols[lo:hi], values[lo:hi]
-        else:
-            fold_counts = np.zeros(span, dtype=n.dtype)
-            fold_counts[support[lo:hi] - fold * span] = n[lo:hi]
-            gram = (phi * cnt[fold, :, None]).T @ phi + spec.ridge_lambda * np.eye(phi.shape[1])
-            try:
-                np.linalg.cholesky(gram)
-            except np.linalg.LinAlgError:
-                raise ValueError(
-                    "normal equations are rank-deficient; set ridge_lambda > 0"
-                ) from None
-            product = phi @ np.linalg.solve(gram, phi.T @ fold_counts.reshape(n_cells, n_states))
-            nonzero = np.nonzero(product)
-            kernel = (*nonzero, product[nonzero])
         diagnostics = {"n_empty_cells": empty[fold], "n_train": size}
-        yield FittedRegressor(kernel, (rows[lo:hi], cols[lo:hi], n[lo:hi]), diagnostics)
+        yield FittedRegressor((rows[lo:hi], cols[lo:hi], values[lo:hi]),
+                              (rows[lo:hi], cols[lo:hi], n[lo:hi]), diagnostics)

@@ -6,12 +6,13 @@ zero against a reference conditional measure mu. That potential solves an
 n_states-dimensional linear system, which `exact_population_solver` solves
 densely. The two data-driven variants replace the exact ingredients with a
 classification oracle for pi and an iterated regression oracle for the value
-fixed point. Both shipped regressors are linear in their targets, so each
-regression fold is fitted once as a linear map over next-state functions
-and applied at every step that uses it: `classify_then_regress` fits the
-full sample once and applies that map at every step, `split_classify_regress`
-dedicates half the data to classification and regresses step k on fold k of
-K equal folds of the other half, all fitted from one count of that half.
+fixed point. The regression oracle is the tabular mean, which is linear in
+its targets, so each regression fold is fitted once as a linear map over
+next-state functions and applied at every step that uses it:
+`classify_then_regress` fits the full sample once and applies that map at
+every step, `split_classify_regress` dedicates half the data to
+classification and regresses step k on fold k of K equal folds of the other
+half, all fitted from one count of that half.
 
 Both variants return rewards through the same closed form r = w - mu w with
 w = u - gamma v, which satisfies the normalization identically (and exactly
@@ -37,13 +38,7 @@ from softirl.mdp import (
     row_kl,
     state_kernel,
 )
-from softirl.oracles import (
-    ClassifierSpec,
-    RegressorSpec,
-    fit_classifier,
-    fit_regressor,
-    fit_regressor_folds,
-)
+from softirl.oracles import ClassifierSpec, fit_classifier, fit_regressor, fit_regressor_folds
 
 MAX_AUTO_K = 500
 MEASURES = ("uniform", "point-mass", "behavior-policy")
@@ -86,11 +81,11 @@ class SolverConfig:
     K: int | str = "auto"
     mu: NormalizationMeasure = field(default_factory=NormalizationMeasure)
     classifier: ClassifierSpec = field(default_factory=ClassifierSpec)
-    regressor: RegressorSpec = field(default_factory=RegressorSpec)
 
     def __post_init__(self):
-        if self.K != "auto" and (isinstance(self.K, str) or self.K < 0):
-            raise ValueError(f"K: must be 'auto' or nonnegative, got {self.K!r}")
+        K = self.K
+        if K != "auto" and (isinstance(K, bool) or not isinstance(K, (int, np.integer)) or K < 0):
+            raise ValueError(f"K: must be 'auto' or a nonnegative integer, got {K!r}")
 
     def steps(self, n: int) -> int:
         """Fitted fixed-point steps on n records: K, where 'auto' picks
@@ -274,7 +269,7 @@ def classify_then_regress(data, cfg: SolverConfig, *,
     if data.n < 1:
         raise ValueError("empty dataset")
     u, mu_t, diag = _fit_policy(cfg, data, data.n)
-    maps = _every_step(cfg.regressor, data.states, data.actions, data.next_states,
+    maps = _every_step(data.states, data.actions, data.next_states,
                        data.meta["n_states"], data.meta["n_actions"])
     return _fitted_fixed_point(cfg, u, mu_t, cfg.steps(data.n), maps, diag, record_iterates)
 
@@ -296,7 +291,7 @@ def split_classify_regress(data, cfg: SolverConfig) -> IrlSolution:
         diag.warnings.append(f"fold size {fold_size} is below the state count; "
                              "coverage gaps likely")
     regress = slice(half, half + k_steps * fold_size)
-    maps = fit_regressor_folds(cfg.regressor, data.states[regress], data.actions[regress],
+    maps = fit_regressor_folds(data.states[regress], data.actions[regress],
                                data.next_states[regress], n_states, n_actions, k_steps)
     return _fitted_fixed_point(cfg, u, mu_t, k_steps, maps, diag, False)
 

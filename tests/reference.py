@@ -231,8 +231,7 @@ def plugin_fixed_point(dataset, cfg):
     Returns that solution and M as a dense (S*A, S) array."""
     ns, na = dataset.meta["n_states"], dataset.meta["n_actions"]
     u, mu_t, diag = _fit_policy(cfg, dataset, dataset.n)
-    fitted = fit_regressor(cfg.regressor, dataset.states, dataset.actions,
-                           dataset.next_states, ns, na)
+    fitted = fit_regressor(dataset.states, dataset.actions, dataset.next_states, ns, na)
     rows, cols, values = fitted.kernel
     kernel = np.zeros((ns * na, ns))
     kernel[rows, cols] = values
@@ -253,29 +252,22 @@ class DenseFit:
     diagnostics: dict
 
 
-def dense_fit_regressor(spec, states, actions, next_states, n_states, n_actions):
-    """`oracles.fit_regressor` on dense (S*A, S) arrays: the tabular kernel
-    is counts / cnt, the ridge kernel the normal-equation product."""
+def dense_fit_regressor(states, actions, next_states, n_states, n_actions):
+    """`oracles.fit_regressor` on dense (S*A, S) arrays: the kernel is counts / cnt."""
     s, a, s2 = (np.asarray(x, dtype=np.int64) for x in (states, actions, next_states))
     n_cells = n_states * n_actions
     counts = np.bincount((s * n_actions + a) * n_states + s2,
                          minlength=n_cells * n_states).reshape(n_cells, n_states)
     cnt = counts.sum(axis=1)
-    if spec.kind == "tabular-mean":
-        kernel = counts / np.maximum(cnt, 1)[:, None]
-    else:
-        phi = np.asarray(spec.features, dtype=float).reshape(n_cells, -1)
-        gram = (phi * cnt[:, None]).T @ phi + spec.ridge_lambda * np.eye(phi.shape[1])
-        kernel = phi @ np.linalg.solve(gram, phi.T @ counts)
-    return DenseFit(kernel, counts,
+    return DenseFit(counts / np.maximum(cnt, 1)[:, None], counts,
                     {"n_empty_cells": int(np.sum(cnt == 0)), "n_train": int(s.size)})
 
 
-def dense_fit_regressor_folds(spec, states, actions, next_states, n_states, n_actions, folds):
+def dense_fit_regressor_folds(states, actions, next_states, n_states, n_actions, folds):
     """`oracles.fit_regressor_folds` as one `dense_fit_regressor` per fold."""
     size = len(states) // folds
     for lo in range(0, folds * size, size):
-        yield dense_fit_regressor(spec, states[lo:lo + size], actions[lo:lo + size],
+        yield dense_fit_regressor(states[lo:lo + size], actions[lo:lo + size],
                                   next_states[lo:lo + size], n_states, n_actions)
 
 

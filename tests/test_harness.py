@@ -168,6 +168,11 @@ class TestParseConfig:
             ExperimentConfig(env, n=300, solver=solver, split=True)
         assert ExperimentConfig(env, n=400, solver=solver, split=True).solver.steps(400) == 197
 
+    def test_solver_discounts_with_the_env_gamma(self):
+        with pytest.raises(ValueError, match=r"^solver\.gamma: must be the env's gamma 0\.5, "
+                                             r"got 0\.97$"):
+            ExperimentConfig(GridworldSpec(3, 3, gamma=0.5), solver=SolverConfig(gamma=0.97))
+
 
 class TestReadmeExamples:
     def test_file_format_examples_are_lines_of_the_stated_commands(self, tmp_path,

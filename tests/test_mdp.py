@@ -123,14 +123,14 @@ def _record_entry_points():
     """name -> (column count, the call that checks them) for each public entry
     point that takes (s, a) or (s, a, s') records of a 3-state, 2-action MDP."""
     from softirl.envs import TransitionDataset
-    from softirl.oracles import ClassifierSpec, RegressorSpec, fit_classifier, fit_regressor
+    from softirl.oracles import ClassifierSpec, fit_classifier, fit_regressor
 
     def dataset(*columns):
         TransitionDataset(*columns, meta={"n_states": 3, "n_actions": 2}).validate()
 
     return {"dataset": (3, dataset),
             "classifier": (2, lambda *c: fit_classifier(ClassifierSpec(), *c, 3, 2)),
-            "regressor": (3, lambda *c: fit_regressor(RegressorSpec(), *c, 3, 2))}
+            "regressor": (3, lambda *c: fit_regressor(*c, 3, 2))}
 
 
 class TestCheckRecords:

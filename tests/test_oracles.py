@@ -7,13 +7,7 @@ from numpy.testing import assert_allclose
 
 from softirl import mdp as mdp_module
 from softirl import oracles
-from softirl.oracles import (
-    ClassifierSpec,
-    RegressorSpec,
-    fit_classifier,
-    fit_regressor,
-    fit_regressor_folds,
-)
+from softirl.oracles import ClassifierSpec, fit_classifier, fit_regressor, fit_regressor_folds
 
 from softirl.envs import build_env, expert_policy, sample_transitions
 from softirl.harness import builtin_experiment
@@ -68,6 +62,17 @@ class TestFitClassifier:
         with pytest.raises(ValueError):
             fit_classifier(ClassifierSpec(), [], [], 2, 2)
 
+    @pytest.mark.parametrize("kind, phi, message", [
+        ("tabular-count", np.eye(2), "only the multinomial-logistic kind reads it"),
+        ("multinomial-logistic", np.ones(2),
+         "must be a 2-d array of finite values, got shape (2,)"),
+        ("multinomial-logistic", np.array([[1.0], [np.nan]]),
+         "must be a 2-d array of finite values, got shape (2, 1)"),
+    ], ids=["tabular-kind", "1-d", "nan"])
+    def test_bad_state_features_rejected(self, kind, phi, message):
+        with pytest.raises(ValueError, match=f"^state_features: {re.escape(message)}$"):
+            ClassifierSpec(kind=kind, state_features=phi)
+
     def test_logistic_features_must_have_a_row_per_state(self):
         spec = ClassifierSpec(kind="multinomial-logistic", state_features=np.eye(3))
         with pytest.raises(ValueError, match="^state_features first axis must be 2$"):
@@ -106,8 +111,9 @@ class TestFitClassifier:
         assert_allclose(fc.probs[0], fc.probs[1], atol=1e-12)
 
     def test_logistic_divergence_carries_trace(self):
-        phi = np.array([[1.0], [np.nan]])
+        phi = np.array([[1.0], [1.0]])
         spec = ClassifierSpec(kind="multinomial-logistic", state_features=phi)
+        phi[1, 0] = np.nan  # the spec holds the caller's table, changed after its check
         with pytest.raises(RuntimeError, match="trace"):
             fit_classifier(spec, [0, 0, 1, 1], [0, 1, 0, 1], 2, 2)
 
@@ -151,87 +157,33 @@ def dense(triples, shape):
 
 class TestFitRegressor:
     def test_constant_targets(self):
-        for spec in (RegressorSpec(),
-                     RegressorSpec(kind="ridge", features=np.ones((2, 3, 1)))):
-            fr = fit_regressor(spec, [0, 0, 1], [0, 1, 2], [1, 0, 1], 2, 3)
-            table = regress(fr, [7.0, 7.0], 3)
-            for s, a in [(0, 0), (0, 1), (1, 2)]:
-                assert_allclose(table[s, a], 7.0, atol=1e-10)
+        fr = fit_regressor([0, 0, 1], [0, 1, 2], [1, 0, 1], 2, 3)
+        table = regress(fr, [7.0, 7.0], 3)
+        for s, a in [(0, 0), (0, 1), (1, 2)]:
+            assert_allclose(table[s, a], 7.0, atol=1e-10)
 
     def test_cell_mean(self):
-        fr = fit_regressor(RegressorSpec(), [0, 0], [1, 1], [0, 1], 2, 2)
+        fr = fit_regressor([0, 0], [1, 1], [0, 1], 2, 2)
         assert regress(fr, [1.0, 3.0], 2)[0, 1] == 2.0
 
-    def test_ridge_one_hot_equals_tabular_mean(self):
-        rng = np.random.default_rng(3)
-        ns, na, n = 3, 2, 60
-        s = rng.integers(0, ns, n)
-        a = rng.integers(0, na, n)
-        s2 = rng.integers(0, ns, n)
-        # ensure full coverage so the unpenalized system is invertible
-        s[:6] = np.repeat(np.arange(ns), na)
-        a[:6] = np.tile(np.arange(na), ns)
-        tab = fit_regressor(RegressorSpec(), s, a, s2, ns, na)
-        ridge = fit_regressor(
-            RegressorSpec(kind="ridge", ridge_lambda=0.0,
-                          features=np.eye(ns * na).reshape(ns, na, ns * na)),
-            s, a, s2, ns, na)
-        shape = (ns * na, ns)
-        assert np.max(np.abs(dense(tab.kernel, shape) - dense(ridge.kernel, shape))) <= 1e-10
-
-    @pytest.mark.parametrize("kwargs, message", [
-        ({"kind": "forest"}, "kind: must be one of"),
-        ({"ridge_lambda": -0.1}, "ridge_lambda: must be nonnegative, got -0.1"),
-    ], ids=["kind", "ridge-lambda"])
-    def test_bad_spec_rejected(self, kwargs, message):
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
-            RegressorSpec(**kwargs)
-
-    @pytest.mark.parametrize("spec, records, message", [
-        (RegressorSpec(), ([], [], []), "empty training data"),
-        (RegressorSpec(kind="ridge", features=np.ones((3, 2, 1))), ([0], [0], [0]),
-         "features shape (3, 2, 1) does not match (2, 2, d)"),
-    ], ids=["no-records", "ridge-feature-shape"])
-    def test_bad_fit_input_rejected(self, spec, records, message):
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            fit_regressor(spec, *records, 2, 2)
-
-    def test_rank_deficient_advises_lambda(self):
-        feats = np.eye(4).reshape(2, 2, 4)
-        with pytest.raises(ValueError, match="ridge_lambda"):
-            fit_regressor(RegressorSpec(kind="ridge", features=feats),
-                          [0], [0], [0], 2, 2)
+    def test_no_records_rejected(self):
+        with pytest.raises(ValueError, match="^empty training data$"):
+            fit_regressor([], [], [], 2, 2)
 
     def test_fallback_for_empty_cells(self):
         # a cell without records has no kernel triple, so it predicts 0 for every target
-        fr = fit_regressor(RegressorSpec(), [0], [0], [0], 2, 2)
+        fr = fit_regressor([0], [0], [0], 2, 2)
         table = regress(fr, [1.0, -4.0], 2)
         assert table.tobytes() == np.array([[1.0, 0.0], [0.0, 0.0]]).tobytes()
         assert fr.diagnostics["n_empty_cells"] == 3
 
-    def test_ridge_prediction_is_linear_in_features(self):
-        # every prediction is a feature row times a weight vector, so the
-        # kernel's columns lie in the span of the feature columns
-        rng = np.random.default_rng(4)
-        feats = rng.normal(size=(2, 2, 3))
-        s = np.array([0, 0, 1, 1, 0, 1])
-        a = np.array([0, 1, 0, 1, 0, 1])
-        s2 = np.array([1, 0, 0, 1, 1, 0])
-        fr = fit_regressor(RegressorSpec(kind="ridge", ridge_lambda=0.1,
-                                         features=feats), s, a, s2, 2, 2)
-        phi = feats.reshape(4, 3)
-        kernel = dense(fr.kernel, (4, 2))
-        coef = np.linalg.lstsq(phi, kernel, rcond=None)[0]
-        assert_allclose(phi @ coef, kernel, atol=1e-12)
-        assert np.max(np.abs(kernel)) > 0.1
-
     def test_out_of_range_next_states_rejected(self):
         for bad in (-1, 2):
             with pytest.raises(ValueError, match="next state"):
-                fit_regressor(RegressorSpec(), [0, 1], [0, 0], [0, bad], 2, 1)
+                fit_regressor([0, 1], [0, 0], [0, bad], 2, 1)
 
     def test_counts_hold_every_record(self):
-        fr = fit_regressor(RegressorSpec(), [0, 0, 1, 0], [1, 1, 0, 1], [1, 1, 0, 0], 2, 2)
+        fr = fit_regressor([0, 0, 1, 0], [1, 1, 0, 1], [1, 1, 0, 0], 2, 2)
         assert dense(fr.counts, (4, 2)).tolist() == [[0, 0], [1, 2], [1, 0], [0, 0]]
         assert fr.diagnostics["n_train"] == 4
 
@@ -242,7 +194,7 @@ class TestFitRegressor:
         s2 = (s + rng.integers(0, 2, 200)) % 3
         g = rng.normal(size=3)
         y = g[s2]
-        fr = fit_regressor(RegressorSpec(), s, a, s2, 3, 2)
+        fr = fit_regressor(s, a, s2, 3, 2)
         fit_risk = np.mean((regress(fr, g, 2)[s, a] - y) ** 2)
         best_const = np.mean((y.mean() - y) ** 2)
         assert fit_risk <= best_const + 1e-12
@@ -267,13 +219,13 @@ def _assert_same_fit(ours, ref):
 class TestFoldMapsMatchPerFoldFits:
     """`fit_regressor_folds` against `fit_regressor` on each fold alone."""
 
-    def _check(self, spec, records, ns, na, folds):
+    def _check(self, records, ns, na, folds):
         size = len(records[0]) // folds
-        maps = list(fit_regressor_folds(spec, *records, ns, na, folds))
+        maps = list(fit_regressor_folds(*records, ns, na, folds))
         assert len(maps) == folds
         for k, fitted in enumerate(maps):
             fold = [c[k * size:(k + 1) * size] for c in records]
-            _assert_same_fit(fitted, fit_regressor(spec, *fold, ns, na))
+            _assert_same_fit(fitted, fit_regressor(*fold, ns, na))
         return maps
 
     def test_ident_split_folds(self):
@@ -286,7 +238,7 @@ class TestFoldMapsMatchPerFoldFits:
         half, folds = data.n // 2, experiment.solver.steps(data.n)  # one fold per step
         end = half + folds * (half // folds)
         records = [c[half:end] for c in (data.states, data.actions, data.next_states)]
-        maps = self._check(RegressorSpec(), records, 64, 5, folds)
+        maps = self._check(records, 64, 5, folds)
         # every fold's triples are views into the arrays the folds share
         assert all(np.shares_memory(m.counts[0], maps[0].counts[0].base) for m in maps)
 
@@ -295,17 +247,11 @@ class TestFoldMapsMatchPerFoldFits:
         # folds of 2,500 records reach the 1,280 keys a fold has, so they are
         # counted by bincount; folds of 400 are counted by a sort
         records, ns, na = _noisy_records(20_000)
-        self._check(RegressorSpec(), records, ns, na, folds)
-
-    def test_ridge(self):
-        records, ns, na = _noisy_records(4_000)
-        features = np.random.default_rng(8).normal(size=(ns, na, 6))
-        self._check(RegressorSpec(kind="ridge", ridge_lambda=0.1, features=features),
-                    records, ns, na, 4)
+        self._check(records, ns, na, folds)
 
     def test_fold_with_an_empty_cell(self):
         records = ([0, 0, 1, 1, 0, 0, 0, 1], [0, 1, 0, 1, 0, 0, 1, 1], [1, 0, 0, 1, 0, 1, 1, 0])
-        maps = self._check(RegressorSpec(), records, 2, 2, 2)
+        maps = self._check(records, 2, 2, 2)
         assert [m.diagnostics["n_empty_cells"] for m in maps] == [0, 1]
 
     @pytest.mark.parametrize("n", [1_000, 2_000])
@@ -313,25 +259,17 @@ class TestFoldMapsMatchPerFoldFits:
         # a fold of 1,000 records is counted by a sort and one of 2,000 by
         # bincount over its 1,280 keys; both give the dense fit's nonzeros
         records, ns, na = _noisy_records(n)
-        ours = fit_regressor(RegressorSpec(), *records, ns, na)
-        ref = dense_fit_regressor(RegressorSpec(), *records, ns, na)
+        ours = fit_regressor(*records, ns, na)
+        ref = dense_fit_regressor(*records, ns, na)
         rows, cols = np.nonzero(ref.counts)
         for a, b in zip((*ours.kernel, *ours.counts),
                         (rows, cols, ref.kernel[rows, cols], rows, cols, ref.counts[rows, cols])):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         assert ours.diagnostics == ref.diagnostics
 
-    def test_a_rank_deficient_fold_fails_when_it_is_taken(self):
-        spec = RegressorSpec(kind="ridge", features=np.eye(4).reshape(2, 2, 4))
-        maps = fit_regressor_folds(spec, [0, 0, 1, 1, 0, 0, 0, 0], [0, 1, 0, 1, 0, 0, 0, 0],
-                                   [0] * 8, 2, 2, 2)
-        assert next(maps).diagnostics["n_empty_cells"] == 0
-        with pytest.raises(ValueError, match="ridge_lambda"):
-            next(maps)
-
     def test_records_must_split_into_equal_folds(self):
         with pytest.raises(ValueError, match="3 records do not split into 2 equal folds"):
-            next(fit_regressor_folds(RegressorSpec(), [0] * 3, [0] * 3, [0] * 3, 1, 1, 2))
+            next(fit_regressor_folds([0] * 3, [0] * 3, [0] * 3, 1, 1, 2))
 
 
 class TestKlShrinksWithN:
@@ -369,7 +307,7 @@ class TestChunkedCounts:
         assert np.array_equal(fit_classifier(ClassifierSpec(), s, a, ns, na).counts, cells)
         assert joint_frequency(s, a, ns, na).tobytes() == (cells / n).tobytes()
         for folds in (1, 4, 300):
-            fits = list(fit_regressor_folds(RegressorSpec(), s, a, s2, ns, na, folds))
+            fits = list(fit_regressor_folds(s, a, s2, ns, na, folds))
             assert len(fits) == folds
             for fold, fitted in zip(range(0, n, n // folds), fits):
                 keys = ((s * na + a) * ns + s2)[fold:fold + n // folds]
@@ -399,7 +337,7 @@ class TestFitMemory:
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             fit_classifier(ClassifierSpec(smoothing_alpha=1.0), s, a, ns, na)
-            fit_regressor(RegressorSpec(), s, a, s2, ns, na)
+            fit_regressor(s, a, s2, ns, na)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()

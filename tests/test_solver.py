@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import re
 import warnings
@@ -18,7 +17,7 @@ from softirl.envs import (
 )
 from softirl.harness import builtin_experiment
 from softirl.mdp import TabularMdp, apply_P
-from softirl.oracles import ClassifierSpec, RegressorSpec
+from softirl.oracles import ClassifierSpec
 from softirl.solver import (
     IrlSolution,
     NormalizationMeasure,
@@ -222,12 +221,11 @@ class TestClassifyThenRegress:
             .diagnostics.nu_proxy == 0.0
 
     def test_oracle_failure_names_the_iteration(self):
-        rng = np.random.default_rng(22)
-        ds = _tiny_dataset(rng)
-        cfg = SolverConfig(gamma=0.9, K=2,
-                           regressor=RegressorSpec(kind="ridge"))  # no features
-        with pytest.raises(RuntimeError, match="iteration 1"):
-            classify_then_regress(ds, cfg)
+        ds = _tiny_dataset(np.random.default_rng(22))
+        ds.next_states[-1] = 4  # out of the 4 states' range; only the regressor reads it
+        with pytest.raises(RuntimeError, match=r"^regression oracle failed at iteration 1: "
+                                               r"next state index out of range \[0, 4\)$"):
+            classify_then_regress(ds, SolverConfig(gamma=0.9, K=2))
 
     def test_point_mass_action_must_be_an_action_index(self):
         with pytest.raises(ValueError, match="^ref_action 3 out of range$"):
@@ -246,6 +244,12 @@ class TestClassifyThenRegress:
     def test_behavior_measure_needs_a_policy(self):
         with pytest.raises(ValueError, match="policy"):
             NormalizationMeasure("behavior-policy").materialize(2, 2)
+
+    @pytest.mark.parametrize("K", [2.5, 2.0, True, -1, "2", None])
+    def test_k_must_be_auto_or_a_nonnegative_integer(self, K):
+        message = f"K: must be 'auto' or a nonnegative integer, got {K!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SolverConfig(K=K)
 
     def test_auto_k_rule(self):
         assert SolverConfig(gamma=0.97).steps(50_000) == \
@@ -290,25 +294,11 @@ class TestSplitClassifyRegress:
         with pytest.raises(ValueError, match="fold"):
             split_classify_regress(ds, cfg)
 
-    def test_a_failing_fold_names_its_first_iteration(self):
-        # at K = 2 the regression half is two folds of four records; the second
-        # fold covers one of the four cells, so its one-hot ridge fit without a
-        # penalty is rank-deficient, and it is used at iteration 2
-        ds = TransitionDataset(np.array([0, 0, 1, 1] * 3 + [0] * 4),
-                               np.array([0, 1, 0, 1] * 3 + [0] * 4), np.zeros(16, dtype=int),
-                               {"n_states": 2, "n_actions": 2})
-        cfg = SolverConfig(gamma=0.9, K=2, regressor=RegressorSpec(
-            kind="ridge", features=np.eye(4).reshape(2, 2, 4)))
-        with pytest.raises(RuntimeError, match="failed at iteration 2: .*ridge_lambda"):
-            split_classify_regress(ds, cfg)
-
     def test_frees_each_fold_map_once_its_step_is_done(self, monkeypatch):
-        # one fold per step: when the generator gives a step's ridge map, no map
+        # one fold per step: when the generator gives a step's map, no map
         # before the one just in use may still be alive
-        rng = np.random.default_rng(13)
-        ds = _tiny_dataset(rng, n=480)
-        cfg = SolverConfig(gamma=0.9, K=6, regressor=RegressorSpec(
-            kind="ridge", ridge_lambda=0.1, features=rng.normal(size=(4, 5, 3))))
+        ds = _tiny_dataset(np.random.default_rng(13), n=480)
+        cfg = SolverConfig(gamma=0.9, K=6)
         real, maps, older_alive = solver_module.fit_regressor_folds, [], []
 
         def tracked(*args):
@@ -337,7 +327,6 @@ def _refit_reference(data, cfg, u, mu_t, split):
     the targets record by record with bincount on that step's fold, and
     eta is the RMS misfit over those records. Returns (v, eta)."""
     ns, na = u.shape
-    spec = cfg.regressor
     s, a, s2 = (np.asarray(x) for x in (data.states, data.actions, data.next_states))
     k_steps = cfg.steps(data.n)
     half = data.n // 2
@@ -349,12 +338,7 @@ def _refit_reference(data, cfg, u, mu_t, split):
         cells = s[sl] * na + a[sl]
         cnt = np.bincount(cells, minlength=ns * na).astype(float)
         sums = np.bincount(cells, weights=y, minlength=ns * na)
-        if spec.kind == "tabular-mean":
-            flat = np.where(cnt > 0, sums / np.maximum(cnt, 1.0), 0.0)
-        else:
-            phi = spec.features.reshape(ns * na, -1)
-            gram = (phi * cnt[:, None]).T @ phi + spec.ridge_lambda * np.eye(phi.shape[1])
-            flat = phi @ np.linalg.solve(gram, phi.T @ sums)
+        flat = np.where(cnt > 0, sums / np.maximum(cnt, 1.0), 0.0)
         eta.append(float(np.sqrt(np.mean((flat[cells] - y) ** 2))))
         v = flat.reshape(ns, na)
     return v, eta
@@ -365,22 +349,18 @@ REFERENCE_TOL = 1e-10
 
 class TestMatchesRefitReference:
     @pytest.mark.parametrize("split", [False, True])
-    @pytest.mark.parametrize("case", ["covered", "empty-cells", "ridge"])
+    @pytest.mark.parametrize("case", ["covered", "empty-cells"])
     def test_fitted_maps_match_per_iteration_refits(self, split, case):
         spec = GridworldSpec(2, 2, topology="torus", seed=5, gamma=0.9,
                              min_action_prob=0.05, move_noise=0.3)
         mdp, r_true, _ = build_env(spec)
         pi = expert_policy(mdp, r_true)
-        regressor = RegressorSpec()
         n = 20_000
         if case == "empty-cells":
             n = 120 if split else 30
-        elif case == "ridge":
-            features = np.random.default_rng(6).normal(size=(4, 5, 3))
-            regressor = RegressorSpec(kind="ridge", ridge_lambda=0.1, features=features)
         ds = sample_transitions(mdp, pi, n, seed=7, env_id="tiny")
         # split, K = 6 steps cut the regression half into 6 folds, one per step
-        cfg = SolverConfig(gamma=0.9, K=6 if split else 40, regressor=regressor,
+        cfg = SolverConfig(gamma=0.9, K=6 if split else 40,
                            mu=NormalizationMeasure("behavior-policy"))
         sol = (split_classify_regress if split else classify_then_regress)(ds, cfg)
         unvisited = any("unvisited per regression" in w for w in sol.diagnostics.warnings)
@@ -428,17 +408,12 @@ class TestSparseFoldMapsMatchDense:
         assert sol.diagnostics.warnings == ref.diagnostics.warnings
 
     @pytest.mark.parametrize("method", [classify_then_regress, split_classify_regress])
-    @pytest.mark.parametrize("case", ["move-noise", "ridge"])
-    def test_to_rounding(self, monkeypatch, method, case):
+    def test_to_rounding(self, monkeypatch, method):
         spec = GridworldSpec(4, 4, topology="torus", seed=3, min_action_prob=0.05,
                              move_noise=0.3)
         mdp, r_true, _ = build_env(spec)
         data = sample_transitions(mdp, expert_policy(mdp, r_true), 20_000, seed=2, env_id="noisy")
-        regressor = RegressorSpec()
-        if case == "ridge":
-            features = np.random.default_rng(8).normal(size=(16, 5, 6))
-            regressor = RegressorSpec(kind="ridge", ridge_lambda=0.1, features=features)
-        cfg = SolverConfig(gamma=spec.gamma, regressor=regressor)
+        cfg = SolverConfig(gamma=spec.gamma)
         sol = method(data, cfg)
         ref = _dense_solve(monkeypatch, method, data, cfg)
         for ours, dense in ((sol.v, ref.v), (sol.r, ref.r),
@@ -454,56 +429,21 @@ class TestPluginFixedPoint:
     |v_plug|, rho = gamma * |M|_inf; r = w - mu w with w = u - gamma v moves by
     at most 2 gamma times that."""
 
-    @pytest.mark.parametrize("case", ["covered", "empty-cells", "ridge"])
+    @pytest.mark.parametrize("case", ["covered", "empty-cells"])
     def test_full_sample_solve_lies_within_the_rate_bound(self, ident_50k, case):
         data, cfg = ident_50k
-        if case != "covered":
-            name = "ident" if case == "empty-cells" else "easy"
-            experiment = builtin_experiment(name)
-            mdp, r_true, phi = build_env(experiment.env)
-            cfg = experiment.solver
-            if case == "ridge":
-                cfg = dataclasses.replace(cfg, regressor=RegressorSpec(
-                    kind="ridge", ridge_lambda=1e-3, features=phi))
-            n = 2_000 if case == "empty-cells" else 50_000
-            data = sample_transitions(mdp, expert_policy(mdp, r_true), n, seed=1, env_id=name)
+        if case == "empty-cells":
+            mdp, r_true, _ = build_env(builtin_experiment("ident").env)
+            data = sample_transitions(mdp, expert_policy(mdp, r_true), 2_000, seed=1,
+                                      env_id="ident")
         sol = classify_then_regress(data, cfg)
         plug, kernel = plugin_fixed_point(data, cfg)
         unvisited = any("unvisited per regression" in w for w in sol.diagnostics.warnings)
         assert unvisited == (case == "empty-cells")
-        if case == "ridge":
-            # ridge's M has rows of absolute sum above 1 (gamma |M|_inf is 2.69
-            # here), so its rate is the spectral radius of gamma mu M, which
-            # shares the nonzero eigenvalues of gamma M mu
-            ns, na = data.meta["n_states"], data.meta["n_actions"]
-            mu_kernel = np.einsum("sa,san->sn", plug.mu_table, kernel.reshape(ns, na, ns))
-            rho = np.max(np.abs(np.linalg.eigvals(cfg.gamma * mu_kernel)))
-        else:
-            rho = cfg.gamma * np.max(np.abs(kernel).sum(axis=1))
+        rho = cfg.gamma * np.max(np.abs(kernel).sum(axis=1))
         bound = rho ** cfg.steps(data.n) * sup_norm(plug.v) + 1e-9
         assert sup_norm(sol.v - plug.v) <= bound
         assert sup_norm(sol.r - plug.r) <= 2 * cfg.gamma * bound
-
-
-class TestRidgeAtLowN:
-    def test_ridge_recovers_the_normalized_reward_better_than_tabular_on_hard(self):
-        # At n = 2k some of hard's (s, a) cells go unvisited, and the tabular
-        # mean predicts 0 there; ridge on the env's features
-        # predicts them from the visited cells. The score is the RMSE of r
-        # against the exact normalized truth, which sees the regression stage.
-        experiment = builtin_experiment("hard")
-        mdp, r_true, phi = build_env(experiment.env)
-        pi = expert_policy(mdp, r_true)
-        truth = exact_population_solver(mdp, pi, experiment.solver.mu).r
-        ridge = dataclasses.replace(experiment.solver, regressor=RegressorSpec(
-            kind="ridge", ridge_lambda=1e-3, features=phi))
-        rmse = {"tabular": [], "ridge": []}
-        for seed in range(5):
-            data = sample_transitions(mdp, pi, 2_000, seed=seed, env_id="hard")
-            for name, cfg in (("tabular", experiment.solver), ("ridge", ridge)):
-                r_hat = classify_then_regress(data, cfg).r
-                rmse[name].append(np.sqrt(np.mean((r_hat - truth) ** 2)))
-        assert np.mean(rmse["ridge"]) < np.mean(rmse["tabular"])
 
 
 class TestShaping:
