@@ -166,9 +166,15 @@ class TestFitRegressor:
         fr = fit_regressor([0, 0], [1, 1], [0, 1], 2, 2)
         assert regress(fr, [1.0, 3.0], 2)[0, 1] == 2.0
 
-    def test_no_records_rejected(self):
-        with pytest.raises(ValueError, match="^empty training data$"):
-            fit_regressor([], [], [], 2, 2)
+    @pytest.mark.parametrize("records, message", [
+        (([], [], []), "empty training data"),
+        (([0, 1], [0], [0, 1]), "record columns must have equal length"),
+        (([0, 2], [0, 0], [0, 1]), "state index out of range [0, 2)"),
+        (([0, 1], [0, -1], [0, 1]), "action index out of range [0, 2)"),
+    ], ids=["no-records", "length-mismatch", "state-range", "action-range"])
+    def test_bad_fit_input_rejected(self, records, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fit_regressor(*records, 2, 2)
 
     def test_fallback_for_empty_cells(self):
         # a cell without records has no kernel triple, so it predicts 0 for every target
@@ -270,6 +276,13 @@ class TestFoldMapsMatchPerFoldFits:
     def test_records_must_split_into_equal_folds(self):
         with pytest.raises(ValueError, match="3 records do not split into 2 equal folds"):
             next(fit_regressor_folds([0] * 3, [0] * 3, [0] * 3, 1, 1, 2))
+
+    def test_a_bad_record_in_a_later_fold_fails_when_the_first_is_taken(self):
+        # the records are checked together, so the generator fails on its first
+        # fold for a bad next state in its last, and not before it is taken
+        maps = fit_regressor_folds([0, 1, 0, 1], [0, 0, 1, 1], [0, 1, 1, 2], 2, 2, 2)
+        with pytest.raises(ValueError, match=r"^next state index out of range \[0, 2\)$"):
+            next(maps)
 
 
 class TestKlShrinksWithN:

@@ -294,6 +294,16 @@ class TestSplitClassifyRegress:
         with pytest.raises(ValueError, match="fold"):
             split_classify_regress(ds, cfg)
 
+    def test_a_failing_fold_names_its_first_iteration(self):
+        # at K = 2 the regression half is two folds of 100 records; a bad next
+        # state in the second fails when the first is taken, at iteration 1,
+        # since the folds are checked together
+        ds = _tiny_dataset(np.random.default_rng(23))
+        ds.next_states[-1] = 4  # out of the 4 states' range; only the regressor reads it
+        with pytest.raises(RuntimeError, match=r"^regression oracle failed at iteration 1: "
+                                               r"next state index out of range \[0, 4\)$"):
+            split_classify_regress(ds, SolverConfig(gamma=0.9, K=2))
+
     def test_frees_each_fold_map_once_its_step_is_done(self, monkeypatch):
         # one fold per step: when the generator gives a step's map, no map
         # before the one just in use may still be alive
@@ -408,13 +418,19 @@ class TestSparseFoldMapsMatchDense:
         assert sol.diagnostics.warnings == ref.diagnostics.warnings
 
     @pytest.mark.parametrize("method", [classify_then_regress, split_classify_regress])
-    def test_to_rounding(self, monkeypatch, method):
+    @pytest.mark.parametrize("case", ["move-noise", "empty-cells"])
+    def test_to_rounding(self, monkeypatch, method, case):
         spec = GridworldSpec(4, 4, topology="torus", seed=3, min_action_prob=0.05,
                              move_noise=0.3)
         mdp, r_true, _ = build_env(spec)
-        data = sample_transitions(mdp, expert_policy(mdp, r_true), 20_000, seed=2, env_id="noisy")
         cfg = SolverConfig(gamma=spec.gamma)
+        n = 20_000
+        if case == "empty-cells":  # 120 records, or 6 folds of 10, leave cells of the 80 unvisited
+            n, cfg = 120, SolverConfig(gamma=spec.gamma, K=6)
+        data = sample_transitions(mdp, expert_policy(mdp, r_true), n, seed=2, env_id="noisy")
         sol = method(data, cfg)
+        if case == "empty-cells":
+            assert any("unvisited per regression" in w for w in sol.diagnostics.warnings)
         ref = _dense_solve(monkeypatch, method, data, cfg)
         for ours, dense in ((sol.v, ref.v), (sol.r, ref.r),
                             (sol.diagnostics.eta, ref.diagnostics.eta)):
