@@ -200,6 +200,7 @@ def build_env(spec: GridworldSpec):
     transition[(*cells, targets)] = 1.0 - spec.move_noise
     for b in range(N_ACTIONS):
         transition[(*cells, targets[:, [b]])] += spec.move_noise / N_ACTIONS
+    transition.setflags(write=False)  # so TabularMdp keeps it without a copy
     mdp = TabularMdp(transition, spec.gamma)
 
     rng = np.random.default_rng(spec.seed)

@@ -136,7 +136,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, quiet: bool = False):
     (method, metric) -> (mean, se, count). The config is rebuilt first, so
     a value assigned after it was built is checked before anything runs.
     """
-    cfg = replace(cfg, solver=replace(cfg.solver), baseline=replace(cfg.baseline))
+    cfg = replace(cfg, baseline=replace(cfg.baseline))
     mdp, _, phi, _, _ = truth(cfg.env)
     reports = run_lockstep(mdp, [_rerun(cfg, mdp, phi, rerun) for rerun in range(cfg.reruns)])
 

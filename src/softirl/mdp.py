@@ -29,7 +29,10 @@ class TabularMdp:
     gamma: float
 
     def __post_init__(self):
-        t = np.array(self.transition, dtype=float)
+        t = self.transition  # kept uncopied only if it is read-only float64 owning its data
+        if not isinstance(t, np.ndarray) or t.dtype != float or t.flags.writeable \
+                or not t.flags.owndata:
+            t = np.array(t, dtype=float)
         if t.ndim != 3 or 0 in t.shape:
             raise ValueError(f"transition must have shape (S, A, S) with S, A >= 1, got {t.shape}")
         check_distribution(t, (len(t), t.shape[1], len(t)), "transition")
@@ -39,7 +42,7 @@ class TabularMdp:
         object.__setattr__(self, "transition", t)
         # one-hot rows (deterministic moves): soft VI and the sampler gather these next
         # states; `_onto`: they reach every one of two or more states, so soft VI carries lse
-        targets = t.argmax(axis=2) if np.all((t == 0.0) | (t == 1.0)) else None
+        targets = np.nonzero(t)[2].reshape(t.shape[:2]) if np.all((t == 0) | (t == 1)) else None
         if targets is not None:
             targets.setflags(write=False)  # shared, as the kernel is, by every user of the MDP
         object.__setattr__(self, "_targets", targets)

@@ -6,7 +6,7 @@ E[g(s') | s, a] for a next-state function g by the tabular mean, which is
 linear in its targets, so one fit on a fold is a linear map from g to the
 (s, a) table, reused for every g. The map is held sparsely, as (row, col,
 value) triples over cells s * A + a and next states s': a fold of m records
-has at most m of them.
+has at most m of them. All folds of a split are fitted at once, as a list.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ class ClassifierSpec:
     logistic kind runs at most LOGISTIC_EPOCHS full-batch gradient steps of
     size 0.5 / (1 + L), L the largest squared norm of a state's features,
     and stops once the loss moves by less than 1e-9; `state_features` is its
-    finite (S, d) matrix (None means one-hot states).
+    finite (S, d) matrix, held as a read-only copy (None: one-hot states).
     """
 
     kind: str = "tabular-count"
@@ -46,10 +46,12 @@ class ClassifierSpec:
         if self.state_features is not None:
             if self.kind != "multinomial-logistic":
                 raise ValueError("state_features: only the multinomial-logistic kind reads it")
-            phi = np.asarray(self.state_features, dtype=float)
+            phi = np.array(self.state_features, dtype=float)
             if phi.ndim != 2 or not np.all(np.isfinite(phi)):
                 raise ValueError("state_features: must be a 2-d array of finite values, "
                                  f"got shape {phi.shape}")
+            phi.setflags(write=False)
+            object.__setattr__(self, "state_features", phi)
 
 
 @dataclass
@@ -104,9 +106,10 @@ def fit_classifier(spec: ClassifierSpec, states, actions,
 
 
 def _fit_logistic(spec: ClassifierSpec, counts, state_counts, n_states, n_actions):
-    """Full-batch gradient descent on cross-entropy over linear-in-feature logits."""
-    phi = spec.state_features
-    phi = np.eye(n_states) if phi is None else np.asarray(phi, dtype=float)
+    """Full-batch gradient descent on cross-entropy over linear-in-feature
+    logits. Its step is below 2 / beta, beta <= L / 2 the loss's smoothness,
+    so the loss cannot rise."""
+    phi = np.eye(n_states) if spec.state_features is None else spec.state_features
     if phi.shape[0] != n_states:
         raise ValueError(f"state_features first axis must be {n_states}")
     n = state_counts.sum()
@@ -114,15 +117,13 @@ def _fit_logistic(spec: ClassifierSpec, counts, state_counts, n_states, n_action
 
     weights = np.zeros((phi.shape[1], n_actions))
     step = 0.5 / (1.0 + float(np.max(np.sum(phi ** 2, axis=1))))
-    trace = []
+    last = np.inf
     for _ in range(LOGISTIC_EPOCHS):
         p = softmax_actions(phi @ weights)
         loss = float(-np.sum(counts * np.log(np.maximum(p, 1e-300))) / n)
-        if not np.isfinite(loss):
-            raise RuntimeError(f"logistic training diverged; loss trace: {trace}")
-        if trace and abs(trace[-1] - loss) < 1e-9:
+        if abs(last - loss) < 1e-9:
             break
-        trace.append(loss)
+        last = loss
         weights -= step * (phi.T @ (state_w[:, None] * p - counts / n))
     return softmax_actions(phi @ weights)
 
@@ -132,18 +133,17 @@ def fit_regressor(states, actions, next_states, n_states: int, n_actions: int) -
     least-squares fit: regressing any target g(s') on the same records gives
     M g, with M held as triples (see FittedRegressor). The one-fold case of
     fit_regressor_folds."""
-    return next(fit_regressor_folds(states, actions, next_states, n_states, n_actions, 1))
+    return fit_regressor_folds(states, actions, next_states, n_states, n_actions, 1)[0]
 
 
 def fit_regressor_folds(states, actions, next_states, n_states: int, n_actions: int,
-                        folds: int):
-    """Yield fit_regressor's fit of each of `folds` equal consecutive folds
-    of the records in turn, from one check and one count of the (fold,
-    s * A + a, s') keys: when their range is at most the record count, a
-    dense bincount of one chunk of records at a time (`mdp._count_keys`), so
-    no key array of the record count exists; else a sort of all keys. Each
-    fold's count and kernel triples are views into the shared sorted
-    counts. The check and count run when the first fold is taken."""
+                        folds: int) -> list[FittedRegressor]:
+    """fit_regressor's fit of each of `folds` equal consecutive folds of the
+    records, in order, from one check and one count of the (fold, s * A + a,
+    s') keys: when their range is at most the record count, a dense bincount
+    of one chunk of records at a time (`mdp._count_keys`), so no key array of
+    the record count exists; else a sort of all keys. Each fold's count and
+    kernel triples are views into the shared sorted counts."""
     s, a, s2 = check_records(n_states, n_actions, states, actions, next_states)
     if s.size == 0:
         raise ValueError("empty training data")
@@ -168,8 +168,7 @@ def fit_regressor_folds(states, actions, next_states, n_states: int, n_actions: 
     empty = np.count_nonzero(cnt.reshape(folds, n_cells) == 0, axis=1).tolist()
     bounds = np.searchsorted(support, np.arange(folds + 1) * span).tolist()
 
-    for fold in range(folds):
-        lo, hi = bounds[fold], bounds[fold + 1]
-        diagnostics = {"n_empty_cells": empty[fold], "n_train": size}
-        yield FittedRegressor((rows[lo:hi], cols[lo:hi], values[lo:hi]),
-                              (rows[lo:hi], cols[lo:hi], n[lo:hi]), diagnostics)
+    return [FittedRegressor((rows[lo:hi], cols[lo:hi], values[lo:hi]),
+                            (rows[lo:hi], cols[lo:hi], n[lo:hi]),
+                            {"n_empty_cells": n_empty, "n_train": size})
+            for lo, hi, n_empty in zip(bounds, bounds[1:], empty)]

@@ -71,7 +71,7 @@ class NormalizationMeasure:
         return behavior
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     """Settings of a data-driven solve. K sets the fitted fixed-point step
     count and, for a split solve, the regression fold count: step k
@@ -216,36 +216,31 @@ def _fit_policy(cfg: SolverConfig, data, n_train: int):
     return np.log(clf.probs), mu_t, diag  # the floor keeps the log finite
 
 
-def _fitted_fixed_point(cfg: SolverConfig, u, mu_t, k_steps: int, maps,
-                        diag: SolverDiagnostics, record_iterates: bool) -> IrlSolution:
-    """The fitted fixed-point loop v <- M_k g with g = mu[gamma v - u].
-
-    M_k is the k-th map the iterator `maps` yields, taken when step k is
-    reached and unpacked only when it is a new map; each step is one
-    product, M_k g summed over its (row, col, value) triples. eta[k] is the
-    root-mean-square misfit of v on that map's records, read off its count
-    triples (0 for the population map, which has none).
+def _fitted_fixed_point(cfg: SolverConfig, u, mu_t, maps: list, diag: SolverDiagnostics,
+                        record_iterates: bool) -> IrlSolution:
+    """The fitted fixed-point loop v <- M_k g with g = mu[gamma v - u], one
+    step per map M_k = maps[k], which is unpacked only when it is not the
+    map of the step before; each step is one product, M_k g summed over its
+    (row, col, value) triples. eta[k] is the root-mean-square misfit of v on
+    that map's records, read off its count triples (0 for the population
+    map, which has none).
     """
     v = np.zeros_like(u)
     diag.iterates = [v] if record_iterates else None
-    fitted, empty_seen = None, 0
-    for k in range(k_steps):
-        try:
-            step_map = next(maps)
-        except Exception as exc:
-            raise RuntimeError(f"regression oracle failed at iteration {k + 1}: {exc}") from exc
+    fitted = None
+    for step_map in maps:
         if step_map is not fitted:
             fitted = step_map
             map_rows, map_cols, map_values = fitted.kernel
             rows, cols, weights = fitted.counts
             n_records = max(int(weights.sum()), 1)
-            empty_seen = max(empty_seen, fitted.diagnostics["n_empty_cells"])
         g = np.sum(mu_t * (cfg.gamma * v - u), axis=1)
         flat = np.bincount(map_rows, map_values * g[map_cols], minlength=u.size)
         diag.eta.append(float(np.sqrt(weights @ (flat[rows] - g[cols]) ** 2 / n_records)))
         v = flat.reshape(u.shape)
         if record_iterates:
             diag.iterates.append(v)
+    empty_seen = max((m.diagnostics["n_empty_cells"] for m in maps), default=0)
     if empty_seen:
         diag.warnings.append(
             f"up to {empty_seen} (s, a) cells unvisited per regression fold; each predicts 0"
@@ -254,24 +249,18 @@ def _fitted_fixed_point(cfg: SolverConfig, u, mu_t, k_steps: int, maps,
     return IrlSolution(r, v, u, c, mu_t, cfg.gamma, diag)
 
 
-def _every_step(*args):
-    """fit_regressor's one map of the records `args`, fitted when first taken, at every step."""
-    fitted = fit_regressor(*args)
-    while True:
-        yield fitted
-
-
 def classify_then_regress(data, cfg: SolverConfig, *,
                           record_iterates: bool = False) -> IrlSolution:
     """Fitted fixed-point recovery: classify the behavior policy, then
     iterate regressions of mu[gamma v - u](s') on (s, a), all on the full
-    sample through one fitted map."""
+    sample through one fitted map (none at K = 0)."""
     if data.n < 1:
         raise ValueError("empty dataset")
     u, mu_t, diag = _fit_policy(cfg, data, data.n)
-    maps = _every_step(data.states, data.actions, data.next_states,
-                       data.meta["n_states"], data.meta["n_actions"])
-    return _fitted_fixed_point(cfg, u, mu_t, cfg.steps(data.n), maps, diag, record_iterates)
+    k_steps = cfg.steps(data.n)
+    maps = [fit_regressor(data.states, data.actions, data.next_states, data.meta["n_states"],
+                          data.meta["n_actions"])] * k_steps if k_steps else []
+    return _fitted_fixed_point(cfg, u, mu_t, maps, diag, record_iterates)
 
 
 def split_classify_regress(data, cfg: SolverConfig) -> IrlSolution:
@@ -292,8 +281,9 @@ def split_classify_regress(data, cfg: SolverConfig) -> IrlSolution:
                              "coverage gaps likely")
     regress = slice(half, half + k_steps * fold_size)
     maps = fit_regressor_folds(data.states[regress], data.actions[regress],
-                               data.next_states[regress], n_states, n_actions, k_steps)
-    return _fitted_fixed_point(cfg, u, mu_t, k_steps, maps, diag, False)
+                               data.next_states[regress], n_states, n_actions,
+                               k_steps) if k_steps else []
+    return _fitted_fixed_point(cfg, u, mu_t, maps, diag, False)
 
 
 # (file stem, IrlSolution field) of each <stem>.csv a solution directory holds: c.csv

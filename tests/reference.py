@@ -21,7 +21,6 @@ took plain means: sums weighted by 1/S, which a packaged benchmark's scores
 match bit for bit.
 """
 
-import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -220,7 +219,7 @@ def population_fixed_point(mdp: TabularMdp, pi, cfg, record_iterates=False):
     no_records = np.zeros(0, dtype=np.int64)
     exact = FittedRegressor((*support, transition[support]),
                             (no_records, no_records, no_records), {"n_empty_cells": 0})
-    return _fitted_fixed_point(cfg, u, mu_t, int(cfg.K), itertools.repeat(exact),
+    return _fitted_fixed_point(cfg, u, mu_t, [exact] * int(cfg.K),
                                SolverDiagnostics(nu_proxy=0.0), record_iterates)
 
 
@@ -266,28 +265,24 @@ def dense_fit_regressor(states, actions, next_states, n_states, n_actions):
 def dense_fit_regressor_folds(states, actions, next_states, n_states, n_actions, folds):
     """`oracles.fit_regressor_folds` as one `dense_fit_regressor` per fold."""
     size = len(states) // folds
-    for lo in range(0, folds * size, size):
-        yield dense_fit_regressor(states[lo:lo + size], actions[lo:lo + size],
-                                  next_states[lo:lo + size], n_states, n_actions)
+    return [dense_fit_regressor(states[lo:lo + size], actions[lo:lo + size],
+                                next_states[lo:lo + size], n_states, n_actions)
+            for lo in range(0, folds * size, size)]
 
 
-def dense_fitted_fixed_point(cfg, u, mu_t, k_steps, maps, diag, record_iterates):
+def dense_fitted_fixed_point(cfg, u, mu_t, maps, diag, record_iterates):
     """`solver._fitted_fixed_point` over `DenseFit` maps: v <- kernel @ g,
     with eta read off the dense counts' nonzeros."""
     v = np.zeros_like(u)
-    fitted, empty_seen = None, 0
-    for _ in range(k_steps):
-        step_map = next(maps)
-        if step_map is not fitted:
-            fitted = step_map
-            rows, cols = np.nonzero(fitted.counts)
-            weights = fitted.counts[rows, cols]
-            n_records = max(int(weights.sum()), 1)
-            empty_seen = max(empty_seen, fitted.diagnostics["n_empty_cells"])
+    for fitted in maps:
+        rows, cols = np.nonzero(fitted.counts)
+        weights = fitted.counts[rows, cols]
         g = expect_mu(mu_t, cfg.gamma * v - u)
         flat = fitted.kernel @ g
-        diag.eta.append(float(np.sqrt(weights @ (flat[rows] - g[cols]) ** 2 / n_records)))
+        diag.eta.append(float(np.sqrt(weights @ (flat[rows] - g[cols]) ** 2
+                                      / max(int(weights.sum()), 1))))
         v = flat.reshape(u.shape)
+    empty_seen = max((m.diagnostics["n_empty_cells"] for m in maps), default=0)
     if empty_seen:
         diag.warnings.append(
             f"up to {empty_seen} (s, a) cells unvisited per regression fold; each predicts 0"

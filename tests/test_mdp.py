@@ -62,6 +62,21 @@ class TestTabularMdp:
         with pytest.raises(ValueError):
             mdp.transition[0, 0, 0] = 0.3
 
+    def test_a_read_only_float_kernel_is_kept_without_a_copy(self):
+        t = toggle_mdp().transition.copy()
+        t.setflags(write=False)
+        assert np.shares_memory(TabularMdp(t, 0.5).transition, t)
+
+    @pytest.mark.parametrize("kind", ["writeable", "read-only view", "int"])
+    def test_any_other_kernel_is_copied(self, kind):
+        t = toggle_mdp().transition.copy()
+        given = {"writeable": t, "int": t.astype(np.int64), "read-only view": t[:]}[kind]
+        given.setflags(write=kind == "writeable")
+        mdp = TabularMdp(given, 0.5)
+        assert not np.shares_memory(mdp.transition, given)
+        t[0, 0] = [0.0, 1.0]  # a change to the caller's table does not reach the MDP
+        assert mdp.transition[0, 0].tolist() == [1.0, 0.0]
+
 
 
 def _entry_points():

@@ -1,7 +1,7 @@
 import json
 import re
 import warnings
-import weakref
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -145,11 +145,8 @@ class TestClassifyThenRegress:
         def unreachable(*args):
             raise AssertionError("a regression map was fitted at K = 0")
 
-        def unreachable_folds(*args):  # a generator, as the real one: it fits when a fold is taken
-            yield unreachable()
-
         monkeypatch.setattr(solver_module, "fit_regressor", unreachable)
-        monkeypatch.setattr(solver_module, "fit_regressor_folds", unreachable_folds)
+        monkeypatch.setattr(solver_module, "fit_regressor_folds", unreachable)
         rng = np.random.default_rng(6)
         ds = _tiny_dataset(rng)
         cfg = SolverConfig(gamma=0.9, K=0)
@@ -220,11 +217,10 @@ class TestClassifyThenRegress:
         assert classify_then_regress(ds, SolverConfig(gamma=spec.gamma, K=0)) \
             .diagnostics.nu_proxy == 0.0
 
-    def test_oracle_failure_names_the_iteration(self):
+    def test_a_bad_next_state_fails_when_the_map_is_fitted(self):
         ds = _tiny_dataset(np.random.default_rng(22))
         ds.next_states[-1] = 4  # out of the 4 states' range; only the regressor reads it
-        with pytest.raises(RuntimeError, match=r"^regression oracle failed at iteration 1: "
-                                               r"next state index out of range \[0, 4\)$"):
+        with pytest.raises(ValueError, match=r"^next state index out of range \[0, 4\)$"):
             classify_then_regress(ds, SolverConfig(gamma=0.9, K=2))
 
     def test_point_mass_action_must_be_an_action_index(self):
@@ -250,6 +246,13 @@ class TestClassifyThenRegress:
         message = f"K: must be 'auto' or a nonnegative integer, got {K!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             SolverConfig(K=K)
+
+    def test_settings_cannot_change_after_their_check(self):
+        # an unfrozen config once took K = 2.5 after its check and ran 2 steps
+        cfg = SolverConfig(gamma=0.9, K=3)
+        with pytest.raises(FrozenInstanceError):
+            cfg.K = 2.5
+        assert cfg.K == 3
 
     def test_auto_k_rule(self):
         assert SolverConfig(gamma=0.97).steps(50_000) == \
@@ -294,33 +297,14 @@ class TestSplitClassifyRegress:
         with pytest.raises(ValueError, match="fold"):
             split_classify_regress(ds, cfg)
 
-    def test_a_failing_fold_names_its_first_iteration(self):
+    def test_a_bad_next_state_in_a_later_fold_fails_when_the_folds_are_fitted(self):
         # at K = 2 the regression half is two folds of 100 records; a bad next
-        # state in the second fails when the first is taken, at iteration 1,
+        # state in the second fails the fit of both, before the first step,
         # since the folds are checked together
         ds = _tiny_dataset(np.random.default_rng(23))
         ds.next_states[-1] = 4  # out of the 4 states' range; only the regressor reads it
-        with pytest.raises(RuntimeError, match=r"^regression oracle failed at iteration 1: "
-                                               r"next state index out of range \[0, 4\)$"):
+        with pytest.raises(ValueError, match=r"^next state index out of range \[0, 4\)$"):
             split_classify_regress(ds, SolverConfig(gamma=0.9, K=2))
-
-    def test_frees_each_fold_map_once_its_step_is_done(self, monkeypatch):
-        # one fold per step: when the generator gives a step's map, no map
-        # before the one just in use may still be alive
-        ds = _tiny_dataset(np.random.default_rng(13), n=480)
-        cfg = SolverConfig(gamma=0.9, K=6)
-        real, maps, older_alive = solver_module.fit_regressor_folds, [], []
-
-        def tracked(*args):
-            for fold_map in real(*args):
-                older_alive.append(sum(ref() is not None for ref in maps[:-1]))
-                maps.append(weakref.ref(fold_map.kernel[2]))
-                yield fold_map
-
-        monkeypatch.setattr(solver_module, "fit_regressor_folds", tracked)
-        split_classify_regress(ds, cfg)
-        assert len(maps) == 6
-        assert older_alive == [0] * 6
 
     def test_warns_about_states_the_classifier_half_missed(self):
         # state 3 only appears in the second half, which the classifier skips

@@ -12,9 +12,13 @@ if that function, class or constant is itself reachable, so a helper that
 only another unused helper calls does not count, and neither does an import
 alone.
 `__init__.py` re-exports names and is not searched.
+
+perfbench's tracer also patches package attributes by name, some of them
+re-imports kept only for it, so each of its trace sites must name one.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import softirl
@@ -148,3 +152,14 @@ def test_guard_follows_callers_not_mentions():
     assert ("softirl.a", "LIMIT") in reached
     assert ("softirl.a", "DEAD_LIMIT") not in reached
     assert ("softirl.a", "ALIAS") not in reached
+
+
+def test_every_perfbench_trace_site_is_a_package_attribute():
+    # a missing name would otherwise show only in a traced perfbench run
+    spec = importlib.util.spec_from_file_location("perfbench_spans",
+                                                  ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    sites = spans.trace_sites()
+    assert ("softirl.solver", "fit_regressor") in [(m.__name__, a) for m, a, _ in sites]
+    assert [(m.__name__, a) for m, a, _ in sites if not hasattr(m, a)] == []
