@@ -19,9 +19,11 @@ import numpy as np
 from softirl.mdp import (
     _CHUNK,
     TabularMdp,
+    _cell_keys,
     _soft_policy_iteration,
     check_distribution,
     check_records,
+    index_dtype,
     soft_value_iteration,
 )
 
@@ -92,7 +94,13 @@ class GridworldSpec:
 
 @dataclass
 class TransitionDataset:
-    """Observed (s, a, s') records plus provenance metadata."""
+    """Observed (s, a, s') records plus provenance metadata.
+
+    The columns may have any integer dtype. `sample_transitions` and
+    `read_dataset` give all three `mdp.index_dtype(S, A)`, the smallest
+    signed type that holds max(S, A) - 1 (int8 up to 128 states and
+    actions), so code that multiplies indices must widen them first.
+    """
 
     states: np.ndarray
     actions: np.ndarray
@@ -265,7 +273,10 @@ def sample_transitions(mdp: TabularMdp, pi, n: int, init=None,
     `_CHUNK` rows at a time, then one per restart, in record order. The
     restarts cut the records into segments whose first states are then
     known, and `_walk` advances all segments in lockstep. The records are
-    the bits a per-record `np.searchsorted` loop draws from the same stream.
+    the bits a per-record `np.searchsorted` loop draws from the same stream,
+    held in `mdp.index_dtype(S, A)` columns: with the action uniforms' float
+    column, the walk keeps 11 bytes per record at int8 (and 8 more per
+    record on a stochastic kernel, for the move uniforms).
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -282,12 +293,12 @@ def sample_transitions(mdp: TabularMdp, pi, n: int, init=None,
     init_cdf, pi_cdf = (np.cumsum(p, axis=-1) for p in (init, pi))
     for cdf in (init_cdf, pi_cdf):
         cdf[..., -1] = np.inf
-    records = np.empty((3, n), dtype=np.int64)
-    # The walk reads uniform column 0 (kept in the next-state row, which it
-    # writes last), and column 1 only where a move is random. Record i > 0
-    # restarts iff u[i, 2] >= gamma (iid-restart only) and then takes the
-    # stream's next uniform, so every segment's first state is known.
-    u_act, u_move = records[2].view(np.float64), None if mdp._targets is not None else np.empty(n)
+    records = np.empty((3, n), dtype=index_dtype(mdp.n_states, mdp.n_actions))
+    # The walk reads uniform column 0, and column 1 only where a move is
+    # random. Record i > 0 restarts iff u[i, 2] >= gamma (iid-restart only)
+    # and then takes the stream's next uniform, so every segment's first
+    # state is known.
+    u_act, u_move = np.empty(n), None if mdp._targets is not None else np.empty(n)
     starts = [np.zeros(1, dtype=np.intp)]
     for lo in range(0, n, _CHUNK):
         u = rng.random((min(_CHUNK, n - lo), 3))  # the rows one (n, 3) draw gives
@@ -340,8 +351,7 @@ def _walk(records, starts, first, pi_cdf, u_act, u_move, next_cdf, next_idx) -> 
     Segments go longest first, `_LANES` at a time, so the live ones are a
     prefix: step t takes record start + t of every live segment at once.
     Once fewer than `_TAIL` are live, each finishes one record at a time
-    with `bisect` over the same rows. The next states are written last, so
-    `u_act` may live in their row.
+    with `bisect` over the same rows.
     """
     n_actions, width = next_idx.shape[1:]
     # the last CDF column is +inf, never <= u, so a step counts the others
@@ -395,7 +405,8 @@ def _count_at_most(table, columns, u) -> np.ndarray:
 
 
 def write_dataset(dataset: TransitionDataset, path) -> None:
-    """Write line-delimited `s,a,s_next` records under a one-line meta header."""
+    """Write line-delimited `s,a,s_next` records under a one-line meta header;
+    the columns may have any integer dtype, widened one block at a time."""
     dataset.validate()
     m = dataset.meta
     env = str(m.get("env", "-")) or "-"
@@ -405,8 +416,8 @@ def write_dataset(dataset: TransitionDataset, path) -> None:
     header = (f"{_HEADER_PREFIX} seed={m.get('seed', 0)} env={env} n={dataset.n} "
               f"n_states={n_states} n_actions={n_actions} "
               f"regime={m.get('regime', 'iid-restart')}")
-    states, actions, next_states = (np.asarray(c, dtype=np.int64)
-                                    for c in (dataset.states, dataset.actions, dataset.next_states))
+    states, actions, next_states = (np.asarray(c) for c in (dataset.states, dataset.actions,
+                                                            dataset.next_states))
     # format each (s, a) cell's "s,a," and each state's "s'\n" once, then join
     # a block's two pieces per record in one pass
     cells = np.array([f"{s},{a}," for s in range(n_states) for a in range(n_actions)],
@@ -418,7 +429,7 @@ def write_dataset(dataset: TransitionDataset, path) -> None:
         for lo in range(0, dataset.n, _BLOCK):
             hi = min(lo + _BLOCK, dataset.n)
             block = pieces[:hi - lo]
-            block[:, 0] = cells[states[lo:hi] * n_actions + actions[lo:hi]]
+            block[:, 0] = cells[_cell_keys(states[lo:hi], actions[lo:hi], n_actions)]
             block[:, 1] = ends[next_states[lo:hi]]
             fh.write("".join(block.ravel().tolist()))
 
@@ -427,7 +438,8 @@ def read_dataset(path) -> TransitionDataset:
     """Inverse of write_dataset, whose grammar is the only one it reads: one
     `s,a,s_next` line per record, each field 1 to `width` digits (the largest
     index's count, at most 18), with "\r\n" and "\r" ending lines as in text
-    mode. Any other body, or an index out of range, is `<path>:<line>: <reason>`."""
+    mode. Any other body, or an index out of range, is `<path>:<line>: <reason>`.
+    The columns have `mdp.index_dtype` of the header's n_states and n_actions."""
     with open(path, "rb") as fh:
         data = fh.read()
     if b"\r" in data:  # "\r\n" and "\r" end lines, as they do in text mode
@@ -466,11 +478,15 @@ _FIELD_ENDS = np.frombuffer(b",,\n", np.uint8)  # the bytes that end a record's 
 
 def _parse_records(path, body: bytes, n_states: int, n_actions: int):
     """The (s, a, s') columns of a dataset body, parsed about `_BLOCK` lines at a
-    time into one (3, n) table; only a failed check looks for the first bad line."""
+    time into one (3, n) table of `index_dtype`; only a failed check looks for
+    the first bad line, and a line out of the grammar comes before any index
+    out of range. Each chunk's int64 values are checked against their bounds
+    before they are narrowed, so an index out of range cannot wrap into it."""
     if body and not body.endswith(b"\n"):
         body += b"\n"
     width = min(len(str(max(n_states, n_actions) - 1)), 18)  # 18 digits stay within int64
-    records = np.empty((3, body.count(b"\n")), dtype=np.int64)
+    records = np.empty((3, body.count(b"\n")), dtype=index_dtype(n_states, n_actions))
+    limits, out_of_range = (n_states, n_actions, n_states), None
     lo = row = 0
     while lo < len(body):
         # a chunk ends at the last newline within _BLOCK lines of the widest kind
@@ -492,15 +508,19 @@ def _parse_records(path, body: bytes, n_states: int, n_actions: int):
         for place in range(1, width):
             digit = digits.take(ends - 1 - place, mode="clip").astype(np.int64)
             values += np.where(places > place, digit, 0) * 10 ** place
-        records[:, row:row + fields // 3] = values.reshape(-1, 3).T
-        lo, row = hi, row + fields // 3
-    try:
-        return check_records(n_states, n_actions, *records)
-    except ValueError:  # digits are never negative: find the first index past its bound
-        limits = (n_states, n_actions, n_states)
-        i, column = divmod(int((records.T >= limits).argmax()), 3)
-        raise ValueError(f"{path}:{i + 2}: {('state', 'action', 'next state')[column]} index "
-                         f"out of range [0, {limits[column]})") from None
+        values = values.reshape(-1, 3)
+        over = values >= limits  # digits are never negative: only an upper bound can fail
+        if over.any() and out_of_range is None:  # a later line's bad grammar comes first
+            i, column = divmod(int(over.argmax()), 3)
+            out_of_range = ValueError(f"{path}:{row + i + 2}: "
+                                      f"{('state', 'action', 'next state')[column]} index "
+                                      f"out of range [0, {limits[column]})")
+        if out_of_range is None:  # a value is narrowed only once it is known to be in range
+            records[:, row:row + len(values)] = values.T
+        lo, row = hi, row + len(values)
+    if out_of_range is not None:
+        raise out_of_range
+    return tuple(records)
 
 
 def _line_error(path, body: bytes, p: int, width: int) -> ValueError:

@@ -74,16 +74,33 @@ def check_distribution(p, shape: tuple, what: str) -> np.ndarray:
     return p
 
 
+def index_dtype(n_states: int, n_actions: int) -> np.dtype:
+    """The dtype of the record columns that `sample_transitions` and
+    `read_dataset` build: the smallest signed integer type that holds
+    max(S, A) - 1, int8 up to 128 states and actions."""
+    return np.min_scalar_type(-min(max(n_states, n_actions, 1), 1 << 63))
+
+
 def check_records(n_states: int, n_actions: int, states, actions, next_states=None) -> tuple:
-    """The (s, a) or (s, a, s') record columns as int64 arrays, checked to have
-    equal lengths and indices in [0, S), [0, A), [0, S); each ValueError names its column."""
-    columns = [np.asarray(c, dtype=np.int64) for c in (states, actions, next_states) if c is not None]
+    """The (s, a) or (s, a, s') record columns as arrays, checked to have an
+    integer dtype, equal lengths and indices in [0, S), [0, A), [0, S); each
+    ValueError names its column. Integer columns come back as given, of any
+    width, so arithmetic on them must widen first. A uint64 column, which
+    mixes with signed integers only through float64, comes back as int64,
+    as does an empty column of another dtype, such as `[]`."""
+    columns = [np.asarray(c) for c in (states, actions, next_states) if c is not None]
     if len({c.shape for c in columns}) > 1:
         raise ValueError("record columns must have equal length")
-    for name, c, hi in zip(("state", "action", "next state"), columns,
-                           (n_states, n_actions, n_states)):
-        if c.size and (c.min() < 0 or c.max() >= hi):
+    names = ("state", "action", "next state")
+    for j, (name, c, hi) in enumerate(zip(names, columns, (n_states, n_actions, n_states))):
+        if not c.size:
+            columns[j] = c.astype(np.int64, copy=False)
+        elif c.dtype.kind not in "iu":  # a bool, float or object column
+            raise ValueError(f"{name} indices must have an integer dtype, got {c.dtype}")
+        elif c.min() < 0 or c.max() >= hi:
             raise ValueError(f"{name} index out of range [0, {hi})")
+        elif c.dtype == np.uint64:
+            columns[j] = c.astype(np.int64)
     return tuple(columns)
 
 
@@ -299,9 +316,18 @@ def joint_frequency(states, actions, n_states: int, n_actions: int) -> np.ndarra
     a = np.asarray(actions)
     if s.size == 0:
         raise ValueError("empty index arrays")
-    counts = _count_keys(lambda lo, hi: s[lo:hi] * n_actions + a[lo:hi], s.size,
+    counts = _count_keys(lambda lo, hi: _cell_keys(s[lo:hi], a[lo:hi], n_actions), s.size,
                          n_states * n_actions)
     return counts.reshape(n_states, n_actions) / s.size
+
+
+def _cell_keys(states, actions, n_actions: int) -> np.ndarray:
+    """The cells s * A + a of index arrays, widened to intp before the product:
+    an int8 times a Python int stays int8 and wraps."""
+    keys = states.astype(np.intp, casting="same_kind")
+    keys *= n_actions
+    keys += actions
+    return keys
 
 
 def _count_keys(keys, n: int, n_bins: int) -> np.ndarray:

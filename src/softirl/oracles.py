@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from softirl.mdp import _count_keys, check_records, softmax_actions
+from softirl.mdp import _cell_keys, _count_keys, check_records, softmax_actions
 
 CLASSIFIER_KINDS = ("tabular-count", "multinomial-logistic")
 PROB_FLOOR = 1e-6  # least fitted probability, so the log-policy stays bounded
@@ -30,6 +30,7 @@ class ClassifierSpec:
     size 0.5 / (1 + L), L the largest squared norm of a state's features,
     and stops once the loss moves by less than 1e-9; `state_features` is its
     finite (S, d) matrix, held as a read-only copy (None: one-hot states).
+    Specs compare and hash by value: kind, alpha and the table's shape and bytes.
     """
 
     kind: str = "tabular-count"
@@ -52,6 +53,16 @@ class ClassifierSpec:
                                  f"got shape {phi.shape}")
             phi.setflags(write=False)
             object.__setattr__(self, "state_features", phi)
+
+    def _key(self) -> tuple:
+        phi = self.state_features
+        return self.kind, self.smoothing_alpha, None if phi is None else (phi.shape, phi.tobytes())
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 @dataclass
@@ -86,7 +97,7 @@ def fit_classifier(spec: ClassifierSpec, states, actions,
     s, a = check_records(n_states, n_actions, states, actions)
     if s.size == 0:
         raise ValueError("empty training data")
-    counts = _count_keys(lambda lo, hi: s[lo:hi] * n_actions + a[lo:hi], s.size,
+    counts = _count_keys(lambda lo, hi: _cell_keys(s[lo:hi], a[lo:hi], n_actions), s.size,
                          n_states * n_actions).reshape(n_states, n_actions)
     state_counts = counts.sum(axis=1)
 
@@ -152,9 +163,13 @@ def fit_regressor_folds(states, actions, next_states, n_states: int, n_actions: 
     n_cells = n_states * n_actions
     span, size = n_cells * n_states, s.size // folds  # keys and records per fold
 
-    def keys(lo, hi):  # the (fold, s * A + a, s') keys of records lo:hi
-        fold = np.arange(lo, hi) // size if folds > 1 else 0
-        return (fold * n_cells + s[lo:hi] * n_actions + a[lo:hi]) * n_states + s2[lo:hi]
+    def keys(lo, hi):  # the (fold, s * A + a, s') keys of records lo:hi, built in place
+        key = _cell_keys(s[lo:hi], a[lo:hi], n_actions)
+        if folds > 1:
+            key += np.arange(lo, hi) // size * n_cells
+        key *= n_states
+        key += s2[lo:hi]
+        return key
 
     if folds * span <= s.size:
         counts = _count_keys(keys, s.size, folds * span)

@@ -35,6 +35,7 @@ from softirl.mdp import (
     _solve_discounted,
     apply_P,
     check_distribution,
+    index_dtype,
     soft_value_iteration,
     softmax_actions,
     state_kernel,
@@ -345,9 +346,9 @@ def read_dataset_per_line(path) -> TransitionDataset:
 
     if len(states) != meta["n"]:
         raise ValueError(f"{path}: header says n={meta['n']} but found {len(states)} records")
-    ds = TransitionDataset(np.array(states, dtype=np.int64),
-                           np.array(actions, dtype=np.int64),
-                           np.array(next_states, dtype=np.int64), meta)
+    dtype = index_dtype(meta["n_states"], meta["n_actions"])
+    ds = TransitionDataset(np.array(states, dtype=dtype), np.array(actions, dtype=dtype),
+                           np.array(next_states, dtype=dtype), meta)
     ds.validate()
     return ds
 

@@ -22,7 +22,7 @@ from softirl.envs import (
     write_dataset,
 )
 from softirl.harness import builtin_experiment
-from softirl.mdp import TabularMdp, soft_value_iteration
+from softirl.mdp import TabularMdp, index_dtype, soft_value_iteration
 
 from reference import (
     cold_build_env,
@@ -337,7 +337,7 @@ def _assert_matches_reference(mdp, pi, n, init, regime, seed):
     ds = sample_transitions(mdp, pi, n, init=init, regime=regime, seed=seed)
     want = _loop_reference(mdp, pi, n, init, regime, seed)
     for got, ref in zip((ds.states, ds.actions, ds.next_states), want):
-        assert got.dtype == np.int64
+        assert got.dtype == index_dtype(mdp.n_states, mdp.n_actions)
         assert np.array_equal(got, ref)
 
 
@@ -510,15 +510,19 @@ class TestSupportRows:
 
 
 class TestSamplerMemory:
-    """The sampler draws the uniforms `_CHUNK` rows at a time and keeps their
-    action column in the records' next-state row, and their move column only
-    on stochastic kernels. Measured peak at n = 200k, in n * 8 bytes: 3.52 on
-    ident and 4.52 with move_noise 0.3 (4.38 and 5.45 with one (n, 3) draw);
-    the records alone are 3, and one chunk of uniforms is 0.25."""
+    """The sampler keeps the records in int8 on ident (3 bytes a record), the
+    action uniforms in a float column (8) and the move uniforms (8 more) only
+    on stochastic kernels, and draws the uniforms `_CHUNK` rows at a time.
+    Measured peak at n = 200k: 3.04 MB on ident and 4.64 MB with move_noise
+    0.3 (5.64 and 7.24 MB with int64 records). Above the 11 and 19 bytes a
+    record, about 1.35 bytes a record go to the restart segments' tables (the
+    slope from 200k to 800k records) and about 0.5 MB to fixed ones: one chunk
+    of uniforms, the CDF rows as lists and the lockstep lanes. The bound of
+    12 and 20 bytes a record plus 1 MiB leaves 0.41 MB of room."""
 
-    @pytest.mark.parametrize("name, bound", [("ident", 3.6), ("ident-noisy", 4.6)],
+    @pytest.mark.parametrize("name, per_record", [("ident", 12), ("ident-noisy", 20)],
                              ids=["ident", "ident-noisy"])
-    def test_peak_traced_allocation(self, name, bound):
+    def test_peak_traced_allocation(self, name, per_record):
         mdp, r_true, _ = build_env(_packaged_spec(name))
         pi = expert_policy(mdp, r_true)
         n = 200_000
@@ -530,7 +534,7 @@ class TestSamplerMemory:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak <= bound * n * 8
+        assert peak <= per_record * n + 2 ** 20
 
 
 class TestDatasetIO:
@@ -582,6 +586,22 @@ class TestDatasetIO:
         path.write_text("# transitions seed=0 env=- n=1 n_states=2 n_actions=2 regime=trajectory\n"
                         "5,0,1\n")
         with pytest.raises(ValueError, match=":2:.*out of range"):
+            read_dataset(path)
+
+    @pytest.mark.parametrize("line, message", [
+        ("300,1,2", "state index out of range [0, 64)"),
+        ("256,1,2", "state index out of range [0, 64)"),
+        ("0,1,300", "next state index out of range [0, 64)"),
+        ("0,200,1", "action index out of range [0, 120)"),
+    ])
+    def test_an_index_past_the_narrow_dtype_does_not_wrap(self, tmp_path, line, message):
+        # 120 actions give 3-digit fields and int8 columns, where 300 would wrap
+        # to 44 and 256 to 0, both states in range
+        assert index_dtype(64, 120) == np.int8
+        path = tmp_path / "wide.txt"
+        path.write_text("# transitions seed=0 env=- n=3 n_states=64 n_actions=120 "
+                        f"regime=trajectory\n0,1,2\n{line}\n3,4,5\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:3: {message}')}$"):
             read_dataset(path)
 
     def test_non_integer_header_value_reports_line(self, tmp_path):
@@ -659,6 +679,24 @@ class TestWriterMatchesPerRecordReference:
             for column in ("states", "actions", "next_states"):
                 assert np.array_equal(getattr(back, column), getattr(ds, column))
             assert back.meta == ds.meta
+
+    @pytest.mark.parametrize("n_states", [64, 200])
+    def test_narrow_columns_write_the_same_bytes(self, tmp_path, n_states):
+        # at 64 states an int8 s * A would wrap past 127 into another cell's text
+        n = 2 * _BLOCK + 7
+        rng = np.random.default_rng(n_states)
+        wide = rng.integers(0, n_states, n), rng.integers(0, 5, n), rng.integers(0, n_states, n)
+        meta = {"n_states": n_states, "n_actions": 5, "n": n}
+        write_dataset(TransitionDataset(*wide, meta), tmp_path / "int64.txt")
+        want = (tmp_path / "int64.txt").read_bytes()
+        dtypes = [np.int8, np.int16] if n_states <= 128 else [np.int16]
+        for dtype in dtypes:
+            path = tmp_path / f"{np.dtype(dtype)}.txt"
+            write_dataset(TransitionDataset(*(c.astype(dtype) for c in wide), meta), path)
+            assert path.read_bytes() == want
+        back = read_dataset(tmp_path / "int64.txt")
+        for column, c in zip((back.states, back.actions, back.next_states), wide):
+            assert column.dtype == dtypes[0] and np.array_equal(column, c)
 
 
 HEADER = "# transitions seed=0 env=- n={n} n_states={ns} n_actions=3 regime=trajectory\n"

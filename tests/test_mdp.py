@@ -151,11 +151,37 @@ def _record_entry_points():
 class TestCheckRecords:
     """Every entry point checks its records with `check_records`."""
 
-    def test_columns_come_back_as_int64(self):
-        columns = check_records(3, 2, [0, 2], np.array([1, 0], dtype=np.int32), (2, 0))
-        assert [c.dtype for c in columns] == [np.int64] * 3
-        assert [c.tolist() for c in columns] == [[0, 2], [1, 0], [2, 0]]
-        assert len(check_records(3, 2, [], [])) == 2
+    def test_integer_columns_come_back_as_given(self):
+        given = [np.array([0, 2], dtype=np.int8), np.array([1, 0], dtype=np.uint16),
+                 np.array([2, 0], dtype=np.int32)]
+        columns = check_records(3, 2, *given)
+        assert all(c is g for c, g in zip(columns, given))  # not copied, not widened
+        columns = check_records(3, 2, [0, 2], (1, 0))
+        assert [c.dtype for c in columns] == [np.int64] * 2
+        assert [c.tolist() for c in columns] == [[0, 2], [1, 0]]
+        assert [c.dtype for c in check_records(3, 2, [], [])] == [np.int64] * 2
+        # uint64 plus a signed integer is float64, so it is the one width widened
+        states, actions = check_records(3, 2, np.array([2, 0], dtype=np.uint64), [1, 0])
+        assert states.dtype == np.int64 and states.tolist() == [2, 0]
+
+    def test_fractional_indices_are_not_truncated(self):
+        # float columns were once cast to int64: [0.5, 2.7] read as states [0, 2]
+        with pytest.raises(ValueError, match="^state indices must have an integer dtype, "
+                                             "got float64$"):
+            check_records(3, 2, [0.5, 2.7], [1, 0])
+
+    @pytest.mark.parametrize("entry", ["dataset", "classifier", "regressor"])
+    @pytest.mark.parametrize("bad", [[0.0, 1.0], [True, False], np.array([0, 1], dtype=object)],
+                             ids=["float", "bool", "object"])
+    def test_a_column_without_an_integer_dtype_is_rejected_by_its_column(self, entry, bad):
+        width, call = _record_entry_points()[entry]
+        dtype = np.asarray(bad).dtype
+        for column, name in enumerate(["state", "action", "next state"][:width]):
+            columns = [[0, 1], [1, 0], [2, 0]][:width]
+            columns[column] = bad
+            with pytest.raises(ValueError, match=f"^{name} indices must have an integer dtype, "
+                                                 f"got {dtype}$"):
+                call(*columns)
 
     @pytest.mark.parametrize("entry", ["dataset", "classifier", "regressor"])
     def test_an_index_out_of_range_is_rejected_by_its_column(self, entry):

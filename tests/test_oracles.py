@@ -121,6 +121,21 @@ class TestFitClassifier:
         assert after.tobytes() == before.tobytes()
         assert not spec.state_features.flags.writeable
 
+    def test_specs_compare_and_hash_by_value(self):
+        # the generated == compared the feature arrays elementwise and raised
+        # "truth value ... is ambiguous", and the generated hash raised TypeError
+        def spec(phi):
+            return ClassifierSpec(kind="multinomial-logistic", state_features=phi)
+
+        a, b = spec(np.ones((2, 1))), spec(np.ones((2, 1)))
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        for other in (spec(np.ones((1, 2))), spec(np.array([[1.0], [2.0]])),
+                      ClassifierSpec(kind="multinomial-logistic"), ClassifierSpec()):
+            assert a != other and not a == other
+        assert ClassifierSpec(smoothing_alpha=1) == ClassifierSpec(smoothing_alpha=1.0)
+        assert ClassifierSpec() != ClassifierSpec(smoothing_alpha=1.0)
+        assert a != "multinomial-logistic"
+
 
 class TestLogPolicy:
     def test_uniform_value(self):
@@ -286,6 +301,35 @@ class TestFoldMapsMatchPerFoldFits:
         # fold fails the call that fits the first
         with pytest.raises(ValueError, match=r"^next state index out of range \[0, 2\)$"):
             fit_regressor_folds([0, 1, 0, 1], [0, 0, 1, 1], [0, 1, 1, 2], 2, 2, 2)
+
+
+class TestNarrowColumnsMatchInt64:
+    """Records held in int8, int16 or int64 give the same counts and fits to
+    the bit. The keys are widened to intp before any product: in int8, s * A
+    wraps once it passes 127, and in int16, (s * A + a) * S + s' passes
+    2 ** 15 at 200 states."""
+
+    @pytest.mark.parametrize("ns, folds", [(64, 1), (64, 4), (200, 1), (200, 3)])
+    def test_counts_and_fits_are_bit_identical(self, ns, folds):
+        # fold * S * A * S keys: 20,480 at (64, 1), which 24,000 records count
+        # densely, and 81,920, 200,000 and 600,000, past 2 ** 16, counted by a sort
+        na, n = 5, 24_000
+        rng = np.random.default_rng(ns + folds)
+        wide = rng.integers(0, ns, n), rng.integers(0, na, n), rng.integers(0, ns, n)
+        s, a = wide[:2]
+        want_clf = fit_classifier(ClassifierSpec(smoothing_alpha=0.5), s, a, ns, na)
+        want_freq = joint_frequency(s, a, ns, na)
+        want_maps = fit_regressor_folds(*wide, ns, na, folds)
+        for dtype in [np.int8, np.int16] if ns <= 128 else [np.int16]:
+            narrow = [c.astype(dtype) for c in wide]
+            s, a = narrow[:2]
+            clf = fit_classifier(ClassifierSpec(smoothing_alpha=0.5), s, a, ns, na)
+            assert clf.probs.tobytes() == want_clf.probs.tobytes()
+            assert np.array_equal(clf.counts, want_clf.counts)
+            assert joint_frequency(s, a, ns, na).tobytes() == want_freq.tobytes()
+            for got, want in zip(fit_regressor_folds(*narrow, ns, na, folds), want_maps,
+                                 strict=True):
+                _assert_same_fit(got, want)
 
 
 class TestKlShrinksWithN:

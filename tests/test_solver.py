@@ -254,6 +254,16 @@ class TestClassifyThenRegress:
             cfg.K = 2.5
         assert cfg.K == 3
 
+    def test_configs_with_feature_tables_compare_and_hash_by_value(self):
+        # a config holding a logistic spec's (S, d) table once raised TypeError on hash
+        def cfg(phi):
+            return SolverConfig(classifier=ClassifierSpec(kind="multinomial-logistic",
+                                                          state_features=phi))
+
+        a, b = cfg(np.ones((2, 1))), cfg(np.ones((2, 1)))
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != cfg(np.zeros((2, 1))) and a != SolverConfig()
+
     def test_auto_k_rule(self):
         assert SolverConfig(gamma=0.97).steps(50_000) == \
             int(np.ceil(np.log(50_000) / np.log(1 / 0.97)))
@@ -321,7 +331,8 @@ def _refit_reference(data, cfg, u, mu_t, split):
     the targets record by record with bincount on that step's fold, and
     eta is the RMS misfit over those records. Returns (v, eta)."""
     ns, na = u.shape
-    s, a, s2 = (np.asarray(x) for x in (data.states, data.actions, data.next_states))
+    s, a, s2 = (np.asarray(x, dtype=np.int64) for x in (data.states, data.actions,
+                                                        data.next_states))
     k_steps = cfg.steps(data.n)
     half = data.n // 2
     size = half // max(k_steps, 1)
