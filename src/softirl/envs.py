@@ -34,6 +34,7 @@ N_ACTIONS = len(ACTIONS)
 REWARD_KINDS = ("linear", "tabular-linear", "nonlinear")
 TOPOLOGIES = ("torus", "bounded")
 REGIMES = ("iid-restart", "trajectory")
+REWARD_SCALE = 2.5  # the reward's largest magnitude before `min_action_prob` shrinks it
 
 _HEADER_PREFIX = "# transitions"
 _BLOCK = 2048  # records per block of the sampler's tail walk, the dataset writer and reader
@@ -48,8 +49,8 @@ _TAIL = 32  # live segments below which each finishes in Python; ident draws too
 class GridworldSpec:
     """Construction recipe for one gridworld benchmark environment.
 
-    `reward_scale` is the initial magnitude of the generated reward;
-    `min_action_prob` > 0 shrinks the reward deterministically until the
+    The generated reward starts at magnitude REWARD_SCALE;
+    `min_action_prob` > 0 shrinks it deterministically until the
     expert policy puts at least that probability on every action, which keeps
     log-odds estimable from moderate sample sizes. `move_noise` is the slip
     probability hook (0 = deterministic moves).
@@ -61,7 +62,6 @@ class GridworldSpec:
     reward_kind: str = "tabular-linear"
     seed: int = 0
     gamma: float = 0.97
-    reward_scale: float = 2.5
     min_action_prob: float = 0.0
     move_noise: float = 0.0
 
@@ -80,8 +80,6 @@ class GridworldSpec:
                 raise ValueError(f"{name}: must lie in [0, {hi:g}), got {getattr(self, name)}")
         if self.seed < 0:
             raise ValueError(f"seed: must be nonnegative, got {self.seed}")
-        if not 0.0 < self.reward_scale < np.inf:
-            raise ValueError(f"reward_scale: must be finite and positive, got {self.reward_scale}")
 
     @property
     def n_states(self) -> int:
@@ -191,6 +189,22 @@ def _nonlinear_reward(spec: GridworldSpec, rng: np.random.Generator) -> np.ndarr
     return r
 
 
+def _unit_reward(spec: GridworldSpec):
+    """(reward scaled to a largest magnitude of 1, phi) as `build_env` generates them."""
+    rng = np.random.default_rng(spec.seed)
+    if spec.reward_kind == "linear":
+        phi = _action_block_features(spec)
+        theta = rng.normal(size=phi.shape[2])
+        raw = phi @ theta
+    elif spec.reward_kind == "tabular-linear":
+        phi = None
+        raw = rng.uniform(-1.0, 1.0, size=(spec.n_states, N_ACTIONS))
+    else:  # nonlinear truth, but only raw-coordinate features are exposed
+        phi = _action_block_features(spec)
+        raw = _nonlinear_reward(spec, rng)
+    return raw / max(np.max(np.abs(raw)), 1e-12), phi
+
+
 def build_env(spec: GridworldSpec):
     """Construct (TabularMdp, true reward table, read-only (S, A, d) feature
     table phi) from a spec. On `tabular-linear` phi is None: one-hot
@@ -211,20 +225,8 @@ def build_env(spec: GridworldSpec):
     transition.setflags(write=False)  # so TabularMdp keeps it without a copy
     mdp = TabularMdp(transition, spec.gamma)
 
-    rng = np.random.default_rng(spec.seed)
-    if spec.reward_kind == "linear":
-        phi = _action_block_features(spec)
-        theta = rng.normal(size=phi.shape[2])
-        raw = phi @ theta
-    elif spec.reward_kind == "tabular-linear":
-        phi = None
-        raw = rng.uniform(-1.0, 1.0, size=(ns, N_ACTIONS))
-    else:  # nonlinear truth, but only raw-coordinate features are exposed
-        phi = _action_block_features(spec)
-        raw = _nonlinear_reward(spec, rng)
-
-    raw = raw / max(np.max(np.abs(raw)), 1e-12)
-    scale = spec.reward_scale
+    raw, phi = _unit_reward(spec)
+    scale = REWARD_SCALE
     r_true = scale * raw
     if spec.min_action_prob > 0.0:
         v = np.zeros_like(r_true)
@@ -260,14 +262,13 @@ def truth(spec: GridworldSpec):
     return mdp, r_true, phi, q_true, pi_expert
 
 
-def sample_transitions(mdp: TabularMdp, pi, n: int, init=None,
-                       regime: str = "iid-restart", seed: int = 0,
-                       env_id: str = "-") -> TransitionDataset:
+def sample_transitions(mdp: TabularMdp, pi, n: int, regime: str = "iid-restart",
+                       seed: int = 0, env_id: str = "-") -> TransitionDataset:
     """Draw n (s, a, s') records from the behavior policy.
 
     iid-restart: the state rolls forward with probability gamma and restarts
-    from `init` otherwise (the discounted occupancy sampler). trajectory: one
-    long chain. `init` defaults to uniform.
+    from a uniformly drawn state otherwise (the discounted occupancy
+    sampler). trajectory: one long chain from a uniformly drawn state.
 
     Every uniform is drawn before the walk: the rows of one (n, 3) table,
     `_CHUNK` rows at a time, then one per restart, in record order. The
@@ -283,14 +284,12 @@ def sample_transitions(mdp: TabularMdp, pi, n: int, init=None,
     if regime not in REGIMES:
         raise ValueError(f"unknown sampling regime {regime!r}")
     pi = check_distribution(pi, (mdp.n_states, mdp.n_actions), "pi")
-    if init is None:
-        init = np.full(mdp.n_states, 1.0 / mdp.n_states)
-    init = check_distribution(init, (mdp.n_states,), "init")
 
     rng = np.random.default_rng(seed)
     # CDF rows end in +inf: a right-sided search then returns at most the last
     # index, the min(., S - 1) / min(., A - 1) clamp for rows just under 1.
-    init_cdf, pi_cdf = (np.cumsum(p, axis=-1) for p in (init, pi))
+    init_cdf = np.cumsum(np.full(mdp.n_states, 1.0 / mdp.n_states))  # restarts are uniform
+    pi_cdf = np.cumsum(pi, axis=-1)
     for cdf in (init_cdf, pi_cdf):
         cdf[..., -1] = np.inf
     records = np.empty((3, n), dtype=index_dtype(mdp.n_states, mdp.n_actions))
@@ -444,10 +443,11 @@ def read_dataset(path) -> TransitionDataset:
         data = fh.read()
     if b"\r" in data:  # "\r\n" and "\r" end lines, as they do in text mode
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    header, _, body = data.partition(b"\n")
-    del data
+    if data and not data.endswith(b"\n"):
+        data += b"\n"
+    start = data.find(b"\n") + 1  # the body is parsed in place, from the header line's end
     try:
-        header = header.decode()
+        header = data[:start - 1].decode()
     except UnicodeDecodeError:
         raise ValueError(f"{path}:1: not UTF-8 text") from None
     if not header.startswith(_HEADER_PREFIX):
@@ -467,7 +467,7 @@ def read_dataset(path) -> TransitionDataset:
         if key not in meta:
             raise ValueError(f"{path}:1: header missing {key}")
 
-    columns = _parse_records(path, body, meta["n_states"], meta["n_actions"])
+    columns = _parse_records(path, data, start, meta["n_states"], meta["n_actions"])
     if len(columns[0]) != meta["n"]:
         raise ValueError(f"{path}: header says n={meta['n']} but found {len(columns[0])} records")
     return TransitionDataset(*columns, meta)
@@ -476,24 +476,23 @@ def read_dataset(path) -> TransitionDataset:
 _FIELD_ENDS = np.frombuffer(b",,\n", np.uint8)  # the bytes that end a record's three fields
 
 
-def _parse_records(path, body: bytes, n_states: int, n_actions: int):
-    """The (s, a, s') columns of a dataset body, parsed about `_BLOCK` lines at a
+def _parse_records(path, data: bytes, start: int, n_states: int, n_actions: int):
+    """The (s, a, s') columns of the dataset body that fills `data` from byte
+    `start` on, each line ended by "\\n", parsed about `_BLOCK` lines at a
     time into one (3, n) table of `index_dtype`; only a failed check looks for
     the first bad line, and a line out of the grammar comes before any index
     out of range. Each chunk's int64 values are checked against their bounds
     before they are narrowed, so an index out of range cannot wrap into it."""
-    if body and not body.endswith(b"\n"):
-        body += b"\n"
     width = min(len(str(max(n_states, n_actions) - 1)), 18)  # 18 digits stay within int64
-    records = np.empty((3, body.count(b"\n")), dtype=index_dtype(n_states, n_actions))
+    records = np.empty((3, data.count(b"\n", start)), dtype=index_dtype(n_states, n_actions))
     limits, out_of_range = (n_states, n_actions, n_states), None
-    lo = row = 0
-    while lo < len(body):
+    lo, row = start, 0
+    while lo < len(data):
         # a chunk ends at the last newline within _BLOCK lines of the widest kind
-        hi = body.rfind(b"\n", lo, lo + _BLOCK * (3 * width + 3)) + 1
+        hi = data.rfind(b"\n", lo, lo + _BLOCK * (3 * width + 3)) + 1
         if hi == 0:  # the line at lo is longer than any record
-            raise _line_error(path, body, lo, width)
-        chunk = np.frombuffer(body, np.uint8, hi - lo, lo)
+            raise _line_error(path, data, lo, width)
+        chunk = np.frombuffer(data, np.uint8, hi - lo, lo)
         digits = chunk - np.uint8(ord("0"))
         ends = np.flatnonzero(digits > 9)  # every byte that is not a digit
         places = np.diff(ends, prepend=-1) - 1  # each field's digit count
@@ -502,7 +501,7 @@ def _parse_records(path, body: bytes, n_states: int, n_actions: int):
                 or places.min() < 1 or places.max() > width):
             bad = ((chunk.take(ends) != np.resize(_FIELD_ENDS, fields))
                    | (places < 1) | (places > width))  # the fields whose end or width is wrong
-            raise _line_error(path, body, lo + ends[bad.argmax()], width)
+            raise _line_error(path, data, lo + ends[bad.argmax()], width)
         # cast before scaling: a uint8 digit times 10 ** place wraps
         values = digits.take(ends - 1).astype(np.int64)
         for place in range(1, width):
@@ -523,10 +522,10 @@ def _parse_records(path, body: bytes, n_states: int, n_actions: int):
     return tuple(records)
 
 
-def _line_error(path, body: bytes, p: int, width: int) -> ValueError:
-    """The ValueError that names the body line holding byte p."""
-    line = body[body.rfind(b"\n", 0, p) + 1:body.find(b"\n", p)]
-    lineno = body.count(b"\n", 0, p) + 2
+def _line_error(path, data: bytes, p: int, width: int) -> ValueError:
+    """The ValueError that names the line holding byte p, a body byte of a dataset file's bytes."""
+    line = data[data.rfind(b"\n", 0, p) + 1:data.find(b"\n", p)]
+    lineno = data.count(b"\n", 0, p) + 1
     try:
         reason = f"expected 's,a,s_next' of at most {width} digits each, got {line.decode()!r}"
     except UnicodeDecodeError:

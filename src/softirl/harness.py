@@ -234,8 +234,7 @@ def _k(value):
 _KEYS = {
     "env": {key: ("env", key, typ) for key, typ in (
         ("width", int), ("height", int), ("topology", str), ("reward_kind", str),
-        ("seed", int), ("gamma", float), ("reward_scale", float),
-        ("min_action_prob", float), ("move_noise", float))},
+        ("seed", int), ("gamma", float), ("min_action_prob", float), ("move_noise", float))},
     "solver": {
         "k": ("solver", "K", _k),
         "split": ("eval", "split", _boolean),
@@ -244,7 +243,7 @@ _KEYS = {
         "classifier_kind": ("classifier", "kind", str),
         "smoothing_alpha": ("classifier", "smoothing_alpha", float),
     },
-    "baseline": {key: ("baseline", key, typ) for key, typ in (("max_epochs", int), ("tol", float))},
+    "baseline": {"max_epochs": ("baseline", "max_epochs", int)},
     "eval": {key: ("eval", key, typ) for key, typ in (
         ("n", int), ("regime", str), ("reruns", int), ("base_seed", int), ("name", str))},
 }

@@ -25,22 +25,20 @@ from softirl.mdp import soft_value_iteration  # noqa: F401 - perfbench/spans.py 
 from softirl.solver import _write_table
 
 STEP_SIZE = 0.05  # Adam's constant step
-PATIENCE = 40  # epochs without a `tol` gain after which an ascent stops
+GAIN_TOL = 1e-8  # the least rise in log-likelihood that counts as a gain
+PATIENCE = 40  # epochs without a gain after which an ascent stops
 VI_TOL = 1e-8  # residual at which each epoch's soft value iteration stops
 
 
 @dataclass
 class MaxEntConfig:
-    """Adam at STEP_SIZE; stops after PATIENCE epochs without a `tol` gain."""
+    """Adam at STEP_SIZE; stops after PATIENCE epochs without a GAIN_TOL gain."""
 
     max_epochs: int = 300
-    tol: float = 1e-8
 
     def __post_init__(self):
         if self.max_epochs < 0:
             raise ValueError(f"max_epochs: must be nonnegative, got {self.max_epochs}")
-        if not 0.0 <= self.tol < np.inf:
-            raise ValueError(f"tol: must be finite and nonnegative, got {self.tol}")
 
 
 @dataclass
@@ -48,7 +46,6 @@ class MaxEntFit:
     theta: np.ndarray
     r_hat: np.ndarray
     loss_trace: list = field(default_factory=list)
-    best_epoch: int = 0
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -74,7 +71,7 @@ def ascent(mdp: TabularMdp, phi, weights: np.ndarray, cfg: MaxEntConfig):
     """One ascent on the joint (S, A) frequency table `weights`, used as
     given, from theta = 0: each epoch yields r_theta, is sent its (v, Q, pi),
     and takes one Adam step along the gradient. Returns the
-    best-likelihood iterate once PATIENCE epochs bring no `tol` gain or
+    best-likelihood iterate once PATIENCE epochs bring no GAIN_TOL gain or
     `max_epochs` steps are taken.
 
     `phi` None stands for one-hot features: r_theta is theta and the gradient
@@ -102,14 +99,14 @@ def ascent(mdp: TabularMdp, phi, weights: np.ndarray, cfg: MaxEntConfig):
             raise RuntimeError(f"likelihood became non-finite at epoch {epoch}; "
                                f"loss trace: {trace}")
         trace.append(-ll)
-        if epoch == 0 or ll > best[0] + cfg.tol:
-            best, stall = (ll, theta.copy(), epoch), 0
+        if epoch == 0 or ll > best[0] + GAIN_TOL:
+            best, stall = (ll, theta.copy()), 0
         else:
             stall += 1
             if stall >= PATIENCE:
                 break
-    ll, theta, epoch = best
-    return MaxEntFit(theta, reward(theta).reshape(weights.shape), trace, epoch,
+    ll, theta = best
+    return MaxEntFit(theta, reward(theta).reshape(weights.shape), trace,
                      {"best_loglik": ll, "epochs_run": len(trace) - 1})
 
 

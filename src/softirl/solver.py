@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -325,14 +324,16 @@ def load_solution(out_dir) -> IrlSolution:
     tables = {}
     for stem, name in _TABLES:
         path = os.path.join(out_dir, f"{stem}.csv")
-        try:
-            with warnings.catch_warnings():  # a table without rows is named below
-                warnings.simplefilter("ignore", UserWarning)
-                table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=1 if stem == "c" else 2)
+        with open(path) as fh:  # `_write_table`'s header line, then rows of values joined by ","
+            rows = [row.split(",") for row in fh.read().splitlines()[1:]]
+        if not rows:
+            raise ValueError(f"{path}: no rows")
+        try:  # a ragged row is numpy's ValueError too
+            table = np.array(rows, dtype=float)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
-        if not len(table):
-            raise ValueError(f"{path}: no rows")
+        if stem == "c" and table.shape[1] == 1:  # one value per line
+            table = table[:, 0]
         shape = tables["r"].shape if tables else table.shape
         if table.shape != (shape[:1] if stem == "c" else shape):
             raise ValueError(f"{path}: shape {table.shape} does not match r.csv's (S, A) = {shape}")

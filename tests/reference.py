@@ -21,11 +21,12 @@ took plain means: sums weighted by 1/S, which a packaged benchmark's scores
 match bit for bit.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from softirl.envs import _HEADER_PREFIX, N_ACTIONS, TransitionDataset, _move_targets, build_env
+from softirl.envs import (_HEADER_PREFIX, N_ACTIONS, REWARD_SCALE, TransitionDataset,
+                          _move_targets, _unit_reward)
 from softirl.maxent import _loglik_and_grad
 from softirl.metrics import qdiff
 from softirl.mdp import (
@@ -370,8 +371,8 @@ def cold_build_env(spec):
             for b in range(N_ACTIONS):
                 transition[s, a, targets[s, b]] += spec.move_noise / N_ACTIONS
     mdp = TabularMdp(transition, spec.gamma)
-    _, raw, phi = build_env(replace(spec, min_action_prob=0.0, reward_scale=1.0))
-    scale, gaps = spec.reward_scale, []
+    raw, phi = _unit_reward(spec)
+    scale, gaps = REWARD_SCALE, []
     r_true = scale * raw
     if spec.min_action_prob > 0.0:
         for _ in range(80):

@@ -134,7 +134,7 @@ class TestParseConfig:
 
         assert targets("env") == {f.name for f in fields(GridworldSpec)}
         assert targets("baseline") == {f.name for f in fields(MaxEntConfig)}
-        assert sum(len(table) for table in _KEYS.values()) == 22
+        assert sum(len(table) for table in _KEYS.values()) == 20
         # "1" is a valid int, float, str and boolean, so only the declared type
         # decides; the keys whose values are checked at parse time take valid ones
         valid = {"topology": "torus", "reward_kind": "linear", "move_noise": "0",

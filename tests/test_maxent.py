@@ -221,7 +221,7 @@ class TestOneHotFeatures:
                      (got.r_hat, want.r_hat)]:
             assert g.shape == w.shape and g.tobytes() == w.tobytes()
         assert np.array(got.loss_trace).tobytes() == np.array(want.loss_trace).tobytes()
-        assert (got.best_epoch, got.diagnostics) == (want.best_epoch, want.diagnostics)
+        assert got.diagnostics == want.diagnostics
 
 
 def fit_lockstep(mdp, phi, weights, cfg):
@@ -245,14 +245,16 @@ class TestLockstepFit:
 
     # move_noise 0.1 makes the kernel stochastic, so each sweep applies P
     # problem by problem instead of gathering one-hot next states
-    @pytest.mark.parametrize("step, patience, cfg, move_noise", [
-        pytest.param(0.05, 5, MaxEntConfig(max_epochs=80), 0.0, id="cfg0"),
-        pytest.param(0.2, 3, MaxEntConfig(max_epochs=80, tol=1e-4), 0.0, id="cfg1"),
-        pytest.param(0.05, 5, MaxEntConfig(max_epochs=80), 0.1, id="cfg0-stochastic"),
+    @pytest.mark.parametrize("step, patience, gain_tol, move_noise", [
+        pytest.param(0.05, 5, 1e-8, 0.0, id="cfg0"),
+        pytest.param(0.2, 3, 1e-4, 0.0, id="cfg1"),
+        pytest.param(0.05, 5, 1e-8, 0.1, id="cfg0-stochastic"),
     ])
-    def test_matches_sequential_fits(self, monkeypatch, step, patience, cfg, move_noise):
+    def test_matches_sequential_fits(self, monkeypatch, step, patience, gain_tol, move_noise):
         monkeypatch.setattr(maxent, "STEP_SIZE", step)
         monkeypatch.setattr(maxent, "PATIENCE", patience)
+        monkeypatch.setattr(maxent, "GAIN_TOL", gain_tol)
+        cfg = MaxEntConfig(max_epochs=80)
         mdp, phi, datasets = self._problem(move_noise)
         assert (mdp._targets is None) == (move_noise > 0)
         weights = [joint_frequency(ds.states, ds.actions, mdp.n_states, mdp.n_actions)
@@ -263,7 +265,6 @@ class TestLockstepFit:
             assert np.array_equal(fit.theta, want.theta)
             assert np.array_equal(fit.r_hat, want.r_hat)
             assert fit.loss_trace == want.loss_trace
-            assert fit.best_epoch == want.best_epoch
             assert fit.diagnostics == want.diagnostics
         # patience stops the ascents at different epochs
         assert len({fit.diagnostics["epochs_run"] for fit in fits}) >= 3

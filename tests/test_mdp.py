@@ -91,7 +91,6 @@ def _entry_points():
     return {
         "transition": (mdp.transition, lambda p: TabularMdp(p, 0.9)),
         "pi": (pi, lambda p: sample_transitions(mdp, p, 10)),
-        "init": (np.full(4, 0.25), lambda p: sample_transitions(mdp, pi, 10, init=p)),
         "pi-exact": (pi, lambda p: exact_population_solver(mdp, p, NormalizationMeasure())),
     }
 
@@ -123,13 +122,13 @@ class TestCheckDistribution:
 
     @pytest.mark.parametrize("defect", [_shape, _nan, _negative, _off_by(1e-11)],
                              ids=["shape", "nan", "negative", "sum-off-1e-11"])
-    @pytest.mark.parametrize("entry", ["transition", "pi", "init", "pi-exact"])
+    @pytest.mark.parametrize("entry", ["transition", "pi", "pi-exact"])
     def test_a_bad_table_is_rejected_by_name(self, entry, defect):
         table, call = _entry_points()[entry]
         with pytest.raises(ValueError, match=rf"^{entry.split('-')[0]} "):
             call(defect(np.array(table)))
 
-    @pytest.mark.parametrize("entry", ["transition", "pi", "init", "pi-exact"])
+    @pytest.mark.parametrize("entry", ["transition", "pi", "pi-exact"])
     def test_a_sum_within_tolerance_is_accepted(self, entry):
         table, call = _entry_points()[entry]
         call(_off_by(1e-13)(np.array(table)))

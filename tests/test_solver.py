@@ -597,20 +597,35 @@ class TestSolutionIO:
             savetxt_table(ref, table, stem if table.ndim == 1 else actions)
             assert (tmp_path / "sol" / f"{stem}.csv").read_bytes() == ref.read_bytes(), stem
 
+    @pytest.mark.parametrize("size", [(1, 1), (1, 3), (4, 1), (3, 4)],
+                             ids=["1x1", "1x3", "4x1", "3x4"])
+    def test_tables_read_back_bit_for_bit(self, tmp_path, size):
+        special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 0.1, -2.5e17, 1.0 / 3.0]
+        r, v, u, mu, c = (np.resize(np.roll(special, i), size) for i in range(5))
+        sol = IrlSolution(r, v, u, c[:, 0], mu, 0.9)
+        save_solution(sol, tmp_path / "sol")
+        back = load_solution(tmp_path / "sol")
+        for name in ("r", "v", "u", "c", "mu_table"):
+            got, want = getattr(back, name), getattr(sol, name)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+
     @pytest.mark.parametrize("stem, rows, message", [
         ("r", slice(5), r"v\.csv: shape \(9, 5\) does not match r\.csv's \(S, A\) = \(4, 5\)$"),
         ("r", slice(1), r"r\.csv: no rows$"),
-        ("u", slice(None), r"u\.csv: the number of columns changed from 5 to 3 at row 2;"),
-    ], ids=["r-cut-to-4-rows", "r-header-only", "u-ragged"])
+        ("u", slice(None), r"u\.csv: setting an array element with a sequence\."),
+        ("c", slice(None), r"c\.csv: setting an array element with a sequence\."),
+        ("mu", slice(None), r"mu\.csv: could not convert string to float: 'x'$"),
+    ], ids=["r-cut-to-4-rows", "r-header-only", "u-ragged", "c-ragged", "mu-not-a-number"])
     def test_a_malformed_table_names_its_path(self, tmp_path, stem, rows, message):
-        """A table numpy reads but of another shape, one without rows (no numpy
-        warning either), and one numpy cannot read: each error names its file."""
+        """A table of another shape, one without rows, a ragged one and one
+        with a value that is not a number: each error names its file."""
         table = np.arange(45.0).reshape(9, 5)  # a 3 x 3 grid's (S, A)
         save_solution(IrlSolution(table, table, table, table[:, 0], table, 0.9), tmp_path)
         path = tmp_path / f"{stem}.csv"
         lines = path.read_text().splitlines(keepends=True)[rows]
-        if stem == "u":
-            lines[2] = "1,2,3\n"
+        defects = {"u": "1,2,3\n", "c": "1,2\n", "mu": "1,2,x,4,5\n"}
+        if stem in defects:
+            lines[2] = defects[stem]
         path.write_text("".join(lines))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
