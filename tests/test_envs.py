@@ -93,6 +93,16 @@ class TestBuildEnv:
         pi = expert_policy(mdp, r)
         assert pi.min() >= 0.05
 
+    @pytest.mark.parametrize("reward_kind", ["linear", "tabular-linear", "nonlinear"])
+    def test_unit_reward_is_the_reward_before_scaling(self, reward_kind):
+        # without a floor to meet, build_env keeps the reward at REWARD_SCALE
+        spec = small_spec(reward_kind=reward_kind)
+        unit, phi = envs._unit_reward(spec)
+        assert np.max(np.abs(unit)) == 1.0
+        _, r, built_phi = build_env(spec)
+        assert np.array_equal(r, envs.REWARD_SCALE * unit)
+        assert (phi is None and built_phi is None) or np.array_equal(phi, built_phi)
+
     def test_move_noise_spreads_mass(self):
         mdp, _, _ = build_env(small_spec(move_noise=0.2))
         assert np.max(mdp.transition) < 1.0
@@ -290,6 +300,42 @@ class TestSampleTransitions:
                 p_hat = np.mean(ds.actions[mask] == a)
                 se = np.sqrt(pi[s, a] * (1 - pi[s, a]) / n_s)
                 assert abs(p_hat - pi[s, a]) <= 3 * se
+
+    def test_restart_regime_mixes_more_than_trajectory(self):
+        # every move enters state 2 and stays: the trajectory never leaves it
+        # after its first record, while restarts revisit states 0 and 1
+        mdp = TabularMdp(np.tile(np.eye(3)[2], (3, 2, 1)), 0.9)
+        pi = np.full((3, 2), 0.5)
+        chain = sample_transitions(mdp, pi, 4000, regime="trajectory", seed=2)
+        assert np.all(chain.states[1:] == 2)
+        ds = sample_transitions(mdp, pi, 4000, regime="iid-restart", seed=2)
+        for s in (0, 1):
+            assert np.mean(ds.states == s) > 0.01  # about (1 - gamma) / 3
+
+    @pytest.mark.parametrize("kernel", ["one-hot", "stochastic"])
+    def test_restarts_land_uniformly(self, kernel):
+        # every move enters state 0 (one-hot) or one of states 0 and 1 at
+        # even odds (stochastic), so a later record holds a state s >= 2 only
+        # where it restarts, with probability (1 - gamma) / S each
+        n_states, n, gamma = 6, 20_000, 0.9
+        row = np.eye(n_states)[0] if kernel == "one-hot" else np.r_[0.5, 0.5, np.zeros(4)]
+        mdp = TabularMdp(np.tile(row, (n_states, 2, 1)), gamma)
+        assert (mdp._targets is not None) == (kernel == "one-hot")
+        ds = sample_transitions(mdp, np.full((n_states, 2), 0.5), n, seed=3)
+        p = (1 - gamma) / n_states
+        for s in range(2, n_states):
+            count = np.sum(ds.states[1:] == s)
+            assert abs(count - (n - 1) * p) <= 4 * np.sqrt((n - 1) * p * (1 - p))
+
+    @pytest.mark.parametrize("regime", ["iid-restart", "trajectory"])
+    def test_the_first_state_is_uniform(self, regime):
+        mdp = TabularMdp(np.tile(np.eye(4)[0], (4, 2, 1)), 0.9)
+        pi = np.full((4, 2), 0.5)
+        seeds = 2000
+        firsts = [sample_transitions(mdp, pi, 1, regime=regime, seed=seed).states[0]
+                  for seed in range(seeds)]
+        counts = np.bincount(firsts, minlength=4)
+        assert np.all(np.abs(counts - seeds / 4) <= 4 * np.sqrt(seeds * 0.25 * 0.75))
 
     def test_n_must_be_positive(self):
         mdp, r, _ = build_env(small_spec())
