@@ -40,6 +40,8 @@ _HEADER_PREFIX = "# transitions"
 _BLOCK = 2048  # records per block of the sampler's tail walk, the dataset writer and reader
 _LANES = 4096  # segments per lockstep walk (BENCH_15.json: ~0.4 MB of step temporaries,
                # and 1,024 lanes walked ~10 % slower at n = 800k)
+_Q = 1 << 14  # buckets of `_rank_code`: a uniform is searched only if its bucket holds a
+             # breakpoint, 1.6 % of draws on ident's 256
 _TAIL = 32  # live segments below which each finishes in Python; ident draws took 6.7, 6.6,
             # 6.6 and 7.2 ms at n = 50k and 56.3, 55.0, 55.9 and 56.3 ms at 800k with 16, 32,
             # 64 and 128 (min of 31 and 11 timeit runs, one BLAS thread, 2-vCPU Xeon)
@@ -275,9 +277,13 @@ def sample_transitions(mdp: TabularMdp, pi, n: int, regime: str = "iid-restart",
     restarts cut the records into segments whose first states are then
     known, and `_walk` advances all segments in lockstep. The records are
     the bits a per-record `np.searchsorted` loop draws from the same stream,
-    held in `mdp.index_dtype(S, A)` columns: with the action uniforms' float
-    column, the walk keeps 11 bytes per record at int8 (and 8 more per
-    record on a stochastic kernel, for the move uniforms).
+    held in `mdp.index_dtype(S, A)` columns. The action uniforms (and on a
+    stochastic kernel the move uniforms) are kept only as their ranks among
+    the CDF's breakpoints (`_rank_code`), which pick the same entries. On
+    ident (S = 64, 256 breakpoints in pi's CDF) the walk keeps 5 bytes a
+    record, 3 of int8 records and 2 of uint16 ranks, and 6 with move_noise
+    0.3, whose cut kernel rows have 13 breakpoints: 11 and 19 bytes with
+    float64 uniforms.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -292,25 +298,34 @@ def sample_transitions(mdp: TabularMdp, pi, n: int, regime: str = "iid-restart",
     pi_cdf = np.cumsum(pi, axis=-1)
     for cdf in (init_cdf, pi_cdf):
         cdf[..., -1] = np.inf
+    pi_cdf, act_dtype, act_rank = _rank_code(pi_cdf)
+    if mdp._targets is None:
+        next_cdf, next_idx = _support_rows(mdp.transition)
+        next_cdf, move_dtype, move_rank = _rank_code(next_cdf)
+    else:  # a one-hot row cut to its support is [+inf] at its target
+        next_cdf, next_idx = np.full((*mdp._targets.shape, 1), np.inf), mdp._targets[..., None]
     records = np.empty((3, n), dtype=index_dtype(mdp.n_states, mdp.n_actions))
     # The walk reads uniform column 0, and column 1 only where a move is
     # random. Record i > 0 restarts iff u[i, 2] >= gamma (iid-restart only)
     # and then takes the stream's next uniform, so every segment's first
     # state is known.
-    u_act, u_move = np.empty(n), None if mdp._targets is not None else np.empty(n)
-    starts = [np.zeros(1, dtype=np.intp)]
+    u_act = np.empty(n, dtype=act_dtype)
+    u_move = None if mdp._targets is not None else np.empty(n, dtype=move_dtype)
+    segment_dtype = index_dtype(n + 1, 1)  # segment starts and lengths are at most n
+    starts = [np.zeros(1, dtype=segment_dtype)]
     for lo in range(0, n, _CHUNK):
         u = rng.random((min(_CHUNK, n - lo), 3))  # the rows one (n, 3) draw gives
-        u_act[lo:lo + len(u)] = u[:, 0]
+        u_act[lo:lo + len(u)] = act_rank(u[:, 0])
         if u_move is not None:
-            u_move[lo:lo + len(u)] = u[:, 1]
+            u_move[lo:lo + len(u)] = move_rank(u[:, 1])
         if lo == 0:  # record 0 starts the first segment
             u_first, u, lo = u[0, 2], u[1:], 1
         if regime == "iid-restart":
-            starts.append(np.flatnonzero(u[:, 2] >= mdp.gamma) + lo)
+            starts.append((np.flatnonzero(u[:, 2] >= mdp.gamma) + lo).astype(segment_dtype))
     starts = np.concatenate(starts)
-    first = np.searchsorted(init_cdf, np.append(u_first, rng.random(len(starts) - 1)), side="right")
-    _walk(records, starts, first, pi_cdf, u_act, u_move, *_support_rows(mdp.transition))
+    first = np.searchsorted(init_cdf, np.append(u_first, rng.random(len(starts) - 1)),
+                            side="right").astype(records.dtype)
+    _walk(records, starts, first, pi_cdf, u_act, u_move, next_cdf, next_idx)
 
     meta = {"seed": seed, "env": env_id or "-", "n": n,
             "n_states": mdp.n_states, "n_actions": mdp.n_actions, "regime": regime}
@@ -340,12 +355,52 @@ def _support_rows(transition: np.ndarray):
     return cdf.reshape(shape), idx.reshape(shape)
 
 
+def _rank_code(cdf):
+    """(ranks, dtype, rank) that stand for CDF table `cdf` and for uniforms
+    u in [0, 1): `ranks` holds each entry's rank among the B distinct finite
+    entries, #{b <= c}, or B + 1 for +inf, in int64; `rank` gives an array
+    of uniforms their ranks #{b <= u} in `dtype`, the narrowest unsigned
+    dtype that holds B. c <= u exactly when rank(c) <= rank(u), so ranks
+    pick the entries uniforms do. The walk compares them in int64: a uint16
+    comparison maps 64 KB of numpy's code that nothing else in a run uses.
+
+    floor(u * _Q) is exact, so a uniform lies above every breakpoint of the
+    buckets below its own and below every one above; only the uniforms whose
+    bucket holds a breakpoint are searched. The breakpoints are sorted in
+    Python: np.unique imports numpy.ma (8.4 ms), and np.sort maps 256 KB of
+    numpy's code that nothing else in a run uses, which peak RSS counts.
+    """
+    points = np.array(sorted(set(cdf[cdf < np.inf].tolist())))
+    ranks = np.searchsorted(points, cdf, side="right") + (cdf == np.inf)
+    dtype = np.min_scalar_type(len(points))
+    # below[q], the breakpoints in buckets under q, is k on (bucket[k - 1], bucket[k]]: a
+    # cumsum over 2 ** 16 buckets took 160 us on a 2-vCPU Xeon, this repeat 16 us.
+    # Entries of 1 or more fall past every bucket.
+    bucket = np.minimum(points * _Q, _Q).astype(np.intp)
+    below = np.repeat(np.arange(len(points) + 1, dtype=dtype),
+                      np.diff(np.minimum(bucket, _Q - 1), prepend=-1, append=_Q - 1))
+    hit = np.zeros(_Q, dtype=bool)
+    hit[bucket[bucket < _Q]] = True
+
+    def rank(u):
+        bucket = np.multiply(u, _Q, out=np.empty(len(u), np.int32), casting="unsafe")
+        ranked = below.take(bucket)
+        refine = np.flatnonzero(hit.take(bucket))
+        ranked[refine] = np.searchsorted(points, u.take(refine), side="right")
+        return ranked
+
+    return ranks, dtype, rank
+
+
 def _walk(records, starts, first, pi_cdf, u_act, u_move, next_cdf, next_idx) -> None:
     """Write the records of the segments that begin at `starts` in states
     `first`, drawing actions with `u_act` and moves with `u_move`, or on
     one-hot kernels (`u_move` None) taking each cut row's first index, its
     target (`TabularMdp._targets`). A next state is the next record's state,
     but at a segment's end, which goes in the segment's slot of `first`.
+    `pi_cdf`, and `next_cdf` where `u_move` is given, are `_rank_code` rank
+    tables, and `u_act` and `u_move` the uniforms' ranks, which the walk
+    compares as it would compare the CDF values and the uniforms.
 
     Segments go longest first, `_LANES` at a time, so the live ones are a
     prefix: step t takes record start + t of every live segment at once.
@@ -353,25 +408,29 @@ def _walk(records, starts, first, pi_cdf, u_act, u_move, next_cdf, next_idx) -> 
     with `bisect` over the same rows.
     """
     n_actions, width = next_idx.shape[1:]
-    # the last CDF column is +inf, never <= u, so a step counts the others
+    # the last CDF column is +inf (ranked B + 1), never <= u, so a step counts the others
     pi_t = pi_cdf.T[:-1].copy()
     next_t = next_cdf.reshape(-1, width).T[:-1].copy()
     next_flat = next_idx.ravel()
     pi_rows, cdf_rows, idx_rows = pi_cdf.tolist(), next_cdf.tolist(), next_idx.tolist()
     states, actions, next_states = records  # a store through a row view beats records[0, i]
+    # subtracted in int64 and then narrowed: an int32 subtract maps 64 KB more of numpy's code
     lengths = np.diff(starts, append=len(u_act))
-    order = np.argsort(-lengths, kind="stable")
+    order = np.argsort(-lengths, kind="stable").astype(starts.dtype)
+    lengths = lengths.astype(starts.dtype)
     for group in range(0, len(order), _LANES):
         segment = order[group:group + _LANES]
-        start, length, s = starts[segment], lengths[segment], first[segment]
+        # the group's columns are widened for its index arithmetic
+        start, length, s = (c.take(segment).astype(np.intp) for c in (starts, lengths, first))
         t, live = 0, len(start)
         while live >= _TAIL:
             i = start[:live] + t
-            a = _count_at_most(pi_t, s, u_act.take(i))
+            a = _count_at_most(pi_t, s, u_act.take(i).astype(np.intp))
             sa = s * n_actions + a
-            k = 0 if u_move is None else _count_at_most(next_t, sa, u_move.take(i))
+            k = 0 if u_move is None else _count_at_most(next_t, sa,
+                                                        u_move.take(i).astype(np.intp))
             s2 = next_flat.take(sa * width + k)
-            states[i], actions[i] = s, a
+            states[i], actions[i] = s.astype(states.dtype), a.astype(states.dtype)
             t += 1
             ended, live = live, np.count_nonzero(length[:live] > t)
             first[segment[live:ended]] = s2[live:ended]  # read by this group already
@@ -438,16 +497,19 @@ def read_dataset(path) -> TransitionDataset:
     `s,a,s_next` line per record, each field 1 to `width` digits (the largest
     index's count, at most 18), with "\r\n" and "\r" ending lines as in text
     mode. Any other body, or an index out of range, is `<path>:<line>: <reason>`.
-    The columns have `mdp.index_dtype` of the header's n_states and n_actions."""
+    The columns have `mdp.index_dtype` of the header's n_states and n_actions.
+
+    The body is parsed in place in the bytes read, but for a last line
+    without its newline, which is copied alone; a file with CR line ends is
+    copied whole, once, to end its lines with "\n"."""
     with open(path, "rb") as fh:
         data = fh.read()
     if b"\r" in data:  # "\r\n" and "\r" end lines, as they do in text mode
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    if data and not data.endswith(b"\n"):
-        data += b"\n"
-    start = data.find(b"\n") + 1  # the body is parsed in place, from the header line's end
+    end = data.find(b"\n")
+    end = len(data) if end < 0 else end  # the header line's end; the body starts past it
     try:
-        header = data[:start - 1].decode()
+        header = data[:end].decode()
     except UnicodeDecodeError:
         raise ValueError(f"{path}:1: not UTF-8 text") from None
     if not header.startswith(_HEADER_PREFIX):
@@ -467,7 +529,7 @@ def read_dataset(path) -> TransitionDataset:
         if key not in meta:
             raise ValueError(f"{path}:1: header missing {key}")
 
-    columns = _parse_records(path, data, start, meta["n_states"], meta["n_actions"])
+    columns = _parse_records(path, data, end + 1, meta["n_states"], meta["n_actions"])
     if len(columns[0]) != meta["n"]:
         raise ValueError(f"{path}: header says n={meta['n']} but found {len(columns[0])} records")
     return TransitionDataset(*columns, meta)
@@ -478,21 +540,26 @@ _FIELD_ENDS = np.frombuffer(b",,\n", np.uint8)  # the bytes that end a record's 
 
 def _parse_records(path, data: bytes, start: int, n_states: int, n_actions: int):
     """The (s, a, s') columns of the dataset body that fills `data` from byte
-    `start` on, each line ended by "\\n", parsed about `_BLOCK` lines at a
-    time into one (3, n) table of `index_dtype`; only a failed check looks for
-    the first bad line, and a line out of the grammar comes before any index
-    out of range. Each chunk's int64 values are checked against their bounds
-    before they are narrowed, so an index out of range cannot wrap into it."""
+    `start` on, each line ended by "\\n" but perhaps the last, parsed about
+    `_BLOCK` lines at a time into one (3, n) table of `index_dtype`; only a
+    failed check looks for the first bad line, and a line out of the grammar
+    comes before any index out of range. Each chunk's int64 values are
+    checked against their bounds before they are narrowed, so an index out
+    of range cannot wrap into it."""
     width = min(len(str(max(n_states, n_actions) - 1)), 18)  # 18 digits stay within int64
-    records = np.empty((3, data.count(b"\n", start)), dtype=index_dtype(n_states, n_actions))
+    lines = data.count(b"\n", start) + (len(data) > start and not data.endswith(b"\n"))
+    records = np.empty((3, lines), dtype=index_dtype(n_states, n_actions))
     limits, out_of_range = (n_states, n_actions, n_states), None
-    lo, row = start, 0
+    lo, row, span = start, 0, _BLOCK * (3 * width + 3)
     while lo < len(data):
         # a chunk ends at the last newline within _BLOCK lines of the widest kind
-        hi = data.rfind(b"\n", lo, lo + _BLOCK * (3 * width + 3)) + 1
-        if hi == 0:  # the line at lo is longer than any record
+        hi = data.rfind(b"\n", lo, lo + span) + 1
+        if hi == 0 and len(data) - lo >= span:  # the line at lo is longer than any record
             raise _line_error(path, data, lo, width)
-        chunk = np.frombuffer(data, np.uint8, hi - lo, lo)
+        if hi == 0:  # the last line, without its newline: only it is copied, to end it
+            chunk, hi = np.frombuffer(data[lo:] + b"\n", np.uint8), len(data)
+        else:
+            chunk = np.frombuffer(data, np.uint8, hi - lo, lo)
         digits = chunk - np.uint8(ord("0"))
         ends = np.flatnonzero(digits > 9)  # every byte that is not a digit
         places = np.diff(ends, prepend=-1) - 1  # each field's digit count
@@ -523,8 +590,10 @@ def _parse_records(path, data: bytes, start: int, n_states: int, n_actions: int)
 
 
 def _line_error(path, data: bytes, p: int, width: int) -> ValueError:
-    """The ValueError that names the line holding byte p, a body byte of a dataset file's bytes."""
-    line = data[data.rfind(b"\n", 0, p) + 1:data.find(b"\n", p)]
+    """The ValueError that names the line holding byte p, a body byte of a dataset file's bytes
+    or the newline a last line lacks (p = len(data))."""
+    end = data.find(b"\n", p)
+    line = data[data.rfind(b"\n", 0, p) + 1:end if end >= 0 else len(data)]
     lineno = data.count(b"\n", 0, p) + 1
     try:
         reason = f"expected 's,a,s_next' of at most {width} digits each, got {line.decode()!r}"

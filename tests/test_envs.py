@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -542,18 +545,84 @@ class TestSupportRows:
             assert np.array_equal(g, w)
 
 
+class TestRankCode:
+    """A right-sided search of the uniforms' ranks in a row's ranks gives
+    the index that the search of the uniforms in the CDF row gives."""
+
+    @staticmethod
+    def _check(cdf, u, dtype):
+        ranks, code_dtype, rank = envs._rank_code(cdf)
+        codes = rank(u)
+        assert codes.dtype == code_dtype == dtype
+        for row, coded in zip(cdf, ranks):
+            assert np.array_equal(np.searchsorted(coded, codes, side="right"),
+                                  np.searchsorted(row, u, side="right"))
+
+    @staticmethod
+    def _uniforms(cdf, seed):
+        """Random uniforms, every finite entry under 1 and its two neighbours,
+        0.0 and the largest uniform, 1 - 2**-53."""
+        points = cdf[np.isfinite(cdf) & (cdf < 1.0)]
+        near = np.concatenate([points, np.nextafter(points, 0.0), np.nextafter(points, 1.0)])
+        top = np.nextafter(1.0, 0.0)
+        assert top == 1.0 - 2.0 ** -53
+        return np.concatenate([np.random.default_rng(seed).random(5000), near[near < 1.0],
+                               [0.0, top]])
+
+    def test_uint8_rows_with_shared_and_crowded_breakpoints(self):
+        eps = 1e-9  # far under a bucket's width, 1 / _Q
+        cdf = np.array([[0.0, 0.25, 0.5, 0.75, np.inf],
+                        [0.25, 0.5, 0.5 + eps, 1.0, np.inf],  # shares 0.25 and 0.5
+                        [0.1, 0.1 + eps, 0.1 + 2 * eps, 0.1 + 3 * eps, np.inf],  # one bucket
+                        [0.0, 0.0, 1.0, 1.0 + 2 ** -52, np.inf],  # 1 and over, past every u
+                        [0.3, 0.6, np.inf, np.inf, np.inf]])
+        assert int((0.1 + 3 * eps) * envs._Q) == int(0.1 * envs._Q)
+        self._check(cdf, self._uniforms(cdf, 0), np.uint8)
+
+    def test_uint16_rows(self):
+        # 452 distinct breakpoints, each row's also in another row
+        rng = np.random.default_rng(1)
+        cdf = np.cumsum(rng.dirichlet(np.ones(4), size=150), axis=1)
+        cdf[:, -1] = np.inf
+        cdf = np.concatenate([cdf, cdf[::-1], np.full((1, 4), np.inf)])
+        cdf[-1, :2] = 0.0, 1.0 - 2.0 ** -53
+        self._check(cdf, self._uniforms(cdf, 2), np.uint16)
+
+    def test_a_table_without_finite_entries(self):
+        cdf = np.full((2, 1), np.inf)
+        self._check(cdf, self._uniforms(cdf, 3), np.uint8)
+
+
+@pytest.mark.parametrize("move_noise", [0.0, 0.3], ids=["one-hot", "stochastic"])
+def test_a_first_draw_imports_nothing(move_noise):
+    # np.unique imports numpy.ma on its first call, 8.4 ms in a fresh interpreter
+    code = ("import sys\n"
+            "from softirl.envs import GridworldSpec, build_env, expert_policy, "
+            "sample_transitions\n"
+            f"mdp, r, _ = build_env(GridworldSpec(4, 4, move_noise={move_noise}))\n"
+            "pi = expert_policy(mdp, r)\n"
+            "before = set(sys.modules)\n"
+            "sample_transitions(mdp, pi, 5000, seed=1)\n"
+            "print(sorted(set(sys.modules) - before))")
+    src = os.path.dirname(os.path.dirname(envs.__file__))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert done.stdout.strip() == "[]"
+
+
 class TestSamplerMemory:
     """The sampler keeps the records in int8 on ident (3 bytes a record), the
-    action uniforms in a float column (8) and the move uniforms (8 more) only
-    on stochastic kernels, and draws the uniforms `_CHUNK` rows at a time.
-    Measured peak at n = 200k: 3.04 MB on ident and 4.64 MB with move_noise
-    0.3 (5.64 and 7.24 MB with int64 records). Above the 11 and 19 bytes a
-    record, about 1.35 bytes a record go to the restart segments' tables (the
-    slope from 200k to 800k records) and about 0.5 MB to fixed ones: one chunk
-    of uniforms, the CDF rows as lists and the lockstep lanes. The bound of
-    12 and 20 bytes a record plus 1 MiB leaves 0.41 MB of room."""
+    ranks of the action uniforms in uint16 (2) and those of the move uniforms
+    in uint8 (1 more) only on stochastic kernels, and draws the uniforms
+    `_CHUNK` rows at a time. Measured peak at n = 200k: 1.88 MB on ident and
+    2.14 MB with move_noise 0.3 (3.04 and 4.64 MB with float64 uniforms).
+    The slope from 200k to 800k records is 5.57 and 6.63 bytes a record, the
+    restart segments' tables taking about 0.6 of it, and about 0.8 MB goes
+    to fixed tables: one chunk of uniforms and its rank temporaries, the
+    rank tables, the CDF rows as lists and the lockstep lanes. The bound of
+    6 and 7 bytes a record plus 1 MiB leaves 0.37 and 0.31 MB of room."""
 
-    @pytest.mark.parametrize("name, per_record", [("ident", 12), ("ident-noisy", 20)],
+    @pytest.mark.parametrize("name, per_record", [("ident", 6), ("ident-noisy", 7)],
                              ids=["ident", "ident-noisy"])
     def test_peak_traced_allocation(self, name, per_record):
         mdp, r_true, _ = build_env(_packaged_spec(name))
@@ -574,14 +643,13 @@ class TestReaderMemory:
     """`read_dataset` parses the body in place in the bytes it read, so its
     peak is the file, the columns and one chunk's temporaries. Measured at
     n = 200k on ident: a 1.56 MB file, 0.6 MB of int8 columns and a peak
-    0.38 MB above their sum, the same at 800k. Splitting the body off the
-    header copied it, for a peak of twice the file (3.11 MB). The allowance
-    of 512 KiB leaves 0.15 MB of room."""
+    0.38 MB above their sum, the same at 800k and without the last newline.
+    Splitting the body off the header, or appending the missing newline,
+    copied it, for a peak of twice the file (3.11 MB). The allowance of
+    512 KiB leaves 0.15 MB of room."""
 
-    def test_peak_traced_allocation(self, tmp_path):
-        mdp, _, _, _, pi = envs.truth(_packaged_spec("ident"))
-        path = tmp_path / "data.txt"
-        write_dataset(sample_transitions(mdp, pi, 200_000, seed=1), path)
+    @staticmethod
+    def _check(path):
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -592,6 +660,21 @@ class TestReaderMemory:
             tracemalloc.stop()
         columns = sum(c.nbytes for c in (back.states, back.actions, back.next_states))
         assert peak <= path.stat().st_size + columns + 2 ** 19
+
+    @staticmethod
+    def _write(tmp_path):
+        mdp, _, _, _, pi = envs.truth(_packaged_spec("ident"))
+        path = tmp_path / "data.txt"
+        write_dataset(sample_transitions(mdp, pi, 200_000, seed=1), path)
+        return path
+
+    def test_peak_traced_allocation(self, tmp_path):
+        self._check(self._write(tmp_path))
+
+    def test_a_missing_last_newline_keeps_the_bound(self, tmp_path):
+        path = self._write(tmp_path)
+        path.write_bytes(path.read_bytes()[:-1])
+        self._check(path)
 
 
 class TestDatasetIO:
