@@ -13,10 +13,10 @@ non-finite values.
 
 `--width W` sets width = height = W on the benchmark, so its cost can be
 read against the state count S = W * W. The script prints the seconds of one
-`build_env`, the mean seconds of Ours (`classify_then_regress`) per n, the
-mean seconds of one MaxEnt epoch (a `max_epochs = 2` fit to the last rerun's
-records, whose three epochs each take one soft value iteration and one
-gradient), and the process's peak RSS.
+`build_env`, the mean seconds of `draw` (the env solved beforehand) and of
+Ours (`classify_then_regress`) per n, the mean seconds of one MaxEnt epoch
+(a `max_epochs = 2` fit to the last rerun's records, whose three epochs each
+take one soft value iteration and one gradient), and the process's peak RSS.
 
 Usage: python3 scripts/sweep_sample_size.py --name ident --reruns 5 \
            --sizes 50000 200000 800000 --out sweep.csv
@@ -62,12 +62,15 @@ def main() -> None:
     start = time.perf_counter()
     build_env(cfg.env)
     print(f"S={cfg.env.n_states}: build_env {time.perf_counter() - start:.3f}s")
+    truth(cfg.env)  # solved here, so that `draw` is timed without it
 
     lines = ["n,metric,mean,se"]
     for n in args.sizes:
-        rows, seconds = [], 0.0
+        rows, draw_s, seconds = [], 0.0, 0.0
         for rerun in range(args.reruns):
+            start = time.perf_counter()
             data = draw(replace(cfg, n=n), args.seed + rerun)
+            draw_s += time.perf_counter() - start
             start = time.perf_counter()
             sol = classify_then_regress(data, cfg.solver)
             seconds += time.perf_counter() - start
@@ -78,7 +81,8 @@ def main() -> None:
         for m in METRIC_NAMES:
             lines.append(f"{n},{m},{mean[m]:.6g},{summary[('Ours', m)][1]:.6g}")
         print(f"n={n}: rmse={mean['rmse_qdiff']:.4f} corr={mean['corr_qdiff']:.4f} "
-              f"kl={mean['kl']:.5f} ours={seconds / args.reruns:.3f}s")
+              f"kl={mean['kl']:.5f} draw={draw_s / args.reruns:.3f}s "
+              f"ours={seconds / args.reruns:.3f}s")
 
     mdp, _, phi, _, _ = truth(cfg.env)
     start = time.perf_counter()

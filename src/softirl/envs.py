@@ -38,13 +38,13 @@ REWARD_SCALE = 2.5  # the reward's largest magnitude before `min_action_prob` sh
 
 _HEADER_PREFIX = "# transitions"
 _BLOCK = 2048  # records per block of the sampler's tail walk, the dataset writer and reader
-_LANES = 4096  # segments per lockstep walk (BENCH_15.json: ~0.4 MB of step temporaries,
-               # and 1,024 lanes walked ~10 % slower at n = 800k)
+_LANES = 4096  # segments per lockstep walk (BENCH_15.json: ~0.4 MB of step temporaries; with
+               # 1,024 and 16,384 ident draws at n = 800k took 20 % and 14 % longer, BENCH_43.json)
 _Q = 1 << 14  # buckets of `_rank_code`: a uniform is searched only if its bucket holds a
              # breakpoint, 1.6 % of draws on ident's 256
-_TAIL = 32  # live segments below which each finishes in Python; ident draws took 6.7, 6.6,
-            # 6.6 and 7.2 ms at n = 50k and 56.3, 55.0, 55.9 and 56.3 ms at 800k with 16, 32,
-            # 64 and 128 (min of 31 and 11 timeit runs, one BLAS thread, 2-vCPU Xeon)
+_TAIL = 32  # live segments below which each finishes in Python; ident draws took 3.13, 3.03,
+            # 2.98 and 3.15 ms at n = 50k and 23.8, 23.7, 23.8 and 23.5 ms at 800k with 8, 16,
+            # 32 and 64 (BENCH_43.json: min of 31 and 11 timeit runs, one BLAS thread, 2-vCPU Xeon)
 
 
 @dataclass(frozen=True)
@@ -283,7 +283,9 @@ def sample_transitions(mdp: TabularMdp, pi, n: int, regime: str = "iid-restart",
     ident (S = 64, 256 breakpoints in pi's CDF) the walk keeps 5 bytes a
     record, 3 of int8 records and 2 of uint16 ranks, and 6 with move_noise
     0.3, whose cut kernel rows have 13 breakpoints: 11 and 19 bytes with
-    float64 uniforms.
+    float64 uniforms. Its lockstep reads actions and next states from int8
+    tables once n reaches their 32,896 entries, 33 kB (20,928 with
+    move_noise 0.3), which `_decoder` builds.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -403,16 +405,12 @@ def _walk(records, starts, first, pi_cdf, u_act, u_move, next_cdf, next_idx) -> 
     compares as it would compare the CDF values and the uniforms.
 
     Segments go longest first, `_LANES` at a time, so the live ones are a
-    prefix: step t takes record start + t of every live segment at once.
-    Once fewer than `_TAIL` are live, each finishes one record at a time
-    with `bisect` over the same rows.
+    prefix: step t takes record start + t of every live segment at once and
+    decodes its lanes with `_decoder`. Once fewer than `_TAIL` are live,
+    each finishes one record at a time with `bisect` over the same rows.
     """
-    n_actions, width = next_idx.shape[1:]
-    # the last CDF column is +inf (ranked B + 1), never <= u, so a step counts the others
-    pi_t = pi_cdf.T[:-1].copy()
-    next_t = next_cdf.reshape(-1, width).T[:-1].copy()
-    next_flat = next_idx.ravel()
     pi_rows, cdf_rows, idx_rows = pi_cdf.tolist(), next_cdf.tolist(), next_idx.tolist()
+    decode = _decoder(pi_cdf, u_act, u_move, next_cdf, next_idx.astype(records.dtype))
     states, actions, next_states = records  # a store through a row view beats records[0, i]
     # subtracted in int64 and then narrowed: an int32 subtract maps 64 KB more of numpy's code
     lengths = np.diff(starts, append=len(u_act))
@@ -421,16 +419,12 @@ def _walk(records, starts, first, pi_cdf, u_act, u_move, next_cdf, next_idx) -> 
     for group in range(0, len(order), _LANES):
         segment = order[group:group + _LANES]
         # the group's columns are widened for its index arithmetic
-        start, length, s = (c.take(segment).astype(np.intp) for c in (starts, lengths, first))
-        t, live = 0, len(start)
+        start, length = (c.take(segment).astype(np.intp) for c in (starts, lengths))
+        s, t, live = first.take(segment), 0, len(start)
         while live >= _TAIL:
             i = start[:live] + t
-            a = _count_at_most(pi_t, s, u_act.take(i).astype(np.intp))
-            sa = s * n_actions + a
-            k = 0 if u_move is None else _count_at_most(next_t, sa,
-                                                        u_move.take(i).astype(np.intp))
-            s2 = next_flat.take(sa * width + k)
-            states[i], actions[i] = s.astype(states.dtype), a.astype(states.dtype)
+            a, s2 = decode(s, i)
+            states[i], actions[i] = s, a
             t += 1
             ended, live = live, np.count_nonzero(length[:live] > t)
             first[segment[live:ended]] = s2[live:ended]  # read by this group already
@@ -452,6 +446,48 @@ def _walk(records, starts, first, pi_cdf, u_act, u_move, next_cdf, next_idx) -> 
             first[j] = s
     next_states[:-1] = states[1:]
     next_states[np.append(starts[1:], len(u_act)) - 1] = first
+
+
+def _decoder(pi_cdf, u_act, u_move, next_cdf, next_idx):
+    """decode(s, i): the actions and next states, in `next_idx`'s dtype, of
+    lanes in states s (that dtype) at records i, taken from `_decode_table`s
+    at s * (B + 1) + code (a stochastic next state at (s * A + a) * (B_m + 1)
+    + move code) if those hold no more entries than the draw has records,
+    else counted a CDF column at a time (BENCH_43.json: at S = 1,024 the
+    tables cost more than the counting saved)."""
+    n_states, n_actions, width = next_idx.shape
+    codes = int(pi_cdf.max())  # B + 1: the codes run from 0 to B, and +inf ranks B + 1
+    moves = None if u_move is None else int(next_cdf.max())
+    if n_states * (codes + (codes if moves is None else n_actions * moves)) <= len(u_act):
+        act_of = _decode_table(pi_cdf, np.arange(n_actions, dtype=next_idx.dtype))
+        next_of = _decode_table(pi_cdf if moves is None else next_cdf, next_idx)
+
+        def decode(s, i):
+            key = np.multiply(s, codes, dtype=np.intp)
+            key += u_act.take(i)
+            a = act_of.take(key)
+            if moves is not None:  # else a one-hot kernel's next state shares the key
+                key = (np.multiply(s, n_actions, dtype=np.intp) + a) * moves + u_move.take(i)
+            return a, next_of.take(key)
+        return decode
+
+    # the last CDF column is +inf (ranked B + 1), never <= u, so a step counts the others
+    pi_t = pi_cdf.T[:-1].copy()
+    next_t = next_cdf.reshape(-1, width).T[:-1].copy()
+
+    def decode(s, i):
+        s = s.astype(np.intp)
+        a = _count_at_most(pi_t, s, u_act.take(i).astype(np.intp))
+        sa = s * n_actions + a
+        k = 0 if moves is None else _count_at_most(next_t, sa, u_move.take(i).astype(np.intp))
+        return a.astype(next_idx.dtype), next_idx.take(sa * width + k)
+    return decode
+
+
+def _decode_table(ranks, values):
+    """values[r, #{j : ranks[r, j] <= c}] for each row r of rank table `ranks` (rows end in
+    B + 1) and code c from 0 to B, flat; `values` repeats to fill `ranks`."""
+    return np.repeat(np.resize(values, ranks.size), np.diff(ranks, prepend=0).ravel())
 
 
 def _count_at_most(table, columns, u) -> np.ndarray:

@@ -81,7 +81,7 @@ class FittedRegressor:
     `kernel` is the (rows, cols, values) triples of M's nonzero entries
     M[s * A + a, s'], so a cell without records has no triple and
     predicts 0; `counts` is the (rows, cols, n) triples of the fold's nonzero
-    (s, a, s') record counts, in row-major order.
+    (s, a, s') record counts, in row-major order, on the kernel's rows and cols.
     """
 
     kernel: tuple
@@ -183,7 +183,7 @@ def fit_regressor_folds(states, actions, next_states, n_states: int, n_actions: 
     empty = np.count_nonzero(cnt.reshape(folds, n_cells) == 0, axis=1).tolist()
     bounds = np.searchsorted(support, np.arange(folds + 1) * span).tolist()
 
-    return [FittedRegressor((rows[lo:hi], cols[lo:hi], values[lo:hi]),
-                            (rows[lo:hi], cols[lo:hi], n[lo:hi]),
+    return [FittedRegressor((*at, values[lo:hi]), (*at, n[lo:hi]),
                             {"n_empty_cells": n_empty, "n_train": size})
-            for lo, hi, n_empty in zip(bounds, bounds[1:], empty)]
+            for lo, hi, n_empty in zip(bounds, bounds[1:], empty)
+            for at in [(rows[lo:hi], cols[lo:hi])]]  # one rows and cols view for both

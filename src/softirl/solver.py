@@ -222,20 +222,24 @@ def _fitted_fixed_point(cfg: SolverConfig, u, mu_t, maps: list, diag: SolverDiag
     map of the step before; each step is one product, M_k g summed over its
     (row, col, value) triples. eta[k] is the root-mean-square misfit of v on
     that map's records, read off its count triples (0 for the population
-    map, which has none).
+    map, which has none), with the kernel's gather of g where they share its cols.
     """
     v = np.zeros_like(u)
     diag.iterates = [v] if record_iterates else None
-    fitted = None
+    fitted, work = None, np.empty_like(u)
     for step_map in maps:
         if step_map is not fitted:
             fitted = step_map
             map_rows, map_cols, map_values = fitted.kernel
             rows, cols, weights = fitted.counts
             n_records = max(int(weights.sum()), 1)
-        g = np.sum(mu_t * (cfg.gamma * v - u), axis=1)
-        flat = np.bincount(map_rows, map_values * g[map_cols], minlength=u.size)
-        diag.eta.append(float(np.sqrt(weights @ (flat[rows] - g[cols]) ** 2 / n_records)))
+        np.subtract(np.multiply(v, cfg.gamma, out=work), u, out=work)
+        g = np.add.reduce(np.multiply(work, mu_t, out=work), axis=1)
+        g_map = g.take(map_cols)
+        flat = np.bincount(map_rows, map_values * g_map, minlength=u.size)
+        d = flat.take(rows) - (g_map if cols is map_cols else g.take(cols))
+        d *= d
+        diag.eta.append(math.sqrt(float(weights @ d) / n_records))
         v = flat.reshape(u.shape)
         if record_iterates:
             diag.iterates.append(v)

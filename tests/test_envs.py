@@ -439,13 +439,14 @@ class TestSamplerMatchesLoopReference:
             for got, ref in zip((ds.states, ds.actions, ds.next_states), want):
                 assert np.array_equal(got, ref)
 
-    def test_long_segments_reach_the_tail(self):
+    @pytest.mark.parametrize("name", ["ident", "ident-noisy"])
+    def test_long_segments_reach_the_tail(self, name):
         # at gamma = 0.999 some segments outlive the lockstep walk by more
         # than a block, so the record-by-record finish crosses block edges
         n, seed = 40_000, 5
         lengths = np.sort(_segments(n, 0.999, seed))[::-1]
         assert len(lengths) >= _TAIL and lengths[0] - lengths[_TAIL - 1] > _BLOCK
-        self._check("ident", n, "iid-restart", seed=seed, gamma=0.999)
+        self._check(name, n, "iid-restart", seed=seed, gamma=0.999)
 
     @pytest.mark.parametrize("name", ["ident", "ident-noisy"])
     @pytest.mark.parametrize("lanes", [7, _TAIL, 50])
@@ -545,6 +546,28 @@ class TestSupportRows:
             assert np.array_equal(g, w)
 
 
+def _crowded_cdf():
+    """A uint8-coded CDF table with rows sharing breakpoints, four in one
+    bucket of `_rank_code`, entries 0.0, 1.0 and over, and +inf padding."""
+    eps = 1e-9  # far under a bucket's width, 1 / _Q
+    assert int((0.1 + 3 * eps) * envs._Q) == int(0.1 * envs._Q)
+    return np.array([[0.0, 0.25, 0.5, 0.75, np.inf],
+                     [0.25, 0.5, 0.5 + eps, 1.0, np.inf],  # shares 0.25 and 0.5
+                     [0.1, 0.1 + eps, 0.1 + 2 * eps, 0.1 + 3 * eps, np.inf],  # one bucket
+                     [0.0, 0.0, 1.0, 1.0 + 2 ** -52, np.inf],  # 1 and over, past every u
+                     [0.3, 0.6, np.inf, np.inf, np.inf]])
+
+
+def _uint16_cdf():
+    """A CDF table of 452 distinct breakpoints, each row's also in another row."""
+    rng = np.random.default_rng(1)
+    cdf = np.cumsum(rng.dirichlet(np.ones(4), size=150), axis=1)
+    cdf[:, -1] = np.inf
+    cdf = np.concatenate([cdf, cdf[::-1], np.full((1, 4), np.inf)])
+    cdf[-1, :2] = 0.0, 1.0 - 2.0 ** -53
+    return cdf
+
+
 class TestRankCode:
     """A right-sided search of the uniforms' ranks in a row's ranks gives
     the index that the search of the uniforms in the CDF row gives."""
@@ -570,27 +593,113 @@ class TestRankCode:
                                [0.0, top]])
 
     def test_uint8_rows_with_shared_and_crowded_breakpoints(self):
-        eps = 1e-9  # far under a bucket's width, 1 / _Q
-        cdf = np.array([[0.0, 0.25, 0.5, 0.75, np.inf],
-                        [0.25, 0.5, 0.5 + eps, 1.0, np.inf],  # shares 0.25 and 0.5
-                        [0.1, 0.1 + eps, 0.1 + 2 * eps, 0.1 + 3 * eps, np.inf],  # one bucket
-                        [0.0, 0.0, 1.0, 1.0 + 2 ** -52, np.inf],  # 1 and over, past every u
-                        [0.3, 0.6, np.inf, np.inf, np.inf]])
-        assert int((0.1 + 3 * eps) * envs._Q) == int(0.1 * envs._Q)
+        cdf = _crowded_cdf()
         self._check(cdf, self._uniforms(cdf, 0), np.uint8)
 
     def test_uint16_rows(self):
-        # 452 distinct breakpoints, each row's also in another row
-        rng = np.random.default_rng(1)
-        cdf = np.cumsum(rng.dirichlet(np.ones(4), size=150), axis=1)
-        cdf[:, -1] = np.inf
-        cdf = np.concatenate([cdf, cdf[::-1], np.full((1, 4), np.inf)])
-        cdf[-1, :2] = 0.0, 1.0 - 2.0 ** -53
+        cdf = _uint16_cdf()
         self._check(cdf, self._uniforms(cdf, 2), np.uint16)
 
     def test_a_table_without_finite_entries(self):
         cdf = np.full((2, 1), np.inf)
         self._check(cdf, self._uniforms(cdf, 3), np.uint8)
+
+
+class TestDecodeTable:
+    """Row r of a `_decode_table` holds, at each code c from 0 to B, the
+    value at the right-sided search of c in the row's ranks: the entry
+    `_count_at_most` picks for a uniform of rank c."""
+
+    @staticmethod
+    def _check(cdf, values):
+        ranks = envs._rank_code(cdf)[0].reshape(-1, cdf.shape[-1])
+        table = envs._decode_table(ranks, values)
+        assert table.dtype == values.dtype
+        values = np.resize(values, ranks.shape)  # one row of values serves every row
+        table = table.reshape(len(ranks), -1)
+        codes = np.arange(ranks.max())  # 0 to B; +inf ranks B + 1
+        assert table.shape[1] == len(codes)
+        for row, coded, value in zip(table, ranks, values):
+            assert np.array_equal(row, value[np.searchsorted(coded, codes, side="right")])
+
+    @pytest.mark.parametrize("cdf", [_crowded_cdf(), _uint16_cdf(), np.full((2, 1), np.inf)],
+                             ids=["uint8", "uint16", "no-finite-entry"])
+    def test_actions_on_the_rank_code_tables(self, cdf):
+        self._check(cdf, np.arange(cdf.shape[1], dtype=np.int8))
+
+    def test_one_hot_steps_on_ident(self):
+        mdp, _, _, _, pi = envs.truth(_packaged_spec("ident"))
+        cdf = np.cumsum(pi, axis=1)
+        cdf[:, -1] = np.inf
+        self._check(cdf, mdp._targets.astype(np.int8))
+
+    @pytest.mark.parametrize("kernel", ["ident-noisy", "zero-last-column"])
+    def test_moves_on_the_cut_kernel_rows(self, kernel):
+        transition = (_zero_last_column_kernel() if kernel == "zero-last-column"
+                      else build_env(_packaged_spec(kernel))[0].transition)
+        cdf, idx = envs._support_rows(transition)
+        self._check(cdf, idx.astype(index_dtype(len(transition), transition.shape[1])))
+
+
+def _spy_decode_tables(monkeypatch):
+    """The sizes of the `_decode_table`s that the sampler builds from now on."""
+    sizes, build = [], envs._decode_table
+
+    def spy(ranks, values):
+        table = build(ranks, values)
+        sizes.append(table.size)
+        return table
+
+    monkeypatch.setattr(envs, "_decode_table", spy)
+    return sizes
+
+
+class TestSamplerDecodesByTable:
+    """Draws whose decode tables hold no more entries than they have
+    records read actions and next states from the tables, and match the
+    loop reference; one record fewer than the entries counts instead."""
+
+    @pytest.mark.parametrize("regime", ["iid-restart", "trajectory"])
+    @pytest.mark.parametrize("kernel", ["ident", "ident-noisy", "dense-random",
+                                        "random-one-hot-not-onto"])
+    def test_matches_the_loop_reference(self, monkeypatch, kernel, regime):
+        rng = np.random.default_rng(8)
+        if kernel.startswith("ident"):
+            mdp, _, _, _, pi = envs.truth(_packaged_spec(kernel))
+        elif kernel == "dense-random":  # at most 30 x 271 move and 10 x 21 action entries
+            mdp = TabularMdp(rng.dirichlet(np.ones(10), size=(10, 3)), 0.97)
+            assert np.all(mdp.transition > 0)
+            pi = rng.dirichlet(np.ones(3), size=10)
+        else:
+            targets = rng.choice([1, 2, 4, 7, 9, 11], size=(12, 3))
+            mdp = TabularMdp(np.eye(12)[targets], 0.97)
+            assert mdp._targets is not None and not mdp._onto
+            pi = rng.dirichlet(np.ones(3), size=12)
+        sizes = _spy_decode_tables(monkeypatch)
+        _assert_matches_reference(mdp, pi, 40_000, regime, seed=4)
+        assert len(sizes) == 2 and sum(sizes) <= 40_000
+
+    @pytest.mark.parametrize("offset", [-1, 0])
+    def test_at_the_threshold(self, monkeypatch, offset):
+        mdp, _, _, _, pi = envs.truth(_packaged_spec("ident"))
+        sizes = _spy_decode_tables(monkeypatch)
+        sample_transitions(mdp, pi, 100_000, seed=1)
+        entries = sum(sizes)
+        assert entries == 2 * 64 * 257  # two tables of 64 states by 256 breakpoints + 1
+        sizes.clear()
+        _assert_matches_reference(mdp, pi, entries + offset, "iid-restart", seed=2)
+        assert sum(sizes) == (entries if offset == 0 else 0)
+
+    def test_keys_are_widened_before_they_pass_int16(self, monkeypatch):
+        # 200 states give int16 records, and pi's 200 breakpoints make
+        # s * (B + 1) reach 199 * 201 = 39,999, past int16's 32,767
+        rng = np.random.default_rng(12)
+        mdp = TabularMdp(np.eye(200)[rng.integers(0, 200, size=(200, 2))], 0.97)
+        pi = np.column_stack([np.linspace(0.2, 0.8, 200), np.linspace(0.8, 0.2, 200)])
+        assert index_dtype(200, 2) == np.int16
+        sizes = _spy_decode_tables(monkeypatch)
+        _assert_matches_reference(mdp, pi, 2 * 200 * 201, "iid-restart", seed=3)
+        assert sizes == [200 * 201] * 2
 
 
 @pytest.mark.parametrize("move_noise", [0.0, 0.3], ids=["one-hot", "stochastic"])
@@ -614,13 +723,14 @@ class TestSamplerMemory:
     """The sampler keeps the records in int8 on ident (3 bytes a record), the
     ranks of the action uniforms in uint16 (2) and those of the move uniforms
     in uint8 (1 more) only on stochastic kernels, and draws the uniforms
-    `_CHUNK` rows at a time. Measured peak at n = 200k: 1.88 MB on ident and
+    `_CHUNK` rows at a time. Measured peak at n = 200k: 1.87 MB on ident and
     2.14 MB with move_noise 0.3 (3.04 and 4.64 MB with float64 uniforms).
-    The slope from 200k to 800k records is 5.57 and 6.63 bytes a record, the
-    restart segments' tables taking about 0.6 of it, and about 0.8 MB goes
-    to fixed tables: one chunk of uniforms and its rank temporaries, the
-    rank tables, the CDF rows as lists and the lockstep lanes. The bound of
-    6 and 7 bytes a record plus 1 MiB leaves 0.37 and 0.31 MB of room."""
+    The slope from 200k to 800k records is 5.61 and 6.63 bytes a record, the
+    restart segments' tables taking 0.61 and 0.63 of it (a trajectory draw's
+    slope is 5 and 6), and 0.75 and 0.81 MB go to fixed tables: one chunk of
+    uniforms and its rank temporaries, the rank tables, the decode tables
+    (33 and 21 kB), the CDF rows as lists and the lockstep lanes. The bound
+    of 6 and 7 bytes a record plus 1 MiB leaves 0.38 and 0.31 MB of room."""
 
     @pytest.mark.parametrize("name, per_record", [("ident", 6), ("ident-noisy", 7)],
                              ids=["ident", "ident-noisy"])

@@ -42,7 +42,7 @@ def test_sweep_sample_size_width_prints_the_stage_costs(tmp_path):
     seconds = r"\d+\.\d{3}s"
     build, point, stages, wrote = done.stdout.splitlines()
     assert re.fullmatch(rf"S=64: build_env {seconds}", build)
-    assert re.fullmatch(rf"n=2000: rmse=\S+ corr=\S+ kl=\S+ ours={seconds}", point)
+    assert re.fullmatch(rf"n=2000: rmse=\S+ corr=\S+ kl=\S+ draw={seconds} ours={seconds}", point)
     assert re.fullmatch(rf"maxent_epoch={seconds} peak_rss=\d+MB", stages)
     assert wrote == f"wrote {out}"
     assert len(out.read_text().splitlines()) == 1 + len(METRIC_NAMES)
