@@ -246,7 +246,8 @@ def build_env(spec: GridworldSpec):
 
 
 def expert_policy(mdp: TabularMdp, r_true) -> np.ndarray:
-    """Softmax-optimal behavior policy for the given reward."""
+    """Softmax-optimal behavior policy for the given reward, by the soft value
+    iteration that `mdp` then keeps for `metrics.evaluate`'s truth."""
     return soft_value_iteration(mdp, r_true)[2]
 
 
@@ -536,14 +537,12 @@ def read_dataset(path) -> TransitionDataset:
     The columns have `mdp.index_dtype` of the header's n_states and n_actions.
 
     The body is parsed in place in the bytes read, but for a last line
-    without its newline, which is copied alone; a file with CR line ends is
-    copied whole, once, to end its lines with "\n"."""
+    without its newline, which is copied alone, and for a chunk of lines
+    holding a "\r", which is copied to end its lines with "\n"."""
     with open(path, "rb") as fh:
         data = fh.read()
-    if b"\r" in data:  # "\r\n" and "\r" end lines, as they do in text mode
-        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    end = data.find(b"\n")
-    end = len(data) if end < 0 else end  # the header line's end; the body starts past it
+    # the header line ends at its first "\n" or "\r"; the body starts past it
+    end = min([e for e in (data.find(b"\n"), data.find(b"\r")) if e >= 0] or [len(data)])
     try:
         header = data[:end].decode()
     except UnicodeDecodeError:
@@ -565,7 +564,8 @@ def read_dataset(path) -> TransitionDataset:
         if key not in meta:
             raise ValueError(f"{path}:1: header missing {key}")
 
-    columns = _parse_records(path, data, end + 1, meta["n_states"], meta["n_actions"])
+    columns = _parse_records(path, data, end + 1 + (data[end:end + 2] == b"\r\n"),
+                             meta["n_states"], meta["n_actions"])
     if len(columns[0]) != meta["n"]:
         raise ValueError(f"{path}: header says n={meta['n']} but found {len(columns[0])} records")
     return TransitionDataset(*columns, meta)
@@ -576,26 +576,35 @@ _FIELD_ENDS = np.frombuffer(b",,\n", np.uint8)  # the bytes that end a record's 
 
 def _parse_records(path, data: bytes, start: int, n_states: int, n_actions: int):
     """The (s, a, s') columns of the dataset body that fills `data` from byte
-    `start` on, each line ended by "\\n" but perhaps the last, parsed about
+    `start` on, each line ended by "\\n", "\\r\\n" or "\\r" but perhaps the last, parsed about
     `_BLOCK` lines at a time into one (3, n) table of `index_dtype`; only a
     failed check looks for the first bad line, and a line out of the grammar
     comes before any index out of range. Each chunk's int64 values are
     checked against their bounds before they are narrowed, so an index out
     of range cannot wrap into it."""
     width = min(len(str(max(n_states, n_actions) - 1)), 18)  # 18 digits stay within int64
-    lines = data.count(b"\n", start) + (len(data) > start and not data.endswith(b"\n"))
+    cr = data.find(b"\r", start) >= 0  # then "\r\n" and "\r" end lines too, as in text mode
+    lines = data.count(b"\n", start) + (len(data) > start and data[-1] not in b"\r\n")
+    if cr:
+        lines += data.count(b"\r", start) - data.count(b"\r\n", start)
     records = np.empty((3, lines), dtype=index_dtype(n_states, n_actions))
     limits, out_of_range = (n_states, n_actions, n_states), None
     lo, row, span = start, 0, _BLOCK * (3 * width + 3)
     while lo < len(data):
         # a chunk ends at the last newline within _BLOCK lines of the widest kind
         hi = data.rfind(b"\n", lo, lo + span) + 1
+        if cr:  # or at a later "\r", and past the "\n" of a "\r\n"
+            hi = max(hi, data.rfind(b"\r", lo, lo + span) + 1)
+            hi += data[hi - 1:hi + 1] == b"\r\n"
         if hi == 0 and len(data) - lo >= span:  # the line at lo is longer than any record
             raise _line_error(path, data, lo, width)
         if hi == 0:  # the last line, without its newline: only it is copied, to end it
             chunk, hi = np.frombuffer(data[lo:] + b"\n", np.uint8), len(data)
         else:
             chunk = np.frombuffer(data, np.uint8, hi - lo, lo)
+        if cr:  # a copy whose lines end in "\n"; `raw` maps its bytes back
+            raw, chunk = chunk, np.frombuffer(
+                chunk.tobytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n"), np.uint8)
         digits = chunk - np.uint8(ord("0"))
         ends = np.flatnonzero(digits > 9)  # every byte that is not a digit
         places = np.diff(ends, prepend=-1) - 1  # each field's digit count
@@ -604,7 +613,10 @@ def _parse_records(path, data: bytes, start: int, n_states: int, n_actions: int)
                 or places.min() < 1 or places.max() > width):
             bad = ((chunk.take(ends) != np.resize(_FIELD_ENDS, fields))
                    | (places < 1) | (places > width))  # the fields whose end or width is wrong
-            raise _line_error(path, data, lo + ends[bad.argmax()], width)
+            at = ends[bad.argmax()]
+            if cr:  # the byte's place in the raw chunk, past the "\n" of each "\r\n" before it
+                at = np.flatnonzero(np.append(True, (raw[1:] != 10) | (raw[:-1] != 13)))[at]
+            raise _line_error(path, data, lo + at, width)
         # cast before scaling: a uint8 digit times 10 ** place wraps
         values = digits.take(ends - 1).astype(np.int64)
         for place in range(1, width):
@@ -627,10 +639,10 @@ def _parse_records(path, data: bytes, start: int, n_states: int, n_actions: int)
 
 def _line_error(path, data: bytes, p: int, width: int) -> ValueError:
     """The ValueError that names the line holding byte p, a body byte of a dataset file's bytes
-    or the newline a last line lacks (p = len(data))."""
-    end = data.find(b"\n", p)
-    line = data[data.rfind(b"\n", 0, p) + 1:end if end >= 0 else len(data)]
-    lineno = data.count(b"\n", 0, p) + 1
+    or the newline a last line lacks (p = len(data)); "\r\n" and "\r" end lines too."""
+    end = min([e for e in (data.find(b"\n", p), data.find(b"\r", p)) if e >= 0] or [len(data)])
+    line = data[max(data.rfind(b"\n", 0, p), data.rfind(b"\r", 0, p)) + 1:end]
+    lineno = data.count(b"\n", 0, p) + data.count(b"\r", 0, p) - data.count(b"\r\n", 0, p) + 1
     try:
         reason = f"expected 's,a,s_next' of at most {width} digits each, got {line.decode()!r}"
     except UnicodeDecodeError:

@@ -54,7 +54,9 @@ def evaluate(mdp: TabularMdp, r_true, pi_expert, r_hat, v_hat=None,
     RMSE and correlation skip action 0's identically-zero column; a
     correlation with a zero-variance side is NaN. `q_true`, when given, must
     be the Q of `soft_value_iteration(mdp, r_true)` at its default tol, as
-    `envs.truth` returns it for callers scoring many estimates.
+    `envs.truth` returns it. Without it, `mdp` hands back the truth that
+    `expert_policy(mdp, r_true)` solved, so it is needed only where another
+    solve on `mdp` comes between, such as that of an r_hat without v_hat.
     """
     if q_true is None:
         _, q_true, _ = soft_value_iteration(mdp, np.asarray(r_true, dtype=float))

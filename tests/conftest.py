@@ -1,5 +1,6 @@
 import numpy as np
 
+from softirl import mdp as mdp_module
 from softirl.mdp import TabularMdp
 
 # acceptance criteria append their PASS/FAIL lines here; printed after capture
@@ -31,3 +32,15 @@ def toggle_mdp(gamma: float = 0.5) -> TabularMdp:
     t[0, 1, 1] = t[1, 1, 0] = 1.0  # toggle
     return TabularMdp(t, gamma)
 
+
+def count_solves(monkeypatch) -> list:
+    """A list that gains one entry per run of the soft value-iteration loop
+    that `soft_value_iteration` makes."""
+    calls, solve = [], mdp_module._soft_value_iteration
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(mdp_module, "_soft_value_iteration", counted)
+    return calls

@@ -18,7 +18,7 @@ from softirl.mdp import (
     softmax_actions,
 )
 
-from conftest import random_mdp, random_policy, toggle_mdp
+from conftest import count_solves, random_mdp, random_policy, toggle_mdp
 from reference import (
     conditional_loglik,
     expect_mu,
@@ -334,6 +334,82 @@ class TestSoftValueIteration:
         mdp = random_mdp(rng, 3, 2, 0.99)
         with pytest.raises(RuntimeError, match="residual"):
             soft_value_iteration(mdp, rng.normal(size=(3, 2)), tol=1e-12, max_iter=3)
+
+
+def _same_bits(got, want) -> bool:
+    return all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+class TestLastSolveIsKept:
+    """`soft_value_iteration` keeps its last solution on the MDP it solved and
+    hands out copies of it to a call with the same tol, max_iter and bytes of
+    r; any other call solves again and replaces it, unless that solve raises."""
+
+    @staticmethod
+    def _problem():
+        rng = np.random.default_rng(8)
+        r = rng.normal(size=(5, 3))
+        r[0, 0] = 0.0
+        return random_mdp(rng, 5, 3, 0.9), r
+
+    @staticmethod
+    def _fresh(mdp, r, **kwargs):
+        """The solve on a new MDP of the same kernel, which holds no solution."""
+        return soft_value_iteration(TabularMdp(mdp.transition, mdp.gamma), r, **kwargs)
+
+    def test_a_hit_returns_a_fresh_solves_bits_as_new_copies(self, monkeypatch):
+        mdp, r = self._problem()
+        want = self._fresh(mdp, r)
+        calls = count_solves(monkeypatch)
+        first = soft_value_iteration(mdp, r)
+        for table in first:
+            table[...] = np.nan
+        hit = soft_value_iteration(mdp, r.copy())
+        assert len(calls) == 1 and _same_bits(hit, want)
+        for table in hit:
+            table += 1.0
+        again = soft_value_iteration(mdp, r)
+        assert len(calls) == 1 and _same_bits(again, want)
+        assert not any(np.shares_memory(a, b) for a, b in zip(hit, again))
+
+    @pytest.mark.parametrize("change", ["negative-zero", "tol", "max_iter", "another-mdp"])
+    def test_any_other_call_solves_again(self, monkeypatch, change):
+        mdp, r = self._problem()
+        soft_value_iteration(mdp, r)
+        other, kwargs = mdp, {}
+        if change == "negative-zero":  # equal in value, other in bits
+            r = r.copy()
+            r[0, 0] = -0.0
+        elif change == "tol":
+            kwargs = {"tol": 1e-9}
+        elif change == "max_iter":
+            kwargs = {"max_iter": 99_999}
+        else:
+            other = TabularMdp(mdp.transition, mdp.gamma)
+        want = self._fresh(mdp, r, **kwargs)
+        calls = count_solves(monkeypatch)
+        got = soft_value_iteration(other, r, **kwargs)
+        assert len(calls) == 1 and _same_bits(got, want)
+        soft_value_iteration(other, r, **kwargs)  # the new solve replaced the entry
+        assert len(calls) == 1
+
+    def test_a_solve_that_raises_stores_nothing(self, monkeypatch):
+        mdp, r = self._problem()
+        want = soft_value_iteration(mdp, r)
+        calls = count_solves(monkeypatch)
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match="did not reach tol=1e-10 in 3 iterations"):
+                soft_value_iteration(mdp, r, max_iter=3)
+        assert len(calls) == 2
+        assert _same_bits(soft_value_iteration(mdp, r), want) and len(calls) == 2
+
+    def test_mutating_r_after_a_call_does_not_make_a_hit(self, monkeypatch):
+        mdp, r = self._problem()
+        soft_value_iteration(mdp, r)
+        r *= 2.0
+        want = self._fresh(mdp, r)
+        calls = count_solves(monkeypatch)
+        assert _same_bits(soft_value_iteration(mdp, r), want) and len(calls) == 1
 
 
 def _scipy_logsumexp():

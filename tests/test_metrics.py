@@ -6,7 +6,7 @@ from softirl.metrics import evaluate, qdiff
 from softirl.solver import NormalizationMeasure, exact_population_solver
 from softirl.mdp import soft_value_iteration
 
-from conftest import random_mdp, random_policy
+from conftest import count_solves, random_mdp, random_policy
 from reference import shape, weighted_evaluate
 
 
@@ -106,9 +106,11 @@ class TestEvaluate:
         from dataclasses import fields
 
         from softirl.envs import GridworldSpec, build_env
+        from softirl.mdp import TabularMdp
 
         mdp, r_true, _ = build_env(GridworldSpec(4, 4, topology="bounded", seed=5))
-        _, q_true, pi = soft_value_iteration(mdp, r_true, tol=1e-10)
+        # solved on another MDP of the same kernel, so `evaluate` solves the truth itself
+        _, q_true, pi = soft_value_iteration(TabularMdp(mdp.transition, mdp.gamma), r_true)
         rng = np.random.default_rng(7)
         r_hat = r_true + rng.normal(scale=0.2, size=r_true.shape)
         # Ours passes v_hat, MaxEnt only r_hat
@@ -117,6 +119,28 @@ class TestEvaluate:
             given_q = evaluate(mdp, r_true, pi, r_hat, v_hat, q_true=q_true)
             for field in fields(solved):
                 assert getattr(given_q, field.name) == getattr(solved, field.name)
+
+
+def test_the_library_tour_solves_the_truth_once(monkeypatch):
+    """build_env -> expert_policy -> evaluate(..., v_hat) runs the soft
+    value-iteration loop once: `evaluate` reads the truth `expert_policy`
+    solved on the same MDP, and scores as it does given that truth's Q."""
+    from softirl.envs import build_env, expert_policy
+    from softirl.harness import builtin_experiment
+    from softirl.mdp import TabularMdp
+
+    calls = count_solves(monkeypatch)
+    mdp, r_true, _ = build_env(builtin_experiment("ident").env)
+    pi = expert_policy(mdp, r_true)
+    rng = np.random.default_rng(9)
+    r_hat = r_true + rng.normal(scale=0.1, size=r_true.shape)
+    v_hat = rng.normal(size=r_true.shape)
+    report = evaluate(mdp, r_true, pi, r_hat, v_hat)
+    assert len(calls) == 1
+    _, q_true, _ = soft_value_iteration(TabularMdp(mdp.transition, mdp.gamma), r_true)
+    given = evaluate(mdp, r_true, pi, r_hat, v_hat, q_true=q_true)
+    assert np.array(list(report.as_dict().values())).tobytes() \
+        == np.array(list(given.as_dict().values())).tobytes()
 
 
 # 280 estimates scored with v_hat and 20 re-planned per benchmark
