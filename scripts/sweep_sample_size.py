@@ -84,7 +84,7 @@ def main() -> None:
               f"kl={mean['kl']:.5f} draw={draw_s / args.reruns:.3f}s "
               f"ours={seconds / args.reruns:.3f}s")
 
-    mdp, _, phi, _, _ = truth(cfg.env)
+    mdp, _, phi = truth(cfg.env)
     start = time.perf_counter()
     fit = maxent_fit(mdp, phi, data, MaxEntConfig(max_epochs=2))
     epoch_s = (time.perf_counter() - start) / len(fit.loss_trace)

@@ -142,7 +142,8 @@ def _cmd_reproduce(args) -> int:
 
 def _cmd_diagnose(args) -> int:
     cfg = harness.parse_config(args.config, base_seed=args.seed)
-    mdp, _, _, _, pi = envs.truth(cfg.env)
+    mdp, r_true, _ = envs.truth(cfg.env)
+    pi = envs.expert_policy(mdp, r_true)
     if not np.all(pi > 0.0):  # the exact fixed point takes log(pi)
         raise ValueError("the exact fixed point needs every expert action probability "
                          "above 0; [env] min_action_prob above 0 ensures it")

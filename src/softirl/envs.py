@@ -246,23 +246,22 @@ def build_env(spec: GridworldSpec):
 
 
 def expert_policy(mdp: TabularMdp, r_true) -> np.ndarray:
-    """Softmax-optimal behavior policy for the given reward, by the soft value
-    iteration that `mdp` then keeps for `metrics.evaluate`'s truth."""
+    """Softmax-optimal behavior policy for the given reward, by soft value
+    iteration; as `mdp`'s first solve, it is kept for `metrics.evaluate`'s truth."""
     return soft_value_iteration(mdp, r_true)[2]
 
 
 @lru_cache(maxsize=1)
 def truth(spec: GridworldSpec):
-    """(TabularMdp, true reward, phi, true Q, expert policy): `build_env(spec)`
-    and one soft value iteration at its default tol, kept for the last spec
-    asked for, so a process builds and solves it once. Its arrays are
-    read-only; phi is None on `tabular-linear`, as `build_env` gives it.
+    """`build_env(spec)`'s (TabularMdp, true reward, phi), kept for the last
+    spec asked for, with `expert_policy` solved as the MDP's first solve, so a
+    process builds and solves the truth once and later `expert_policy` and
+    `metrics.evaluate` calls read it back. The reward is read-only.
     """
     mdp, r_true, phi = build_env(spec)
-    _, q_true, pi_expert = soft_value_iteration(mdp, r_true)
-    for table in (r_true, q_true, pi_expert):
-        table.setflags(write=False)
-    return mdp, r_true, phi, q_true, pi_expert
+    expert_policy(mdp, r_true)
+    r_true.setflags(write=False)
+    return mdp, r_true, phi
 
 
 def sample_transitions(mdp: TabularMdp, pi, n: int, regime: str = "iid-restart",
@@ -501,16 +500,21 @@ def _count_at_most(table, columns, u) -> np.ndarray:
 
 def write_dataset(dataset: TransitionDataset, path) -> None:
     """Write line-delimited `s,a,s_next` records under a one-line meta header;
-    the columns may have any integer dtype, widened one block at a time."""
-    dataset.validate()
+    the columns may have any integer dtype, widened one block at a time. Meta
+    that `read_dataset` would refuse is a ValueError: n_states, n_actions and
+    seed must be integers, not bools, and env and regime single words."""
     m = dataset.meta
-    env = str(m.get("env", "-")) or "-"
-    if any(ch.isspace() for ch in env):
-        raise ValueError(f"env id must not contain whitespace: {env!r}")
-    n_states, n_actions = m["n_states"], m["n_actions"]
-    header = (f"{_HEADER_PREFIX} seed={m.get('seed', 0)} env={env} n={dataset.n} "
-              f"n_states={n_states} n_actions={n_actions} "
-              f"regime={m.get('regime', 'iid-restart')}")
+    n_states, n_actions, seed = m["n_states"], m["n_actions"], m.get("seed", 0)
+    for key, value in (("n_states", n_states), ("n_actions", n_actions), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"meta {key} must be an integer, got {value!r}")
+    dataset.validate()
+    env, regime = str(m.get("env", "-")) or "-", str(m.get("regime", "iid-restart"))
+    for what, word in (("env id", env), ("regime", regime)):
+        if not word or any(ch.isspace() for ch in word):
+            raise ValueError(f"{what} must not be empty or contain whitespace: {word!r}")
+    header = (f"{_HEADER_PREFIX} seed={seed} env={env} n={dataset.n} "
+              f"n_states={n_states} n_actions={n_actions} regime={regime}")
     states, actions, next_states = (np.asarray(c) for c in (dataset.states, dataset.actions,
                                                             dataset.next_states))
     # format each (s, a) cell's "s,a," and each state's "s'\n" once, then join

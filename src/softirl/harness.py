@@ -23,9 +23,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from softirl.envs import REGIMES, GridworldSpec, sample_transitions, truth
+from softirl.envs import REGIMES, GridworldSpec, expert_policy, sample_transitions, truth
 from softirl.envs import build_env  # noqa: F401 - perfbench/spans.py wraps it by name here
-from softirl.envs import expert_policy  # noqa: F401 - perfbench/spans.py wraps it by name here
 from softirl.maxent import MaxEntConfig, ascent, run_lockstep
 from softirl.maxent import maxent_fit  # noqa: F401 - perfbench/spans.py wraps it by name here
 from softirl.mdp import joint_frequency
@@ -103,14 +102,15 @@ def builtin_experiment(name: str, reruns: int | None = None,
 
 def draw(cfg: ExperimentConfig, seed: int):
     """The config's n records, of its regime, from its env's expert, drawn with `seed`."""
-    mdp, _, _, _, pi = truth(cfg.env)
-    return sample_transitions(mdp, pi, cfg.n, regime=cfg.regime, seed=seed, env_id=cfg.name)
+    mdp, r_true, _ = truth(cfg.env)
+    return sample_transitions(mdp, expert_policy(mdp, r_true), cfg.n, regime=cfg.regime,
+                              seed=seed, env_id=cfg.name)
 
 
 def score(cfg: ExperimentConfig, r_hat, v_hat=None):
     """`evaluate` of an estimate, with its soft value if it has one, against the env's truth."""
-    mdp, r_true, _, q_true, pi = truth(cfg.env)
-    return evaluate(mdp, r_true, pi, r_hat, v_hat=v_hat, q_true=q_true)
+    mdp, r_true, _ = truth(cfg.env)
+    return evaluate(mdp, r_true, expert_policy(mdp, r_true), r_hat, v_hat=v_hat)
 
 
 def _rerun(cfg: ExperimentConfig, mdp, phi, rerun: int):
@@ -137,7 +137,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, quiet: bool = False):
     a value assigned after it was built is checked before anything runs.
     """
     cfg = replace(cfg, baseline=replace(cfg.baseline))
-    mdp, _, phi, _, _ = truth(cfg.env)
+    mdp, _, phi = truth(cfg.env)
     reports = run_lockstep(mdp, [_rerun(cfg, mdp, phi, rerun) for rerun in range(cfg.reruns)])
 
     rows, failures = [], []

@@ -3,8 +3,9 @@
 Conventions: state-action tables are float arrays of shape (S, A), state
 functions have shape (S,), and policies / conditional reference measures are
 row-stochastic (S, A) arrays. Inputs are never mutated, and the one state kept,
-`soft_value_iteration`'s last solution on a `TabularMdp`, is one tuple set by
-one assignment and handed out as copies, so values can be shared across threads.
+`soft_value_iteration`'s first solution on a `TabularMdp`, is one tuple set by
+one assignment and handed out as copies, so values can be shared across threads
+(threads racing to a first solve each store a whole solution, and one stays).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ _CHUNK = 1 << 14  # records per chunk of the sampler's uniforms and of `_count_k
 @dataclass(frozen=True)
 class TabularMdp:
     """Finite MDP with a dense transition tensor P[s, a, s'] and discount < 1; it
-    keeps the last solution that `soft_value_iteration` found on it."""
+    keeps the first solution that `soft_value_iteration` found on it."""
 
     transition: np.ndarray
     gamma: float
@@ -178,8 +179,9 @@ def soft_value_iteration(mdp: TabularMdp, r, tol: float = 1e-10, max_iter: int =
     Returns (v, Q, pi) with Q = r + gamma v and pi the row softmax of Q.
     The returned v has sup-norm Bellman residual at most `tol`. Raises
     RuntimeError (carrying the last residual bound) on non-convergence.
-    A call with the last solve's `tol`, `max_iter` and bytes of `r` on the
-    same MDP returns copies of its arrays, the bits a new solve gives.
+    The MDP keeps its first solution: a call with that solve's `tol`, `max_iter`
+    and bytes of `r` returns copies of its arrays, the bits a new solve gives;
+    any other call solves again and keeps nothing.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -192,7 +194,8 @@ def soft_value_iteration(mdp: TabularMdp, r, tol: float = 1e-10, max_iter: int =
     (result,) = _soft_value_iteration(mdp, r[None], tol, max_iter=max_iter)
     if isinstance(result, RuntimeError):
         raise result
-    object.__setattr__(mdp, "_solved", (*key, tuple(x.copy() for x in result)))
+    if solved is None:
+        object.__setattr__(mdp, "_solved", (*key, tuple(x.copy() for x in result)))
     return result
 
 

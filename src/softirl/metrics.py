@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from softirl.mdp import TabularMdp, row_kl, soft_value_iteration, softmax_actions
+from softirl.mdp import (TabularMdp, check_distribution, row_kl, soft_value_iteration,
+                         softmax_actions)
 
 METRIC_NAMES = ("rmse_qdiff", "corr_qdiff", "kl", "tv", "top1")
 
@@ -45,28 +46,28 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(dx * dy) / np.sqrt(vx * vy))
 
 
-def evaluate(mdp: TabularMdp, r_true, pi_expert, r_hat, v_hat=None,
-             q_true=None) -> MetricsReport:
+def evaluate(mdp: TabularMdp, r_true, pi_expert, r_hat, v_hat=None) -> MetricsReport:
     """Score an estimate against the ground truth: each metric is a plain mean over states.
 
     The estimated Q is r_hat + gamma v_hat when v_hat is given, otherwise soft
-    value iteration on r_hat (for baselines that only model a reward). The
-    RMSE and correlation skip action 0's identically-zero column; a
-    correlation with a zero-variance side is NaN. `q_true`, when given, must
-    be the Q of `soft_value_iteration(mdp, r_true)` at its default tol, as
-    `envs.truth` returns it. Without it, `mdp` hands back the truth that
-    `expert_policy(mdp, r_true)` solved, so it is needed only where another
-    solve on `mdp` comes between, such as that of an r_hat without v_hat.
+    value iteration on r_hat (for baselines that only model a reward), which
+    `mdp` does not keep. The true Q is `soft_value_iteration(mdp, r_true)`'s,
+    read back when `mdp`'s first solve was that one, as after
+    `expert_policy(mdp, r_true)`. pi_expert is checked as a distribution, and
+    r_hat and v_hat must have shape (S, A). The RMSE and correlation skip
+    action 0's identically-zero column; a correlation with a zero-variance
+    side is NaN.
     """
-    if q_true is None:
-        _, q_true, _ = soft_value_iteration(mdp, np.asarray(r_true, dtype=float))
-    q_true = np.asarray(q_true, dtype=float)
+    shape = (mdp.n_states, mdp.n_actions)
+    pi_expert = check_distribution(pi_expert, shape, "pi_expert")
+    for what, table in (("r_hat", r_hat), ("v_hat", v_hat)):
+        if table is not None and np.shape(table) != shape:
+            raise ValueError(f"{what} has shape {np.shape(table)}, expected {shape}")
+    _, q_true, _ = soft_value_iteration(mdp, np.asarray(r_true, dtype=float))
     if v_hat is not None:
         q_hat = np.asarray(r_hat, dtype=float) + mdp.gamma * np.asarray(v_hat, dtype=float)
     else:
         _, q_hat, _ = soft_value_iteration(mdp, np.asarray(r_hat, dtype=float))
-    if q_hat.shape != q_true.shape:
-        raise ValueError(f"estimate shape {q_hat.shape} != truth shape {q_true.shape}")
 
     # columns taken by a fancy index: its column-major copy sets the order of the RMSE's sum
     keep = list(range(1, mdp.n_actions))
@@ -74,7 +75,6 @@ def evaluate(mdp: TabularMdp, r_true, pi_expert, r_hat, v_hat=None,
     rmse = float(np.sqrt(np.mean((d_hat - d_true) ** 2)))
     corr = _pearson(d_true.reshape(-1), d_hat.reshape(-1))
 
-    pi_expert = np.asarray(pi_expert, dtype=float)
     pi_hat = softmax_actions(q_hat)
     kl = float(np.mean(row_kl(pi_expert, pi_hat)))
     tv = float(np.mean(0.5 * np.abs(pi_expert - pi_hat).sum(axis=1)))

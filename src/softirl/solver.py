@@ -323,8 +323,9 @@ def save_solution(solution: IrlSolution, out_dir) -> None:
 
 def load_solution(out_dir) -> IrlSolution:
     """Read a `save_solution` directory; a diagnostics key missing from its JSON
-    gets the SolverDiagnostics default. A missing gamma, or a table malformed, empty
-    or not of r.csv's (S, A) ((S,) for c.csv), is a ValueError naming its path."""
+    gets the SolverDiagnostics default. A JSON that is not an object, a gamma missing
+    or not a real number, or a table malformed, empty or not of r.csv's (S, A)
+    ((S,) for c.csv), is a ValueError naming its path."""
     tables = {}
     for stem, name in _TABLES:
         path = os.path.join(out_dir, f"{stem}.csv")
@@ -345,7 +346,12 @@ def load_solution(out_dir) -> IrlSolution:
     path = os.path.join(out_dir, "diagnostics.json")
     with open(path) as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(payload).__name__}")
     if "gamma" not in payload:
         raise ValueError(f"{path}: missing key 'gamma'")
+    gamma = payload["gamma"]
+    if isinstance(gamma, bool) or not isinstance(gamma, (int, float)):
+        raise ValueError(f"{path}: gamma must be a number, got {gamma!r}")
     diag = SolverDiagnostics(**{key: payload[key] for key in _DIAGNOSTICS if key in payload})
-    return IrlSolution(**tables, gamma=payload["gamma"], diagnostics=diag)
+    return IrlSolution(**tables, gamma=gamma, diagnostics=diag)

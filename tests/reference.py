@@ -401,12 +401,10 @@ def dense_support_rows(transition: np.ndarray):
     return cdf, idx
 
 
-def weighted_evaluate(mdp: TabularMdp, r_true, pi_expert, r_hat, v_hat=None,
-                      q_true=None) -> dict:
+def weighted_evaluate(mdp: TabularMdp, r_true, pi_expert, r_hat, v_hat=None) -> dict:
     """`metrics.evaluate` as a weighted sum over states with weights 1/S, and
     its correlation as a Pearson weighted by 1/S per (state, action) entry."""
-    if q_true is None:
-        _, q_true, _ = soft_value_iteration(mdp, np.asarray(r_true, dtype=float))
+    _, q_true, _ = soft_value_iteration(mdp, np.asarray(r_true, dtype=float))
     if v_hat is not None:
         q_hat = np.asarray(r_hat, dtype=float) + mdp.gamma * np.asarray(v_hat, dtype=float)
     else:

@@ -340,14 +340,15 @@ def test_criterion_7_ours_rmse_rate(name):
     The report line gives the n at which the fitted line reaches the ident
     RMSE band of 0.05 (561k on ident)."""
     cfg = builtin_experiment(name)
-    mdp, r_true, _, q_true, pi = truth(cfg.env)
+    mdp, r_true, _ = truth(cfg.env)
+    pi = expert_policy(mdp, r_true)
     means = []
     for n in RATE_SIZES:
         rmse = []
         for seed in range(5):
             data = sample_transitions(mdp, pi, n, seed=seed, env_id=name)
             sol = classify_then_regress(data, cfg.solver)
-            rmse.append(evaluate(mdp, r_true, pi, sol.r, sol.v, q_true=q_true).rmse_qdiff)
+            rmse.append(evaluate(mdp, r_true, pi, sol.r, sol.v).rmse_qdiff)
         means.append(np.mean(rmse))
     slope, intercept = np.polyfit(np.log(RATE_SIZES), np.log(means), 1)
     n_band = np.exp((np.log(0.05) - intercept) / slope)

@@ -463,14 +463,21 @@ class TestPipeline:
         assert capsys.readouterr().err == (f"error: {soldir} holds a solution of (S, A) = (4, 5), "
                                            "but the config's environment has (6, 5)\n")
 
-    def test_eval_names_a_missing_gamma(self, cfg_path, tmp_path, capsys):
+    @pytest.mark.parametrize("payload, message", [
+        ('{"eta": [0.5]}', "missing key 'gamma'"),
+        ("5", "expected a JSON object, got int"),
+        ('"gamma"', "expected a JSON object, got str"),
+        ('{"gamma": "0.9"}', "gamma must be a number, got '0.9'"),
+        ('{"gamma": true}', "gamma must be a number, got True"),
+        ('{"gamma": null}', "gamma must be a number, got None"),
+    ], ids=["missing", "number", "string", "string-gamma", "bool-gamma", "null-gamma"])
+    def test_eval_names_a_missing_gamma(self, cfg_path, tmp_path, capsys, payload, message):
         data, soldir = str(tmp_path / "data.txt"), tmp_path / "sol"
         assert main(["gen-data", "--config", cfg_path, "--out", data, "--quiet"]) == 0
         assert main(["solve", data, "--config", cfg_path, "--out", str(soldir), "--quiet"]) == 0
-        (soldir / "diagnostics.json").write_text('{"eta": [0.5]}\n')
+        (soldir / "diagnostics.json").write_text(payload + "\n")
         assert main(["eval", str(soldir), "--config", cfg_path, "--quiet"]) == 2
-        assert capsys.readouterr().err == (
-            f"error: {soldir / 'diagnostics.json'}: missing key 'gamma'\n")
+        assert capsys.readouterr().err == f"error: {soldir / 'diagnostics.json'}: {message}\n"
 
     def test_eval_notes_an_undefined_correlation(self, cfg_path, tmp_path, capsys):
         import numpy as np
@@ -563,7 +570,8 @@ class TestPipeline:
         out = tmp_path / "diag.csv"
         assert main(["diagnose", "--config", cfg_path, "--out", str(out), "--quiet"]) == 0
         cfg = harness.parse_config(cfg_path)
-        mdp, _, _, _, pi = envs.truth(cfg.env)
+        mdp, r_true, _ = envs.truth(cfg.env)
+        pi = envs.expert_policy(mdp, r_true)
         diag = solver.classify_then_regress(harness.draw(cfg, cfg.base_seed), cfg.solver,
                                             record_iterates=True).diagnostics
         exact = solver.exact_population_solver(mdp, pi, cfg.solver.mu)

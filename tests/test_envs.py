@@ -27,6 +27,7 @@ from softirl.envs import (
 from softirl.harness import builtin_experiment
 from softirl.mdp import TabularMdp, index_dtype, soft_value_iteration
 
+from conftest import count_solves
 from reference import (
     cold_build_env,
     dense_support_rows,
@@ -117,6 +118,12 @@ def _packaged_spec(name):
     return replace(spec, move_noise=0.3) if name.endswith("-noisy") else spec
 
 
+def _packaged_expert(name):
+    """The packaged env's MDP from `envs.truth`, and its expert policy."""
+    mdp, r_true, _ = envs.truth(_packaged_spec(name))
+    return mdp, expert_policy(mdp, r_true)
+
+
 def _value_iteration_rescale(spec):
     """r_true as build_env computed it with a soft value iteration per scale."""
     raw, _ = envs._unit_reward(spec)
@@ -190,14 +197,15 @@ class TestTruth:
         *(_packaged_spec(name) for name in ("easy", "ident", "hard")),
         small_spec(move_noise=0.2, min_action_prob=0.05),
     ], ids=["easy", "ident", "hard", "move-noise-0.2"])
-    def test_matches_a_fresh_build_and_solve(self, spec):
+    def test_matches_a_fresh_build_and_solve(self, monkeypatch, spec):
         envs.truth.cache_clear()
         got = envs.truth(spec)
         mdp, r_true, phi = build_env(spec)
-        _, q_true, pi = soft_value_iteration(mdp, r_true)
-        assert got[0].gamma == mdp.gamma
-        tables = [(got[0].transition, mdp.transition), (got[1], r_true), (got[3], q_true),
-                  (got[4], pi)]
+        want = soft_value_iteration(mdp, r_true)
+        calls = count_solves(monkeypatch)
+        kept = soft_value_iteration(got[0], got[1])  # the truth is the MDP's first solve
+        assert len(got) == 3 and not calls and got[0].gamma == mdp.gamma
+        tables = [(got[0].transition, mdp.transition), (got[1], r_true), *zip(kept, want)]
         if spec.reward_kind == "tabular-linear":  # one-hot features: None from both
             assert got[2] is None and phi is None
         else:
@@ -206,9 +214,9 @@ class TestTruth:
             assert np.array_equal(g, w)
 
     def test_arrays_are_read_only(self):
-        mdp, r_true, phi, q_true, pi = envs.truth(small_spec())
+        mdp, r_true, phi = envs.truth(small_spec())
         assert phi is None  # tabular-linear: one-hot features have no table
-        tables = [mdp.transition, mdp._targets, r_true, q_true, pi,
+        tables = [mdp.transition, mdp._targets, r_true,
                   envs.truth(small_spec(reward_kind="linear"))[2]]
         for table in tables:
             with pytest.raises(ValueError):
@@ -628,7 +636,7 @@ class TestDecodeTable:
         self._check(cdf, np.arange(cdf.shape[1], dtype=np.int8))
 
     def test_one_hot_steps_on_ident(self):
-        mdp, _, _, _, pi = envs.truth(_packaged_spec("ident"))
+        mdp, pi = _packaged_expert("ident")
         cdf = np.cumsum(pi, axis=1)
         cdf[:, -1] = np.inf
         self._check(cdf, mdp._targets.astype(np.int8))
@@ -665,7 +673,7 @@ class TestSamplerDecodesByTable:
     def test_matches_the_loop_reference(self, monkeypatch, kernel, regime):
         rng = np.random.default_rng(8)
         if kernel.startswith("ident"):
-            mdp, _, _, _, pi = envs.truth(_packaged_spec(kernel))
+            mdp, pi = _packaged_expert(kernel)
         elif kernel == "dense-random":  # at most 30 x 271 move and 10 x 21 action entries
             mdp = TabularMdp(rng.dirichlet(np.ones(10), size=(10, 3)), 0.97)
             assert np.all(mdp.transition > 0)
@@ -681,7 +689,7 @@ class TestSamplerDecodesByTable:
 
     @pytest.mark.parametrize("offset", [-1, 0])
     def test_at_the_threshold(self, monkeypatch, offset):
-        mdp, _, _, _, pi = envs.truth(_packaged_spec("ident"))
+        mdp, pi = _packaged_expert("ident")
         sizes = _spy_decode_tables(monkeypatch)
         sample_transitions(mdp, pi, 100_000, seed=1)
         entries = sum(sizes)
@@ -777,7 +785,7 @@ class TestReaderMemory:
 
     @staticmethod
     def _write(tmp_path):
-        mdp, _, _, _, pi = envs.truth(_packaged_spec("ident"))
+        mdp, pi = _packaged_expert("ident")
         path = tmp_path / "data.txt"
         write_dataset(sample_transitions(mdp, pi, 200_000, seed=1), path)
         return path
@@ -887,8 +895,16 @@ class TestDatasetIO:
 
     @pytest.mark.parametrize("meta, message", [
         ({"env": "toy", "n": 5}, "meta n=5 != 3 records"),
-        ({"env": "toy run"}, "env id must not contain whitespace: 'toy run'"),
-    ], ids=["meta-n", "env-with-space"])
+        ({"env": "toy run"}, "env id must not be empty or contain whitespace: 'toy run'"),
+        ({"regime": "iid restart"},
+         "regime must not be empty or contain whitespace: 'iid restart'"),
+        ({"regime": ""}, "regime must not be empty or contain whitespace: ''"),
+        ({"seed": "x"}, "meta seed must be an integer, got 'x'"),
+        ({"seed": 1.5}, "meta seed must be an integer, got 1.5"),
+        ({"seed": True}, "meta seed must be an integer, got True"),
+        ({"n_states": np.float64(4.0)}, "meta n_states must be an integer, got np.float64(4.0)"),
+    ], ids=["meta-n", "env-with-space", "regime-with-space", "empty-regime", "string-seed",
+            "float-seed", "bool-seed", "float-n_states"])
     def test_write_rejects_a_bad_meta(self, tmp_path, meta, message):
         ds = TransitionDataset(np.array([0, 1, 2]), np.array([1, 0, 3]), np.array([2, 2, 0]),
                                meta={"n_states": 4, "n_actions": 5, **meta})
@@ -1095,6 +1111,18 @@ class TestReaderMatchesPerLineReference:
         lines[line - 1] = lines[line - 1][:-1] + b"\xff" if where == "header" else b"0,\xff,2"
         path.write_bytes(b"\n".join(lines))
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{line}: not UTF-8 text$"):
+            read_dataset(path)
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_a_line_longer_than_a_chunk_names_its_line(self, tmp_path, end):
+        """No line end falls within a chunk's span (`_BLOCK` lines of 2 digits
+        per field, 18,432 bytes) of a 40,000-digit line: it is named at once."""
+        long = "9" * 40_000
+        path = tmp_path / "data.txt"
+        body = "".join(line + end for line in ("0,1,2", long, "3,2,1"))
+        path.write_bytes((HEADER.format(n=3, ns=64)[:-1] + end + body).encode())
+        message = f"{path}:3: expected 's,a,s_next' of at most 2 digits each, got '{long}'"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             read_dataset(path)
 
 

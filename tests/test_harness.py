@@ -281,9 +281,8 @@ class TestRunExperiment:
     @pytest.mark.parametrize("split", [False, True], ids=["full-sample", "split"])
     def test_each_rerun_has_the_bits_of_its_run_alone(self, split):
         # MaxEnt fits the whole sample's table also when the classifier saw half
-        from softirl.envs import build_env, sample_transitions
+        from softirl.envs import build_env, expert_policy, sample_transitions
         from softirl.maxent import maxent_fit
-        from softirl.mdp import soft_value_iteration
         from softirl.metrics import evaluate
         from softirl.solver import classify_then_regress, split_classify_regress
 
@@ -291,18 +290,30 @@ class TestRunExperiment:
         solve = split_classify_regress if split else classify_then_regress
         rows, _ = run_experiment(cfg, quiet=True)
         mdp, r_true, phi = build_env(cfg.env)
-        _, q_true, pi = soft_value_iteration(mdp, r_true)
+        pi = expert_policy(mdp, r_true)
         alone = []
         for rerun in range(cfg.reruns):
             dataset = sample_transitions(mdp, pi, cfg.n, regime=cfg.regime,
                                          seed=cfg.base_seed + rerun, env_id=cfg.name)
             solution = solve(dataset, cfg.solver)
             fit = maxent_fit(mdp, phi, dataset, cfg.baseline)
-            reports = {"MaxEnt": evaluate(mdp, r_true, pi, fit.r_hat, q_true=q_true),
-                       "Ours": evaluate(mdp, r_true, pi, solution.r, solution.v, q_true=q_true)}
+            reports = {"MaxEnt": evaluate(mdp, r_true, pi, fit.r_hat),
+                       "Ours": evaluate(mdp, r_true, pi, solution.r, solution.v)}
             alone += [(rerun, method, metric, value) for method in ("MaxEnt", "Ours")
                       for metric, value in reports[method].as_dict().items()]
         assert rows == alone
+
+    def test_a_run_solves_its_truth_once(self, monkeypatch):
+        """One public solve for the truth and one per re-planned MaxEnt estimate:
+        the MDP keeps the truth, its first solve, across the estimates' solves."""
+        from softirl import envs
+
+        from conftest import count_solves
+
+        envs.truth.cache_clear()  # so that the run builds and solves its truth
+        calls = count_solves(monkeypatch)
+        run_experiment(builtin_experiment("ident", reruns=5), quiet=True)
+        assert [args[2] for args in calls] == [1e-10] * 6
 
     def test_a_failed_batched_solve_fails_only_its_rerun(self, tmp_path, monkeypatch, capsys):
         import softirl.maxent as maxent

@@ -340,10 +340,11 @@ def _same_bits(got, want) -> bool:
     return all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
 
-class TestLastSolveIsKept:
-    """`soft_value_iteration` keeps its last solution on the MDP it solved and
+class TestFirstSolveIsKept:
+    """`soft_value_iteration` keeps its first solution on the MDP it solved and
     hands out copies of it to a call with the same tol, max_iter and bytes of
-    r; any other call solves again and replaces it, unless that solve raises."""
+    r; any other call solves again and keeps nothing, and a solve that raises
+    stores nothing."""
 
     @staticmethod
     def _problem():
@@ -372,44 +373,46 @@ class TestLastSolveIsKept:
         assert len(calls) == 1 and _same_bits(again, want)
         assert not any(np.shares_memory(a, b) for a, b in zip(hit, again))
 
-    @pytest.mark.parametrize("change", ["negative-zero", "tol", "max_iter", "another-mdp"])
-    def test_any_other_call_solves_again(self, monkeypatch, change):
+    @pytest.mark.parametrize("change", ["negative-zero", "tol", "max_iter", "mutated-r"])
+    def test_a_miss_solves_again_and_keeps_the_first(self, monkeypatch, change):
         mdp, r = self._problem()
-        soft_value_iteration(mdp, r)
-        other, kwargs = mdp, {}
+        want_first = soft_value_iteration(mdp, r)
+        other, kwargs = r.copy(), {}
         if change == "negative-zero":  # equal in value, other in bits
-            r = r.copy()
-            r[0, 0] = -0.0
+            other[0, 0] = -0.0
         elif change == "tol":
             kwargs = {"tol": 1e-9}
         elif change == "max_iter":
             kwargs = {"max_iter": 99_999}
-        else:
-            other = TabularMdp(mdp.transition, mdp.gamma)
-        want = self._fresh(mdp, r, **kwargs)
+        else:  # the caller's array itself, changed after the first solve
+            other, r = r, r.copy()
+            other *= 2.0
+        want = self._fresh(mdp, other, **kwargs)
         calls = count_solves(monkeypatch)
-        got = soft_value_iteration(other, r, **kwargs)
-        assert len(calls) == 1 and _same_bits(got, want)
-        soft_value_iteration(other, r, **kwargs)  # the new solve replaced the entry
-        assert len(calls) == 1
+        for solves in (1, 2):  # the miss is not kept: it solves each time
+            assert _same_bits(soft_value_iteration(mdp, other, **kwargs), want)
+            assert len(calls) == solves
+        assert _same_bits(soft_value_iteration(mdp, r), want_first) and len(calls) == 2
+
+    def test_another_mdp_of_the_same_kernel_keeps_its_own(self, monkeypatch):
+        mdp, r = self._problem()
+        other = TabularMdp(mdp.transition, mdp.gamma)
+        want, want_other = soft_value_iteration(mdp, r), self._fresh(mdp, 2.0 * r)
+        calls = count_solves(monkeypatch)
+        assert _same_bits(soft_value_iteration(other, 2.0 * r), want_other) and len(calls) == 1
+        assert _same_bits(soft_value_iteration(mdp, r), want)
+        assert _same_bits(soft_value_iteration(other, 2.0 * r), want_other) and len(calls) == 1
 
     def test_a_solve_that_raises_stores_nothing(self, monkeypatch):
         mdp, r = self._problem()
-        want = soft_value_iteration(mdp, r)
+        want = self._fresh(mdp, r)
         calls = count_solves(monkeypatch)
         for _ in range(2):
             with pytest.raises(RuntimeError, match="did not reach tol=1e-10 in 3 iterations"):
                 soft_value_iteration(mdp, r, max_iter=3)
-        assert len(calls) == 2
-        assert _same_bits(soft_value_iteration(mdp, r), want) and len(calls) == 2
-
-    def test_mutating_r_after_a_call_does_not_make_a_hit(self, monkeypatch):
-        mdp, r = self._problem()
-        soft_value_iteration(mdp, r)
-        r *= 2.0
-        want = self._fresh(mdp, r)
-        calls = count_solves(monkeypatch)
-        assert _same_bits(soft_value_iteration(mdp, r), want) and len(calls) == 1
+        assert len(calls) == 2 and mdp._solved is None
+        assert _same_bits(soft_value_iteration(mdp, r), want) and len(calls) == 3
+        assert _same_bits(soft_value_iteration(mdp, r), want) and len(calls) == 3
 
 
 def _scipy_logsumexp():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -59,7 +61,7 @@ class TestEvaluate:
         r_true = np.log(pi)
         _, q_true, _ = soft_value_iteration(mdp, r_true, tol=1e-12)
         q_shifted = q_true + rng.normal(size=4)[:, None]
-        report = evaluate(mdp, r_true, pi, r_hat=q_shifted, v_hat=0)
+        report = evaluate(mdp, r_true, pi, r_hat=q_shifted, v_hat=np.zeros((4, 3)))
         assert report.rmse_qdiff <= 1e-9
         assert report.kl <= 1e-9
 
@@ -95,36 +97,48 @@ class TestEvaluate:
         assert report.kl >= 0.0
         assert -1.0 - 1e-12 <= report.corr_qdiff <= 1.0 + 1e-12
 
-    def test_shape_mismatch_rejected(self):
+    @pytest.mark.parametrize("shape, given, message", [
+        ((3, 2), {"r_hat": np.zeros((4, 2)), "v_hat": 0}, "r_hat has shape (4, 2), expected (3, 2)"),
+        ((3, 2), {"pi_expert": np.full((1, 2), 0.5)},
+         "pi_expert has shape (1, 2), expected (3, 2)"),
+        ((3, 2), {"pi_expert": np.ones((3, 2))}, "pi_expert must sum to 1 within 1e-12 over its "
+                                                 "last axis; worst deviation 1.000e+00"),
+        ((3, 2), {"v_hat": np.zeros((3, 1))}, "v_hat has shape (3, 1), expected (3, 2)"),
+        # S = A: a state vector would broadcast along the rows of the (S, A) tables
+        ((5, 5), {"v_hat": np.zeros(5)}, "v_hat has shape (5,), expected (5, 5)"),
+    ], ids=["r_hat-rows", "pi-rows", "pi-row-sum-2", "v_hat-column", "v_hat-state-vector"])
+    def test_shape_mismatch_rejected(self, shape, given, message):
         rng = np.random.default_rng(6)
-        mdp = random_mdp(rng, 3, 2, 0.9)
-        pi = random_policy(rng, 3, 2)
-        with pytest.raises(ValueError):
-            evaluate(mdp, np.log(pi), pi, r_hat=np.zeros((4, 2)), v_hat=0)
+        mdp = random_mdp(rng, *shape, 0.9)
+        pi = random_policy(rng, *shape)
+        tables = {"pi_expert": pi, "r_hat": np.zeros(shape), "v_hat": np.zeros(shape), **given}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            evaluate(mdp, np.log(pi), **tables)
 
-    def test_given_q_true_scores_like_the_solved_truth(self):
-        from dataclasses import fields
-
-        from softirl.envs import GridworldSpec, build_env
+    def test_an_mdp_keeping_another_reward_scores_as_a_fresh_one(self):
+        from softirl.envs import GridworldSpec, build_env, expert_policy
         from softirl.mdp import TabularMdp
 
         mdp, r_true, _ = build_env(GridworldSpec(4, 4, topology="bounded", seed=5))
-        # solved on another MDP of the same kernel, so `evaluate` solves the truth itself
-        _, q_true, pi = soft_value_iteration(TabularMdp(mdp.transition, mdp.gamma), r_true)
+        fresh = TabularMdp(mdp.transition, mdp.gamma)
+        pi = expert_policy(fresh, r_true)
         rng = np.random.default_rng(7)
         r_hat = r_true + rng.normal(scale=0.2, size=r_true.shape)
+        soft_value_iteration(mdp, 2.0 * r_hat)  # the first solve, which `mdp` keeps
         # Ours passes v_hat, MaxEnt only r_hat
         for v_hat in (rng.normal(size=r_true.shape), None):
-            solved = evaluate(mdp, r_true, pi, r_hat, v_hat)
-            given_q = evaluate(mdp, r_true, pi, r_hat, v_hat, q_true=q_true)
-            for field in fields(solved):
-                assert getattr(given_q, field.name) == getattr(solved, field.name)
+            assert _bits(evaluate(mdp, r_true, pi, r_hat, v_hat)) \
+                == _bits(evaluate(fresh, r_true, pi, r_hat, v_hat))
+
+
+def _bits(report) -> bytes:
+    return np.array(list(report.as_dict().values())).tobytes()
 
 
 def test_the_library_tour_solves_the_truth_once(monkeypatch):
     """build_env -> expert_policy -> evaluate(..., v_hat) runs the soft
     value-iteration loop once: `evaluate` reads the truth `expert_policy`
-    solved on the same MDP, and scores as it does given that truth's Q."""
+    solved on the same MDP, and scores as on a new MDP of the same kernel."""
     from softirl.envs import build_env, expert_policy
     from softirl.harness import builtin_experiment
     from softirl.mdp import TabularMdp
@@ -137,10 +151,23 @@ def test_the_library_tour_solves_the_truth_once(monkeypatch):
     v_hat = rng.normal(size=r_true.shape)
     report = evaluate(mdp, r_true, pi, r_hat, v_hat)
     assert len(calls) == 1
-    _, q_true, _ = soft_value_iteration(TabularMdp(mdp.transition, mdp.gamma), r_true)
-    given = evaluate(mdp, r_true, pi, r_hat, v_hat, q_true=q_true)
-    assert np.array(list(report.as_dict().values())).tobytes() \
-        == np.array(list(given.as_dict().values())).tobytes()
+    assert _bits(report) == _bits(evaluate(TabularMdp(mdp.transition, mdp.gamma), r_true, pi,
+                                           r_hat, v_hat))
+
+
+def test_re_planned_scores_solve_only_the_estimate(monkeypatch):
+    """After expert_policy, each `evaluate` without v_hat runs the loop once,
+    for r_hat: the MDP keeps the truth, its first solve, and not r_hat's."""
+    from softirl.envs import build_env, expert_policy
+    from softirl.harness import builtin_experiment
+
+    calls = count_solves(monkeypatch)
+    mdp, r_true, _ = build_env(builtin_experiment("ident").env)
+    pi = expert_policy(mdp, r_true)
+    r_hat = r_true + np.random.default_rng(10).normal(scale=0.1, size=r_true.shape)
+    first = evaluate(mdp, r_true, pi, r_hat)
+    assert _bits(evaluate(mdp, r_true, pi, r_hat)) == _bits(first)
+    assert len(calls) == 3
 
 
 # 280 estimates scored with v_hat and 20 re-planned per benchmark
@@ -152,12 +179,13 @@ def test_packaged_benchmarks_score_like_the_weighted_sums(name):
     from softirl.envs import truth
     from softirl.harness import builtin_experiment
 
-    mdp, r_true, _, q_true, pi = truth(builtin_experiment(name).env)
+    mdp, r_true, _ = truth(builtin_experiment(name).env)
+    _, q_true, pi = soft_value_iteration(mdp, r_true)  # the truth `truth` left on `mdp`
     v_true = (q_true - r_true) / mdp.gamma
     rng = np.random.default_rng(32)
     for i in range(300):
         scale = 10.0 ** rng.uniform(-3, 1)
         r_hat = r_true + scale * rng.normal(size=r_true.shape)
         v_hat = None if i % 15 == 0 else v_true + scale * rng.normal(size=r_true.shape)
-        got = evaluate(mdp, r_true, pi, r_hat, v_hat, q_true=q_true).as_dict()
-        assert got == weighted_evaluate(mdp, r_true, pi, r_hat, v_hat, q_true=q_true)
+        got = evaluate(mdp, r_true, pi, r_hat, v_hat).as_dict()
+        assert got == weighted_evaluate(mdp, r_true, pi, r_hat, v_hat)
