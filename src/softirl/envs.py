@@ -563,6 +563,8 @@ def read_dataset(path) -> TransitionDataset:
                 val = int(val)
             except ValueError:
                 raise ValueError(f"{path}:1: non-integer header value {tok!r}") from None
+        elif not val:  # write_dataset writes env and regime as nonempty words
+            raise ValueError(f"{path}:1: empty header value {tok!r}")
         meta[key] = val
     for key in ("n", "n_states", "n_actions"):
         if key not in meta:
@@ -647,8 +649,10 @@ def _line_error(path, data: bytes, p: int, width: int) -> ValueError:
     end = min([e for e in (data.find(b"\n", p), data.find(b"\r", p)) if e >= 0] or [len(data)])
     line = data[max(data.rfind(b"\n", 0, p), data.rfind(b"\r", 0, p)) + 1:end]
     lineno = data.count(b"\n", 0, p) + data.count(b"\r", 0, p) - data.count(b"\r\n", 0, p) + 1
-    try:
-        reason = f"expected 's,a,s_next' of at most {width} digits each, got {line.decode()!r}"
+    try:  # a line longer than any record (three fields, two commas) is quoted that far
+        text, cap = line.decode(), 3 * width + 2
+        got = repr(text) if len(line) <= cap else f"{text[:cap]!r}... ({len(line)} bytes)"
+        reason = f"expected 's,a,s_next' of at most {width} digits each, got {got}"
     except UnicodeDecodeError:
         reason = "not UTF-8 text"
     return ValueError(f"{path}:{lineno}: {reason}")

@@ -220,36 +220,42 @@ def _fitted_fixed_point(cfg: SolverConfig, u, mu_t, maps: list, diag: SolverDiag
     """The fitted fixed-point loop v <- M_k g with g = mu[gamma v - u], one
     step per map M_k = maps[k], which is unpacked only when it is not the
     map of the step before; each step is one product, M_k g summed over its
-    (row, col, value) triples. eta[k] is the root-mean-square misfit of v on
-    that map's records, read off its count triples (0 for the population
-    map, which has none), with the kernel's gather of g where they share its cols.
+    (row, col, value) triples, on flat (S * A,) tables. eta[k] is the root-mean-square
+    misfit of v on that map's records, read off its count triples (0 for the population
+    map, which has none), with the kernel's gather of g where they share its cols. A map
+    with as many triples as visited cells holds one next state per cell, of value n / n =
+    1.0, so v there is 1.0 * g[col], the same bits, and the misfit is 0.0 exactly: such a
+    map appends 0.0 and makes no misfit pass.
     """
-    v = np.zeros_like(u)
-    diag.iterates = [v] if record_iterates else None
-    fitted, work = None, np.empty_like(u)
+    v, work, g = np.zeros(u.size), np.empty_like(u), np.empty(len(u))
+    fitted, flat_work, flat_u, flat_mu = None, work.reshape(-1), u.reshape(-1), mu_t.reshape(-1)
+    diag.iterates = [v.reshape(u.shape)] if record_iterates else None
     for step_map in maps:
         if step_map is not fitted:
             fitted = step_map
             map_rows, map_cols, map_values = fitted.kernel
-            rows, cols, weights = fitted.counts
-            n_records = max(int(weights.sum()), 1)
-        np.subtract(np.multiply(v, cfg.gamma, out=work), u, out=work)
-        g = np.add.reduce(np.multiply(work, mu_t, out=work), axis=1)
+            exact = len(map_rows) == u.size - fitted.diagnostics["n_empty_cells"]
+            if not exact:
+                rows, cols, weights = fitted.counts
+                n_records = max(int(weights.sum()), 1)
+        np.subtract(np.multiply(v, cfg.gamma, out=flat_work), flat_u, out=flat_work)
+        np.multiply(flat_work, flat_mu, out=flat_work)
+        np.add.reduce(work, axis=1, out=g)
         g_map = g.take(map_cols)
-        flat = np.bincount(map_rows, map_values * g_map, minlength=u.size)
-        d = flat.take(rows) - (g_map if cols is map_cols else g.take(cols))
-        d *= d
-        diag.eta.append(math.sqrt(float(weights @ d) / n_records))
-        v = flat.reshape(u.shape)
+        v = np.bincount(map_rows, map_values * g_map, minlength=u.size)
+        if not exact:
+            d = v.take(rows) - (g_map if cols is map_cols else g.take(cols))
+            d *= d
+        diag.eta.append(0.0 if exact else math.sqrt(float(weights @ d) / n_records))
         if record_iterates:
-            diag.iterates.append(v)
+            diag.iterates.append(v.reshape(u.shape))
     empty_seen = max((m.diagnostics["n_empty_cells"] for m in maps), default=0)
     if empty_seen:
         diag.warnings.append(
             f"up to {empty_seen} (s, a) cells unvisited per regression fold; each predicts 0"
         )
-    r, c = _assemble(u, v, mu_t, cfg.gamma)
-    return IrlSolution(r, v, u, c, mu_t, cfg.gamma, diag)
+    r, c = _assemble(u, v.reshape(u.shape), mu_t, cfg.gamma)
+    return IrlSolution(r, v.reshape(u.shape), u, c, mu_t, cfg.gamma, diag)
 
 
 def classify_then_regress(data, cfg: SolverConfig, *,

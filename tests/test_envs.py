@@ -886,7 +886,11 @@ class TestDatasetIO:
         ("seed=0 env=- n=1 n_states=4 n_actions=5 trajectory",
          ":1: malformed header token 'trajectory'"),
         ("seed=0 env=- n=1 n_states=4 regime=trajectory", ":1: header missing n_actions"),
-    ], ids=["token-without-equals", "missing-key"])
+        # write_dataset never writes an empty env or regime value, so the reader refuses one
+        ("seed=0 env= n=1 n_states=4 n_actions=5 regime=trajectory",
+         ":1: empty header value 'env='"),
+        ("seed=0 env=- n=1 n_states=4 n_actions=5 regime=", ":1: empty header value 'regime='"),
+    ], ids=["token-without-equals", "missing-key", "empty-env", "empty-regime"])
     def test_a_bad_header_names_its_defect(self, tmp_path, header, message):
         path = tmp_path / "hdr.txt"
         path.write_text(f"# transitions {header}\n0,1,2\n")
@@ -1116,12 +1120,14 @@ class TestReaderMatchesPerLineReference:
     @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
     def test_a_line_longer_than_a_chunk_names_its_line(self, tmp_path, end):
         """No line end falls within a chunk's span (`_BLOCK` lines of 2 digits
-        per field, 18,432 bytes) of a 40,000-digit line: it is named at once."""
+        per field, 18,432 bytes) of a 40,000-digit line: it is named at once,
+        by its length and as many characters as the longest record has (8)."""
         long = "9" * 40_000
         path = tmp_path / "data.txt"
         body = "".join(line + end for line in ("0,1,2", long, "3,2,1"))
         path.write_bytes((HEADER.format(n=3, ns=64)[:-1] + end + body).encode())
-        message = f"{path}:3: expected 's,a,s_next' of at most 2 digits each, got '{long}'"
+        message = (f"{path}:3: expected 's,a,s_next' of at most 2 digits each, "
+                   f"got '{long[:8]}'... (40000 bytes)")
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             read_dataset(path)
 

@@ -1,7 +1,7 @@
 import json
 import re
 import warnings
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -17,7 +17,7 @@ from softirl.envs import (
 )
 from softirl.harness import builtin_experiment
 from softirl.mdp import TabularMdp, apply_P
-from softirl.oracles import ClassifierSpec
+from softirl.oracles import ClassifierSpec, fit_regressor
 from softirl.solver import (
     IrlSolution,
     NormalizationMeasure,
@@ -431,6 +431,51 @@ class TestSparseFoldMapsMatchDense:
                             (sol.diagnostics.eta, ref.diagnostics.eta)):
             ours, dense = np.asarray(ours), np.asarray(dense)
             assert sup_norm(ours - dense) <= 1e-12 * sup_norm(dense)
+
+
+class TestExactFitSkipsTheMisfit:
+    """`_fitted_fixed_point` appends eta = 0.0 without a misfit pass for a map
+    with one next state per visited cell, and runs the pass otherwise; both
+    against the dense loop of tests/reference.py, bit for bit."""
+
+    # (s, a, s') records on (S, A) = (3, 2); cells (1, 0) and (2, 0) have none
+    ONE_HOT = [(0, 0, 1), (0, 0, 1), (0, 1, 2), (1, 1, 0), (1, 1, 0), (1, 1, 0), (2, 1, 2)]
+    # cell (0, 0) reaches states 1 and 2: M g there is their mean, which misses both
+    TWO_NEXT = [(0, 0, 1), (0, 0, 2), *ONE_HOT[2:]]
+
+    @pytest.mark.parametrize("records", [ONE_HOT, TWO_NEXT], ids=["one-hot", "two-next-states"])
+    def test_against_the_dense_loop(self, records):
+        rng = np.random.default_rng(4)
+        u = np.log(random_policy(rng, 3, 2))
+        mu_t = random_policy(rng, 3, 2)
+        cfg = SolverConfig(gamma=0.9, K=6)
+        columns = [np.array(c) for c in zip(*records)]
+        sparse, dense = (fit(*columns, 3, 2) for fit in (fit_regressor, dense_fit_regressor))
+        sol = solver_module._fitted_fixed_point(cfg, u, mu_t, [sparse] * 6,
+                                                solver_module.SolverDiagnostics(), True)
+        ref = dense_fitted_fixed_point(cfg, u, mu_t, [dense] * 6,
+                                       solver_module.SolverDiagnostics(), False)
+        assert np.array_equal(sol.v, ref.v)
+        assert np.array_equal(sol.r, ref.r)
+        assert np.array_equal(sol.diagnostics.eta, ref.diagnostics.eta)
+        assert sol.diagnostics.warnings == ref.diagnostics.warnings == [
+            "up to 2 (s, a) cells unvisited per regression fold; each predicts 0"]
+        assert [v.shape for v in sol.diagnostics.iterates] == [(3, 2)] * 7
+        if records is self.ONE_HOT:
+            assert sol.diagnostics.eta == [0.0] * 6
+        else:
+            assert min(sol.diagnostics.eta) > 0.0
+
+    @pytest.mark.parametrize("k", [0, 1, 7, None], ids=["0", "1", "7", "K"])
+    def test_each_recorded_iterate_is_the_solve_of_that_many_steps(self, ident_50k, k):
+        data, cfg = ident_50k
+        traced = classify_then_regress(data, cfg, record_iterates=True)
+        iterates = traced.diagnostics.iterates
+        k_steps = cfg.steps(data.n)
+        assert len(iterates) == k_steps + 1
+        assert {v.shape for v in iterates} == {traced.u.shape}  # `diagnose` stacks them
+        k = k_steps if k is None else k
+        assert np.array_equal(iterates[k], classify_then_regress(data, replace(cfg, K=k)).v)
 
 
 class TestPluginFixedPoint:
