@@ -223,26 +223,27 @@ def _fitted_fixed_point(cfg: SolverConfig, u, mu_t, maps: list, diag: SolverDiag
     (row, col, value) triples, on flat (S * A,) tables. eta[k] is the root-mean-square
     misfit of v on that map's records, read off its count triples (0 for the population
     map, which has none), with the kernel's gather of g where they share its cols. A map
-    with as many triples as visited cells holds one next state per cell, of value n / n =
-    1.0, so v there is 1.0 * g[col], the same bits, and the misfit is 0.0 exactly: such a
-    map appends 0.0 and makes no misfit pass.
+    with as many count triples as visited cells holds one next state per cell, so its
+    kernel value there is n / n = 1.0 and v is g[col] itself, the bits of 1.0 * g[col],
+    and the misfit is 0.0 exactly: such a map appends 0.0, with no multiply by its values
+    and no misfit pass. work is a view of flat_work, whatever the memory order of u.
     """
-    v, work, g = np.zeros(u.size), np.empty_like(u), np.empty(len(u))
-    fitted, flat_work, flat_u, flat_mu = None, work.reshape(-1), u.reshape(-1), mu_t.reshape(-1)
+    fitted, v, flat_work, g = None, np.zeros(u.size), np.empty(u.size), np.empty(len(u))
+    work, flat_u, flat_mu = flat_work.reshape(u.shape), u.ravel(), mu_t.ravel()
     diag.iterates = [v.reshape(u.shape)] if record_iterates else None
     for step_map in maps:
         if step_map is not fitted:
             fitted = step_map
             map_rows, map_cols, map_values = fitted.kernel
-            exact = len(map_rows) == u.size - fitted.diagnostics["n_empty_cells"]
+            rows, cols, weights = fitted.counts
+            exact = len(rows) == u.size - fitted.diagnostics["n_empty_cells"]
             if not exact:
-                rows, cols, weights = fitted.counts
                 n_records = max(int(weights.sum()), 1)
         np.subtract(np.multiply(v, cfg.gamma, out=flat_work), flat_u, out=flat_work)
         np.multiply(flat_work, flat_mu, out=flat_work)
         np.add.reduce(work, axis=1, out=g)
         g_map = g.take(map_cols)
-        v = np.bincount(map_rows, map_values * g_map, minlength=u.size)
+        v = np.bincount(map_rows, g_map if exact else map_values * g_map, minlength=u.size)
         if not exact:
             d = v.take(rows) - (g_map if cols is map_cols else g.take(cols))
             d *= d

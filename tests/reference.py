@@ -320,6 +320,8 @@ def read_dataset_per_line(path) -> TransitionDataset:
                     val = int(val)
                 except ValueError:
                     raise ValueError(f"{path}:1: non-integer header value {tok!r}") from None
+            elif not val:
+                raise ValueError(f"{path}:1: empty header value {tok!r}")
             meta[key] = val
         for key in ("n", "n_states", "n_actions"):
             if key not in meta:

@@ -892,10 +892,12 @@ class TestDatasetIO:
         ("seed=0 env=- n=1 n_states=4 n_actions=5 regime=", ":1: empty header value 'regime='"),
     ], ids=["token-without-equals", "missing-key", "empty-env", "empty-regime"])
     def test_a_bad_header_names_its_defect(self, tmp_path, header, message):
+        """Both readers, the package's and the per-line reference, refuse it alike."""
         path = tmp_path / "hdr.txt"
         path.write_text(f"# transitions {header}\n0,1,2\n")
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path) + message)}$"):
-            read_dataset(path)
+        for reader in (read_dataset, read_dataset_per_line):
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path) + message)}$"):
+                reader(path)
 
     @pytest.mark.parametrize("meta, message", [
         ({"env": "toy", "n": 5}, "meta n=5 != 3 records"),

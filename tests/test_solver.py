@@ -139,6 +139,19 @@ class TestClassifyThenRegress:
         sol = population_fixed_point(mdp, pi, cfg)
         assert sup_norm(sol.r - exact.r) <= 1e-8
 
+    @pytest.mark.parametrize("kind", ["uniform", "behavior-policy"])
+    def test_a_column_major_policy_gives_the_same_bits(self, kind):
+        """The loop's (S, A) work table is a view of its flat buffer whatever the
+        memory order of u = log(pi) and mu, so a Fortran-ordered pi solves alike."""
+        rng = np.random.default_rng(5)
+        mdp = random_mdp(rng, 5, 3, 0.8)
+        pi = random_policy(rng, 5, 3)
+        cfg = SolverConfig(gamma=0.8, K=20, mu=NormalizationMeasure(kind))
+        ours, ref = (population_fixed_point(mdp, p, cfg) for p in (np.asfortranarray(pi), pi))
+        assert not np.log(np.asfortranarray(pi)).flags.c_contiguous
+        for name in ("r", "v", "c", "u", "mu_table"):
+            assert np.array_equal(getattr(ours, name), getattr(ref, name))
+
     @pytest.mark.parametrize("solve", [classify_then_regress, split_classify_regress],
                              ids=lambda f: f.__name__)
     def test_k_zero_is_pure_normalization(self, monkeypatch, solve):
