@@ -29,8 +29,8 @@ import resource
 import time
 from dataclasses import replace
 
-from softirl.envs import build_env, truth
-from softirl.harness import BUILTIN_NAMES, builtin_experiment, draw, score, summarize
+from softirl.envs import build_env
+from softirl.harness import BUILTIN_NAMES, builtin_experiment, draw, score, summarize, truth
 from softirl.maxent import MaxEntConfig, maxent_fit
 from softirl.metrics import METRIC_NAMES
 from softirl.solver import classify_then_regress
@@ -84,7 +84,7 @@ def main() -> None:
               f"kl={mean['kl']:.5f} draw={draw_s / args.reruns:.3f}s "
               f"ours={seconds / args.reruns:.3f}s")
 
-    mdp, _, phi = truth(cfg.env)
+    mdp, _, phi, _ = truth(cfg.env)
     start = time.perf_counter()
     fit = maxent_fit(mdp, phi, data, MaxEntConfig(max_epochs=2))
     epoch_s = (time.perf_counter() - start) / len(fit.loss_trace)

@@ -142,8 +142,7 @@ def _cmd_reproduce(args) -> int:
 
 def _cmd_diagnose(args) -> int:
     cfg = harness.parse_config(args.config, base_seed=args.seed)
-    mdp, r_true, _ = envs.truth(cfg.env)
-    pi = envs.expert_policy(mdp, r_true)
+    mdp, _, _, pi = harness.truth(cfg.env)
     if not np.all(pi > 0.0):  # the exact fixed point takes log(pi)
         raise ValueError("the exact fixed point needs every expert action probability "
                          "above 0; [env] min_action_prob above 0 ensures it")

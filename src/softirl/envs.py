@@ -4,14 +4,13 @@ Three reward generators are provided: low-dimensional linear rewards on a
 torus, free tabular rewards, and smooth nonlinear rewards that raw-coordinate
 features cannot represent. States are indexed s = y * width + x; the five
 actions are stay/up/down/left/right. A spec fixes the environment and its
-truth (reward, expert policy and Q), which `truth` solves once per process.
+truth (reward and expert policy).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import repeat
 
 import numpy as np
@@ -38,13 +37,9 @@ REWARD_SCALE = 2.5  # the reward's largest magnitude before `min_action_prob` sh
 
 _HEADER_PREFIX = "# transitions"
 _BLOCK = 2048  # records per block of the sampler's tail walk, the dataset writer and reader
-_LANES = 4096  # segments per lockstep walk (BENCH_15.json: ~0.4 MB of step temporaries; with
-               # 1,024 and 16,384 ident draws at n = 800k took 20 % and 14 % longer, BENCH_43.json)
-_Q = 1 << 14  # buckets of `_rank_code`: a uniform is searched only if its bucket holds a
-             # breakpoint, 1.6 % of draws on ident's 256
-_TAIL = 32  # live segments below which each finishes in Python; ident draws took 3.13, 3.03,
-            # 2.98 and 3.15 ms at n = 50k and 23.8, 23.7, 23.8 and 23.5 ms at 800k with 8, 16,
-            # 32 and 64 (BENCH_43.json: min of 31 and 11 timeit runs, one BLAS thread, 2-vCPU Xeon)
+_LANES = 4096  # segments per lockstep walk (BENCH_15.json, BENCH_43.json)
+_Q = 1 << 14  # buckets of `_rank_code`: a uniform is searched only if its bucket holds a breakpoint
+_TAIL = 32  # live segments below which each finishes in Python (BENCH_43.json)
 
 
 @dataclass(frozen=True)
@@ -246,22 +241,8 @@ def build_env(spec: GridworldSpec):
 
 
 def expert_policy(mdp: TabularMdp, r_true) -> np.ndarray:
-    """Softmax-optimal behavior policy for the given reward, by soft value
-    iteration; as `mdp`'s first solve, it is kept for `metrics.evaluate`'s truth."""
+    """Softmax-optimal behavior policy for the given reward, by soft value iteration."""
     return soft_value_iteration(mdp, r_true)[2]
-
-
-@lru_cache(maxsize=1)
-def truth(spec: GridworldSpec):
-    """`build_env(spec)`'s (TabularMdp, true reward, phi), kept for the last
-    spec asked for, with `expert_policy` solved as the MDP's first solve, so a
-    process builds and solves the truth once and later `expert_policy` and
-    `metrics.evaluate` calls read it back. The reward is read-only.
-    """
-    mdp, r_true, phi = build_env(spec)
-    expert_policy(mdp, r_true)
-    r_true.setflags(write=False)
-    return mdp, r_true, phi
 
 
 def sample_transitions(mdp: TabularMdp, pi, n: int, regime: str = "iid-restart",
@@ -279,13 +260,10 @@ def sample_transitions(mdp: TabularMdp, pi, n: int, regime: str = "iid-restart",
     the bits a per-record `np.searchsorted` loop draws from the same stream,
     held in `mdp.index_dtype(S, A)` columns. The action uniforms (and on a
     stochastic kernel the move uniforms) are kept only as their ranks among
-    the CDF's breakpoints (`_rank_code`), which pick the same entries. On
-    ident (S = 64, 256 breakpoints in pi's CDF) the walk keeps 5 bytes a
-    record, 3 of int8 records and 2 of uint16 ranks, and 6 with move_noise
-    0.3, whose cut kernel rows have 13 breakpoints: 11 and 19 bytes with
-    float64 uniforms. Its lockstep reads actions and next states from int8
-    tables once n reaches their 32,896 entries, 33 kB (20,928 with
-    move_noise 0.3), which `_decoder` builds.
+    the CDF's breakpoints (`_rank_code`), which pick the same entries, so
+    the walk keeps a record's three columns and its ranks' columns. Its
+    lockstep reads actions and next states from tables once n reaches their
+    entry count, which `_decoder` builds.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -364,20 +342,19 @@ def _rank_code(cdf):
     of uniforms their ranks #{b <= u} in `dtype`, the narrowest unsigned
     dtype that holds B. c <= u exactly when rank(c) <= rank(u), so ranks
     pick the entries uniforms do. The walk compares them in int64: a uint16
-    comparison maps 64 KB of numpy's code that nothing else in a run uses.
+    comparison maps numpy code that nothing else in a run uses.
 
     floor(u * _Q) is exact, so a uniform lies above every breakpoint of the
     buckets below its own and below every one above; only the uniforms whose
     bucket holds a breakpoint are searched. The breakpoints are sorted in
-    Python: np.unique imports numpy.ma (8.4 ms), and np.sort maps 256 KB of
-    numpy's code that nothing else in a run uses, which peak RSS counts.
+    Python: np.unique imports numpy.ma, and np.sort maps numpy code that
+    nothing else in a run uses, which peak RSS counts.
     """
     points = np.array(sorted(set(cdf[cdf < np.inf].tolist())))
     ranks = np.searchsorted(points, cdf, side="right") + (cdf == np.inf)
     dtype = np.min_scalar_type(len(points))
-    # below[q], the breakpoints in buckets under q, is k on (bucket[k - 1], bucket[k]]: a
-    # cumsum over 2 ** 16 buckets took 160 us on a 2-vCPU Xeon, this repeat 16 us.
-    # Entries of 1 or more fall past every bucket.
+    # below[q], the breakpoints in buckets under q, is k on (bucket[k - 1], bucket[k]], a
+    # repeat rather than a cumsum over every bucket. Entries of 1 or more fall past every bucket.
     bucket = np.minimum(points * _Q, _Q).astype(np.intp)
     below = np.repeat(np.arange(len(points) + 1, dtype=dtype),
                       np.diff(np.minimum(bucket, _Q - 1), prepend=-1, append=_Q - 1))
@@ -412,7 +389,7 @@ def _walk(records, starts, first, pi_cdf, u_act, u_move, next_cdf, next_idx) -> 
     pi_rows, cdf_rows, idx_rows = pi_cdf.tolist(), next_cdf.tolist(), next_idx.tolist()
     decode = _decoder(pi_cdf, u_act, u_move, next_cdf, next_idx.astype(records.dtype))
     states, actions, next_states = records  # a store through a row view beats records[0, i]
-    # subtracted in int64 and then narrowed: an int32 subtract maps 64 KB more of numpy's code
+    # subtracted in int64 and then narrowed: an int32 subtract maps more of numpy's code
     lengths = np.diff(starts, append=len(u_act))
     order = np.argsort(-lengths, kind="stable").astype(starts.dtype)
     lengths = lengths.astype(starts.dtype)
@@ -453,8 +430,7 @@ def _decoder(pi_cdf, u_act, u_move, next_cdf, next_idx):
     lanes in states s (that dtype) at records i, taken from `_decode_table`s
     at s * (B + 1) + code (a stochastic next state at (s * A + a) * (B_m + 1)
     + move code) if those hold no more entries than the draw has records,
-    else counted a CDF column at a time (BENCH_43.json: at S = 1,024 the
-    tables cost more than the counting saved)."""
+    else counted a CDF column at a time (BENCH_43.json)."""
     n_states, n_actions, width = next_idx.shape
     codes = int(pi_cdf.max())  # B + 1: the codes run from 0 to B, and +inf ranks B + 1
     moves = None if u_move is None else int(next_cdf.max())

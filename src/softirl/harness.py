@@ -1,8 +1,8 @@
 """Experiment orchestration: seeded reruns, aggregation, and file outputs.
 
 `draw` samples a config's dataset and `score` scores an estimate against its
-env's truth (reward, expert policy and Q), which `envs.truth` builds and
-solves once per spec and process; the CLI and the sweep script use both. A
+env's truth (reward and expert policy), which `truth` builds and solves once
+per spec and process; the CLI and the sweep script use all three. A
 run draws the dataset per rerun with seed base_seed + rerun index, fits both
 methods, and aggregates the five metrics into raw.csv / summary.csv /
 table.md. Each rerun is one job, `_rerun`: it draws, solves and scores
@@ -20,11 +20,11 @@ import os
 import sys
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
-from softirl.envs import REGIMES, GridworldSpec, expert_policy, sample_transitions, truth
-from softirl.envs import build_env  # noqa: F401 - perfbench/spans.py wraps it by name here
+from softirl.envs import REGIMES, GridworldSpec, build_env, expert_policy, sample_transitions
 from softirl.maxent import MaxEntConfig, ascent, run_lockstep
 from softirl.maxent import maxent_fit  # noqa: F401 - perfbench/spans.py wraps it by name here
 from softirl.mdp import joint_frequency
@@ -100,17 +100,28 @@ def builtin_experiment(name: str, reruns: int | None = None,
     })
 
 
+@lru_cache(maxsize=1)
+def truth(spec: GridworldSpec):
+    """`build_env(spec)`'s (TabularMdp, true reward, phi) and the reward's
+    `expert_policy`, kept for the last spec asked for, so a process builds
+    and solves a truth once. The reward and the policy are read-only."""
+    mdp, r_true, phi = build_env(spec)
+    pi = expert_policy(mdp, r_true)
+    for table in (r_true, pi):
+        table.setflags(write=False)
+    return mdp, r_true, phi, pi
+
+
 def draw(cfg: ExperimentConfig, seed: int):
     """The config's n records, of its regime, from its env's expert, drawn with `seed`."""
-    mdp, r_true, _ = truth(cfg.env)
-    return sample_transitions(mdp, expert_policy(mdp, r_true), cfg.n, regime=cfg.regime,
-                              seed=seed, env_id=cfg.name)
+    mdp, _, _, pi = truth(cfg.env)
+    return sample_transitions(mdp, pi, cfg.n, regime=cfg.regime, seed=seed, env_id=cfg.name)
 
 
 def score(cfg: ExperimentConfig, r_hat, v_hat=None):
     """`evaluate` of an estimate, with its soft value if it has one, against the env's truth."""
-    mdp, r_true, _ = truth(cfg.env)
-    return evaluate(mdp, r_true, expert_policy(mdp, r_true), r_hat, v_hat=v_hat)
+    mdp, r_true, _, pi = truth(cfg.env)
+    return evaluate(mdp, r_true, pi, r_hat, v_hat=v_hat)
 
 
 def _rerun(cfg: ExperimentConfig, mdp, phi, rerun: int):
@@ -137,7 +148,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, quiet: bool = False):
     a value assigned after it was built is checked before anything runs.
     """
     cfg = replace(cfg, baseline=replace(cfg.baseline))
-    mdp, _, phi = truth(cfg.env)
+    mdp, _, phi, _ = truth(cfg.env)
     reports = run_lockstep(mdp, [_rerun(cfg, mdp, phi, rerun) for rerun in range(cfg.reruns)])
 
     rows, failures = [], []

@@ -2,10 +2,7 @@
 
 Conventions: state-action tables are float arrays of shape (S, A), state
 functions have shape (S,), and policies / conditional reference measures are
-row-stochastic (S, A) arrays. Inputs are never mutated, and the one state kept,
-`soft_value_iteration`'s first solution on a `TabularMdp`, is one tuple set by
-one assignment and handed out as copies, so values can be shared across threads
-(threads racing to a first solve each store a whole solution, and one stays).
+row-stochastic (S, A) arrays. Inputs are never mutated.
 """
 
 from __future__ import annotations
@@ -25,8 +22,7 @@ _CHUNK = 1 << 14  # records per chunk of the sampler's uniforms and of `_count_k
 
 @dataclass(frozen=True)
 class TabularMdp:
-    """Finite MDP with a dense transition tensor P[s, a, s'] and discount < 1; it
-    keeps the first solution that `soft_value_iteration` found on it."""
+    """Finite MDP with a dense transition tensor P[s, a, s'] and discount < 1."""
 
     transition: np.ndarray
     gamma: float
@@ -51,7 +47,6 @@ class TabularMdp:
         object.__setattr__(self, "_targets", targets)
         object.__setattr__(self, "_onto", targets is not None and len(t) >= 2 and bool(
             np.bincount(targets.ravel(), minlength=len(t)).all()))
-        object.__setattr__(self, "_solved", None)  # (r's bytes, tol, max_iter, (v, Q, pi))
 
     @property
     def n_states(self) -> int:
@@ -179,23 +174,15 @@ def soft_value_iteration(mdp: TabularMdp, r, tol: float = 1e-10, max_iter: int =
     Returns (v, Q, pi) with Q = r + gamma v and pi the row softmax of Q.
     The returned v has sup-norm Bellman residual at most `tol`. Raises
     RuntimeError (carrying the last residual bound) on non-convergence.
-    The MDP keeps its first solution: a call with that solve's `tol`, `max_iter`
-    and bytes of `r` returns copies of its arrays, the bits a new solve gives;
-    any other call solves again and keeps nothing.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     r = np.asarray(r, dtype=float)
     if r.shape != (mdp.n_states, mdp.n_actions):
         raise ValueError(f"r has shape {r.shape}, expected ({mdp.n_states}, {mdp.n_actions})")
-    key, solved = (r.tobytes(), tol, max_iter), mdp._solved
-    if solved is not None and solved[:3] == key:
-        return tuple(x.copy() for x in solved[3])
     (result,) = _soft_value_iteration(mdp, r[None], tol, max_iter=max_iter)
     if isinstance(result, RuntimeError):
         raise result
-    if solved is None:
-        object.__setattr__(mdp, "_solved", (*key, tuple(x.copy() for x in result)))
     return result
 
 

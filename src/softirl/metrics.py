@@ -49,21 +49,25 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> float:
 def evaluate(mdp: TabularMdp, r_true, pi_expert, r_hat, v_hat=None) -> MetricsReport:
     """Score an estimate against the ground truth: each metric is a plain mean over states.
 
-    The estimated Q is r_hat + gamma v_hat when v_hat is given, otherwise soft
-    value iteration on r_hat (for baselines that only model a reward), which
-    `mdp` does not keep. The true Q is `soft_value_iteration(mdp, r_true)`'s,
-    read back when `mdp`'s first solve was that one, as after
-    `expert_policy(mdp, r_true)`. pi_expert is checked as a distribution, and
-    r_hat and v_hat must have shape (S, A). The RMSE and correlation skip
+    `pi_expert` must be `r_true`'s soft-optimal policy on `mdp`, as
+    `expert_policy(mdp, r_true)` gives. Then Q*(s, a) - Q*(s, 0) =
+    log pi*(a|s) - log pi*(0|s), so the true Q-differences are read from
+    log pi_expert and nothing is solved for the truth. The estimated Q is
+    r_hat + gamma v_hat when v_hat is given, otherwise soft value iteration
+    on r_hat (for baselines that only model a reward). pi_expert is checked
+    as a distribution with every entry above 0, and r_true, r_hat and a
+    given v_hat must have shape (S, A). The RMSE and correlation skip
     action 0's identically-zero column; a correlation with a zero-variance
     side is NaN.
     """
     shape = (mdp.n_states, mdp.n_actions)
     pi_expert = check_distribution(pi_expert, shape, "pi_expert")
-    for what, table in (("r_hat", r_hat), ("v_hat", v_hat)):
-        if table is not None and np.shape(table) != shape:
+    if not np.all(pi_expert > 0):
+        raise ValueError("pi_expert entries must be above 0: the true Q-differences are "
+                         "its log-odds")
+    for what, table in (("r_true", r_true), ("r_hat", r_hat), ("v_hat", v_hat)):
+        if np.shape(table) != shape and not (what == "v_hat" and table is None):
             raise ValueError(f"{what} has shape {np.shape(table)}, expected {shape}")
-    _, q_true, _ = soft_value_iteration(mdp, np.asarray(r_true, dtype=float))
     if v_hat is not None:
         q_hat = np.asarray(r_hat, dtype=float) + mdp.gamma * np.asarray(v_hat, dtype=float)
     else:
@@ -71,7 +75,7 @@ def evaluate(mdp: TabularMdp, r_true, pi_expert, r_hat, v_hat=None) -> MetricsRe
 
     # columns taken by a fancy index: its column-major copy sets the order of the RMSE's sum
     keep = list(range(1, mdp.n_actions))
-    d_true, d_hat = (qdiff(q)[:, keep] for q in (q_true, q_hat))
+    d_true, d_hat = (qdiff(q)[:, keep] for q in (np.log(pi_expert), q_hat))
     rmse = float(np.sqrt(np.mean((d_hat - d_true) ** 2)))
     corr = _pearson(d_true.reshape(-1), d_hat.reshape(-1))
 

@@ -405,15 +405,16 @@ def dense_support_rows(transition: np.ndarray):
 
 def weighted_evaluate(mdp: TabularMdp, r_true, pi_expert, r_hat, v_hat=None) -> dict:
     """`metrics.evaluate` as a weighted sum over states with weights 1/S, and
-    its correlation as a Pearson weighted by 1/S per (state, action) entry."""
-    _, q_true, _ = soft_value_iteration(mdp, np.asarray(r_true, dtype=float))
+    its correlation as a Pearson weighted by 1/S per (state, action) entry;
+    the true Q-differences are those of log pi_expert."""
+    pi_expert = np.asarray(pi_expert, dtype=float)
     if v_hat is not None:
         q_hat = np.asarray(r_hat, dtype=float) + mdp.gamma * np.asarray(v_hat, dtype=float)
     else:
         _, q_hat, _ = soft_value_iteration(mdp, np.asarray(r_hat, dtype=float))
     weights = np.full(mdp.n_states, 1.0 / mdp.n_states)
     keep = list(range(1, mdp.n_actions))
-    d_true = qdiff(q_true)[:, keep]
+    d_true = qdiff(np.log(pi_expert))[:, keep]
     d_hat = qdiff(q_hat)[:, keep]
     rmse = float(np.sqrt(np.sum(weights[:, None] * (d_hat - d_true) ** 2) / len(keep)))
     x, y = d_true.reshape(-1), d_hat.reshape(-1)
@@ -423,7 +424,6 @@ def weighted_evaluate(mdp: TabularMdp, r_true, pi_expert, r_hat, v_hat=None) -> 
     vx, vy = np.sum(w * (x - mx) ** 2), np.sum(w * (y - my) ** 2)
     corr = (float("nan") if vx <= 0 or vy <= 0
             else float(np.sum(w * (x - mx) * (y - my)) / np.sqrt(vx * vy)))
-    pi_expert = np.asarray(pi_expert, dtype=float)
     pi_hat = softmax_actions(q_hat)
     with np.errstate(divide="ignore", invalid="ignore"):
         kl_terms = np.where(pi_expert > 0,

@@ -9,8 +9,8 @@ import time
 import numpy as np
 import pytest
 
-from softirl.envs import build_env, expert_policy, sample_transitions, truth
-from softirl.harness import builtin_experiment, run_experiment
+from softirl.envs import build_env, expert_policy, sample_transitions
+from softirl.harness import builtin_experiment, run_experiment, truth
 from softirl.metrics import evaluate
 from softirl.solver import (
     NormalizationMeasure,
@@ -340,8 +340,7 @@ def test_criterion_7_ours_rmse_rate(name):
     The report line gives the n at which the fitted line reaches the ident
     RMSE band of 0.05 (561k on ident)."""
     cfg = builtin_experiment(name)
-    mdp, r_true, _ = truth(cfg.env)
-    pi = expert_policy(mdp, r_true)
+    mdp, r_true, _, pi = truth(cfg.env)
     means = []
     for n in RATE_SIZES:
         rmse = []

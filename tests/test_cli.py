@@ -286,9 +286,8 @@ class TestRuntimeErrors:
         def unreachable(*args, **kwargs):
             raise AssertionError("an override reached the environment before its check")
 
-        for module in (envs, harness):
-            for name in ("build_env", "truth"):
-                monkeypatch.setattr(module, name, unreachable)
+        for module, name in ((envs, "build_env"), (harness, "build_env"), (harness, "truth")):
+            monkeypatch.setattr(module, name, unreachable)
         out = str(tmp_path / "res")
         source = [] if len(command) > 1 else ["--config", cfg_path]
         assert main([*command, *source, "--out", out, override, "--quiet"]) == 2
@@ -305,8 +304,7 @@ class TestRuntimeErrors:
         def too_large(spec):
             raise MemoryError(message) if message else MemoryError()
 
-        for module in (envs, harness):
-            monkeypatch.setattr(module, "truth", too_large)
+        monkeypatch.setattr(harness, "truth", too_large)
         out = tmp_path / "d.txt"
         assert main(["gen-data", "--config", cfg_path, "--out", str(out), "--quiet"]) == 2
         assert capsys.readouterr().err == f"error: {line}\n"
@@ -383,9 +381,9 @@ class TestPipeline:
         """A tracer patches attributes of `softirl.envs`, `softirl.solver` and
         `softirl.harness`; the commands must call the patched names, not
         copies bound when the CLI was imported."""
-        from softirl import envs, solver
+        from softirl import solver
 
-        envs.truth.cache_clear()
+        harness.truth.cache_clear()
         calls = {}
 
         def counting(name, fn):
@@ -394,7 +392,7 @@ class TestPipeline:
                 return fn(*args, **kwargs)
             return counted
 
-        for module, name in ((envs, "build_env"), (solver, "split_classify_regress"),
+        for module, name in ((harness, "build_env"), (solver, "split_classify_regress"),
                              (harness, "evaluate")):
             monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         split_cfg = tmp_path / "split.ini"
@@ -408,9 +406,8 @@ class TestPipeline:
         assert calls == {"build_env": 1, "split_classify_regress": 1, "evaluate": 1}
 
         # harness.draw and harness.score look up harness's truth; diagnose checks
-        # the expert policy of envs' truth before it draws
-        for module in (envs, harness):
-            monkeypatch.setattr(module, "truth", counting("truth", module.truth))
+        # the truth's expert policy before it draws
+        monkeypatch.setattr(harness, "truth", counting("truth", harness.truth))
         assert main(["gen-data", *common, "--out", data]) == 0
         assert main(["eval", soldir, *common, "--out", str(tmp_path / "m.csv")]) == 0
         assert main(["diagnose", *common, "--out", str(tmp_path / "d.csv")]) == 0
@@ -570,8 +567,7 @@ class TestPipeline:
         out = tmp_path / "diag.csv"
         assert main(["diagnose", "--config", cfg_path, "--out", str(out), "--quiet"]) == 0
         cfg = harness.parse_config(cfg_path)
-        mdp, r_true, _ = envs.truth(cfg.env)
-        pi = envs.expert_policy(mdp, r_true)
+        mdp, _, _, pi = harness.truth(cfg.env)
         diag = solver.classify_then_regress(harness.draw(cfg, cfg.base_seed), cfg.solver,
                                             record_iterates=True).diagnostics
         exact = solver.exact_population_solver(mdp, pi, cfg.solver.mu)
@@ -600,8 +596,8 @@ class TestPipeline:
         # at this scale some expert probabilities underflow to 0, so log(pi) is undefined;
         # the truth built at it must not outlive the test
         monkeypatch.setattr(envs, "REWARD_SCALE", 1000.0)
-        envs.truth.cache_clear()
-        request.addfinalizer(envs.truth.cache_clear)
+        harness.truth.cache_clear()
+        request.addfinalizer(harness.truth.cache_clear)
         path = tmp_path / "sharp.ini"
         path.write_text("[env]\nwidth = 3\nheight = 3\n[eval]\nn = 3000\n")
 

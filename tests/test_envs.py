@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from softirl import envs
+from softirl import envs, harness
 from softirl import mdp as mdp_module
 from softirl.envs import (
     _BLOCK,
@@ -27,7 +27,6 @@ from softirl.envs import (
 from softirl.harness import builtin_experiment
 from softirl.mdp import TabularMdp, index_dtype, soft_value_iteration
 
-from conftest import count_solves
 from reference import (
     cold_build_env,
     dense_support_rows,
@@ -119,9 +118,9 @@ def _packaged_spec(name):
 
 
 def _packaged_expert(name):
-    """The packaged env's MDP from `envs.truth`, and its expert policy."""
-    mdp, r_true, _ = envs.truth(_packaged_spec(name))
-    return mdp, expert_policy(mdp, r_true)
+    """The packaged env's MDP and expert policy from `harness.truth`."""
+    mdp, _, _, pi = harness.truth(_packaged_spec(name))
+    return mdp, pi
 
 
 def _value_iteration_rescale(spec):
@@ -197,15 +196,13 @@ class TestTruth:
         *(_packaged_spec(name) for name in ("easy", "ident", "hard")),
         small_spec(move_noise=0.2, min_action_prob=0.05),
     ], ids=["easy", "ident", "hard", "move-noise-0.2"])
-    def test_matches_a_fresh_build_and_solve(self, monkeypatch, spec):
-        envs.truth.cache_clear()
-        got = envs.truth(spec)
+    def test_matches_a_fresh_build_and_solve(self, spec):
+        harness.truth.cache_clear()
+        got = harness.truth(spec)
         mdp, r_true, phi = build_env(spec)
-        want = soft_value_iteration(mdp, r_true)
-        calls = count_solves(monkeypatch)
-        kept = soft_value_iteration(got[0], got[1])  # the truth is the MDP's first solve
-        assert len(got) == 3 and not calls and got[0].gamma == mdp.gamma
-        tables = [(got[0].transition, mdp.transition), (got[1], r_true), *zip(kept, want)]
+        assert len(got) == 4 and got[0].gamma == mdp.gamma
+        tables = [(got[0].transition, mdp.transition), (got[1], r_true),
+                  (got[3], expert_policy(mdp, r_true))]
         if spec.reward_kind == "tabular-linear":  # one-hot features: None from both
             assert got[2] is None and phi is None
         else:
@@ -214,33 +211,35 @@ class TestTruth:
             assert np.array_equal(g, w)
 
     def test_arrays_are_read_only(self):
-        mdp, r_true, phi = envs.truth(small_spec())
+        mdp, r_true, phi, pi = harness.truth(small_spec())
         assert phi is None  # tabular-linear: one-hot features have no table
-        tables = [mdp.transition, mdp._targets, r_true,
-                  envs.truth(small_spec(reward_kind="linear"))[2]]
+        tables = [mdp.transition, mdp._targets, r_true, pi,
+                  harness.truth(small_spec(reward_kind="linear"))[2]]
         for table in tables:
             with pytest.raises(ValueError):
                 table[0, 0] = 1.0
 
     def test_equal_specs_build_once(self, monkeypatch):
         builds = []
-        monkeypatch.setattr(envs, "build_env", lambda spec: builds.append(spec) or build_env(spec))
-        envs.truth.cache_clear()
-        first = envs.truth(small_spec(seed=6))
-        assert envs.truth(small_spec(seed=6)) is first
+        monkeypatch.setattr(harness, "build_env",
+                            lambda spec: builds.append(spec) or build_env(spec))
+        harness.truth.cache_clear()
+        first = harness.truth(small_spec(seed=6))
+        assert harness.truth(small_spec(seed=6)) is first
         assert len(builds) == 1
-        envs.truth(small_spec(seed=7))
-        assert envs.truth(small_spec(seed=6)) is not first  # one entry is kept
+        harness.truth(small_spec(seed=7))
+        assert harness.truth(small_spec(seed=6)) is not first  # one entry is kept
         assert len(builds) == 3
 
     def test_a_failed_build_is_not_kept(self, monkeypatch):
         builds = []
-        monkeypatch.setattr(envs, "build_env", lambda spec: builds.append(spec) or build_env(spec))
-        envs.truth.cache_clear()
+        monkeypatch.setattr(harness, "build_env",
+                            lambda spec: builds.append(spec) or build_env(spec))
+        harness.truth.cache_clear()
         spec = small_spec(min_action_prob=0.19999)  # the rescale cannot lift pi that far
         for calls in (1, 2):
             with pytest.raises(RuntimeError, match="could not satisfy min_action_prob"):
-                envs.truth(spec)
+                harness.truth(spec)
             assert len(builds) == calls
 
 
@@ -755,6 +754,24 @@ class TestSamplerMemory:
         finally:
             tracemalloc.stop()
         assert peak <= per_record * n + 2 ** 20
+
+    @pytest.mark.parametrize("name, per_record", [("ident", 3 + 2), ("ident-noisy", 3 + 2 + 1)],
+                             ids=["ident", "ident-noisy"])
+    def test_the_walk_columns_bytes_a_record(self, monkeypatch, name, per_record):
+        """The walk's columns take the bytes a record the class names: three
+        int8 record columns, uint16 action ranks and, on a stochastic kernel,
+        uint8 move ranks."""
+        mdp, pi = _packaged_expert(name)
+        kept, walk = [], envs._walk
+
+        def spy(records, starts, first, pi_cdf, u_act, u_move, *tables):
+            kept.extend(c for c in (records, u_act, u_move) if c is not None)
+            return walk(records, starts, first, pi_cdf, u_act, u_move, *tables)
+
+        monkeypatch.setattr(envs, "_walk", spy)
+        n = 1_000
+        sample_transitions(mdp, pi, n, seed=1)
+        assert sum(c.nbytes for c in kept) == per_record * n
 
 
 class TestReaderMemory:

@@ -304,13 +304,13 @@ class TestRunExperiment:
         assert rows == alone
 
     def test_a_run_solves_its_truth_once(self, monkeypatch):
-        """One public solve for the truth and one per re-planned MaxEnt estimate:
-        the MDP keeps the truth, its first solve, across the estimates' solves."""
-        from softirl import envs
+        """One loop run for the truth's expert policy and one per re-planned
+        MaxEnt estimate: the scores read the truth from the expert's log-odds."""
+        from softirl import harness
 
         from conftest import count_solves
 
-        envs.truth.cache_clear()  # so that the run builds and solves its truth
+        harness.truth.cache_clear()  # so that the run builds and solves its truth
         calls = count_solves(monkeypatch)
         run_experiment(builtin_experiment("ident", reruns=5), quiet=True)
         assert [args[2] for args in calls] == [1e-10] * 6

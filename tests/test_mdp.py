@@ -18,7 +18,7 @@ from softirl.mdp import (
     softmax_actions,
 )
 
-from conftest import count_solves, random_mdp, random_policy, toggle_mdp
+from conftest import random_mdp, random_policy, toggle_mdp
 from reference import (
     conditional_loglik,
     expect_mu,
@@ -334,85 +334,6 @@ class TestSoftValueIteration:
         mdp = random_mdp(rng, 3, 2, 0.99)
         with pytest.raises(RuntimeError, match="residual"):
             soft_value_iteration(mdp, rng.normal(size=(3, 2)), tol=1e-12, max_iter=3)
-
-
-def _same_bits(got, want) -> bool:
-    return all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in zip(got, want))
-
-
-class TestFirstSolveIsKept:
-    """`soft_value_iteration` keeps its first solution on the MDP it solved and
-    hands out copies of it to a call with the same tol, max_iter and bytes of
-    r; any other call solves again and keeps nothing, and a solve that raises
-    stores nothing."""
-
-    @staticmethod
-    def _problem():
-        rng = np.random.default_rng(8)
-        r = rng.normal(size=(5, 3))
-        r[0, 0] = 0.0
-        return random_mdp(rng, 5, 3, 0.9), r
-
-    @staticmethod
-    def _fresh(mdp, r, **kwargs):
-        """The solve on a new MDP of the same kernel, which holds no solution."""
-        return soft_value_iteration(TabularMdp(mdp.transition, mdp.gamma), r, **kwargs)
-
-    def test_a_hit_returns_a_fresh_solves_bits_as_new_copies(self, monkeypatch):
-        mdp, r = self._problem()
-        want = self._fresh(mdp, r)
-        calls = count_solves(monkeypatch)
-        first = soft_value_iteration(mdp, r)
-        for table in first:
-            table[...] = np.nan
-        hit = soft_value_iteration(mdp, r.copy())
-        assert len(calls) == 1 and _same_bits(hit, want)
-        for table in hit:
-            table += 1.0
-        again = soft_value_iteration(mdp, r)
-        assert len(calls) == 1 and _same_bits(again, want)
-        assert not any(np.shares_memory(a, b) for a, b in zip(hit, again))
-
-    @pytest.mark.parametrize("change", ["negative-zero", "tol", "max_iter", "mutated-r"])
-    def test_a_miss_solves_again_and_keeps_the_first(self, monkeypatch, change):
-        mdp, r = self._problem()
-        want_first = soft_value_iteration(mdp, r)
-        other, kwargs = r.copy(), {}
-        if change == "negative-zero":  # equal in value, other in bits
-            other[0, 0] = -0.0
-        elif change == "tol":
-            kwargs = {"tol": 1e-9}
-        elif change == "max_iter":
-            kwargs = {"max_iter": 99_999}
-        else:  # the caller's array itself, changed after the first solve
-            other, r = r, r.copy()
-            other *= 2.0
-        want = self._fresh(mdp, other, **kwargs)
-        calls = count_solves(monkeypatch)
-        for solves in (1, 2):  # the miss is not kept: it solves each time
-            assert _same_bits(soft_value_iteration(mdp, other, **kwargs), want)
-            assert len(calls) == solves
-        assert _same_bits(soft_value_iteration(mdp, r), want_first) and len(calls) == 2
-
-    def test_another_mdp_of_the_same_kernel_keeps_its_own(self, monkeypatch):
-        mdp, r = self._problem()
-        other = TabularMdp(mdp.transition, mdp.gamma)
-        want, want_other = soft_value_iteration(mdp, r), self._fresh(mdp, 2.0 * r)
-        calls = count_solves(monkeypatch)
-        assert _same_bits(soft_value_iteration(other, 2.0 * r), want_other) and len(calls) == 1
-        assert _same_bits(soft_value_iteration(mdp, r), want)
-        assert _same_bits(soft_value_iteration(other, 2.0 * r), want_other) and len(calls) == 1
-
-    def test_a_solve_that_raises_stores_nothing(self, monkeypatch):
-        mdp, r = self._problem()
-        want = self._fresh(mdp, r)
-        calls = count_solves(monkeypatch)
-        for _ in range(2):
-            with pytest.raises(RuntimeError, match="did not reach tol=1e-10 in 3 iterations"):
-                soft_value_iteration(mdp, r, max_iter=3)
-        assert len(calls) == 2 and mdp._solved is None
-        assert _same_bits(soft_value_iteration(mdp, r), want) and len(calls) == 3
-        assert _same_bits(soft_value_iteration(mdp, r), want) and len(calls) == 3
 
 
 def _scipy_logsumexp():

@@ -98,22 +98,30 @@ class TestEvaluate:
         assert -1.0 - 1e-12 <= report.corr_qdiff <= 1.0 + 1e-12
 
     @pytest.mark.parametrize("shape, given, message", [
+        ((3, 2), {"r_true": np.zeros((3, 3))}, "r_true has shape (3, 3), expected (3, 2)"),
         ((3, 2), {"r_hat": np.zeros((4, 2)), "v_hat": 0}, "r_hat has shape (4, 2), expected (3, 2)"),
+        ((3, 2), {"r_true": None}, "r_true has shape (), expected (3, 2)"),
+        ((3, 2), {"r_hat": None}, "r_hat has shape (), expected (3, 2)"),
         ((3, 2), {"pi_expert": np.full((1, 2), 0.5)},
          "pi_expert has shape (1, 2), expected (3, 2)"),
         ((3, 2), {"pi_expert": np.ones((3, 2))}, "pi_expert must sum to 1 within 1e-12 over its "
                                                  "last axis; worst deviation 1.000e+00"),
+        # its log is the truth, so an action of probability 0 has no true Q-difference
+        ((3, 2), {"pi_expert": np.array([[0.5, 0.5], [1.0, 0.0], [0.5, 0.5]])},
+         "pi_expert entries must be above 0: the true Q-differences are its log-odds"),
         ((3, 2), {"v_hat": np.zeros((3, 1))}, "v_hat has shape (3, 1), expected (3, 2)"),
         # S = A: a state vector would broadcast along the rows of the (S, A) tables
         ((5, 5), {"v_hat": np.zeros(5)}, "v_hat has shape (5,), expected (5, 5)"),
-    ], ids=["r_hat-rows", "pi-rows", "pi-row-sum-2", "v_hat-column", "v_hat-state-vector"])
+    ], ids=["r_true-columns", "r_hat-rows", "r_true-none", "r_hat-none", "pi-rows",
+            "pi-row-sum-2", "pi-zero-entry", "v_hat-column", "v_hat-state-vector"])
     def test_shape_mismatch_rejected(self, shape, given, message):
         rng = np.random.default_rng(6)
         mdp = random_mdp(rng, *shape, 0.9)
         pi = random_policy(rng, *shape)
-        tables = {"pi_expert": pi, "r_hat": np.zeros(shape), "v_hat": np.zeros(shape), **given}
+        tables = {"r_true": np.log(pi), "pi_expert": pi, "r_hat": np.zeros(shape),
+                  "v_hat": np.zeros(shape), **given}
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            evaluate(mdp, np.log(pi), **tables)
+            evaluate(mdp, **tables)
 
     def test_an_mdp_keeping_another_reward_scores_as_a_fresh_one(self):
         from softirl.envs import GridworldSpec, build_env, expert_policy
@@ -124,7 +132,7 @@ class TestEvaluate:
         pi = expert_policy(fresh, r_true)
         rng = np.random.default_rng(7)
         r_hat = r_true + rng.normal(scale=0.2, size=r_true.shape)
-        soft_value_iteration(mdp, 2.0 * r_hat)  # the first solve, which `mdp` keeps
+        soft_value_iteration(mdp, 2.0 * r_hat)  # another reward solved on `mdp` first
         # Ours passes v_hat, MaxEnt only r_hat
         for v_hat in (rng.normal(size=r_true.shape), None):
             assert _bits(evaluate(mdp, r_true, pi, r_hat, v_hat)) \
@@ -137,8 +145,9 @@ def _bits(report) -> bytes:
 
 def test_the_library_tour_solves_the_truth_once(monkeypatch):
     """build_env -> expert_policy -> evaluate(..., v_hat) runs the soft
-    value-iteration loop once: `evaluate` reads the truth `expert_policy`
-    solved on the same MDP, and scores as on a new MDP of the same kernel."""
+    value-iteration loop once, in `expert_policy`: `evaluate` reads the true
+    Q-differences from log pi and solves nothing, and scores as on a new MDP
+    of the same kernel."""
     from softirl.envs import build_env, expert_policy
     from softirl.harness import builtin_experiment
     from softirl.mdp import TabularMdp
@@ -157,7 +166,7 @@ def test_the_library_tour_solves_the_truth_once(monkeypatch):
 
 def test_re_planned_scores_solve_only_the_estimate(monkeypatch):
     """After expert_policy, each `evaluate` without v_hat runs the loop once,
-    for r_hat: the MDP keeps the truth, its first solve, and not r_hat's."""
+    for r_hat, and none for the truth."""
     from softirl.envs import build_env, expert_policy
     from softirl.harness import builtin_experiment
 
@@ -176,11 +185,10 @@ def test_packaged_benchmarks_score_like_the_weighted_sums(name):
     """Every packaged benchmark has S in {16, 64} states and A - 1 = 4 scored
     actions, so 1/S and 1/(S (A - 1)) are powers of two: a plain mean over
     states rounds exactly as the sum weighted by 1/S did."""
-    from softirl.envs import truth
-    from softirl.harness import builtin_experiment
+    from softirl.harness import builtin_experiment, truth
 
-    mdp, r_true, _ = truth(builtin_experiment(name).env)
-    _, q_true, pi = soft_value_iteration(mdp, r_true)  # the truth `truth` left on `mdp`
+    mdp, r_true, _, pi = truth(builtin_experiment(name).env)
+    _, q_true, _ = soft_value_iteration(mdp, r_true)
     v_true = (q_true - r_true) / mdp.gamma
     rng = np.random.default_rng(32)
     for i in range(300):
@@ -189,3 +197,20 @@ def test_packaged_benchmarks_score_like_the_weighted_sums(name):
         v_hat = None if i % 15 == 0 else v_true + scale * rng.normal(size=r_true.shape)
         got = evaluate(mdp, r_true, pi, r_hat, v_hat).as_dict()
         assert got == weighted_evaluate(mdp, r_true, pi, r_hat, v_hat)
+
+
+@pytest.mark.parametrize("name", ["easy", "ident", "hard", "ident-move-noise-0.2"])
+def test_the_expert_log_odds_are_the_true_q_differences(name):
+    """Under softmax behavior Q*(s, a) - Q*(s, 0) = log pi*(a|s) - log pi*(0|s):
+    the truth `evaluate` reads from the expert's log-odds is soft value
+    iteration's to rounding, on the packaged truths and on a stochastic kernel."""
+    from dataclasses import replace
+
+    from softirl.harness import builtin_experiment, truth
+
+    spec = builtin_experiment(name.split("-")[0]).env
+    if name.endswith("-0.2"):
+        spec = replace(spec, move_noise=0.2)
+    mdp, r_true, _, pi = truth(spec)
+    _, q_true, _ = soft_value_iteration(mdp, r_true)
+    assert np.max(np.abs(qdiff(np.log(pi)) - qdiff(q_true))) <= 1e-15

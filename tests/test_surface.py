@@ -15,10 +15,16 @@ alone.
 
 perfbench's tracer also patches package attributes by name, some of them
 re-imports kept only for it, so each of its trace sites must name one.
+
+No comment or docstring of the package states a time in ms or µs: a
+measured time goes stale with the host, and a `BENCH_*.json` record holds it.
 """
 
 import ast
 import importlib.util
+import io
+import re
+import tokenize
 from pathlib import Path
 
 import softirl
@@ -163,3 +169,33 @@ def test_every_perfbench_trace_site_is_a_package_attribute():
     sites = spans.trace_sites()
     assert ("softirl.solver", "fit_regressor") in [(m.__name__, a) for m, a, _ in sites]
     assert [(m.__name__, a) for m, a, _ in sites if not hasattr(m, a)] == []
+
+
+_TIME = re.compile(r"\d\s*(?:ms|us|µs|μs)\b")
+
+
+def _comments_and_docstrings(text):
+    """(line, text) of each comment and docstring of a module's source."""
+    for token in tokenize.generate_tokens(io.StringIO(text).readline):
+        if token.type == tokenize.COMMENT:
+            yield token.start[0], token.string
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            if (doc := ast.get_docstring(node, clean=False)) is not None:
+                yield node.body[0].lineno, doc
+
+
+def test_no_comment_or_docstring_states_a_time():
+    stated = [f"{path.name}:{line}" for path in sorted((ROOT / "src" / "softirl").glob("*.py"))
+              for line, text in _comments_and_docstrings(path.read_text()) if _TIME.search(text)]
+    assert stated == []
+
+
+def test_time_check_reads_units_not_words():
+    text = ('"""Took 8.4 ms."""\n'
+            "def f():\n"
+            '    """2 users, 3 items and 16µs."""\n'
+            "X = 1  # 160 us\n"
+            "Y = '5 ms'\n")
+    assert sorted(line for line, doc in _comments_and_docstrings(text) if _TIME.search(doc)) \
+        == [1, 3, 4]
