@@ -115,7 +115,7 @@ def _cmd_eval(args) -> int:
         raise ValueError(f"{args.solution} holds a solution of (S, A) = {solution.r.shape}, but "
                          f"the config's environment has ({cfg.env.n_states}, {cfg.env.n_actions})")
     report = harness.score(cfg, solution.r, solution.v)
-    text = "metric,value\n" + "".join(f"{name},{value:.10g}\n"
+    text = "metric,value\n" + "".join(f"{name},{harness.FLOAT_FMT % value}\n"
                                       for name, value in report.as_dict().items())
     if args.out:
         with open(args.out, "w") as fh:
@@ -155,9 +155,10 @@ def _cmd_diagnose(args) -> int:
     dists -= exact.v
     dists = np.abs(dists, out=dists).max(axis=(1, 2)).tolist()
     lines = ["k,eta,sup_dist_to_exact_v,gamma_pow_k"]
+    row = ",".join(["%d"] + [harness.FLOAT_FMT] * 3)
     for k, dist in enumerate(dists):
         eta = diag.eta[k - 1] if k >= 1 else float("nan")
-        lines.append(f"{k},{eta:.10g},{dist:.10g},{cfg.solver.gamma ** k:.10g}")
+        lines.append(row % (k, eta, dist, cfg.solver.gamma ** k))
     text = "\n".join(lines) + "\n"
     out = args.out or "diagnostics.csv"
     with open(out, "w") as fh:

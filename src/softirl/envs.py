@@ -145,21 +145,16 @@ def _coords(spec: GridworldSpec) -> tuple[np.ndarray, np.ndarray]:
     return s % spec.width, s // spec.width
 
 
-def _state_features(spec: GridworldSpec) -> np.ndarray:
-    """Per-state feature block, excluding the intercept."""
+def _action_block_features(spec: GridworldSpec) -> np.ndarray:
+    """phi(s, a) = one_hot(a) kron [1, features of the state's coordinates]."""
     x, y = _coords(spec)
     if spec.topology == "torus":
         tx = 2.0 * np.pi * x / spec.width
         ty = 2.0 * np.pi * y / spec.height
-        return np.column_stack([np.sin(tx), np.cos(tx), np.sin(ty), np.cos(ty)])
-    xn = x / max(spec.width - 1, 1)
-    yn = y / max(spec.height - 1, 1)
-    return np.column_stack([xn, yn])
-
-
-def _action_block_features(spec: GridworldSpec) -> np.ndarray:
-    """phi(s, a) = one_hot(a) kron [1, state features]."""
-    base = np.column_stack([np.ones(spec.n_states), _state_features(spec)])
+        coords = [np.sin(tx), np.cos(tx), np.sin(ty), np.cos(ty)]
+    else:
+        coords = [x / max(spec.width - 1, 1), y / max(spec.height - 1, 1)]
+    base = np.column_stack([np.ones(spec.n_states), *coords])
     d_state = base.shape[1]
     phi = np.zeros((spec.n_states, N_ACTIONS, N_ACTIONS * d_state))
     for a in range(N_ACTIONS):

@@ -42,7 +42,7 @@ _BUILTINS = {"easy": (4, "torus", "linear", 11, 300),
              "ident": (8, "bounded", "tabular-linear", 23, 150),
              "hard": (8, "bounded", "nonlinear", 37, 150)}
 BUILTIN_NAMES = tuple(_BUILTINS)
-FLOAT_FMT = "%.10g"
+FLOAT_FMT = "%.10g"  # every float of a written CSV: raw, summary, eval and diagnose
 
 
 @dataclass
@@ -251,7 +251,6 @@ _KEYS = {
         "split": ("eval", "split", _boolean),
         "mu": ("mu", "kind", str),
         "mu_ref_action": ("mu", "ref_action", int),
-        "classifier_kind": ("classifier", "kind", str),
         "smoothing_alpha": ("classifier", "smoothing_alpha", float),
     },
     "baseline": {"max_epochs": ("baseline", "max_epochs", int)},

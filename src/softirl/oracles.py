@@ -1,10 +1,10 @@
 """Blackbox probabilistic classification and regression oracles.
 
-Classifiers estimate the behavior policy from (s, a) pairs; the classifier
-is the pluggable stage. The regressor estimates conditional means
-E[g(s') | s, a] for a next-state function g by the tabular mean, which is
-linear in its targets, so one fit on a fold is a linear map from g to the
-(s, a) table, reused for every g. The map is held sparsely, as (row, col,
+The classifier estimates the behavior policy from (s, a) pairs by the
+tabular count; fit_classifier is where another kind would plug in. The
+regressor estimates conditional means E[g(s') | s, a] for a next-state
+function g by the tabular mean, which is linear in its targets, so one fit
+on a fold is a linear map from g to the (s, a) table, reused for every g. The map is held sparsely, as (row, col,
 value) triples over cells s * A + a and next states s': a fold of m records
 has at most m of them. All folds of a split are fitted at once, as a list.
 """
@@ -15,54 +15,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from softirl.mdp import _cell_keys, _count_keys, check_records, softmax_actions
+from softirl.mdp import _cell_keys, _count_keys, check_records
 
-CLASSIFIER_KINDS = ("tabular-count", "multinomial-logistic")
 PROB_FLOOR = 1e-6  # least fitted probability, so the log-policy stays bounded
-LOGISTIC_EPOCHS = 500  # the logistic classifier's cap on gradient steps
 
 
 @dataclass(frozen=True)
 class ClassifierSpec:
-    """Configuration for fit_classifier, which floors every probability at
-    PROB_FLOOR. `smoothing_alpha` is the tabular kind's Laplace count. The
-    logistic kind runs at most LOGISTIC_EPOCHS full-batch gradient steps of
-    size 0.5 / (1 + L), L the largest squared norm of a state's features,
-    and stops once the loss moves by less than 1e-9; `state_features` is its
-    finite (S, d) matrix, held as a read-only copy (None: one-hot states).
-    Specs compare and hash by value: kind, alpha and the table's shape and bytes.
-    """
+    """Configuration for fit_classifier, the tabular count: `smoothing_alpha`
+    is its Laplace count, and every probability is floored at PROB_FLOOR."""
 
-    kind: str = "tabular-count"
     smoothing_alpha: float = 0.0
-    state_features: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in CLASSIFIER_KINDS:
-            raise ValueError(f"kind: must be one of {CLASSIFIER_KINDS}, got {self.kind!r}")
-        alpha = self.smoothing_alpha
-        if not 0 <= alpha < np.inf or alpha and self.kind != "tabular-count":
-            raise ValueError("smoothing_alpha: must be finite and nonnegative, and 0 for the "
-                             f"logistic kind, got {alpha}")
-        if self.state_features is not None:
-            if self.kind != "multinomial-logistic":
-                raise ValueError("state_features: only the multinomial-logistic kind reads it")
-            phi = np.array(self.state_features, dtype=float)
-            if phi.ndim != 2 or not np.all(np.isfinite(phi)):
-                raise ValueError("state_features: must be a 2-d array of finite values, "
-                                 f"got shape {phi.shape}")
-            phi.setflags(write=False)
-            object.__setattr__(self, "state_features", phi)
-
-    def _key(self) -> tuple:
-        phi = self.state_features
-        return self.kind, self.smoothing_alpha, None if phi is None else (phi.shape, phi.tobytes())
-
-    def __eq__(self, other):
-        return type(other) is type(self) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
+        if not 0 <= self.smoothing_alpha < np.inf:
+            raise ValueError("smoothing_alpha: must be finite and nonnegative, "
+                             f"got {self.smoothing_alpha}")
 
 
 @dataclass
@@ -99,44 +67,15 @@ def fit_classifier(spec: ClassifierSpec, states, actions,
         raise ValueError("empty training data")
     counts = _count_keys(lambda lo, hi: _cell_keys(s[lo:hi], a[lo:hi], n_actions), s.size,
                          n_states * n_actions).reshape(n_states, n_actions)
-    state_counts = counts.sum(axis=1)
-
-    if spec.kind == "tabular-count":
-        alpha = spec.smoothing_alpha
-        denom = state_counts + alpha * n_actions
-        probs = np.full((n_states, n_actions), 1.0 / n_actions)
-        seen = denom > 0
-        probs[seen] = (counts[seen] + alpha) / denom[seen, None]
-    else:
-        probs = _fit_logistic(spec, counts, state_counts, n_states, n_actions)
-
+    alpha = spec.smoothing_alpha
+    denom = counts.sum(axis=1) + alpha * n_actions
+    probs = np.full((n_states, n_actions), 1.0 / n_actions)
+    seen = denom > 0
+    probs[seen] = (counts[seen] + alpha) / denom[seen, None]
     # a clamped row sums to under 1 + A * floor < 2, so every entry stays >= floor / 2
     probs = np.maximum(probs, PROB_FLOOR)
     probs /= probs.sum(axis=1, keepdims=True)
     return FittedClassifier(probs, counts)
-
-
-def _fit_logistic(spec: ClassifierSpec, counts, state_counts, n_states, n_actions):
-    """Full-batch gradient descent on cross-entropy over linear-in-feature
-    logits. Its step is below 2 / beta, beta <= L / 2 the loss's smoothness,
-    so the loss cannot rise."""
-    phi = np.eye(n_states) if spec.state_features is None else spec.state_features
-    if phi.shape[0] != n_states:
-        raise ValueError(f"state_features first axis must be {n_states}")
-    n = state_counts.sum()
-    state_w = state_counts / n
-
-    weights = np.zeros((phi.shape[1], n_actions))
-    step = 0.5 / (1.0 + float(np.max(np.sum(phi ** 2, axis=1))))
-    last = np.inf
-    for _ in range(LOGISTIC_EPOCHS):
-        p = softmax_actions(phi @ weights)
-        loss = float(-np.sum(counts * np.log(np.maximum(p, 1e-300))) / n)
-        if abs(last - loss) < 1e-9:
-            break
-        last = loss
-        weights -= step * (phi.T @ (state_w[:, None] * p - counts / n))
-    return softmax_actions(phi @ weights)
 
 
 def fit_regressor(states, actions, next_states, n_states: int, n_actions: int) -> FittedRegressor:

@@ -65,8 +65,6 @@ MALFORMED_VALUES = [
     pytest.param("name = tiny", "name = tiny\nregime = chain", "[eval] regime",
                  ["reproduce"], id="eval-regime"),
     pytest.param("mu = uniform", "mu = median", "[solver] mu", ["reproduce"], id="solver-mu"),
-    pytest.param("mu = uniform", "mu = uniform\nclassifier_kind = forest",
-                 "[solver] classifier_kind", ["reproduce"], id="solver-classifier-kind"),
     pytest.param("smoothing_alpha = 1.0", "smoothing_alpha = -1", "[solver] smoothing_alpha",
                  ["reproduce"], id="solver-smoothing-alpha"),
     # a NaN count fails every state's `denom > 0` test, which would make each row uniform,
@@ -75,9 +73,6 @@ MALFORMED_VALUES = [
                  ["gen-data"], id="solver-smoothing-alpha-nan"),
     pytest.param("smoothing_alpha = 1.0", "smoothing_alpha = inf", "[solver] smoothing_alpha",
                  ["solve", "data.txt"], id="solver-smoothing-alpha-inf"),
-    # the logistic classifier has no Laplace count to smooth with
-    pytest.param("mu = uniform", "mu = uniform\nclassifier_kind = multinomial-logistic",
-                 "[solver] smoothing_alpha", ["reproduce"], id="solver-smoothing-alpha-logistic"),
     pytest.param("reruns = 2", "reruns = 0", "[eval] reruns", ["reproduce"], id="eval-reruns"),
     pytest.param("mu = uniform", "mu = point-mass\nmu_ref_action = 5", "[solver] mu_ref_action",
                  ["gen-data"], id="solver-mu-ref-action-above"),
@@ -232,6 +227,7 @@ class TestRuntimeErrors:
         ("solver", "prob_floor", "0.5"),
         ("solver", "classifier_epochs", "500"),
         ("solver", "folds", "2"),
+        ("solver", "classifier_kind", "tabular-count"),
         ("eval", "weighting", "empirical"),
         ("eval", "ref_action", "0"),
     ])

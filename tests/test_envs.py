@@ -711,7 +711,7 @@ class TestSamplerDecodesByTable:
 
 @pytest.mark.parametrize("move_noise", [0.0, 0.3], ids=["one-hot", "stochastic"])
 def test_a_first_draw_imports_nothing(move_noise):
-    # np.unique imports numpy.ma on its first call, 8.4 ms in a fresh interpreter
+    # np.unique imports numpy.ma on its first call, a cost every fresh interpreter pays
     code = ("import sys\n"
             "from softirl.envs import GridworldSpec, build_env, expert_policy, "
             "sample_transitions\n"
@@ -727,17 +727,13 @@ def test_a_first_draw_imports_nothing(move_noise):
 
 
 class TestSamplerMemory:
-    """The sampler keeps the records in int8 on ident (3 bytes a record), the
-    ranks of the action uniforms in uint16 (2) and those of the move uniforms
-    in uint8 (1 more) only on stochastic kernels, and draws the uniforms
-    `_CHUNK` rows at a time. Measured peak at n = 200k: 1.87 MB on ident and
-    2.14 MB with move_noise 0.3 (3.04 and 4.64 MB with float64 uniforms).
-    The slope from 200k to 800k records is 5.61 and 6.63 bytes a record, the
-    restart segments' tables taking 0.61 and 0.63 of it (a trajectory draw's
-    slope is 5 and 6), and 0.75 and 0.81 MB go to fixed tables: one chunk of
-    uniforms and its rank temporaries, the rank tables, the decode tables
-    (33 and 21 kB), the CDF rows as lists and the lockstep lanes. The bound
-    of 6 and 7 bytes a record plus 1 MiB leaves 0.38 and 0.31 MB of room."""
+    """The sampler keeps the records in int8 on ident, the ranks of the
+    action uniforms in uint16 and those of the move uniforms in uint8 only on
+    stochastic kernels (the column test below counts their bytes), and draws
+    the uniforms `_CHUNK` rows at a time. The bound adds one byte a record
+    for the restart segments' tables and 1 MiB for what does not grow with
+    n: one chunk of uniforms and its rank temporaries, the rank and decode
+    tables, the CDF rows as lists and the lockstep lanes (`BENCH_42.json`)."""
 
     @pytest.mark.parametrize("name, per_record", [("ident", 6), ("ident-noisy", 7)],
                              ids=["ident", "ident-noisy"])
@@ -776,15 +772,11 @@ class TestSamplerMemory:
 
 class TestReaderMemory:
     """`read_dataset` parses the body in place in the bytes it read, so its
-    peak is the file, the columns and one chunk's temporaries. Measured at
-    n = 200k on ident: a 1.56 MB file, 0.6 MB of int8 columns and a peak
-    0.38 MB above their sum, the same at 800k and without the last newline.
-    Splitting the body off the header, or appending the missing newline,
-    copied it, for a peak of twice the file (3.11 MB). The allowance of
-    512 KiB leaves 0.15 MB of room. A chunk holding a "\\r" is copied to end
-    its lines with "\\n": the same records with CRLF (a 1.76 MB file) peak
-    0.35 MB above file and columns, and with CR 0.39 MB, where mapping the
-    whole file peaked at 3.31 and 3.11 MB."""
+    peak is the file, the columns and one chunk's temporaries, which the
+    512 KiB allowance holds. Splitting the body off the header, or appending
+    a missing last newline, copied it: a peak of twice the file, past the
+    bound. A chunk holding a "\\r" is copied to end its lines with "\\n", so
+    CR and CRLF files stay inside it too, where mapping the whole file did not."""
 
     @staticmethod
     def _check(path):

@@ -134,12 +134,12 @@ class TestParseConfig:
 
         assert targets("env") == {f.name for f in fields(GridworldSpec)}
         assert targets("baseline") == {f.name for f in fields(MaxEntConfig)}
-        assert sum(len(table) for table in _KEYS.values()) == 20
+        assert sum(len(table) for table in _KEYS.values()) == 19
         # "1" is a valid int, float, str and boolean, so only the declared type
         # decides; the keys whose values are checked at parse time take valid ones
         valid = {"topology": "torus", "reward_kind": "linear", "move_noise": "0",
                  "gamma": "0.5", "min_action_prob": "0", "mu": "uniform",
-                 "classifier_kind": "tabular-count", "regime": "iid-restart", "n": "2"}
+                 "regime": "iid-restart", "n": "2"}
         text = "".join(f"[{name}]\n" + "".join(f"{key} = {valid.get(key, 1)}\n" for key in table)
                        for name, table in _KEYS.items())
         path = tmp_path / "cfg.ini"
@@ -204,7 +204,7 @@ class TestReadmeExamples:
 class TestRunExperiment:
     def test_a_run_leaves_numpy_ma_unimported(self):
         # importing numpy.ma, as np.unique does, raises a fresh interpreter's
-        # peak RSS by 1.2 MB (ru_maxrss, numpy 2.4)
+        # peak RSS, which perfbench's peak_rss_mb reads
         code = ("import sys\n"
                 "from softirl.harness import builtin_experiment, run_experiment\n"
                 "cfg = builtin_experiment('ident', reruns=2)\n"

@@ -16,8 +16,9 @@ alone.
 perfbench's tracer also patches package attributes by name, some of them
 re-imports kept only for it, so each of its trace sites must name one.
 
-No comment or docstring of the package states a time in ms or µs: a
-measured time goes stale with the host, and a `BENCH_*.json` record holds it.
+No comment or docstring of the package, its tests or its scripts states a
+time in ms or µs: a measured time goes stale with the host, and a
+`BENCH_*.json` record holds it.
 """
 
 import ast
@@ -186,7 +187,9 @@ def _comments_and_docstrings(text):
 
 
 def test_no_comment_or_docstring_states_a_time():
-    stated = [f"{path.name}:{line}" for path in sorted((ROOT / "src" / "softirl").glob("*.py"))
+    paths = [path for folder in ("src/softirl", "tests", "scripts")
+             for path in sorted((ROOT / folder).glob("*.py"))]
+    stated = [f"{path.relative_to(ROOT)}:{line}" for path in paths
               for line, text in _comments_and_docstrings(path.read_text()) if _TIME.search(text)]
     assert stated == []
 
