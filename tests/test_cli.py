@@ -574,6 +574,28 @@ class TestPipeline:
             lines.append(f"{k},{eta:.10g},{dist:.10g},{cfg.solver.gamma ** k:.10g}")
         assert out.read_text() == "\n".join(lines) + "\n"
 
+    @pytest.mark.parametrize("command", ["eval", "diagnose"])
+    def test_floats_are_written_in_the_harness_format(self, cfg_path, tmp_path, monkeypatch,
+                                                      command):
+        import re
+
+        # harness.FLOAT_FMT is read at write time, so no command keeps its own format
+        common = ["--config", cfg_path, "--quiet"]
+        if command == "eval":
+            data, soldir = str(tmp_path / "data.txt"), str(tmp_path / "sol")
+            assert main(["gen-data", *common, "--out", data]) == 0
+            assert main(["solve", data, *common, "--out", soldir]) == 0
+            argv, n_floats = ["eval", soldir], 1
+        else:
+            argv, n_floats = ["diagnose"], 3
+        monkeypatch.setattr(harness, "FLOAT_FMT", "%.2e")
+        out = tmp_path / f"{command}.csv"
+        assert main([*argv, *common, "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        floats = [field for row in rows for field in row[-n_floats:]]
+        assert rows and len(floats) == n_floats * len(rows)
+        assert all(re.fullmatch(r"-?\d\.\d\de[+-]\d\d|nan", field) for field in floats), floats
+
     def test_diagnose_warns_that_split_is_not_traced(self, cfg_path, tmp_path, capsys):
         from softirl.cli import SPLIT_NOT_TRACED
 

@@ -50,11 +50,35 @@ class TestFitClassifier:
         assert_allclose(fc.probs[2], 0.5, atol=1e-6)
         assert np.count_nonzero(fc.counts.sum(axis=1) == 0) == 2
 
-    def test_counts_are_the_records_per_cell(self):
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_counts_are_the_records_per_cell(self, alpha):
+        # smoothing moves the probabilities, never the counts
         rng = np.random.default_rng(9)
         s, a = rng.integers(0, 4, size=300), rng.integers(0, 3, size=300)
-        fc = fit_classifier(ClassifierSpec(), s, a, 4, 3)
+        fc = fit_classifier(ClassifierSpec(smoothing_alpha=alpha), s, a, 4, 3)
         assert np.array_equal(fc.counts, np.bincount(s * 3 + a, minlength=12).reshape(4, 3))
+
+    @pytest.mark.parametrize("alpha", [0.5, 2.0])
+    def test_smoothed_rows_are_the_laplace_counts(self, alpha, monkeypatch):
+        monkeypatch.setattr(oracles, "PROB_FLOOR", 1e-12)
+        rng = np.random.default_rng(11)
+        s, a = rng.integers(0, 3, size=40), rng.integers(0, 4, size=40)
+        s[s == 2] = 0  # state 2 has no record: its row is alpha / (4 alpha)
+        fc = fit_classifier(ClassifierSpec(smoothing_alpha=alpha), s, a, 3, 4)
+        counts = np.bincount(s * 4 + a, minlength=12).reshape(3, 4)
+        want = (counts + alpha) / (counts.sum(axis=1, keepdims=True) + 4 * alpha)
+        assert_allclose(fc.probs, want, rtol=1e-12, atol=1e-12)
+        assert_allclose(fc.probs[2], 0.25, rtol=1e-12)
+
+    def test_fit_reads_the_counts_not_the_record_order(self):
+        rng = np.random.default_rng(12)
+        s, a = rng.integers(0, 5, size=500), rng.integers(0, 3, size=500)
+        order = rng.permutation(s.size)
+        spec = ClassifierSpec(smoothing_alpha=0.5)
+        fc = fit_classifier(spec, s, a, 5, 3)
+        shuffled = fit_classifier(spec, s[order], a[order], 5, 3)
+        assert fc.probs.tobytes() == shuffled.probs.tobytes()
+        assert np.array_equal(fc.counts, shuffled.counts)
 
     def test_empty_data_rejected(self):
         with pytest.raises(ValueError):
@@ -74,6 +98,13 @@ class TestFitClassifier:
         fc = fit_classifier(ClassifierSpec(), s, a, 3, 4)
         assert_allclose(fc.probs.sum(axis=1), 1.0, atol=1e-12)
         assert fc.probs.min() >= 1e-4 / 2
+
+    @pytest.mark.parametrize("alpha", [-1.0, -np.inf, np.inf, np.nan],
+                             ids=["negative", "minus-inf", "inf", "nan"])
+    def test_smoothing_alpha_must_be_finite_and_nonnegative(self, alpha):
+        with pytest.raises(ValueError, match=re.escape(
+                f"smoothing_alpha: must be finite and nonnegative, got {alpha}")):
+            ClassifierSpec(smoothing_alpha=alpha)
 
     def test_specs_compare_and_hash_by_value(self):
         a, b = ClassifierSpec(smoothing_alpha=1), ClassifierSpec(smoothing_alpha=1.0)
