@@ -24,7 +24,6 @@ from softirl.mdp import (
 )
 from softirl.metrics import MetricsReport, evaluate, qdiff
 from softirl.oracles import (
-    ClassifierSpec,
     FittedClassifier,
     FittedRegressor,
     fit_classifier,
@@ -32,7 +31,6 @@ from softirl.oracles import (
 )
 from softirl.solver import (
     IrlSolution,
-    NormalizationMeasure,
     SolverConfig,
     SolverDiagnostics,
     check_normalization,
@@ -44,7 +42,6 @@ from softirl.solver import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ClassifierSpec",
     "FittedClassifier",
     "FittedRegressor",
     "GridworldSpec",
@@ -52,7 +49,6 @@ __all__ = [
     "MaxEntConfig",
     "MaxEntFit",
     "MetricsReport",
-    "NormalizationMeasure",
     "SolverConfig",
     "SolverDiagnostics",
     "TabularMdp",

@@ -148,7 +148,7 @@ def _cmd_diagnose(args) -> int:
                          "above 0; [env] min_action_prob above 0 ensures it")
     dataset = harness.draw(cfg, cfg.base_seed)
     solution = solver.classify_then_regress(dataset, cfg.solver, record_iterates=True)
-    exact = solver.exact_population_solver(mdp, pi, cfg.solver.mu)
+    exact = solver.exact_population_solver(mdp, pi, cfg.solver)
     diag = solution.diagnostics
     # sup |v_k - v*| of every iterate in place, so the stack is the one (K + 1, S, A) temporary
     dists = np.stack(diag.iterates)

@@ -29,13 +29,7 @@ from softirl.maxent import MaxEntConfig, ascent, run_lockstep
 from softirl.maxent import maxent_fit  # noqa: F401 - perfbench/spans.py wraps it by name here
 from softirl.mdp import joint_frequency
 from softirl.metrics import METRIC_NAMES, evaluate
-from softirl.oracles import ClassifierSpec
-from softirl.solver import (
-    NormalizationMeasure,
-    SolverConfig,
-    classify_then_regress,
-    split_classify_regress,
-)
+from softirl.solver import SolverConfig, classify_then_regress, split_classify_regress
 
 # name -> (width = height, topology, reward_kind, env seed, MaxEnt max_epochs)
 _BUILTINS = {"easy": (4, "torus", "linear", 11, 300),
@@ -77,10 +71,10 @@ class ExperimentConfig:
         if self.split and (k := self.solver.steps(self.n)) > self.n // 2:
             raise ValueError(f"solver.K: split needs at most n // 2 = {self.n // 2} steps, "
                              f"one regression fold each, got {k}")
-        action = self.solver.mu.ref_action
+        action = self.solver.mu_ref_action
         if not 0 <= action < self.env.n_actions:
-            raise ValueError(
-                f"mu.ref_action: {action} is not an action index in [0, {self.env.n_actions})")
+            raise ValueError(f"solver.mu_ref_action: {action} is not an action index "
+                             f"in [0, {self.env.n_actions})")
 
 
 def builtin_experiment(name: str, reruns: int | None = None,
@@ -249,9 +243,9 @@ _KEYS = {
     "solver": {
         "k": ("solver", "K", _k),
         "split": ("eval", "split", _boolean),
-        "mu": ("mu", "kind", str),
-        "mu_ref_action": ("mu", "ref_action", int),
-        "smoothing_alpha": ("classifier", "smoothing_alpha", float),
+        "mu": ("solver", "mu", str),
+        "mu_ref_action": ("solver", "mu_ref_action", int),
+        "smoothing_alpha": ("solver", "smoothing_alpha", float),
     },
     "baseline": {"max_epochs": ("baseline", "max_epochs", int)},
     "eval": {key: ("eval", key, typ) for key, typ in (
@@ -294,10 +288,7 @@ def _experiment(sections) -> ExperimentConfig:
     if "width" not in kwargs["env"] or "height" not in kwargs["env"]:
         raise ValueError("config [env] section must set width and height")
     env = _build("env", GridworldSpec, **kwargs["env"])
-    solver = _build("solver", SolverConfig, gamma=env.gamma,
-                    mu=_build("mu", NormalizationMeasure, **kwargs["mu"]),
-                    classifier=_build("classifier", ClassifierSpec, **kwargs["classifier"]),
-                    **kwargs["solver"])
+    solver = _build("solver", SolverConfig, gamma=env.gamma, **kwargs["solver"])
     baseline = _build("baseline", MaxEntConfig, **kwargs["baseline"])
     return _build("eval", ExperimentConfig, env=env, solver=solver, baseline=baseline,
                   **kwargs["eval"])

@@ -37,6 +37,8 @@ class MaxEntConfig:
     max_epochs: int = 300
 
     def __post_init__(self):
+        if isinstance(self.max_epochs, bool) or not isinstance(self.max_epochs, (int, np.integer)):
+            raise ValueError(f"max_epochs: must be an integer, got {self.max_epochs!r}")
         if self.max_epochs < 0:
             raise ValueError(f"max_epochs: must be nonnegative, got {self.max_epochs}")
 

@@ -20,19 +20,6 @@ from softirl.mdp import _cell_keys, _count_keys, check_records
 PROB_FLOOR = 1e-6  # least fitted probability, so the log-policy stays bounded
 
 
-@dataclass(frozen=True)
-class ClassifierSpec:
-    """Configuration for fit_classifier, the tabular count: `smoothing_alpha`
-    is its Laplace count, and every probability is floored at PROB_FLOOR."""
-
-    smoothing_alpha: float = 0.0
-
-    def __post_init__(self):
-        if not 0 <= self.smoothing_alpha < np.inf:
-            raise ValueError("smoothing_alpha: must be finite and nonnegative, "
-                             f"got {self.smoothing_alpha}")
-
-
 @dataclass
 class FittedClassifier:
     """Floored, renormalized policy estimate and the (S, A) record counts
@@ -57,9 +44,9 @@ class FittedRegressor:
     diagnostics: dict = field(default_factory=dict)
 
 
-def fit_classifier(spec: ClassifierSpec, states, actions,
-                   n_states: int, n_actions: int) -> FittedClassifier:
-    """Estimate the behavior policy pi(a|s) from observed (s, a) pairs."""
+def fit_classifier(cfg, states, actions, n_states: int, n_actions: int) -> FittedClassifier:
+    """Estimate the behavior policy pi(a|s) from observed (s, a) pairs, adding
+    the `SolverConfig` cfg's smoothing_alpha to every count; floored at PROB_FLOOR."""
     if not PROB_FLOOR < 1.0 / n_actions:
         raise ValueError(f"PROB_FLOOR must lie below 1/{n_actions}")
     s, a = check_records(n_states, n_actions, states, actions)
@@ -67,7 +54,7 @@ def fit_classifier(spec: ClassifierSpec, states, actions,
         raise ValueError("empty training data")
     counts = _count_keys(lambda lo, hi: _cell_keys(s[lo:hi], a[lo:hi], n_actions), s.size,
                          n_states * n_actions).reshape(n_states, n_actions)
-    alpha = spec.smoothing_alpha
+    alpha = cfg.smoothing_alpha
     denom = counts.sum(axis=1) + alpha * n_actions
     probs = np.full((n_states, n_actions), 1.0 / n_actions)
     seen = denom > 0

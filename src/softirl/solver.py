@@ -37,54 +37,37 @@ from softirl.mdp import (
     row_kl,
     state_kernel,
 )
-from softirl.oracles import ClassifierSpec, fit_classifier, fit_regressor, fit_regressor_folds
+from softirl.oracles import fit_classifier, fit_regressor, fit_regressor_folds
 
 MAX_AUTO_K = 500
 MEASURES = ("uniform", "point-mass", "behavior-policy")
 
 
 @dataclass(frozen=True)
-class NormalizationMeasure:
-    """Reference conditional measure the recovered reward integrates to zero against."""
-
-    kind: str = "uniform"
-    ref_action: int = 0
-
-    def __post_init__(self):
-        if self.kind not in MEASURES:
-            raise ValueError(f"kind: must be one of {MEASURES}, got {self.kind!r}")
-
-    def materialize(self, n_states: int, n_actions: int, behavior=None) -> np.ndarray:
-        """The (S, A) measure table; the behavior-policy measure is `behavior`
-        as given, which callers pass as a checked policy table."""
-        if self.kind == "uniform":
-            return np.full((n_states, n_actions), 1.0 / n_actions)
-        if self.kind == "point-mass":
-            if not 0 <= self.ref_action < n_actions:
-                raise ValueError(f"ref_action {self.ref_action} out of range")
-            table = np.zeros((n_states, n_actions))
-            table[:, self.ref_action] = 1.0
-            return table
-        if behavior is None:
-            raise ValueError("behavior-policy measure needs a realized policy table")
-        return behavior
-
-
-@dataclass(frozen=True)
 class SolverConfig:
     """Settings of a data-driven solve. K sets the fitted fixed-point step
     count and, for a split solve, the regression fold count: step k
-    regresses on fold k of the second half."""
+    regresses on fold k of the second half. The reward integrates to zero
+    against the measure `mu` (a point mass at `mu_ref_action`, if so), and
+    `smoothing_alpha` is the classifier's Laplace count."""
 
     gamma: float = 0.97
     K: int | str = "auto"
-    mu: NormalizationMeasure = field(default_factory=NormalizationMeasure)
-    classifier: ClassifierSpec = field(default_factory=ClassifierSpec)
+    mu: str = "uniform"
+    mu_ref_action: int = 0
+    smoothing_alpha: float = 0.0
 
     def __post_init__(self):
+        if not 0.0 <= self.gamma < 1.0:
+            raise ValueError(f"gamma: must lie in [0, 1), got {self.gamma}")
         K = self.K
         if K != "auto" and (isinstance(K, bool) or not isinstance(K, (int, np.integer)) or K < 0):
             raise ValueError(f"K: must be 'auto' or a nonnegative integer, got {K!r}")
+        if self.mu not in MEASURES:
+            raise ValueError(f"mu: must be one of {MEASURES}, got {self.mu!r}")
+        if not 0 <= self.smoothing_alpha < np.inf:
+            raise ValueError("smoothing_alpha: must be finite and nonnegative, "
+                             f"got {self.smoothing_alpha}")
 
     def steps(self, n: int) -> int:
         """Fitted fixed-point steps on n records: K, where 'auto' picks
@@ -95,6 +78,21 @@ class SolverConfig:
         if self.gamma <= 0.0:
             return 1
         return min(max(1, math.ceil(math.log(n) / math.log(1.0 / self.gamma))), MAX_AUTO_K)
+
+    def mu_table(self, n_states: int, n_actions: int, behavior=None) -> np.ndarray:
+        """The (S, A) measure table; the behavior-policy measure is `behavior`
+        as given, which callers pass as a checked policy table."""
+        if self.mu == "uniform":
+            return np.full((n_states, n_actions), 1.0 / n_actions)
+        if self.mu == "point-mass":
+            if not 0 <= self.mu_ref_action < n_actions:
+                raise ValueError(f"mu_ref_action {self.mu_ref_action} out of range")
+            table = np.zeros((n_states, n_actions))
+            table[:, self.mu_ref_action] = 1.0
+            return table
+        if behavior is None:
+            raise ValueError("behavior-policy measure needs a realized policy table")
+        return behavior
 
 
 @dataclass
@@ -149,8 +147,9 @@ def check_normalization(r, mu_table) -> float:
     return float(np.max(np.abs(np.sum(mu_table * r, axis=1))))
 
 
-def exact_population_solver(mdp: TabularMdp, pi, mu: NormalizationMeasure) -> IrlSolution:
-    """Unique normalized maximum-likelihood solution given the true policy.
+def exact_population_solver(mdp: TabularMdp, pi, cfg: SolverConfig) -> IrlSolution:
+    """Unique normalized maximum-likelihood solution given the true policy,
+    normalized against `cfg`'s measure and discounted with the MDP's gamma.
 
     Solves (I - gamma K_mu) c = -mu log(pi) densely for the state potential
     (K_mu the state kernel under mu), then v = Pc and r via the shaping form.
@@ -160,7 +159,7 @@ def exact_population_solver(mdp: TabularMdp, pi, mu: NormalizationMeasure) -> Ir
         raise ValueError(
             "behavior policy has zero entries (log undefined); floor it first"
         )
-    mu_t = mu.materialize(mdp.n_states, mdp.n_actions, behavior=pi)
+    mu_t = cfg.mu_table(mdp.n_states, mdp.n_actions, behavior=pi)
     u = np.log(pi)
     kernel = state_kernel(mdp, mu_t)
     rhs = -np.sum(mu_t * u, axis=1)
@@ -200,9 +199,8 @@ def _fit_policy(cfg: SolverConfig, data, n_train: int):
     n_actions = data.meta["n_actions"]
     states = np.asarray(data.states)
     actions = np.asarray(data.actions)
-    clf = fit_classifier(cfg.classifier, states[:n_train], actions[:n_train],
-                         n_states, n_actions)
-    mu_t = cfg.mu.materialize(n_states, n_actions, behavior=clf.probs)
+    clf = fit_classifier(cfg, states[:n_train], actions[:n_train], n_states, n_actions)
+    mu_t = cfg.mu_table(n_states, n_actions, behavior=clf.probs)
     diag = SolverDiagnostics(nu_proxy=_classifier_train_kl(clf.probs, clf.counts))
     unvisited = np.count_nonzero(clf.counts.sum(axis=1) == 0)
     if unvisited:

@@ -214,7 +214,7 @@ def population_fixed_point(mdp: TabularMdp, pi, cfg, record_iterates=False):
     if np.any(pi <= 0.0):
         raise ValueError("behavior policy has zero entries (log undefined); floor it first")
     u = np.log(pi)
-    mu_t = cfg.mu.materialize(mdp.n_states, mdp.n_actions, behavior=pi)
+    mu_t = cfg.mu_table(mdp.n_states, mdp.n_actions, behavior=pi)
     n_cells = mdp.n_states * mdp.n_actions
     transition = mdp.transition.reshape(n_cells, mdp.n_states)
     support = np.nonzero(transition)

@@ -13,7 +13,6 @@ from softirl.envs import build_env, expert_policy, sample_transitions
 from softirl.harness import builtin_experiment, run_experiment, truth
 from softirl.metrics import evaluate
 from softirl.solver import (
-    NormalizationMeasure,
     SolverConfig,
     classify_then_regress,
     exact_population_solver,
@@ -50,8 +49,7 @@ def _fifty_mdps():
         gamma = float(rng.uniform(0.3, 0.97))
         mdp = random_mdp(rng, ns, na, gamma)
         pi = random_policy(rng, ns, na)
-        mu = NormalizationMeasure(kinds[i % 3])
-        pool.append((mdp, pi, mu))
+        pool.append((mdp, pi, kinds[i % 3]))
     return pool
 
 
@@ -59,7 +57,7 @@ def test_criterion_1_exact_solver_correctness():
     t0 = time.time()
     worst_bellman = worst_norm = 0.0
     for mdp, pi, mu in _fifty_mdps():
-        sol = exact_population_solver(mdp, pi, mu)
+        sol = exact_population_solver(mdp, pi, SolverConfig(mu=mu))
         worst_bellman = max(worst_bellman,
                             sup_norm(soft_bellman_residual(mdp, sol.r, sol.v)))
         worst_norm = max(worst_norm,
@@ -80,8 +78,8 @@ def test_criterion_2_exact_oracle_equivalence():
     t0 = time.time()
     worst = 0.0
     for mdp, pi, mu in _fifty_mdps():
-        exact = exact_population_solver(mdp, pi, mu)
         cfg = SolverConfig(gamma=mdp.gamma, K=200, mu=mu)
+        exact = exact_population_solver(mdp, pi, cfg)
         sol = population_fixed_point(mdp, pi, cfg)
         worst = max(worst, sup_norm(sol.r - exact.r))
     elapsed = time.time() - t0
@@ -98,8 +96,8 @@ def test_criterion_3_contraction_rate():
         mdp = random_mdp(rng, int(rng.integers(3, 8)), int(rng.integers(2, 5)),
                          float(rng.uniform(0.3, 0.97)))
         pi = random_policy(rng, mdp.n_states, mdp.n_actions)
-        exact = exact_population_solver(mdp, pi, NormalizationMeasure("uniform"))
         cfg = SolverConfig(gamma=mdp.gamma, K=50)
+        exact = exact_population_solver(mdp, pi, cfg)
         sol = population_fixed_point(mdp, pi, cfg, record_iterates=True)
         v_star_norm = sup_norm(exact.v)
         for k, v_k in enumerate(sol.diagnostics.iterates):
@@ -372,8 +370,8 @@ def test_criterion_8_split_variant_sanity():
     mdp, r_true, _ = build_env(cfg_env)
     pi = expert_policy(mdp, r_true)
     dataset = sample_transitions(mdp, pi, 200_000, seed=5, env_id="ident")
-    exact = exact_population_solver(mdp, pi, NormalizationMeasure("uniform"))
     cfg = SolverConfig(gamma=cfg_env.gamma, K=3)
+    exact = exact_population_solver(mdp, pi, cfg)
     sol_full = classify_then_regress(dataset, cfg)
     sol_split = split_classify_regress(dataset, cfg)
     dist_full = sup_norm(sol_full.v - exact.v)

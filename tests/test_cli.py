@@ -412,12 +412,12 @@ class TestPipeline:
     def test_eval_on_exact_solution_gives_zero_kl(self, cfg_path, tmp_path):
         from softirl.envs import build_env, expert_policy
         from softirl.harness import parse_config
-        from softirl.solver import NormalizationMeasure, exact_population_solver, save_solution
+        from softirl.solver import SolverConfig, exact_population_solver, save_solution
 
         cfg = parse_config(cfg_path)
         mdp, r_true, _ = build_env(cfg.env)
         pi = expert_policy(mdp, r_true)
-        sol = exact_population_solver(mdp, pi, NormalizationMeasure("uniform"))
+        sol = exact_population_solver(mdp, pi, SolverConfig(mu="uniform"))
         soldir = tmp_path / "exact"
         save_solution(sol, soldir)
         metrics = tmp_path / "m.csv"
@@ -566,7 +566,7 @@ class TestPipeline:
         mdp, _, _, pi = harness.truth(cfg.env)
         diag = solver.classify_then_regress(harness.draw(cfg, cfg.base_seed), cfg.solver,
                                             record_iterates=True).diagnostics
-        exact = solver.exact_population_solver(mdp, pi, cfg.solver.mu)
+        exact = solver.exact_population_solver(mdp, pi, cfg.solver)
         lines = ["k,eta,sup_dist_to_exact_v,gamma_pow_k"]
         for k, v_k in enumerate(diag.iterates):
             eta = diag.eta[k - 1] if k >= 1 else float("nan")

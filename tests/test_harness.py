@@ -16,7 +16,6 @@ from softirl.harness import (
 )
 from softirl.envs import GridworldSpec
 from softirl.maxent import MaxEntConfig
-from softirl.oracles import ClassifierSpec
 from softirl.solver import SolverConfig
 
 TINY_CONFIG = """\
@@ -50,7 +49,7 @@ def tiny_experiment(**kw):
         env=GridworldSpec(2, 2, topology="torus", seed=3, gamma=0.9,
                           min_action_prob=0.05),
         n=3000,
-        solver=SolverConfig(gamma=0.9, classifier=ClassifierSpec(smoothing_alpha=1.0)),
+        solver=SolverConfig(gamma=0.9, smoothing_alpha=1.0),
         baseline=MaxEntConfig(max_epochs=40),
         reruns=2,
         base_seed=1,
@@ -68,7 +67,7 @@ class TestParseConfig:
         cfg = parse_config(path)
         assert cfg.env.width == 2 and cfg.env.gamma == 0.9
         assert cfg.solver.K == "auto"
-        assert cfg.solver.classifier.smoothing_alpha == 1.0
+        assert cfg.solver.smoothing_alpha == 1.0
         assert cfg.baseline.max_epochs == 40
         assert cfg.n == 3000 and cfg.reruns == 2 and cfg.name == "tiny"
 
@@ -97,7 +96,7 @@ class TestParseConfig:
         path.write_text(block)
         cfg = parse_config(path)
         assert cfg.env.topology == "bounded"
-        assert cfg.solver.mu.kind == "uniform"
+        assert cfg.solver.mu == "uniform"
         assert cfg.baseline.max_epochs == 150
         assert cfg.name == "ident"
         assert cfg == builtin_experiment("ident")
@@ -133,6 +132,7 @@ class TestParseConfig:
             return {field for _, field, _ in _KEYS[section].values()}
 
         assert targets("env") == {f.name for f in fields(GridworldSpec)}
+        assert targets("solver") - {"split"} == {f.name for f in fields(SolverConfig)} - {"gamma"}
         assert targets("baseline") == {f.name for f in fields(MaxEntConfig)}
         assert sum(len(table) for table in _KEYS.values()) == 19
         # "1" is a valid int, float, str and boolean, so only the declared type
@@ -145,8 +145,7 @@ class TestParseConfig:
         path = tmp_path / "cfg.ini"
         path.write_text(text)
         cfg = parse_config(path)
-        owners = {"env": cfg.env, "solver": cfg.solver, "mu": cfg.solver.mu,
-                  "classifier": cfg.solver.classifier, "baseline": cfg.baseline, "eval": cfg}
+        owners = {"env": cfg.env, "solver": cfg.solver, "baseline": cfg.baseline, "eval": cfg}
         types = {_k: int, _boolean: bool}
         for table in _KEYS.values():
             for key, (target, field, parse) in table.items():

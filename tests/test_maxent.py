@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -153,10 +155,8 @@ class TestMaxentFit:
         fit = maxent_fit(mdp, phi, ds, MaxEntConfig(max_epochs=150))
         base = evaluate(mdp, r_true, pi, fit.r_hat)
         from softirl.solver import SolverConfig, classify_then_regress
-        from softirl.oracles import ClassifierSpec
 
-        sol = classify_then_regress(ds, SolverConfig(
-            gamma=0.9, classifier=ClassifierSpec(smoothing_alpha=1.0)))
+        sol = classify_then_regress(ds, SolverConfig(gamma=0.9, smoothing_alpha=1.0))
         ours = evaluate(mdp, r_true, pi, sol.r, sol.v)
         assert base.corr_qdiff < ours.corr_qdiff
 
@@ -184,8 +184,15 @@ class TestMaxentFit:
                     == (tmp_path / f"{stem}.csv").read_bytes()), stem
 
     def test_bad_config_rejected(self):
-        with pytest.raises(ValueError, match="max_epochs"):
+        with pytest.raises(ValueError, match="^max_epochs: must be nonnegative, got -1$"):
             MaxEntConfig(max_epochs=-1)
+
+    @pytest.mark.parametrize("epochs", [2.5, True, "3", None])
+    def test_max_epochs_must_be_an_integer(self, epochs):
+        # the fit's range(max_epochs + 1) refuses 2.5, and True would count as one epoch
+        with pytest.raises(ValueError, match=f"^max_epochs: must be an integer, got "
+                                             f"{re.escape(repr(epochs))}$"):
+            MaxEntConfig(max_epochs=epochs)
 
 
 class TestOneHotFeatures:

@@ -83,7 +83,7 @@ def _entry_points():
     """(table name, a valid table, the call that checks it) for each public
     entry point that takes a probability table."""
     from softirl.envs import sample_transitions
-    from softirl.solver import NormalizationMeasure, exact_population_solver
+    from softirl.solver import SolverConfig, exact_population_solver
 
     rng = np.random.default_rng(12)
     mdp = random_mdp(rng, 4, 3, 0.9)
@@ -91,7 +91,7 @@ def _entry_points():
     return {
         "transition": (mdp.transition, lambda p: TabularMdp(p, 0.9)),
         "pi": (pi, lambda p: sample_transitions(mdp, p, 10)),
-        "pi-exact": (pi, lambda p: exact_population_solver(mdp, p, NormalizationMeasure())),
+        "pi-exact": (pi, lambda p: exact_population_solver(mdp, p, SolverConfig())),
     }
 
 
@@ -137,13 +137,14 @@ def _record_entry_points():
     """name -> (column count, the call that checks them) for each public entry
     point that takes (s, a) or (s, a, s') records of a 3-state, 2-action MDP."""
     from softirl.envs import TransitionDataset
-    from softirl.oracles import ClassifierSpec, fit_classifier, fit_regressor
+    from softirl.oracles import fit_classifier, fit_regressor
+    from softirl.solver import SolverConfig
 
     def dataset(*columns):
         TransitionDataset(*columns, meta={"n_states": 3, "n_actions": 2}).validate()
 
     return {"dataset": (3, dataset),
-            "classifier": (2, lambda *c: fit_classifier(ClassifierSpec(), *c, 3, 2)),
+            "classifier": (2, lambda *c: fit_classifier(SolverConfig(), *c, 3, 2)),
             "regressor": (3, lambda *c: fit_regressor(*c, 3, 2))}
 
 

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from softirl.metrics import evaluate, qdiff
-from softirl.solver import NormalizationMeasure, exact_population_solver
+from softirl.solver import SolverConfig, exact_population_solver
 from softirl.mdp import soft_value_iteration
 
 from conftest import count_solves, random_mdp, random_policy
@@ -46,7 +46,7 @@ class TestEvaluate:
         pi = random_policy(rng, 5, 3)
         # truth whose expert policy is exactly pi
         r_true = np.log(pi)
-        sol = exact_population_solver(mdp, pi, NormalizationMeasure("uniform"))
+        sol = exact_population_solver(mdp, pi, SolverConfig(mu="uniform"))
         report = evaluate(mdp, r_true, pi, sol.r, sol.v)
         assert report.kl <= 1e-9
         assert report.tv <= 1e-6

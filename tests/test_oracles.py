@@ -7,7 +7,8 @@ from numpy.testing import assert_allclose
 
 from softirl import mdp as mdp_module
 from softirl import oracles
-from softirl.oracles import ClassifierSpec, fit_classifier, fit_regressor, fit_regressor_folds
+from softirl.oracles import fit_classifier, fit_regressor, fit_regressor_folds
+from softirl.solver import SolverConfig
 
 from softirl.envs import build_env, expert_policy, sample_transitions
 from softirl.harness import builtin_experiment
@@ -37,16 +38,16 @@ def mean_kl(pi, probs):
 class TestFitClassifier:
     def test_empirical_frequencies(self, monkeypatch):
         monkeypatch.setattr(oracles, "PROB_FLOOR", 1e-9)
-        fc = fit_classifier(ClassifierSpec(smoothing_alpha=0.0), [0, 0, 0], [0, 0, 1], 1, 2)
+        fc = fit_classifier(SolverConfig(smoothing_alpha=0.0), [0, 0, 0], [0, 0, 1], 1, 2)
         assert_allclose(fc.probs[0], [2 / 3, 1 / 3], atol=1e-8)
 
     def test_huge_alpha_is_uniform(self):
-        spec = ClassifierSpec(smoothing_alpha=1e9)
-        fc = fit_classifier(spec, [0, 0, 1], [1, 1, 0], 2, 3)
+        cfg = SolverConfig(smoothing_alpha=1e9)
+        fc = fit_classifier(cfg, [0, 0, 1], [1, 1, 0], 2, 3)
         assert_allclose(fc.probs, 1 / 3, atol=1e-6)
 
     def test_unvisited_state_gets_uniform_row(self):
-        fc = fit_classifier(ClassifierSpec(), [0], [1], 3, 2)
+        fc = fit_classifier(SolverConfig(), [0], [1], 3, 2)
         assert_allclose(fc.probs[2], 0.5, atol=1e-6)
         assert np.count_nonzero(fc.counts.sum(axis=1) == 0) == 2
 
@@ -55,7 +56,7 @@ class TestFitClassifier:
         # smoothing moves the probabilities, never the counts
         rng = np.random.default_rng(9)
         s, a = rng.integers(0, 4, size=300), rng.integers(0, 3, size=300)
-        fc = fit_classifier(ClassifierSpec(smoothing_alpha=alpha), s, a, 4, 3)
+        fc = fit_classifier(SolverConfig(smoothing_alpha=alpha), s, a, 4, 3)
         assert np.array_equal(fc.counts, np.bincount(s * 3 + a, minlength=12).reshape(4, 3))
 
     @pytest.mark.parametrize("alpha", [0.5, 2.0])
@@ -64,7 +65,7 @@ class TestFitClassifier:
         rng = np.random.default_rng(11)
         s, a = rng.integers(0, 3, size=40), rng.integers(0, 4, size=40)
         s[s == 2] = 0  # state 2 has no record: its row is alpha / (4 alpha)
-        fc = fit_classifier(ClassifierSpec(smoothing_alpha=alpha), s, a, 3, 4)
+        fc = fit_classifier(SolverConfig(smoothing_alpha=alpha), s, a, 3, 4)
         counts = np.bincount(s * 4 + a, minlength=12).reshape(3, 4)
         want = (counts + alpha) / (counts.sum(axis=1, keepdims=True) + 4 * alpha)
         assert_allclose(fc.probs, want, rtol=1e-12, atol=1e-12)
@@ -74,20 +75,20 @@ class TestFitClassifier:
         rng = np.random.default_rng(12)
         s, a = rng.integers(0, 5, size=500), rng.integers(0, 3, size=500)
         order = rng.permutation(s.size)
-        spec = ClassifierSpec(smoothing_alpha=0.5)
-        fc = fit_classifier(spec, s, a, 5, 3)
-        shuffled = fit_classifier(spec, s[order], a[order], 5, 3)
+        cfg = SolverConfig(smoothing_alpha=0.5)
+        fc = fit_classifier(cfg, s, a, 5, 3)
+        shuffled = fit_classifier(cfg, s[order], a[order], 5, 3)
         assert fc.probs.tobytes() == shuffled.probs.tobytes()
         assert np.array_equal(fc.counts, shuffled.counts)
 
     def test_empty_data_rejected(self):
         with pytest.raises(ValueError):
-            fit_classifier(ClassifierSpec(), [], [], 2, 2)
+            fit_classifier(SolverConfig(), [], [], 2, 2)
 
     def test_prob_floor_must_be_valid(self, monkeypatch):
         monkeypatch.setattr(oracles, "PROB_FLOOR", 0.5)
         with pytest.raises(ValueError):
-            fit_classifier(ClassifierSpec(), [0], [0], 1, 3)
+            fit_classifier(SolverConfig(), [0], [0], 1, 3)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_rows_are_floored_distributions(self, seed, monkeypatch):
@@ -95,42 +96,30 @@ class TestFitClassifier:
         rng = np.random.default_rng(seed)
         pi = rng.dirichlet(np.full(4, 0.3), size=3)  # sparse-ish rows
         s, a = synth_pairs(rng, np.maximum(pi, 1e-12) / np.maximum(pi, 1e-12).sum(1, keepdims=True), 200)
-        fc = fit_classifier(ClassifierSpec(), s, a, 3, 4)
+        fc = fit_classifier(SolverConfig(), s, a, 3, 4)
         assert_allclose(fc.probs.sum(axis=1), 1.0, atol=1e-12)
         assert fc.probs.min() >= 1e-4 / 2
-
-    @pytest.mark.parametrize("alpha", [-1.0, -np.inf, np.inf, np.nan],
-                             ids=["negative", "minus-inf", "inf", "nan"])
-    def test_smoothing_alpha_must_be_finite_and_nonnegative(self, alpha):
-        with pytest.raises(ValueError, match=re.escape(
-                f"smoothing_alpha: must be finite and nonnegative, got {alpha}")):
-            ClassifierSpec(smoothing_alpha=alpha)
-
-    def test_specs_compare_and_hash_by_value(self):
-        a, b = ClassifierSpec(smoothing_alpha=1), ClassifierSpec(smoothing_alpha=1.0)
-        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
-        assert ClassifierSpec() != a
 
 
 class TestLogPolicy:
     def test_uniform_value(self):
-        fc = fit_classifier(ClassifierSpec(smoothing_alpha=1e9), [0], [0], 2, 5)
+        fc = fit_classifier(SolverConfig(smoothing_alpha=1e9), [0], [0], 2, 5)
         assert_allclose(np.log(fc.probs), -np.log(5.0), atol=1e-6)
 
     def test_exp_inverts(self):
         rng = np.random.default_rng(1)
         s, a = synth_pairs(rng, rng.dirichlet(np.ones(3), size=4), 500)
-        fc = fit_classifier(ClassifierSpec(smoothing_alpha=0.5), s, a, 4, 3)
+        fc = fit_classifier(SolverConfig(smoothing_alpha=0.5), s, a, 4, 3)
         assert_allclose(np.exp(np.log(fc.probs)).sum(axis=1), 1.0, atol=1e-12)
 
     def test_logsumexp_of_log_policy_is_zero(self):
         rng = np.random.default_rng(2)
         s, a = synth_pairs(rng, rng.dirichlet(np.ones(4), size=3), 400)
-        fc = fit_classifier(ClassifierSpec(smoothing_alpha=1.0), s, a, 3, 4)
+        fc = fit_classifier(SolverConfig(smoothing_alpha=1.0), s, a, 3, 4)
         assert np.max(np.abs(logsumexp_actions(np.log(fc.probs)))) <= 1e-12
 
     def test_bounded_below_by_floor(self):
-        fc = fit_classifier(ClassifierSpec(), [0] * 50, [0] * 50, 1, 2)
+        fc = fit_classifier(SolverConfig(), [0] * 50, [0] * 50, 1, 2)
         assert np.log(fc.probs).min() >= np.log(1e-6 / 2)
 
 
@@ -292,13 +281,13 @@ class TestNarrowColumnsMatchInt64:
         rng = np.random.default_rng(ns + folds)
         wide = rng.integers(0, ns, n), rng.integers(0, na, n), rng.integers(0, ns, n)
         s, a = wide[:2]
-        want_clf = fit_classifier(ClassifierSpec(smoothing_alpha=0.5), s, a, ns, na)
+        want_clf = fit_classifier(SolverConfig(smoothing_alpha=0.5), s, a, ns, na)
         want_freq = joint_frequency(s, a, ns, na)
         want_maps = fit_regressor_folds(*wide, ns, na, folds)
         for dtype in [np.int8, np.int16] if ns <= 128 else [np.int16]:
             narrow = [c.astype(dtype) for c in wide]
             s, a = narrow[:2]
-            clf = fit_classifier(ClassifierSpec(smoothing_alpha=0.5), s, a, ns, na)
+            clf = fit_classifier(SolverConfig(smoothing_alpha=0.5), s, a, ns, na)
             assert clf.probs.tobytes() == want_clf.probs.tobytes()
             assert np.array_equal(clf.counts, want_clf.counts)
             assert joint_frequency(s, a, ns, na).tobytes() == want_freq.tobytes()
@@ -319,7 +308,7 @@ class TestKlShrinksWithN:
             kls = []
             for n in (1_000, 10_000, 100_000):
                 s, a = synth_pairs(rng, pi, n)
-                fc = fit_classifier(ClassifierSpec(), s, a, 3, 3)
+                fc = fit_classifier(SolverConfig(), s, a, 3, 3)
                 kls.append(mean_kl(pi, fc.probs))
             for lo, hi in ((0, 1), (1, 2)):
                 trials += 1
@@ -339,7 +328,7 @@ class TestChunkedCounts:
         ns, na, n = 3, 2, 6_000  # 300 folds of 18 keys fit the dense count
         s, a, s2 = rng.integers(0, ns, n), rng.integers(0, na, n), rng.integers(0, ns, n)
         cells = np.bincount(s * na + a, minlength=ns * na).reshape(ns, na)
-        assert np.array_equal(fit_classifier(ClassifierSpec(), s, a, ns, na).counts, cells)
+        assert np.array_equal(fit_classifier(SolverConfig(), s, a, ns, na).counts, cells)
         assert joint_frequency(s, a, ns, na).tobytes() == (cells / n).tobytes()
         for folds in (1, 4, 300):
             fits = fit_regressor_folds(s, a, s2, ns, na, folds)
@@ -370,7 +359,7 @@ class TestFitMemory:
         try:
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            fit_classifier(ClassifierSpec(smoothing_alpha=1.0), s, a, ns, na)
+            fit_classifier(SolverConfig(smoothing_alpha=1.0), s, a, ns, na)
             fit_regressor(s, a, s2, ns, na)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:

@@ -17,10 +17,9 @@ from softirl.envs import (
 )
 from softirl.harness import builtin_experiment
 from softirl.mdp import TabularMdp, apply_P
-from softirl.oracles import ClassifierSpec, fit_regressor
+from softirl.oracles import fit_regressor
 from softirl.solver import (
     IrlSolution,
-    NormalizationMeasure,
     SolverConfig,
     check_normalization,
     classify_then_regress,
@@ -48,7 +47,7 @@ from reference import (
     weighted_l2,
 )
 
-UNIFORM = NormalizationMeasure("uniform")
+UNIFORM = SolverConfig(mu="uniform")
 
 
 def T_u_apply(mdp, mu, u, v):
@@ -124,7 +123,7 @@ class TestExactPopulationSolver:
         rng = np.random.default_rng(4)
         mdp = random_mdp(rng, 4, 3, 0.8)
         pi = random_policy(rng, 4, 3)
-        sol = exact_population_solver(mdp, pi, NormalizationMeasure(kind))
+        sol = exact_population_solver(mdp, pi, SolverConfig(mu=kind))
         assert sup_norm(soft_bellman_residual(mdp, sol.r, sol.v)) <= 1e-9
         assert check_normalization(sol.r, sol.mu_table) <= 1e-10
 
@@ -146,7 +145,7 @@ class TestClassifyThenRegress:
         rng = np.random.default_rng(5)
         mdp = random_mdp(rng, 5, 3, 0.8)
         pi = random_policy(rng, 5, 3)
-        cfg = SolverConfig(gamma=0.8, K=20, mu=NormalizationMeasure(kind))
+        cfg = SolverConfig(gamma=0.8, K=20, mu=kind)
         ours, ref = (population_fixed_point(mdp, p, cfg) for p in (np.asfortranarray(pi), pi))
         assert not np.log(np.asfortranarray(pi)).flags.c_contiguous
         for name in ("r", "v", "c", "u", "mu_table"):
@@ -171,7 +170,7 @@ class TestClassifyThenRegress:
     def test_point_mass_reference_action_is_exactly_zero(self):
         rng = np.random.default_rng(7)
         ds = _tiny_dataset(rng)
-        cfg = SolverConfig(gamma=0.9, K=5, mu=NormalizationMeasure("point-mass", ref_action=1))
+        cfg = SolverConfig(gamma=0.9, K=5, mu="point-mass", mu_ref_action=1)
         sol = classify_then_regress(ds, cfg)
         assert np.all(sol.r[:, 1] == 0.0)
 
@@ -180,7 +179,7 @@ class TestClassifyThenRegress:
         rng = np.random.default_rng(seed)
         ds = _tiny_dataset(rng, n=300)
         kind = ["uniform", "point-mass", "behavior-policy"][seed % 3]
-        cfg = SolverConfig(gamma=0.9, K=3, mu=NormalizationMeasure(kind))
+        cfg = SolverConfig(gamma=0.9, K=3, mu=kind)
         sol = classify_then_regress(ds, cfg)
         assert check_normalization(sol.r, sol.mu_table) <= 1e-12
 
@@ -201,7 +200,7 @@ class TestClassifyThenRegress:
         rng = np.random.default_rng(9)
         mdp = random_mdp(rng, 5, 3, 0.9)
         pi = random_policy(rng, 5, 3)
-        cfg = SolverConfig(gamma=0.9, K=300, mu=NormalizationMeasure("behavior-policy"))
+        cfg = SolverConfig(gamma=0.9, K=300, mu="behavior-policy")
         sol = population_fixed_point(mdp, pi, cfg)
         q = sol.r + 0.9 * sol.v
         assert sup_norm(q - logsumexp_actions(q)[:, None] - np.log(pi)) <= 1e-8
@@ -213,7 +212,7 @@ class TestClassifyThenRegress:
         mdp, r_true, _ = build_env(spec)
         pi = expert_policy(mdp, r_true)
         ds = sample_transitions(mdp, pi, 150_000, seed=0, env_id="tiny")
-        cfg = SolverConfig(gamma=0.9, classifier=ClassifierSpec(smoothing_alpha=0.0))
+        cfg = SolverConfig(gamma=0.9, smoothing_alpha=0.0)
         sol = classify_then_regress(ds, cfg)
         exact = exact_population_solver(mdp, pi, UNIFORM)
         assert sup_norm(sol.r - exact.r) <= 0.15
@@ -237,8 +236,8 @@ class TestClassifyThenRegress:
             classify_then_regress(ds, SolverConfig(gamma=0.9, K=2))
 
     def test_point_mass_action_must_be_an_action_index(self):
-        with pytest.raises(ValueError, match="^ref_action 3 out of range$"):
-            NormalizationMeasure("point-mass", ref_action=3).materialize(2, 3)
+        with pytest.raises(ValueError, match="^mu_ref_action 3 out of range$"):
+            SolverConfig(mu="point-mass", mu_ref_action=3).mu_table(2, 3)
 
     @pytest.mark.parametrize("solve, n, message", [
         (classify_then_regress, 0, "empty dataset"),
@@ -252,7 +251,7 @@ class TestClassifyThenRegress:
 
     def test_behavior_measure_needs_a_policy(self):
         with pytest.raises(ValueError, match="policy"):
-            NormalizationMeasure("behavior-policy").materialize(2, 2)
+            SolverConfig(mu="behavior-policy").mu_table(2, 2)
 
     @pytest.mark.parametrize("K", [2.5, 2.0, True, -1, "2", None])
     def test_k_must_be_auto_or_a_nonnegative_integer(self, K):
@@ -267,10 +266,31 @@ class TestClassifyThenRegress:
             cfg.K = 2.5
         assert cfg.K == 3
 
+    @pytest.mark.parametrize("alpha", [-1.0, -np.inf, np.inf, np.nan],
+                             ids=["negative", "minus-inf", "inf", "nan"])
+    def test_smoothing_alpha_must_be_finite_and_nonnegative(self, alpha):
+        with pytest.raises(ValueError, match=re.escape(
+                f"smoothing_alpha: must be finite and nonnegative, got {alpha}")):
+            SolverConfig(smoothing_alpha=alpha)
+
+    def test_mu_must_name_a_measure(self):
+        message = "mu: must be one of ('uniform', 'point-mass', 'behavior-policy'), got 'median'"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SolverConfig(mu="median")
+
+    @pytest.mark.parametrize("gamma", [1.0, 1.5, -0.5, np.nan])
+    def test_gamma_must_lie_in_the_unit_interval(self, gamma):
+        # steps() divides by ln(1 / gamma), 0 at 1.0; 1.5 and -0.5 would make K = 1,
+        # and nan fails inside math.ceil
+        message = f"gamma: must lie in [0, 1), got {gamma}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SolverConfig(gamma=gamma)
+
     def test_equal_configs_compare_and_hash_equal(self):
-        a, b = SolverConfig(), SolverConfig(classifier=ClassifierSpec())
-        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
-        assert a != SolverConfig(classifier=ClassifierSpec(smoothing_alpha=1.0))
+        for a, b in [(SolverConfig(), SolverConfig(smoothing_alpha=0.0)),
+                     (SolverConfig(smoothing_alpha=1), SolverConfig(smoothing_alpha=1.0))]:
+            assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert SolverConfig() != SolverConfig(smoothing_alpha=1.0)
 
     def test_auto_k_rule(self):
         assert SolverConfig(gamma=0.97).steps(50_000) == \
@@ -374,7 +394,7 @@ class TestMatchesRefitReference:
         ds = sample_transitions(mdp, pi, n, seed=7, env_id="tiny")
         # split, K = 6 steps cut the regression half into 6 folds, one per step
         cfg = SolverConfig(gamma=0.9, K=6 if split else 40,
-                           mu=NormalizationMeasure("behavior-policy"))
+                           mu="behavior-policy")
         sol = (split_classify_regress if split else classify_then_regress)(ds, cfg)
         unvisited = any("unvisited per regression" in w for w in sol.diagnostics.warnings)
         assert unvisited == (case == "empty-cells")

@@ -19,6 +19,10 @@ re-imports kept only for it, so each of its trace sites must name one.
 No comment or docstring of the package, its tests or its scripts states a
 time in ms or µs: a measured time goes stale with the host, and a
 `BENCH_*.json` record holds it.
+
+No module of the package (but `__init__.py`, which re-exports), its
+scripts or its tests imports a name that its module or function never
+reads, except on a line marked `# noqa: F401`.
 """
 
 import ast
@@ -202,3 +206,56 @@ def test_time_check_reads_units_not_words():
             "Y = '5 ms'\n")
     assert sorted(line for line, doc in _comments_and_docstrings(text) if _TIME.search(doc)) \
         == [1, 3, 4]
+
+
+def _unused_imports(text):
+    """(line, name) of each import whose bound name no code of its scope, the
+    module or the function it sits in, reads; `from __future__` imports and
+    lines marked `# noqa: F401` are exempt."""
+    lines, tree = text.splitlines(), ast.parse(text)
+    unused = []
+    for scope in ast.walk(tree):
+        if not isinstance(scope, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        read = {node.id for node in ast.walk(scope)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        stack = list(ast.iter_child_nodes(scope))
+        while stack:  # the scope's own statements: a nested function is its own scope
+            node = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            stack.extend(ast.iter_child_nodes(node))
+            if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                    or getattr(node, "module", None) == "__future__"
+                    or any("# noqa: F401" in line
+                           for line in lines[node.lineno - 1:node.end_lineno])):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name != "*" and name not in read:
+                    unused.append((node.lineno, name))
+    return sorted(unused)
+
+
+def test_no_unused_imports():
+    paths = [path for folder in ("src/softirl", "scripts", "tests")
+             for path in sorted((ROOT / folder).glob("*.py")) if path.name != "__init__.py"]
+    unused = [f"{path.relative_to(ROOT)}:{line} {name}" for path in paths
+              for line, name in _unused_imports(path.read_text())]
+    assert unused == []
+
+
+def test_unused_import_check_reads_scopes():
+    text = ("from __future__ import annotations\n"
+            "import os, os.path as osp\n"
+            "from re import compile  # noqa: F401\n"
+            "import numpy.linalg\n"
+            "def f():\n"
+            "    import json\n"
+            "    import sys\n"
+            "    def g():\n"
+            "        return sys.argv\n"
+            "    return g\n"
+            "x: numpy.ndarray\n"
+            "json = 1\n")
+    assert _unused_imports(text) == [(2, "os"), (2, "osp"), (6, "json")]
