@@ -65,6 +65,9 @@ class SolverConfig:
             raise ValueError(f"K: must be 'auto' or a nonnegative integer, got {K!r}")
         if self.mu not in MEASURES:
             raise ValueError(f"mu: must be one of {MEASURES}, got {self.mu!r}")
+        action = self.mu_ref_action
+        if isinstance(action, bool) or not isinstance(action, (int, np.integer)):
+            raise ValueError(f"mu_ref_action: must be an integer, got {action!r}")
         if not 0 <= self.smoothing_alpha < np.inf:
             raise ValueError("smoothing_alpha: must be finite and nonnegative, "
                              f"got {self.smoothing_alpha}")
@@ -216,39 +219,23 @@ def _fit_policy(cfg: SolverConfig, data, n_train: int):
 def _fitted_fixed_point(cfg: SolverConfig, u, mu_t, maps: list, diag: SolverDiagnostics,
                         record_iterates: bool) -> IrlSolution:
     """The fitted fixed-point loop v <- M_k g with g = mu[gamma v - u], one
-    step per map M_k = maps[k], which is unpacked only when it is not the
-    map of the step before; each step is one product, M_k g summed over its
-    (row, col, value) triples, on flat (S * A,) tables. eta[k] is the root-mean-square
-    misfit of v on that map's records, read off its count triples (0 for the population
-    map, which has none), with the kernel's gather of g where they share its cols. A map
-    with as many count triples as visited cells holds one next state per cell, so its
-    kernel value there is n / n = 1.0 and v is g[col] itself, the bits of 1.0 * g[col],
-    and the misfit is 0.0 exactly: such a map appends 0.0, with no multiply by its values
-    and no misfit pass. work is a view of flat_work, whatever the memory order of u.
+    step per map M_k = maps[k], on flat (S * A,) tables: v is M_k.apply(g),
+    and eta[k] is M_k.misfit(v, g), the root-mean-square misfit of v on that
+    map's records. A map needs nothing else but its n_empty_cells, which the
+    warning reads. work is a view of flat_work, whatever the memory order of u.
     """
-    fitted, v, flat_work, g = None, np.zeros(u.size), np.empty(u.size), np.empty(len(u))
+    v, flat_work, g = np.zeros(u.size), np.empty(u.size), np.empty(len(u))
     work, flat_u, flat_mu = flat_work.reshape(u.shape), u.ravel(), mu_t.ravel()
     diag.iterates = [v.reshape(u.shape)] if record_iterates else None
     for step_map in maps:
-        if step_map is not fitted:
-            fitted = step_map
-            map_rows, map_cols, map_values = fitted.kernel
-            rows, cols, weights = fitted.counts
-            exact = len(rows) == u.size - fitted.diagnostics["n_empty_cells"]
-            if not exact:
-                n_records = max(int(weights.sum()), 1)
         np.subtract(np.multiply(v, cfg.gamma, out=flat_work), flat_u, out=flat_work)
         np.multiply(flat_work, flat_mu, out=flat_work)
         np.add.reduce(work, axis=1, out=g)
-        g_map = g.take(map_cols)
-        v = np.bincount(map_rows, g_map if exact else map_values * g_map, minlength=u.size)
-        if not exact:
-            d = v.take(rows) - (g_map if cols is map_cols else g.take(cols))
-            d *= d
-        diag.eta.append(0.0 if exact else math.sqrt(float(weights @ d) / n_records))
+        v = step_map.apply(g)
+        diag.eta.append(step_map.misfit(v, g))
         if record_iterates:
             diag.iterates.append(v.reshape(u.shape))
-    empty_seen = max((m.diagnostics["n_empty_cells"] for m in maps), default=0)
+    empty_seen = max((m.n_empty_cells for m in maps), default=0)
     if empty_seen:
         diag.warnings.append(
             f"up to {empty_seen} (s, a) cells unvisited per regression fold; each predicts 0"

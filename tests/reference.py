@@ -219,8 +219,8 @@ def population_fixed_point(mdp: TabularMdp, pi, cfg, record_iterates=False):
     transition = mdp.transition.reshape(n_cells, mdp.n_states)
     support = np.nonzero(transition)
     no_records = np.zeros(0, dtype=np.int64)
-    exact = FittedRegressor((*support, transition[support]),
-                            (no_records, no_records, no_records), {"n_empty_cells": 0})
+    exact = FittedRegressor((*support, transition[support]), (no_records, no_records, no_records),
+                            n_cells, {"n_empty_cells": 0, "n_train": 0})
     return _fitted_fixed_point(cfg, u, mu_t, [exact] * int(cfg.K),
                                SolverDiagnostics(nu_proxy=0.0), record_iterates)
 
@@ -272,17 +272,22 @@ def dense_fit_regressor_folds(states, actions, next_states, n_states, n_actions,
             for lo in range(0, folds * size, size)]
 
 
+def dense_misfit(fitted: DenseFit, flat, g) -> float:
+    """`FittedRegressor.misfit` on a `DenseFit`: the root-mean-square of
+    flat - g over the records, read off the dense counts' nonzeros."""
+    rows, cols = np.nonzero(fitted.counts)
+    weights = fitted.counts[rows, cols]
+    return float(np.sqrt(weights @ (flat[rows] - g[cols]) ** 2 / max(int(weights.sum()), 1)))
+
+
 def dense_fitted_fixed_point(cfg, u, mu_t, maps, diag, record_iterates):
     """`solver._fitted_fixed_point` over `DenseFit` maps: v <- kernel @ g,
-    with eta read off the dense counts' nonzeros."""
+    with eta their `dense_misfit`."""
     v = np.zeros_like(u)
     for fitted in maps:
-        rows, cols = np.nonzero(fitted.counts)
-        weights = fitted.counts[rows, cols]
         g = expect_mu(mu_t, cfg.gamma * v - u)
         flat = fitted.kernel @ g
-        diag.eta.append(float(np.sqrt(weights @ (flat[rows] - g[cols]) ** 2
-                                      / max(int(weights.sum()), 1))))
+        diag.eta.append(dense_misfit(fitted, flat, g))
         v = flat.reshape(u.shape)
     empty_seen = max((m.diagnostics["n_empty_cells"] for m in maps), default=0)
     if empty_seen:

@@ -202,7 +202,7 @@ def _assert_same_fit(ours, ref):
     """Triple for triple and bit for bit, with the same dtypes and diagnostics."""
     for a, b in zip((*ours.kernel, *ours.counts), (*ref.kernel, *ref.counts)):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-    assert ours.diagnostics == ref.diagnostics
+    assert (ours.n_cells, ours.exact, ours.diagnostics) == (ref.n_cells, ref.exact, ref.diagnostics)
 
 
 class TestFoldMapsMatchPerFoldFits:
@@ -230,6 +230,7 @@ class TestFoldMapsMatchPerFoldFits:
         maps = self._check(records, 64, 5, folds)
         # every fold's triples are views into the arrays the folds share
         assert all(np.shares_memory(m.counts[0], maps[0].counts[0].base) for m in maps)
+        assert all(m.exact for m in maps)  # one-hot moves: one next state per cell
 
     @pytest.mark.parametrize("folds", [1, 8, 50])
     def test_move_noise(self, folds):
@@ -242,6 +243,8 @@ class TestFoldMapsMatchPerFoldFits:
         records = ([0, 0, 1, 1, 0, 0, 0, 1], [0, 1, 0, 1, 0, 0, 1, 1], [1, 0, 0, 1, 0, 1, 1, 0])
         maps = self._check(records, 2, 2, 2)
         assert [m.diagnostics["n_empty_cells"] for m in maps] == [0, 1]
+        # fold 0 has one next state per visited cell; fold 1's cell (0, 0) reaches 0 and 1
+        assert [m.exact for m in maps] == [True, False]
 
     @pytest.mark.parametrize("n", [1_000, 2_000])
     def test_both_counting_branches_match_the_dense_fit(self, n):
@@ -255,6 +258,8 @@ class TestFoldMapsMatchPerFoldFits:
                         (rows, cols, ref.kernel[rows, cols], rows, cols, ref.counts[rows, cols])):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         assert ours.diagnostics == ref.diagnostics
+        assert not ours.exact  # slips give some visited cell two next states
+        assert len(rows) > np.count_nonzero(ref.counts.sum(axis=1))
 
     def test_records_must_split_into_equal_folds(self):
         with pytest.raises(ValueError, match="3 records do not split into 2 equal folds"):
@@ -318,19 +323,22 @@ class TestKlShrinksWithN:
 
 
 class TestChunkedCounts:
-    """`mdp._count_keys` counts max(_CHUNK, bins) records at a time: at every
+    """`mdp._count_keys` counts max(_CHUNK, bins) records at a time, and the
+    sort path sorts about _CHUNK records of whole folds at a time: at every
     chunk size the counts are one `np.bincount` of all keys, per fold."""
 
     @pytest.mark.parametrize("chunk", [1, 7, 1 << 14])
     def test_every_chunk_size_counts_all_keys_at_once(self, monkeypatch, chunk):
         monkeypatch.setattr(mdp_module, "_CHUNK", chunk)
+        monkeypatch.setattr(oracles, "_CHUNK", chunk)
         rng = np.random.default_rng(4)
-        ns, na, n = 3, 2, 6_000  # 300 folds of 18 keys fit the dense count
+        # up to 300 folds of 18 keys fit the dense count; 600 and 2,000 folds are sorted
+        ns, na, n = 3, 2, 6_000
         s, a, s2 = rng.integers(0, ns, n), rng.integers(0, na, n), rng.integers(0, ns, n)
         cells = np.bincount(s * na + a, minlength=ns * na).reshape(ns, na)
         assert np.array_equal(fit_classifier(SolverConfig(), s, a, ns, na).counts, cells)
         assert joint_frequency(s, a, ns, na).tobytes() == (cells / n).tobytes()
-        for folds in (1, 4, 300):
+        for folds in (1, 4, 300, 600, 2_000):
             fits = fit_regressor_folds(s, a, s2, ns, na, folds)
             assert len(fits) == folds
             for fold, fitted in zip(range(0, n, n // folds), fits):

@@ -34,6 +34,7 @@ from reference import (
     dense_fit_regressor,
     dense_fit_regressor_folds,
     dense_fitted_fixed_point,
+    dense_misfit,
     expect_mu,
     lambda_mu_weights,
     logsumexp_actions,
@@ -238,6 +239,15 @@ class TestClassifyThenRegress:
     def test_point_mass_action_must_be_an_action_index(self):
         with pytest.raises(ValueError, match="^mu_ref_action 3 out of range$"):
             SolverConfig(mu="point-mass", mu_ref_action=3).mu_table(2, 3)
+
+    @pytest.mark.parametrize("action", [True, 1.5, "1", None])
+    def test_point_mass_action_must_be_an_integer(self, action):
+        # as an index, True would set every entry of the table to 1.0, and 1.5 raise IndexError
+        with pytest.raises(ValueError, match=f"^mu_ref_action: must be an integer, got "
+                                             f"{re.escape(repr(action))}$"):
+            SolverConfig(mu="point-mass", mu_ref_action=action)
+        table = SolverConfig(mu="point-mass", mu_ref_action=np.int64(1)).mu_table(2, 3)
+        assert table.tolist() == [[0.0, 1.0, 0.0]] * 2
 
     @pytest.mark.parametrize("solve, n, message", [
         (classify_then_regress, 0, "empty dataset"),
@@ -462,9 +472,11 @@ class TestSparseFoldMapsMatchDense:
 
 
 class TestExactFitSkipsTheMisfit:
-    """`_fitted_fixed_point` appends eta = 0.0 without a misfit pass for a map
-    with one next state per visited cell, and runs the pass otherwise; both
-    against the dense loop of tests/reference.py, bit for bit."""
+    """A fitted map with one next state per visited cell is `exact`: its
+    `misfit` is 0.0 with no misfit pass, and any other map runs the pass.
+    `apply`, `misfit` and `_fitted_fixed_point`, which reads nothing else of a
+    map but its empty-cell count, against the dense loop of
+    tests/reference.py, bit for bit."""
 
     # (s, a, s') records on (S, A) = (3, 2); cells (1, 0) and (2, 0) have none
     ONE_HOT = [(0, 0, 1), (0, 0, 1), (0, 1, 2), (1, 1, 0), (1, 1, 0), (1, 1, 0), (2, 1, 2)]
@@ -493,6 +505,39 @@ class TestExactFitSkipsTheMisfit:
             assert sol.diagnostics.eta == [0.0] * 6
         else:
             assert min(sol.diagnostics.eta) > 0.0
+
+    @pytest.mark.parametrize("records", [ONE_HOT, TWO_NEXT], ids=["one-hot", "two-next-states"])
+    def test_apply_and_misfit_are_the_dense_product_and_misfit(self, records):
+        rng = np.random.default_rng(5)
+        columns = [np.array(c) for c in zip(*records)]
+        sparse, dense = (fit(*columns, 3, 2) for fit in (fit_regressor, dense_fit_regressor))
+        assert sparse.exact == (records is self.ONE_HOT)
+        for g in rng.normal(size=(4, 3)):
+            v = sparse.apply(g)
+            assert v.tobytes() == (dense.kernel @ g).tobytes()
+            assert sparse.misfit(v, g) == dense_misfit(dense, v, g)
+
+    @pytest.mark.parametrize("records", [ONE_HOT, TWO_NEXT], ids=["one-hot", "two-next-states"])
+    def test_the_loop_needs_only_apply_misfit_and_the_empty_cell_count(self, records):
+        class ProtocolOnly:  # a map with nothing the loop may read but these three
+            __slots__ = ("apply", "misfit", "n_empty_cells")
+
+        dense = dense_fit_regressor(*[np.array(c) for c in zip(*records)], 3, 2)
+        stub = ProtocolOnly()
+        stub.apply = lambda g: dense.kernel @ g
+        stub.misfit = lambda v, g: dense_misfit(dense, v, g)
+        stub.n_empty_cells = dense.diagnostics["n_empty_cells"]
+        rng = np.random.default_rng(4)
+        u, mu_t = np.log(random_policy(rng, 3, 2)), random_policy(rng, 3, 2)
+        cfg = SolverConfig(gamma=0.9, K=6)
+        sol = solver_module._fitted_fixed_point(cfg, u, mu_t, [stub] * 6,
+                                                solver_module.SolverDiagnostics(), False)
+        ref = dense_fitted_fixed_point(cfg, u, mu_t, [dense] * 6,
+                                       solver_module.SolverDiagnostics(), False)
+        assert sol.v.tobytes() == ref.v.tobytes()
+        assert sol.r.tobytes() == ref.r.tobytes()
+        assert sol.diagnostics.eta == ref.diagnostics.eta
+        assert sol.diagnostics.warnings == ref.diagnostics.warnings
 
     @pytest.mark.parametrize("k", [0, 1, 7, None], ids=["0", "1", "7", "K"])
     def test_each_recorded_iterate_is_the_solve_of_that_many_steps(self, ident_50k, k):
