@@ -123,11 +123,10 @@ class TestLogPolicy:
         assert np.log(fc.probs).min() >= np.log(1e-6 / 2)
 
 
-def regress(fitted, g, n_actions):
+def regress(fitted, g):
     """The fitted regression of the targets g(s') as an (S, A) table."""
     g = np.asarray(g, dtype=float)
-    rows, cols, values = fitted.kernel
-    return np.bincount(rows, values * g[cols], minlength=g.size * n_actions).reshape(g.size, -1)
+    return fitted.apply(g).reshape(g.size, -1)
 
 
 def dense(triples, shape):
@@ -141,13 +140,13 @@ def dense(triples, shape):
 class TestFitRegressor:
     def test_constant_targets(self):
         fr = fit_regressor([0, 0, 1], [0, 1, 2], [1, 0, 1], 2, 3)
-        table = regress(fr, [7.0, 7.0], 3)
+        table = regress(fr, [7.0, 7.0])
         for s, a in [(0, 0), (0, 1), (1, 2)]:
             assert_allclose(table[s, a], 7.0, atol=1e-10)
 
     def test_cell_mean(self):
         fr = fit_regressor([0, 0], [1, 1], [0, 1], 2, 2)
-        assert regress(fr, [1.0, 3.0], 2)[0, 1] == 2.0
+        assert regress(fr, [1.0, 3.0])[0, 1] == 2.0
 
     @pytest.mark.parametrize("records, message", [
         (([], [], []), "empty training data"),
@@ -162,7 +161,7 @@ class TestFitRegressor:
     def test_fallback_for_empty_cells(self):
         # a cell without records has no kernel triple, so it predicts 0 for every target
         fr = fit_regressor([0], [0], [0], 2, 2)
-        table = regress(fr, [1.0, -4.0], 2)
+        table = regress(fr, [1.0, -4.0])
         assert table.tobytes() == np.array([[1.0, 0.0], [0.0, 0.0]]).tobytes()
         assert fr.diagnostics["n_empty_cells"] == 3
 
@@ -184,7 +183,7 @@ class TestFitRegressor:
         g = rng.normal(size=3)
         y = g[s2]
         fr = fit_regressor(s, a, s2, 3, 2)
-        fit_risk = np.mean((regress(fr, g, 2)[s, a] - y) ** 2)
+        fit_risk = np.mean((regress(fr, g)[s, a] - y) ** 2)
         best_const = np.mean((y.mean() - y) ** 2)
         assert fit_risk <= best_const + 1e-12
 
