@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from softirl.mdp import _CHUNK, _cell_keys, _count_keys, check_records
+from softirl.mdp import _cell_keys, _count_keys, check_records
 
 PROB_FLOOR = 1e-6  # least fitted probability, so the log-policy stays bounded
 
@@ -37,35 +37,38 @@ class FittedRegressor:
     `kernel` is the (rows, cols, values) triples of M's nonzero entries
     M[s * A + a, s'], so a cell without records has no triple and
     predicts 0; `counts` is the (rows, cols, n) triples of the fold's nonzero
-    (s, a, s') record counts, in row-major order, on the kernel's rows and cols.
-    An `exact` map holds one next state per visited cell, so its values are
-    n / n = 1.0 and it fits its own records with no misfit.
+    (s, a, s') record counts, in row-major order, on the kernel's rows and cols,
+    and `n_records` their sum. An `exact` map has one count triple per visited
+    cell, so its values are n / n = 1.0 and it has no misfit on its records.
     """
 
     kernel: tuple
     counts: tuple
     n_cells: int
+    n_records: int
     diagnostics: dict = field(default_factory=dict)
-    exact: bool = False
+    exact: bool = field(init=False)
+
+    def __post_init__(self):
+        self.exact = len(self.counts[0]) == self.n_cells - self.n_empty_cells
 
     @property
     def n_empty_cells(self) -> int:
         return self.diagnostics["n_empty_cells"]
 
-    def apply(self, g) -> np.ndarray:
-        """M g as a flat (S * A,) table; an exact map sums g[col], the bits of 1.0 * g[col]."""
+    def step(self, g) -> tuple[np.ndarray, float]:
+        """(v, eta): v = M g as a flat (S * A,) table, and eta its root-mean-square
+        misfit on the fold's records, off the same gather of g where the kernel and
+        count triples share their cols. An exact map sums g[col], with eta 0.0."""
         rows, cols, values = self.kernel
         g_cols = g.take(cols)
-        return np.bincount(rows, g_cols if self.exact else values * g_cols, minlength=self.n_cells)
-
-    def misfit(self, v, g) -> float:
-        """eta, the root-mean-square misfit of v = M g on the fold's records; 0.0 if exact."""
         if self.exact:
-            return 0.0
-        rows, cols, n = self.counts
-        d = v.take(rows) - g.take(cols)
+            return np.bincount(rows, g_cols, minlength=self.n_cells), 0.0
+        v = np.bincount(rows, values * g_cols, minlength=self.n_cells)
+        rows, count_cols, n = self.counts
+        d = v.take(rows) - (g_cols if count_cols is cols else g.take(count_cols))
         d *= d
-        return math.sqrt(n.dot(d) / max(self.diagnostics["n_train"], 1))
+        return v, math.sqrt(float(n @ d) / max(self.n_records, 1))
 
 
 def fit_classifier(cfg, states, actions, n_states: int, n_actions: int) -> FittedClassifier:
@@ -103,10 +106,8 @@ def fit_regressor_folds(states, actions, next_states, n_states: int, n_actions: 
     records, in order, from one check and one count of the (fold, s * A + a,
     s') keys: when their range is at most the record count, a dense bincount
     of one chunk of records at a time (`mdp._count_keys`), so no key array of
-    the record count exists; else a sort of whole folds' keys, about
-    `mdp._CHUNK` records at a time. Each fold's count and kernel triples are
-    views into the shared sorted counts; a fold with one count triple per
-    visited cell is `exact`."""
+    the record count exists; else a sort of all keys. Each fold's count and
+    kernel triples are views into the shared sorted counts."""
     s, a, s2 = check_records(n_states, n_actions, states, actions, next_states)
     if s.size == 0:
         raise ValueError("empty training data")
@@ -128,18 +129,14 @@ def fit_regressor_folds(states, actions, next_states, n_states: int, n_actions: 
         support = np.flatnonzero(counts > 0)  # a bool mask scans faster than int64
         n = counts[support]
     else:
-        step = max(1, _CHUNK // size) * size
-        support, n = (np.concatenate(part) for part in zip(*(
-            np.unique(keys(lo, min(lo + step, s.size)), return_counts=True)
-            for lo in range(0, s.size, step))))
+        support, n = np.unique(keys(0, s.size), return_counts=True)
     cells, cols = np.divmod(support, n_states)  # cells = fold * S * A + s * A + a
     cnt = np.bincount(cells, n, minlength=folds * n_cells)
     rows, values = cells % n_cells, n / cnt[cells]
     empty = np.count_nonzero(cnt.reshape(folds, n_cells) == 0, axis=1).tolist()
     bounds = np.searchsorted(support, np.arange(folds + 1) * span).tolist()
 
-    return [FittedRegressor((*at, values[lo:hi]), (*at, n[lo:hi]), n_cells,
-                            {"n_empty_cells": n_empty, "n_train": size},
-                            hi - lo == n_cells - n_empty)
+    return [FittedRegressor((*at, values[lo:hi]), (*at, n[lo:hi]), n_cells, size,
+                            {"n_empty_cells": n_empty, "n_train": size})
             for lo, hi, n_empty in zip(bounds, bounds[1:], empty)
             for at in [(rows[lo:hi], cols[lo:hi])]]  # one rows and cols view for both

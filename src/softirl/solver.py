@@ -218,11 +218,10 @@ def _fit_policy(cfg: SolverConfig, data, n_train: int):
 
 def _fitted_fixed_point(cfg: SolverConfig, u, mu_t, maps: list, diag: SolverDiagnostics,
                         record_iterates: bool) -> IrlSolution:
-    """The fitted fixed-point loop v <- M_k g with g = mu[gamma v - u], one
-    step per map M_k = maps[k], on flat (S * A,) tables: v is M_k.apply(g),
-    and eta[k] is M_k.misfit(v, g), the root-mean-square misfit of v on that
-    map's records. A map needs nothing else but its n_empty_cells, which the
-    warning reads. work is a view of flat_work, whatever the memory order of u.
+    """The fitted fixed-point loop v <- M_k g with g = mu[gamma v - u], one step per
+    map M_k = maps[k], on flat (S * A,) tables: M_k.step(g) gives v and eta[k], the
+    root-mean-square misfit of v on that map's records, and the warning reads each
+    map's n_empty_cells. work is a view of flat_work, whatever the memory order of u.
     """
     v, flat_work, g = np.zeros(u.size), np.empty(u.size), np.empty(len(u))
     work, flat_u, flat_mu = flat_work.reshape(u.shape), u.ravel(), mu_t.ravel()
@@ -231,8 +230,8 @@ def _fitted_fixed_point(cfg: SolverConfig, u, mu_t, maps: list, diag: SolverDiag
         np.subtract(np.multiply(v, cfg.gamma, out=flat_work), flat_u, out=flat_work)
         np.multiply(flat_work, flat_mu, out=flat_work)
         np.add.reduce(work, axis=1, out=g)
-        v = step_map.apply(g)
-        diag.eta.append(step_map.misfit(v, g))
+        v, eta = step_map.step(g)
+        diag.eta.append(eta)
         if record_iterates:
             diag.iterates.append(v.reshape(u.shape))
     empty_seen = max((m.n_empty_cells for m in maps), default=0)

@@ -219,9 +219,10 @@ def population_fixed_point(mdp: TabularMdp, pi, cfg, record_iterates=False):
     transition = mdp.transition.reshape(n_cells, mdp.n_states)
     support = np.nonzero(transition)
     no_records = np.zeros(0, dtype=np.int64)
-    exact = FittedRegressor((*support, transition[support]), (no_records, no_records, no_records),
-                            n_cells, {"n_empty_cells": 0, "n_train": 0})
-    return _fitted_fixed_point(cfg, u, mu_t, [exact] * int(cfg.K),
+    population = FittedRegressor((*support, transition[support]),
+                                 (no_records, no_records, no_records), n_cells, 0,
+                                 {"n_empty_cells": 0, "n_train": 0})
+    return _fitted_fixed_point(cfg, u, mu_t, [population] * int(cfg.K),
                                SolverDiagnostics(nu_proxy=0.0), record_iterates)
 
 
@@ -273,7 +274,7 @@ def dense_fit_regressor_folds(states, actions, next_states, n_states, n_actions,
 
 
 def dense_misfit(fitted: DenseFit, flat, g) -> float:
-    """`FittedRegressor.misfit` on a `DenseFit`: the root-mean-square of
+    """`FittedRegressor.step`'s eta on a `DenseFit`: the root-mean-square of
     flat - g over the records, read off the dense counts' nonzeros."""
     rows, cols = np.nonzero(fitted.counts)
     weights = fitted.counts[rows, cols]

@@ -126,7 +126,7 @@ class TestLogPolicy:
 def regress(fitted, g):
     """The fitted regression of the targets g(s') as an (S, A) table."""
     g = np.asarray(g, dtype=float)
-    return fitted.apply(g).reshape(g.size, -1)
+    return fitted.step(g)[0].reshape(g.size, -1)
 
 
 def dense(triples, shape):
@@ -201,7 +201,8 @@ def _assert_same_fit(ours, ref):
     """Triple for triple and bit for bit, with the same dtypes and diagnostics."""
     for a, b in zip((*ours.kernel, *ours.counts), (*ref.kernel, *ref.counts)):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-    assert (ours.n_cells, ours.exact, ours.diagnostics) == (ref.n_cells, ref.exact, ref.diagnostics)
+    assert ((ours.n_cells, ours.n_records, ours.exact, ours.diagnostics)
+            == (ref.n_cells, ref.n_records, ref.exact, ref.diagnostics))
 
 
 class TestFoldMapsMatchPerFoldFits:
@@ -214,6 +215,7 @@ class TestFoldMapsMatchPerFoldFits:
         for k, fitted in enumerate(maps):
             fold = [c[k * size:(k + 1) * size] for c in records]
             _assert_same_fit(fitted, fit_regressor(*fold, ns, na))
+            assert fitted.n_records == fitted.counts[2].sum() == size
         return maps
 
     def test_ident_split_folds(self):
@@ -322,22 +324,19 @@ class TestKlShrinksWithN:
 
 
 class TestChunkedCounts:
-    """`mdp._count_keys` counts max(_CHUNK, bins) records at a time, and the
-    sort path sorts about _CHUNK records of whole folds at a time: at every
+    """`mdp._count_keys` counts max(_CHUNK, bins) records at a time: at every
     chunk size the counts are one `np.bincount` of all keys, per fold."""
 
     @pytest.mark.parametrize("chunk", [1, 7, 1 << 14])
     def test_every_chunk_size_counts_all_keys_at_once(self, monkeypatch, chunk):
         monkeypatch.setattr(mdp_module, "_CHUNK", chunk)
-        monkeypatch.setattr(oracles, "_CHUNK", chunk)
         rng = np.random.default_rng(4)
-        # up to 300 folds of 18 keys fit the dense count; 600 and 2,000 folds are sorted
-        ns, na, n = 3, 2, 6_000
+        ns, na, n = 3, 2, 6_000  # 300 folds of 18 keys fit the dense count
         s, a, s2 = rng.integers(0, ns, n), rng.integers(0, na, n), rng.integers(0, ns, n)
         cells = np.bincount(s * na + a, minlength=ns * na).reshape(ns, na)
         assert np.array_equal(fit_classifier(SolverConfig(), s, a, ns, na).counts, cells)
         assert joint_frequency(s, a, ns, na).tobytes() == (cells / n).tobytes()
-        for folds in (1, 4, 300, 600, 2_000):
+        for folds in (1, 4, 300):
             fits = fit_regressor_folds(s, a, s2, ns, na, folds)
             assert len(fits) == folds
             for fold, fitted in zip(range(0, n, n // folds), fits):

@@ -473,10 +473,10 @@ class TestSparseFoldMapsMatchDense:
 
 class TestExactFitSkipsTheMisfit:
     """A fitted map with one next state per visited cell is `exact`: its
-    `misfit` is 0.0 with no misfit pass, and any other map runs the pass.
-    `apply`, `misfit` and `_fitted_fixed_point`, which reads nothing else of a
-    map but its empty-cell count, against the dense loop of
-    tests/reference.py, bit for bit."""
+    `step` gives eta = 0.0 with no misfit pass, and any other map runs the
+    pass. `step` and `_fitted_fixed_point`, which reads nothing else of a map
+    but its empty-cell count, against the dense loop of tests/reference.py,
+    bit for bit."""
 
     # (s, a, s') records on (S, A) = (3, 2); cells (1, 0) and (2, 0) have none
     ONE_HOT = [(0, 0, 1), (0, 0, 1), (0, 1, 2), (1, 1, 0), (1, 1, 0), (1, 1, 0), (2, 1, 2)]
@@ -507,25 +507,24 @@ class TestExactFitSkipsTheMisfit:
             assert min(sol.diagnostics.eta) > 0.0
 
     @pytest.mark.parametrize("records", [ONE_HOT, TWO_NEXT], ids=["one-hot", "two-next-states"])
-    def test_apply_and_misfit_are_the_dense_product_and_misfit(self, records):
+    def test_step_is_the_dense_product_and_misfit(self, records):
         rng = np.random.default_rng(5)
         columns = [np.array(c) for c in zip(*records)]
         sparse, dense = (fit(*columns, 3, 2) for fit in (fit_regressor, dense_fit_regressor))
         assert sparse.exact == (records is self.ONE_HOT)
         for g in rng.normal(size=(4, 3)):
-            v = sparse.apply(g)
+            v, eta = sparse.step(g)
             assert v.tobytes() == (dense.kernel @ g).tobytes()
-            assert sparse.misfit(v, g) == dense_misfit(dense, v, g)
+            assert eta == dense_misfit(dense, v, g)
 
     @pytest.mark.parametrize("records", [ONE_HOT, TWO_NEXT], ids=["one-hot", "two-next-states"])
-    def test_the_loop_needs_only_apply_misfit_and_the_empty_cell_count(self, records):
-        class ProtocolOnly:  # a map with nothing the loop may read but these three
-            __slots__ = ("apply", "misfit", "n_empty_cells")
+    def test_the_loop_needs_only_step_and_the_empty_cell_count(self, records):
+        class ProtocolOnly:  # a map with nothing the loop may read but these two
+            __slots__ = ("step", "n_empty_cells")
 
         dense = dense_fit_regressor(*[np.array(c) for c in zip(*records)], 3, 2)
         stub = ProtocolOnly()
-        stub.apply = lambda g: dense.kernel @ g
-        stub.misfit = lambda v, g: dense_misfit(dense, v, g)
+        stub.step = lambda g: (v := dense.kernel @ g, dense_misfit(dense, v, g))
         stub.n_empty_cells = dense.diagnostics["n_empty_cells"]
         rng = np.random.default_rng(4)
         u, mu_t = np.log(random_policy(rng, 3, 2)), random_policy(rng, 3, 2)
