@@ -24,7 +24,6 @@ from softirl.mdp import (
 )
 from softirl.metrics import MetricsReport, evaluate, qdiff
 from softirl.oracles import (
-    FittedClassifier,
     FittedRegressor,
     fit_classifier,
     fit_regressor,
@@ -42,7 +41,6 @@ from softirl.solver import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "FittedClassifier",
     "FittedRegressor",
     "GridworldSpec",
     "IrlSolution",

@@ -309,15 +309,20 @@ def state_kernel(mdp: TabularMdp, mu) -> np.ndarray:
     return np.einsum("sa,san->sn", mu, mdp.transition)
 
 
-def joint_frequency(states, actions, n_states: int, n_actions: int) -> np.ndarray:
-    """Empirical joint (S, A) frequency table of index arrays."""
-    s = np.asarray(states)
-    a = np.asarray(actions)
+def cell_counts(states, actions, n_states: int, n_actions: int) -> np.ndarray:
+    """The (S, A) table of record counts of (s, a) index arrays, checked by
+    `check_records` and counted a chunk at a time (`_count_keys`)."""
+    s, a = check_records(n_states, n_actions, states, actions)
     if s.size == 0:
         raise ValueError("empty index arrays")
-    counts = _count_keys(lambda lo, hi: _cell_keys(s[lo:hi], a[lo:hi], n_actions), s.size,
-                         n_states * n_actions)
-    return counts.reshape(n_states, n_actions) / s.size
+    return _count_keys(lambda lo, hi: _cell_keys(s[lo:hi], a[lo:hi], n_actions), s.size,
+                       n_states * n_actions).reshape(n_states, n_actions)
+
+
+def joint_frequency(states, actions, n_states: int, n_actions: int) -> np.ndarray:
+    """Empirical joint (S, A) frequency table of index arrays: `cell_counts` / n."""
+    counts = cell_counts(states, actions, n_states, n_actions)
+    return counts / counts.sum()
 
 
 def _cell_keys(states, actions, n_actions: int) -> np.ndarray:

@@ -9,10 +9,10 @@ classification oracle for pi and an iterated regression oracle for the value
 fixed point. The regression oracle is the tabular mean, which is linear in
 its targets, so each regression fold is fitted once as a linear map over
 next-state functions and applied at every step that uses it:
-`classify_then_regress` fits the full sample once and applies that map at
-every step, `split_classify_regress` dedicates half the data to
-classification and regresses step k on fold k of K equal folds of the other
-half, all fitted from one count of that half.
+`classify_then_regress` fits the full sample once, classifies from that
+map's cell counts and applies it at every step; `split_classify_regress`
+classifies from the counts of half the data and regresses step k on fold k
+of K equal folds of the other half, all fitted from one count of that half.
 
 Both variants return rewards through the same closed form r = w - mu w with
 w = u - gamma v, which satisfies the normalization identically (and exactly
@@ -32,8 +32,8 @@ from softirl.mdp import (
     TabularMdp,
     _solve_discounted,
     apply_P,
+    cell_counts,
     check_distribution,
-    joint_frequency,
     row_kl,
     state_kernel,
 )
@@ -194,26 +194,19 @@ def _empirical_kappa(freq: np.ndarray, mu_t: np.ndarray, warnings: list) -> floa
     return float(np.max(target[visited] / freq[visited]))
 
 
-def _fit_policy(cfg: SolverConfig, data, n_train: int):
-    """Classifier stage shared by the data-driven variants: fit pi on the
-    first `n_train` records, then record nu_proxy on them and kappa_hat on
-    all records, with a warning for each coverage gap."""
-    n_states = data.meta["n_states"]
-    n_actions = data.meta["n_actions"]
-    states = np.asarray(data.states)
-    actions = np.asarray(data.actions)
-    clf = fit_classifier(cfg, states[:n_train], actions[:n_train], n_states, n_actions)
-    mu_t = cfg.mu_table(n_states, n_actions, behavior=clf.probs)
-    diag = SolverDiagnostics(nu_proxy=_classifier_train_kl(clf.probs, clf.counts))
-    unvisited = np.count_nonzero(clf.counts.sum(axis=1) == 0)
+def _fit_policy(cfg: SolverConfig, counts: np.ndarray, sample_counts: np.ndarray):
+    """Classifier stage shared by the data-driven variants: fit pi on the (S, A)
+    record counts `counts`, then record nu_proxy on them and kappa_hat on the
+    whole sample's `sample_counts`, with a warning for each coverage gap."""
+    probs = fit_classifier(cfg, counts)
+    mu_t = cfg.mu_table(*counts.shape, behavior=probs)
+    diag = SolverDiagnostics(nu_proxy=_classifier_train_kl(probs, counts))
+    unvisited = np.count_nonzero(counts.sum(axis=1) == 0)
     if unvisited:
         diag.warnings.append(
             f"{unvisited} states never visited; classifier rows default to uniform there")
-    # the classifier counted every record unless the sample is split
-    freq = (clf.counts / n_train if n_train == len(states)
-            else joint_frequency(states, actions, n_states, n_actions))
-    diag.kappa_hat = _empirical_kappa(freq, mu_t, diag.warnings)
-    return np.log(clf.probs), mu_t, diag  # the floor keeps the log finite
+    diag.kappa_hat = _empirical_kappa(sample_counts / sample_counts.sum(), mu_t, diag.warnings)
+    return np.log(probs), mu_t, diag  # the floor keeps the log finite
 
 
 def _fitted_fixed_point(cfg: SolverConfig, u, mu_t, maps: list, diag: SolverDiagnostics,
@@ -245,16 +238,17 @@ def _fitted_fixed_point(cfg: SolverConfig, u, mu_t, maps: list, diag: SolverDiag
 
 def classify_then_regress(data, cfg: SolverConfig, *,
                           record_iterates: bool = False) -> IrlSolution:
-    """Fitted fixed-point recovery: classify the behavior policy, then
-    iterate regressions of mu[gamma v - u](s') on (s, a), all on the full
-    sample through one fitted map (none at K = 0)."""
+    """Fitted fixed-point recovery on the full sample: fit its one regression
+    map, classify the behavior policy from that map's cell counts, then iterate
+    regressions of mu[gamma v - u](s') on (s, a) through the map."""
     if data.n < 1:
         raise ValueError("empty dataset")
-    u, mu_t, diag = _fit_policy(cfg, data, data.n)
-    k_steps = cfg.steps(data.n)
-    maps = [fit_regressor(data.states, data.actions, data.next_states, data.meta["n_states"],
-                          data.meta["n_actions"])] * k_steps if k_steps else []
-    return _fitted_fixed_point(cfg, u, mu_t, maps, diag, record_iterates)
+    n_states, n_actions = data.meta["n_states"], data.meta["n_actions"]
+    fitted = fit_regressor(data.states, data.actions, data.next_states, n_states, n_actions)
+    counts = fitted.cell_counts.reshape(n_states, n_actions)
+    u, mu_t, diag = _fit_policy(cfg, counts, counts)
+    return _fitted_fixed_point(cfg, u, mu_t, [fitted] * cfg.steps(data.n), diag,
+                               record_iterates)
 
 
 def split_classify_regress(data, cfg: SolverConfig) -> IrlSolution:
@@ -269,7 +263,9 @@ def split_classify_regress(data, cfg: SolverConfig) -> IrlSolution:
     if fold_size == 0:
         raise ValueError(f"fold size is 0: half={half}, folds={k_steps}")
     n_states, n_actions = data.meta["n_states"], data.meta["n_actions"]
-    u, mu_t, diag = _fit_policy(cfg, data, half)
+    u, mu_t, diag = _fit_policy(cfg, cell_counts(data.states[:half], data.actions[:half],
+                                                 n_states, n_actions),
+                                cell_counts(data.states, data.actions, n_states, n_actions))
     if fold_size < n_states:
         diag.warnings.append(f"fold size {fold_size} is below the state count; "
                              "coverage gaps likely")

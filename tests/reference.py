@@ -218,9 +218,8 @@ def population_fixed_point(mdp: TabularMdp, pi, cfg, record_iterates=False):
     n_cells = mdp.n_states * mdp.n_actions
     transition = mdp.transition.reshape(n_cells, mdp.n_states)
     support = np.nonzero(transition)
-    no_records = np.zeros(0, dtype=np.int64)
-    population = FittedRegressor((*support, transition[support]),
-                                 (no_records, no_records, no_records), n_cells, 0,
+    no_records = np.zeros(len(support[0]), dtype=np.intp)  # zero counts on the support
+    population = FittedRegressor((*support, transition[support]), no_records, n_cells, 0,
                                  {"n_empty_cells": 0, "n_train": 0})
     return _fitted_fixed_point(cfg, u, mu_t, [population] * int(cfg.K),
                                SolverDiagnostics(nu_proxy=0.0), record_iterates)
@@ -232,8 +231,9 @@ def plugin_fixed_point(dataset, cfg):
     the fixed point's g = c solves (I - gamma mu M) c = -mu u and v = M c.
     Returns that solution and M as a dense (S*A, S) array."""
     ns, na = dataset.meta["n_states"], dataset.meta["n_actions"]
-    u, mu_t, diag = _fit_policy(cfg, dataset, dataset.n)
     fitted = fit_regressor(dataset.states, dataset.actions, dataset.next_states, ns, na)
+    counts = fitted.cell_counts.reshape(ns, na)
+    u, mu_t, diag = _fit_policy(cfg, counts, counts)
     rows, cols, values = fitted.kernel
     kernel = np.zeros((ns * na, ns))
     kernel[rows, cols] = values
@@ -252,6 +252,11 @@ class DenseFit:
     kernel: np.ndarray
     counts: np.ndarray
     diagnostics: dict
+
+    @property
+    def cell_counts(self) -> np.ndarray:
+        """`FittedRegressor.cell_counts`: the flat (S*A,) row sums of `counts`."""
+        return self.counts.sum(axis=1)
 
 
 def dense_fit_regressor(states, actions, next_states, n_states, n_actions):

@@ -5,7 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import softirl.maxent as maxent
-from softirl.envs import GridworldSpec, build_env, expert_policy, sample_transitions
+from softirl.envs import (GridworldSpec, TransitionDataset, build_env, expert_policy,
+                          sample_transitions)
 from softirl.harness import builtin_experiment
 from softirl.maxent import MaxEntConfig, MaxEntFit, ascent, maxent_fit, run_lockstep
 from softirl.metrics import evaluate
@@ -159,6 +160,14 @@ class TestMaxentFit:
         sol = classify_then_regress(ds, SolverConfig(gamma=0.9, smoothing_alpha=1.0))
         ours = evaluate(mdp, r_true, pi, sol.r, sol.v)
         assert base.corr_qdiff < ours.corr_qdiff
+
+    def test_a_state_out_of_range_is_rejected_by_its_column(self):
+        # unchecked, ident's count of state 70 failed on a numpy broadcast error
+        mdp, _, phi = build_env(builtin_experiment("ident").env)
+        ds = TransitionDataset(np.array([70, 0]), np.array([0, 0]), np.array([0, 0]),
+                               meta={"n_states": mdp.n_states, "n_actions": mdp.n_actions})
+        with pytest.raises(ValueError, match=r"^state index out of range \[0, 64\)$"):
+            maxent_fit(mdp, phi, ds, MaxEntConfig(max_epochs=1))
 
     def test_a_non_finite_likelihood_stops_the_ascent(self):
         # driven by hand: epoch 1 is sent a policy with a zero where the data has mass

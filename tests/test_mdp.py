@@ -12,6 +12,7 @@ from softirl.mdp import (
     _soft_policy_iteration,
     _soft_value_iteration,
     apply_P,
+    cell_counts,
     check_records,
     joint_frequency,
     soft_value_iteration,
@@ -137,14 +138,14 @@ def _record_entry_points():
     """name -> (column count, the call that checks them) for each public entry
     point that takes (s, a) or (s, a, s') records of a 3-state, 2-action MDP."""
     from softirl.envs import TransitionDataset
-    from softirl.oracles import fit_classifier, fit_regressor
-    from softirl.solver import SolverConfig
+    from softirl.oracles import fit_regressor
 
     def dataset(*columns):
         TransitionDataset(*columns, meta={"n_states": 3, "n_actions": 2}).validate()
 
     return {"dataset": (3, dataset),
-            "classifier": (2, lambda *c: fit_classifier(SolverConfig(), *c, 3, 2)),
+            # the classifier fits from the table of its records' cell_counts
+            "classifier": (2, lambda *c: cell_counts(*c, 3, 2)),
             "regressor": (3, lambda *c: fit_regressor(*c, 3, 2))}
 
 
@@ -1046,3 +1047,10 @@ class TestNorms:
         assert_allclose(w, [[0.0, 2 / 3], [1 / 3, 0.0]])
         with pytest.raises(ValueError, match="^empty index arrays$"):
             joint_frequency([], [], 2, 2)
+
+    @pytest.mark.parametrize("states, actions", [([0, 0], [3, 0]), ([1, 0], [-1, 0])],
+                             ids=["action-past-the-end", "negative-action"])
+    def test_joint_frequency_rejects_an_action_out_of_range(self, states, actions):
+        # unchecked, action 3 of state 0 was counted as cell (1, 1), and (1, -1) as (0, 1)
+        with pytest.raises(ValueError, match=r"^action index out of range \[0, 2\)$"):
+            joint_frequency(states, actions, 2, 2)

@@ -12,7 +12,7 @@ from softirl.solver import SolverConfig
 
 from softirl.envs import build_env, expert_policy, sample_transitions
 from softirl.harness import builtin_experiment
-from softirl.mdp import joint_frequency
+from softirl.mdp import cell_counts, joint_frequency
 
 from reference import dense_fit_regressor, logsumexp_actions
 
@@ -35,29 +35,35 @@ def mean_kl(pi, probs):
     return float(np.mean(np.sum(pi * (np.log(pi) - np.log(probs)), axis=1)))
 
 
+def classify(cfg, states, actions, n_states, n_actions):
+    """`fit_classifier` on the records' `cell_counts`: the (S, A) policy table."""
+    return fit_classifier(cfg, cell_counts(states, actions, n_states, n_actions))
+
+
 class TestFitClassifier:
     def test_empirical_frequencies(self, monkeypatch):
         monkeypatch.setattr(oracles, "PROB_FLOOR", 1e-9)
-        fc = fit_classifier(SolverConfig(smoothing_alpha=0.0), [0, 0, 0], [0, 0, 1], 1, 2)
-        assert_allclose(fc.probs[0], [2 / 3, 1 / 3], atol=1e-8)
+        probs = classify(SolverConfig(smoothing_alpha=0.0), [0, 0, 0], [0, 0, 1], 1, 2)
+        assert_allclose(probs[0], [2 / 3, 1 / 3], atol=1e-8)
 
     def test_huge_alpha_is_uniform(self):
         cfg = SolverConfig(smoothing_alpha=1e9)
-        fc = fit_classifier(cfg, [0, 0, 1], [1, 1, 0], 2, 3)
-        assert_allclose(fc.probs, 1 / 3, atol=1e-6)
+        probs = classify(cfg, [0, 0, 1], [1, 1, 0], 2, 3)
+        assert_allclose(probs, 1 / 3, atol=1e-6)
 
     def test_unvisited_state_gets_uniform_row(self):
-        fc = fit_classifier(SolverConfig(), [0], [1], 3, 2)
-        assert_allclose(fc.probs[2], 0.5, atol=1e-6)
-        assert np.count_nonzero(fc.counts.sum(axis=1) == 0) == 2
+        counts = cell_counts([0], [1], 3, 2)
+        assert_allclose(fit_classifier(SolverConfig(), counts)[2], 0.5, atol=1e-6)
+        assert np.count_nonzero(counts.sum(axis=1) == 0) == 2
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0])
     def test_counts_are_the_records_per_cell(self, alpha):
-        # smoothing moves the probabilities, never the counts
+        # smoothing moves the probabilities, never the counts they are fitted from
         rng = np.random.default_rng(9)
         s, a = rng.integers(0, 4, size=300), rng.integers(0, 3, size=300)
-        fc = fit_classifier(SolverConfig(smoothing_alpha=alpha), s, a, 4, 3)
-        assert np.array_equal(fc.counts, np.bincount(s * 3 + a, minlength=12).reshape(4, 3))
+        counts = cell_counts(s, a, 4, 3)
+        fit_classifier(SolverConfig(smoothing_alpha=alpha), counts)
+        assert np.array_equal(counts, np.bincount(s * 3 + a, minlength=12).reshape(4, 3))
 
     @pytest.mark.parametrize("alpha", [0.5, 2.0])
     def test_smoothed_rows_are_the_laplace_counts(self, alpha, monkeypatch):
@@ -65,30 +71,31 @@ class TestFitClassifier:
         rng = np.random.default_rng(11)
         s, a = rng.integers(0, 3, size=40), rng.integers(0, 4, size=40)
         s[s == 2] = 0  # state 2 has no record: its row is alpha / (4 alpha)
-        fc = fit_classifier(SolverConfig(smoothing_alpha=alpha), s, a, 3, 4)
+        probs = classify(SolverConfig(smoothing_alpha=alpha), s, a, 3, 4)
         counts = np.bincount(s * 4 + a, minlength=12).reshape(3, 4)
         want = (counts + alpha) / (counts.sum(axis=1, keepdims=True) + 4 * alpha)
-        assert_allclose(fc.probs, want, rtol=1e-12, atol=1e-12)
-        assert_allclose(fc.probs[2], 0.25, rtol=1e-12)
+        assert_allclose(probs, want, rtol=1e-12, atol=1e-12)
+        assert_allclose(probs[2], 0.25, rtol=1e-12)
 
     def test_fit_reads_the_counts_not_the_record_order(self):
         rng = np.random.default_rng(12)
         s, a = rng.integers(0, 5, size=500), rng.integers(0, 3, size=500)
         order = rng.permutation(s.size)
         cfg = SolverConfig(smoothing_alpha=0.5)
-        fc = fit_classifier(cfg, s, a, 5, 3)
-        shuffled = fit_classifier(cfg, s[order], a[order], 5, 3)
-        assert fc.probs.tobytes() == shuffled.probs.tobytes()
-        assert np.array_equal(fc.counts, shuffled.counts)
+        probs = classify(cfg, s, a, 5, 3)
+        shuffled = classify(cfg, s[order], a[order], 5, 3)
+        assert probs.tobytes() == shuffled.tobytes()
+        assert np.array_equal(cell_counts(s, a, 5, 3), cell_counts(s[order], a[order], 5, 3))
 
     def test_empty_data_rejected(self):
-        with pytest.raises(ValueError):
-            fit_classifier(SolverConfig(), [], [], 2, 2)
+        # the classifier's "empty training data" is cell_counts' "empty index arrays"
+        with pytest.raises(ValueError, match="^empty index arrays$"):
+            cell_counts([], [], 2, 2)
 
     def test_prob_floor_must_be_valid(self, monkeypatch):
         monkeypatch.setattr(oracles, "PROB_FLOOR", 0.5)
         with pytest.raises(ValueError):
-            fit_classifier(SolverConfig(), [0], [0], 1, 3)
+            classify(SolverConfig(), [0], [0], 1, 3)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_rows_are_floored_distributions(self, seed, monkeypatch):
@@ -96,31 +103,31 @@ class TestFitClassifier:
         rng = np.random.default_rng(seed)
         pi = rng.dirichlet(np.full(4, 0.3), size=3)  # sparse-ish rows
         s, a = synth_pairs(rng, np.maximum(pi, 1e-12) / np.maximum(pi, 1e-12).sum(1, keepdims=True), 200)
-        fc = fit_classifier(SolverConfig(), s, a, 3, 4)
-        assert_allclose(fc.probs.sum(axis=1), 1.0, atol=1e-12)
-        assert fc.probs.min() >= 1e-4 / 2
+        probs = classify(SolverConfig(), s, a, 3, 4)
+        assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+        assert probs.min() >= 1e-4 / 2
 
 
 class TestLogPolicy:
     def test_uniform_value(self):
-        fc = fit_classifier(SolverConfig(smoothing_alpha=1e9), [0], [0], 2, 5)
-        assert_allclose(np.log(fc.probs), -np.log(5.0), atol=1e-6)
+        probs = classify(SolverConfig(smoothing_alpha=1e9), [0], [0], 2, 5)
+        assert_allclose(np.log(probs), -np.log(5.0), atol=1e-6)
 
     def test_exp_inverts(self):
         rng = np.random.default_rng(1)
         s, a = synth_pairs(rng, rng.dirichlet(np.ones(3), size=4), 500)
-        fc = fit_classifier(SolverConfig(smoothing_alpha=0.5), s, a, 4, 3)
-        assert_allclose(np.exp(np.log(fc.probs)).sum(axis=1), 1.0, atol=1e-12)
+        probs = classify(SolverConfig(smoothing_alpha=0.5), s, a, 4, 3)
+        assert_allclose(np.exp(np.log(probs)).sum(axis=1), 1.0, atol=1e-12)
 
     def test_logsumexp_of_log_policy_is_zero(self):
         rng = np.random.default_rng(2)
         s, a = synth_pairs(rng, rng.dirichlet(np.ones(4), size=3), 400)
-        fc = fit_classifier(SolverConfig(smoothing_alpha=1.0), s, a, 3, 4)
-        assert np.max(np.abs(logsumexp_actions(np.log(fc.probs)))) <= 1e-12
+        probs = classify(SolverConfig(smoothing_alpha=1.0), s, a, 3, 4)
+        assert np.max(np.abs(logsumexp_actions(np.log(probs)))) <= 1e-12
 
     def test_bounded_below_by_floor(self):
-        fc = fit_classifier(SolverConfig(), [0] * 50, [0] * 50, 1, 2)
-        assert np.log(fc.probs).min() >= np.log(1e-6 / 2)
+        probs = classify(SolverConfig(), [0] * 50, [0] * 50, 1, 2)
+        assert np.log(probs).min() >= np.log(1e-6 / 2)
 
 
 def regress(fitted, g):
@@ -172,7 +179,7 @@ class TestFitRegressor:
 
     def test_counts_hold_every_record(self):
         fr = fit_regressor([0, 0, 1, 0], [1, 1, 0, 1], [1, 1, 0, 0], 2, 2)
-        assert dense(fr.counts, (4, 2)).tolist() == [[0, 0], [1, 2], [1, 0], [0, 0]]
+        assert dense((*fr.kernel[:2], fr.n), (4, 2)).tolist() == [[0, 0], [1, 2], [1, 0], [0, 0]]
         assert fr.diagnostics["n_train"] == 4
 
     def test_erm_dominates_constant_predictors(self):
@@ -199,7 +206,7 @@ def _noisy_records(n):
 
 def _assert_same_fit(ours, ref):
     """Triple for triple and bit for bit, with the same dtypes and diagnostics."""
-    for a, b in zip((*ours.kernel, *ours.counts), (*ref.kernel, *ref.counts)):
+    for a, b in zip((*ours.kernel, ours.n), (*ref.kernel, ref.n)):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
     assert ((ours.n_cells, ours.n_records, ours.exact, ours.diagnostics)
             == (ref.n_cells, ref.n_records, ref.exact, ref.diagnostics))
@@ -215,7 +222,7 @@ class TestFoldMapsMatchPerFoldFits:
         for k, fitted in enumerate(maps):
             fold = [c[k * size:(k + 1) * size] for c in records]
             _assert_same_fit(fitted, fit_regressor(*fold, ns, na))
-            assert fitted.n_records == fitted.counts[2].sum() == size
+            assert fitted.n_records == fitted.n.sum() == size
         return maps
 
     def test_ident_split_folds(self):
@@ -230,7 +237,7 @@ class TestFoldMapsMatchPerFoldFits:
         records = [c[half:end] for c in (data.states, data.actions, data.next_states)]
         maps = self._check(records, 64, 5, folds)
         # every fold's triples are views into the arrays the folds share
-        assert all(np.shares_memory(m.counts[0], maps[0].counts[0].base) for m in maps)
+        assert all(np.shares_memory(m.kernel[0], maps[0].kernel[0].base) for m in maps)
         assert all(m.exact for m in maps)  # one-hot moves: one next state per cell
 
     @pytest.mark.parametrize("folds", [1, 8, 50])
@@ -255,8 +262,8 @@ class TestFoldMapsMatchPerFoldFits:
         ours = fit_regressor(*records, ns, na)
         ref = dense_fit_regressor(*records, ns, na)
         rows, cols = np.nonzero(ref.counts)
-        for a, b in zip((*ours.kernel, *ours.counts),
-                        (rows, cols, ref.kernel[rows, cols], rows, cols, ref.counts[rows, cols])):
+        for a, b in zip((*ours.kernel, ours.n),
+                        (rows, cols, ref.kernel[rows, cols], ref.counts[rows, cols])):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         assert ours.diagnostics == ref.diagnostics
         assert not ours.exact  # slips give some visited cell two next states
@@ -287,15 +294,17 @@ class TestNarrowColumnsMatchInt64:
         rng = np.random.default_rng(ns + folds)
         wide = rng.integers(0, ns, n), rng.integers(0, na, n), rng.integers(0, ns, n)
         s, a = wide[:2]
-        want_clf = fit_classifier(SolverConfig(smoothing_alpha=0.5), s, a, ns, na)
+        want_counts = cell_counts(s, a, ns, na)
+        want_probs = fit_classifier(SolverConfig(smoothing_alpha=0.5), want_counts)
         want_freq = joint_frequency(s, a, ns, na)
         want_maps = fit_regressor_folds(*wide, ns, na, folds)
         for dtype in [np.int8, np.int16] if ns <= 128 else [np.int16]:
             narrow = [c.astype(dtype) for c in wide]
             s, a = narrow[:2]
-            clf = fit_classifier(SolverConfig(smoothing_alpha=0.5), s, a, ns, na)
-            assert clf.probs.tobytes() == want_clf.probs.tobytes()
-            assert np.array_equal(clf.counts, want_clf.counts)
+            counts = cell_counts(s, a, ns, na)
+            probs = fit_classifier(SolverConfig(smoothing_alpha=0.5), counts)
+            assert probs.tobytes() == want_probs.tobytes()
+            assert np.array_equal(counts, want_counts)
             assert joint_frequency(s, a, ns, na).tobytes() == want_freq.tobytes()
             for got, want in zip(fit_regressor_folds(*narrow, ns, na, folds), want_maps,
                                  strict=True):
@@ -314,8 +323,7 @@ class TestKlShrinksWithN:
             kls = []
             for n in (1_000, 10_000, 100_000):
                 s, a = synth_pairs(rng, pi, n)
-                fc = fit_classifier(SolverConfig(), s, a, 3, 3)
-                kls.append(mean_kl(pi, fc.probs))
+                kls.append(mean_kl(pi, classify(SolverConfig(), s, a, 3, 3)))
             for lo, hi in ((0, 1), (1, 2)):
                 trials += 1
                 decreases += kls[hi] <= kls[lo]
@@ -334,7 +342,7 @@ class TestChunkedCounts:
         ns, na, n = 3, 2, 6_000  # 300 folds of 18 keys fit the dense count
         s, a, s2 = rng.integers(0, ns, n), rng.integers(0, na, n), rng.integers(0, ns, n)
         cells = np.bincount(s * na + a, minlength=ns * na).reshape(ns, na)
-        assert np.array_equal(fit_classifier(SolverConfig(), s, a, ns, na).counts, cells)
+        assert np.array_equal(cell_counts(s, a, ns, na), cells)
         assert joint_frequency(s, a, ns, na).tobytes() == (cells / n).tobytes()
         for folds in (1, 4, 300):
             fits = fit_regressor_folds(s, a, s2, ns, na, folds)
@@ -344,7 +352,8 @@ class TestChunkedCounts:
                 counts = np.bincount(keys, minlength=ns * na * ns)
                 support = np.flatnonzero(counts)
                 rows, cols = np.divmod(support, ns)
-                for got, want in zip(fitted.counts, (rows, cols, counts[support])):
+                for got, want in zip((*fitted.kernel[:2], fitted.n),
+                                     (rows, cols, counts[support])):
                     assert np.array_equal(got, want)
                 assert np.array_equal(fitted.kernel[2], counts[support] / np.bincount(
                     rows, counts[support])[rows])
@@ -365,7 +374,7 @@ class TestFitMemory:
         try:
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            fit_classifier(SolverConfig(smoothing_alpha=1.0), s, a, ns, na)
+            classify(SolverConfig(smoothing_alpha=1.0), s, a, ns, na)
             fit_regressor(s, a, s2, ns, na)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:

@@ -16,8 +16,8 @@ from softirl.envs import (
     sample_transitions,
 )
 from softirl.harness import builtin_experiment
-from softirl.mdp import TabularMdp, apply_P
-from softirl.oracles import fit_regressor
+from softirl.mdp import TabularMdp, apply_P, cell_counts
+from softirl.oracles import FittedRegressor, fit_regressor
 from softirl.solver import (
     IrlSolution,
     SolverConfig,
@@ -155,10 +155,11 @@ class TestClassifyThenRegress:
     @pytest.mark.parametrize("solve", [classify_then_regress, split_classify_regress],
                              ids=lambda f: f.__name__)
     def test_k_zero_is_pure_normalization(self, monkeypatch, solve):
+        # the full-sample solve fits its map for the counts, but no map is applied
         def unreachable(*args):
-            raise AssertionError("a regression map was fitted at K = 0")
+            raise AssertionError("a regression map was fitted or applied at K = 0")
 
-        monkeypatch.setattr(solver_module, "fit_regressor", unreachable)
+        monkeypatch.setattr(FittedRegressor, "step", unreachable)
         monkeypatch.setattr(solver_module, "fit_regressor_folds", unreachable)
         rng = np.random.default_rng(6)
         ds = _tiny_dataset(rng)
@@ -167,6 +168,36 @@ class TestClassifyThenRegress:
         assert_allclose(sol.v, 0.0)
         mu_u = np.sum(sol.mu_table * sol.u, axis=1)
         assert_allclose(sol.r, sol.u - mu_u[:, None], atol=1e-14)
+
+    def test_k_zero_is_the_classifier_alone_bit_for_bit(self):
+        # no map is applied: v = 0, and u, mu and the diagnostics come from pi
+        # fitted on the records' cell counts, as when K = 0 fitted no map
+        ds = _tiny_dataset(np.random.default_rng(24))
+        cfg = SolverConfig(gamma=0.9, K=0, mu="behavior-policy", smoothing_alpha=0.5)
+        sol = classify_then_regress(ds, cfg)
+        counts = cell_counts(ds.states, ds.actions, ds.meta["n_states"], ds.meta["n_actions"])
+        u, mu_t, diag = solver_module._fit_policy(cfg, counts, counts)
+        want = solver_module._fitted_fixed_point(cfg, u, mu_t, [], diag, False)
+        for name in ("r", "v", "u", "c", "mu_table"):
+            assert getattr(sol, name).tobytes() == getattr(want, name).tobytes(), name
+        assert not sol.v.any() and sol.diagnostics == want.diagnostics
+        assert sol.diagnostics.eta == [] and sol.diagnostics.nu_proxy is not None
+
+    def test_the_full_sample_solve_checks_its_records_once(self, monkeypatch):
+        # its classifier reads the cell counts of its regression map, not the records
+        from softirl import mdp as mdp_module
+        from softirl import oracles
+
+        ds = _tiny_dataset(np.random.default_rng(25))
+        lengths = []
+        for module in (mdp_module, oracles):
+            def spy(*args, check=module.check_records):
+                lengths.append(len(args[2]))
+                return check(*args)
+
+            monkeypatch.setattr(module, "check_records", spy)
+        classify_then_regress(ds, SolverConfig(gamma=0.9, K=3))
+        assert lengths.count(ds.n) == 1
 
     def test_point_mass_reference_action_is_exactly_zero(self):
         rng = np.random.default_rng(7)
