@@ -150,10 +150,9 @@ def _cmd_diagnose(args) -> int:
     solution = solver.classify_then_regress(dataset, cfg.solver, record_iterates=True)
     exact = solver.exact_population_solver(mdp, pi, cfg.solver)
     diag = solution.diagnostics
-    # sup |v_k - v*| of every iterate in place, so the stack is the one (K + 1, S, A) temporary
-    dists = np.stack(diag.iterates)
-    dists -= exact.v
-    dists = np.abs(dists, out=dists).max(axis=(1, 2)).tolist()
+    # sup |v_k - v*| of every iterate, in place on the solve's one (K + 1, S, A) iterate table
+    diag.iterates -= exact.v
+    dists = np.abs(diag.iterates, out=diag.iterates).max(axis=(1, 2)).tolist()
     lines = ["k,eta,sup_dist_to_exact_v,gamma_pow_k"]
     row = ",".join(["%d"] + [harness.FLOAT_FMT] * 3)
     for k, dist in enumerate(dists):

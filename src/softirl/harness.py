@@ -27,7 +27,6 @@ import numpy as np
 from softirl.envs import REGIMES, GridworldSpec, build_env, expert_policy, sample_transitions
 from softirl.maxent import MaxEntConfig, ascent, run_lockstep
 from softirl.maxent import maxent_fit  # noqa: F401 - perfbench/spans.py wraps it by name here
-from softirl.mdp import joint_frequency
 from softirl.metrics import METRIC_NAMES, evaluate
 from softirl.solver import SolverConfig, classify_then_regress, split_classify_regress
 
@@ -126,8 +125,9 @@ def _rerun(cfg: ExperimentConfig, mdp, phi, rerun: int):
     solve = split_classify_regress if cfg.split else classify_then_regress
     solution = solve(dataset, cfg.solver)
     ours = score(cfg, solution.r, solution.v)
-    freq = joint_frequency(dataset.states, dataset.actions, mdp.n_states, mdp.n_actions)
-    del dataset, solution  # while MaxEnt runs, a rerun holds only its table
+    counts = solution.diagnostics.sample_counts  # the solve's count of the whole sample
+    freq = counts / counts.sum()
+    del dataset, solution, counts  # while MaxEnt runs, a rerun holds only its table
     fit = yield from ascent(mdp, phi, freq, cfg.baseline)
     return {"MaxEnt": score(cfg, fit.r_hat), "Ours": ours}
 

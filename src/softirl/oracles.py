@@ -1,13 +1,13 @@
 """Blackbox probabilistic classification and regression oracles.
 
 The classifier estimates the behavior policy by the tabular frequency in the (S, A)
-table of record counts (`mdp.cell_counts`); fit_classifier is where another kind
-would plug in, and a classifier fits from that count table. The regressor
-estimates conditional means E[g(s') | s, a] for a next-state function g by the tabular
-mean, which is linear in its targets, so one fit on a fold is a linear map from g to
-the (s, a) table, reused for every g. The map is held sparsely, as (row, col, value)
-triples over cells s * A + a and next states s', with the record count of each: a
-fold of m records has at most m of them. All folds of a split are fitted at once.
+table of record counts (`mdp.cell_counts`); another kind would plug in at fit_classifier,
+which fits from that table. The regressor estimates conditional means E[g(s') | s, a]
+for a next-state function g by the tabular mean, which is linear in its targets, so
+one fit on a fold is a linear map from g to the (s, a) table, reused for every g. The
+map is held sparsely, as (row, col, value) triples over cells s * A + a and next states
+s', with the record count of each: a fold of m records has at most m of them. All folds
+of a split are fitted at once, in memory that grows with their records, not folds * S * A.
 """
 
 from __future__ import annotations
@@ -95,12 +95,11 @@ def fit_regressor(states, actions, next_states, n_states: int, n_actions: int) -
 
 def fit_regressor_folds(states, actions, next_states, n_states: int, n_actions: int,
                         folds: int) -> list[FittedRegressor]:
-    """fit_regressor's fit of each of `folds` equal consecutive folds of the
-    records, in order, from one check and one count of the (fold, s * A + a,
-    s') keys: when their range is at most the record count, a dense bincount
-    of one chunk of records at a time (`mdp._count_keys`), so no key array of
-    the record count exists; else a sort of all keys. Each fold's triples and
-    counts are views into the shared sorted arrays."""
+    """fit_regressor's fit of each of `folds` equal consecutive folds of the records, in
+    order, from one check and one count of their (fold, s * A + a, s') keys: fold by fold
+    by a chunked bincount (`mdp._count_keys`) if a fold has at least as many records as
+    keys, else by one in-place sort. Cell totals and empty cells come from the keys' runs,
+    so memory grows with the records; the folds' triples are views into shared arrays."""
     s, a, s2 = check_records(n_states, n_actions, states, actions, next_states)
     if s.size == 0:
         raise ValueError("empty training data")
@@ -109,26 +108,36 @@ def fit_regressor_folds(states, actions, next_states, n_states: int, n_actions: 
     n_cells = n_states * n_actions
     span, size = n_cells * n_states, s.size // folds  # keys and records per fold
 
-    def keys(lo, hi):  # the (fold, s * A + a, s') keys of records lo:hi, built in place
+    def keys(lo, hi):  # the (s * A + a, s') keys of records lo:hi, built in place
         key = _cell_keys(s[lo:hi], a[lo:hi], n_actions)
-        if folds > 1:
-            key += np.arange(lo, hi) // size * n_cells
         key *= n_states
         key += s2[lo:hi]
         return key
 
-    if folds * span <= s.size:
-        counts = _count_keys(keys, s.size, folds * span)
-        support = np.flatnonzero(counts > 0)  # a bool mask scans faster than int64
-        n = counts[support]
-    else:
-        support, n = np.unique(keys(0, s.size), return_counts=True)
-    cells, cols = np.divmod(support, n_states)  # cells = fold * S * A + s * A + a
-    cnt = np.bincount(cells, n, minlength=folds * n_cells)
-    rows, values = cells % n_cells, n / cnt[cells]
-    empty = np.count_nonzero(cnt.reshape(folds, n_cells) == 0, axis=1).tolist()
-    bounds = np.searchsorted(support, np.arange(folds + 1) * span).tolist()
+    def starts(x):  # one bool mask, True at the first entry of each run of sorted x
+        start = np.ones(len(x), dtype=bool)
+        np.not_equal(x[1:], x[:-1], out=start[1:])
+        return start
+
+    if span <= size:
+        parts = []
+        for at in range(0, s.size, size):  # each fold's count, kept as its visited keys
+            counts = _count_keys(lambda lo, hi: keys(at + lo, at + hi), size, span)
+            support = np.flatnonzero(counts > 0)  # a bool mask scans faster than int64
+            parts.append((support + at // size * span, counts[support]))
+        support, n = (np.concatenate(part) for part in zip(*parts))
+    else:  # fold k's keys gain k * span in one broadcast over whole folds
+        support = keys(0, s.size)
+        support.reshape(folds, size)[...] += np.arange(folds)[:, None] * span
+        support.sort()
+        first = np.flatnonzero(starts(support))
+        support, n = support[first], np.diff(first, append=s.size)
+    bounds = np.searchsorted(support, np.arange(folds + 1) * span)
+    run = np.cumsum(starts(support // n_states)) - 1  # each triple's visited (fold, cell)
+    values = n / np.bincount(run, n)[run]
+    empty = (n_cells - 1 - run[bounds[1:] - 1] + run[bounds[:-1]]).tolist()
+    rows, cols = np.divmod(support % span, n_states)
 
     return [FittedRegressor((rows[lo:hi], cols[lo:hi], values[lo:hi]), n[lo:hi], n_cells, size,
                             {"n_empty_cells": n_empty, "n_train": size})
-            for lo, hi, n_empty in zip(bounds, bounds[1:], empty)]
+            for lo, hi, n_empty in zip(bounds.tolist(), bounds[1:].tolist(), empty)]

@@ -106,15 +106,16 @@ class SolverDiagnostics:
     fitting fold; nu_proxy is the train KL between the empirical conditional
     and the fitted classifier; kappa_hat is the largest ratio of (empirical
     state marginal x mu) to empirical (s, a) mass over the visited support
-    of the whole sample. iterations is len(eta); iterates holds v_0 .. v_K
-    when a solve records them.
+    of the whole sample, whose (S, A) record counts are sample_counts.
+    iterations is len(eta); a traced solve's iterates is the (K + 1, S, A) array of v_0 .. v_K.
     """
 
     eta: list = field(default_factory=list)
     nu_proxy: float | None = None
     kappa_hat: float | None = None
     warnings: list = field(default_factory=list)
-    iterates: list | None = None
+    iterates: np.ndarray | None = None
+    sample_counts: np.ndarray | None = field(default=None, compare=False)
 
     @property
     def iterations(self) -> int:
@@ -200,7 +201,8 @@ def _fit_policy(cfg: SolverConfig, counts: np.ndarray, sample_counts: np.ndarray
     whole sample's `sample_counts`, with a warning for each coverage gap."""
     probs = fit_classifier(cfg, counts)
     mu_t = cfg.mu_table(*counts.shape, behavior=probs)
-    diag = SolverDiagnostics(nu_proxy=_classifier_train_kl(probs, counts))
+    diag = SolverDiagnostics(nu_proxy=_classifier_train_kl(probs, counts),
+                             sample_counts=sample_counts)
     unvisited = np.count_nonzero(counts.sum(axis=1) == 0)
     if unvisited:
         diag.warnings.append(
@@ -218,15 +220,15 @@ def _fitted_fixed_point(cfg: SolverConfig, u, mu_t, maps: list, diag: SolverDiag
     """
     v, flat_work, g = np.zeros(u.size), np.empty(u.size), np.empty(len(u))
     work, flat_u, flat_mu = flat_work.reshape(u.shape), u.ravel(), mu_t.ravel()
-    diag.iterates = [v.reshape(u.shape)] if record_iterates else None
-    for step_map in maps:
+    diag.iterates = np.zeros((len(maps) + 1, *u.shape)) if record_iterates else None
+    for k, step_map in enumerate(maps, 1):
         np.subtract(np.multiply(v, cfg.gamma, out=flat_work), flat_u, out=flat_work)
         np.multiply(flat_work, flat_mu, out=flat_work)
         np.add.reduce(work, axis=1, out=g)
         v, eta = step_map.step(g)
         diag.eta.append(eta)
         if record_iterates:
-            diag.iterates.append(v.reshape(u.shape))
+            diag.iterates[k] = v.reshape(u.shape)
     empty_seen = max((m.n_empty_cells for m in maps), default=0)
     if empty_seen:
         diag.warnings.append(
@@ -263,9 +265,9 @@ def split_classify_regress(data, cfg: SolverConfig) -> IrlSolution:
     if fold_size == 0:
         raise ValueError(f"fold size is 0: half={half}, folds={k_steps}")
     n_states, n_actions = data.meta["n_states"], data.meta["n_actions"]
-    u, mu_t, diag = _fit_policy(cfg, cell_counts(data.states[:half], data.actions[:half],
-                                                 n_states, n_actions),
-                                cell_counts(data.states, data.actions, n_states, n_actions))
+    counts = cell_counts(data.states[:half], data.actions[:half], n_states, n_actions)
+    u, mu_t, diag = _fit_policy(cfg, counts, counts + cell_counts(
+        data.states[half:], data.actions[half:], n_states, n_actions))
     if fold_size < n_states:
         diag.warnings.append(f"fold size {fold_size} is below the state count; "
                              "coverage gaps likely")

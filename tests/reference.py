@@ -8,10 +8,11 @@ with exact oracles and its full-sample limit as K grows) in plain code. Each one
 `solver._fitted_fixed_point`), so a test that uses them still tests package
 code.
 
-The last eight are the plain forms of six fast paths: the dense fold maps
+The last nine are the plain forms of six fast paths: the dense fold maps
 (`dense_fit_regressor`, `dense_fit_regressor_folds`,
-`dense_fitted_fixed_point`), the per-record dataset writer
-(`write_dataset_per_record`), the per-line dataset reader
+`dense_fitted_fixed_point`) and the fold maps from `np.unique` and a
+(folds, S*A) table of cell totals (`unique_fit_regressor_folds`), the
+per-record dataset writer (`write_dataset_per_record`), the per-line dataset reader
 (`read_dataset_per_line`), the row-by-row table writer (`savetxt_table`),
 `build_env`'s kernel fill and reward rescale (`cold_build_env`) and the
 sampler's cut CDF rows from the dense (S, A, S) cumsum
@@ -276,6 +277,26 @@ def dense_fit_regressor_folds(states, actions, next_states, n_states, n_actions,
     return [dense_fit_regressor(states[lo:lo + size], actions[lo:lo + size],
                                 next_states[lo:lo + size], n_states, n_actions)
             for lo in range(0, folds * size, size)]
+
+
+def unique_fit_regressor_folds(states, actions, next_states, n_states, n_actions, folds):
+    """`oracles.fit_regressor_folds` by `np.unique` of all (fold, s*A + a, s')
+    keys, with each cell's total read off a dense (folds, S*A) table: per
+    fold, its (rows, cols, values, n) triple arrays and its n_empty_cells."""
+    s, a, s2 = (np.asarray(x, dtype=np.int64) for x in (states, actions, next_states))
+    n_cells, size = n_states * n_actions, len(s) // folds
+    fold = np.arange(folds * size) // size
+    keys = (fold * n_cells + s * n_actions + a) * n_states + s2
+    support, n = np.unique(keys, return_counts=True)
+    cells, cols = np.divmod(support, n_states)
+    totals = np.bincount(cells, n, minlength=folds * n_cells)
+    values = n / totals[cells]
+    fits = []
+    for k in range(folds):
+        own = cells // n_cells == k
+        fits.append((cells[own] % n_cells, cols[own], values[own], n[own],
+                     int(np.sum(totals[k * n_cells:(k + 1) * n_cells] == 0))))
+    return fits
 
 
 def dense_misfit(fitted: DenseFit, flat, g) -> float:

@@ -417,6 +417,41 @@ class TestRunExperiment:
         assert (tmp_path / "two" / "raw.csv").read_text() == "".join(
             line for line in raw if not line.startswith(gone))
 
+    @pytest.mark.parametrize("split", [False, True])
+    def test_maxent_fits_the_solves_count_of_the_sample(self, monkeypatch, split):
+        # a rerun checks its records only inside the solve, and MaxEnt's table
+        # is the solve's whole-sample counts over n, joint_frequency's bits
+        import softirl.harness as harness
+        from softirl import mdp as mdp_module
+        from softirl import oracles
+        from softirl.envs import build_env, expert_policy, sample_transitions
+        from softirl.mdp import joint_frequency
+
+        cfg = tiny_experiment(reruns=1, split=split)
+        mdp, r_true, _ = build_env(cfg.env)
+        dataset = sample_transitions(mdp, expert_policy(mdp, r_true), cfg.n, regime=cfg.regime,
+                                     seed=cfg.base_seed, env_id=cfg.name)
+        lengths, tables, real_ascent = [], [], harness.ascent
+        for module in (mdp_module, oracles):
+            def spy(*args, check=module.check_records):
+                lengths.append(len(args[2]))
+                return check(*args)
+
+            monkeypatch.setattr(module, "check_records", spy)
+
+        def ascent(mdp, phi, weights, config):
+            tables.append(weights)
+            return (yield from real_ascent(mdp, phi, weights, config))
+
+        monkeypatch.setattr(harness, "ascent", ascent)
+        run_experiment(cfg)
+        k_steps = cfg.solver.steps(cfg.n)
+        fit = k_steps * (cfg.n // 2 // k_steps)  # K folds of the second half
+        assert sorted(lengths) == sorted([cfg.n // 2, cfg.n - cfg.n // 2, fit] if split
+                                         else [cfg.n])
+        want = joint_frequency(dataset.states, dataset.actions, mdp.n_states, mdp.n_actions)
+        assert len(tables) == 1 and tables[0].tobytes() == want.tobytes()
+
 
 class TestBuiltin:
     def test_names(self):

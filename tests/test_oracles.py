@@ -14,7 +14,7 @@ from softirl.envs import build_env, expert_policy, sample_transitions
 from softirl.harness import builtin_experiment
 from softirl.mdp import cell_counts, joint_frequency
 
-from reference import dense_fit_regressor, logsumexp_actions
+from reference import dense_fit_regressor, logsumexp_actions, unique_fit_regressor_folds
 
 
 def synth_pairs(rng, pi, n):
@@ -280,6 +280,49 @@ class TestFoldMapsMatchPerFoldFits:
             fit_regressor_folds([0, 1, 0, 1], [0, 0, 1, 1], [0, 1, 1, 2], 2, 2, 2)
 
 
+class TestFoldMapsMatchTheUniqueReference:
+    """`fit_regressor_folds` reads each cell's total and each fold's empty
+    cells off the runs of its sorted keys; `unique_fit_regressor_folds` takes
+    them from `np.unique` and a dense (folds, S*A) table. They agree bit for bit."""
+
+    def _check(self, records, ns, na, folds):
+        ref = unique_fit_regressor_folds(*records, ns, na, folds)
+        for fitted, (*want, n_empty) in zip(fit_regressor_folds(*records, ns, na, folds), ref,
+                                            strict=True):
+            for got, expected in zip((*fitted.kernel, fitted.n), want):
+                assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+            assert fitted.n_empty_cells == n_empty
+
+    @pytest.mark.parametrize("folds", [1, 3, 8])
+    def test_random_records_with_empty_cells(self, folds):
+        # 6 * 3 cells and 6 next states: 24 records a fold leave cells empty;
+        # the 108 keys a fold has outnumber its records, so a sort counts them
+        rng = np.random.default_rng(folds)
+        n = 24 * folds
+        records = rng.integers(0, 6, n), rng.integers(0, 3, n), rng.integers(0, 6, n)
+        self._check(records, 6, 3, folds)
+        assert any(n_empty for *_, n_empty in unique_fit_regressor_folds(*records, 6, 3, folds))
+
+    @pytest.mark.parametrize("folds", [8, 20, 50])
+    def test_noisy_moves(self, folds):
+        # a fold of 2,500 records holds the 1,280 keys a fold has, so 8 folds are
+        # counted densely; folds of 1,000 and 400 records are counted by a sort
+        records, ns, na = _noisy_records(20_000)
+        self._check(records, ns, na, folds)
+
+    @pytest.mark.parametrize("chunk", [7, 50, 1 << 14])
+    def test_dense_path_on_chunks_that_split_folds(self, monkeypatch, chunk):
+        # 3 folds of 20 records and 2 * 2 * 2 keys each fit the dense count:
+        # each fold's records are counted max(chunk, 8) at a time, which cuts
+        # a fold at 7; state 1 never takes action 1, so each fold has an empty cell
+        monkeypatch.setattr(mdp_module, "_CHUNK", chunk)
+        rng = np.random.default_rng(chunk)
+        s = rng.integers(0, 2, 60)
+        records = s, rng.integers(0, 2, 60) * (s == 0), rng.integers(0, 2, 60)
+        self._check(records, 2, 2, 3)
+        assert [fit[-1] for fit in unique_fit_regressor_folds(*records, 2, 2, 3)] == [1, 1, 1]
+
+
 class TestNarrowColumnsMatchInt64:
     """Records held in int8, int16 or int64 give the same counts and fits to
     the bit. The keys are widened to intp before any product: in int8, s * A
@@ -380,3 +423,22 @@ class TestFitMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 3.5 * chunk * 8 < s.size * 8
+
+    def test_split_fit_peak_is_below_one_fold_by_cell_table(self):
+        # 400 folds of 500 records over S = 1,024 and A = 5: a (K, S * A)
+        # table of counts is 16.4 MB, more than all the fit's arrays of the
+        # 200k records take together
+        ns, na, folds = 1024, 5, 400
+        rng = np.random.default_rng(8)
+        s, a, s2 = (rng.integers(0, hi, folds * 500).astype(mdp_module.index_dtype(ns, na))
+                    for hi in (ns, na, ns))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            maps = fit_regressor_folds(s, a, s2, ns, na, folds)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(maps) == folds
+        assert peak < folds * ns * na * np.dtype(np.intp).itemsize

@@ -199,6 +199,38 @@ class TestClassifyThenRegress:
         classify_then_regress(ds, SolverConfig(gamma=0.9, K=3))
         assert lengths.count(ds.n) == 1
 
+    def test_the_split_solve_checks_each_record_once_beside_its_fit(self, monkeypatch):
+        # the classifier half and the rest are counted once each, and the
+        # whole sample's table is their sum; the regression fit checks its own
+        # K folds. A recount of the whole sample would check 1.5 n beside the fit
+        from softirl import mdp as mdp_module
+        from softirl import oracles
+
+        ds = _tiny_dataset(np.random.default_rng(26), n=201)
+        cfg = SolverConfig(gamma=0.9, K=7)
+        seen = {mdp_module: [], oracles: []}
+        for module in seen:
+            def spy(*args, check=module.check_records, lengths=seen[module]):
+                lengths.append(len(args[2]))
+                return check(*args)
+
+            monkeypatch.setattr(module, "check_records", spy)
+        split_classify_regress(ds, cfg)
+        assert seen[oracles] == [7 * (100 // 7)]  # the fit's own check
+        assert seen[mdp_module] == [100, 101] and sum(seen[mdp_module]) <= ds.n
+
+    @pytest.mark.parametrize("solve", [classify_then_regress, split_classify_regress],
+                             ids=lambda f: f.__name__)
+    def test_the_whole_sample_counts_are_handed_on(self, solve):
+        # the whole sample's (S, A) counts ride on the diagnostics, as
+        # `cell_counts` counts them, so their frequency has its bits
+        ds = _tiny_dataset(np.random.default_rng(27))
+        sol = solve(ds, SolverConfig(gamma=0.9, K=4))
+        counts = sol.diagnostics.sample_counts
+        want = cell_counts(ds.states, ds.actions, ds.meta["n_states"], ds.meta["n_actions"])
+        assert counts.dtype == want.dtype and np.array_equal(counts, want)
+        assert (counts / counts.sum()).tobytes() == (want / want.sum()).tobytes()
+
     def test_point_mass_reference_action_is_exactly_zero(self):
         rng = np.random.default_rng(7)
         ds = _tiny_dataset(rng)
@@ -576,7 +608,9 @@ class TestExactFitSkipsTheMisfit:
         iterates = traced.diagnostics.iterates
         k_steps = cfg.steps(data.n)
         assert len(iterates) == k_steps + 1
-        assert {v.shape for v in iterates} == {traced.u.shape}  # `diagnose` stacks them
+        assert {v.shape for v in iterates} == {traced.u.shape}
+        # one (K + 1, S, A) table, which `diagnose` reduces in place
+        assert isinstance(iterates, np.ndarray) and iterates.shape == (k_steps + 1, 64, 5)
         k = k_steps if k is None else k
         assert np.array_equal(iterates[k], classify_then_regress(data, replace(cfg, K=k)).v)
 
